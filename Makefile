@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test lint lint-json race bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
+.PHONY: check vet fmt build test lint lint-json race benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
 
 ## check: gofmt + go vet + build + ompss-lint + full test suite (the tier-1 gate)
 check: fmt vet build lint test
@@ -32,9 +32,17 @@ lint-json:
 	@echo "wrote lint.json"
 
 ## race: race-detect the simulation kernel, the parallel harness, the
-## concurrent runtime layers (core/gasnet/faults), and the serving layer
+## concurrent runtime layers (core/gasnet/faults), the serving layer, and
+## the bookkeeping layers under core (memspace.FragMap holds the RWMutexes)
 race:
-	$(GO) test -race ./internal/sim/... ./internal/bench/... ./internal/core/... ./internal/gasnet/... ./internal/faults/... ./internal/serve/...
+	$(GO) test -race ./internal/sim/... ./internal/bench/... ./internal/core/... ./internal/gasnet/... ./internal/faults/... ./internal/serve/... \
+		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
+
+## benchmark-test: the benchmark harness's own tests. benchmark/ is a
+## separate Go module, so `go test ./...`, `make check` and ompss-lint at
+## the root never see it
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 ## resilience: the fault-plan test matrix plus the quick resilience grid
 resilience:

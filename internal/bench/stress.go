@@ -71,8 +71,8 @@ func stressLayer(width, d int, overlapEvery int, base task.ID) []*task.Task {
 func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float64, error) {
 	reg := metrics.New()
 	var sc sched.Scheduler
-	sc = sched.NewWithHooks(sched.Dependencies, stressPlaces, nil, nil, false, nil,
-		sched.Hooks{Queued: reg.Gauge("sched_queue_depth"), Steals: reg.Counter("sched_steals_total")})
+	sc = sched.New(sched.Dependencies, stressPlaces, sched.Options{
+		Hooks: sched.Hooks{Queued: reg.Gauge("sched_queue_depth"), Steals: reg.Counter("sched_steals_total")}})
 	if lookahead > 1 {
 		sc = sched.Lookahead(sc, lookahead, sched.LookaheadHooks{
 			Depth:   reg.Gauge("sched_lookahead_depth"),

@@ -219,17 +219,6 @@ func (d *Directory) Produced(r memspace.Region, loc memspace.Location) {
 // Only already-known fragments gain the holder; if no byte of r is known
 // the call is an internal invariant violation and panics.
 func (d *Directory) AddHolder(r memspace.Region, loc memspace.Location) {
-	if !d.AddHolderPartial(r, loc) {
-		panic(fmt.Sprintf("coherence: AddHolder for unknown region %v", r))
-	}
-}
-
-// AddHolderPartial is AddHolder minus the unknown-region panic: it reports
-// whether any fragment of r was known. The partitioned directory
-// (internal/dmgr) applies AddHolder span by span, where a single shard's
-// span may legitimately be wholly unknown as long as some shard knows the
-// region.
-func (d *Directory) AddHolderPartial(r memspace.Region, loc memspace.Location) bool {
 	d.frags.SplitAt(r.Addr)
 	d.frags.SplitAt(r.End())
 	known := false
@@ -243,7 +232,9 @@ func (d *Directory) AddHolderPartial(r memspace.Region, loc memspace.Location) b
 			en.V.producers = nil
 		}
 	}
-	return known
+	if !known {
+		panic(fmt.Sprintf("coherence: AddHolder for unknown region %v", r))
+	}
 }
 
 // PurgeNode removes every holder located on the given node and returns the
@@ -389,21 +380,6 @@ func (d *Directory) Holders(r memspace.Region) []memspace.Location {
 		}
 	}
 	return out
-}
-
-// CandidateHolders returns a copy of the holder set of the first fragment
-// overlapping r, and whether any fragment overlaps at all — the candidate
-// set Holders filters before the coverage check. The partitioned directory
-// (internal/dmgr) uses it to reassemble the exact Holders semantics across
-// shard spans.
-func (d *Directory) CandidateHolders(r memspace.Region) ([]memspace.Location, bool) {
-	ens := d.frags.Overlapping(r)
-	if len(ens) == 0 {
-		return nil, false
-	}
-	out := make([]memspace.Location, len(ens[0].V.holders))
-	copy(out, ens[0].V.holders)
-	return out, true
 }
 
 // Regions returns all fragments the directory knows, ordered by address.

@@ -114,12 +114,6 @@ func (rt *Runtime) registerMasterHandlers() {
 		rt.finishTask(t, node)
 		m.signalWork()
 	})
-	if rt.ft != nil {
-		m.ep.Register(amPong, func(p *sim.Proc, am gasnet.AM) {
-			rt.ft.pongSince[am.From] = true
-			rt.ft.missStreak[am.From] = 0
-		})
-	}
 	m.ep.Register(amData, func(p *sim.Proc, am gasnet.AM) {
 		// Data pulled back to the master host: the producer still holds
 		// the current version, the master host gains a copy.
@@ -473,10 +467,10 @@ func (rt *Runtime) stageFragToNode(p *sim.Proc, frag memspace.Region, k int) (ok
 		id := rt.newXfer(src.Node, k)
 		ack := cl.xferEvents[id]
 		start := p.Now()
-		// In sharded mode the push request originates from the owning
-		// shard's host — the manager brokering the transfer's metadata —
-		// not from the master. The data still flows slave-to-slave and
-		// the ack still lands on the master (the dispatch coordinator).
+		// The push request originates from the owning shard's host — the
+		// manager brokering the transfer's metadata. The data still flows
+		// slave-to-slave and the ack still lands on the master (the
+		// dispatch coordinator).
 		broker := rt.mgrBrokerEndpoint(frag)
 		if !broker.ep.AMShort(p, src.Node, amPush, pushArgs{Region: frag, Dest: k, XferID: id}) {
 			rt.ackXfer(id)
@@ -606,19 +600,9 @@ func (n *nodeRT) registerSlaveHandlers() {
 	})
 	if n.rt.ft != nil {
 		n.ep.Register(amPing, func(p *sim.Proc, am gasnet.AM) {
-			// Reply to whichever manager probed (always the master in the
-			// centralized design; the owning per-shard detector when the
-			// managers are distributed).
+			// Reply to whichever manager node probed.
 			n.ep.AMProbe(p, am.From, amPong, nil)
 		})
-		if n.rt.mgr != nil && n.rt.mgr.sharded {
-			// Any node can host a manager shard and run a per-shard
-			// failure detector, so every slave can receive pongs.
-			n.ep.Register(amPong, func(p *sim.Proc, am gasnet.AM) {
-				n.rt.ft.pongSince[am.From] = true
-				n.rt.ft.missStreak[am.From] = 0
-			})
-		}
 	}
 	n.ep.Register(amData, func(p *sim.Proc, am gasnet.AM) {
 		// Fresh data arriving at this node's host: it becomes the node's

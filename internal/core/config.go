@@ -128,15 +128,14 @@ type Config struct {
 	// runtime without the subsystem.
 	Faults *faults.Plan
 
-	// ManagerShards partitions the coherence directory and the dependence
-	// conflict map across this many manager shards (internal/dmgr), each
-	// hosted on a cluster node, with dependence lookups and coherence
-	// queries routed to the owning shard and slave-to-slave transfers
-	// forced on (the owning manager only brokers metadata). 0 and 1 keep
-	// the centralized master bit-identical to before. Sharding never
-	// changes results — bookkeeping transitions are computed exactly as in
-	// the centralized runtime — it changes *where* (and with ManagerOpCost
-	// *when*) directory work happens.
+	// ManagerShards assigns ownership of the address space to this many
+	// manager shards (internal/dmgr), each hosted on a cluster node, with
+	// dependence lookups and coherence queries charged to the owning shard
+	// and, above one shard, slave-to-slave transfers forced on (the owning
+	// manager only brokers metadata). 0 means 1: the master owns
+	// everything. The shard count never changes results — directory and
+	// dependence state live once, on the master image — it changes *where*
+	// (and with ManagerOpCost *when*) manager work is served.
 	ManagerShards int
 
 	// PowerCapWatts, when positive, arms the cluster power governor: the
@@ -156,8 +155,7 @@ type Config struct {
 	// virtual completion (plus network hops when the shard is remote), and
 	// asynchronous updates consume queue capacity. This is what makes one
 	// centralized manager saturate and N shards scale in the weakscale
-	// experiment. 0 (the default) charges nothing and keeps timing
-	// bit-identical to before.
+	// experiment. 0 (the default) charges nothing.
 	ManagerOpCost time.Duration
 }
 
@@ -292,8 +290,8 @@ type Stats struct {
 	TasksReexecuted    int     // tasks re-run on survivors during recovery
 	RecoverySeconds    float64 // virtual time from first death to last rebuild
 
-	// Distributed managers (all zero unless ManagerShards > 1 or
-	// ManagerOpCost > 0).
+	// Distributed managers (all zero at the defaults: one shard, zero
+	// ManagerOpCost).
 	ManagerOps       int // directory/dependence operations served by shards
 	ManagerRemoteOps int // subset served by a shard hosted off the caller's node
 	ManagerFailovers int // shards rehosted after a manager crash

@@ -8,23 +8,23 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-// Distributed managers (DESIGN.md §13). The centralized runtime funnels
-// every dependence lookup and every coherence-directory operation through
-// the master — the classic single-manager bottleneck. When
-// Config.ManagerShards > 1 the directory and the dependence conflict map
-// are partitioned across N manager shards by block ownership
-// (dmgr.Map), each shard hosted on a cluster node, and slave-to-slave
-// transfers become the default data path with the owning shard only
-// brokering metadata.
+// Distributed managers (DESIGN.md §13): one state, N queues. Every
+// dependence lookup and coherence-directory operation is applied to the
+// master image's single depgraph.Graph and coherence.Directory, whatever
+// Config.ManagerShards says — which is why results stay checksum-exact
+// across shard counts. What the shard count changes is virtual time:
+// dmgr.Map assigns each 256 KiB address block to a shard hosted on a
+// cluster node, and Config.ManagerOpCost arms an FCFS serial queue per
+// shard (dmgr.Model) that the caller of a blocking query sleeps on. One
+// queue saturates; N queues scale. That difference is what `ompss-bench
+// -experiment weakscale` measures. With more than one shard the owning
+// shard's host also brokers slave-to-slave pushes, runs a slice of the
+// failure detector, and fails over to the master when it dies.
 //
-// The split is "state-immediate, cost-deferred": bookkeeping transitions
-// are applied exactly as in the centralized runtime (which is why results
-// stay checksum-exact between centralized and sharded runs, and why
-// shards=1 stays bit-identical), while Config.ManagerOpCost arms a
-// virtual-time service model — each shard an FCFS serial queue — that
-// makes the caller of a blocking query sleep until the owning shard has
-// served it. One centralized queue saturates; N queues scale. That
-// difference is what `ompss-bench -experiment weakscale` measures.
+// One shard at zero op cost — the default — is the centralized runtime by
+// construction: the only shard is hosted on node 0, so no request is
+// remote, no broker or detector lives off the master, no shard can fail
+// over, and every charge path returns before touching a queue.
 
 // Per-operation weights of the service model, in shard-queue operations
 // per decomposed span.
@@ -44,46 +44,18 @@ const (
 )
 
 // amDirOp is the control active message that carries a routed directory
-// operation to a remote shard host in sharded mode. The state transition
-// itself is applied at the master image (state-immediate); the message
+// operation to a remote shard host. The state transition itself is
+// applied at the master image (state-immediate); the message
 // makes the metadata routing visible on the simulated fabric and is
 // counted by the shard host. Best-effort like the heartbeat: a lost
 // datagram loses nothing but a counter increment.
 const amDirOp = "dirop"
 
-// directory is the coherence-directory surface the runtime drives.
-// Satisfied by both coherence.Directory (per-node images, centralized
-// master) and dmgr.Directory (the sharded master).
-type directory interface {
-	TrackProducers(memspace.Location)
-	RecordProducer(memspace.Region, *task.Task)
-	Producers(memspace.Region) []*task.Task
-	Init(memspace.Region, memspace.Location)
-	Produced(memspace.Region, memspace.Location)
-	AddHolder(memspace.Region, memspace.Location)
-	PurgeNode(int) []memspace.Region
-	Rehome(memspace.Region)
-	DropHolder(memspace.Region, memspace.Location)
-	IsHolder(memspace.Region, memspace.Location) bool
-	Known(memspace.Region) bool
-	Missing(memspace.Region, memspace.Location) []memspace.Region
-	Held(memspace.Region, memspace.Location) []memspace.Region
-	HeldBytes(memspace.Region, memspace.Location) uint64
-	Version(memspace.Region) int
-	Holders(memspace.Region) []memspace.Location
-	Regions() []memspace.Region
-	Fragments() int
-}
-
-// mgrState is the distributed-manager state. Nil unless ManagerShards > 1
-// or ManagerOpCost > 0; every sharded/charging path is gated on it, which
-// keeps the default runtime bit-identical to before.
+// mgrState is the distributed-manager cost model of one runtime: who owns
+// which bytes and how busy each owner's queue is.
 type mgrState struct {
-	dmap    *dmgr.Map
-	model   *dmgr.Model
-	sharded bool
-	// pdir is the master's partitioned directory (nil unless sharded).
-	pdir *dmgr.Directory
+	dmap  *dmgr.Map
+	model *dmgr.Model
 
 	// Reusable span scratch of the (serial) charge paths that run on the
 	// submission thread; concurrent paths (staging procs, handlers)
@@ -92,27 +64,19 @@ type mgrState struct {
 	opsbuf  []int
 }
 
-// newMgrState arms the manager layer.
+// newMgrState builds the manager model: at least one shard, shard 0 on the
+// master.
 func newMgrState(cfg Config, met *rtMetrics) *mgrState {
-	shards := cfg.ManagerShards
-	if shards < 1 {
-		shards = 1
-	}
-	nodes := len(cfg.Cluster.Nodes)
-	dmap := dmgr.NewMap(shards, nodes)
+	shards := max(cfg.ManagerShards, 1)
+	dmap := dmgr.NewMap(shards, len(cfg.Cluster.Nodes))
 	// A routed metadata request pays the one-way wire latency plus the
 	// sender-side message overhead per hop.
 	hop := cfg.Cluster.Net.Latency + cfg.Cluster.Net.PerMessageOverhead
-	m := &mgrState{
-		dmap:    dmap,
-		model:   dmgr.NewModel(dmap, cfg.ManagerOpCost, hop, met.mgrOps, met.mgrRemoteOps),
-		sharded: shards > 1,
-		opsbuf:  make([]int, shards),
+	return &mgrState{
+		dmap:   dmap,
+		model:  dmgr.NewModel(dmap, cfg.ManagerOpCost, hop, met.mgrOps, met.mgrRemoteOps),
+		opsbuf: make([]int, shards),
 	}
-	if m.sharded {
-		m.pdir = dmgr.NewDirectory(dmap)
-	}
-	return m
 }
 
 // spanOps folds the spans of r into the per-shard op tally.
@@ -131,7 +95,7 @@ func (m *mgrState) spanOps(ops []int, r memspace.Region, perSpan int) {
 // through a single queue: exactly the centralized bottleneck.
 func (rt *Runtime) mgrChargeSubmit(p *sim.Proc, ts []*task.Task) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 || len(ts) == 0 {
+	if m.model.OpCost == 0 || len(ts) == 0 {
 		return
 	}
 	ops := m.opsbuf
@@ -166,7 +130,7 @@ func (rt *Runtime) mgrChargeSubmit(p *sim.Proc, ts []*task.Task) {
 // absorb the work, nobody blocks on the reply.
 func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 {
+	if m.model.OpCost == 0 {
 		return
 	}
 	m.spanbuf = m.dmap.SpansInto(r, m.spanbuf)
@@ -181,7 +145,7 @@ func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) 
 // it decomposes into a fresh span slice instead of the shared scratch.
 func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
 	m := rt.mgr
-	if m == nil || m.model.OpCost == 0 {
+	if m.model.OpCost == 0 {
 		return
 	}
 	now := p.Now()
@@ -194,11 +158,7 @@ func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
 	if done > now {
 		p.Sleep(sim.Duration(done - now))
 	}
-	// Make the routed metadata request visible on the fabric: one control
-	// datagram to each remote shard host involved.
-	if m.sharded {
-		rt.mgrRouteVisible(p, caller, r)
-	}
+	rt.mgrRouteVisible(p, caller, r)
 }
 
 // mgrRouteVisible emits one best-effort control datagram from the
@@ -220,14 +180,11 @@ func (rt *Runtime) mgrRouteVisible(p *sim.Proc, caller int, r memspace.Region) {
 }
 
 // mgrBrokerEndpoint returns the endpoint the push request for frag should
-// originate from: the owning shard's host in sharded mode (the manager
-// brokering the metadata), the master otherwise. Falls back to the master
-// when the shard is hosted there anyway or its host is dead.
+// originate from: the owning shard's host (the manager brokering the
+// metadata), or the master when the shard is hosted there or its host is
+// dead.
 func (rt *Runtime) mgrBrokerEndpoint(frag memspace.Region) *nodeRT {
 	m := rt.mgr
-	if m == nil || !m.sharded {
-		return rt.master()
-	}
 	h := m.dmap.Host(m.dmap.Owner(frag.Addr))
 	if h == 0 || rt.nodeIsDead(h) {
 		return rt.master()
@@ -237,30 +194,29 @@ func (rt *Runtime) mgrBrokerEndpoint(frag memspace.Region) *nodeRT {
 }
 
 // mgrFailover rehosts every shard of a dead manager node onto the master
-// and charges the rebuild of its directory slice (one op per fragment the
-// slice indexes) to the shard's new queue. The slice contents themselves
+// and charges the rebuild of its directory slice (one op per fragment span
+// the shard owns) to the shard's new queue. The slice contents themselves
 // are recovered by the producer-chain machinery (recoverLost), which the
 // caller runs right after — the directory state never lived only on the
 // dead host in the first place (state-immediate), so the rebuild cost is
 // time, not data.
 func (rt *Runtime) mgrFailover(now sim.Time, dead int) {
 	m := rt.mgr
-	if m == nil || !m.sharded {
+	moved := m.dmap.HostedOn(dead)
+	if len(moved) == 0 {
 		return
 	}
-	for _, s := range m.dmap.HostedOn(dead) {
+	frags := m.dmap.ShardFragments(rt.master().dir.Regions())
+	for _, s := range moved {
 		m.dmap.Reassign(s, 0)
 		rt.met.mgrFailovers.Inc()
-		if m.pdir != nil {
-			m.model.Serve(now, s, opsRebuildPerFrag*m.pdir.ShardFragments(s))
-		}
+		m.model.Serve(now, s, opsRebuildPerFrag*frags[s])
 	}
 }
 
 // registerDirOpHandlers installs the amDirOp counter handler on every
 // node's endpoint (any node can host a shard, and failover can move
-// shards). Sharded mode only — the handler set of the default runtime
-// stays byte-identical.
+// shards).
 func (rt *Runtime) registerDirOpHandlers() {
 	for _, n := range rt.nodes {
 		n.ep.Register(amDirOp, func(p *sim.Proc, am gasnet.AM) {

@@ -39,11 +39,8 @@ type nodeRT struct {
 	devs      []*gpusim.Device
 	ctxs      []*cuda.Context
 	caches    []*coherence.Cache
-	// dir is this image's coherence directory: a plain coherence.Directory
-	// everywhere except the sharded master, where New swaps in the
-	// partitioned dmgr.Directory.
-	dir directory
-	sch sched.Scheduler
+	dir       *coherence.Directory
+	sch       sched.Scheduler
 	// lookahead is non-nil when Config.Lookahead wrapped sch with a
 	// ready-ahead window; kept for window-depth sampling.
 	lookahead *sched.LookaheadSched
@@ -120,8 +117,9 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	}
 	n.places = 1 + len(spec.GPUs)
 	scope := "node" + strconv.Itoa(id)
-	n.sch = sched.NewWithHooks(rt.cfg.Scheduler, n.places, n.affinityScore, n.costModel(), rt.cfg.Steal, n.canRun,
-		schedHooks(rt.cfg.Metrics, scope))
+	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
+		Score: n.affinityScore, Cost: n.costModel(), Steal: rt.cfg.Steal,
+		CanRun: n.canRun, Hooks: schedHooks(rt.cfg.Metrics, scope)})
 	if rt.cfg.Lookahead > 1 {
 		n.sch = sched.Lookahead(n.sch, rt.cfg.Lookahead, lookaheadHooks(rt.cfg.Metrics, scope))
 		n.lookahead = n.sch.(*sched.LookaheadSched)
@@ -469,7 +467,7 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 		}
 	}
 	n.dir.Produced(r, loc)
-	if n.isMaster() && n.rt.mgr != nil {
+	if n.isMaster() {
 		// Every version bump on the master image is a directory update
 		// served asynchronously by the owning shard's queue, issued from
 		// the producing node (the slave notifies the owning manager

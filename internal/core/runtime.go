@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/depgraph"
-	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
@@ -55,8 +54,8 @@ type Runtime struct {
 	// Config.Faults is set; every fault path is gated on it).
 	ft *ftState
 
-	// mgr is the distributed-manager state (nil unless ManagerShards > 1
-	// or ManagerOpCost > 0; every sharded/charging path is gated on it).
+	// mgr is the distributed-manager cost model (manager.go); the defaults
+	// are one shard on the master at zero op cost, which charges nothing.
 	mgr *mgrState
 
 	// userErr records the first user-program error (malformed dependence
@@ -100,36 +99,16 @@ func New(cfg Config) *Runtime {
 		// No work stealing between node queues at the cluster level: the
 		// paper's runtime does not steal between slave nodes (III.D.1), and
 		// cluster-level steals would migrate a task's data with it.
-		rt.clSch = sched.NewWithHooks(cfg.Scheduler, len(rt.nodes), rt.clusterScore, rt.clusterCostModel(), false,
-			rt.clusterCanRun, schedHooks(cfg.Metrics, "cluster"))
+		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
+			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
+			CanRun: rt.clusterCanRun, Hooks: schedHooks(cfg.Metrics, "cluster")})
 	}
-	if cfg.ManagerShards > 1 || cfg.ManagerOpCost > 0 {
-		rt.mgr = newMgrState(cfg, rt.met)
-	}
-	if rt.mgr != nil && rt.mgr.sharded {
-		// The master image's directory becomes the partitioned one; the
-		// dependence conflict map splits along the same block ownership.
-		rt.master().dir = rt.mgr.pdir
-		rt.registerDirOpHandlers()
-	}
+	rt.mgr = newMgrState(cfg, rt.met)
+	rt.registerDirOpHandlers()
 	if cfg.Faults != nil {
 		rt.armFaultTolerance()
 	}
-	if rt.mgr != nil && rt.mgr.sharded {
-		var spanbuf []dmgr.Span
-		var partbuf []depgraph.PartSpan
-		dmap := rt.mgr.dmap
-		rt.graph = depgraph.NewPartitioned(rt.onReady, dmap.Shards(), func(r memspace.Region) []depgraph.PartSpan {
-			spanbuf = dmap.SpansInto(r, spanbuf)
-			partbuf = partbuf[:0]
-			for _, sp := range spanbuf {
-				partbuf = append(partbuf, depgraph.PartSpan{R: sp.R, Part: sp.Shard})
-			}
-			return partbuf
-		})
-	} else {
-		rt.graph = depgraph.New(rt.onReady)
-	}
+	rt.graph = depgraph.New(rt.onReady)
 	if cfg.Trace != nil {
 		// Mirror every dependence arc into the trace so the critical-path
 		// analyzer sees the graph the scheduler saw.
@@ -167,38 +146,6 @@ func (rt *Runtime) onReady(t *task.Task) {
 func (rt *Runtime) newTaskID() task.ID {
 	rt.taskSeq++
 	return rt.taskSeq
-}
-
-// submit registers t with the dependency graph. A malformed clause set is
-// reported as an error; the task is not submitted and the graph stays
-// untouched.
-func (rt *Runtime) submit(t *task.Task) error {
-	// Pre-validate so the idle/pending bookkeeping is only done for tasks
-	// that actually enter the graph (onReady fires synchronously inside
-	// graph.Submit and relies on it).
-	if _, err := depgraph.Normalize(t.Deps); err != nil {
-		return fmt.Errorf("%v: %w", t, err)
-	}
-	if rt.pending == 0 {
-		rt.idleEvt = sim.NewEvent(rt.e)
-	}
-	rt.pending++
-	rt.taskDone[t.ID] = sim.NewEvent(rt.e)
-	prev := rt.releasePlace
-	rt.releasePlace = -1 // submit-time readiness is not a release
-	err := rt.graph.Submit(t)
-	rt.releasePlace = prev
-	if err != nil {
-		// Normalize passed but Submit rejected (cross-task reduction
-		// overlap): roll the bookkeeping back.
-		delete(rt.taskDone, t.ID)
-		rt.pending--
-		if rt.pending == 0 {
-			rt.idleEvt.Trigger()
-		}
-		return err
-	}
-	return nil
 }
 
 // submitBatch registers a slice of tasks with the dependency graph in one
@@ -365,22 +312,9 @@ func (mc *MainCtx) InitSeq(r memspace.Region, fill func(b []byte)) {
 // Submit creates a task from def, wiring its dependences. Mirrors
 // "#pragma omp task" with an optional "#pragma omp target device(...)":
 // copy_deps semantics are on unless NoCopyDeps is set, as every example in
-// the paper uses copy_deps.
+// the paper uses copy_deps. Sequential submission is a batch of one.
 func (mc *MainCtx) Submit(def TaskDef) *task.Task {
-	t, ok := mc.buildTask(def)
-	// Task creation overhead on the master thread.
-	mc.p.Sleep(3 * time.Microsecond)
-	if !ok {
-		return t
-	}
-	if mc.rt.mgr != nil {
-		one := [1]*task.Task{t}
-		mc.rt.mgrChargeSubmit(mc.p, one[:])
-	}
-	if err := mc.rt.submit(t); err != nil {
-		mc.rt.fail(err)
-	}
-	return t
+	return mc.SubmitBatch([]TaskDef{def})[0]
 }
 
 // buildTask constructs the task for one definition and validates its
@@ -420,9 +354,10 @@ func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
 // dependency graph in a single batched pass: clause bounds are sorted
 // once and fragments split one pass per shard (depgraph.SubmitBatch),
 // instead of paying an index search per clause per task. Semantics are
-// identical to calling Submit on each definition in order — same arcs,
-// same readiness order, same per-task creation overhead — so it is purely
-// a host-side constant-factor win for wide submission bursts.
+// identical to submitting each definition on its own, in order — same
+// arcs, same readiness order, same per-task creation overhead on the
+// master thread — so batching is purely a host-side constant-factor win
+// for wide submission bursts.
 func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 	out := make([]*task.Task, 0, len(defs))
 	valid := make([]*task.Task, 0, len(defs))
@@ -433,7 +368,7 @@ func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 			valid = append(valid, t)
 		}
 	}
-	// The same per-task creation overhead as sequential submission: batching
+	// Task creation overhead on the master thread, per task: batching
 	// amortizes the host's real index work, not the modeled creation cost.
 	mc.p.Sleep(time.Duration(len(defs)) * 3 * time.Microsecond)
 	// With the manager layer armed, the batch's dependence lookups are
@@ -526,12 +461,10 @@ func (rt *Runtime) collectStats() Stats {
 			s.RecoverySeconds = (rt.ft.recoverEnd - rt.ft.recoverStart).Seconds()
 		}
 	}
-	if rt.mgr != nil {
-		s.ManagerOps = int(rt.met.mgrOps.Value())
-		s.ManagerRemoteOps = int(rt.met.mgrRemoteOps.Value())
-		s.ManagerFailovers = int(rt.met.mgrFailovers.Value())
-		s.ManagerBrokered = int(rt.met.mgrBrokered.Value())
-	}
+	s.ManagerOps = int(rt.met.mgrOps.Value())
+	s.ManagerRemoteOps = int(rt.met.mgrRemoteOps.Value())
+	s.ManagerFailovers = int(rt.met.mgrFailovers.Value())
+	s.ManagerBrokered = int(rt.met.mgrBrokered.Value())
 	// Energy under the two-level power model: the whole cluster idles for
 	// the whole run, and each kernel adds its device's busy delta for its
 	// duration. Pure arithmetic over already-collected busy counters.

@@ -105,28 +105,14 @@ type Graph struct {
 	onReady func(*task.Task)
 	frags   *memspace.FragMap[fragData]
 
-	// parts, when non-nil, replaces frags with one conflict map per
-	// manager partition; spanFn decomposes a region into address-ordered
-	// (region, partition) spans. Partitions never share a byte, so
-	// covering a region's spans in address order visits the same fragment
-	// sequence a single map would (modulo extra cuts at partition-block
-	// boundaries) and wires identical arcs in identical order.
-	parts  []*memspace.FragMap[fragData]
-	spanFn SpanFunc
-
 	submitted int
 	finished  int
 
 	// covbuf is the reusable fragment buffer of the submit hot path (one
-	// Graph is serial, so a single buffer suffices); partbuf is the
-	// per-span scratch the partitioned cover accumulates from (CoverInto
-	// resets its destination, so spans can't share covbuf); ovbuf backs
-	// the partitioned overlap queries; slab bulk-allocates nodes so
-	// million-task graphs don't pay one small allocation per task.
-	covbuf  []*memspace.Frag[fragData]
-	partbuf []*memspace.Frag[fragData]
-	ovbuf   []*memspace.Frag[fragData]
-	slab    []node
+	// Graph is serial, so a single buffer suffices); slab bulk-allocates
+	// nodes so million-task graphs don't pay one small allocation per task.
+	covbuf []*memspace.Frag[fragData]
+	slab   []node
 
 	// OnArc, when non-nil, observes every arc actually created (after
 	// dedup and finished-pred filtering), in creation order. The runtime
@@ -144,74 +130,8 @@ func New(onReady func(*task.Task)) *Graph {
 	}
 }
 
-// PartSpan is one address-ordered run of a region owned by a single
-// partition, produced by a SpanFunc.
-type PartSpan struct {
-	R    memspace.Region
-	Part int
-}
-
-// SpanFunc decomposes a region into its partition spans, in address
-// order, partitioning the region exactly. The returned slice is only
-// read until the next call (implementations may reuse a buffer).
-type SpanFunc func(memspace.Region) []PartSpan
-
-// NewPartitioned returns an empty graph whose conflict map is split into
-// parts independent fragment maps, with spans routing each region's bytes
-// to their owning partition. With parts <= 1 or a nil spans function it
-// degenerates to New — the single-map graph, bit-identical to before.
-func NewPartitioned(onReady func(*task.Task), parts int, spans SpanFunc) *Graph {
-	g := New(onReady)
-	if parts <= 1 || spans == nil {
-		return g
-	}
-	g.parts = make([]*memspace.FragMap[fragData], parts)
-	for i := range g.parts {
-		g.parts[i] = memspace.NewFragMap(cloneFragData, nil)
-	}
-	g.spanFn = spans
-	return g
-}
-
 // Fragments returns the current fragment count (observability and tests).
-func (g *Graph) Fragments() int {
-	if g.parts == nil {
-		return g.frags.Len()
-	}
-	n := 0
-	for _, pm := range g.parts {
-		n += pm.Len()
-	}
-	return n
-}
-
-// cover fills covbuf with the fragments exactly covering r, splitting as
-// needed — across partitions in span order when the graph is partitioned.
-func (g *Graph) cover(r memspace.Region) []*memspace.Frag[fragData] {
-	if g.parts == nil {
-		g.covbuf = g.frags.CoverInto(r, g.covbuf)
-		return g.covbuf
-	}
-	g.covbuf = g.covbuf[:0]
-	for _, sp := range g.spanFn(r) {
-		g.partbuf = g.parts[sp.Part].CoverInto(sp.R, g.partbuf)
-		g.covbuf = append(g.covbuf, g.partbuf...)
-	}
-	return g.covbuf
-}
-
-// overlapping returns the existing fragments overlapping r without
-// splitting, across partitions in span order when partitioned.
-func (g *Graph) overlapping(r memspace.Region) []*memspace.Frag[fragData] {
-	if g.parts == nil {
-		return g.frags.Overlapping(r)
-	}
-	g.ovbuf = g.ovbuf[:0]
-	for _, sp := range g.spanFn(r) {
-		g.ovbuf = append(g.ovbuf, g.parts[sp.Part].Overlapping(sp.R)...)
-	}
-	return g.ovbuf
-}
+func (g *Graph) Fragments() int { return g.frags.Len() }
 
 // newNode hands out nodes from a bulk-allocated slab.
 func (g *Graph) newNode(t *task.Task) *node {
@@ -328,16 +248,11 @@ func (g *Graph) SubmitBatch(ts []*task.Task) (accepted int, err error) {
 			bounds = append(bounds, d.Region.Addr, d.Region.End())
 		}
 	}
-	slices.Sort(bounds)
-	if g.parts == nil {
+	// A batch of one has nothing to amortize: its own cover splits at the
+	// same bounds, without SplitBounds rebuilding every shard they touch.
+	if len(ts) > 1 {
+		slices.Sort(bounds)
 		g.frags.SplitBounds(bounds)
-	} else {
-		// Every partition sees the full bound list; bounds landing in
-		// another partition's blocks fall into fragment gaps and are
-		// no-ops there.
-		for _, pm := range g.parts {
-			pm.SplitBounds(bounds)
-		}
 	}
 	for i, t := range ts {
 		if serr := g.submitNormalized(t, normalized[i]); serr != nil {
@@ -359,7 +274,7 @@ func (g *Graph) submitNormalized(t *task.Task, deps []task.Dep) error {
 		if d.Access != task.Red {
 			continue
 		}
-		for _, f := range g.overlapping(d.Region) {
+		for _, f := range g.frags.Overlapping(d.Region) {
 			if len(f.V.reducers) > 0 && f.V.redRegion != d.Region {
 				return fmt.Errorf("depgraph: %v: reduction over %v partially overlaps pending reduction over %v", t, d.Region, f.V.redRegion)
 			}
@@ -369,7 +284,8 @@ func (g *Graph) submitNormalized(t *task.Task, deps []task.Dep) error {
 	t.DepNode = n
 	g.submitted++
 	for _, d := range deps {
-		for _, f := range g.cover(d.Region) {
+		g.covbuf = g.frags.CoverInto(d.Region, g.covbuf)
+		for _, f := range g.covbuf {
 			fs := &f.V
 			if d.Access == task.Red {
 				// Reductions wait for the previous writer and any readers
@@ -463,7 +379,7 @@ func (g *Graph) Pending() int { return g.submitted - g.finished }
 // current version of r, or nil when every byte of r is settled. Used by
 // taskwait-on, which loops until no writer remains.
 func (g *Graph) LastWriter(r memspace.Region) *task.Task {
-	for _, f := range g.overlapping(r) {
+	for _, f := range g.frags.Overlapping(r) {
 		if f.V.lastWriter != nil && !f.V.lastWriter.done {
 			return f.V.lastWriter.t
 		}

@@ -1,18 +1,18 @@
-// Package dmgr implements the distributed-manager layer: deterministic
-// shard ownership of the address space, a virtual-time service model for
-// manager operations, and a coherence directory partitioned across
-// manager shards.
+// Package dmgr is the distributed-manager cost model: deterministic shard
+// ownership of the address space (Map) and a virtual-time service model
+// for manager operations (Model).
 //
 // The design splits "what happens" from "when it happens". All bookkeeping
-// state transitions (directory contents, dependence arcs, producer chains)
-// are computed exactly as in the centralized runtime, so results stay
-// checksum-exact between centralized and sharded runs. What the sharded
-// mode adds is a cost model: every directory or dependence operation is
-// served by the owning shard's FCFS serial queue, and callers that need
-// the answer sleep until their request's virtual completion time. A
-// single centralized manager is one queue that every operation serializes
-// through; N shards are N queues served in parallel — which is exactly
-// the scaling effect the weak-scaling experiment measures.
+// state (directory contents, dependence arcs, producer chains) lives once,
+// in the master image's coherence.Directory and depgraph.Graph, whatever
+// the shard count — which is why results stay checksum-exact across shard
+// counts. This package only answers who owns a byte and when the owner
+// would have served a request: every directory or dependence operation is
+// charged to the owning shard's FCFS serial queue, and callers that need
+// the answer sleep until their request's virtual completion time. One
+// shard is one queue that every operation serializes through; N shards
+// are N queues served in parallel — which is exactly the scaling effect
+// the weak-scaling experiment measures.
 package dmgr
 
 import (
@@ -156,6 +156,21 @@ func (m *Map) SpansInto(r memspace.Region, out []Span) []Span {
 
 // Spans is SpansInto with a fresh slice.
 func (m *Map) Spans(r memspace.Region) []Span { return m.SpansInto(r, nil) }
+
+// ShardFragments tallies per shard the (fragment, span) pairs of frags: the
+// number of directory entries each shard's slice of the metadata indexes,
+// a fragment straddling an ownership edge counting once per owner span.
+func (m *Map) ShardFragments(frags []memspace.Region) []int {
+	counts := make([]int, m.shards)
+	var spans []Span
+	for _, f := range frags {
+		spans = m.SpansInto(f, spans)
+		for _, sp := range spans {
+			counts[sp.Shard]++
+		}
+	}
+	return counts
+}
 
 // Model charges virtual time for manager operations. Each shard is an
 // FCFS serial server: an operation arriving at virtual time now starts at

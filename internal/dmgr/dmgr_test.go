@@ -8,7 +8,6 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // TestSpansPartitionExactly checks that span decomposition partitions any
@@ -116,169 +115,47 @@ func TestModelFCFS(t *testing.T) {
 	}
 }
 
-// directoryOps drives the same operation sequence against any directory
-// implementation and collects every observable answer.
-type dirAPI interface {
-	TrackProducers(memspace.Location)
-	RecordProducer(memspace.Region, *task.Task)
-	Producers(memspace.Region) []*task.Task
-	Init(memspace.Region, memspace.Location)
-	Produced(memspace.Region, memspace.Location)
-	AddHolder(memspace.Region, memspace.Location)
-	PurgeNode(int) []memspace.Region
-	Rehome(memspace.Region)
-	DropHolder(memspace.Region, memspace.Location)
-	IsHolder(memspace.Region, memspace.Location) bool
-	Known(memspace.Region) bool
-	Missing(memspace.Region, memspace.Location) []memspace.Region
-	Held(memspace.Region, memspace.Location) []memspace.Region
-	HeldBytes(memspace.Region, memspace.Location) uint64
-	Version(memspace.Region) int
-	Holders(memspace.Region) []memspace.Location
-	Regions() []memspace.Region
-}
-
-// TestDirectoryEquivalence runs a randomized overlapping workload through
-// a single coherence.Directory and the 4-shard partitioned directory and
-// requires identical answers to every query. Byte-range answers (Missing/
-// Held) are compared by total coverage, since the partitioned directory
-// may cut the same byte set at ownership-block boundaries.
-func TestDirectoryEquivalence(t *testing.T) {
-	single := coherence.NewDirectory()
-	parted := NewDirectory(NewMap(4, 8))
-	dirs := []dirAPI{single, parted}
-	for _, d := range dirs {
-		d.TrackProducers(memspace.Host(0))
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	region := func() memspace.Region {
-		// Regions sized up to ~3 blocks so most cross an ownership edge.
-		return memspace.Region{
-			Addr: uint64(rng.Intn(1 << 20)),
+// TestShardFragments checks the failover rebuild tally against a real
+// directory: per-shard counts sum to the number of (fragment, span) pairs,
+// and with one shard the tally is the directory's fragment count.
+func TestShardFragments(t *testing.T) {
+	dir := coherence.NewDirectory()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		// Regions up to ~3 blocks, so most straddle an ownership edge and
+		// overlap earlier ones (splitting fragments).
+		r := memspace.Region{
+			Addr: uint64(rng.Intn(1 << 22)),
 			Size: uint64(256 + rng.Intn(3*int(BlockSize))),
 		}
+		dir.Produced(r, memspace.Host(rng.Intn(4)))
 	}
-	loc := func() memspace.Location {
-		n := rng.Intn(4)
-		if rng.Intn(2) == 0 {
-			return memspace.Host(n)
-		}
-		return memspace.GPU(n, 0)
+	frags := dir.Regions()
+
+	m := NewMap(4, 8)
+	pairs := 0
+	for _, f := range frags {
+		pairs += len(m.Spans(f))
 	}
-	sumBytes := func(rs []memspace.Region) uint64 {
-		var n uint64
-		for _, r := range rs {
-			n += r.Size
+	if pairs <= len(frags) {
+		t.Fatalf("workload never straddles an ownership edge: %d pairs over %d fragments", pairs, len(frags))
+	}
+	counts := m.ShardFragments(frags)
+	if len(counts) != m.Shards() {
+		t.Fatalf("ShardFragments returned %d tallies for %d shards", len(counts), m.Shards())
+	}
+	sum := 0
+	for s, n := range counts {
+		if n == 0 {
+			t.Errorf("shard %d owns no fragment span of a 4 MiB random workload", s)
 		}
-		return n
+		sum += n
+	}
+	if sum != pairs {
+		t.Fatalf("per-shard tallies sum to %d, want %d (fragment, span) pairs", sum, pairs)
 	}
 
-	// Seed some known regions so AddHolder has fragments to land on.
-	var known []memspace.Region
-	for i := 0; i < 20; i++ {
-		r := region()
-		known = append(known, r)
-		for _, d := range dirs {
-			d.Init(r, memspace.Host(0))
-		}
+	if one := NewMap(1, 8).ShardFragments(frags); len(one) != 1 || one[0] != dir.Fragments() {
+		t.Fatalf("one-shard tally = %v, want [%d]", one, dir.Fragments())
 	}
-	taskSeq := 0
-	for step := 0; step < 2000; step++ {
-		r := known[rng.Intn(len(known))]
-		l := loc()
-		switch rng.Intn(8) {
-		case 0:
-			for _, d := range dirs {
-				d.Produced(r, l)
-			}
-			if l != memspace.Host(0) {
-				taskSeq++
-				tk := &task.Task{ID: task.ID(taskSeq)}
-				for _, d := range dirs {
-					d.RecordProducer(r, tk)
-				}
-			}
-		case 1:
-			// AddHolder requires a current-version copy to exist; guard
-			// with Known the way the runtime's staging path does.
-			if single.Known(r) {
-				for _, d := range dirs {
-					d.AddHolder(r, l)
-				}
-			}
-		case 2:
-			// Drop only when both will keep a holder (DropHolder panics
-			// dropping the last copy); skip otherwise.
-			hs := single.Holders(r)
-			if len(hs) > 1 {
-				for _, d := range dirs {
-					d.DropHolder(r, hs[0])
-				}
-			}
-		case 3:
-			for _, d := range dirs {
-				d.Rehome(r)
-			}
-		case 4:
-			node := rng.Intn(4)
-			a := single.PurgeNode(node)
-			b := parted.PurgeNode(node)
-			if sumBytes(a) != sumBytes(b) {
-				t.Fatalf("step %d: PurgeNode(%d) lost %d vs %d bytes", step, node, sumBytes(a), sumBytes(b))
-			}
-			// Purge can orphan fragments; re-seed them so later AddHolder
-			// calls stay legal on both.
-			for _, lr := range a {
-				for _, d := range dirs {
-					d.Init(lr, memspace.Host(0))
-				}
-			}
-		}
-		// Cross-check the full query surface on a random (often
-		// different) known region.
-		q := known[rng.Intn(len(known))]
-		ql := loc()
-		if a, b := single.IsHolder(q, ql), parted.IsHolder(q, ql); a != b {
-			t.Fatalf("step %d: IsHolder(%v,%v) = %v vs %v", step, q, ql, a, b)
-		}
-		if a, b := single.Known(q), parted.Known(q); a != b {
-			t.Fatalf("step %d: Known(%v) = %v vs %v", step, q, a, b)
-		}
-		if a, b := single.Version(q), parted.Version(q); a != b {
-			t.Fatalf("step %d: Version(%v) = %d vs %d", step, q, a, b)
-		}
-		if a, b := single.HeldBytes(q, ql), parted.HeldBytes(q, ql); a != b {
-			t.Fatalf("step %d: HeldBytes(%v,%v) = %d vs %d", step, q, ql, a, b)
-		}
-		if a, b := sumBytes(single.Missing(q, ql)), sumBytes(parted.Missing(q, ql)); a != b {
-			t.Fatalf("step %d: Missing(%v,%v) covers %d vs %d bytes", step, q, ql, a, b)
-		}
-		if a, b := sumBytes(single.Held(q, ql)), sumBytes(parted.Held(q, ql)); a != b {
-			t.Fatalf("step %d: Held(%v,%v) covers %d vs %d bytes", step, q, ql, a, b)
-		}
-		if a, b := single.Holders(q), parted.Holders(q); !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: Holders(%v) = %v vs %v", step, q, a, b)
-		}
-		pa, pb := single.Producers(q), parted.Producers(q)
-		if len(pa) != len(pb) {
-			t.Fatalf("step %d: Producers(%v) len %d vs %d", step, q, len(pa), len(pb))
-		}
-		for i := range pa {
-			if pa[i].ID != pb[i].ID {
-				t.Fatalf("step %d: Producers(%v)[%d] = %v vs %v", step, q, i, pa[i].ID, pb[i].ID)
-			}
-		}
-	}
-	if sumA, sumB := regionsBytes(single.Regions()), regionsBytes(parted.Regions()); sumA != sumB {
-		t.Fatalf("Regions cover %d vs %d bytes", sumA, sumB)
-	}
-}
-
-func regionsBytes(rs []memspace.Region) uint64 {
-	var n uint64
-	for _, r := range rs {
-		n += r.Size
-	}
-	return n
 }

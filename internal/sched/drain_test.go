@@ -7,7 +7,7 @@ import (
 )
 
 func TestBreadthFirstDrainIsNil(t *testing.T) {
-	s := New(BreadthFirst, 2, nil, nil, false, nil)
+	s := New(BreadthFirst, 2, Options{})
 	s.Submit(mk("a"), -1)
 	if got := s.Drain(0); got != nil {
 		t.Fatalf("bf Drain = %v, want nil (shared FIFO survives the place)", got)
@@ -18,7 +18,7 @@ func TestBreadthFirstDrainIsNil(t *testing.T) {
 }
 
 func TestDependenciesDrainForgetsHintsKeepsTasks(t *testing.T) {
-	s := New(Dependencies, 2, nil, nil, false, nil)
+	s := New(Dependencies, 2, Options{})
 	a, b := mk("a"), mk("b")
 	s.Submit(a, 0)
 	s.Submit(b, 0)
@@ -37,7 +37,7 @@ func TestDependenciesDrainForgetsHintsKeepsTasks(t *testing.T) {
 func TestAffinityDrainTakesLocalQueue(t *testing.T) {
 	// Score everything to place 1: its local queue strands if the place dies.
 	score := func(tk *task.Task) []uint64 { return []uint64{0, 10} }
-	s := New(Affinity, 2, score, nil, false, nil)
+	s := New(Affinity, 2, Options{Score: score})
 	a, b, c := mk("a"), mk("b"), mk("c")
 	s.Submit(a, -1)
 	s.Submit(b, -1)

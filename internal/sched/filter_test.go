@@ -23,7 +23,7 @@ func TestCompatibilityFilter(t *testing.T) {
 	for _, policy := range []Policy{BreadthFirst, Dependencies} {
 		policy := policy
 		t.Run(string(policy), func(t *testing.T) {
-			s := New(policy, 2, nil, nil, true, deviceFilter)
+			s := New(policy, 2, Options{Steal: true, CanRun: deviceFilter})
 			cu := mkDev("cu", task.CUDA)
 			sm := mkDev("sm", task.SMP)
 			s.Submit(cu, -1)
@@ -44,7 +44,7 @@ func TestCompatibilityFilter(t *testing.T) {
 
 func TestAffinityFilterAppliesToStealAndGlobal(t *testing.T) {
 	scores := scoreMap{}
-	s := New(Affinity, 2, scores.fn, nil, true, deviceFilter)
+	s := New(Affinity, 2, Options{Score: scores.fn, Steal: true, CanRun: deviceFilter})
 	cu := mkDev("cu", task.CUDA)
 	scores[cu.ID] = []uint64{0, 0} // goes global
 	s.Submit(cu, -1)
@@ -68,7 +68,7 @@ func TestAffinityFilterAppliesToStealAndGlobal(t *testing.T) {
 }
 
 func TestDependenciesSuccessorRespectsFilter(t *testing.T) {
-	s := New(Dependencies, 2, nil, nil, true, deviceFilter)
+	s := New(Dependencies, 2, Options{Steal: true, CanRun: deviceFilter})
 	cu := mkDev("cu", task.CUDA)
 	s.Submit(cu, 0) // released at the CPU place, but CPU can't run it
 	if got := s.Pop(0); got != nil {

@@ -11,7 +11,7 @@ func laTask(id int, dev task.Device) *task.Task {
 }
 
 func TestLookaheadWindowServesFIFO(t *testing.T) {
-	inner := New(BreadthFirst, 2, nil, nil, false, nil)
+	inner := New(BreadthFirst, 2, Options{})
 	s := Lookahead(inner, 3, LookaheadHooks{})
 	for i := 1; i <= 5; i++ {
 		s.Submit(laTask(i, task.SMP), -1)
@@ -38,7 +38,7 @@ func TestLookaheadRespectsCompatibility(t *testing.T) {
 		}
 		return tk.Device == task.CUDA
 	}
-	inner := New(BreadthFirst, 2, nil, nil, false, canRun)
+	inner := New(BreadthFirst, 2, Options{CanRun: canRun})
 	s := Lookahead(inner, 4, LookaheadHooks{})
 	s.Submit(laTask(1, task.CUDA), -1)
 	s.Submit(laTask(2, task.SMP), -1)
@@ -57,7 +57,7 @@ func TestLookaheadRespectsCompatibility(t *testing.T) {
 }
 
 func TestLookaheadDrainReturnsWindow(t *testing.T) {
-	inner := New(BreadthFirst, 2, nil, nil, false, nil)
+	inner := New(BreadthFirst, 2, Options{})
 	s := Lookahead(inner, 8, LookaheadHooks{})
 	for i := 1; i <= 4; i++ {
 		s.Submit(laTask(i, task.SMP), -1)
@@ -76,7 +76,7 @@ func TestLookaheadDrainReturnsWindow(t *testing.T) {
 }
 
 func TestLookaheadWindowOneIsPassthrough(t *testing.T) {
-	inner := New(BreadthFirst, 1, nil, nil, false, nil)
+	inner := New(BreadthFirst, 1, Options{})
 	if s := Lookahead(inner, 1, LookaheadHooks{}); s != inner {
 		t.Fatalf("window 1 should return the wrapped scheduler unchanged")
 	}

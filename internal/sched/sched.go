@@ -117,17 +117,26 @@ type Hooks struct {
 	Steals *metrics.Counter
 }
 
-// New builds a scheduler with the given policy over places execution
-// places. score is required by the Affinity policy and cost by the HEFT
-// policy (each ignored otherwise); steal enables work stealing between
-// place-bound queues; canRun filters task-place compatibility (nil means
-// any place runs any task).
-func New(policy Policy, places int, score ScoreFn, cost *CostModel, steal bool, canRun CanRunFn) Scheduler {
-	return NewWithHooks(policy, places, score, cost, steal, canRun, Hooks{})
+// Options are the policy inputs and observers of a scheduler; the zero
+// value suits the bf and dependencies policies.
+type Options struct {
+	// Score is required by the Affinity policy, ignored otherwise.
+	Score ScoreFn
+	// Cost is required by the HEFT policy, ignored otherwise.
+	Cost *CostModel
+	// Steal enables work stealing between place-bound queues.
+	Steal bool
+	// CanRun filters task-place compatibility (nil means any place runs
+	// any task).
+	CanRun CanRunFn
+	// Hooks attaches observation instruments.
+	Hooks Hooks
 }
 
-// NewWithHooks is New with observation instruments attached.
-func NewWithHooks(policy Policy, places int, score ScoreFn, cost *CostModel, steal bool, canRun CanRunFn, h Hooks) Scheduler {
+// New builds a scheduler with the given policy over places execution
+// places.
+func New(policy Policy, places int, o Options) Scheduler {
+	canRun, h := o.CanRun, o.Hooks
 	if canRun == nil {
 		canRun = func(int, *task.Task) bool { return true }
 	}
@@ -137,17 +146,17 @@ func NewWithHooks(policy Policy, places int, score ScoreFn, cost *CostModel, ste
 	case Dependencies:
 		return &depSched{canRun: canRun, perPlace: make(map[int][]*entry), hooks: h}
 	case Affinity:
-		if score == nil {
+		if o.Score == nil {
 			panic("sched: Affinity policy requires a ScoreFn")
 		}
-		return &affSched{places: places, score: score, steal: steal, canRun: canRun,
+		return &affSched{places: places, score: o.Score, steal: o.Steal, canRun: canRun,
 			local: make([][]*entry, places), hooks: h}
 	case HEFT:
-		if cost == nil || cost.Estimates == nil {
+		if o.Cost == nil || o.Cost.Estimates == nil {
 			panic("sched: HEFT policy requires a CostModel with Estimates")
 		}
-		return &heftSched{places: places, cost: cost.Estimates, rank: cost.Rank,
-			steal: steal, canRun: canRun,
+		return &heftSched{places: places, cost: o.Cost.Estimates, rank: o.Cost.Rank,
+			steal: o.Steal, canRun: canRun,
 			local: make([][]*entry, places), backlog: make([]time.Duration, places), hooks: h}
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))

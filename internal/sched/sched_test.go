@@ -15,7 +15,7 @@ func mk(name string) *task.Task {
 }
 
 func TestBreadthFirstFIFO(t *testing.T) {
-	s := New(BreadthFirst, 2, nil, nil, false, nil)
+	s := New(BreadthFirst, 2, Options{})
 	a, b, c := mk("a"), mk("b"), mk("c")
 	s.Submit(a, -1)
 	s.Submit(b, 0)
@@ -38,7 +38,7 @@ func TestBreadthFirstFIFO(t *testing.T) {
 }
 
 func TestDependenciesPrefersOwnSuccessor(t *testing.T) {
-	s := New(Dependencies, 2, nil, nil, false, nil)
+	s := New(Dependencies, 2, Options{})
 	a, b, c := mk("a"), mk("b"), mk("c")
 	s.Submit(a, -1) // plain ready task, queued first
 	s.Submit(b, 1)  // released by a task that finished at place 1
@@ -57,7 +57,7 @@ func TestDependenciesPrefersOwnSuccessor(t *testing.T) {
 }
 
 func TestDependenciesSuccessorVisibleToOthers(t *testing.T) {
-	s := New(Dependencies, 2, nil, nil, false, nil)
+	s := New(Dependencies, 2, Options{})
 	b := mk("b")
 	s.Submit(b, 1)
 	// Another place can still take it from the FIFO (no task is stranded).
@@ -80,7 +80,7 @@ func (m scoreMap) fn(t *task.Task) []uint64 { return m[t.ID] }
 
 func TestAffinityRoutesToHighestScore(t *testing.T) {
 	scores := scoreMap{}
-	s := New(Affinity, 3, scores.fn, nil, true, nil)
+	s := New(Affinity, 3, Options{Score: scores.fn, Steal: true})
 	a, b := mk("a"), mk("b")
 	scores[a.ID] = []uint64{0, 100, 0} // place 1 dominates
 	scores[b.ID] = []uint64{50, 0, 10} // place 0 dominates
@@ -96,7 +96,7 @@ func TestAffinityRoutesToHighestScore(t *testing.T) {
 
 func TestAffinityTiesGoGlobal(t *testing.T) {
 	scores := scoreMap{}
-	s := New(Affinity, 2, scores.fn, nil, false, nil)
+	s := New(Affinity, 2, Options{Score: scores.fn})
 	a, b := mk("a"), mk("b")
 	scores[a.ID] = []uint64{0, 0}   // nothing resident anywhere
 	scores[b.ID] = []uint64{40, 40} // tie
@@ -113,7 +113,7 @@ func TestAffinityTiesGoGlobal(t *testing.T) {
 
 func TestAffinityStealing(t *testing.T) {
 	scores := scoreMap{}
-	s := New(Affinity, 2, scores.fn, nil, true, nil)
+	s := New(Affinity, 2, Options{Score: scores.fn, Steal: true})
 	var queued []*task.Task
 	for i := 0; i < 3; i++ {
 		x := mk(fmt.Sprintf("t%d", i))
@@ -134,7 +134,7 @@ func TestAffinityStealing(t *testing.T) {
 
 func TestAffinityStealDisabled(t *testing.T) {
 	scores := scoreMap{}
-	s := New(Affinity, 2, scores.fn, nil, false, nil)
+	s := New(Affinity, 2, Options{Score: scores.fn})
 	x := mk("x")
 	scores[x.ID] = []uint64{100, 0}
 	s.Submit(x, -1)
@@ -152,7 +152,7 @@ func TestAffinityRequiresScoreFn(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Affinity, 2, nil, nil, true, nil)
+	New(Affinity, 2, Options{Steal: true})
 }
 
 func TestUnknownPolicyPanics(t *testing.T) {
@@ -161,7 +161,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Policy("nope"), 1, nil, nil, false, nil)
+	New(Policy("nope"), 1, Options{})
 }
 
 func TestBestPlace(t *testing.T) {
@@ -187,7 +187,7 @@ func TestNoTaskLostOrDuplicated(t *testing.T) {
 		policy := policy
 		t.Run(string(policy), func(t *testing.T) {
 			scores := scoreMap{}
-			s := New(policy, 3, scores.fn, nil, true, nil)
+			s := New(policy, 3, Options{Score: scores.fn, Steal: true})
 			const n = 50
 			seen := make(map[task.ID]int)
 			for i := 0; i < n; i++ {

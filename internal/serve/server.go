@@ -201,7 +201,7 @@ func (s *Server) runJob(j *Job) {
 		}
 		j.append(ev)
 	}
-	er, err := s.cfg.Execute(j.req, onPoint)
+	er, err := s.execute(j, onPoint)
 	var res *Result
 	if err == nil {
 		res = &Result{
@@ -221,6 +221,19 @@ func (s *Server) runJob(j *Job) {
 	delete(s.inflight, j.Hash)
 	s.mu.Unlock()
 	j.finish(res, err, s.elapsedNS())
+}
+
+// execute runs j's request. A panic here is on a worker goroutine, outside
+// any sim process (core.Config validation panics on e.g. an infeasible
+// power cap), so the engine's ProcPanicError conversion does not apply: it
+// becomes a failed job naming the request, not a dead server.
+func (s *Server) execute(j *Job, onPoint func(bench.PointDone)) (er *bench.ExecResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic executing %s (key %s): %v", j.Experiment, j.Hash, r)
+		}
+	}()
+	return s.cfg.Execute(j.req, onPoint)
 }
 
 // Handler returns the route table (exported so tests can drive the

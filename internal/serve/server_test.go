@@ -341,6 +341,50 @@ func TestExecErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestExecPanicFailsTheJobNotTheServer: a panic on the worker goroutine
+// becomes a 500 naming the panic and the request key; the server keeps
+// answering health checks and the next request.
+func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
+	cfg := Config{Workers: 1, Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		if req.Experiment == "powercap" {
+			panic("core: power cap below the feasibility floor")
+		}
+		return fakeResult("ok"), nil
+	}}
+	s := startServer(t, cfg)
+	bad := Request{Experiment: "powercap"}
+	st, body, _ := post(t, s.URL(), `{"experiment":"powercap"}`)
+	if st != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status %d body %s", st, body)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("500 body is not JSON: %v: %s", err, body)
+	}
+	if !strings.Contains(e.Error, "feasibility floor") || !strings.Contains(e.Error, bad.Hash()) {
+		t.Fatalf("500 body names neither the panic nor key %s: %s", bad.Hash(), e.Error)
+	}
+	resp, err := http.Get(s.URL() + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after panic: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after panic: status %d", resp.StatusCode)
+	}
+	if st, _, hdr := post(t, s.URL(), `{"experiment":"heat"}`); st != http.StatusOK || hdr != "miss" {
+		t.Fatalf("good request after panic: status %d cache %q", st, hdr)
+	}
+	// The inflight entry was removed: the same request runs (and fails) again
+	// instead of waiting on a job that never finishes.
+	if st, _, _ := post(t, s.URL(), `{"experiment":"powercap"}`); st != http.StatusInternalServerError {
+		t.Fatalf("repeat of the panicking request: status %d", st)
+	}
+	if st := s.Stats(); st.ExecErrors != 2 || st.ExecCompleted != 1 {
+		t.Fatalf("exec errors/completed = %d/%d, want 2/1", st.ExecErrors, st.ExecCompleted)
+	}
+}
+
 // TestBadRequestsRejected: malformed bodies and invalid knob combinations
 // are 400s and counted, never queued.
 func TestBadRequestsRejected(t *testing.T) {
