@@ -33,7 +33,8 @@ lint-json:
 
 ## race: race-detect the simulation kernel, the parallel harness, the
 ## concurrent runtime layers (core/gasnet/faults), the serving layer, and
-## the bookkeeping layers under core (memspace.FragMap holds the RWMutexes)
+## the bookkeeping layers under core (lock-free by the serial-image contract;
+## core, bench and serve driving whole runtimes through them is the proof)
 race:
 	$(GO) test -race ./internal/sim/... ./internal/bench/... ./internal/core/... ./internal/gasnet/... ./internal/faults/... ./internal/serve/... \
 		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
@@ -50,9 +51,10 @@ resilience:
 	$(GO) test ./internal/gasnet/ -run 'Reliable|Ack|Attempts|Shutdown|Probe|InboundFilter'
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
 
-## bench: engine microbenchmarks (ns/op and allocs/op of the sim primitives)
+## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
+## software cache's invalidation sweep and depgraph submission
 bench:
-	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkEngine -benchmem
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

@@ -26,14 +26,13 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/bsc-repro/ompss/internal/detmap"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // locLess orders locations by node, then device — the deterministic
-// visit order for every holder-set iteration (detmap.KeysFunc).
+// visit order for every holder-set iteration.
 func locLess(a, b memspace.Location) bool {
 	if a.Node != b.Node {
 		return a.Node < b.Node
@@ -41,8 +40,8 @@ func locLess(a, b memspace.Location) bool {
 	return a.Dev < b.Dev
 }
 
-// regionLess orders regions by address, then size — the deterministic
-// visit order for Region-keyed maps.
+// regionLess orders regions by address, then size — the order a cache
+// keeps its lines in.
 func regionLess(a, b memspace.Region) bool {
 	if a.Addr != b.Addr {
 		return a.Addr < b.Addr
@@ -405,13 +404,15 @@ type Line struct {
 
 // Cache is the software cache of one device address space. Lines are
 // keyed by their full region, so overlapping lines (e.g. halo regions) can
-// coexist; residence queries are exact-region.
+// coexist; residence queries are exact-region. The line set is one slice
+// kept sorted by regionLess: lookups are a binary search, and every sweep
+// visits lines in the deterministic address order for free.
 type Cache struct {
 	loc      memspace.Location
 	policy   Policy
 	capacity uint64
 	used     uint64
-	lines    map[memspace.Region]*Line
+	lines    []*Line
 	clock    int64
 
 	// Stats
@@ -435,7 +436,7 @@ func (c *Cache) Instrument(ins Instruments) { c.ins = ins }
 
 // NewCache returns a cache for device loc with the given byte capacity.
 func NewCache(loc memspace.Location, policy Policy, capacity uint64) *Cache {
-	return &Cache{loc: loc, policy: policy, capacity: capacity, lines: make(map[memspace.Region]*Line)}
+	return &Cache{loc: loc, policy: policy, capacity: capacity}
 }
 
 // Location returns the device this cache fronts.
@@ -453,11 +454,21 @@ func (c *Cache) Capacity() uint64 { return c.capacity }
 // Len returns the number of resident lines.
 func (c *Cache) Len() int { return len(c.lines) }
 
+// find returns the position r's line has, or would be inserted at, and
+// the line itself when resident.
+func (c *Cache) find(r memspace.Region) (int, *Line) {
+	i := sort.Search(len(c.lines), func(i int) bool { return !regionLess(c.lines[i].Region, r) })
+	if i < len(c.lines) && c.lines[i].Region == r {
+		return i, c.lines[i]
+	}
+	return i, nil
+}
+
 // Lookup returns the line for exactly region r if resident, bumping its
 // LRU position. A different-size line at the same address is a miss.
 func (c *Cache) Lookup(r memspace.Region) *Line {
-	l, ok := c.lines[r]
-	if !ok {
+	_, l := c.find(r)
+	if l == nil {
 		c.Misses++
 		c.ins.Misses.Inc()
 		return nil
@@ -471,17 +482,20 @@ func (c *Cache) Lookup(r memspace.Region) *Line {
 
 // Contains reports residence of exactly r without touching LRU or stats.
 func (c *Cache) Contains(r memspace.Region) bool {
-	_, ok := c.lines[r]
-	return ok
+	_, l := c.find(r)
+	return l != nil
 }
 
 // OverlappingLines returns the resident lines overlapping r, ordered by
 // region. Used for overlap invalidation sweeps.
 func (c *Cache) OverlappingLines(r memspace.Region) []*Line {
 	var out []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if k.Overlaps(r) {
-			out = append(out, c.lines[k])
+	for _, l := range c.lines {
+		if l.Region.Addr >= r.End() {
+			break
+		}
+		if l.Region.Overlaps(r) {
+			out = append(out, l)
 		}
 	}
 	return out
@@ -499,10 +513,11 @@ func (c *Cache) MakeSpace(size uint64) (victims []*Line, ok bool) {
 	if c.used+size <= c.capacity {
 		return nil, true
 	}
-	// Collect unpinned lines oldest-first.
+	// Collect unpinned lines oldest-first (lru values are unique: the clock
+	// advances on every touch).
 	var cand []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if l := c.lines[k]; l.pins == 0 {
+	for _, l := range c.lines {
+		if l.pins == 0 {
 			cand = append(cand, l)
 		}
 	}
@@ -525,7 +540,8 @@ func (c *Cache) MakeSpace(size uint64) (victims []*Line, ok bool) {
 // Insert adds r as a resident line. The caller must have made space;
 // Insert panics if capacity would be exceeded or the line exists.
 func (c *Cache) Insert(r memspace.Region, dirty bool) *Line {
-	if _, dup := c.lines[r]; dup {
+	i, dup := c.find(r)
+	if dup != nil {
 		panic(fmt.Sprintf("coherence: duplicate insert of %v at %v", r, c.loc))
 	}
 	if c.used+r.Size > c.capacity {
@@ -533,21 +549,21 @@ func (c *Cache) Insert(r memspace.Region, dirty bool) *Line {
 	}
 	c.clock++
 	l := &Line{Region: r, Dirty: dirty, lru: c.clock}
-	c.lines[r] = l
+	c.lines = slices.Insert(c.lines, i, l)
 	c.used += r.Size
 	return l
 }
 
 // Remove evicts r's line. Panics if pinned or absent.
 func (c *Cache) Remove(r memspace.Region) {
-	l, ok := c.lines[r]
-	if !ok {
+	i, l := c.find(r)
+	if l == nil {
 		panic(fmt.Sprintf("coherence: remove of non-resident %v at %v", r, c.loc))
 	}
 	if l.pins > 0 {
 		panic(fmt.Sprintf("coherence: remove of pinned %v at %v", r, c.loc))
 	}
-	delete(c.lines, r)
+	c.lines = slices.Delete(c.lines, i, i+1)
 	c.used -= r.Size
 	c.Evictions++
 	c.ins.Evictions.Inc()
@@ -555,8 +571,8 @@ func (c *Cache) Remove(r memspace.Region) {
 
 // Pin prevents eviction of r while a task uses it.
 func (c *Cache) Pin(r memspace.Region) {
-	l, ok := c.lines[r]
-	if !ok {
+	_, l := c.find(r)
+	if l == nil {
 		panic(fmt.Sprintf("coherence: pin of non-resident %v at %v", r, c.loc))
 	}
 	l.pins++
@@ -564,8 +580,8 @@ func (c *Cache) Pin(r memspace.Region) {
 
 // Unpin releases one pin on r.
 func (c *Cache) Unpin(r memspace.Region) {
-	l, ok := c.lines[r]
-	if !ok || l.pins == 0 {
+	_, l := c.find(r)
+	if l == nil || l.pins == 0 {
 		panic(fmt.Sprintf("coherence: unpin of unpinned %v at %v", r, c.loc))
 	}
 	l.pins--
@@ -573,38 +589,20 @@ func (c *Cache) Unpin(r memspace.Region) {
 
 // MarkDirty flags r as modified on the device.
 func (c *Cache) MarkDirty(r memspace.Region) {
-	l, ok := c.lines[r]
-	if !ok {
+	_, l := c.find(r)
+	if l == nil {
 		panic(fmt.Sprintf("coherence: MarkDirty of non-resident %v at %v", r, c.loc))
 	}
 	l.Dirty = true
 }
 
-// Clean clears the dirty flag after a write-back.
+// Clean clears the dirty flag after a write-back; a no-op when r is not
+// resident.
 func (c *Cache) Clean(r memspace.Region) {
-	l, ok := c.lines[r]
-	if !ok {
-		return
+	if _, l := c.find(r); l != nil {
+		l.Dirty = false
 	}
-	l.Dirty = false
-}
-
-// DirtyLines returns all dirty lines ordered by region (for flush).
-func (c *Cache) DirtyLines() []*Line {
-	var out []*Line
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		if l := c.lines[k]; l.Dirty {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Lines returns all resident lines ordered by region.
-func (c *Cache) Lines() []*Line {
-	out := make([]*Line, 0, len(c.lines))
-	for _, k := range detmap.KeysFunc(c.lines, regionLess) {
-		out = append(out, c.lines[k])
-	}
-	return out
-}
+func (c *Cache) Lines() []*Line { return slices.Clone(c.lines) }

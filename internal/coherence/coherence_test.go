@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -250,6 +252,17 @@ func TestCacheInsertOverflowPanics(t *testing.T) {
 	c.Insert(reg(0xb, 20), false)
 }
 
+// dirtyLines is the flush view of a cache: its dirty lines in region order.
+func dirtyLines(c *Cache) []*Line {
+	var out []*Line
+	for _, l := range c.Lines() {
+		if l.Dirty {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestCacheDirtyTracking(t *testing.T) {
 	c := NewCache(gpu0, WriteBack, 300)
 	a, b, x := reg(0xa, 10), reg(0xb, 10), reg(0xc, 10)
@@ -257,12 +270,12 @@ func TestCacheDirtyTracking(t *testing.T) {
 	c.Insert(b, true)
 	c.Insert(x, false)
 	c.MarkDirty(x)
-	dirty := c.DirtyLines()
+	dirty := dirtyLines(c)
 	if len(dirty) != 2 || dirty[0].Region != b || dirty[1].Region != x {
 		t.Fatalf("dirty = %v", dirty)
 	}
 	c.Clean(b)
-	if got := c.DirtyLines(); len(got) != 1 || got[0].Region != x {
+	if got := dirtyLines(c); len(got) != 1 || got[0].Region != x {
 		t.Fatalf("after clean: %v", got)
 	}
 	c.Clean(reg(0xff, 1)) // cleaning absent line is a no-op
@@ -279,41 +292,116 @@ func TestCacheLinesSorted(t *testing.T) {
 	}
 }
 
-// Property: under any sequence of insert/remove/lookup with MakeSpace-led
-// evictions, used bytes == sum of resident line sizes and never exceeds
-// capacity.
+// wantVictims is MakeSpace's specification: every unpinned line sorted by
+// lru, cut at the shortest prefix that frees enough bytes.
+func wantVictims(c *Cache, size uint64) ([]*Line, bool) {
+	if size > c.Capacity() {
+		return nil, false
+	}
+	if c.Used()+size <= c.Capacity() {
+		return nil, true
+	}
+	var free []*Line
+	for _, l := range c.Lines() {
+		if l.pins == 0 {
+			free = append(free, l)
+		}
+	}
+	sort.Slice(free, func(i, j int) bool { return free[i].lru < free[j].lru })
+	var freed uint64
+	for i, l := range free {
+		freed += l.Region.Size
+		if freed >= c.Used()+size-c.Capacity() {
+			return free[:i+1], true
+		}
+	}
+	return nil, false
+}
+
+// Property: under any sequence of insert/remove/pin/unpin/lookup with
+// MakeSpace-led evictions, after every step used bytes == sum of resident
+// line sizes and never exceeds capacity, Lines() is strictly ascending,
+// OverlappingLines equals a brute-force filter of Lines(), and MakeSpace
+// picks exactly wantVictims.
 func TestQuickCacheInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := NewCache(gpu0, WriteBack, 1000)
 		for _, op := range ops {
-			slot := uint64(op % 16)
+			slot, act := uint64(op%16), op/16
 			addr := slot*0x100 + 0x1000
-			size := (slot%7 + 1) * 50 // size is a function of addr: no partial overlap
+			size := (slot%7 + 1) * 50 // up to 350 bytes on a 256-byte pitch: neighbours overlap
 			r := reg(addr, size)
-			if c.Contains(r) {
-				if op%3 == 0 {
-					c.Remove(r)
-				} else {
-					c.Lookup(r)
+			_, l := c.find(r)
+			switch {
+			case l == nil:
+				victims, ok := c.MakeSpace(size)
+				want, wantOK := wantVictims(c, size)
+				if ok != wantOK || !slices.Equal(victims, want) {
+					return false
 				}
-				continue
+				if ok {
+					for _, v := range victims {
+						c.Remove(v.Region)
+					}
+					c.Insert(r, act%2 == 0)
+				}
+			case act%4 == 0 && l.pins == 0:
+				c.Remove(r)
+			case act%4 == 1:
+				c.Pin(r)
+			case act%4 == 2 && l.pins > 0:
+				c.Unpin(r)
+			default:
+				c.Lookup(r)
 			}
-			victims, ok := c.MakeSpace(size)
-			if !ok {
-				continue
+			lines := c.Lines()
+			var sum uint64
+			for i, l := range lines {
+				sum += l.Region.Size
+				if i > 0 && !regionLess(lines[i-1].Region, l.Region) {
+					return false
+				}
 			}
-			for _, v := range victims {
-				c.Remove(v.Region)
+			if sum != c.Used() || c.Used() > c.Capacity() {
+				return false
 			}
-			c.Insert(r, op%2 == 0)
+			probe := reg(addr-0x80, size+0x100)
+			var overlap []*Line
+			for _, l := range lines {
+				if l.Region.Overlaps(probe) {
+					overlap = append(overlap, l)
+				}
+			}
+			if !slices.Equal(c.OverlappingLines(probe), overlap) {
+				return false
+			}
 		}
-		var sum uint64
-		for _, l := range c.Lines() {
-			sum += l.Region.Size
-		}
-		return sum == c.Used() && c.Used() <= c.Capacity()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCacheProducedSweep is the sweep nodeRT.produced runs on every
+// other GPU's cache at each task completion, at fig5's residency: 432
+// lines (3 matrices of 12x12 tiles). One op invalidates one tile
+// (OverlappingLines, Remove of the contained line) and stages it back.
+func BenchmarkCacheProducedSweep(b *testing.B) {
+	const tiles, size = 432, 1 << 20
+	c := NewCache(gpu0, WriteBack, tiles*size)
+	for i := uint64(0); i < tiles; i++ {
+		c.Insert(reg(i*size, size), false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := reg(uint64(i%tiles)*size, size)
+		for _, l := range c.OverlappingLines(r) {
+			if r.Contains(l.Region) {
+				c.Remove(l.Region)
+			}
+		}
+		c.Insert(r, false)
 	}
 }

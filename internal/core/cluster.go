@@ -181,9 +181,6 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 				ft.inflightTask[t.ID] = t
 			}
 			progress = true
-			if debugPlacement {
-				fmt.Printf("[comm] %s -> node%d (outstanding %d)\n", t.Name, k, cl.outstanding[k])
-			}
 			if k == 0 {
 				m.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
 					cl.outstanding[0]--
@@ -315,7 +312,7 @@ func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
 	if rt.nodeIsDead(k) {
 		return // nodeDead already requeued this task
 	}
-	copies := mergeCopies(t.Copies())
+	copies := t.Copies()
 	staged := true
 	if rt.cfg.NonBlockingCache {
 		var wait []*sim.Event

@@ -84,21 +84,6 @@ type Config struct {
 	// runtime's own buffers; the software cache manages the rest.
 	GPUCacheHeadroom float64
 
-	// KernelJitter is the fractional deterministic variation applied to
-	// each task's modeled kernel duration (hashed from the task id). Real
-	// kernels never take identical time; without this, a FIFO schedule can
-	// stay accidentally aligned with data placement and hide the locality
-	// effects the paper measures. Default 0.02 (2%).
-	KernelJitter float64
-
-	// EvictionOverhead is the fixed bookkeeping cost of evicting one cache
-	// line under memory pressure (pool compaction, cudaFree/cudaMalloc of
-	// the backing block). It models why the paper's N-Body prefers the
-	// no-cache policy: replacement under pressure costs more than eagerly
-	// moving data out and keeping GPU memory free (Section IV.B.1).
-	// Defaults to 150µs.
-	EvictionOverhead time.Duration
-
 	// Validate carries real bytes through every memory and wire so kernels
 	// can execute and results can be checked. Costs host time; benchmarks
 	// run cost-only.
@@ -169,15 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GPUCacheHeadroom == 0 {
 		c.GPUCacheHeadroom = 0.05
-	}
-	if c.EvictionOverhead == 0 {
-		c.EvictionOverhead = 150 * time.Microsecond
-	}
-	if c.KernelJitter == 0 {
-		c.KernelJitter = 0.02
-	}
-	if c.KernelJitter < 0 {
-		c.KernelJitter = 0
 	}
 	if c.CommThreads <= 0 {
 		c.CommThreads = 1

@@ -18,12 +18,25 @@ import (
 	"github.com/bsc-repro/ompss/internal/trace"
 )
 
-// taskOverhead models the per-task bookkeeping cost of the runtime
-// (graph insertion, scheduling, coherence lookups).
-const taskOverhead = 4 * time.Microsecond
+const (
+	// taskOverhead models the per-task bookkeeping cost of the runtime
+	// (graph insertion, scheduling, coherence lookups).
+	taskOverhead = 4 * time.Microsecond
 
-// debugPlacement prints task placement decisions (tests only).
-var debugPlacement = false
+	// kernelJitter is the fractional deterministic variation applied to
+	// each task's modeled duration (hashed from the task id). Real kernels
+	// never take identical time; without this, a FIFO schedule can stay
+	// accidentally aligned with data placement and hide the locality
+	// effects the paper measures.
+	kernelJitter = 0.02
+
+	// evictionOverhead is the fixed bookkeeping cost of evicting one cache
+	// line under memory pressure (pool compaction, cudaFree/cudaMalloc of
+	// the backing block). It models why the paper's N-Body prefers the
+	// no-cache policy: replacement under pressure costs more than eagerly
+	// moving data out and keeping GPU memory free (Section IV.B.1).
+	evictionOverhead = 150 * time.Microsecond
+)
 
 // nodeRT is one runtime image: the master (node 0) or a slave. Each image
 // owns its host store, GPUs with software caches, a local directory, a
@@ -249,7 +262,7 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 	n.stageRegions(p, t, hostDevKey)
 	start := p.Now()
 	run := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, -1, start)
-	p.Sleep(n.jitter(t.ID, t.Work.CPUCost(n.spec)))
+	p.Sleep(jitter(t.ID, t.Work.CPUCost(n.spec)))
 	run.EndTask(p.Now(), int64(t.ID))
 	n.met.taskRunNS.Observe(sim.Duration(p.Now() - start))
 	if n.rt.cfg.Validate {
@@ -324,7 +337,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		}
 		dev := n.devs[g]
 		work := t.Work
-		cost := n.jitter(t.ID, work.GPUCost(dev.Spec()))
+		cost := jitter(t.ID, work.GPUCost(dev.Spec()))
 		// Claim this kernel's power delta before launching; under a cap the
 		// claim may defer the launch until running kernels retire.
 		powerDelta := n.spec.GPUs[g].Power.Delta()
@@ -401,42 +414,23 @@ func (n *nodeRT) publishGPUTask(p *sim.Proc, g int, t *task.Task) {
 	if n.rt.cfg.CachePolicy == coherence.NoCache {
 		// Emulate moving data in and out always: nothing stays resident —
 		// except reduction partials, which must survive until combined.
-		for _, c := range dedupRegions(copies) {
-			if _, reducing := n.redPartials[c]; reducing {
+		for _, c := range copies {
+			if _, reducing := n.redPartials[c.Region]; reducing {
 				continue
 			}
-			if cache.Contains(c) {
-				n.dropLine(g, c)
+			if cache.Contains(c.Region) {
+				n.dropLine(g, c.Region)
 			}
 		}
 	}
-	if debugPlacement {
-		fmt.Printf("[%v] %s ran on node%d gpu%d\n", p.Now(), t.Name, n.id, g)
-	}
 }
 
-// dedupRegions returns the distinct regions of a copy list.
-func dedupRegions(copies []task.Dep) []memspace.Region {
-	seen := make(map[memspace.Region]bool, len(copies))
-	var out []memspace.Region
-	for _, c := range copies {
-		if !seen[c.Region] {
-			seen[c.Region] = true
-			out = append(out, c.Region)
-		}
-	}
-	return out
-}
-
-// jitter applies the configured deterministic per-task duration variation.
-func (n *nodeRT) jitter(id task.ID, d time.Duration) time.Duration {
-	if n.rt.cfg.KernelJitter <= 0 {
-		return d
-	}
+// jitter applies the deterministic per-task duration variation.
+func jitter(id task.ID, d time.Duration) time.Duration {
 	// Cheap integer hash of the task id; uniform in [0, 1).
 	h := uint64(id) * 0x9e3779b97f4a7c15
 	frac := float64(h>>40) / float64(1<<24)
-	return d + time.Duration(float64(d)*n.rt.cfg.KernelJitter*frac)
+	return d + time.Duration(float64(d)*kernelJitter*frac)
 }
 
 // overlappingRedRegions returns the pending reduction regions overlapping
@@ -514,14 +508,14 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 }
 
 func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool {
-	merged := mergeCopies(t.Copies())
+	copies := t.Copies()
 	// On the master, a region whose lost version is being rebuilt lists
 	// the master host as holder of a stale base; staging must wait out the
 	// rebuild. The replayed producers themselves are exempt — that base is
 	// exactly the input their re-run needs.
 	fence := n.isMaster() && n.rt.ft != nil && !n.rt.isRecoveryTask(t)
 	if g == hostDevKey {
-		for _, c := range merged {
+		for _, c := range copies {
 			if fence && c.Access.Reads() {
 				n.rt.waitRestore(p, c.Region)
 			}
@@ -547,7 +541,7 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 	}
 	var jobs []job
 	// Phase 1: residency and allocation decisions (synchronous bookkeeping).
-	for _, c := range merged {
+	for _, c := range copies {
 		r := c.Region
 		if c.Access == task.Red {
 			n.stageReduction(g, r)
@@ -573,7 +567,7 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 		if !ok {
 			if soft {
 				// Undo pins taken so far.
-				for _, d := range merged {
+				for _, d := range copies {
 					if d.Region == r {
 						break
 					}
@@ -625,32 +619,13 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 	return true
 }
 
-// mergeCopies combines duplicate copy clauses on one exact region.
-// Distinct overlapping regions stay separate entries: each gets its own
-// cache line and the stores alias their shared bytes.
-func mergeCopies(copies []task.Dep) []task.Dep {
-	byRegion := make(map[memspace.Region]int, len(copies))
-	var out []task.Dep
-	for _, c := range copies {
-		if i, ok := byRegion[c.Region]; ok {
-			if out[i].Access != c.Access {
-				out[i].Access = task.InOut
-			}
-			continue
-		}
-		byRegion[c.Region] = len(out)
-		out = append(out, c)
-	}
-	return out
-}
-
 // evictLine writes back a dirty victim and removes it. Replacement under
 // pressure pays a fixed bookkeeping cost on top of the writeback. The
 // bookkeeping and writeback take virtual time, during which a task
 // completing on another device may invalidate the victim; the line is
 // re-checked after every blocking step.
 func (n *nodeRT) evictLine(p *sim.Proc, g int, l *coherence.Line) {
-	p.Sleep(n.rt.cfg.EvictionOverhead)
+	p.Sleep(evictionOverhead)
 	if !n.caches[g].Contains(l.Region) {
 		return // invalidated while we slept
 	}
@@ -822,9 +797,6 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 	}
 	return true
 }
-
-// DebugPlacement toggles placement tracing (development only).
-func DebugPlacement(on bool) { debugPlacement = on }
 
 // stageReduction prepares GPU g's private accumulator for region r: a
 // zero-initialized cache line on first use (the reduction identity), the

@@ -132,9 +132,6 @@ func (rt *Runtime) master() *nodeRT { return rt.nodes[0] }
 // node it goes straight to the local scheduler.
 func (rt *Runtime) onReady(t *task.Task) {
 	if rt.clSch != nil {
-		if debugPlacement {
-			fmt.Printf("[ready] %s#%d scores=%v releasedBy=%d\n", t.Name, t.ID, rt.clusterScore(t), rt.releasePlace)
-		}
 		rt.clSch.Submit(t, rt.releasePlace)
 	} else {
 		rt.master().sch.Submit(t, rt.releasePlace)

@@ -153,6 +153,52 @@ func TestSingleGPUTaskRoundTrip(t *testing.T) {
 	}
 }
 
+// runDuplicateCopyClauses runs one task declaring In(r) and Out(r) on the
+// same region — the shape depgraph.Normalize treats as inout — and checks
+// the runtime stages, pins, publishes and scores it as a single InOut copy.
+func runDuplicateCopyClauses(t *testing.T, dev task.Device) Stats {
+	t.Helper()
+	rt := New(baseCfg(1, 1))
+	var result []byte
+	var scores []uint64
+	stats, err := rt.Run(func(mc *MainCtx) {
+		r := mc.Alloc(1024)
+		mc.InitSeq(r, func(b []byte) { fill(b, 10) })
+		def := TaskDef{Name: "inc", Device: dev,
+			Deps: []task.Dep{inDep(r), outDep(r)},
+			Work: incWork{r: r, delta: 5, cost: time.Millisecond}}
+		scores = rt.master().affinityScore(&task.Task{Device: task.SMP, Deps: def.Deps, CopyDeps: true})
+		mc.Submit(def)
+		mc.TaskWait()
+		result = append([]byte(nil), mc.HostBytes(r)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range result {
+		if b != 15 {
+			t.Fatalf("byte %d = %d, want 15", i, b)
+		}
+	}
+	// The host holds all 1024 bytes; one InOut clause weighs them double.
+	if scores[0] != 2*1024 {
+		t.Fatalf("host affinity score = %d, want %d (region counted once, as InOut)", scores[0], 2*1024)
+	}
+	return stats
+}
+
+func TestDuplicateCopyClausesOnGPUTask(t *testing.T) {
+	if stats := runDuplicateCopyClauses(t, task.CUDA); stats.TasksCUDA != 1 {
+		t.Fatalf("TasksCUDA = %d, want 1", stats.TasksCUDA)
+	}
+}
+
+func TestDuplicateCopyClausesOnSMPTask(t *testing.T) {
+	if stats := runDuplicateCopyClauses(t, task.SMP); stats.TasksSMP != 1 {
+		t.Fatalf("TasksSMP = %d, want 1", stats.TasksSMP)
+	}
+}
+
 func TestDependencyChainComputesCorrectly(t *testing.T) {
 	rt := New(baseCfg(1, 2))
 	var got byte

@@ -1,9 +1,6 @@
 package memspace
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // FragMap is the shared fragment index of the runtime's interval-tracking
 // layers (the depgraph conflict map and the coherence directory): a set of
@@ -25,12 +22,8 @@ import (
 // sorted slice produced: dependence arcs and transfer plans built on top
 // replay bit-identically.
 //
-// Locking: a top-level RWMutex guards the shard table and every structural
-// mutation; each shard adds its own RWMutex so concurrent readers of
-// disjoint shards never serialize on shared cache lines. Payloads are NOT
-// guarded — the caller owns V's contents and mutates them under its own
-// discipline (inside one simulated runtime image everything is serial).
-// Mutating methods never invoke caller code or block while holding a lock.
+// Not safe for concurrent use: one runtime image drives its maps serially
+// (sim runs one process at a time), so there is nothing to lock.
 type FragMap[V any] struct {
 	// clone copies a payload when a fragment splits (the left half gets
 	// the clone, the right half keeps the original value). Nil means a
@@ -40,7 +33,6 @@ type FragMap[V any] struct {
 	// means the zero value.
 	fresh func() V
 
-	mu     sync.RWMutex
 	shards []*fragShard[V]
 	// ends caches shards[i].end() in a flat slice, so the top-level binary
 	// search probes contiguous uint64s instead of chasing three pointers
@@ -59,7 +51,6 @@ type Frag[V any] struct {
 }
 
 type fragShard[V any] struct {
-	mu    sync.RWMutex
 	frags []*Frag[V]
 }
 
@@ -75,18 +66,10 @@ func NewFragMap[V any](clone func(V) V, fresh func() V) *FragMap[V] {
 }
 
 // Len returns the number of fragments.
-func (m *FragMap[V]) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.n
-}
+func (m *FragMap[V]) Len() int { return m.n }
 
 // Shards returns the number of shards (observability and tests).
-func (m *FragMap[V]) Shards() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.shards)
-}
+func (m *FragMap[V]) Shards() int { return len(m.shards) }
 
 // start and end give a shard's address span. Shards are never empty.
 func (s *fragShard[V]) start() uint64 { return s.frags[0].R.Addr }
@@ -94,7 +77,6 @@ func (s *fragShard[V]) end() uint64   { return s.frags[len(s.frags)-1].R.End() }
 
 // locate returns the position of the first fragment whose End > addr, as a
 // (shard, fragment) index pair; si == len(shards) means past the end.
-// Callers hold m.mu (read or write).
 func (m *FragMap[V]) locate(addr uint64) (si, fi int) {
 	si = sort.Search(len(m.ends), func(i int) bool { return m.ends[i] > addr })
 	if si == len(m.shards) {
@@ -120,34 +102,25 @@ func (m *FragMap[V]) Overlapping(r Region) []*Frag[V] {
 // million-task submission cost.
 func (m *FragMap[V]) OverlappingInto(r Region, out []*Frag[V]) []*Frag[V] {
 	out = out[:0]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	si, fi := m.locate(r.Addr)
 	for ; si < len(m.shards); si, fi = si+1, 0 {
 		sh := m.shards[si]
-		sh.mu.RLock()
 		for ; fi < len(sh.frags); fi++ {
 			f := sh.frags[fi]
 			if f.R.Addr >= r.End() {
-				sh.mu.RUnlock()
 				return out
 			}
 			out = append(out, f)
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }
 
 // All returns every fragment in address order.
 func (m *FragMap[V]) All() []*Frag[V] {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	out := make([]*Frag[V], 0, m.n)
 	for _, sh := range m.shards {
-		sh.mu.RLock()
 		out = append(out, sh.frags...)
-		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -173,12 +146,6 @@ func (m *FragMap[V]) freshV() V {
 // meeting at addr, giving the left half a cloned payload. No-op when addr
 // falls on a fragment boundary or outside every fragment.
 func (m *FragMap[V]) SplitAt(addr uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.splitAtLocked(addr)
-}
-
-func (m *FragMap[V]) splitAtLocked(addr uint64) {
 	si, fi := m.locate(addr)
 	if si == len(m.shards) {
 		return
@@ -196,18 +163,16 @@ func (m *FragMap[V]) splitAtLocked(addr uint64) {
 		R: Region{Addr: f.R.Addr, Size: addr - f.R.Addr},
 		V: m.cloneV(f.V),
 	}
-	sh.mu.Lock()
 	f.R = Region{Addr: addr, Size: end - addr}
 	sh.frags = append(sh.frags, nil)
 	copy(sh.frags[fi+1:], sh.frags[fi:])
 	sh.frags[fi] = left
-	sh.mu.Unlock()
 	m.n++
 	m.rebalance(si)
 }
 
 // insertAt places f as a new fragment at global position (si, fi). The
-// caller guarantees disjointness and order. Callers hold m.mu for writing.
+// caller guarantees disjointness and order.
 func (m *FragMap[V]) insertAt(si, fi int, f *Frag[V]) {
 	if len(m.shards) == 0 {
 		m.shards = []*fragShard[V]{{frags: []*Frag[V]{f}}}
@@ -221,11 +186,9 @@ func (m *FragMap[V]) insertAt(si, fi int, f *Frag[V]) {
 		fi = len(m.shards[si].frags)
 	}
 	sh := m.shards[si]
-	sh.mu.Lock()
 	sh.frags = append(sh.frags, nil)
 	copy(sh.frags[fi+1:], sh.frags[fi:])
 	sh.frags[fi] = f
-	sh.mu.Unlock()
 	m.ends[si] = sh.end()
 	m.n++
 	m.rebalance(si)
@@ -280,10 +243,8 @@ func (m *FragMap[V]) Cover(r Region) []*Frag[V] {
 // may rebalance shards) re-locates.
 func (m *FragMap[V]) CoverInto(r Region, out []*Frag[V]) []*Frag[V] {
 	out = out[:0]
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.splitAtLocked(r.Addr)
-	m.splitAtLocked(r.End())
+	m.SplitAt(r.Addr)
+	m.SplitAt(r.End())
 	pos := r.Addr
 	si, fi := m.locate(pos)
 	for pos < r.End() {
@@ -325,8 +286,6 @@ func (m *FragMap[V]) SplitBounds(bounds []uint64) {
 	if len(bounds) == 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	bi := 0
 	for si := 0; si < len(m.shards); si++ {
 		sh := m.shards[si]
@@ -365,9 +324,7 @@ func (m *FragMap[V]) SplitBounds(bounds []uint64) {
 		if added := len(rebuilt) - len(sh.frags); added == 0 {
 			continue
 		}
-		sh.mu.Lock()
 		sh.frags = rebuilt
-		sh.mu.Unlock()
 		m.rebalance(si)
 		// Skip the shards the rebalance spliced in: their fragments were
 		// all swept against bounds already.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/hw"
-	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -215,10 +214,4 @@ func (f *Fabric) SendAsync(msg Message) *sim.Event {
 		done.Trigger()
 	})
 	return done
-}
-
-// CopyBytes copies region r between two host stores, used by data-bearing
-// messages in validation mode. Either store may be nil.
-func CopyBytes(dst, src *memspace.Store, r memspace.Region) {
-	memspace.CopyRegion(dst, src, r)
 }

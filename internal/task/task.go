@@ -14,7 +14,7 @@ import (
 
 // Device selects the target architecture of a task (the paper's
 // `#pragma omp target device(...)` clause).
-type Device int
+type Device uint8
 
 const (
 	// SMP tasks run on a host CPU core (the default when no target is given).
@@ -104,11 +104,12 @@ type Task struct {
 	ID     ID
 	Name   string
 	Device Device
+	// CopyDeps indicates the copy_deps clause: dependence clauses double as
+	// copy clauses. (Kept next to the one-byte Device so the two share a
+	// word: a million-task graph holds every Task live at once.)
+	CopyDeps bool
 	// Deps are the dependence clauses used to build the task graph.
 	Deps []Dep
-	// CopyDeps indicates the copy_deps clause: dependence clauses double as
-	// copy clauses.
-	CopyDeps bool
 	// ExtraCopies are explicit copy_in/copy_out/copy_inout clauses beyond
 	// the dependence list.
 	ExtraCopies []Dep
@@ -136,27 +137,43 @@ type Task struct {
 	// per task. A task belongs to at most one graph at a time (its
 	// parent's extent).
 	DepNode any
+
+	// copies caches Copies(); non-nil once derived.
+	copies []Dep
 }
 
-// Copies returns the effective copy clause list: ExtraCopies plus, when
-// CopyDeps is set, the dependence clauses themselves.
+// Copies returns the effective copy clause list: the dependence clauses
+// (when CopyDeps is set) followed by ExtraCopies, with duplicate clauses on
+// one exact region merged into a single entry (differing accesses behave
+// as InOut, as in depgraph.Normalize). Distinct overlapping regions stay
+// separate entries: each gets its own cache line and the stores alias
+// their shared bytes. The list is derived on first use and cached, so the
+// clauses must not change afterwards and every consumer — scoring,
+// staging, pinning, publishing — iterates the same one.
 func (t *Task) Copies() []Dep {
-	if !t.CopyDeps {
-		return t.ExtraCopies
+	if t.copies != nil {
+		return t.copies
 	}
-	out := make([]Dep, 0, len(t.Deps)+len(t.ExtraCopies))
-	out = append(out, t.Deps...)
-	out = append(out, t.ExtraCopies...)
-	return out
-}
-
-// CopyFootprint returns the total bytes named by the task's copy clauses.
-func (t *Task) CopyFootprint() uint64 {
-	var n uint64
-	for _, c := range t.Copies() {
-		n += c.Region.Size
+	var deps []Dep
+	if t.CopyDeps {
+		deps = t.Deps
 	}
-	return n
+	t.copies = make([]Dep, 0, len(deps)+len(t.ExtraCopies))
+	for _, clauses := range [2][]Dep{deps, t.ExtraCopies} {
+	next:
+		for _, c := range clauses {
+			for i := range t.copies {
+				if t.copies[i].Region == c.Region {
+					if t.copies[i].Access != c.Access {
+						t.copies[i].Access = InOut
+					}
+					continue next
+				}
+			}
+			t.copies = append(t.copies, c)
+		}
+	}
+	return t.copies
 }
 
 func (t *Task) String() string {
