@@ -17,8 +17,9 @@ import (
 //     opposite orders freeze the clock the same way (bounded
 //     Sleep/Yield with a resource held is the occupancy model itself
 //     and is allowed);
-//   - anywhere inside Engine.After / Event.OnTrigger callbacks, which
-//     run inline on the engine loop and are documented no-block
+//   - anywhere inside Engine.After / Event.OnTrigger /
+//     Resource.AcquireFunc callbacks and gasnet non-blocking handlers,
+//     which run inline on the engine loop and are documented no-block
 //     contexts.
 //
 // The analysis is per-function and source-ordered; function literals
@@ -45,10 +46,11 @@ var simUnboundedFuncs = map[string]bool{
 	"Run": true, "WaitAll": true,
 }
 
-// simInlineCallbacks are the sim functions whose function-literal
-// arguments run inline on the engine loop and must not block.
-var simInlineCallbacks = map[string]bool{
-	"After": true, "OnTrigger": true,
+// simInlineCallbacks are the functions whose function-literal arguments
+// run inline on the engine loop and must not block, by declaring package.
+var simInlineCallbacks = map[string]string{
+	"After": "internal/sim", "OnTrigger": "internal/sim", "AcquireFunc": "internal/sim",
+	"RegisterNonBlocking": "internal/gasnet",
 }
 
 func runSimBlocking(pass *Pass) error {
@@ -116,17 +118,20 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 				}
 				return true
 			}
-			fn, recv, ok := simCall(pass, n)
+			fn, recv, ok := callee(pass, n)
 			if !ok {
 				return true
 			}
 			name := fn.Name()
-			if simInlineCallbacks[name] {
+			if pkg, inline := simInlineCallbacks[name]; inline && pathHasSuffixPkg(fn.Pkg().Path(), pkg) {
 				for _, arg := range n.Args {
 					if lit, isLit := arg.(*ast.FuncLit); isLit {
 						litMode[lit] = true
 					}
 				}
+				return true
+			}
+			if !isSimPkg(fn.Pkg().Path()) {
 				return true
 			}
 			if name == "Release" && isResourceMethod(fn) {
@@ -142,8 +147,8 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 			// above park the caller. Report the most specific violation.
 			switch {
 			case noblock:
-				report(pass, n, "sim %s inside an Engine.After/Event.OnTrigger callback: "+
-					"inline engine callbacks must not block", name)
+				report(pass, n, "sim %s inside an inline engine callback: After, OnTrigger, AcquireFunc "+
+					"and RegisterNonBlocking bodies run on the engine loop and must not block", name)
 			case len(heldMu) > 0:
 				report(pass, n, "sim %s while mutex %s is held: blocking under a lock "+
 					"deadlocks the virtual-clock engine", name, heldMu[len(heldMu)-1].expr)
@@ -198,10 +203,10 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (expr, op string, ok bool) {
 	return "", "", false
 }
 
-// simCall matches calls that resolve to a function or method of the sim
-// package, returning the callee and the receiver's source text ("" for
-// package-level functions).
-func simCall(pass *Pass, call *ast.CallExpr) (fn *types.Func, recv string, ok bool) {
+// callee resolves a call to a declared function or method of some package,
+// returning it and the receiver's source text ("" for package-level
+// functions).
+func callee(pass *Pass, call *ast.CallExpr) (fn *types.Func, recv string, ok bool) {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -213,7 +218,7 @@ func simCall(pass *Pass, call *ast.CallExpr) (fn *types.Func, recv string, ok bo
 		return nil, "", false
 	}
 	fn, isFunc := pass.TypesInfo.Uses[id].(*types.Func)
-	if !isFunc || fn.Pkg() == nil || !isSimPkg(fn.Pkg().Path()) {
+	if !isFunc || fn.Pkg() == nil {
 		return nil, "", false
 	}
 	return fn, recv, true

@@ -5,6 +5,7 @@ package blockbad
 import (
 	"sync"
 
+	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -41,9 +42,25 @@ func WaitUnderResource(p *sim.Proc, r *sim.Resource, q *sim.Queue) {
 // BlockInAfter blocks inside an inline engine callback.
 func BlockInAfter(e *sim.Engine, p *sim.Proc, ev *sim.Event) {
 	e.After(1, func() {
-		ev.Wait(p) // want "sim Wait inside an Engine.After/Event.OnTrigger callback"
+		ev.Wait(p) // want "sim Wait inside an inline engine callback"
 	})
 	ev.OnTrigger(func() {
-		p.Sleep(1) // want "sim Sleep inside an Engine.After/Event.OnTrigger callback"
+		p.Sleep(1) // want "sim Sleep inside an inline engine callback"
+	})
+}
+
+// BlockInAcquireFunc blocks inside a resource continuation.
+func BlockInAcquireFunc(r *sim.Resource, p *sim.Proc) {
+	r.AcquireFunc(func() {
+		p.Sleep(1) // want "sim Sleep inside an inline engine callback"
+		r.Release()
+	})
+}
+
+// BlockInNonBlockingHandler has no process of its own, and must not park
+// one it captured.
+func BlockInNonBlockingHandler(ep *gasnet.Endpoint, p *sim.Proc) {
+	ep.RegisterNonBlocking("done", func(am gasnet.AM) {
+		p.Sleep(1) // want "sim Sleep inside an inline engine callback"
 	})
 }

@@ -6,6 +6,7 @@ package blockok
 import (
 	"sync"
 
+	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -41,4 +42,22 @@ func OrderedAcquire(p *sim.Proc, tx, rx *sim.Resource) {
 	rx.Acquire(p)
 	tx.Release()
 	rx.Release()
+}
+
+// OccupyAsEvents is Occupy with no process: acquire, hold and release as
+// continuations, none of which blocks.
+func OccupyAsEvents(e *sim.Engine, r *sim.Resource, done *sim.Event) {
+	r.AcquireFunc(func() {
+		e.After(10, func() {
+			r.Release()
+			done.Trigger()
+		})
+	})
+}
+
+// Handlers registers one handler of each kind: the process form may block,
+// the non-blocking form only updates state.
+func Handlers(ep *gasnet.Endpoint, ev *sim.Event) {
+	ep.Register("fetch", func(p *sim.Proc, am gasnet.AM) { ev.Wait(p) })
+	ep.RegisterNonBlocking("ack", func(am gasnet.AM) { ev.Trigger() })
 }

@@ -81,6 +81,9 @@ func NewResource(e *Engine, n int) *Resource { return &Resource{} }
 // Acquire blocks for a slot.
 func (r *Resource) Acquire(p *Proc) {}
 
+// AcquireFunc runs fn inline once a slot is held; fn must not block.
+func (r *Resource) AcquireFunc(fn func()) {}
+
 // Release returns a slot.
 func (r *Resource) Release() {}
 

@@ -77,7 +77,7 @@ func (rt *Runtime) registerMasterHandlers() {
 	m := rt.master()
 	cl := rt.cluster()
 
-	m.ep.Register(amTaskDone, func(p *sim.Proc, am gasnet.AM) {
+	m.ep.RegisterNonBlocking(amTaskDone, func(am gasnet.AM) {
 		args := am.Args.(doneArgs)
 		t, node := args.Task, args.Node
 		if ft := rt.ft; ft != nil {
@@ -114,13 +114,13 @@ func (rt *Runtime) registerMasterHandlers() {
 		rt.finishTask(t, node)
 		m.signalWork()
 	})
-	m.ep.Register(amData, func(p *sim.Proc, am gasnet.AM) {
+	m.ep.RegisterNonBlocking(amData, func(am gasnet.AM) {
 		// Data pulled back to the master host: the producer still holds
 		// the current version, the master host gains a copy.
 		m.dir.AddHolder(am.Region, memspace.Host(0))
 		rt.ackXfer(am.Args.(dataArgs).XferID)
 	})
-	m.ep.Register(amAck, func(p *sim.Proc, am gasnet.AM) {
+	m.ep.RegisterNonBlocking(amAck, func(am gasnet.AM) {
 		rt.ackXfer(am.Args.(dataArgs).XferID)
 	})
 }
@@ -199,10 +199,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 				if cl.outstanding[k] > 1 {
 					rt.met.presends.Inc()
 				}
-				k := k
-				rt.e.Go(fmt.Sprintf("dispatch:%s->node%d", t.Name, k), func(dp *sim.Proc) {
-					rt.dispatchRemote(dp, t, k)
-				})
+				rt.e.Go(rt.nodes[k].dispatchName, func(dp *sim.Proc) { rt.dispatchRemote(dp, t, k) })
 			}
 			// Resume the next poll at the following node: one dispatch per
 			// sweep keeps the distribution round-robin.
@@ -320,7 +317,6 @@ func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
 			if !c.Access.Reads() {
 				continue
 			}
-			c := c
 			done := sim.NewEvent(rt.e)
 			rt.e.Go("stageNet", func(sp *sim.Proc) {
 				if !rt.stageToNode(sp, c.Region, k) {
@@ -581,13 +577,13 @@ func (rt *Runtime) pullToMaster(p *sim.Proc, r memspace.Region, j int) bool {
 // III.D.1: slaves wait for requests and submit them to the local
 // scheduler).
 func (n *nodeRT) registerSlaveHandlers() {
-	n.ep.Register(amRunTask, func(p *sim.Proc, am gasnet.AM) {
+	n.ep.RegisterNonBlocking(amRunTask, func(am gasnet.AM) {
 		t := am.Args.(*task.Task)
 		n.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
 			if n.rt.ft != nil {
 				// Reliable sends block for the ack round-trip (and any
 				// retries); detach so the worker can take its next task.
-				n.rt.e.Go(fmt.Sprintf("taskDone:%s", done.Name), func(dp *sim.Proc) {
+				n.rt.e.Go("taskDone:"+done.Name, func(dp *sim.Proc) {
 					n.ep.AMShort(dp, 0, amTaskDone, doneArgs{Task: done, Node: n.id})
 				})
 				return
@@ -619,7 +615,7 @@ func (n *nodeRT) registerSlaveHandlers() {
 		n.fetchToHost(p, args.Region)
 		n.ep.AMLong(p, args.Dest, amData, dataArgs{XferID: args.XferID}, args.Region)
 	})
-	n.ep.Register(amShutdown, func(p *sim.Proc, am gasnet.AM) {
+	n.ep.RegisterNonBlocking(amShutdown, func(gasnet.AM) {
 		n.stopping = true
 		n.signalWork()
 	})

@@ -120,7 +120,7 @@ func (rt *Runtime) armFaultTolerance() {
 		n.ep.SetInboundFilter(func(from int) bool { return !ft.dead[from] })
 		// Any node can host a manager shard and run its slice of the
 		// failure detector, so every node can receive pongs.
-		n.ep.Register(amPong, func(p *sim.Proc, am gasnet.AM) {
+		n.ep.RegisterNonBlocking(amPong, func(am gasnet.AM) {
 			ft.pongSince[am.From] = true
 			ft.missStreak[am.From] = 0
 		})

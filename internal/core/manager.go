@@ -219,7 +219,7 @@ func (rt *Runtime) mgrFailover(now sim.Time, dead int) {
 // shards).
 func (rt *Runtime) registerDirOpHandlers() {
 	for _, n := range rt.nodes {
-		n.ep.Register(amDirOp, func(p *sim.Proc, am gasnet.AM) {
+		n.ep.RegisterNonBlocking(amDirOp, func(gasnet.AM) {
 			rt.met.mgrDirMsgs.Inc()
 		})
 	}

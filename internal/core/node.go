@@ -58,9 +58,10 @@ type nodeRT struct {
 	// ready-ahead window; kept for window-depth sampling.
 	lookahead *sched.LookaheadSched
 
-	places     int // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
-	workSignal *sim.Event
-	stopping   bool
+	places       int    // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
+	dispatchName string // of the master's processes dispatching to this node
+	workSignal   *sim.Event
+	stopping     bool
 
 	// onDone maps locally queued tasks to their completion action (retire
 	// at master, or notify the master over the wire).
@@ -111,6 +112,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		redCombiners: make(map[memspace.Region]task.Combiner),
 		prefetched:   make([]*task.Task, len(spec.GPUs)),
 		workSignal:   sim.NewEvent(rt.e),
+		dispatchName: "dispatch->node" + strconv.Itoa(id),
 		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
 	if rt.cfg.Validate {
@@ -280,7 +282,7 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 		// The spawner blocks until its nested tasks drain; detach it so
 		// this worker can execute those very tasks (a parent waiting on
 		// its children must not occupy the only executor).
-		n.rt.e.Go(fmt.Sprintf("spawner:%s", t.Name), func(sp *sim.Proc) {
+		n.rt.e.Go("spawner:"+t.Name, func(sp *sim.Proc) {
 			n.runSpawner(sp, t)
 			n.met.tasksSMP.Inc()
 			n.completeLocal(sp, t, 0)
@@ -344,7 +346,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		n.rt.gov.acquire(p, t.Name, n.id, g, powerDelta)
 		kernelStart := p.Now()
 		kernel := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, g, kernelStart)
-		kernelDone := dev.LaunchAsync(t.Name, cost, func(devStore *memspace.Store) {
+		kernelDone := dev.LaunchAsync(cost, func(devStore *memspace.Store) {
 			if n.rt.cfg.Validate {
 				work.Run(devStore)
 			}
@@ -371,8 +373,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		n.publishGPUTask(p, g, t)
 		if t.Spawner != nil {
 			// Detached: the nested tasks need this very GPU manager.
-			t := t
-			n.rt.e.Go(fmt.Sprintf("spawner:%s", t.Name), func(sp *sim.Proc) {
+			n.rt.e.Go("spawner:"+t.Name, func(sp *sim.Proc) {
 				n.runSpawner(sp, t)
 				n.met.tasksCUDA.Inc()
 				n.completeLocal(sp, t, 1+g)
@@ -436,6 +437,9 @@ func jitter(id task.ID, d time.Duration) time.Duration {
 // overlappingRedRegions returns the pending reduction regions overlapping
 // r, in deterministic region order.
 func (n *nodeRT) overlappingRedRegions(r memspace.Region) []memspace.Region {
+	if len(n.redPartials) == 0 {
+		return nil // every call outside a reduction phase
+	}
 	var out []memspace.Region
 	for _, k := range detmap.KeysFunc(n.redPartials, regionLess) {
 		if k.Overlaps(r) {

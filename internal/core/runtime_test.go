@@ -981,6 +981,42 @@ func TestOversizedWorkingSetReturnsError(t *testing.T) {
 	}
 }
 
+// badWork is a kernel whose body panics when it really runs.
+type badWork struct{ incWork }
+
+func (badWork) Run(*memspace.Store) { panic("kernel bug") }
+
+// A user kernel that panics in Validate mode runs as a bare event, on
+// whichever goroutine is dispatching; Run must still return the panic as an
+// error — on one node and with the task dispatched to a slave — not hang
+// with the runtime's looping processes parked forever.
+func TestPanickingKernelReturnsError(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		rt := New(baseCfg(nodes, 1))
+		finished := make(chan error, 1)
+		go func() {
+			_, err := rt.Run(func(mc *MainCtx) {
+				r := mc.Alloc(1024)
+				mc.InitSeq(r, nil)
+				mc.Submit(TaskDef{Name: "bad", Device: task.CUDA,
+					Deps: []task.Dep{inoutDep(r)},
+					Work: badWork{incWork{r: r, delta: 1, cost: time.Millisecond}}})
+				mc.TaskWait()
+			})
+			finished <- err
+		}()
+		select {
+		case err := <-finished:
+			var pp *sim.ProcPanicError
+			if !errors.As(err, &pp) || pp.Value != "kernel bug" {
+				t.Fatalf("%d nodes: err = %v, want ProcPanicError(kernel bug)", nodes, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d nodes: Run did not return", nodes)
+		}
+	}
+}
+
 func TestReductionInCorePackage(t *testing.T) {
 	// Exercises the reduction machinery (staging, partials, combine)
 	// directly at the core level.

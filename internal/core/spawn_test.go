@@ -1,0 +1,60 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"github.com/bsc-repro/ompss/internal/hw"
+	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/sched"
+	"github.com/bsc-repro/ompss/internal/task"
+)
+
+// The 8-node point of `ompss-bench -experiment weakscale` (8 chains per
+// node, 25 dependent 20 µs SMP tasks each, 256-byte regions), centralized
+// and sharded: a remote task costs a dispatch process and the blocking end
+// of its data transfer, nothing per kernel, DMA, ack, taskDone or dirop.
+// The count is deterministic — 4.4 and 5.0 per task before those became
+// events, 2.1 and 2.2 after — so a goroutine per operation creeping back
+// fails here rather than in a profile.
+func TestProcessesPerTask(t *testing.T) {
+	const nodes, chains, depth = 8, 8, 25
+	for _, shards := range []int{1, 2} {
+		rt := New(Config{
+			Cluster:       hw.GPUCluster(nodes),
+			Scheduler:     sched.BreadthFirst,
+			SlaveToSlave:  true,
+			CommThreads:   4,
+			CPUWorkers:    2,
+			ManagerShards: shards,
+			ManagerOpCost: 2 * time.Microsecond,
+		})
+		_, err := rt.Run(func(mc *MainCtx) {
+			deps := make([]memspace.Region, nodes*chains)
+			for i := range deps {
+				deps[i] = memspace.Region{Addr: mc.Alloc(1 << 18).Addr, Size: 256}
+			}
+			defs := make([]TaskDef, len(deps))
+			for d := 0; d < depth; d++ {
+				for i, r := range deps {
+					defs[i] = TaskDef{
+						Name: "chain", Device: task.SMP, Deps: []task.Dep{inoutDep(r)},
+						Work: task.FixedWork{Label: "chain", CPUTime: 20 * time.Microsecond},
+					}
+				}
+				mc.SubmitBatch(defs)
+			}
+			mc.TaskWaitNoflush()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := nodes * chains * depth
+		if spawned := rt.e.Spawned(); spawned > 3*tasks {
+			t.Errorf("shards=%d: %d processes for %d tasks (%.2f per task), want <= 3",
+				shards, spawned, tasks, float64(spawned)/float64(tasks))
+		} else {
+			t.Logf("shards=%d: %.2f processes per task", shards, float64(spawned)/float64(tasks))
+		}
+	}
+}

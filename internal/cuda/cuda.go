@@ -67,7 +67,7 @@ func (c *Context) Memcpy(p *sim.Proc, dir gpusim.Dir, r memspace.Region, host *m
 
 // Launch runs a kernel synchronously (launch + cudaDeviceSynchronize).
 func (c *Context) Launch(p *sim.Proc, name string, cost time.Duration, body func(dev *memspace.Store)) {
-	c.dev.Launch(p, name, cost, body)
+	c.dev.Launch(p, cost, body)
 }
 
 // Stream is a CUDA stream: operations enqueued on it execute in order,
@@ -108,7 +108,7 @@ func (s *Stream) MemcpyAsync(dir gpusim.Dir, r memspace.Region, host *memspace.S
 // LaunchAsync enqueues a kernel on the stream.
 func (s *Stream) LaunchAsync(name string, cost time.Duration, body func(dev *memspace.Store)) *sim.Event {
 	return s.enqueue("kernel:"+name, func() *sim.Event {
-		return s.ctx.dev.LaunchAsync(name, cost, body)
+		return s.ctx.dev.LaunchAsync(cost, body)
 	})
 }
 

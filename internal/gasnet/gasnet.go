@@ -37,8 +37,9 @@ type AM struct {
 	Bytes  uint64
 }
 
-// Handler processes one delivered active message. Handlers run in their own
-// simulation process and may block, issue further AMs, or reply.
+// Handler processes one delivered active message in its own simulation
+// process: it may block, issue further AMs, or reply. One that only updates
+// state is a plain func(am AM) instead — see RegisterNonBlocking.
 type Handler func(p *sim.Proc, am AM)
 
 type wireAM struct {
@@ -85,8 +86,8 @@ type Endpoint struct {
 	f        *netsim.Fabric
 	e        *sim.Engine
 	node     int
-	handlers map[string]Handler
-	store    *memspace.Store // host store of this node; may be nil
+	handlers map[string]func(AM) // starts the handler for one message
+	store    *memspace.Store     // host store of this node; may be nil
 	started  bool
 	closed   bool
 
@@ -116,7 +117,7 @@ func (ep *Endpoint) Instrument(ins Instruments) { ep.ins = ins }
 // NewEndpoint returns an endpoint for node on fabric f. store is the node's
 // host backing store (nil in cost-only mode).
 func NewEndpoint(f *netsim.Fabric, node int, store *memspace.Store) *Endpoint {
-	return &Endpoint{f: f, e: f.Engine(), node: node, handlers: make(map[string]Handler), store: store}
+	return &Endpoint{f: f, e: f.Engine(), node: node, handlers: make(map[string]func(AM)), store: store}
 }
 
 // EnableReliability arms the ack/timeout/retry layer. Must be called
@@ -142,27 +143,37 @@ func (ep *Endpoint) EnableReliability(rel Reliability) {
 // cluster state.
 func (ep *Endpoint) SetInboundFilter(f func(from int) bool) { ep.inFilter = f }
 
-// Node returns this endpoint's node id.
-func (ep *Endpoint) Node() int { return ep.node }
-
 // Store returns this endpoint's host store.
 func (ep *Endpoint) Store() *memspace.Store { return ep.store }
 
-// Register installs handler h under name. Must be called before Start.
+// Register installs handler h under name: each message starts a process
+// running it. Must be called before Start.
 func (ep *Endpoint) Register(name string, h Handler) {
+	procName := fmt.Sprintf("gasnet:h:%s@%d", name, ep.node)
+	ep.register(name, func(am AM) { ep.e.Go(procName, func(p *sim.Proc) { h(p, am) }) })
+}
+
+// RegisterNonBlocking installs h, which has no process handle and so cannot
+// block, under name: each message runs it as a bare event, in the slot a
+// handler process would have started in. Must be called before Start.
+func (ep *Endpoint) RegisterNonBlocking(name string, h func(am AM)) {
+	ep.register(name, func(am AM) { ep.e.After(0, func() { h(am) }) })
+}
+
+func (ep *Endpoint) register(name string, start func(AM)) {
 	if ep.started {
 		panic("gasnet: Register after Start")
 	}
 	if _, dup := ep.handlers[name]; dup {
 		panic("gasnet: duplicate handler " + name)
 	}
-	ep.handlers[name] = h
+	ep.handlers[name] = start
 }
 
 // Start launches the endpoint's dispatcher process, which pulls delivered
-// messages off the fabric inbox and spawns a handler process for each.
-// AMLong payload bytes land in the destination host store just before the
-// handler runs.
+// messages off the fabric inbox and starts a handler — a process, or an
+// event for a non-blocking one — for each. AMLong payload bytes land in the
+// destination host store just before the handler runs.
 func (ep *Endpoint) Start(e *sim.Engine) {
 	if ep.started {
 		panic("gasnet: double Start")
@@ -207,17 +218,14 @@ func (ep *Endpoint) Start(e *sim.Engine) {
 			if ep.inFilter != nil && !ep.inFilter(w.am.From) {
 				continue
 			}
-			h, known := ep.handlers[w.am.Handler]
+			start, known := ep.handlers[w.am.Handler]
 			if !known {
 				panic(fmt.Sprintf("gasnet: node %d has no handler %q", ep.node, w.am.Handler))
 			}
 			if w.am.Region.Valid() && w.srcStore != nil {
 				memspace.CopyRegion(ep.store, w.srcStore, w.am.Region)
 			}
-			am := w.am
-			e.Go(fmt.Sprintf("gasnet:h:%s@%d", am.Handler, ep.node), func(hp *sim.Proc) {
-				h(hp, am)
-			})
+			start(w.am)
 		}
 	})
 }
@@ -235,13 +243,13 @@ func (ep *Endpoint) Shutdown() {
 // repaired by the sender's retransmission and the receiver's dedup.
 func (ep *Endpoint) sendAck(p *sim.Proc, to int, seq uint64) {
 	ep.ins.AcksSent.Inc()
-	ep.f.Send(p, netsim.Message{
-		From: ep.node, To: to, Size: ackBytes, Control: true,
-		Payload: wireAM{
-			am:  AM{From: ep.node, To: to, Handler: ackHandler},
-			seq: seq,
-		},
-	})
+	ep.control(p, to, ackBytes, wireAM{am: AM{Handler: ackHandler}, seq: seq})
+}
+
+// control sends w as a datagram that bypasses TX/RX occupancy.
+func (ep *Endpoint) control(p *sim.Proc, to int, size uint64, w wireAM) {
+	w.am.From, w.am.To = ep.node, to
+	ep.f.Send(p, netsim.Message{From: ep.node, To: to, Size: size, Control: true, Payload: w})
 }
 
 // AMShort sends a control-only active message; the caller blocks for the
@@ -263,30 +271,12 @@ func (ep *Endpoint) AMLong(p *sim.Proc, to int, handler string, args interface{}
 	return ep.send(p, to, handler, args, r, r.Size)
 }
 
-// AMLongAsync is AMLong initiated from a spawned process; the returned
-// event triggers when the message has been delivered. It is fire-and-forget
-// and does not participate in the reliability protocol.
-func (ep *Endpoint) AMLongAsync(to int, handler string, args interface{}, r memspace.Region) *sim.Event {
-	return ep.f.SendAsync(netsim.Message{
-		From: ep.node, To: to, Size: headerBytes + r.Size,
-		Payload: wireAM{
-			am:       AM{From: ep.node, To: to, Handler: handler, Args: args, Region: r, Bytes: r.Size},
-			srcStore: ep.store,
-		},
-	})
-}
-
 // AMProbe sends a best-effort control datagram: no ack, no retry, no TX/RX
 // occupancy. The heartbeat primitive — a probe that could queue behind a
 // bulk transfer or grow a retry ladder would measure the protocol instead
 // of the peer.
 func (ep *Endpoint) AMProbe(p *sim.Proc, to int, handler string, args interface{}) {
-	ep.f.Send(p, netsim.Message{
-		From: ep.node, To: to, Size: headerBytes, Control: true,
-		Payload: wireAM{
-			am: AM{From: ep.node, To: to, Handler: handler, Args: args},
-		},
-	})
+	ep.control(p, to, headerBytes, wireAM{am: AM{Handler: handler, Args: args}})
 }
 
 func (ep *Endpoint) send(p *sim.Proc, to int, handler string, args interface{}, r memspace.Region, bytes uint64) bool {

@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -87,31 +88,61 @@ func TestAMLongDeliversBytes(t *testing.T) {
 	}
 }
 
-func TestAMLongAsyncDelivery(t *testing.T) {
+// A non-blocking handler runs as an event once the payload's wire time has
+// passed, with the bytes already in the destination store.
+func TestAMLongNonBlockingHandler(t *testing.T) {
 	e, _, eps := setup(2, true)
 	r := memspace.Region{Addr: 0x2000, Size: 1_000_000}
 	eps[0].Store().Bytes(r)[0] = 99
-	var handlerAt, doneAt sim.Time
-	eps[1].Register("data", func(p *sim.Proc, am AM) { handlerAt = p.Now() })
-	eps[1].Start(e)
-	e.Go("main", func(p *sim.Proc) {
-		done := eps[0].AMLongAsync(1, "data", nil, r)
-		done.Wait(p)
-		doneAt = p.Now()
+	var handlerAt sim.Time
+	var got byte
+	eps[1].RegisterNonBlocking("data", func(am AM) {
+		handlerAt = e.Now()
+		got = eps[1].Store().Bytes(am.Region)[0]
 		eps[1].Shutdown()
 	})
+	eps[1].Start(e)
+	e.Go("main", func(p *sim.Proc) { eps[0].AMLong(p, 1, "data", nil, r) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if eps[1].Store().Bytes(r)[0] != 99 {
-		t.Fatal("bytes not delivered")
+	if got != 99 {
+		t.Fatal("bytes not delivered before the handler ran")
 	}
 	// ~1ms serialization for 1MB: delivery must reflect wire time.
 	if handlerAt < sim.Time(time.Millisecond) {
 		t.Fatalf("handler at %v, expected >= 1ms wire time", handlerAt)
 	}
-	if doneAt < handlerAt {
-		t.Fatalf("done (%v) before delivery (%v)", doneAt, handlerAt)
+	if n := e.Spawned(); n != 2 { // main and the dispatcher; none for the handler
+		t.Fatalf("spawned %d processes, want 2", n)
+	}
+}
+
+// A non-blocking handler that panics is Run's error, whether the sender has
+// exited or is still blocked elsewhere; the dispatcher, parked on its inbox,
+// is unwound.
+func TestPanickingNonBlockingHandlerStopsRun(t *testing.T) {
+	for _, senderStays := range []bool{false, true} {
+		e, _, eps := setup(2, false)
+		eps[1].RegisterNonBlocking("boom", func(am AM) { panic("bad handler") })
+		eps[1].Start(e)
+		e.Go("main", func(p *sim.Proc) {
+			eps[0].AMShort(p, 1, "boom", nil)
+			if senderStays {
+				p.Sleep(time.Second)
+			}
+		})
+		finished := make(chan error, 1)
+		go func() { finished <- e.Run() }()
+		select {
+		case err := <-finished:
+			var pp *sim.ProcPanicError
+			if !errors.As(err, &pp) || pp.Value != "bad handler" || pp.Proc == "main" {
+				t.Fatalf("senderStays=%v: err = %v, want the handler's ProcPanicError", senderStays, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("senderStays=%v: Run did not return", senderStays)
+		}
 	}
 }
 

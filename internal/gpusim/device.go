@@ -61,9 +61,7 @@ type Device struct {
 	overlap bool
 
 	compute *sim.Resource
-	h2d     *sim.Resource
-	d2h     *sim.Resource
-	serial  *sim.Resource // used for everything when overlap is off
+	dma     [2]*sim.Resource // by Dir; both are compute when overlap is off
 
 	memUsed uint64
 	store   *memspace.Store // nil in cost-only mode
@@ -89,15 +87,13 @@ func (d *Device) Instrument(ins Instruments) { d.ins = ins }
 // New returns a device for GPU dev of node at location loc. If validate is
 // true the device carries a backing store and kernels can really run.
 func New(e *sim.Engine, spec hw.GPUSpec, loc memspace.Location, overlap, validate bool) *Device {
-	d := &Device{
-		e:       e,
-		spec:    spec,
-		loc:     loc,
-		overlap: overlap,
-		compute: sim.NewResource(e, loc.String()+":compute", 1),
-		h2d:     sim.NewResource(e, loc.String()+":h2d", 1),
-		d2h:     sim.NewResource(e, loc.String()+":d2h", 1),
-		serial:  sim.NewResource(e, loc.String()+":queue", 1),
+	d := &Device{e: e, spec: spec, loc: loc, overlap: overlap}
+	if overlap {
+		d.compute = sim.NewResource(e, loc.String()+":compute", 1)
+		d.dma = [2]*sim.Resource{sim.NewResource(e, loc.String()+":h2d", 1), sim.NewResource(e, loc.String()+":d2h", 1)}
+	} else {
+		d.compute = sim.NewResource(e, loc.String()+":queue", 1)
+		d.dma = [2]*sim.Resource{d.compute, d.compute}
 	}
 	if validate {
 		d.store = memspace.NewStore(loc)
@@ -113,9 +109,6 @@ func (d *Device) Location() memspace.Location { return d.loc }
 
 // Store returns the device backing store (nil in cost-only mode).
 func (d *Device) Store() *memspace.Store { return d.store }
-
-// Overlap reports whether transfer/compute overlap is enabled.
-func (d *Device) Overlap() bool { return d.overlap }
 
 // MemUsed returns the bytes currently allocated on the device.
 func (d *Device) MemUsed() uint64 { return d.memUsed }
@@ -164,48 +157,40 @@ func StagingCost(spec hw.GPUSpec, size uint64) time.Duration {
 	return time.Duration(float64(size) / spec.PinnedCopyBandwidth * 1e9)
 }
 
-func (d *Device) computeEngine() *sim.Resource {
-	if d.overlap {
-		return d.compute
-	}
-	return d.serial
-}
-
-func (d *Device) dmaEngine(dir Dir) *sim.Resource {
-	if !d.overlap {
-		return d.serial
-	}
-	if dir == H2D {
-		return d.h2d
-	}
-	return d.d2h
+// occupy holds engine eng for cost, FIFO behind earlier operations, then
+// runs done — a timed operation as three events and no process.
+func (d *Device) occupy(eng *sim.Resource, cost time.Duration, done func()) {
+	eng.AcquireFunc(func() {
+		d.e.After(cost, func() {
+			eng.Release()
+			done()
+		})
+	})
 }
 
 // LaunchAsync starts a kernel with the given modeled cost and optional real
 // execution body. It returns an Event that triggers when the kernel
 // completes. body runs at completion time against the device store.
-func (d *Device) LaunchAsync(name string, cost time.Duration, body func(devStore *memspace.Store)) *sim.Event {
+func (d *Device) LaunchAsync(cost time.Duration, body func(devStore *memspace.Store)) *sim.Event {
 	done := sim.NewEvent(d.e)
-	d.e.Go("kernel:"+name, func(p *sim.Proc) {
-		eng := d.computeEngine()
-		eng.Acquire(p)
-		p.Sleep(cost)
-		eng.Release()
-		d.stats.Kernels++
-		d.stats.KernelBusy += sim.Time(cost)
-		d.ins.Kernels.Inc()
-		d.ins.KernelBusy.Add(int64(cost))
-		if body != nil {
-			body(d.store)
-		}
-		done.Trigger()
+	d.e.After(0, func() {
+		d.occupy(d.compute, cost, func() {
+			d.stats.Kernels++
+			d.stats.KernelBusy += sim.Time(cost)
+			d.ins.Kernels.Inc()
+			d.ins.KernelBusy.Add(int64(cost))
+			if body != nil {
+				body(d.store)
+			}
+			done.Trigger()
+		})
 	})
 	return done
 }
 
 // Launch runs a kernel synchronously from process p.
-func (d *Device) Launch(p *sim.Proc, name string, cost time.Duration, body func(devStore *memspace.Store)) {
-	d.LaunchAsync(name, cost, body).Wait(p)
+func (d *Device) Launch(p *sim.Proc, cost time.Duration, body func(devStore *memspace.Store)) {
+	d.LaunchAsync(cost, body).Wait(p)
 }
 
 // CopyAsync starts a transfer of region r between the host store and the
@@ -214,35 +199,34 @@ func (d *Device) Launch(p *sim.Proc, name string, cost time.Duration, body func(
 // between stores happens at completion time.
 func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store, pinned bool) *sim.Event {
 	done := sim.NewEvent(d.e)
-	d.e.Go(fmt.Sprintf("dma:%v:%v", d.loc, dir), func(p *sim.Proc) {
-		if !pinned && d.overlap {
-			// Stage user memory into an intermediate page-locked buffer
-			// before the DMA can start (H2D), or out of it after (D2H). The
-			// staging memcpy burns host time either way; model it serially
-			// on this transfer.
-			p.Sleep(StagingCost(d.spec, r.Size))
-		}
-		eng := d.dmaEngine(dir)
-		cost := TransferCost(d.spec, r.Size)
-		eng.Acquire(p)
-		p.Sleep(cost)
-		eng.Release()
-		d.stats.DMABusy += sim.Time(cost)
-		d.ins.DMABusy.Add(int64(cost))
-		switch dir {
-		case H2D:
-			d.stats.BytesH2D += r.Size
-			d.stats.XfersH2D++
-			d.ins.BytesH2D.Add(int64(r.Size))
-			memspace.CopyRegion(d.store, hostStore, r)
-		case D2H:
-			d.stats.BytesD2H += r.Size
-			d.stats.XfersD2H++
-			d.ins.BytesD2H.Add(int64(r.Size))
-			memspace.CopyRegion(hostStore, d.store, r)
-		}
-		done.Trigger()
-	})
+	cost := TransferCost(d.spec, r.Size)
+	dma := func() {
+		d.occupy(d.dma[dir], cost, func() {
+			d.stats.DMABusy += sim.Time(cost)
+			d.ins.DMABusy.Add(int64(cost))
+			switch dir {
+			case H2D:
+				d.stats.BytesH2D += r.Size
+				d.stats.XfersH2D++
+				d.ins.BytesH2D.Add(int64(r.Size))
+				memspace.CopyRegion(d.store, hostStore, r)
+			case D2H:
+				d.stats.BytesD2H += r.Size
+				d.stats.XfersD2H++
+				d.ins.BytesD2H.Add(int64(r.Size))
+				memspace.CopyRegion(hostStore, d.store, r)
+			}
+			done.Trigger()
+		})
+	}
+	start := dma
+	if !pinned && d.overlap {
+		// Stage user memory into an intermediate page-locked buffer before
+		// the DMA can start (H2D), or out of it after (D2H). The memcpy burns
+		// host time either way; model it serially on this transfer.
+		start = func() { d.e.After(StagingCost(d.spec, r.Size), dma) }
+	}
+	d.e.After(0, start)
 	return done
 }
 
@@ -258,11 +242,8 @@ func (d *Device) Stats() Stats { return d.stats }
 // the device bytes without touching any host store — used to collect
 // reduction partials. Returns nil in cost-only mode.
 func (d *Device) ReadBack(p *sim.Proc, r memspace.Region) []byte {
-	eng := d.dmaEngine(D2H)
 	cost := TransferCost(d.spec, r.Size)
-	eng.Acquire(p)
-	p.Sleep(cost)
-	eng.Release()
+	d.dma[D2H].Use(p, cost)
 	d.stats.DMABusy += sim.Time(cost)
 	d.stats.BytesD2H += r.Size
 	d.stats.XfersD2H++

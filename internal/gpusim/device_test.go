@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestSerializedDeviceQueuesEverything(t *testing.T) {
 	r := memspace.Region{Addr: 0x1000, Size: 5_000_000} // 1ms+10us transfer
 	var end sim.Time
 	e.Go("driver", func(p *sim.Proc) {
-		kernel := d.LaunchAsync("k", 2*time.Millisecond, nil)
+		kernel := d.LaunchAsync(2*time.Millisecond, nil)
 		xfer := d.CopyAsync(H2D, r, host, true)
 		kernel.Wait(p)
 		xfer.Wait(p)
@@ -105,7 +106,7 @@ func TestOverlapDeviceRunsConcurrently(t *testing.T) {
 	r := memspace.Region{Addr: 0x1000, Size: 5_000_000}
 	var end sim.Time
 	e.Go("driver", func(p *sim.Proc) {
-		kernel := d.LaunchAsync("k", 2*time.Millisecond, nil)
+		kernel := d.LaunchAsync(2*time.Millisecond, nil)
 		xfer := d.CopyAsync(H2D, r, host, true)
 		kernel.Wait(p)
 		xfer.Wait(p)
@@ -152,7 +153,7 @@ func TestCopyMovesRealBytes(t *testing.T) {
 	e.Go("driver", func(p *sim.Proc) {
 		d.Copy(p, H2D, r, host, true)
 		// Kernel doubles each byte on the device.
-		d.Launch(p, "double", time.Microsecond, func(dev *memspace.Store) {
+		d.Launch(p, time.Microsecond, func(dev *memspace.Store) {
 			b := dev.Bytes(r)
 			for i := range b {
 				b[i] *= 2
@@ -179,8 +180,8 @@ func TestDeviceStats(t *testing.T) {
 	e.Go("driver", func(p *sim.Proc) {
 		d.Copy(p, H2D, memspace.Region{Addr: 0x1, Size: 100}, host, true)
 		d.Copy(p, D2H, memspace.Region{Addr: 0x2, Size: 50}, host, true)
-		d.Launch(p, "k", time.Millisecond, nil)
-		d.Launch(p, "k", time.Millisecond, nil)
+		d.Launch(p, time.Millisecond, nil)
+		d.Launch(p, time.Millisecond, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -242,5 +243,61 @@ func TestReadBackCostOnlyReturnsNil(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Kernels and DMAs are timed operations with no control flow: they run as
+// engine events. The device starts no process, and one launch costs a fixed,
+// small number of allocations (its completion event, its continuations and
+// the waiter's slot) — no goroutine, stack or channel.
+func TestOperationsSpawnNoProcess(t *testing.T) {
+	e := sim.NewEngine()
+	d := New(e, testSpec(), memspace.GPU(0, 0), true, false)
+	host := memspace.NewStore(memspace.Host(0))
+	r := memspace.Region{Addr: 0x1000, Size: 4096}
+	var allocs float64
+	e.Go("driver", func(p *sim.Proc) {
+		// Contended and uncontended, staged and pinned, both directions.
+		evs := []*sim.Event{
+			d.CopyAsync(H2D, r, host, false), d.CopyAsync(H2D, r, host, true),
+			d.CopyAsync(D2H, r, host, false),
+			d.LaunchAsync(time.Millisecond, nil), d.LaunchAsync(time.Millisecond, nil),
+		}
+		sim.WaitAll(p, evs...)
+		allocs = testing.AllocsPerRun(100, func() { d.Launch(p, time.Microsecond, nil) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Spawned(); n != 1 {
+		t.Fatalf("%d processes spawned, want the driver alone", n)
+	}
+	if s := d.Stats(); s.Kernels != 103 || s.XfersH2D != 2 || s.XfersD2H != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if allocs > 6 {
+		t.Fatalf("%.1f allocs per Launch, want <= 6", allocs)
+	}
+	t.Logf("%.1f allocs per Launch", allocs)
+}
+
+// A kernel body that panics (a Validate-mode user kernel) is Run's error,
+// even when the process that launched it has exited and nothing waits.
+func TestPanickingKernelBodyStopsRun(t *testing.T) {
+	e := sim.NewEngine()
+	d := New(e, testSpec(), memspace.GPU(0, 0), true, true)
+	e.Go("driver", func(p *sim.Proc) {
+		d.LaunchAsync(time.Millisecond, func(*memspace.Store) { panic("bad kernel") })
+	})
+	finished := make(chan error, 1)
+	go func() { finished <- e.Run() }()
+	select {
+	case err := <-finished:
+		var pp *sim.ProcPanicError
+		if !errors.As(err, &pp) || pp.Value != "bad kernel" {
+			t.Fatalf("err = %v, want ProcPanicError(bad kernel)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return")
 	}
 }

@@ -202,16 +202,3 @@ func (f *Fabric) Send(p *sim.Proc, msg Message) time.Duration {
 	})
 	return lat
 }
-
-// SendAsync transmits msg from a spawned process, returning an event that
-// triggers when the message has been delivered to the destination inbox
-// (or dropped).
-func (f *Fabric) SendAsync(msg Message) *sim.Event {
-	done := sim.NewEvent(f.e)
-	f.e.Go(fmt.Sprintf("net:%d->%d", msg.From, msg.To), func(p *sim.Proc) {
-		lat := f.Send(p, msg)
-		p.Sleep(lat) // Send returns at serialization end; wait for delivery
-		done.Trigger()
-	})
-	return done
-}

@@ -71,13 +71,11 @@ func TestSenderTxSerializes(t *testing.T) {
 			times = append(times, p.Now())
 		})
 	}
-	e.Go("send", func(p *sim.Proc) {
+	for dst := 1; dst <= 2; dst++ {
+		dst := dst
 		// Both 1MB messages leave node 0: TX serializes them.
-		done := f.SendAsync(Message{From: 0, To: 1, Size: 1_000_000})
-		done2 := f.SendAsync(Message{From: 0, To: 2, Size: 1_000_000})
-		done.Wait(p)
-		done2.Wait(p)
-	})
+		e.Go("send", func(p *sim.Proc) { f.Send(p, Message{From: 0, To: dst, Size: 1_000_000}) })
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,28 @@
-// Package sim implements a deterministic, process-oriented discrete-event
-// simulation engine. Every component of the reproduced system — CPU worker
-// threads, GPU engines, DMA channels, network links, runtime services — runs
-// as a sim process on a shared virtual clock.
+// Package sim implements a deterministic discrete-event simulation engine:
+// processes for things that loop, events for timed operations, goroutines
+// recycled. A component with control flow — a CPU worker, a GPU manager,
+// anything that stages and sends in a loop — is a process (Engine.Go): a
+// function on a goroutine, blocking in virtual time. A timed operation
+// without control flow — a kernel, a DMA, a message handler that only updates
+// state — is a chain of bare callbacks (Engine.After, Resource.AcquireFunc)
+// run inline by whichever goroutine is dispatching.
 //
-// Determinism contract: exactly one process executes at any instant. A
-// process runs until it blocks (Sleep, Event.Wait, Queue.Get, ...); only
-// then is the next event popped. Events with equal timestamps fire in the
-// order they were scheduled. Given identical inputs, a simulation therefore
-// produces bit-identical traces on every run.
+// Determinism contract: exactly one process or callback executes at any
+// instant. A process runs until it blocks (Sleep, Event.Wait, Queue.Get,
+// ...); only then is the next event popped. Events fire in (time, sequence
+// number) order, and an event takes its number when it is scheduled. That is
+// what lets an operation change form and move no result: the event form
+// schedules one event per point where the process form blocked, at the
+// instant the process form scheduled its wake-up — a resource grant when the
+// holder releases, not when the waiter asked — so equal-time ties break as
+// before and a simulation produces bit-identical traces on every run.
 //
-// Fast path: the goroutine of a blocking process pops and dispatches the
-// next event itself, handing control directly to the process it wakes. The
-// engine goroutine sitting in Run is only a quiescence monitor, so the
-// common block→wake cycle costs one goroutine switch instead of three, and
-// a process that unblocks itself (Yield, zero-length Sleep) costs none.
-// Events are recycled on a per-engine free list and process wake-ups are
-// scheduled without closures, so the steady-state hot path does not
-// allocate. Dispatch order is identical to a central pop loop — only the
-// goroutine doing the popping changes — so the determinism contract is
-// unaffected.
+// Fast path: a blocking process's goroutine pops and dispatches the next
+// event itself, handing control directly to the process it wakes; Run only
+// monitors for quiescence. An exiting process leaves its goroutine, stack
+// already grown, to the next one to start; Run ends them all as it returns.
+// Events are recycled and name their process without a closure, so the
+// steady-state hot path allocates only the Proc of each spawn.
 package sim
 
 import (
@@ -42,13 +46,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds returns the virtual time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// event is a pending occurrence in the priority queue. Exactly one of proc
-// and fn is set: proc marks a pooled, closure-free process wake-up; fn is a
-// bare callback (bare=true) or a process-spawn trampoline (bare=false).
+// event is a pending occurrence in the priority queue: the start (its first
+// event) or a wake-up of proc, with no closure, or else the bare callback fn.
 type event struct {
 	at   Time
 	seq  uint64
-	bare bool
 	fn   func()
 	proc *Proc
 }
@@ -79,13 +81,18 @@ type Engine struct {
 	procs   []*Proc // live processes, maintained on spawn/exit only
 	procSeq int
 
+	// idle holds the goroutines whose process has exited, most recent last,
+	// for the next process to start on; exited is how they report their end.
+	idle   []worker
+	exited chan struct{}
+
 	stopped bool
 	stopErr error
 }
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{exited: make(chan struct{})}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -93,23 +100,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time. It is safe to call from any
 // process and never takes the engine lock.
 func (e *Engine) Now() Time { return Time(e.now.Load()) }
-
-// newEventLocked returns a zeroed event from the free list, or a fresh one.
-func (e *Engine) newEventLocked() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-func (e *Engine) releaseEventLocked(ev *event) {
-	ev.fn = nil
-	ev.proc = nil
-	e.free = append(e.free, ev)
-}
 
 // pushEventLocked inserts ev into the heap. Caller must hold e.mu.
 func (e *Engine) pushEventLocked(ev *event) {
@@ -155,19 +145,17 @@ func (e *Engine) popEventLocked() *event {
 	return top
 }
 
-// scheduleLocked enqueues fn to run at time at. Caller must hold e.mu.
-func (e *Engine) scheduleLocked(at Time, bare bool, fn func()) {
-	ev := e.newEventLocked()
-	ev.at, ev.seq, ev.bare, ev.fn = at, e.seq, bare, fn
-	e.seq++
-	e.pushEventLocked(ev)
-}
-
-// scheduleWakeLocked enqueues a closure-free wake-up of p at time at.
-// Caller must hold e.mu.
-func (e *Engine) scheduleWakeLocked(p *Proc, at Time) {
-	ev := e.newEventLocked()
-	ev.at, ev.seq, ev.proc = at, e.seq, p
+// scheduleLocked enqueues, for time at, the start or wake-up of p or else
+// the bare callback fn, and gives it the next sequence number. Events are
+// recycled, so scheduling allocates nothing. Caller must hold e.mu.
+func (e *Engine) scheduleLocked(at Time, p *Proc, fn func()) {
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq, ev.proc, ev.fn = at, e.seq, p, fn
 	e.seq++
 	e.pushEventLocked(ev)
 }
@@ -176,33 +164,31 @@ func (e *Engine) scheduleWakeLocked(p *Proc, at Time) {
 // pops events in (at, seq) order until one hands control to a process, the
 // queue drains, or the engine stops. It runs on whichever goroutine just
 // made running reach zero (a blocking or exiting process, or Run itself),
-// which is what makes block→wake a direct handoff. Caller must hold e.mu;
-// the lock may be dropped and retaken around bare callbacks.
+// which makes block→wake a direct handoff. Caller must hold e.mu; the lock
+// is dropped and retaken around bare callbacks.
 func (e *Engine) dispatchLocked() {
 	for e.running == 0 && !e.stopped && len(e.queue) > 0 {
 		ev := e.popEventLocked()
 		e.now.Store(int64(ev.at))
 		e.running = 1
-		if p := ev.proc; p != nil {
+		p, fn := ev.proc, ev.fn
+		ev.proc, ev.fn = nil, nil
+		e.free = append(e.free, ev)
+		if p != nil {
 			// Direct handoff: transfer the running count to p without
-			// leaving the lock. The buffered send cannot block (a proc
-			// has at most one pending wake-up) and establishes the
-			// happens-before edge to the woken goroutine.
-			e.releaseEventLocked(ev)
+			// leaving the lock. The buffered send cannot block: a goroutine
+			// has at most one pending start or wake-up.
+			if p.w == nil {
+				p.w = e.workerLocked()
+			}
 			p.blockReason = ""
-			p.wake <- struct{}{}
+			p.w <- p
 			return
 		}
-		fn, bare := ev.fn, ev.bare
-		e.releaseEventLocked(ev)
 		e.mu.Unlock()
-		fn()
+		e.call(fn)
 		e.mu.Lock()
-		if bare {
-			e.running--
-		}
-		// Spawn events keep running at 1: the new process goroutine owns
-		// the count until it blocks or exits, so the loop ends here.
+		e.running--
 	}
 	if e.running == 0 {
 		// Quiescent (drained or stopped): wake Run to finish up.
@@ -210,54 +196,88 @@ func (e *Engine) dispatchLocked() {
 	}
 }
 
+// call runs a bare callback. Its panic, like a process's, becomes Run's
+// error — not one of whichever process's goroutine was dispatching.
+func (e *Engine) call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.Stop(&ProcPanicError{Proc: "(event)", Value: r, Stack: debug.Stack()})
+		}
+	}()
+	fn()
+}
+
+// worker is the mailbox of one engine goroutine, which runs the processes
+// sent on it one after another; while a process is blocked the same channel
+// carries its wake-ups. A nil tells it to end: Run has returned.
+type worker chan *Proc
+
+// workerLocked returns the most recently idled goroutine, or starts one.
+func (e *Engine) workerLocked() worker {
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return w
+	}
+	w := make(worker, 1)
+	go func() {
+		defer func() { e.exited <- struct{}{} }()
+		for p := <-w; p != nil; p = <-w {
+			e.runProc(w, p)
+		}
+	}()
+	return w
+}
+
+// runProc executes p on w's goroutine, which owns the running count until
+// p blocks or exits. On exit the goroutine goes idle *before* dispatching,
+// so a process started by that very dispatch reuses it without a switch.
+func (e *Engine) runProc(w worker, p *Proc) {
+	defer func() {
+		r := recover()
+		if p.blockReason != "" {
+			return // still blocked: Run is unwinding p, nothing left to account
+		}
+		if r != nil {
+			// A panicking process aborts the whole simulation: Run returns
+			// the panic as an error instead of crashing the host program.
+			e.Stop(&ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+		p.done = true
+		if p.onExit != nil {
+			p.onExit.Trigger()
+		}
+		e.mu.Lock()
+		e.unregisterLocked(p)
+		e.idle = append(e.idle, w)
+		e.running--
+		e.dispatchLocked()
+		e.mu.Unlock()
+	}()
+	p.fn(p)
+}
+
 // Go spawns a new process that will begin executing fn at the current
 // virtual time, after the spawning process next blocks. The name is used in
-// deadlock reports and traces.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.goLocked(name, 0, fn)
-}
+// deadlock reports and traces. Calls that fn defers must not block (see Run).
+func (e *Engine) Go(name string, fn func(p *Proc)) *Proc { return e.GoAfter(name, 0, fn) }
 
 // GoAfter spawns a process that begins executing fn after delay d.
 func (e *Engine) GoAfter(name string, d Duration, fn func(p *Proc)) *Proc {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.goLocked(name, d, fn)
+	e.procSeq++
+	p := &Proc{e: e, name: name, id: int32(e.procSeq), fn: fn, regIdx: int32(len(e.procs))}
+	e.procs = append(e.procs, p)
+	e.scheduleLocked(e.Now()+Time(d), p, nil)
+	return p
 }
 
-func (e *Engine) goLocked(name string, d Duration, fn func(p *Proc)) *Proc {
-	e.procSeq++
-	p := &Proc{e: e, name: name, id: e.procSeq, wake: make(chan struct{}, 1)}
-	p.regIdx = len(e.procs)
-	e.procs = append(e.procs, p)
-	e.scheduleLocked(e.Now()+Time(d), false, func() {
-		// Runs with running already at 1; hand execution to the new
-		// process goroutine, which owns the running count until it blocks
-		// or exits.
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					// A panicking process aborts the whole simulation: Run
-					// returns the panic as an error instead of crashing the
-					// host program (user mistakes — an oversized working
-					// set, a missing combiner — surface as errors).
-					e.Stop(&ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
-				}
-				p.done = true
-				if p.onExit != nil {
-					p.onExit.Trigger()
-				}
-				e.mu.Lock()
-				e.unregisterLocked(p)
-				e.running--
-				e.dispatchLocked()
-				e.mu.Unlock()
-			}()
-			fn(p)
-		}()
-	})
-	return p
+// Spawned returns the number of processes spawned so far.
+func (e *Engine) Spawned() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.procSeq
 }
 
 // unregisterLocked removes p from the live-process registry (swap-remove).
@@ -275,7 +295,7 @@ func (e *Engine) unregisterLocked(p *Proc) {
 func (e *Engine) After(d Duration, fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.scheduleLocked(e.Now()+Time(d), true, fn)
+	e.scheduleLocked(e.Now()+Time(d), nil, fn)
 }
 
 // Stop aborts the simulation: Run returns err once all currently runnable
@@ -311,30 +331,38 @@ func (d *DeadlockError) Error() string {
 
 // Run drives the simulation until the event queue drains and no process is
 // runnable. It returns a *DeadlockError if processes remain blocked at the
-// end, or the error passed to Stop.
+// end, or the error passed to Stop. No goroutine the engine started
+// outlives Run, whichever way it ends: a process still parked is unwound
+// (runtime.Goexit), so its deferred calls run, up to one that blocks.
 //
 // Run kicks off the first dispatch and then only monitors for quiescence:
-// once processes are running, all further dispatching happens directly on
-// the goroutines of blocking processes.
+// all further dispatching happens on the goroutines of blocking processes.
 func (e *Engine) Run() error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.dispatchLocked()
 	for e.running > 0 || (!e.stopped && len(e.queue) > 0) {
 		e.cond.Wait()
 	}
-	if e.stopped {
-		return e.stopErr
-	}
+	err := e.stopErr
+	left := e.idle // the goroutines still alive: idle, or parked in block
+	e.idle = nil
 	var names []string
 	for _, p := range e.procs {
 		if p.blockReason != "" {
+			left = append(left, p.w)
 			names = append(names, fmt.Sprintf("%s#%d: %s", p.name, p.id, p.blockReason))
 		}
 	}
-	if len(names) > 0 {
+	if !e.stopped && len(names) > 0 {
 		sort.Strings(names)
-		return &DeadlockError{Now: e.Now(), Blocked: names}
+		err = &DeadlockError{Now: e.Now(), Blocked: names}
 	}
-	return nil
+	e.mu.Unlock()
+	for _, w := range left {
+		// An idle goroutine returns; a parked process unwinds with Goexit —
+		// one at a time, because its deferred calls touch simulation state.
+		w <- nil
+		<-e.exited
+	}
+	return err
 }

@@ -1,33 +1,29 @@
 package sim
 
+import "runtime"
+
 // Proc is the handle a simulated process uses to interact with virtual time.
 // A Proc is valid only inside the function passed to Engine.Go and must not
 // be shared across goroutines.
 type Proc struct {
 	e    *Engine
 	name string
-	id   int
-	wake chan struct{}
-	done bool
+	fn   func(*Proc) // the body
+	w    worker      // the goroutine running it, once it has started
 
 	// blockReason is non-empty while the process is blocked; it doubles as
 	// the lazy replacement for a blocked-process map (deadlock reports scan
 	// the live-process registry instead of maintaining a map on every
 	// block/wake). Guarded by e.mu.
 	blockReason string
-	regIdx      int // position in e.procs, maintained on spawn/exit
+	onExit      *Event // lazily created by Done()
 
-	onExit *Event // lazily created by Done()
+	id, regIdx int32 // regIdx: position in e.procs, maintained on spawn/exit
+	done       bool  // packed with them: a Proc stays in the 80-byte class
 }
 
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns the unique process id.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.Now() }
@@ -37,6 +33,9 @@ func (p *Proc) Now() Time { return p.e.Now() }
 // handing control directly to whichever process comes next — before
 // parking. reason appears in deadlock reports.
 func (p *Proc) block(reason string) {
+	if p.blockReason != "" {
+		runtime.Goexit() // a deferred call blocking while Run unwinds p
+	}
 	e := p.e
 	e.mu.Lock()
 	p.blockReason = reason
@@ -46,7 +45,9 @@ func (p *Proc) block(reason string) {
 	// If dispatch popped this process's own wake-up (Yield, zero Sleep,
 	// same-timestamp resume), the buffered send already happened and this
 	// receive completes without a goroutine switch.
-	<-p.wake
+	if <-p.w == nil {
+		runtime.Goexit() // Run has returned with p still blocked: unwind
+	}
 }
 
 // Sleep suspends the process for virtual duration d. Negative or zero d
@@ -58,7 +59,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.e
 	e.mu.Lock()
-	e.scheduleWakeLocked(p, e.Now()+Time(d))
+	e.scheduleLocked(e.Now()+Time(d), p, nil)
 	e.mu.Unlock()
 	p.block("sleeping")
 }
@@ -114,11 +115,11 @@ func (ev *Event) Trigger() {
 	}
 	ev.triggered = true
 	for _, w := range ev.waiters {
-		ev.e.scheduleWakeLocked(w, ev.e.Now())
+		ev.e.scheduleLocked(ev.e.Now(), w, nil)
 	}
 	ev.waiters = nil
 	for _, fn := range ev.subs {
-		ev.e.scheduleLocked(ev.e.Now(), true, fn)
+		ev.e.scheduleLocked(ev.e.Now(), nil, fn)
 	}
 	ev.subs = nil
 }
@@ -130,7 +131,7 @@ func (ev *Event) OnTrigger(fn func()) {
 	ev.e.mu.Lock()
 	defer ev.e.mu.Unlock()
 	if ev.triggered {
-		ev.e.scheduleLocked(ev.e.Now(), true, fn)
+		ev.e.scheduleLocked(ev.e.Now(), nil, fn)
 		return
 	}
 	ev.subs = append(ev.subs, fn)
@@ -195,7 +196,7 @@ func (c *Counter) Add(delta int) {
 	}
 	if c.n == 0 {
 		for _, w := range c.waiters {
-			c.e.scheduleWakeLocked(w, c.e.Now())
+			c.e.scheduleLocked(c.e.Now(), w, nil)
 		}
 		c.waiters = nil
 	}

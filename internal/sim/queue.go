@@ -12,10 +12,9 @@ type Queue[T any] struct {
 }
 
 type waiterSlot[T any] struct {
-	p     *Proc
-	item  T
-	ok    bool
-	valid bool // item has been deposited
+	p    *Proc
+	item T
+	ok   bool // item has been deposited; false when woken by Close
 }
 
 // NewQueue returns an empty queue on engine e.
@@ -49,8 +48,8 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		w.item, w.ok, w.valid = v, true, true
-		q.e.scheduleWakeLocked(w.p, q.e.Now())
+		w.item, w.ok = v, true
+		q.e.scheduleLocked(q.e.Now(), w.p, nil)
 		return true
 	}
 	q.items = append(q.items, v)
@@ -68,8 +67,7 @@ func (q *Queue[T]) Close() {
 	}
 	q.closed = true
 	for _, w := range q.waiters {
-		w.valid = true
-		q.e.scheduleWakeLocked(w.p, q.e.Now())
+		q.e.scheduleLocked(q.e.Now(), w.p, nil)
 	}
 	q.waiters = nil
 }
@@ -78,17 +76,9 @@ func (q *Queue[T]) Close() {
 // the queue is empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	q.e.mu.Lock()
-	if len(q.items) > 0 {
-		v = q.items[0]
-		var zero T
-		q.items[0] = zero
-		q.items = q.items[1:]
+	if v, ok = q.popLocked(); ok || q.closed {
 		q.e.mu.Unlock()
-		return v, true
-	}
-	if q.closed {
-		q.e.mu.Unlock()
-		return v, false
+		return v, ok
 	}
 	w := &waiterSlot[T]{p: p}
 	q.waiters = append(q.waiters, w)
@@ -101,6 +91,10 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 func (q *Queue[T]) TryGet() (v T, ok bool) {
 	q.e.mu.Lock()
 	defer q.e.mu.Unlock()
+	return q.popLocked()
+}
+
+func (q *Queue[T]) popLocked() (v T, ok bool) {
 	if len(q.items) == 0 {
 		return v, false
 	}

@@ -1,14 +1,15 @@
 package sim
 
 // Resource models a capacity-limited facility (a DMA engine, a link
-// direction, an execution engine) with FIFO admission. A process acquires a
-// unit, holds it for some virtual time, and releases it.
+// direction, an execution engine) with FIFO admission. A holder — a process
+// (Acquire) or a continuation (AcquireFunc), in one queue — takes a unit,
+// keeps it for some virtual time, and releases it.
 type Resource struct {
 	e        *Engine
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  []resWaiter
 
 	busy Time // accumulated unit-busy time, for utilization stats
 }
@@ -21,18 +22,39 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	return &Resource{e: e, name: name, capacity: capacity}
 }
 
+// resWaiter is one queued requester: a blocked process or a continuation.
+type resWaiter struct {
+	p  *Proc
+	fn func()
+}
+
 // Acquire obtains one unit, blocking FIFO behind earlier requesters while
 // the resource is saturated.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.request(resWaiter{p: p}) {
+		p.block("resource " + r.name)
+	}
+}
+
+// AcquireFunc is Acquire for an operation that has no process: fn runs once
+// the unit is held — at once if one is free, else as a bare callback that the
+// Release handing it over schedules in place of a wake-up. fn must not block.
+func (r *Resource) AcquireFunc(fn func()) {
+	if r.request(resWaiter{fn: fn}) {
+		fn()
+	}
+}
+
+// request takes a free unit, or queues w and reports false.
+func (r *Resource) request(w resWaiter) bool {
 	r.e.mu.Lock()
+	defer r.e.mu.Unlock()
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.inUse++
-		r.e.mu.Unlock()
-		return
+		return true
 	}
-	r.waiters = append(r.waiters, p)
-	r.e.mu.Unlock()
-	p.block("resource " + r.name)
+	r.waiters = append(r.waiters, w)
+	return false
 }
 
 // Release returns one unit, waking the oldest waiter if any.
@@ -46,7 +68,7 @@ func (r *Resource) Release() {
 		w := r.waiters[0]
 		r.waiters = r.waiters[1:]
 		// Unit passes directly to the waiter; inUse unchanged.
-		r.e.scheduleWakeLocked(w, r.e.Now())
+		r.e.scheduleLocked(r.e.Now(), w.p, w.fn)
 		return
 	}
 	r.inUse--
@@ -57,19 +79,15 @@ func (r *Resource) Release() {
 // engine for bytes/bandwidth seconds).
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.Acquire(p)
-	r.addBusy(d)
+	r.e.mu.Lock()
+	r.busy += Time(d)
+	r.e.mu.Unlock()
 	p.Sleep(d)
 	r.Release()
 }
 
-func (r *Resource) addBusy(d Duration) {
-	r.e.mu.Lock()
-	r.busy += Time(d)
-	r.e.mu.Unlock()
-}
-
 // BusyTime returns accumulated unit-busy virtual time (service time summed
-// over units), usable for utilization = BusyTime / (capacity * elapsed).
+// over Use calls), usable for utilization = BusyTime / (capacity * elapsed).
 func (r *Resource) BusyTime() Time {
 	r.e.mu.Lock()
 	defer r.e.mu.Unlock()
@@ -83,7 +101,7 @@ func (r *Resource) InUse() int {
 	return r.inUse
 }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of requesters waiting to acquire.
 func (r *Resource) QueueLen() int {
 	r.e.mu.Lock()
 	defer r.e.mu.Unlock()
