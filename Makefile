@@ -31,12 +31,17 @@ lint-json:
 	$(GO) run ./cmd/ompss-lint -json ./... > lint.json || true
 	@echo "wrote lint.json"
 
-## race: race-detect the simulation kernel, the parallel harness, the
-## concurrent runtime layers (core/gasnet/faults), the serving layer, and
-## the bookkeeping layers under core (lock-free by the serial-image contract;
-## core, bench and serve driving whole runtimes through them is the proof)
+## race: race-detect every package that starts a process on the simulation
+## engine. The engine has no lock: one thread of control per engine (Run's
+## loop and the coroutine it switched to) is the only thing that stands
+## between these layers and a data race, and the race detector is what
+## checks it — the kernel, the substrates on it (netsim, gpusim, gasnet,
+## cuda, mpi), the runtime (core, faults) and its bookkeeping layers
+## (lock-free by the same contract), the parallel harness, the serving
+## layer, and the root package's API tests
 race:
-	$(GO) test -race ./internal/sim/... ./internal/bench/... ./internal/core/... ./internal/gasnet/... ./internal/faults/... ./internal/serve/... \
+	$(GO) test -race . ./internal/sim/... ./internal/netsim/... ./internal/gpusim/... ./internal/gasnet/... ./internal/cuda/... ./internal/mpi/... \
+		./internal/core/... ./internal/faults/... ./internal/bench/... ./internal/serve/... \
 		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a

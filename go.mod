@@ -1,3 +1,3 @@
 module github.com/bsc-repro/ompss
 
-go 1.22
+go 1.23

@@ -1,11 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation engine:
-// processes for things that loop, events for timed operations, goroutines
-// recycled. A component with control flow — a CPU worker, a GPU manager,
+// processes for things that loop, events for timed operations, one thread of
+// control. A component with control flow — a CPU worker, a GPU manager,
 // anything that stages and sends in a loop — is a process (Engine.Go): a
-// function on a goroutine, blocking in virtual time. A timed operation
+// function on a coroutine, blocking in virtual time. A timed operation
 // without control flow — a kernel, a DMA, a message handler that only updates
 // state — is a chain of bare callbacks (Engine.After, Resource.AcquireFunc)
-// run inline by whichever goroutine is dispatching.
+// run inline by the engine's loop.
 //
 // Determinism contract: exactly one process or callback executes at any
 // instant. A process runs until it blocks (Sleep, Event.Wait, Queue.Get,
@@ -17,20 +17,23 @@
 // holder releases, not when the waiter asked — so equal-time ties break as
 // before and a simulation produces bit-identical traces on every run.
 //
-// Fast path: a blocking process's goroutine pops and dispatches the next
-// event itself, handing control directly to the process it wakes; Run only
-// monitors for quiescence. An exiting process leaves its goroutine, stack
-// already grown, to the next one to start; Run ends them all as it returns.
-// Events are recycled and name their process without a closure, so the
-// steady-state hot path allocates only the Proc of each spawn.
+// One loop: Engine.Run pops every event, runs a bare callback inline and
+// resumes a process with a coroutine switch (iter.Pull); a process that
+// blocks switches back. Nothing else runs, so an engine has no lock: its
+// state, and everything its processes and callbacks touch, is accessed by one
+// thread of control at a time, by construction. The other side of that rule
+// is that nothing outside a Run — another goroutine — may touch an engine or
+// its primitives while Run is executing. An exiting process leaves its
+// coroutine, stack already grown, to the next one to start; Run ends them
+// all as it returns. Events are recycled and name their process without a
+// closure, so the steady-state hot path allocates only the Proc of each spawn.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,46 +66,34 @@ func eventLess(a, b *event) bool {
 }
 
 // Engine is the simulation kernel. Create one with NewEngine, spawn the root
-// process(es) with Go, then call Run.
+// process(es) with Go, then call Run. It has no lock: see the package comment.
 type Engine struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	// now is the virtual clock. Written only while dispatching (single
-	// threaded by construction), read lock-free by Now so the running
-	// process never touches the mutex just to timestamp something.
-	now atomic.Int64
-
-	seq     uint64
-	queue   []*event // binary min-heap on (at, seq)
-	free    []*event // recycled events; hot-path scheduling never allocates
-	running int      // processes (or bare callbacks) currently executing
+	now   Time // the virtual clock, advanced only by Run's loop
+	seq   uint64
+	queue []*event // binary min-heap on (at, seq)
+	free  []*event // recycled events; hot-path scheduling never allocates
 
 	procs   []*Proc // live processes, maintained on spawn/exit only
 	procSeq int
+	resumed int
 
-	// idle holds the goroutines whose process has exited, most recent last,
-	// for the next process to start on; exited is how they report their end.
-	idle   []worker
-	exited chan struct{}
+	// idle holds the coroutines whose process has exited, most recent last,
+	// for the next process to start on.
+	idle []*coro
 
+	inRun   bool
 	stopped bool
 	stopErr error
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	e := &Engine{exited: make(chan struct{})}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
+func NewEngine() *Engine { return new(Engine) }
 
-// Now returns the current virtual time. It is safe to call from any
-// process and never takes the engine lock.
-func (e *Engine) Now() Time { return Time(e.now.Load()) }
+// Now returns the current virtual time.
+func (e *Engine) Now() Time { return e.now }
 
-// pushEventLocked inserts ev into the heap. Caller must hold e.mu.
-func (e *Engine) pushEventLocked(ev *event) {
+// pushEvent inserts ev into the heap.
+func (e *Engine) pushEvent(ev *event) {
 	q := append(e.queue, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -116,9 +107,8 @@ func (e *Engine) pushEventLocked(ev *event) {
 	e.queue = q
 }
 
-// popEventLocked removes and returns the earliest event. Caller must hold
-// e.mu and guarantee the queue is non-empty.
-func (e *Engine) popEventLocked() *event {
+// popEvent removes and returns the earliest event of a non-empty queue.
+func (e *Engine) popEvent() *event {
 	q := e.queue
 	top := q[0]
 	n := len(q) - 1
@@ -145,10 +135,10 @@ func (e *Engine) popEventLocked() *event {
 	return top
 }
 
-// scheduleLocked enqueues, for time at, the start or wake-up of p or else
-// the bare callback fn, and gives it the next sequence number. Events are
-// recycled, so scheduling allocates nothing. Caller must hold e.mu.
-func (e *Engine) scheduleLocked(at Time, p *Proc, fn func()) {
+// schedule enqueues, for time at, the start or wake-up of p or else the bare
+// callback fn, and gives it the next sequence number. Events are recycled, so
+// scheduling allocates nothing.
+func (e *Engine) schedule(at Time, p *Proc, fn func()) {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev, e.free = e.free[n-1], e.free[:n-1]
@@ -157,47 +147,11 @@ func (e *Engine) scheduleLocked(at Time, p *Proc, fn func()) {
 	}
 	ev.at, ev.seq, ev.proc, ev.fn = at, e.seq, p, fn
 	e.seq++
-	e.pushEventLocked(ev)
-}
-
-// dispatchLocked drives the simulation while no process is runnable: it
-// pops events in (at, seq) order until one hands control to a process, the
-// queue drains, or the engine stops. It runs on whichever goroutine just
-// made running reach zero (a blocking or exiting process, or Run itself),
-// which makes block→wake a direct handoff. Caller must hold e.mu; the lock
-// is dropped and retaken around bare callbacks.
-func (e *Engine) dispatchLocked() {
-	for e.running == 0 && !e.stopped && len(e.queue) > 0 {
-		ev := e.popEventLocked()
-		e.now.Store(int64(ev.at))
-		e.running = 1
-		p, fn := ev.proc, ev.fn
-		ev.proc, ev.fn = nil, nil
-		e.free = append(e.free, ev)
-		if p != nil {
-			// Direct handoff: transfer the running count to p without
-			// leaving the lock. The buffered send cannot block: a goroutine
-			// has at most one pending start or wake-up.
-			if p.w == nil {
-				p.w = e.workerLocked()
-			}
-			p.blockReason = ""
-			p.w <- p
-			return
-		}
-		e.mu.Unlock()
-		e.call(fn)
-		e.mu.Lock()
-		e.running--
-	}
-	if e.running == 0 {
-		// Quiescent (drained or stopped): wake Run to finish up.
-		e.cond.Signal()
-	}
+	e.pushEvent(ev)
 }
 
 // call runs a bare callback. Its panic, like a process's, becomes Run's
-// error — not one of whichever process's goroutine was dispatching.
+// error, under the name "(event)".
 func (e *Engine) call(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -207,32 +161,49 @@ func (e *Engine) call(fn func()) {
 	fn()
 }
 
-// worker is the mailbox of one engine goroutine, which runs the processes
-// sent on it one after another; while a process is blocked the same channel
-// carries its wake-ups. A nil tells it to end: Run has returned.
-type worker chan *Proc
-
-// workerLocked returns the most recently idled goroutine, or starts one.
-func (e *Engine) workerLocked() worker {
-	if n := len(e.idle); n > 0 {
-		w := e.idle[n-1]
-		e.idle = e.idle[:n-1]
-		return w
-	}
-	w := make(worker, 1)
-	go func() {
-		defer func() { e.exited <- struct{}{} }()
-		for p := <-w; p != nil; p = <-w {
-			e.runProc(w, p)
-		}
-	}()
-	return w
+// coro is one engine coroutine. It runs the processes handed to it in p one
+// after another: Run switches to it with next, the process it is running
+// switches back with yield, and stop makes a pending yield return false.
+type coro struct {
+	p     *Proc
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
+	stop  func()
 }
 
-// runProc executes p on w's goroutine, which owns the running count until
-// p blocks or exits. On exit the goroutine goes idle *before* dispatching,
-// so a process started by that very dispatch reuses it without a switch.
-func (e *Engine) runProc(w worker, p *Proc) {
+// coroutine returns the coroutine that is to run p: the most recently idled
+// one, or a new one.
+func (e *Engine) coroutine(p *Proc) *coro {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		c.p = p
+		return c
+	}
+	c := &coro{p: p}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for e.runProc(c.p) {
+			// Idle before switching back, so that a process started by the
+			// very next event reuses this coroutine.
+			e.idle = append(e.idle, c)
+			if !yield(struct{}{}) {
+				return // Run is returning
+			}
+		}
+	})
+	return c
+}
+
+// unwind is what a blocked process panics with when Run, returning, stops
+// its coroutine: a panic, which runProc recovers, so that the deferred calls
+// of the process run — and not runtime.Goexit, which iter.Pull would pass on
+// to the goroutine that called Run.
+type unwind struct{}
+
+// runProc executes p to its end on the current coroutine and reports whether
+// the coroutine may take another process; it may not once Run has stopped it.
+func (e *Engine) runProc(p *Proc) (reusable bool) {
 	defer func() {
 		r := recover()
 		if p.blockReason != "" {
@@ -247,41 +218,44 @@ func (e *Engine) runProc(w worker, p *Proc) {
 		if p.onExit != nil {
 			p.onExit.Trigger()
 		}
-		e.mu.Lock()
-		e.unregisterLocked(p)
-		e.idle = append(e.idle, w)
-		e.running--
-		e.dispatchLocked()
-		e.mu.Unlock()
+		e.unregister(p)
+		reusable = true
 	}()
 	p.fn(p)
+	return
 }
 
 // Go spawns a new process that will begin executing fn at the current
 // virtual time, after the spawning process next blocks. The name is used in
-// deadlock reports and traces. Calls that fn defers must not block (see Run).
+// deadlock reports and traces.
+//
+// When Run returns with the process still blocked, the blocking call panics
+// with a private value so that the calls fn deferred run; one of them that
+// blocks again is cut short the same way, and the ones before it still run.
+// fn may recover panics of its own, but the unwinding is raised again at
+// every blocking call it makes afterwards, so it must not loop on them
+// forever. runtime.Goexit in fn (t.FailNow in a test, say) ends the goroutine
+// that called Run, not only the process: a coroutine passes it on.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc { return e.GoAfter(name, 0, fn) }
 
 // GoAfter spawns a process that begins executing fn after delay d.
 func (e *Engine) GoAfter(name string, d Duration, fn func(p *Proc)) *Proc {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.procSeq++
 	p := &Proc{e: e, name: name, id: int32(e.procSeq), fn: fn, regIdx: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
-	e.scheduleLocked(e.Now()+Time(d), p, nil)
+	e.schedule(e.now+Time(d), p, nil)
 	return p
 }
 
 // Spawned returns the number of processes spawned so far.
-func (e *Engine) Spawned() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.procSeq
-}
+func (e *Engine) Spawned() int { return e.procSeq }
 
-// unregisterLocked removes p from the live-process registry (swap-remove).
-func (e *Engine) unregisterLocked(p *Proc) {
+// Resumed returns the number of times Run has switched to a process, to
+// start it or to wake it: the coroutine switches (two each) a run has paid.
+func (e *Engine) Resumed() int { return e.resumed }
+
+// unregister removes p from the live-process registry (swap-remove).
+func (e *Engine) unregister(p *Proc) {
 	last := len(e.procs) - 1
 	e.procs[p.regIdx] = e.procs[last]
 	e.procs[p.regIdx].regIdx = p.regIdx
@@ -290,19 +264,13 @@ func (e *Engine) unregisterLocked(p *Proc) {
 }
 
 // After schedules a bare callback (not a process) at now+d. The callback
-// runs inline on the dispatching goroutine and must not block; it may
-// schedule further events, trigger Events, or push to Queues.
-func (e *Engine) After(d Duration, fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scheduleLocked(e.Now()+Time(d), nil, fn)
-}
+// runs inline in Run's loop and must not block; it may schedule further
+// events, trigger Events, or push to Queues.
+func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
 
-// Stop aborts the simulation: Run returns err once all currently runnable
-// work drains. Pending events are discarded.
+// Stop aborts the simulation: Run returns err once the process or callback
+// now running blocks or returns. Pending events are discarded.
 func (e *Engine) Stop(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stopped = true
 	e.stopErr = err
 }
@@ -329,40 +297,52 @@ func (d *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at t=%v: %d blocked process(es): %v", d.Now, len(d.Blocked), d.Blocked)
 }
 
-// Run drives the simulation until the event queue drains and no process is
-// runnable. It returns a *DeadlockError if processes remain blocked at the
-// end, or the error passed to Stop. No goroutine the engine started
-// outlives Run, whichever way it ends: a process still parked is unwound
-// (runtime.Goexit), so its deferred calls run, up to one that blocks.
-//
-// Run kicks off the first dispatch and then only monitors for quiescence:
-// all further dispatching happens on the goroutines of blocking processes.
+// Run drives the simulation: it is the one loop that pops events in (at,
+// seq) order, runs a bare callback inline and switches to a process until
+// that process blocks or exits, until the queue drains or the engine stops.
+// It returns a *DeadlockError if processes remain blocked at the end, or the
+// error passed to Stop. No coroutine the engine made outlives Run, whichever
+// way it ends: a process still blocked is unwound (see Go), so its deferred
+// calls run. Run panics if called from one of its own processes or callbacks.
 func (e *Engine) Run() error {
-	e.mu.Lock()
-	e.dispatchLocked()
-	for e.running > 0 || (!e.stopped && len(e.queue) > 0) {
-		e.cond.Wait()
+	if e.inRun {
+		panic("sim: Run is not re-entrant")
+	}
+	e.inRun = true
+	for !e.stopped && len(e.queue) > 0 {
+		ev := e.popEvent()
+		e.now = ev.at
+		p, fn := ev.proc, ev.fn
+		ev.proc, ev.fn = nil, nil
+		e.free = append(e.free, ev)
+		if p == nil {
+			e.call(fn)
+			continue
+		}
+		if p.co == nil {
+			p.co = e.coroutine(p)
+		}
+		p.blockReason = ""
+		e.resumed++
+		p.co.next()
 	}
 	err := e.stopErr
-	left := e.idle // the goroutines still alive: idle, or parked in block
+	left := e.idle // the coroutines still alive: idle, or parked in block
 	e.idle = nil
 	var names []string
 	for _, p := range e.procs {
 		if p.blockReason != "" {
-			left = append(left, p.w)
+			left = append(left, p.co)
 			names = append(names, fmt.Sprintf("%s#%d: %s", p.name, p.id, p.blockReason))
 		}
 	}
 	if !e.stopped && len(names) > 0 {
 		sort.Strings(names)
-		err = &DeadlockError{Now: e.Now(), Blocked: names}
+		err = &DeadlockError{Now: e.now, Blocked: names}
 	}
-	e.mu.Unlock()
-	for _, w := range left {
-		// An idle goroutine returns; a parked process unwinds with Goexit —
-		// one at a time, because its deferred calls touch simulation state.
-		w <- nil
-		<-e.exited
+	for _, c := range left {
+		c.stop() // an idle coroutine returns; a blocked process unwinds
 	}
+	e.inRun = false
 	return err
 }

@@ -211,6 +211,64 @@ func TestUnwindCutsShortBlockingDefer(t *testing.T) {
 	}
 }
 
+// A body that recovers every panic cannot swallow the unwinding: it is raised
+// again at each blocking call made afterwards, so a process that goes round a
+// recover-and-block loop is still gone when Run returns.
+func TestRecoverCannotSwallowUnwind(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	never := NewEvent(e)
+	blocked := 0
+	e.Go("stubborn", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			func() {
+				defer func() { _ = recover() }()
+				blocked++
+				never.Wait(p)
+				t.Error("a wait on an event nobody triggers returned")
+			}()
+		}
+	})
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if blocked != 5 {
+		t.Fatalf("blocked %d times, want 5: once in the simulation, four cut short", blocked)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("goroutines: %d before, %d after", before, after)
+	}
+}
+
+// Run from inside one of its own processes or callbacks would pop events
+// under the loop that is already popping them; it panics instead, and the
+// outer Run reports that like any other panic.
+func TestRunIsNotReentrant(t *testing.T) {
+	cases := map[string]struct {
+		build func(e *Engine)
+		proc  string
+	}{
+		"from a process":  {func(e *Engine) { e.Go("inner", func(p *Proc) { _ = e.Run() }) }, "inner"},
+		"from a callback": {func(e *Engine) { e.After(time.Millisecond, func() { _ = e.Run() }) }, "(event)"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			tc.build(e)
+			ran := false
+			e.GoAfter("later", time.Hour, func(p *Proc) { ran = true })
+			var pp *ProcPanicError
+			if err := e.Run(); !errors.As(err, &pp) || pp.Proc != tc.proc || pp.Value != "sim: Run is not re-entrant" {
+				t.Fatalf("err = %v, want ProcPanicError from %s", err, tc.proc)
+			}
+			if ran {
+				t.Fatal("the inner Run dispatched an event")
+			}
+		})
+	}
+}
+
 // Processes that exit hand their goroutine to the next one to start.
 func TestGoroutinesAreRecycled(t *testing.T) {
 	e := NewEngine()
@@ -255,6 +313,40 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
+// Waiting on an event and triggering it allocate nothing when there is one
+// waiter, as there nearly always is: the Event holds it inline.
+func TestEventWaitAllocs(t *testing.T) {
+	const runs = 200
+	e := NewEngine()
+	evs := make([]*Event, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range evs {
+		evs[i] = NewEvent(e)
+	}
+	e.Go("waiter", func(p *Proc) {
+		for _, ev := range evs {
+			ev.Wait(p)
+		}
+	})
+	var allocs float64
+	e.Go("trigger", func(p *Proc) {
+		i := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			evs[i].Trigger()
+			i++
+			p.Yield() // the waiter wakes, and waits on the next event
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per wait and trigger, want 0", allocs)
+	}
+	if size := unsafe.Sizeof(Event{}); size > 64 {
+		t.Fatalf("Event is %d bytes, want <= 64 (the next size class is 80)", size)
+	}
+}
+
 // Property: on one Resource, acquirers in process form (Acquire) and in
 // callback form (AcquireFunc) are granted in request order (observable as
 // such at capacity 1, where a unit only ever passes to the oldest waiter),
@@ -278,9 +370,7 @@ func TestQuickAcquireFuncOrdersLikeAcquire(t *testing.T) {
 		e := NewEngine()
 		r := NewResource(e, "res", capacity)
 		note := func(what string, i int) {
-			e.mu.Lock()
 			log = append(log, entry{what, i, e.Now(), e.seq})
-			e.mu.Unlock()
 		}
 		for i, u := range users {
 			i, u := i, u

@@ -1,20 +1,17 @@
 package sim
 
-import "runtime"
-
 // Proc is the handle a simulated process uses to interact with virtual time.
-// A Proc is valid only inside the function passed to Engine.Go and must not
-// be shared across goroutines.
+// A Proc is valid only inside the function passed to Engine.Go.
 type Proc struct {
 	e    *Engine
 	name string
 	fn   func(*Proc) // the body
-	w    worker      // the goroutine running it, once it has started
+	co   *coro       // the coroutine running it, once it has started
 
 	// blockReason is non-empty while the process is blocked; it doubles as
 	// the lazy replacement for a blocked-process map (deadlock reports scan
 	// the live-process registry instead of maintaining a map on every
-	// block/wake). Guarded by e.mu.
+	// block/wake).
 	blockReason string
 	onExit      *Event // lazily created by Done()
 
@@ -26,27 +23,16 @@ type Proc struct {
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.e.Now() }
+func (p *Proc) Now() Time { return p.e.now }
 
-// block suspends the process until a scheduled wake-up (or a primitive)
-// resumes it. The blocking goroutine dispatches the next event itself —
-// handing control directly to whichever process comes next — before
-// parking. reason appears in deadlock reports.
+// block suspends the process, switching back to Run's loop, until a
+// scheduled wake-up (or a primitive) has Run resume it. reason appears in
+// deadlock reports. If Run stops the coroutine instead — or already has, and
+// this is a deferred call blocking during the unwinding — the process unwinds.
 func (p *Proc) block(reason string) {
-	if p.blockReason != "" {
-		runtime.Goexit() // a deferred call blocking while Run unwinds p
-	}
-	e := p.e
-	e.mu.Lock()
 	p.blockReason = reason
-	e.running--
-	e.dispatchLocked()
-	e.mu.Unlock()
-	// If dispatch popped this process's own wake-up (Yield, zero Sleep,
-	// same-timestamp resume), the buffered send already happened and this
-	// receive completes without a goroutine switch.
-	if <-p.w == nil {
-		runtime.Goexit() // Run has returned with p still blocked: unwind
+	if !p.co.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
@@ -57,10 +43,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	e := p.e
-	e.mu.Lock()
-	e.scheduleLocked(e.Now()+Time(d), p, nil)
-	e.mu.Unlock()
+	p.e.schedule(p.e.now+Time(d), p, nil)
 	p.block("sleeping")
 }
 
@@ -71,10 +54,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Go spawns a child process at the current time.
 func (p *Proc) Go(name string, fn func(p *Proc)) *Proc { return p.e.Go(name, fn) }
 
-// Done returns an Event that triggers when this process's function returns.
-// It must be requested before the process is spawned or from the process
-// itself; requesting it from a third party after the process may already
-// have exited is racy in real time (not virtual time) and unsupported.
+// Done returns an Event that triggers when this process's function returns;
+// requested after that, it is returned already triggered.
 func (p *Proc) Done() *Event {
 	if p.onExit == nil {
 		p.onExit = NewEvent(p.e)
@@ -88,38 +69,42 @@ func (p *Proc) Done() *Event {
 // Event is a one-shot level-triggered synchronization point: once triggered
 // it stays triggered, and all past and future waiters proceed.
 type Event struct {
-	e         *Engine
-	triggered bool
-	waiters   []*Proc
-	subs      []func()
+	e *Engine
+	// first is the first waiter, held inline — most events that are waited
+	// on have one waiter, so waiting allocates nothing — and, once the event
+	// has triggered, fired: one word for both keeps an Event at 64 bytes.
+	first   *Proc
+	waiters []*Proc // the waiters after the first
+	subs    []func()
 }
+
+// fired is what Event.first points to once the event has triggered.
+var fired = new(Proc)
 
 // NewEvent returns an untriggered Event on engine e.
 func NewEvent(e *Engine) *Event { return &Event{e: e} }
 
 // Triggered reports whether the event has fired.
-func (ev *Event) Triggered() bool {
-	ev.e.mu.Lock()
-	defer ev.e.mu.Unlock()
-	return ev.triggered
-}
+func (ev *Event) Triggered() bool { return ev.first == fired }
 
 // Trigger fires the event, waking all current waiters in FIFO order at the
 // current virtual time. Safe to call from processes or bare callbacks;
 // calling it twice is a no-op.
 func (ev *Event) Trigger() {
-	ev.e.mu.Lock()
-	defer ev.e.mu.Unlock()
-	if ev.triggered {
+	if ev.Triggered() {
 		return
 	}
-	ev.triggered = true
+	e := ev.e
+	if ev.first != nil {
+		e.schedule(e.now, ev.first, nil)
+	}
+	ev.first = fired
 	for _, w := range ev.waiters {
-		ev.e.scheduleLocked(ev.e.Now(), w, nil)
+		e.schedule(e.now, w, nil)
 	}
 	ev.waiters = nil
 	for _, fn := range ev.subs {
-		ev.e.scheduleLocked(ev.e.Now(), nil, fn)
+		e.schedule(e.now, nil, fn)
 	}
 	ev.subs = nil
 }
@@ -128,10 +113,8 @@ func (ev *Event) Trigger() {
 // events already pending at the trigger time). If the event has already
 // triggered, fn is scheduled at the current time.
 func (ev *Event) OnTrigger(fn func()) {
-	ev.e.mu.Lock()
-	defer ev.e.mu.Unlock()
-	if ev.triggered {
-		ev.e.scheduleLocked(ev.e.Now(), nil, fn)
+	if ev.Triggered() {
+		ev.e.schedule(ev.e.now, nil, fn)
 		return
 	}
 	ev.subs = append(ev.subs, fn)
@@ -139,9 +122,9 @@ func (ev *Event) OnTrigger(fn func()) {
 
 // WaitFor blocks the calling process until the event triggers or virtual
 // duration d elapses, whichever comes first, and reports whether the event
-// has triggered. A process has a single buffered wake-up slot, so the
-// timeout is built from an auxiliary one-shot event fed by both sources
-// rather than a second direct wake.
+// has triggered. A process has at most one wake-up pending, so the timeout
+// is built from an auxiliary one-shot event fed by both sources rather than
+// a second direct wake.
 func (ev *Event) WaitFor(p *Proc, d Duration) bool {
 	if ev.Triggered() {
 		return true
@@ -156,13 +139,14 @@ func (ev *Event) WaitFor(p *Proc, d Duration) bool {
 // Wait blocks the calling process until the event triggers. Returns
 // immediately if already triggered.
 func (ev *Event) Wait(p *Proc) {
-	ev.e.mu.Lock()
-	if ev.triggered {
-		ev.e.mu.Unlock()
+	switch ev.first {
+	case fired:
 		return
+	case nil:
+		ev.first = p
+	default:
+		ev.waiters = append(ev.waiters, p)
 	}
-	ev.waiters = append(ev.waiters, p)
-	ev.e.mu.Unlock()
 	p.block("event wait")
 }
 
@@ -188,15 +172,13 @@ func NewCounter(e *Engine, n int) *Counter { return &Counter{e: e, n: n} }
 // Add adjusts the count by delta; if it reaches zero all waiters wake.
 // Panics if the count goes negative.
 func (c *Counter) Add(delta int) {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
 	c.n += delta
 	if c.n < 0 {
 		panic("sim: Counter went negative")
 	}
 	if c.n == 0 {
 		for _, w := range c.waiters {
-			c.e.scheduleLocked(c.e.Now(), w, nil)
+			c.e.schedule(c.e.now, w, nil)
 		}
 		c.waiters = nil
 	}
@@ -206,20 +188,13 @@ func (c *Counter) Add(delta int) {
 func (c *Counter) Done() { c.Add(-1) }
 
 // Value returns the current count.
-func (c *Counter) Value() int {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.n
-}
+func (c *Counter) Value() int { return c.n }
 
 // Wait blocks the calling process until the count is zero.
 func (c *Counter) Wait(p *Proc) {
-	c.e.mu.Lock()
 	if c.n == 0 {
-		c.e.mu.Unlock()
 		return
 	}
 	c.waiters = append(c.waiters, p)
-	c.e.mu.Unlock()
 	p.block("counter wait")
 }

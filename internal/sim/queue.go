@@ -21,11 +21,7 @@ type waiterSlot[T any] struct {
 func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{e: e} }
 
 // Len returns the number of queued (undelivered) items.
-func (q *Queue[T]) Len() int {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
-	return len(q.items)
-}
+func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Put appends v to the queue, waking the oldest blocked getter if any.
 // Safe to call from processes or bare callbacks. Panics if the queue is
@@ -40,8 +36,6 @@ func (q *Queue[T]) Put(v T) {
 // closed — for producers that may race teardown, such as in-flight network
 // deliveries arriving after an endpoint shut down.
 func (q *Queue[T]) TryPut(v T) bool {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
 	if q.closed {
 		return false
 	}
@@ -49,7 +43,7 @@ func (q *Queue[T]) TryPut(v T) bool {
 		w := q.waiters[0]
 		q.waiters = q.waiters[1:]
 		w.item, w.ok = v, true
-		q.e.scheduleLocked(q.e.Now(), w.p, nil)
+		q.e.schedule(q.e.now, w.p, nil)
 		return true
 	}
 	q.items = append(q.items, v)
@@ -60,14 +54,12 @@ func (q *Queue[T]) TryPut(v T) bool {
 // subsequent Gets return ok=false. Blocked getters wake immediately with
 // ok=false.
 func (q *Queue[T]) Close() {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
 	if q.closed {
 		return
 	}
 	q.closed = true
 	for _, w := range q.waiters {
-		q.e.scheduleLocked(q.e.Now(), w.p, nil)
+		q.e.schedule(q.e.now, w.p, nil)
 	}
 	q.waiters = nil
 }
@@ -75,26 +67,17 @@ func (q *Queue[T]) Close() {
 // Get removes and returns the oldest item, blocking the calling process if
 // the queue is empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	q.e.mu.Lock()
-	if v, ok = q.popLocked(); ok || q.closed {
-		q.e.mu.Unlock()
+	if v, ok = q.TryGet(); ok || q.closed {
 		return v, ok
 	}
 	w := &waiterSlot[T]{p: p}
 	q.waiters = append(q.waiters, w)
-	q.e.mu.Unlock()
 	p.block("queue get")
 	return w.item, w.ok
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
-	return q.popLocked()
-}
-
-func (q *Queue[T]) popLocked() (v T, ok bool) {
 	if len(q.items) == 0 {
 		return v, false
 	}

@@ -47,8 +47,6 @@ func (r *Resource) AcquireFunc(fn func()) {
 
 // request takes a free unit, or queues w and reports false.
 func (r *Resource) request(w resWaiter) bool {
-	r.e.mu.Lock()
-	defer r.e.mu.Unlock()
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.inUse++
 		return true
@@ -59,8 +57,6 @@ func (r *Resource) request(w resWaiter) bool {
 
 // Release returns one unit, waking the oldest waiter if any.
 func (r *Resource) Release() {
-	r.e.mu.Lock()
-	defer r.e.mu.Unlock()
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
 	}
@@ -68,7 +64,7 @@ func (r *Resource) Release() {
 		w := r.waiters[0]
 		r.waiters = r.waiters[1:]
 		// Unit passes directly to the waiter; inUse unchanged.
-		r.e.scheduleLocked(r.e.Now(), w.p, w.fn)
+		r.e.schedule(r.e.now, w.p, w.fn)
 		return
 	}
 	r.inUse--
@@ -79,31 +75,17 @@ func (r *Resource) Release() {
 // engine for bytes/bandwidth seconds).
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.Acquire(p)
-	r.e.mu.Lock()
 	r.busy += Time(d)
-	r.e.mu.Unlock()
 	p.Sleep(d)
 	r.Release()
 }
 
 // BusyTime returns accumulated unit-busy virtual time (service time summed
 // over Use calls), usable for utilization = BusyTime / (capacity * elapsed).
-func (r *Resource) BusyTime() Time {
-	r.e.mu.Lock()
-	defer r.e.mu.Unlock()
-	return r.busy
-}
+func (r *Resource) BusyTime() Time { return r.busy }
 
 // InUse returns the number of units currently held.
-func (r *Resource) InUse() int {
-	r.e.mu.Lock()
-	defer r.e.mu.Unlock()
-	return r.inUse
-}
+func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of requesters waiting to acquire.
-func (r *Resource) QueueLen() int {
-	r.e.mu.Lock()
-	defer r.e.mu.Unlock()
-	return len(r.waiters)
-}
+func (r *Resource) QueueLen() int { return len(r.waiters) }
