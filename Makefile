@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test lint lint-json race benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
+.PHONY: check vet fmt build test lint lint-json race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
 
 ## check: gofmt + go vet + build + ompss-lint + full test suite (the tier-1 gate)
 check: fmt vet build lint test
@@ -43,6 +43,12 @@ race:
 	$(GO) test -race . ./internal/sim/... ./internal/netsim/... ./internal/gpusim/... ./internal/gasnet/... ./internal/cuda/... ./internal/mpi/... \
 		./internal/core/... ./internal/faults/... ./internal/bench/... ./internal/serve/... \
 		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
+
+## fuzz: every native fuzz target for 20 s (go test takes one target and one
+## package per -fuzz run). The checked-in seed corpora under testdata/fuzz
+## already run as plain tests in `make test`
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzDirectory -fuzztime 20s ./internal/coherence/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...`, `make check` and ompss-lint at

@@ -17,8 +17,7 @@ const (
 	amTaskDone = "taskDone" // slave -> master: task completed
 	amData     = "data"     // data payload arriving at a node's host memory
 	amAck      = "ack"      // slave -> master: a routed transfer arrived
-	amFetch    = "fetch"    // master -> slave: send a region to the master
-	amPush     = "push"     // master -> slave j: send a region to slave k
+	amPush     = "push"     // master -> slave j: send a region to node k (0: the master)
 	amShutdown = "shutdown" // master -> slave: terminate workers
 )
 
@@ -28,7 +27,7 @@ func taskDescBytes(t *task.Task) uint64 {
 }
 
 type dataArgs struct {
-	XferID int64 // transfer to acknowledge at the master; 0 = none
+	XferID int64 // transfer to acknowledge at the master
 }
 
 type pushArgs struct {
@@ -37,46 +36,23 @@ type pushArgs struct {
 	XferID int64
 }
 
-type fetchArgs struct {
-	Region memspace.Region
-	XferID int64
-}
-
 type doneArgs struct {
 	Task *task.Task
 	Node int
 }
 
-// clusterState lives on the Runtime but only the master uses it.
+// clusterState lives on the Runtime (of a machine with more than one node)
+// but only the master uses it.
 type clusterState struct {
 	outstanding []int // per node: dispatched but unfinished tasks
 	xferSeq     int64
 	xferEvents  map[int64]*sim.Event
-	netInflight map[netKey]*sim.Event
-}
-
-type netKey struct {
-	region memspace.Region
-	node   int
-}
-
-func (rt *Runtime) cluster() *clusterState {
-	if rt.cl == nil {
-		rt.cl = &clusterState{
-			outstanding: make([]int, len(rt.nodes)),
-			xferEvents:  make(map[int64]*sim.Event),
-			netInflight: make(map[netKey]*sim.Event),
-		}
-	}
-	return rt.cl
 }
 
 // registerMasterHandlers installs the master image's protocol endpoints.
 // Must run before the master endpoint starts.
 func (rt *Runtime) registerMasterHandlers() {
 	m := rt.master()
-	cl := rt.cluster()
-
 	m.ep.RegisterNonBlocking(amTaskDone, func(am gasnet.AM) {
 		args := am.Args.(doneArgs)
 		t, node := args.Task, args.Node
@@ -100,19 +76,8 @@ func (rt *Runtime) registerMasterHandlers() {
 				}
 			}
 		}
-		cl.outstanding[node]--
 		rt.met.remoteRun.Inc()
-		if ft := rt.ft; ft != nil {
-			if done, rec := ft.recoveryDone[t.ID]; rec {
-				// A re-executed producer: the graph retired it long ago;
-				// just advance the rebuild.
-				done.Trigger()
-				m.signalWork()
-				return
-			}
-		}
-		rt.finishTask(t, node)
-		m.signalWork()
+		rt.retire(t, node)
 	})
 	m.ep.RegisterNonBlocking(amData, func(am gasnet.AM) {
 		// Data pulled back to the master host: the producer still holds
@@ -144,8 +109,7 @@ func (rt *Runtime) spawnCommThread() {
 // staged and shipped by spawned dispatch processes; tasks for the master
 // node enter its local scheduler.
 func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
-	m := rt.master()
-	cl := rt.cluster()
+	m, cl := rt.master(), rt.cl
 	limit := 1 + rt.cfg.Presend
 	// This thread serves the nodes whose index is ≡ thread (mod threads).
 	var mine []int
@@ -182,19 +146,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			}
 			progress = true
 			if k == 0 {
-				m.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
-					cl.outstanding[0]--
-					if ft := rt.ft; ft != nil {
-						if ev, rec := ft.recoveryDone[done.ID]; rec {
-							// Re-executed producer: already retired once.
-							ev.Trigger()
-							m.signalWork()
-							return
-						}
-					}
-					rt.finishTask(done, 0)
-					m.signalWork()
-				})
+				m.enqueueLocal(t, func(_ *sim.Proc, done *task.Task, _ int) { rt.retire(done, 0) })
 			} else {
 				if cl.outstanding[k] > 1 {
 					rt.met.presends.Inc()
@@ -203,7 +155,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			}
 			// Resume the next poll at the following node: one dispatch per
 			// sweep keeps the distribution round-robin.
-			cursor = (indexOf(mine, k) + 1) % len(mine)
+			cursor = (cursor + tried + 1) % len(mine)
 			break
 		}
 		if progress {
@@ -217,14 +169,16 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	}
 }
 
-// indexOf returns the position of v in s (v is always present).
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
+// retire completes t, which ran on node, at the master. A re-executed
+// producer only advances its rebuild: the graph retired it long ago.
+func (rt *Runtime) retire(t *task.Task, node int) {
+	rt.cl.outstanding[node]--
+	if rt.isRecoveryTask(t) {
+		rt.ft.recoveryDone[t.ID].Trigger()
+	} else {
+		rt.finishTask(t, node)
 	}
-	return 0
+	rt.master().signalWork()
 }
 
 func (cl *clusterState) total() int {
@@ -305,40 +259,17 @@ func (rt *Runtime) clusterCanRun(place int, t *task.Task) bool {
 // request. Staging overlaps the execution of other remote tasks because
 // each dispatch runs in its own process.
 func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
-	m := rt.master()
 	if rt.nodeIsDead(k) {
 		return // nodeDead already requeued this task
 	}
-	copies := t.Copies()
-	staged := true
-	if rt.cfg.NonBlockingCache {
-		var wait []*sim.Event
-		for _, c := range copies {
-			if !c.Access.Reads() {
-				continue
-			}
-			done := sim.NewEvent(rt.e)
-			rt.e.Go("stageNet", func(sp *sim.Proc) {
-				if !rt.stageToNode(sp, c.Region, k) {
-					staged = false
-				}
-				done.Trigger()
-			})
-			wait = append(wait, done)
-		}
-		for _, ev := range wait {
-			ev.Wait(p)
-		}
-	} else {
-		for _, c := range copies {
-			if c.Access.Reads() {
-				if !rt.stageToNode(p, c.Region, k) {
-					staged = false
-					break
-				}
-			}
+	var reads []memspace.Region
+	for _, c := range t.Copies() {
+		if c.Access.Reads() {
+			reads = append(reads, c.Region)
 		}
 	}
+	staged := rt.moveEach(p, "stageNet", rt.cfg.NonBlockingCache, reads,
+		func(sp *sim.Proc, r memspace.Region) bool { return rt.stageToNode(sp, r, k) })
 	if !staged || rt.nodeIsDead(k) {
 		// Staging only fails when k itself is unreachable; declaring it
 		// dead (idempotently) requeues every task bound to it, this one
@@ -346,7 +277,7 @@ func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
 		rt.nodeDead(k, "stage")
 		return
 	}
-	if !m.ep.AMMedium(p, k, amRunTask, t, taskDescBytes(t)) {
+	if !rt.master().ep.AMMedium(p, k, amRunTask, t, taskDescBytes(t)) {
 		rt.nodeDead(k, "runTask")
 	}
 }
@@ -374,10 +305,8 @@ func (rt *Runtime) stageToNode(p *sim.Proc, r memspace.Region, k int) bool {
 
 func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, settled bool) {
 	m := rt.master()
-	cl := rt.cluster()
-	key := netKey{region: r, node: k}
-	if ev, busy := cl.netInflight[key]; busy {
-		ev.Wait(p)
+	dst := memspace.Host(k)
+	if m.joinInflight(p, r, dst) {
 		// Without fault tolerance the transfer we piggybacked on always
 		// succeeded; with it, it may have failed — re-evaluate.
 		return true, rt.ft == nil
@@ -386,131 +315,113 @@ func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, s
 	// the directory fragments not yet held there: one entry equal to r under
 	// exact-match regions, several when writers fragmented the range.
 	// With the manager layer armed this is a blocking query answered by
-	// r's owning shards.
+	// r's owning shards — which is why joining and leading are two steps.
 	rt.mgrChargeQuery(p, 0, r)
-	missing := m.dir.Missing(r, memspace.Host(k))
+	missing := m.dir.Missing(r, dst)
 	if len(missing) == 0 {
 		return true, true
 	}
 	if rt.nodeIsDead(k) {
 		return false, true
 	}
-	ev := sim.NewEvent(rt.e)
-	cl.netInflight[key] = ev
-	defer func() {
-		delete(cl.netInflight, key)
-		ev.Trigger()
-	}()
-
+	defer m.leadInflight(r, dst)()
 	if len(missing) > 1 || missing[0] != r {
 		m.met.fragAssemblies.Inc()
 	}
 	for _, frag := range missing {
-		if fok, fsettled := rt.stageFragToNode(p, frag, k); !fok {
-			// settled=false: a source died mid-assembly — the outer loop
-			// re-evaluates what is still missing after any rebuild.
-			// settled=true: k itself never acknowledged; the caller declares
-			// it dead.
-			return false, fsettled
+		// The fragment list is fixed for the attempt; the source of each is
+		// chosen when its turn comes, from the holders it has by then.
+		src := pickSource(m.dir.Holders(frag), k, rt.cfg.SlaveToSlave, rt.nodeIsDead)
+		switch {
+		case src == srcHeld:
+			continue // an overlapping stage landed it at k meanwhile
+		case src == srcLost:
+			// A source died mid-assembly — the outer loop re-evaluates what
+			// is still missing after any rebuild.
+			return false, false
+		case src == 0 || !rt.cfg.SlaveToSlave:
+			// Via the master host: after a D2H flush of a master GPU or,
+			// master-routed, an s->m pull (fetchToHost re-routes internally
+			// if a remote holder dies).
+			m.fetchToHost(p, frag)
+			src = 0
+		}
+		if !rt.xfer(p, frag, src, k) {
+			// From the master, k itself never acknowledged and the caller
+			// declares it dead; from a slave, re-plan.
+			return false, src == 0
 		}
 	}
 	return true, true
 }
 
-// stageFragToNode ships one directory fragment to node k, choosing the
-// route the whole-region planner used before fragmentation: a slave holder
-// directly when SlaveToSlave is on, else via the master host. ok=false
-// with settled=false means a fault disturbed the transfer and the attempt
-// should be re-planned; with settled=true the destination is unreachable.
-func (rt *Runtime) stageFragToNode(p *sim.Proc, frag memspace.Region, k int) (ok, settled bool) {
-	m := rt.master()
-	cl := rt.cluster()
-	holders := m.dir.Holders(frag)
-	if len(holders) == 0 {
-		// The fragment's holders died after Missing was computed.
-		return false, false
-	}
-	src := holders[0]
-	if rt.cfg.SlaveToSlave {
-		// Prefer a slave source: direct slave-to-slave transfers keep the
-		// master's TX free for control traffic and its own data.
-		for _, h := range holders {
-			if h.Node != 0 && h.IsHost() && !rt.nodeIsDead(h.Node) {
-				src = h
-				break
-			}
-		}
-	} else {
-		// Master-routed mode: prefer the master host when it has a copy.
-		for _, h := range holders {
-			if h == memspace.Host(0) {
-				src = h
-				break
-			}
+// Outcomes of pickSource other than a source node.
+const (
+	srcLost = -1 // no live holder: gone until a rebuild restores the version
+	srcHeld = -2 // the destination is itself a holder: nothing to move
+)
+
+// pickSource chooses the node one fragment moves from on its way to node
+// dst, given the fragment's holders: the master when it holds a copy and the
+// mode is master-routed, else the first live slave, else the master. Dead
+// holders are skipped and dst is never returned, so a transfer can never be
+// addressed to its own destination.
+func pickSource(holders []memspace.Location, dst int, s2s bool, dead func(int) bool) int {
+	src := srcLost
+	for _, h := range holders {
+		switch {
+		case dead(h.Node):
+		case h.Node == dst:
+			return srcHeld
+		case src == srcLost, s2s && src == 0, !s2s && h.Node == 0:
+			src = h.Node
 		}
 	}
-	if src.Node == 0 || (src.Node != k && rt.nodeIsDead(src.Node)) {
-		// From the master image (possibly via a D2H flush of a master GPU;
-		// fetchToHost re-routes internally if a remote holder dies).
-		m.fetchToHost(p, frag)
-		return rt.sendMasterToNode(p, frag, k), true
-	}
-	// Current version lives on slave src.Node.
-	if rt.cfg.SlaveToSlave {
-		id := rt.newXfer(src.Node, k)
-		ack := cl.xferEvents[id]
-		start := p.Now()
-		// The push request originates from the owning shard's host — the
-		// manager brokering the transfer's metadata. The data still flows
-		// slave-to-slave and the ack still lands on the master (the
-		// dispatch coordinator).
-		broker := rt.mgrBrokerEndpoint(frag)
-		if !broker.ep.AMShort(p, src.Node, amPush, pushArgs{Region: frag, Dest: k, XferID: id}) {
-			rt.ackXfer(id)
-			rt.xferFailedTake(id)
-			rt.nodeDead(src.Node, "push")
-			return false, false
-		}
-		ack.Wait(p)
-		if rt.xferFailedTake(id) {
-			return false, false
-		}
-		rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: "s->s",
-			Node: src.Node, Dev: -1, Start: start, End: p.Now(),
-			Bytes: frag.Size, Region: frag.Addr, Peer: k})
-		rt.met.bytesStoS.Add(int64(frag.Size))
-		m.dir.AddHolder(frag, memspace.Host(k))
-		return true, true
-	}
-	// Master-routed: pull to the master host, then send on.
-	m.fetchToHost(p, frag)
-	return rt.sendMasterToNode(p, frag, k), true
+	return src
 }
 
-// sendMasterToNode ships r from the master host store to node k and waits
-// for the acknowledgement so ordering with the subsequent runTask holds
-// even under retries. Returns false when k never acknowledged (it died or
-// exhausted the retry ladder).
-func (rt *Runtime) sendMasterToNode(p *sim.Proc, r memspace.Region, k int) bool {
+// xfer moves frag from node src's host memory to node dst's and records
+// Host(dst) as a holder — the one inter-node transfer, whichever of the
+// routes m->s, s->s or s->m it is. The master sends its own data; a slave is
+// asked to push (by the manager brokering frag's metadata when the data
+// stays between slaves). The caller blocks until dst has acknowledged to the
+// master, so ordering with a subsequent runTask holds even under retries.
+// False means a peer died or exhausted the retry ladder first; this is the
+// one place an unreachable source is declared dead.
+func (rt *Runtime) xfer(p *sim.Proc, frag memspace.Region, src, dst int) bool {
 	m := rt.master()
-	cl := rt.cluster()
-	id := rt.newXfer(0, k)
-	ack := cl.xferEvents[id]
+	id := rt.newXfer(src, dst)
+	ack := rt.cl.xferEvents[id]
 	start := p.Now()
-	if !m.ep.AMLong(p, k, amData, dataArgs{XferID: id}, r) {
+	push := pushArgs{Region: frag, Dest: dst, XferID: id}
+	name, bytes, sent := "m->s", rt.met.bytesMtoS, false
+	switch {
+	case src == 0:
+		sent = m.ep.AMLong(p, dst, amData, dataArgs{XferID: id}, frag)
+	case dst == 0:
+		name = "s->m"
+		sent = m.ep.AMShort(p, src, amPush, push)
+	default:
+		name, bytes = "s->s", rt.met.bytesStoS
+		sent = rt.mgrBrokerEndpoint(frag).ep.AMShort(p, src, amPush, push)
+	}
+	if !sent {
 		rt.ackXfer(id)
 		rt.xferFailedTake(id)
+		rt.nodeDead(src, "push")
 		return false
 	}
 	ack.Wait(p)
 	if rt.xferFailedTake(id) {
 		return false
 	}
-	rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: "m->s",
-		Node: 0, Dev: -1, Start: start, End: p.Now(),
-		Bytes: r.Size, Region: r.Addr, Peer: k})
-	rt.met.bytesMtoS.Add(int64(r.Size))
-	m.dir.AddHolder(r, memspace.Host(k))
+	rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: name,
+		Node: src, Dev: -1, Start: start, End: p.Now(),
+		Bytes: frag.Size, Region: frag.Addr, Peer: dst})
+	bytes.Add(int64(frag.Size))
+	if dst != 0 { // the master's data handler recorded Host(0) on arrival
+		m.dir.AddHolder(frag, memspace.Host(dst))
+	}
 	return true
 }
 
@@ -518,7 +429,7 @@ func (rt *Runtime) sendMasterToNode(p *sim.Proc, r memspace.Region, k int) bool 
 // are the nodes moving the data, recorded so a peer's death can fail the
 // transfer and unblock its waiter.
 func (rt *Runtime) newXfer(src, dst int) int64 {
-	cl := rt.cluster()
+	cl := rt.cl
 	cl.xferSeq++
 	cl.xferEvents[cl.xferSeq] = sim.NewEvent(rt.e)
 	if rt.ft != nil {
@@ -528,49 +439,14 @@ func (rt *Runtime) newXfer(src, dst int) int64 {
 }
 
 // ackXfer is called at the master when a transfer acknowledgement arrives.
-// id 0 (no ack requested) is ignored.
 func (rt *Runtime) ackXfer(id int64) {
-	if id == 0 {
-		return
-	}
-	cl := rt.cluster()
-	if ev, ok := cl.xferEvents[id]; ok {
+	if ev, ok := rt.cl.xferEvents[id]; ok {
 		ev.Trigger()
-		delete(cl.xferEvents, id)
+		delete(rt.cl.xferEvents, id)
 		if rt.ft != nil {
 			delete(rt.ft.xferPeers, id)
 		}
 	}
-}
-
-// pullToMaster fetches r (held by slave node j) into the master host.
-// Called with the master's host inflight key held. Returns false when j
-// died before the data arrived; the caller re-routes.
-func (rt *Runtime) pullToMaster(p *sim.Proc, r memspace.Region, j int) bool {
-	m := rt.master()
-	if rt.nodeIsDead(j) {
-		return false
-	}
-	id := rt.newXfer(0, j)
-	ack := rt.cluster().xferEvents[id]
-	start := p.Now()
-	if !m.ep.AMShort(p, j, amFetch, fetchArgs{Region: r, XferID: id}) {
-		rt.ackXfer(id)
-		rt.xferFailedTake(id)
-		rt.nodeDead(j, "fetch")
-		return false
-	}
-	ack.Wait(p) // the amData handler adds Host(0) as holder
-	if rt.xferFailedTake(id) {
-		return false
-	}
-	// The pull is a network transfer like its m->s and s->s siblings and
-	// gets the same span; it was the one send path missing from the trace.
-	rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: "s->m",
-		Node: j, Dev: -1, Start: start, End: p.Now(),
-		Bytes: r.Size, Region: r.Addr, Peer: 0})
-	rt.met.bytesMtoS.Add(int64(r.Size))
-	return true
 }
 
 // registerSlaveHandlers installs the slave image's protocol (Section
@@ -601,18 +477,11 @@ func (n *nodeRT) registerSlaveHandlers() {
 		// Fresh data arriving at this node's host: it becomes the node's
 		// current local version, invalidating stale GPU copies.
 		n.produced(am.Region, memspace.Host(n.id))
-		if id := am.Args.(dataArgs).XferID; id != 0 {
-			n.ep.AMShort(p, 0, amAck, dataArgs{XferID: id})
-		}
-	})
-	n.ep.Register(amFetch, func(p *sim.Proc, am gasnet.AM) {
-		args := am.Args.(fetchArgs)
-		n.fetchToHost(p, args.Region) // D2H first if only a GPU holds it
-		n.ep.AMLong(p, 0, amData, dataArgs{XferID: args.XferID}, args.Region)
+		n.ep.AMShort(p, 0, amAck, am.Args) // the same dataArgs: the id to acknowledge
 	})
 	n.ep.Register(amPush, func(p *sim.Proc, am gasnet.AM) {
 		args := am.Args.(pushArgs)
-		n.fetchToHost(p, args.Region)
+		n.fetchToHost(p, args.Region) // D2H first if only a GPU holds it
 		n.ep.AMLong(p, args.Dest, amData, dataArgs{XferID: args.XferID}, args.Region)
 	})
 	n.ep.RegisterNonBlocking(amShutdown, func(gasnet.AM) {

@@ -232,7 +232,8 @@ type Stats struct {
 	// Network traffic.
 	NetBytes uint64
 	NetMsgs  int
-	// Inter-node data routed master->slave vs slave->slave.
+	// Inter-node data that crossed the master's link, either direction, vs
+	// data that went slave->slave.
 	BytesMtoS uint64
 	BytesStoS uint64
 

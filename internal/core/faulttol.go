@@ -277,7 +277,7 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 	for _, t := range requeue {
 		rt.clSch.Submit(t, -1)
 	}
-	rt.cluster().outstanding[k] = 0
+	rt.cl.outstanding[k] = 0
 	// If k hosted manager shards, rehost them on the master before the
 	// data recovery below: the rebuilt directory slices must be owned by
 	// a live manager while the producer chains replay.

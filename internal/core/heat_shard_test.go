@@ -89,3 +89,34 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 		})
 	}
 }
+
+// TestHeatMasterRoutedMatchesSerial runs the same two layouts with one
+// shard and SlaveToSlave off — the paper's default, where every halo
+// crosses the master host. Overlapping halo fetches are in flight under
+// different keys there, so a fragment's turn can come after another fetch
+// landed it on the master: the master is then one more holder, and the
+// fragment must not be pulled again — least of all from the master itself
+// (`node 0 has no handler "fetch"` before the routes were one transfer).
+func TestHeatMasterRoutedMatchesSerial(t *testing.T) {
+	for _, bsize := range []int{512, 640} {
+		p := apps.HeatParams{N: 128 * bsize, BSize: bsize, Steps: 4}
+		run := func() apps.Result {
+			res, err := apps.HeatOmpSs(core.Config{Cluster: hw.GPUCluster(8), Validate: true}, p)
+			if err != nil {
+				t.Fatalf("bsize %d: %v", bsize, err)
+			}
+			return res
+		}
+		res := run()
+		if want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p)); res.Check != want {
+			t.Fatalf("bsize %d: check = %s, want %s", bsize, res.Check, want)
+		}
+		if res.Stats.BytesStoS != 0 || res.Stats.BytesMtoS == 0 {
+			t.Fatalf("bsize %d: master-routed run moved %d bytes slave-to-slave and %d over the master's link",
+				bsize, res.Stats.BytesStoS, res.Stats.BytesMtoS)
+		}
+		if a, b := fmt.Sprintf("%+v", res.Stats), fmt.Sprintf("%+v", run().Stats); a != b {
+			t.Fatalf("bsize %d: stats diverged across identical runs:\n%s\nvs\n%s", bsize, a, b)
+		}
+	}
+}

@@ -70,7 +70,9 @@ type nodeRT struct {
 	// prefetched[g] is a task already popped and staged by GPU manager g.
 	prefetched []*task.Task
 
-	// inflight dedupes concurrent transfers to one destination device.
+	// inflight dedupes concurrent transfers of one region into one place:
+	// this image's host or one of its GPUs and, on the master, the host of
+	// a node it is staging to.
 	inflight map[inflightKey]*sim.Event
 
 	// redPartials tracks, per reduction region, the GPUs holding partial
@@ -84,7 +86,7 @@ type nodeRT struct {
 
 type inflightKey struct {
 	region memspace.Region
-	dev    int // destination device index; hostDevKey for the host
+	dst    memspace.Location
 }
 
 // regionLess orders regions by address, then size — the deterministic
@@ -96,9 +98,31 @@ func regionLess(a, b memspace.Region) bool {
 	return a.Size < b.Size
 }
 
+// hostDevKey is the device index that stands for the host.
 const hostDevKey = -1
 
 func (n *nodeRT) isMaster() bool { return n.id == 0 }
+
+// joinInflight waits out a transfer of r into dst that is already under
+// way and reports whether there was one.
+func (n *nodeRT) joinInflight(p *sim.Proc, r memspace.Region, dst memspace.Location) bool {
+	ev, busy := n.inflight[inflightKey{r, dst}]
+	if busy {
+		ev.Wait(p)
+	}
+	return busy
+}
+
+// leadInflight announces the caller's transfer of r into dst; the returned
+// function ends it and wakes whoever joined.
+func (n *nodeRT) leadInflight(r memspace.Region, dst memspace.Location) func() {
+	key, ev := inflightKey{r, dst}, sim.NewEvent(n.rt.e)
+	n.inflight[key] = ev
+	return func() {
+		delete(n.inflight, key)
+		ev.Trigger()
+	}
+}
 
 func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	n := &nodeRT{
@@ -492,26 +516,19 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 	}
 }
 
-// stageRegions makes every copy region of a task valid at the destination
-// (GPU g, or the host when g == hostDevKey), pinning GPU lines. With the
-// non-blocking cache the transfers run concurrently.
+// stageRegions is tryStage for a task that must run here: a working set
+// that cannot fit is a program error.
 func (n *nodeRT) stageRegions(p *sim.Proc, t *task.Task, g int) {
-	if !n.tryStageInner(p, t, g, false) {
-		loc := "host"
-		if g != hostDevKey {
-			loc = n.caches[g].Location().String()
-		}
-		panic(fmt.Sprintf("core: task working set does not fit at %s", loc))
+	if !n.tryStage(p, t, g) {
+		panic(fmt.Sprintf("core: task working set does not fit at %v", n.placeLoc(1+g)))
 	}
 }
 
-// tryStage is stageRegions for prefetch: returns false instead of
-// panicking when space cannot be made.
+// tryStage makes every copy region of a task valid at the destination (GPU
+// g, or the host when g == hostDevKey), pinning GPU lines. With the
+// non-blocking cache the transfers run concurrently. It returns false, with
+// no pin left behind, when space cannot be made on the GPU.
 func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
-	return n.tryStageInner(p, t, g, true)
-}
-
-func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool {
 	copies := t.Copies()
 	// On the master, a region whose lost version is being rebuilt lists
 	// the master host as holder of a stale base; staging must wait out the
@@ -539,11 +556,7 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 	}
 	cache := n.caches[g]
 	loc := memspace.GPU(n.id, g)
-	type job struct {
-		r     memspace.Region
-		fetch bool
-	}
-	var jobs []job
+	var fetch []memspace.Region
 	// Phase 1: residency and allocation decisions (synchronous bookkeeping).
 	for _, c := range copies {
 		r := c.Region
@@ -569,15 +582,12 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 		}
 		victims, ok := cache.MakeSpace(r.Size)
 		if !ok {
-			if soft {
-				// Undo pins taken so far.
-				for _, d := range copies {
-					if d.Region == r {
-						break
-					}
-					cache.Unpin(d.Region)
+			// Undo pins taken so far.
+			for _, d := range copies {
+				if d.Region == r {
+					break
 				}
-				return false
+				cache.Unpin(d.Region)
 			}
 			return false
 		}
@@ -586,41 +596,18 @@ func (n *nodeRT) tryStageInner(p *sim.Proc, t *task.Task, g int, soft bool) bool
 		}
 		cache.Insert(r, false)
 		cache.Pin(r)
-		needFetch := c.Access.Reads() && n.dir.Known(r)
-		jobs = append(jobs, job{r: r, fetch: needFetch})
+		if c.Access.Reads() && n.dir.Known(r) {
+			fetch = append(fetch, r)
+		}
 	}
 	// Phase 2: data movement.
-	if n.rt.cfg.NonBlockingCache {
-		var wait []*sim.Event
-		for _, j := range jobs {
-			if !j.fetch {
-				continue
-			}
-			j := j
-			done := sim.NewEvent(n.rt.e)
-			n.rt.e.Go("stage", func(sp *sim.Proc) {
-				if fence {
-					n.rt.waitRestore(sp, j.r)
-				}
-				n.fetchToGPU(sp, g, j.r)
-				done.Trigger()
-			})
-			wait = append(wait, done)
+	return n.rt.moveEach(p, "stage", n.rt.cfg.NonBlockingCache, fetch, func(sp *sim.Proc, r memspace.Region) bool {
+		if fence {
+			n.rt.waitRestore(sp, r)
 		}
-		for _, ev := range wait {
-			ev.Wait(p)
-		}
-	} else {
-		for _, j := range jobs {
-			if j.fetch {
-				if fence {
-					n.rt.waitRestore(p, j.r)
-				}
-				n.fetchToGPU(p, g, j.r)
-			}
-		}
-	}
-	return true
+		n.fetchToGPU(sp, g, r)
+		return true
+	})
 }
 
 // evictLine writes back a dirty victim and removes it. Replacement under
@@ -690,20 +677,10 @@ func (n *nodeRT) writeBackLine(p *sim.Proc, g int, r memspace.Region) {
 // region to the same device coalesce.
 func (n *nodeRT) fetchToGPU(p *sim.Proc, g int, r memspace.Region) {
 	loc := memspace.GPU(n.id, g)
-	key := inflightKey{region: r, dev: g}
-	if ev, busy := n.inflight[key]; busy {
-		ev.Wait(p)
+	if n.joinInflight(p, r, loc) || n.dir.IsHolder(r, loc) {
 		return
 	}
-	if n.dir.IsHolder(r, loc) {
-		return
-	}
-	ev := sim.NewEvent(n.rt.e)
-	n.inflight[key] = ev
-	defer func() {
-		delete(n.inflight, key)
-		ev.Trigger()
-	}()
+	defer n.leadInflight(r, loc)()
 	// The data must be in this node's host memory first (Fermi-era CUDA:
 	// no peer-to-peer; remote data arrives over the wire into the host).
 	n.fetchToHost(p, r)
@@ -733,9 +710,7 @@ func (n *nodeRT) fetchToHostInner(p *sim.Proc, r memspace.Region, combine bool) 
 
 func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) bool {
 	host := memspace.Host(n.id)
-	key := inflightKey{region: r, dev: hostDevKey}
-	if ev, busy := n.inflight[key]; busy {
-		ev.Wait(p)
+	if n.joinInflight(p, r, host) {
 		// Without fault tolerance the fetch we piggybacked on always
 		// succeeded; with it, it may have failed — re-evaluate.
 		return n.rt.ft == nil
@@ -752,23 +727,15 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 	if len(missing) == 0 {
 		return true
 	}
-	ev := sim.NewEvent(n.rt.e)
-	n.inflight[key] = ev
-	defer func() {
-		delete(n.inflight, key)
-		ev.Trigger()
-	}()
+	defer n.leadInflight(r, host)()
 	fragmented := len(missing) > 1 || missing[0] != r
 	if fragmented {
 		n.met.fragAssemblies.Inc()
 	}
+	// The fragment list is fixed for the attempt; the source of each is
+	// chosen when its turn comes, from the holders it has by then.
 	for _, frag := range missing {
 		holders := n.dir.Holders(frag)
-		if len(holders) == 0 {
-			// Lost between the Missing query and now (holder died); let the
-			// caller wait out the rebuild and retry.
-			return false
-		}
 		// Prefer a local GPU (cheap D2H) over a remote node.
 		fetched := false
 		for _, h := range holders {
@@ -791,11 +758,17 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 		if fetched {
 			continue
 		}
-		if !n.isMaster() {
+		// Remote holder: pull across the network (cluster layer).
+		src := pickSource(holders, n.id, n.rt.cfg.SlaveToSlave, n.rt.nodeIsDead)
+		if src == srcHeld {
+			continue // an overlapping fetch landed it here meanwhile
+		}
+		if src != srcLost && !n.isMaster() {
 			panic(fmt.Sprintf("core: node %d asked to fetch %v it does not hold", n.id, frag))
 		}
-		// Remote holder: pull across the network (cluster layer).
-		if !n.rt.pullToMaster(p, frag, holders[0].Node) {
+		// Lost between the Missing query and now (holder died), or the pull
+		// failed: let the caller wait out the rebuild and retry.
+		if src == srcLost || !n.rt.xfer(p, frag, src, 0) {
 			return false
 		}
 	}

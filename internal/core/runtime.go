@@ -45,9 +45,10 @@ type Runtime struct {
 	// interface; they live in cfg.Metrics and are readable mid-run.
 	met *rtMetrics
 
-	cl *clusterState
-	// clSch is the cluster-level scheduler (nil on single-node machines):
-	// place k is node k, place 0 the master node itself.
+	// cl and clSch are the cluster-level dispatch state and scheduler (nil
+	// on single-node machines): place k is node k, place 0 the master node
+	// itself.
+	cl    *clusterState
 	clSch sched.Scheduler
 
 	// ft is the fault-injection/fault-tolerance state (nil unless
@@ -102,6 +103,7 @@ func New(cfg Config) *Runtime {
 		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
 			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
 			CanRun: rt.clusterCanRun, Hooks: schedHooks(cfg.Metrics, "cluster")})
+		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), xferEvents: make(map[int64]*sim.Event)}
 	}
 	rt.mgr = newMgrState(cfg, rt.met)
 	rt.registerDirOpHandlers()
@@ -415,20 +417,42 @@ func (mc *MainCtx) TaskWaitOn(r memspace.Region) {
 // master host, in parallel.
 func (rt *Runtime) flushAll(p *sim.Proc) {
 	m := rt.master()
-	regions := m.dir.Regions()
-	var wait []*sim.Event
-	for _, r := range regions {
-		if m.dir.IsHolder(r, memspace.Host(0)) && len(m.overlappingRedRegions(r)) == 0 &&
-			!rt.restorePending(r) {
-			continue
+	var stale []memspace.Region
+	for _, r := range m.dir.Regions() {
+		if !m.dir.IsHolder(r, memspace.Host(0)) || len(m.overlappingRedRegions(r)) > 0 || rt.restorePending(r) {
+			stale = append(stale, r)
 		}
-		r := r
+	}
+	rt.moveEach(p, "flush", true, stale, func(fp *sim.Proc, r memspace.Region) bool {
+		// A region under rebuild nominally lists the master as holder
+		// (its stale base); wait for the real version first.
+		rt.waitRestore(fp, r)
+		m.fetchToHost(fp, r)
+		return true
+	})
+}
+
+// moveEach runs move on every region and reports whether all succeeded:
+// concurrently, one process per region started in order and all awaited,
+// or one after the other on p up to the first failure.
+func (rt *Runtime) moveEach(p *sim.Proc, name string, concurrent bool, regions []memspace.Region,
+	move func(*sim.Proc, memspace.Region) bool) bool {
+	if !concurrent {
+		for _, r := range regions {
+			if !move(p, r) {
+				return false
+			}
+		}
+		return true
+	}
+	ok := true
+	wait := make([]*sim.Event, 0, len(regions))
+	for _, r := range regions {
 		done := sim.NewEvent(rt.e)
-		rt.e.Go("flush", func(fp *sim.Proc) {
-			// A region under rebuild nominally lists the master as holder
-			// (its stale base); wait for the real version first.
-			rt.waitRestore(fp, r)
-			m.fetchToHost(fp, r)
+		rt.e.Go(name, func(sp *sim.Proc) {
+			if !move(sp, r) {
+				ok = false
+			}
 			done.Trigger()
 		})
 		wait = append(wait, done)
@@ -436,6 +460,7 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 	for _, ev := range wait {
 		ev.Wait(p)
 	}
+	return ok
 }
 
 func (rt *Runtime) collectStats() Stats {

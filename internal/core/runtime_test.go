@@ -965,10 +965,12 @@ func TestOversizedWorkingSetReturnsError(t *testing.T) {
 	cfg := baseCfg(1, 1) // 64 MB test GPU
 	rt := New(cfg)
 	_, err := rt.Run(func(mc *MainCtx) {
+		small := mc.Alloc(1 << 10)
 		r := mc.Alloc(1 << 28) // 256 MB: cannot fit the 64 MB device
+		mc.InitSeq(small, nil)
 		mc.InitSeq(r, nil)
 		mc.Submit(TaskDef{Name: "huge", Device: task.CUDA,
-			Deps: []task.Dep{inoutDep(r)},
+			Deps: []task.Dep{inDep(small), inoutDep(r)},
 			Work: incWork{r: r, delta: 1, cost: time.Millisecond}})
 		mc.TaskWaitNoflush()
 	})
@@ -978,6 +980,13 @@ func TestOversizedWorkingSetReturnsError(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(pp.Value), "does not fit") {
 		t.Fatalf("panic value = %v", pp.Value)
+	}
+	// The failed staging gave back the pin it had taken on the small region:
+	// the whole cache can still be reclaimed.
+	if c := rt.nodes[0].caches[0]; c.Len() != 1 {
+		t.Fatalf("%d lines resident, want the small region's", c.Len())
+	} else if _, ok := c.MakeSpace(c.Capacity()); !ok {
+		t.Fatal("a pin outlived the staging that failed")
 	}
 }
 
