@@ -7,7 +7,9 @@ import (
 
 // SimBlocking flags the deadlock shapes the virtual-clock engine cannot
 // detect at runtime: calls into sim blocking primitives (Sleep, Yield,
-// Wait, WaitFor, Get, Acquire, Use, Run, WaitAll) made
+// Wait, WaitFor, Get, Acquire, Use, Run, WaitAll, Park) and into the
+// process forms built on them (netsim Send, gasnet AMShort/AMMedium/AMLong/
+// AMProbe) made
 //
 //   - while a sync.Mutex/RWMutex locked in the same function is still
 //     held — the engine parks the process with the lock taken and every
@@ -17,10 +19,11 @@ import (
 //     opposite orders freeze the clock the same way (bounded
 //     Sleep/Yield with a resource held is the occupancy model itself
 //     and is allowed);
-//   - anywhere inside Engine.After / Event.OnTrigger /
-//     Resource.AcquireFunc callbacks and gasnet non-blocking handlers,
-//     which run inline on the engine loop and are documented no-block
-//     contexts.
+//   - anywhere inside Engine.After / Event.OnTrigger / Event.WaitForFunc /
+//     Resource.AcquireFunc / Queue.GetFunc / netsim SendFunc callbacks and
+//     gasnet non-blocking handlers, which run inline on the engine loop
+//     and are documented no-block contexts (the Func forms are what they
+//     send with).
 //
 // The analysis is per-function and source-ordered; function literals
 // are independent contexts (a spawned process does not inherit its
@@ -31,11 +34,26 @@ var SimBlocking = &Analyzer{
 	Run:  runSimBlocking,
 }
 
-// simBlockingFuncs are the sim package functions and methods that park
-// the calling process on the engine.
-var simBlockingFuncs = map[string]bool{
-	"Sleep": true, "Yield": true, "Wait": true, "WaitFor": true,
-	"Get": true, "Acquire": true, "Use": true, "Run": true, "WaitAll": true,
+// simBlockingFuncs are the functions and methods that park the calling
+// process on the engine, by declaring package: the sim primitives, and the
+// process forms of a send in the layers above.
+var simBlockingFuncs = map[string]map[string]bool{
+	"internal/sim": {
+		"Sleep": true, "Yield": true, "Wait": true, "WaitFor": true, "Park": true,
+		"Get": true, "Acquire": true, "Use": true, "Run": true, "WaitAll": true,
+	},
+	"internal/netsim": {"Send": true},
+	"internal/gasnet": {"AMShort": true, "AMMedium": true, "AMLong": true, "AMProbe": true},
+}
+
+// blocks reports whether fn is one of simBlockingFuncs.
+func blocks(fn *types.Func) bool {
+	for pkg, names := range simBlockingFuncs {
+		if names[fn.Name()] && pathHasSuffixPkg(fn.Pkg().Path(), pkg) {
+			return true
+		}
+	}
+	return false
 }
 
 // simUnboundedFuncs is the subset whose wait is not bounded by a
@@ -43,14 +61,15 @@ var simBlockingFuncs = map[string]bool{
 // the matching Trigger/Put/Release can never happen.
 var simUnboundedFuncs = map[string]bool{
 	"Wait": true, "Get": true, "Acquire": true, "Use": true,
-	"Run": true, "WaitAll": true,
+	"Run": true, "WaitAll": true, "Park": true,
 }
 
 // simInlineCallbacks are the functions whose function-literal arguments
 // run inline on the engine loop and must not block, by declaring package.
 var simInlineCallbacks = map[string]string{
 	"After": "internal/sim", "OnTrigger": "internal/sim", "AcquireFunc": "internal/sim",
-	"RegisterNonBlocking": "internal/gasnet",
+	"GetFunc": "internal/sim", "WaitForFunc": "internal/sim",
+	"SendFunc": "internal/netsim", "RegisterNonBlocking": "internal/gasnet",
 }
 
 func runSimBlocking(pass *Pass) error {
@@ -131,35 +150,33 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 				}
 				return true
 			}
-			if !isSimPkg(fn.Pkg().Path()) {
-				return true
-			}
-			if name == "Release" && isResourceMethod(fn) {
+			if name == "Release" && isSimPkg(fn.Pkg().Path()) && isResourceMethod(fn) {
 				if !deferred[n] {
 					heldRes = remove(heldRes, recv)
 				}
 				return true
 			}
-			if !simBlockingFuncs[name] {
+			if !blocks(fn) {
 				return true
 			}
+			name = fn.Pkg().Name() + " " + name
 			// Spawning a process is not blocking; only the primitives
 			// above park the caller. Report the most specific violation.
 			switch {
 			case noblock:
-				report(pass, n, "sim %s inside an inline engine callback: After, OnTrigger, AcquireFunc "+
-					"and RegisterNonBlocking bodies run on the engine loop and must not block", name)
+				report(pass, n, "%s inside an inline engine callback: After, OnTrigger, AcquireFunc, GetFunc, "+
+					"SendFunc and RegisterNonBlocking bodies run on the engine loop and must not block", name)
 			case len(heldMu) > 0:
-				report(pass, n, "sim %s while mutex %s is held: blocking under a lock "+
+				report(pass, n, "%s while mutex %s is held: blocking under a lock "+
 					"deadlocks the virtual-clock engine", name, heldMu[len(heldMu)-1].expr)
-			case len(heldRes) > 0 && name == "Acquire" && isResourceMethod(fn):
+			case len(heldRes) > 0 && fn.Name() == "Acquire" && isResourceMethod(fn):
 				report(pass, n, "nested %s.Acquire while resource %s is held: opposite "+
 					"acquisition orders deadlock at a frozen virtual time", recv, heldRes[len(heldRes)-1].expr)
-			case len(heldRes) > 0 && simUnboundedFuncs[name]:
-				report(pass, n, "unbounded sim %s while resource %s is held: the waiter "+
+			case len(heldRes) > 0 && isSimPkg(fn.Pkg().Path()) && simUnboundedFuncs[fn.Name()]:
+				report(pass, n, "unbounded %s while resource %s is held: the waiter "+
 					"keeps the resource occupied forever if the wake-up never comes", name, heldRes[len(heldRes)-1].expr)
 			}
-			if name == "Acquire" && isResourceMethod(fn) {
+			if fn.Name() == "Acquire" && isResourceMethod(fn) {
 				heldRes = append(heldRes, heldSync{recv})
 			}
 			return true

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/bsc-repro/ompss/internal/gasnet"
+	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -62,5 +63,13 @@ func BlockInAcquireFunc(r *sim.Resource, p *sim.Proc) {
 func BlockInNonBlockingHandler(ep *gasnet.Endpoint, p *sim.Proc) {
 	ep.RegisterNonBlocking("done", func(am gasnet.AM) {
 		p.Sleep(1) // want "sim Sleep inside an inline engine callback"
+	})
+}
+
+// SendInCallback uses the process form of a send where there is no process
+// to park: a reply from a non-blocking handler is SendFunc's job.
+func SendInCallback(ep *gasnet.Endpoint, f *netsim.Fabric, p *sim.Proc) {
+	ep.RegisterNonBlocking("ping", func(am gasnet.AM) {
+		f.Send(p, netsim.Message{From: 1, To: am.From}) // want "netsim Send inside an inline engine callback"
 	})
 }

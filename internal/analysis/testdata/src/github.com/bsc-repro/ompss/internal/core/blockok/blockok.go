@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/bsc-repro/ompss/internal/gasnet"
+	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -60,4 +61,12 @@ func OccupyAsEvents(e *sim.Engine, r *sim.Resource, done *sim.Event) {
 func Handlers(ep *gasnet.Endpoint, ev *sim.Event) {
 	ep.Register("fetch", func(p *sim.Proc, am gasnet.AM) { ev.Wait(p) })
 	ep.RegisterNonBlocking("ack", func(am gasnet.AM) { ev.Trigger() })
+}
+
+// ReplyFromCallback sends from a non-blocking handler with the event-chain
+// form, and goes on — still without blocking — in its last step.
+func ReplyFromCallback(ep *gasnet.Endpoint, f *netsim.Fabric, ev *sim.Event) {
+	ep.RegisterNonBlocking("ping", func(am gasnet.AM) {
+		f.SendFunc(netsim.Message{From: 1, To: am.From}, func() { ev.Trigger() })
+	})
 }

@@ -457,10 +457,10 @@ func (n *nodeRT) registerSlaveHandlers() {
 		t := am.Args.(*task.Task)
 		n.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
 			if n.rt.ft != nil {
-				// Reliable sends block for the ack round-trip (and any
-				// retries); detach so the worker can take its next task.
-				n.rt.e.Go("taskDone:"+done.Name, func(dp *sim.Proc) {
-					n.ep.AMShort(dp, 0, amTaskDone, doneArgs{Task: done, Node: n.id})
+				// A reliable send lasts the ack round-trip (and any retries):
+				// it goes out as events, so the worker can take its next task.
+				n.rt.e.After(0, func() {
+					n.ep.AMShortFunc(0, amTaskDone, doneArgs{Task: done, Node: n.id})
 				})
 				return
 			}
@@ -468,16 +468,16 @@ func (n *nodeRT) registerSlaveHandlers() {
 		})
 	})
 	if n.rt.ft != nil {
-		n.ep.Register(amPing, func(p *sim.Proc, am gasnet.AM) {
+		n.ep.RegisterNonBlocking(amPing, func(am gasnet.AM) {
 			// Reply to whichever manager node probed.
-			n.ep.AMProbe(p, am.From, amPong, nil)
+			n.ep.AMProbeFunc(am.From, amPong, nil)
 		})
 	}
-	n.ep.Register(amData, func(p *sim.Proc, am gasnet.AM) {
+	n.ep.RegisterNonBlocking(amData, func(am gasnet.AM) {
 		// Fresh data arriving at this node's host: it becomes the node's
 		// current local version, invalidating stale GPU copies.
 		n.produced(am.Region, memspace.Host(n.id))
-		n.ep.AMShort(p, 0, amAck, am.Args) // the same dataArgs: the id to acknowledge
+		n.ep.AMShortFunc(0, amAck, am.Args) // the same dataArgs: the id to acknowledge
 	})
 	n.ep.Register(amPush, func(p *sim.Proc, am gasnet.AM) {
 		args := am.Args.(pushArgs)

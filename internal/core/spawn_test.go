@@ -13,16 +13,17 @@ import (
 // The 8-node point of `ompss-bench -experiment weakscale` (8 chains per
 // node, 25 dependent 20 µs SMP tasks each, 256-byte regions), centralized
 // and sharded: a remote task costs a dispatch process and the blocking end
-// of its data transfer, nothing per kernel, DMA, ack, taskDone or dirop.
-// The count is deterministic — 4.4 and 5.0 per task before those became
-// events, 2.1 and 2.2 after — so a goroutine per operation creeping back
-// fails here rather than in a profile. So is the number of times the engine
-// switches to a process, 27.4 and 28.9 per task: with a switch down to two
-// coroutine switches, that count is the cost left in sim, and it is held to
-// what was measured plus 5 %.
+// of its data transfer, nothing per kernel, DMA, message, dispatcher
+// delivery, ack, taskDone or dirop. The count is deterministic — 4.4 and 5.0
+// per task before those became events, 1.43 and 1.52 now — so a goroutine
+// per operation creeping back fails here rather than in a profile. So is the
+// number of times the engine switches to a process, 18.6 and 19.1 per task
+// (27.4 and 28.9 while a send woke its caller two to four times and every
+// delivery woke a dispatcher): that count is the cost left in sim, and it is
+// held to what was measured plus 5 %.
 func TestProcessesPerTask(t *testing.T) {
 	const nodes, chains, depth = 8, 8, 25
-	for _, point := range []struct{ shards, measuredResumes int }{{1, 43809}, {2, 46238}} {
+	for _, point := range []struct{ shards, measuredResumes int }{{1, 29798}, {2, 30487}} {
 		shards, maxResumes := point.shards, point.measuredResumes*105/100
 		rt := New(Config{
 			Cluster:       hw.GPUCluster(nodes),
@@ -54,8 +55,8 @@ func TestProcessesPerTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks := nodes * chains * depth
-		if spawned := rt.e.Spawned(); spawned > 3*tasks {
-			t.Errorf("shards=%d: %d processes for %d tasks (%.2f per task), want <= 3",
+		if spawned := rt.e.Spawned(); spawned > tasks*16/10 {
+			t.Errorf("shards=%d: %d processes for %d tasks (%.2f per task), want <= 1.6",
 				shards, spawned, tasks, float64(spawned)/float64(tasks))
 		} else {
 			t.Logf("shards=%d: %.2f processes per task", shards, float64(spawned)/float64(tasks))

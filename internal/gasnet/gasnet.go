@@ -39,9 +39,14 @@ type AM struct {
 
 // Handler processes one delivered active message in its own simulation
 // process: it may block, issue further AMs, or reply. One that only updates
-// state is a plain func(am AM) instead — see RegisterNonBlocking.
+// state, or sends with the Func forms, is a plain func(am AM) instead — see
+// RegisterNonBlocking.
 type Handler func(p *sim.Proc, am AM)
 
+// wireAM is what a netsim.Message carries for this layer, by pointer. The
+// sending endpoint recycles its records: the receiver gives one back once
+// the handler has the message — unless needAck, when a retransmission or a
+// duplicate in flight may still refer to it, and it is left to the collector.
 type wireAM struct {
 	am       AM
 	srcStore *memspace.Store // for AMLong byte delivery
@@ -51,6 +56,17 @@ type wireAM struct {
 	// ack and dedup on (sender, seq).
 	seq     uint64
 	needAck bool
+
+	home *Endpoint // the sender
+	h    func(AM)  // the non-blocking handler that run was scheduled for
+	run  func()    // bound once: h(am), then release
+}
+
+func (w *wireAM) release() {
+	if !w.needAck {
+		w.am, w.srcStore, w.seq, w.h = AM{}, nil, 0, nil
+		w.home.free = append(w.home.free, w)
+	}
 }
 
 // Reliability configures the ack/timeout/retry layer of an endpoint. With
@@ -86,10 +102,13 @@ type Endpoint struct {
 	f        *netsim.Fabric
 	e        *sim.Engine
 	node     int
-	handlers map[string]func(AM) // starts the handler for one message
-	store    *memspace.Store     // host store of this node; may be nil
+	inbox    *sim.Queue[netsim.Message]
+	recv     func(netsim.Message, bool)
+	handlers map[string]func(*wireAM) // starts the handler of one message
+	store    *memspace.Store          // host store of this node; may be nil
 	started  bool
 	closed   bool
+	free     []*wireAM // records of delivered messages, for the next sends
 
 	rel      *Reliability
 	seqTo    map[int]uint64        // next sequence number per destination
@@ -117,7 +136,8 @@ func (ep *Endpoint) Instrument(ins Instruments) { ep.ins = ins }
 // NewEndpoint returns an endpoint for node on fabric f. store is the node's
 // host backing store (nil in cost-only mode).
 func NewEndpoint(f *netsim.Fabric, node int, store *memspace.Store) *Endpoint {
-	return &Endpoint{f: f, e: f.Engine(), node: node, handlers: make(map[string]func(AM)), store: store}
+	return &Endpoint{f: f, e: f.Engine(), node: node, inbox: f.Iface(node).Inbox(),
+		handlers: make(map[string]func(*wireAM)), store: store}
 }
 
 // EnableReliability arms the ack/timeout/retry layer. Must be called
@@ -150,17 +170,24 @@ func (ep *Endpoint) Store() *memspace.Store { return ep.store }
 // running it. Must be called before Start.
 func (ep *Endpoint) Register(name string, h Handler) {
 	procName := fmt.Sprintf("gasnet:h:%s@%d", name, ep.node)
-	ep.register(name, func(am AM) { ep.e.Go(procName, func(p *sim.Proc) { h(p, am) }) })
+	ep.register(name, func(w *wireAM) {
+		am := w.am
+		w.release()
+		ep.e.Go(procName, func(p *sim.Proc) { h(p, am) })
+	})
 }
 
 // RegisterNonBlocking installs h, which has no process handle and so cannot
 // block, under name: each message runs it as a bare event, in the slot a
 // handler process would have started in. Must be called before Start.
 func (ep *Endpoint) RegisterNonBlocking(name string, h func(am AM)) {
-	ep.register(name, func(am AM) { ep.e.After(0, func() { h(am) }) })
+	ep.register(name, func(w *wireAM) {
+		w.h = h
+		ep.e.After(0, w.run)
+	})
 }
 
-func (ep *Endpoint) register(name string, start func(AM)) {
+func (ep *Endpoint) register(name string, start func(*wireAM)) {
 	if ep.started {
 		panic("gasnet: Register after Start")
 	}
@@ -170,86 +197,124 @@ func (ep *Endpoint) register(name string, start func(AM)) {
 	ep.handlers[name] = start
 }
 
-// Start launches the endpoint's dispatcher process, which pulls delivered
-// messages off the fabric inbox and starts a handler — a process, or an
-// event for a non-blocking one — for each. AMLong payload bytes land in the
-// destination host store just before the handler runs.
+// Start opens the endpoint's dispatcher, which is not a process: a callback
+// takes each delivered message off the fabric inbox (receive), sends the
+// wire-level ack a reliable message asks for as an event chain, and in that
+// chain's last step starts the handler — a process, or an event for a
+// non-blocking one. AMLong payload bytes land in the destination host store
+// just before the handler starts.
 func (ep *Endpoint) Start(e *sim.Engine) {
 	if ep.started {
 		panic("gasnet: double Start")
 	}
 	ep.started = true
-	inbox := ep.f.Iface(ep.node).Inbox()
-	e.Go(fmt.Sprintf("gasnet:dispatch:%d", ep.node), func(p *sim.Proc) {
-		for {
-			msg, ok := inbox.Get(p)
-			if !ok {
-				return
-			}
-			w, isAM := msg.Payload.(wireAM)
-			if !isAM {
-				panic(fmt.Sprintf("gasnet: foreign message on node %d inbox", ep.node))
-			}
-			if w.am.Handler == ackHandler {
-				// Wire-level ack: complete the matching reliable send.
-				if ack, waiting := ep.pending[ackKey{w.am.From, w.seq}]; waiting {
-					ack.Trigger()
-				}
-				continue
-			}
-			if w.needAck {
-				// Acknowledge before dispatching: the ack covers delivery,
-				// not handler completion, and must go out even for
-				// duplicates (the original ack may have been the loss).
-				ep.sendAck(p, w.am.From, w.seq)
-				if ep.seen == nil { // reliable sender, plain receiver
-					ep.seen = make(map[ackKey]bool)
-				}
-				k := ackKey{w.am.From, w.seq}
-				if ep.seen[k] {
-					ep.ins.Duplicates.Inc()
-					if ep.rel != nil && ep.rel.OnDuplicate != nil {
-						ep.rel.OnDuplicate(w.am.From, w.am.Handler)
-					}
-					continue
-				}
-				ep.seen[k] = true
-			}
-			if ep.inFilter != nil && !ep.inFilter(w.am.From) {
-				continue
-			}
-			start, known := ep.handlers[w.am.Handler]
-			if !known {
-				panic(fmt.Sprintf("gasnet: node %d has no handler %q", ep.node, w.am.Handler))
-			}
-			if w.am.Region.Valid() && w.srcStore != nil {
-				memspace.CopyRegion(ep.store, w.srcStore, w.am.Region)
-			}
-			start(w.am)
-		}
-	})
+	ep.recv = ep.receive // bound once: asking for the next message allocates nothing
+	e.After(0, ep.next)  // the slot a dispatcher process would have started in
 }
 
-// Shutdown closes the endpoint's inbox, terminating its dispatcher once
-// drained. Reliable sends still in their retry loop observe the closed
-// flag and abort at their next timeout instead of exhausting the ladder.
+func (ep *Endpoint) next() { ep.inbox.GetFunc(ep.recv) }
+
+func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
+	if !ok {
+		return // Shutdown
+	}
+	w := msg.Payload.(*wireAM) // anything else on this inbox is a bug
+	if w.needAck {
+		// Acknowledge before dispatching: the ack covers delivery, not
+		// handler completion, and must go out even for duplicates (the
+		// original ack may have been the loss). Acks are control datagrams:
+		// tiny, non-occupying, best-effort — a lost one is repaired by the
+		// sender's retransmission and the receiver's dedup.
+		ep.ins.AcksSent.Inc()
+		ack := ep.wire(w.am.From, ackHandler, nil, memspace.Region{}, 0)
+		ack.seq = w.seq
+		ep.control(nil, ack, ackBytes, func() {
+			ep.dispatch(w)
+			ep.next()
+		})
+		return
+	}
+	ep.dispatch(w)
+	ep.next()
+}
+
+// dispatch consumes w: a wire-level ack completes the matching reliable
+// send, a duplicate is suppressed, anything else starts its handler.
+func (ep *Endpoint) dispatch(w *wireAM) {
+	switch k := (ackKey{w.am.From, w.seq}); {
+	case w.am.Handler == ackHandler:
+		if ack, waiting := ep.pending[k]; waiting {
+			ack.Trigger()
+		}
+		w.release()
+		return
+	case w.needAck && ep.seen[k]:
+		ep.ins.Duplicates.Inc()
+		if ep.rel != nil && ep.rel.OnDuplicate != nil {
+			ep.rel.OnDuplicate(w.am.From, w.am.Handler)
+		}
+		return
+	case w.needAck:
+		if ep.seen == nil { // reliable sender, plain receiver
+			ep.seen = make(map[ackKey]bool)
+		}
+		ep.seen[k] = true
+	}
+	if ep.inFilter != nil && !ep.inFilter(w.am.From) {
+		return
+	}
+	start, known := ep.handlers[w.am.Handler]
+	if !known {
+		panic(fmt.Sprintf("gasnet: node %d has no handler %q", ep.node, w.am.Handler))
+	}
+	if w.am.Region.Valid() && w.srcStore != nil {
+		memspace.CopyRegion(ep.store, w.srcStore, w.am.Region)
+	}
+	start(w)
+}
+
+// Shutdown closes the endpoint's inbox, ending its dispatcher once drained.
+// Reliable sends still in their retry loop observe the closed flag and
+// abort at their next timeout instead of exhausting the ladder.
 func (ep *Endpoint) Shutdown() {
 	ep.closed = true
-	ep.f.Iface(ep.node).Inbox().Close()
+	ep.inbox.Close()
 }
 
-// sendAck emits the wire-level acknowledgment for (peer, seq). Acks are
-// control datagrams: tiny, non-occupying, best-effort — a lost ack is
-// repaired by the sender's retransmission and the receiver's dedup.
-func (ep *Endpoint) sendAck(p *sim.Proc, to int, seq uint64) {
-	ep.ins.AcksSent.Inc()
-	ep.control(p, to, ackBytes, wireAM{am: AM{Handler: ackHandler}, seq: seq})
+// wire returns a record, recycled if one is free, for a message from here.
+func (ep *Endpoint) wire(to int, handler string, args interface{}, r memspace.Region, bytes uint64) *wireAM {
+	var w *wireAM
+	if n := len(ep.free); n > 0 {
+		w, ep.free = ep.free[n-1], ep.free[:n-1]
+	} else {
+		w = &wireAM{home: ep}
+		w.run = func() {
+			w.h(w.am)
+			w.release()
+		}
+	}
+	w.am = AM{From: ep.node, To: to, Handler: handler, Args: args, Region: r, Bytes: bytes}
+	return w
+}
+
+// put sends m: from process p, which blocks for the sender-side cost and
+// then runs next itself, or — p nil — as a chain of events that ends in next.
+// Every send of this layer goes through here, and that is all that differs
+// between the process form and the Func form of one.
+func (ep *Endpoint) put(p *sim.Proc, m netsim.Message, next func()) {
+	if p == nil {
+		ep.f.SendFunc(m, next)
+		return
+	}
+	ep.f.Send(p, m)
+	if next != nil {
+		next()
+	}
 }
 
 // control sends w as a datagram that bypasses TX/RX occupancy.
-func (ep *Endpoint) control(p *sim.Proc, to int, size uint64, w wireAM) {
-	w.am.From, w.am.To = ep.node, to
-	ep.f.Send(p, netsim.Message{From: ep.node, To: to, Size: size, Control: true, Payload: w})
+func (ep *Endpoint) control(p *sim.Proc, w *wireAM, size uint64, next func()) {
+	ep.put(p, netsim.Message{From: ep.node, To: w.am.To, Size: size, Control: true, Payload: w}, next)
 }
 
 // AMShort sends a control-only active message; the caller blocks for the
@@ -258,6 +323,13 @@ func (ep *Endpoint) control(p *sim.Proc, to int, size uint64, w wireAM) {
 // perfect fabric it always returns true.
 func (ep *Endpoint) AMShort(p *sim.Proc, to int, handler string, args interface{}) bool {
 	return ep.send(p, to, handler, args, memspace.Region{}, 0)
+}
+
+// AMShortFunc is AMShort from a callback or a non-blocking handler: the
+// send, retries included, is a chain of events, and whether it was
+// acknowledged is not reported.
+func (ep *Endpoint) AMShortFunc(to int, handler string, args interface{}) {
+	ep.send(nil, to, handler, args, memspace.Region{}, 0)
 }
 
 // AMMedium sends an active message carrying bytes of opaque payload.
@@ -276,55 +348,75 @@ func (ep *Endpoint) AMLong(p *sim.Proc, to int, handler string, args interface{}
 // bulk transfer or grow a retry ladder would measure the protocol instead
 // of the peer.
 func (ep *Endpoint) AMProbe(p *sim.Proc, to int, handler string, args interface{}) {
-	ep.control(p, to, headerBytes, wireAM{am: AM{Handler: handler, Args: args}})
+	ep.control(p, ep.wire(to, handler, args, memspace.Region{}, 0), headerBytes, nil)
 }
 
+// AMProbeFunc is AMProbe from a callback or a non-blocking handler.
+func (ep *Endpoint) AMProbeFunc(to int, handler string, args interface{}) {
+	ep.AMProbe(nil, to, handler, args)
+}
+
+// send is AMShort, AMMedium and AMLong, from process p or, p nil, as a chain
+// of events.
 func (ep *Endpoint) send(p *sim.Proc, to int, handler string, args interface{}, r memspace.Region, bytes uint64) bool {
-	m := netsim.Message{
-		From: ep.node, To: to, Size: headerBytes + bytes,
-		Payload: wireAM{
-			am:       AM{From: ep.node, To: to, Handler: handler, Args: args, Region: r, Bytes: bytes},
-			srcStore: ep.store,
-		},
+	w := ep.wire(to, handler, args, r, bytes)
+	w.srcStore = ep.store
+	m := netsim.Message{From: ep.node, To: to, Size: headerBytes + bytes, Payload: w}
+	if ep.rel != nil && to != ep.node {
+		return ep.sendReliably(p, m, w)
 	}
-	if ep.rel == nil || to == ep.node {
-		ep.ins.MsgsSent.Inc()
-		ep.ins.BytesSent.Add(int64(m.Size))
-		ep.f.Send(p, m)
-		return true
+	ep.ins.MsgsSent.Inc()
+	ep.ins.BytesSent.Add(int64(m.Size))
+	ep.put(p, m, nil)
+	return true
+}
+
+// sendReliably transmits m until it is acknowledged: transmit, wait for the
+// ack or the timeout, double the timeout, again — one ladder for both forms,
+// its steps run by p between waits or, p nil, each an event. From a process
+// the result is whether the ack came.
+func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM) bool {
+	rel := ep.rel
+	ep.seqTo[m.To]++
+	w.seq, w.needAck = ep.seqTo[m.To], true
+	if ep.closed {
+		return false
 	}
-	ep.seqTo[to]++
-	seq := ep.seqTo[to]
-	w := m.Payload.(wireAM)
-	w.seq, w.needAck = seq, true
-	m.Payload = w
-	key := ackKey{to, seq}
-	ack := sim.NewEvent(ep.e)
+	key, ack := ackKey{m.To, w.seq}, sim.NewEvent(ep.e)
 	ep.pending[key] = ack
-	defer delete(ep.pending, key)
-	timeout := ep.rel.AckTimeout
-	for attempt := 1; ; attempt++ {
-		if ep.closed {
-			return false
-		}
-		if attempt > 1 {
-			ep.ins.Retries.Inc()
-			if ep.rel.OnRetry != nil {
-				ep.rel.OnRetry(to, handler, attempt)
+	attempt, timeout := 1, rel.AckTimeout
+	var transmit func()
+	waited := func() {
+		switch {
+		case ack.Triggered():
+		case attempt >= rel.MaxAttempts || ep.closed:
+			if rel.OnGiveUp != nil {
+				rel.OnGiveUp(m.To, w.am.Handler)
 			}
+		default:
+			attempt++
+			timeout *= 2
+			ep.ins.Retries.Inc()
+			if rel.OnRetry != nil {
+				rel.OnRetry(m.To, w.am.Handler, attempt)
+			}
+			transmit()
+			return
 		}
+		delete(ep.pending, key)
+	}
+	transmit = func() {
 		ep.ins.MsgsSent.Inc()
 		ep.ins.BytesSent.Add(int64(m.Size))
-		ep.f.Send(p, m)
-		if ack.WaitFor(p, timeout) {
-			return true
-		}
-		if attempt >= ep.rel.MaxAttempts || ep.closed {
-			if ep.rel.OnGiveUp != nil {
-				ep.rel.OnGiveUp(to, handler)
+		ep.put(p, m, func() {
+			if p == nil {
+				ack.WaitForFunc(timeout, waited)
+				return
 			}
-			return false
-		}
-		timeout *= 2
+			ack.WaitFor(p, timeout)
+			waited()
+		})
 	}
+	transmit()
+	return ack.Triggered()
 }

@@ -113,14 +113,13 @@ func TestAMLongNonBlockingHandler(t *testing.T) {
 	if handlerAt < sim.Time(time.Millisecond) {
 		t.Fatalf("handler at %v, expected >= 1ms wire time", handlerAt)
 	}
-	if n := e.Spawned(); n != 2 { // main and the dispatcher; none for the handler
-		t.Fatalf("spawned %d processes, want 2", n)
+	if n := e.Spawned(); n != 1 { // main; none for the dispatcher or the handler
+		t.Fatalf("spawned %d processes, want 1", n)
 	}
 }
 
 // A non-blocking handler that panics is Run's error, whether the sender has
-// exited or is still blocked elsewhere; the dispatcher, parked on its inbox,
-// is unwound.
+// exited or is still blocked elsewhere.
 func TestPanickingNonBlockingHandlerStopsRun(t *testing.T) {
 	for _, senderStays := range []bool{false, true} {
 		e, _, eps := setup(2, false)

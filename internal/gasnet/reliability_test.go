@@ -21,7 +21,7 @@ func (h *dropHook) FilterSend(now sim.Time, m netsim.Message) netsim.Verdict {
 func (h *dropHook) FilterDeliver(sim.Time, netsim.Message) bool { return true }
 
 // handlerOf extracts the AM handler name of a fabric message.
-func handlerOf(m netsim.Message) string { return m.Payload.(wireAM).am.Handler }
+func handlerOf(m netsim.Message) string { return m.Payload.(*wireAM).am.Handler }
 
 func TestReliableSendRetriesThroughDrops(t *testing.T) {
 	e, f, eps := setup(2, false)

@@ -67,26 +67,30 @@ func NewWorld(e *sim.Engine, f *netsim.Fabric, stores []*memspace.Store) *World 
 	return w
 }
 
+// startDispatcher opens rank r's dispatcher: a callback, not a process,
+// takes each delivered message off the fabric inbox (sim.Queue.GetFunc) and
+// files it under its (source, tag).
 func (w *World) startDispatcher(r *Rank) {
 	inbox := w.f.Iface(r.rank).Inbox()
-	w.e.Go(fmt.Sprintf("mpi:dispatch:%d", r.rank), func(p *sim.Proc) {
-		for {
-			msg, ok := inbox.Get(p)
-			if !ok {
-				return
-			}
-			wm, isMPI := msg.Payload.(wireDelivery)
-			if !isMPI {
-				panic(fmt.Sprintf("mpi: foreign message on rank %d", r.rank))
-			}
-			// Eager protocol: payload bytes land in the receiver's host
-			// store at delivery time.
-			if wm.msg.region.Valid() {
-				memspace.CopyRegion(r.store, wm.srcStore, wm.msg.region)
-			}
-			r.queue(matchKey{wm.msg.src, wm.msg.tag}).Put(wm.msg)
+	var recv func(msg netsim.Message, ok bool)
+	recv = func(msg netsim.Message, ok bool) {
+		if !ok {
+			return // Shutdown
 		}
-	})
+		wm, isMPI := msg.Payload.(wireDelivery)
+		if !isMPI {
+			panic(fmt.Sprintf("mpi: foreign message on rank %d", r.rank))
+		}
+		// Eager protocol: payload bytes land in the receiver's host
+		// store at delivery time.
+		if wm.msg.region.Valid() {
+			memspace.CopyRegion(r.store, wm.srcStore, wm.msg.region)
+		}
+		r.queue(matchKey{wm.msg.src, wm.msg.tag}).Put(wm.msg)
+		inbox.GetFunc(recv)
+	}
+	// The first GetFunc waits for the slot a dispatcher process started in.
+	w.e.After(0, func() { inbox.GetFunc(recv) })
 }
 
 type wireDelivery struct {

@@ -90,6 +90,7 @@ type Fabric struct {
 	spec   hw.NetSpec
 	ifaces []*Iface
 	hook   Hook
+	free   []*xmit // delivered messages' records, for the next sends
 }
 
 // New returns a fabric with n node interfaces.
@@ -128,77 +129,151 @@ func (f *Fabric) SerializationTime(size uint64) time.Duration {
 	return time.Duration(float64(size) / f.spec.Bandwidth * 1e9)
 }
 
-// Send transmits msg, blocking the calling process for the sender-side cost
-// (per-message overhead plus serialization, including any queueing on the
-// two interfaces). Delivery into the destination inbox happens one wire
-// latency after serialization completes; the returned duration is that
-// delivery delay as seen from Send's return (zero for loopback or a
-// dropped message). Loopback (From == To) is delivered immediately with no
-// interface occupancy and no fault filtering.
-func (f *Fabric) Send(p *sim.Proc, msg Message) time.Duration {
+// xmit is one message in flight and its send chain: After(overhead) → TX →
+// RX → After(serialization) → After(latency), each step a func bound once,
+// so that a send on a recycled record allocates nothing. The end of
+// serialization, the chain's last step on the sender's side, is the wake-up
+// of the parked sender p, which then runs sent itself (Send), or one more
+// event, which runs sent and then done (SendFunc): the two forms differ in
+// nothing else.
+type xmit struct {
+	f        *Fabric
+	msg      Message
+	src, dst *Iface
+	v        Verdict
+	ser      time.Duration
+	p        *sim.Proc
+	done     func()
+
+	afterOverhead, afterTX, afterRX, afterSer, afterLat func()
+}
+
+// String names the message a parked sender waits on, for deadlock reports.
+func (x *xmit) String() string { return fmt.Sprintf("netsim send %d->%d", x.msg.From, x.msg.To) }
+
+// newXmit returns a record for one message, a recycled one if there is one.
+func (f *Fabric) newXmit() *xmit {
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	x := &xmit{f: f}
+	x.afterOverhead = func() {
+		if x.msg.Control {
+			// Control datagrams skip the occupancy model (see
+			// Message.Control) but still take their serialization time.
+			x.afterRX()
+			return
+		}
+		// The transfer occupies sender TX and receiver RX for the
+		// serialization interval. TX is always taken before RX, so the wait
+		// graph is acyclic and the pair cannot deadlock.
+		x.src.tx.AcquireFunc(x.afterTX)
+	}
+	x.afterTX = func() { x.dst.rx.AcquireFunc(x.afterRX) }
+	x.afterRX = func() {
+		if x.p != nil {
+			x.p.WakeAfter(x.ser)
+		} else {
+			f.e.After(x.ser, x.afterSer)
+		}
+	}
+	x.afterSer, x.afterLat = x.sent, x.deliver
+	return x
+}
+
+func (f *Fabric) recycle(x *xmit) {
+	x.msg, x.p, x.done = Message{}, nil, nil
+	f.free = append(f.free, x)
+}
+
+// sent ends the sender-side cost of x and puts it on the wire: delivery is
+// one latency later, unless the fault hook drops the message here.
+func (x *xmit) sent() {
+	f, src, done := x.f, x.src, x.done
+	if !x.msg.Control {
+		src.tx.Release()
+		x.dst.rx.Release()
+		src.stats.TxBusy += sim.Time(x.ser)
+	}
+	src.stats.MsgsSent++
+	src.stats.BytesSent += x.msg.Size
+	if x.v.Drop {
+		src.stats.MsgsDropped++
+		f.recycle(x)
+	} else {
+		lat := f.spec.Latency
+		if x.v.LatencyMult > 0 {
+			lat = time.Duration(float64(lat) * x.v.LatencyMult)
+		}
+		if hold := time.Duration(x.v.HoldUntil - f.e.Now()); hold > lat {
+			lat = hold
+		}
+		f.e.After(lat, x.afterLat)
+	}
+	if done != nil {
+		done()
+	}
+}
+
+// deliver hands the message to the destination inbox, or loses it there.
+func (x *xmit) deliver() {
+	f, dst := x.f, x.dst
+	if (f.hook != nil && !f.hook.FilterDeliver(f.e.Now(), x.msg)) || !dst.inbox.TryPut(x.msg) {
+		dst.stats.MsgsDropped++
+	} else {
+		dst.stats.MsgsReceived++
+		dst.stats.BytesReceived += x.msg.Size
+	}
+	f.recycle(x)
+}
+
+// start begins the send chain of msg and returns its record; p or done says
+// who ends it (see xmit). Loopback (From == To) is delivered at once, with
+// no interface occupancy and no fault filtering, and start returns nil.
+func (f *Fabric) start(msg Message, p *sim.Proc, done func()) *xmit {
 	if msg.From < 0 || msg.From >= len(f.ifaces) || msg.To < 0 || msg.To >= len(f.ifaces) {
 		panic(fmt.Sprintf("netsim: bad endpoints %d->%d", msg.From, msg.To))
 	}
-	src := f.ifaces[msg.From]
-	dst := f.ifaces[msg.To]
+	src, dst := f.ifaces[msg.From], f.ifaces[msg.To]
 	if msg.From == msg.To {
 		src.stats.MsgsSent++
 		src.stats.BytesSent += msg.Size
 		dst.stats.MsgsReceived++
 		dst.stats.BytesReceived += msg.Size
 		dst.inbox.Put(msg)
-		return 0
+		return nil
 	}
-	var v Verdict
+	x := f.newXmit()
+	x.msg, x.src, x.dst, x.p, x.done, x.v = msg, src, dst, p, done, Verdict{}
 	if f.hook != nil {
-		v = f.hook.FilterSend(f.e.Now(), msg)
+		x.v = f.hook.FilterSend(f.e.Now(), msg)
 	}
-	p.Sleep(f.spec.PerMessageOverhead)
-	ser := f.SerializationTime(msg.Size)
-	if v.SerMult > 0 {
-		ser = time.Duration(float64(ser) * v.SerMult)
+	x.ser = f.SerializationTime(msg.Size)
+	if x.v.SerMult > 0 {
+		x.ser = time.Duration(float64(x.ser) * x.v.SerMult)
 	}
-	if msg.Control {
-		// Control datagrams skip the occupancy model (see Message.Control)
-		// but still spend their serialization time on the calling process.
-		p.Sleep(ser)
-	} else {
-		// The transfer occupies sender TX and receiver RX for the
-		// serialization interval. TX is always acquired before RX, so the
-		// wait graph is acyclic and the pairwise acquisition cannot
-		// deadlock.
-		src.tx.Acquire(p)
-		//ompss:simblock-ok every Send acquires TX before RX, so the cross-process wait graph is acyclic
-		dst.rx.Acquire(p)
-		p.Sleep(ser)
-		src.tx.Release()
-		dst.rx.Release()
-		src.stats.TxBusy += sim.Time(ser)
+	f.e.After(f.spec.PerMessageOverhead, x.afterOverhead)
+	return x
+}
+
+// Send transmits msg, blocking the calling process for the sender-side cost:
+// per-message overhead plus serialization, including any queueing on the two
+// interfaces. p parks once per message, whatever the queueing. Delivery into
+// the destination inbox happens one wire latency after Send returns.
+func (f *Fabric) Send(p *sim.Proc, msg Message) {
+	if x := f.start(msg, p, nil); x != nil {
+		p.Park(x)
+		x.sent()
 	}
-	src.stats.MsgsSent++
-	src.stats.BytesSent += msg.Size
-	if v.Drop {
-		src.stats.MsgsDropped++
-		return 0
+}
+
+// SendFunc is Send for a sender that has no process: done (which may be nil,
+// and must not block) runs where Send would have returned — at once for
+// loopback.
+func (f *Fabric) SendFunc(msg Message, done func()) {
+	if f.start(msg, nil, done) == nil && done != nil {
+		done()
 	}
-	lat := f.spec.Latency
-	if v.LatencyMult > 0 {
-		lat = time.Duration(float64(lat) * v.LatencyMult)
-	}
-	if hold := time.Duration(v.HoldUntil - f.e.Now()); hold > lat {
-		lat = hold
-	}
-	f.e.After(lat, func() {
-		if f.hook != nil && !f.hook.FilterDeliver(f.e.Now(), msg) {
-			dst.stats.MsgsDropped++
-			return
-		}
-		if !dst.inbox.TryPut(msg) {
-			dst.stats.MsgsDropped++
-			return
-		}
-		dst.stats.MsgsReceived++
-		dst.stats.BytesReceived += msg.Size
-	})
-	return lat
 }

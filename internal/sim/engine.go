@@ -3,9 +3,11 @@
 // control. A component with control flow — a CPU worker, a GPU manager,
 // anything that stages and sends in a loop — is a process (Engine.Go): a
 // function on a coroutine, blocking in virtual time. A timed operation
-// without control flow — a kernel, a DMA, a message handler that only updates
-// state — is a chain of bare callbacks (Engine.After, Resource.AcquireFunc)
-// run inline by the engine's loop.
+// without control flow — a kernel, a DMA, a message, a handler that only
+// updates state or sends — is a chain of bare callbacks (Engine.After,
+// Resource.AcquireFunc, Queue.GetFunc, Event.WaitForFunc) run inline by the
+// engine's loop; a process that needs one parks, and its wake-up is the
+// chain's last step (Proc.Park, Proc.WakeAfter).
 //
 // Determinism contract: exactly one process or callback executes at any
 // instant. A process runs until it blocks (Sleep, Event.Wait, Queue.Get,
@@ -20,13 +22,16 @@
 // One loop: Engine.Run pops every event, runs a bare callback inline and
 // resumes a process with a coroutine switch (iter.Pull); a process that
 // blocks switches back. Nothing else runs, so an engine has no lock: its
-// state, and everything its processes and callbacks touch, is accessed by one
-// thread of control at a time, by construction. The other side of that rule
-// is that nothing outside a Run — another goroutine — may touch an engine or
-// its primitives while Run is executing. An exiting process leaves its
+// state, and everything its processes and callbacks touch — the unlocked
+// free lists of the layers above included — is accessed by one thread of
+// control at a time, by construction. The other side of that rule is that
+// nothing outside a Run — another goroutine — may touch an engine or its
+// primitives while Run is executing. An exiting process leaves its
 // coroutine, stack already grown, to the next one to start; Run ends them
-// all as it returns. Events are recycled and name their process without a
-// closure, so the steady-state hot path allocates only the Proc of each spawn.
+// all as it returns. Events are recycled and name their process or callback
+// without a closure of their own, so scheduling allocates nothing: what
+// allocates is a spawn (its Proc), a blocked Queue.Get (its slot) and an
+// Event's waiters and subscribers after the first.
 package sim
 
 import (
@@ -206,7 +211,7 @@ type unwind struct{}
 func (e *Engine) runProc(p *Proc) (reusable bool) {
 	defer func() {
 		r := recover()
-		if p.blockReason != "" {
+		if p.blockedOn != nil {
 			return // still blocked: Run is unwinding p, nothing left to account
 		}
 		if r != nil {
@@ -322,7 +327,7 @@ func (e *Engine) Run() error {
 		if p.co == nil {
 			p.co = e.coroutine(p)
 		}
-		p.blockReason = ""
+		p.blockedOn = nil
 		e.resumed++
 		p.co.next()
 	}
@@ -331,9 +336,9 @@ func (e *Engine) Run() error {
 	e.idle = nil
 	var names []string
 	for _, p := range e.procs {
-		if p.blockReason != "" {
+		if p.blockedOn != nil {
 			left = append(left, p.co)
-			names = append(names, fmt.Sprintf("%s#%d: %s", p.name, p.id, p.blockReason))
+			names = append(names, fmt.Sprintf("%s#%d: %v", p.name, p.id, p.blockedOn))
 		}
 	}
 	if !e.stopped && len(names) > 0 {

@@ -8,12 +8,11 @@ type Proc struct {
 	fn   func(*Proc) // the body
 	co   *coro       // the coroutine running it, once it has started
 
-	// blockReason is non-empty while the process is blocked; it doubles as
-	// the lazy replacement for a blocked-process map (deadlock reports scan
-	// the live-process registry instead of maintaining a map on every
-	// block/wake).
-	blockReason string
-	onExit      *Event // lazily created by Done()
+	// blockedOn is non-nil while the process is blocked: a string, or a
+	// Stringer asked only when a deadlock report is made. Reports scan the
+	// live-process registry, so a block or a wake maintains no map.
+	blockedOn interface{}
+	onExit    *Event // lazily created by Done()
 
 	id, regIdx int32 // regIdx: position in e.procs, maintained on spawn/exit
 	done       bool  // packed with them: a Proc stays in the 80-byte class
@@ -25,26 +24,37 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// block suspends the process, switching back to Run's loop, until a
-// scheduled wake-up (or a primitive) has Run resume it. reason appears in
-// deadlock reports. If Run stops the coroutine instead — or already has, and
-// this is a deferred call blocking during the unwinding — the process unwinds.
-func (p *Proc) block(reason string) {
-	p.blockReason = reason
+// Park suspends the process, switching back to Run's loop, until a wake-up
+// has Run resume it: one that a primitive schedules (Sleep, Event.Wait, ...),
+// or one that callbacks the process started schedule with WakeAfter — which
+// is how an operation built as a chain of events serves a process too: the
+// chain's last timed step is the caller's wake-up, in the slot one more
+// callback would have had. on, a string or a Stringer, names the wait in
+// deadlock reports. If Run stops the coroutine instead (or already has, and
+// this is a deferred call blocking during the unwinding), the process unwinds.
+func (p *Proc) Park(on interface{}) {
+	p.blockedOn = on
 	if !p.co.yield(struct{}{}) {
 		panic(unwind{})
 	}
+}
+
+// WakeAfter schedules the wake-up of p, which is parked or about to park,
+// after d (behind the events pending now when d <= 0). A process has at most
+// one wake-up pending.
+func (p *Proc) WakeAfter(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	p.e.schedule(p.e.now+Time(d), p, nil)
 }
 
 // Sleep suspends the process for virtual duration d. Negative or zero d
 // yields: the process is rescheduled at the current time behind already
 // pending same-time events.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.e.schedule(p.e.now+Time(d), p, nil)
-	p.block("sleeping")
+	p.WakeAfter(d)
+	p.Park("sleeping")
 }
 
 // Yield reschedules the process behind all events pending at the current
@@ -122,18 +132,38 @@ func (ev *Event) OnTrigger(fn func()) {
 
 // WaitFor blocks the calling process until the event triggers or virtual
 // duration d elapses, whichever comes first, and reports whether the event
-// has triggered. A process has at most one wake-up pending, so the timeout
-// is built from an auxiliary one-shot event fed by both sources rather than
-// a second direct wake.
+// has triggered.
 func (ev *Event) WaitFor(p *Proc, d Duration) bool {
-	if ev.Triggered() {
-		return true
+	if !ev.Triggered() {
+		ev.orAfter(d, func() { p.WakeAfter(0) })
+		p.Park("event wait")
 	}
-	fire := NewEvent(ev.e)
-	ev.OnTrigger(fire.Trigger)
-	ev.e.After(d, fire.Trigger)
-	fire.Wait(p)
 	return ev.Triggered()
+}
+
+// WaitForFunc is WaitFor for a waiter that has no process: fn runs — at once
+// if the event has triggered, else as a bare callback in the slot the
+// process would have resumed in — and asks Triggered for the outcome.
+func (ev *Event) WaitForFunc(d Duration, fn func()) {
+	if ev.Triggered() {
+		fn()
+		return
+	}
+	ev.orAfter(d, func() { ev.e.After(0, fn) })
+}
+
+// orAfter calls wake once, when the event triggers or d from now, whichever
+// comes first: a waiter has at most one wake-up pending, so the two sources
+// feed one callback that schedules it rather than each scheduling their own.
+func (ev *Event) orAfter(d Duration, wake func()) {
+	first := func() {
+		if wake != nil {
+			wake()
+			wake = nil
+		}
+	}
+	ev.OnTrigger(first)
+	ev.e.After(d, first)
 }
 
 // Wait blocks the calling process until the event triggers. Returns
@@ -147,7 +177,7 @@ func (ev *Event) Wait(p *Proc) {
 	default:
 		ev.waiters = append(ev.waiters, p)
 	}
-	p.block("event wait")
+	p.Park("event wait")
 }
 
 // WaitAll blocks until every event in evs has triggered.
@@ -196,5 +226,5 @@ func (c *Counter) Wait(p *Proc) {
 		return
 	}
 	c.waiters = append(c.waiters, p)
-	p.block("counter wait")
+	p.Park("counter wait")
 }

@@ -22,6 +22,9 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	return &Resource{e: e, name: name, capacity: capacity}
 }
 
+// String names the resource as something a process waits on.
+func (r *Resource) String() string { return "resource " + r.name }
+
 // resWaiter is one queued requester: a blocked process or a continuation.
 type resWaiter struct {
 	p  *Proc
@@ -32,7 +35,7 @@ type resWaiter struct {
 // the resource is saturated.
 func (r *Resource) Acquire(p *Proc) {
 	if !r.request(resWaiter{p: p}) {
-		p.block("resource " + r.name)
+		p.Park(r)
 	}
 }
 
