@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test lint lint-json race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest serve-smoke weakscale weakscale-smoke powercap
+.PHONY: check vet fmt build test lint lint-json race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest weakscale powercap
 
 ## check: gofmt + go vet + build + ompss-lint + full test suite (the tier-1 gate)
 check: fmt vet build lint test
@@ -20,12 +20,13 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: the determinism/concurrency/dependence analyzers (DESIGN.md §9);
-## any unsuppressed finding fails the gate
+## lint: the determinism/engine-blocking/dependence analyzers (DESIGN.md §9);
+## any unsuppressed finding fails the gate. There is no lock analyzer: where
+## the threads are, and that serve has one mutex, is a test in internal/sim
 lint:
 	$(GO) run ./cmd/ompss-lint ./...
 
-## lint-json: the same seven passes as machine-readable records in lint.json
+## lint-json: the same six passes as machine-readable records in lint.json
 ## (suppressed findings included — this is the CI lint-report artifact)
 lint-json:
 	$(GO) run ./cmd/ompss-lint -json ./... > lint.json || true
@@ -88,29 +89,20 @@ serve:
 	$(GO) run ./cmd/ompss-serve
 
 ## loadtest: the canonical serve load test — 1000 concurrent clients against
-## a warm cache; fails below 99% hit rate (LOAD_CLIENTS/LOAD_REQUESTS/
-## LOAD_DISTINCT tune it)
+## a warm cache; fails below 99% hit rate (the binary's -clients/-requests/
+## -distinct flags tune it). The end-to-end smoke of the binaries — resident
+## serve with SIGTERM drain, selftest, quick weakscale and powercap — is
+## cmd/smoke_test.go, part of `make test`
 loadtest:
-	sh scripts/load_test.sh
-
-## serve-smoke: end-to-end smoke of the resident mode — boot, warm-hit
-## burst, byte-identical bodies, graceful SIGTERM drain (the CI job)
-serve-smoke:
-	sh scripts/serve_smoke.sh
+	$(GO) run ./cmd/ompss-serve -selftest
 
 ## weakscale: the full weak-scaling grid (8/64/256 nodes, centralized vs
 ## sharded managers; tasks/sec and directory-ops/sec in virtual time)
 weakscale:
 	$(GO) run ./cmd/ompss-bench -experiment weakscale
 
-## weakscale-smoke: the required CI gate — quick weakscale grid plus the
-## checksum verify points (Matmul at 8/32 nodes, 1 vs 4 shards); fails on
-## any divergence between centralized and sharded results
-weakscale-smoke:
-	sh scripts/weakscale_smoke.sh
-
-## powercap: the power-capped heterogeneous frontier at quick sizes — the
-## CI smoke. Mixed GTX480+Tesla cluster, bf/default/affinity/heft at a
+## powercap: the power-capped heterogeneous frontier at quick sizes.
+## Mixed GTX480+Tesla cluster, bf/default/affinity/heft at a
 ## descending cap ladder; the built-in verify row fails the run if a
 ## capped checksum diverges from uncapped or the recorded peak exceeds
 ## the cap

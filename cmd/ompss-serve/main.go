@@ -28,7 +28,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "experiment workers (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue", 64, "admission queue depth (cold misses beyond this get 429)")
 		cacheMB    = flag.Int64("cache-mb", 256, "result cache size bound in MiB")
-		maxJobs    = flag.Int("max-jobs", 1024, "job registry bound")
+		maxJobs    = flag.Int("max-jobs", 1024, "job table bound")
 		drainSecs  = flag.Int("drain-timeout", 60, "graceful drain timeout in seconds")
 		selftest   = flag.Bool("selftest", false, "run the built-in load test against a private server and exit")
 		clients    = flag.Int("clients", 1000, "selftest: concurrent clients")

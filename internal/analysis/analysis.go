@@ -17,8 +17,8 @@
 //   - detmaprange: no ranging over maps in simulator code; Go map
 //     iteration order is deliberately randomized and anything it leaks
 //     into (schedules, traces, checksums) breaks replay.
-//   - simblocking: no blocking into the sim engine while holding a
-//     sync.Mutex or an acquired sim.Resource, and no blocking at all in
+//   - simblocking: no nested or unbounded blocking into the sim engine
+//     while holding an acquired sim.Resource, and no blocking at all in
 //     the engine's inline-callback contexts (Engine.After,
 //     Event.OnTrigger) — the deadlock shapes the virtual-clock engine
 //     cannot detect at runtime.
@@ -31,9 +31,11 @@
 //     Reduction clause at the submission site, and every declared clause
 //     is actually used by the body (an unused clause serializes tasks
 //     for nothing).
-//   - lockorder (interprocedural): sync.Mutex/RWMutex acquisitions form
-//     a consistent partial order — no AB/BA pairs, no cycles — across
-//     the module's static lock graph.
+//
+// There is no lock analyzer: outside internal/serve, internal/bench's
+// grid pool and this package nothing under internal/ has a second thread
+// to lock against, and serve has one mutex, so lock order is vacuous.
+// sim.TestOneThreadOfControlByStructure holds both facts.
 //
 // Findings are suppressed per line with `//ompss:<kind> <reason>`; a
 // directive without a reason is itself a finding. Suppressed findings
@@ -61,8 +63,7 @@ type Analyzer struct {
 	// Run applies the pass to one type-checked package.
 	Run func(*Pass) error
 	// RunModule applies the pass once to the whole package set. Used by
-	// the interprocedural passes (depverify, lockorder), whose function
-	// summaries must cross package boundaries.
+	// depverify, whose function summaries must cross package boundaries.
 	RunModule func(*ModulePass) error
 }
 
@@ -245,7 +246,6 @@ func Analyzers() []*Analyzer {
 		TracePair,
 		OmpssDirective,
 		DepVerify,
-		LockOrder,
 	}
 }
 

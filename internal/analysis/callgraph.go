@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// The interprocedural passes (depverify, lockorder) share one view of
-// the module: a declaration index mapping every function and method
+// The interprocedural pass (depverify) works on one view of the
+// module: a declaration index mapping every function and method
 // object to its syntax plus the package that type-checked it, and a
 // static call-graph extractor on top. Both are deliberately
 // flow-insensitive and resolve only statically-dispatched calls —

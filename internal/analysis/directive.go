@@ -30,7 +30,6 @@ var KnownKinds = map[string]string{
 	"simblock-ok":  "simblocking",
 	"tracepair-ok": "tracepair",
 	"depverify-ok": "depverify",
-	"lockorder-ok": "lockorder",
 }
 
 // parseDirective parses a single comment, reporting ok=false for

@@ -23,9 +23,9 @@ func TestEncodeJSON(t *testing.T) {
 		},
 		{
 			Pos:        token.Position{Filename: "/abs/root/pkg/b.go", Line: 3, Column: 1},
-			Analyzer:   "lockorder",
-			Message:    "inconsistent lock order",
-			Kind:       "lockorder-ok",
+			Analyzer:   "simblocking",
+			Message:    "nested rx.Acquire while resource tx is held",
+			Kind:       "simblock-ok",
 			Suppressed: true,
 		},
 	}
@@ -47,7 +47,7 @@ func TestEncodeJSON(t *testing.T) {
 	if got[0]["suppressed"] != false || got[1]["suppressed"] != true {
 		t.Errorf("suppressed flags wrong: %v / %v", got[0]["suppressed"], got[1]["suppressed"])
 	}
-	if got[1]["analyzer"] != "lockorder" || got[1]["line"] != float64(3) {
+	if got[1]["analyzer"] != "simblocking" || got[1]["line"] != float64(3) {
 		t.Errorf("record fields wrong: %v", got[1])
 	}
 

@@ -11,12 +11,9 @@ import (
 // process forms built on them (netsim Send, gasnet AMShort/AMMedium/AMLong/
 // AMProbe) made
 //
-//   - while a sync.Mutex/RWMutex locked in the same function is still
-//     held — the engine parks the process with the lock taken and every
-//     other process that wants it deadlocks at a frozen virtual time;
 //   - while an acquired sim.Resource is still held, for nested acquires
 //     and unbounded waits — two processes acquiring two resources in
-//     opposite orders freeze the clock the same way (bounded
+//     opposite orders deadlock at a frozen virtual time (bounded
 //     Sleep/Yield with a resource held is the occupancy model itself
 //     and is allowed);
 //   - anywhere inside Engine.After / Event.OnTrigger / Event.WaitForFunc /
@@ -27,10 +24,10 @@ import (
 //
 // The analysis is per-function and source-ordered; function literals
 // are independent contexts (a spawned process does not inherit its
-// parent's locks).
+// parent's resources).
 var SimBlocking = &Analyzer{
 	Name: "simblocking",
-	Doc:  "forbid sim blocking calls under held mutexes/resources and inside inline engine callbacks",
+	Doc:  "forbid sim blocking calls under held resources and inside inline engine callbacks",
 	Run:  runSimBlocking,
 }
 
@@ -92,25 +89,20 @@ func runSimBlocking(pass *Pass) error {
 	return nil
 }
 
-// heldSync is one mutex or resource currently held, keyed by the source
-// text of its receiver expression.
-type heldSync struct {
-	expr string
-}
-
 // scanBlockingContext walks one function-like body in source order,
-// tracking held mutexes and resources. noblock marks inline engine
-// callback bodies where any blocking call is an error.
+// tracking held resources by the source text of their receiver
+// expression. noblock marks inline engine callback bodies where any
+// blocking call is an error.
 func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
-	var heldMu, heldRes []heldSync
+	var heldRes []string
 	// litMode defers nested function literals to their own scan, in the
 	// mode their enclosing call dictates.
 	litMode := make(map[*ast.FuncLit]bool)
 	deferred := make(map[*ast.CallExpr]bool)
 
-	remove := func(held []heldSync, expr string) []heldSync {
+	remove := func(held []string, expr string) []string {
 		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].expr == expr {
+			if held[i] == expr {
 				return append(held[:i], held[i+1:]...)
 			}
 		}
@@ -126,17 +118,6 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 			scanBlockingContext(pass, n.Body, litMode[n])
 			return false
 		case *ast.CallExpr:
-			if expr, op, ok := mutexOp(pass, n); ok {
-				switch op {
-				case "Lock", "RLock":
-					heldMu = append(heldMu, heldSync{expr})
-				case "Unlock", "RUnlock":
-					if !deferred[n] {
-						heldMu = remove(heldMu, expr)
-					}
-				}
-				return true
-			}
 			fn, recv, ok := callee(pass, n)
 			if !ok {
 				return true
@@ -166,18 +147,15 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 			case noblock:
 				report(pass, n, "%s inside an inline engine callback: After, OnTrigger, AcquireFunc, GetFunc, "+
 					"SendFunc and RegisterNonBlocking bodies run on the engine loop and must not block", name)
-			case len(heldMu) > 0:
-				report(pass, n, "%s while mutex %s is held: blocking under a lock "+
-					"deadlocks the virtual-clock engine", name, heldMu[len(heldMu)-1].expr)
 			case len(heldRes) > 0 && fn.Name() == "Acquire" && isResourceMethod(fn):
 				report(pass, n, "nested %s.Acquire while resource %s is held: opposite "+
-					"acquisition orders deadlock at a frozen virtual time", recv, heldRes[len(heldRes)-1].expr)
+					"acquisition orders deadlock at a frozen virtual time", recv, heldRes[len(heldRes)-1])
 			case len(heldRes) > 0 && isSimPkg(fn.Pkg().Path()) && simUnboundedFuncs[fn.Name()]:
 				report(pass, n, "unbounded %s while resource %s is held: the waiter "+
-					"keeps the resource occupied forever if the wake-up never comes", name, heldRes[len(heldRes)-1].expr)
+					"keeps the resource occupied forever if the wake-up never comes", name, heldRes[len(heldRes)-1])
 			}
 			if fn.Name() == "Acquire" && isResourceMethod(fn) {
-				heldRes = append(heldRes, heldSync{recv})
+				heldRes = append(heldRes, recv)
 			}
 			return true
 		}
@@ -187,37 +165,6 @@ func scanBlockingContext(pass *Pass, body *ast.BlockStmt, noblock bool) {
 
 func report(pass *Pass, n *ast.CallExpr, format string, args ...interface{}) {
 	pass.ReportSuppressible("simblock-ok", n.Pos(), format+" (or annotate //ompss:simblock-ok <reason>)", args...)
-}
-
-// mutexOp matches method calls on sync.Mutex/sync.RWMutex values,
-// returning the receiver's source text and the method name.
-func mutexOp(pass *Pass, call *ast.CallExpr) (expr, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	selection, isMethod := pass.TypesInfo.Selections[sel]
-	if !isMethod {
-		return "", "", false
-	}
-	t := selection.Recv()
-	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return types.ExprString(sel.X), sel.Sel.Name, true
-	}
-	return "", "", false
 }
 
 // callee resolves a call to a declared function or method of some package,

@@ -10,8 +10,7 @@ import (
 // analyzer suite over the real module must report no unsuppressed
 // finding. It also exercises LoadModule end to end (module walking,
 // stdlib imports via export data, recursive in-module resolution) and
-// the module-level passes (depverify, lockorder) on the real task
-// graph and lock graph.
+// the module-level pass (depverify) on the real task graph.
 func TestSuiteCleanOnTree(t *testing.T) {
 	pkgs, err := analysis.LoadModule("../..")
 	if err != nil {
@@ -36,7 +35,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 }
 
-// TestSuiteRoster pins the suite composition: all seven passes, in
+// TestSuiteRoster pins the suite composition: all six passes, in
 // registration order. A pass silently falling out of Analyzers() would
 // otherwise leave its suppression kind dangling and its invariants
 // unenforced.
@@ -48,7 +47,6 @@ func TestSuiteRoster(t *testing.T) {
 		"tracepair",
 		"ompssdirective",
 		"depverify",
-		"lockorder",
 	}
 	got := analysis.Analyzers()
 	if len(got) != len(want) {

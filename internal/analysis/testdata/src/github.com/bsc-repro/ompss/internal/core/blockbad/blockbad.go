@@ -3,27 +3,10 @@
 package blockbad
 
 import (
-	"sync"
-
 	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
-
-// SleepUnderLock blocks while holding a mutex.
-func SleepUnderLock(p *sim.Proc, mu *sync.Mutex) {
-	mu.Lock()
-	p.Sleep(1) // want "sim Sleep while mutex mu is held"
-	mu.Unlock()
-}
-
-// WaitUnderDeferredUnlock still holds the lock at the wait: the deferred
-// unlock only runs at return.
-func WaitUnderDeferredUnlock(p *sim.Proc, mu *sync.RWMutex, ev *sim.Event) {
-	mu.Lock()
-	defer mu.Unlock()
-	ev.Wait(p) // want "sim Wait while mutex mu is held"
-}
 
 // NestedAcquire takes a second resource while holding the first.
 func NestedAcquire(p *sim.Proc, a, b *sim.Resource) {

@@ -1,22 +1,13 @@
-// Package blockok is the clean golden case for simblocking: unlock
-// before blocking, the bounded occupancy model, spawning from inline
-// callbacks, and the reasoned escape hatch.
+// Package blockok is the clean golden case for simblocking: the bounded
+// occupancy model, spawning from inline callbacks, and the reasoned
+// escape hatch.
 package blockok
 
 import (
-	"sync"
-
 	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
-
-// UnlockThenSleep releases the lock before parking.
-func UnlockThenSleep(p *sim.Proc, mu *sync.Mutex) {
-	mu.Lock()
-	mu.Unlock()
-	p.Sleep(1)
-}
 
 // Occupy models engine occupancy: a bounded Sleep with the resource
 // held is the point of the pattern.

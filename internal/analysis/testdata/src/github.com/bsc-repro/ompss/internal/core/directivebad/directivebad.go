@@ -14,6 +14,12 @@ func Unknown() int {
 	return 2
 }
 
+// A kind whose analyzer is gone is unknown again, reason or not.
+func Retired() int {
+	/* want "unknown directive //ompss:lockorder-ok" */ //ompss:lockorder-ok both paths run under the admission lock
+	return 4
+}
+
 // Reasoned directives of known kinds are fine anywhere.
 func Fine() int {
 	//ompss:maporder-ok documented: pure count

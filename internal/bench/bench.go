@@ -143,7 +143,7 @@ func All() []Experiment {
 // (never golden-comparable, and it would perturb the suite's timing
 // harness); weakscale is deterministic virtual time but probes the
 // manager layer, not a figure, and has its own CI gates
-// (weakscale-smoke, bench_guard).
+// (cmd/smoke_test.go, bench_guard).
 func Extras() []Experiment {
 	return []Experiment{
 		{"stress", "Submission stress: host-side tasks/sec on strided million-task graphs", Stress},

@@ -26,7 +26,7 @@ import (
 // The verify points are the checksum gate: the same validated Matmul runs
 // centralized (shards=1) and sharded (shards=4) and must produce
 // bit-equal result checksums — sharding moves manager work, never
-// results. `make weakscale-smoke` runs these in CI.
+// results. cmd/smoke_test.go runs these in CI.
 
 const (
 	// weakChainBytes is one chain's allocation: a full ownership block,

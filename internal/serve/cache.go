@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "container/list"
 
 // Result is the cached artifact of one experiment execution: the
 // deterministic byte encodings internal/bench produced, keyed by the
@@ -30,11 +27,11 @@ func (r *Result) sizeBytes() int64 {
 	return int64(len(r.CSV)+len(r.MetricsText)+len(r.TraceJSON)) + overhead
 }
 
-// cache is the LRU, total-size-bounded result store. All methods are
-// safe for concurrent use. Hit/miss/eviction accounting lives in the
-// server's stats, fed by the return values here.
+// cache is the LRU, total-size-bounded result store. It has no lock of
+// its own: it is part of the table and is read and written under the
+// table's mutex. Hit/miss/eviction accounting lives in the server's stats,
+// fed by the return values here.
 type cache struct {
-	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	lru      *list.List               // front = most recently used; values are *Result
@@ -51,8 +48,6 @@ func newCache(maxBytes int64) *cache {
 
 // get returns the cached result for hash and refreshes its recency.
 func (c *cache) get(hash string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[hash]
 	if !ok {
 		return nil, false
@@ -68,8 +63,6 @@ func (c *cache) get(hash string) (*Result, bool) {
 // already-present hash refreshes recency and replaces the value.
 func (c *cache) put(res *Result) (evicted int) {
 	sz := res.sizeBytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if sz > c.maxBytes {
 		return 0
 	}
@@ -97,7 +90,5 @@ func (c *cache) put(res *Result) (evicted int) {
 
 // stats returns the entry count and resident bytes.
 func (c *cache) stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.entries), c.bytes
 }

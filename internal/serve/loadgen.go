@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// LoadOptions configures the load driver (scripts/load_test.sh and
-// `ompss-serve -selftest` both run this).
+// LoadOptions configures the load driver (`ompss-serve -selftest`, which
+// `make loadtest` runs).
 type LoadOptions struct {
 	// BaseURL of a running server, e.g. "http://127.0.0.1:8080".
 	BaseURL string

@@ -21,41 +21,29 @@ type stats struct {
 	badRequests    atomic.Int64 // serve_bad_requests_total
 	execErrors     atomic.Int64 // serve_exec_errors_total
 	execOK         atomic.Int64 // serve_exec_completed_total
-	queueMax       atomic.Int64 // high-water mark of the admission queue
 }
 
-// noteQueueDepth records a queue-depth observation for the high-water
-// mark.
-func (st *stats) noteQueueDepth(d int64) {
-	for {
-		cur := st.queueMax.Load()
-		if d <= cur || st.queueMax.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// registry renders the instruments into an internal/metrics registry.
+// registry renders one Stats snapshot into an internal/metrics registry.
 // The registry is rebuilt per call (single-writer by construction), so
 // WriteText output has the standard canonical ordering.
-func (st *stats) registry(queueDepth int64, cacheEntries int, cacheBytes int64, jobs int) *metrics.Registry {
+func registry(st CacheStats) *metrics.Registry {
 	reg := metrics.New()
-	reg.Counter("serve_requests").Add(st.requests.Load())
-	reg.Counter("serve_cache_hit").Add(st.cacheHits.Load())
-	reg.Counter("serve_cache_miss").Add(st.cacheMisses.Load())
-	reg.Counter("serve_cache_evict").Add(st.cacheEvicts.Load())
-	reg.Counter("serve_dedup_coalesced").Add(st.coalesced.Load())
-	reg.Counter("serve_reject_overload").Add(st.rejectOverload.Load())
-	reg.Counter("serve_bad_requests").Add(st.badRequests.Load())
-	reg.Counter("serve_exec_errors").Add(st.execErrors.Load())
-	reg.Counter("serve_exec_completed").Add(st.execOK.Load())
+	reg.Counter("serve_requests").Add(st.Requests)
+	reg.Counter("serve_cache_hit").Add(st.Hits)
+	reg.Counter("serve_cache_miss").Add(st.Misses)
+	reg.Counter("serve_cache_evict").Add(st.Evictions)
+	reg.Counter("serve_dedup_coalesced").Add(st.Coalesced)
+	reg.Counter("serve_reject_overload").Add(st.RejectedOverload)
+	reg.Counter("serve_bad_requests").Add(st.BadRequests)
+	reg.Counter("serve_exec_errors").Add(st.ExecErrors)
+	reg.Counter("serve_exec_completed").Add(st.ExecCompleted)
 	// Set the high-water mark first so the gauge's Max reflects it, then
 	// the instantaneous depth as the current value.
 	q := reg.Gauge("serve_queue_depth")
-	q.Set(st.queueMax.Load())
-	q.Set(queueDepth)
-	reg.Gauge("serve_cache_entries").Set(int64(cacheEntries))
-	reg.Gauge("serve_cache_bytes").Set(cacheBytes)
-	reg.Gauge("serve_jobs").Set(int64(jobs))
+	q.Set(st.QueueMax)
+	q.Set(int64(st.QueueDepth))
+	reg.Gauge("serve_cache_entries").Set(int64(st.Entries))
+	reg.Gauge("serve_cache_bytes").Set(st.Bytes)
+	reg.Gauge("serve_jobs").Set(int64(st.Jobs))
 	return reg
 }

@@ -34,7 +34,7 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a cold miss arriving with
 	// the queue full is rejected with 429 (default 64).
 	QueueDepth int
-	// MaxJobs bounds the job registry (default 1024; completed jobs are
+	// MaxJobs bounds the job table (default 1024; completed jobs are
 	// evicted oldest-first past the bound).
 	MaxJobs int
 	// Execute overrides the experiment executor (tests only).
@@ -79,16 +79,9 @@ func defaultExecute(req Request, onPoint func(bench.PointDone)) (*bench.ExecResu
 // Start, stop with Shutdown (graceful drain: accepted work finishes,
 // new work is refused).
 type Server struct {
-	cfg   Config
-	st    stats
-	cache *cache
-	jobs  *jobRegistry
-
-	mu       sync.Mutex
-	inflight map[string]*Job // config hash -> the one job computing it
-	draining bool
-
-	queue   chan *Job
+	cfg     Config
+	st      stats
+	tab     *table
 	workers sync.WaitGroup
 
 	httpSrv *http.Server
@@ -99,13 +92,7 @@ type Server struct {
 // New builds a server (not yet listening).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{
-		cfg:      cfg,
-		cache:    newCache(cfg.CacheBytes),
-		jobs:     newJobRegistry(cfg.MaxJobs),
-		inflight: make(map[string]*Job),
-		queue:    make(chan *Job, cfg.QueueDepth),
-	}
+	return &Server{cfg: cfg, tab: newTable(cfg.CacheBytes, cfg.MaxJobs, cfg.QueueDepth)}
 }
 
 // elapsedNS is the server-edge event timestamp: wall nanoseconds since
@@ -155,17 +142,9 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // queued and running jobs finish, then the HTTP server closes. Safe to
 // call once; ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if !s.tab.drain() {
 		return nil
 	}
-	s.draining = true
-	// Enqueues happen under mu and check draining first, so closing here
-	// cannot race a send.
-	close(s.queue)
-	s.mu.Unlock()
-
 	drained := make(chan struct{})
 	go func() {
 		s.workers.Wait()
@@ -185,21 +164,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // worker executes queued jobs until the queue is closed and empty.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for j := range s.queue {
+	for j := range s.tab.queue {
 		s.runJob(j)
 	}
 }
 
 // runJob computes one job, stores the result, and releases waiters.
 func (s *Server) runJob(j *Job) {
-	j.setRunning(s.elapsedNS())
+	s.tab.start(j, s.elapsedNS())
 	onPoint := func(p bench.PointDone) {
 		ev := Event{Kind: "point", Config: p.Config, Index: p.Index, Total: p.Total,
 			ElapsedNS: s.elapsedNS()}
 		if p.Err != nil {
 			ev.Error = p.Err.Error()
 		}
-		j.append(ev)
+		s.tab.point(j, ev)
 	}
 	er, err := s.execute(j, onPoint)
 	var res *Result
@@ -212,15 +191,11 @@ func (s *Server) runJob(j *Job) {
 			MetricsText: er.MetricsText,
 			TraceJSON:   er.TraceJSON,
 		}
-		s.st.cacheEvicts.Add(int64(s.cache.put(res)))
 		s.st.execOK.Add(1)
 	} else {
 		s.st.execErrors.Add(1)
 	}
-	s.mu.Lock()
-	delete(s.inflight, j.Hash)
-	s.mu.Unlock()
-	j.finish(res, err, s.elapsedNS())
+	s.st.cacheEvicts.Add(int64(s.tab.finish(j, res, err, s.elapsedNS())))
 }
 
 // execute runs j's request. A panic here is on a worker goroutine, outside
@@ -291,10 +266,10 @@ func writeResult(w http.ResponseWriter, res *Result, cacheState string) {
 	w.Write([]byte("\n"))
 }
 
-// handleSubmit is POST /v1/experiments: parse, hash, and serve through
-// the three-stage path — cache, singleflight, worker pool. ?async=1
-// returns immediately with a job id; otherwise the handler waits for the
-// result.
+// handleSubmit is POST /v1/experiments: parse, hash, and let the table
+// decide in one step — cached, already in flight, or admitted to the
+// worker pool. ?async=1 returns immediately with a job id; otherwise the
+// handler waits for the result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") == "1"
 	req, err := ParseRequest(r.Body)
@@ -306,47 +281,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.st.requests.Add(1)
 	hash := req.Hash()
 
-	// Stage 1: result cache.
-	if res, ok := s.cache.get(hash); ok {
+	outcome, res, j := s.tab.admit(req, hash, s.elapsedNS())
+	if outcome == admitHit {
 		s.st.cacheHits.Add(1)
 		if async {
 			s.writeAsyncAccepted(w, http.StatusOK, "", hash, JobDone)
 			return
 		}
-		writeResult(w, res, "hit")
+		writeResult(w, res, outcome)
 		return
 	}
 	s.st.cacheMisses.Add(1)
-
-	// Stage 2: singleflight — one in-flight computation per hash.
-	// Stage 3: bounded admission into the worker pool.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	switch outcome {
+	case admitDraining:
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
-	}
-	j, coalesced := s.inflight[hash]
-	if !coalesced {
-		j = s.jobs.create(req, hash)
-		select {
-		case s.queue <- j:
-			s.inflight[hash] = j
-			s.st.noteQueueDepth(int64(len(s.queue)))
-		default:
-			s.jobs.remove(j.ID)
-			s.mu.Unlock()
-			s.st.rejectOverload.Add(1)
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests, "admission queue full (%d deep); retry", s.cfg.QueueDepth)
-			return
-		}
-	}
-	s.mu.Unlock()
-	if coalesced {
+	case admitFull:
+		s.st.rejectOverload.Add(1)
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, "admission queue full (%d deep); retry", s.cfg.QueueDepth)
+		return
+	case admitCoalesced:
 		s.st.coalesced.Add(1)
-	} else {
-		j.append(Event{Kind: "queued", ElapsedNS: s.elapsedNS()})
 	}
 
 	if async {
@@ -358,17 +314,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		return // client went away; the job keeps running for the others
 	}
-	state, res, errMsg := j.snapshot()
-	if state == JobError {
-		httpError(w, http.StatusInternalServerError, "experiment failed: %s", errMsg)
+	if j.state == JobError {
+		httpError(w, http.StatusInternalServerError, "experiment failed: %s", j.errMsg)
 		return
 	}
-	cacheState := "miss"
-	if coalesced {
-		cacheState = "coalesced"
-	}
 	w.Header().Set("X-Ompss-Job", j.ID)
-	writeResult(w, res, cacheState)
+	writeResult(w, j.res, outcome)
 }
 
 // writeAsyncAccepted is the ?async=1 response: a job id to follow (empty
@@ -398,7 +349,7 @@ type jobStatus struct {
 // ?stream=1). The stream replays history, follows appends, and ends at
 // the terminal event.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.tab.job(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
@@ -408,13 +359,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, r, j)
 		return
 	}
-	state, _, errMsg := j.snapshot()
-	events, _ := j.eventsFrom(0)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(jobStatus{
-		ID: j.ID, Hash: j.Hash, Experiment: j.Experiment,
-		State: state, Error: errMsg, Events: events,
-	})
+	json.NewEncoder(w).Encode(s.tab.status(j))
 }
 
 // streamJob writes the job's events as Server-Sent Events until the job
@@ -435,7 +381,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.WriteHeader(http.StatusOK)
 	next := 0
 	for {
-		events, changed := j.eventsFrom(next)
+		events, changed := s.tab.eventsFrom(j, next)
 		for _, ev := range events {
 			data, err := json.Marshal(ev)
 			if err != nil {
@@ -462,25 +408,25 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 // timeline of one request — queue wait, execution, per-point completions
 // — as Perfetto JSON built from the job's progress events.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.tab.job(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	rec := jobStageTrace(j)
+	events, _ := s.tab.eventsFrom(j, 0)
+	rec := jobStageTrace(j.Experiment, events)
 	w.Header().Set("Content-Type", "application/json")
 	if err := rec.WritePerfetto(w); err != nil {
 		httpError(w, http.StatusInternalServerError, "encode trace: %v", err)
 	}
 }
 
-// jobStageTrace rebuilds the serve-stage spans from the job's event log:
+// jobStageTrace rebuilds the serve-stage spans from a job's event log:
 // a Stage span for the queue wait, a TaskRun span for the execution, and
 // a counter track of completed grid points. Event timestamps are
 // server-edge nanoseconds since server start, mapped 1:1 onto the trace
 // timebase.
-func jobStageTrace(j *Job) *trace.Recorder {
-	events, _ := j.eventsFrom(0)
+func jobStageTrace(experiment string, events []Event) *trace.Recorder {
 	rec := trace.New()
 	var queuedAt, startAt sim.Time
 	started := false
@@ -499,7 +445,7 @@ func jobStageTrace(j *Job) *trace.Recorder {
 			rec.Count("grid_points_done", 0, at, points)
 		case "done", "error":
 			if started {
-				rec.Begin(trace.TaskRun, "execute "+j.Experiment, 0, -1, startAt).End(at)
+				rec.Begin(trace.TaskRun, "execute "+experiment, 0, -1, startAt).End(at)
 			}
 		}
 	}
@@ -509,7 +455,7 @@ func jobStageTrace(j *Job) *trace.Recorder {
 // handleResult is GET /v1/results/{hash}: the cached artifact by content
 // hash.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.cache.get(r.PathValue("hash"))
+	res, ok := s.tab.result(r.PathValue("hash"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no cached result for this hash")
 		return
@@ -520,7 +466,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleResultTrace is GET /v1/results/{hash}/trace: the stored Perfetto
 // trace bytes of the designated grid point.
 func (s *Server) handleResultTrace(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.cache.get(r.PathValue("hash"))
+	res, ok := s.tab.result(r.PathValue("hash"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no cached result for this hash")
 		return
@@ -556,33 +502,24 @@ type CacheStats struct {
 	BuildID          string `json:"build_id"`
 }
 
-// Stats snapshots the serving counters.
+// Stats snapshots the serving counters; the table's share of them
+// (entries, bytes, queue, jobs, draining) is one instant.
 func (s *Server) Stats() CacheStats {
-	entries, bytes := s.cache.stats()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	return CacheStats{
-		Entries:          entries,
-		Bytes:            bytes,
-		MaxBytes:         s.cfg.CacheBytes,
-		Requests:         s.st.requests.Load(),
-		Hits:             s.st.cacheHits.Load(),
-		Misses:           s.st.cacheMisses.Load(),
-		Evictions:        s.st.cacheEvicts.Load(),
-		Coalesced:        s.st.coalesced.Load(),
-		RejectedOverload: s.st.rejectOverload.Load(),
-		BadRequests:      s.st.badRequests.Load(),
-		ExecCompleted:    s.st.execOK.Load(),
-		ExecErrors:       s.st.execErrors.Load(),
-		QueueDepth:       len(s.queue),
-		QueueMax:         s.st.queueMax.Load(),
-		Workers:          s.cfg.Workers,
-		Jobs:             s.jobs.count(),
-		Draining:         draining,
-		KeyVersion:       KeyVersion,
-		BuildID:          BuildID(),
-	}
+	st := s.tab.gauges()
+	st.MaxBytes = s.cfg.CacheBytes
+	st.Requests = s.st.requests.Load()
+	st.Hits = s.st.cacheHits.Load()
+	st.Misses = s.st.cacheMisses.Load()
+	st.Evictions = s.st.cacheEvicts.Load()
+	st.Coalesced = s.st.coalesced.Load()
+	st.RejectedOverload = s.st.rejectOverload.Load()
+	st.BadRequests = s.st.badRequests.Load()
+	st.ExecCompleted = s.st.execOK.Load()
+	st.ExecErrors = s.st.execErrors.Load()
+	st.Workers = s.cfg.Workers
+	st.KeyVersion = KeyVersion
+	st.BuildID = BuildID()
+	return st
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
@@ -590,20 +527,15 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.Stats())
 }
 
-// handleMetricsText is GET /metricsz: the instruments rendered through
+// handleMetricsText is GET /metricsz: the same snapshot rendered through
 // the internal/metrics registry in its canonical text format.
 func (s *Server) handleMetricsText(w http.ResponseWriter, r *http.Request) {
-	entries, bytes := s.cache.stats()
-	reg := s.st.registry(int64(len(s.queue)), entries, bytes, s.jobs.count())
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	reg.WriteText(w)
+	registry(s.Stats()).WriteText(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.tab.gauges().Draining {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}

@@ -443,7 +443,7 @@ func TestDrainFinishesAdmittedWork(t *testing.T) {
 	}
 	// The admitted job finished and its result was cached before drain
 	// completed.
-	if _, ok := s.cache.get(sub.Hash); !ok {
+	if _, ok := s.tab.result(sub.Hash); !ok {
 		t.Fatalf("drained job's result not cached")
 	}
 	// New work is refused (the listener is down).
@@ -537,6 +537,55 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if st.Requests != 2 || st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.KeyVersion != KeyVersion {
 		t.Fatalf("stats = %+v", st)
+	}
+
+	// The table's share of a snapshot is one instant: while distinct cold
+	// requests stream through a job table bounded at one finished job,
+	// every queued job is a registered job and every cached result is
+	// charged — in /v1/cache/stats and in /metricsz alike.
+	fake := fakeResult("stats")
+	charge := (&Result{CSV: fake.CSV, MetricsText: fake.MetricsText}).sizeBytes()
+	s2 := startServer(t, Config{Workers: 2, MaxJobs: 1, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
+		return fake, nil
+	}})
+	var submitters sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			for i := 0; i < 100; i++ {
+				do(s2, "POST", "/v1/experiments", fmt.Sprintf(`{"experiment":"stress","stress_width":%d}`, 1+c*100+i))
+			}
+		}()
+	}
+	submitted := make(chan struct{})
+	go func() { submitters.Wait(); close(submitted) }()
+	var entries, bytes int64 // as /metricsz last reported them
+	for polling := true; polling; {
+		select {
+		case <-submitted:
+			polling = false // and read once more, at rest
+		default:
+		}
+		var st CacheStats
+		if err := json.Unmarshal(do(s2, "GET", "/v1/cache/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatalf("cache/stats: %v", err)
+		}
+		if st.Jobs < st.QueueDepth || st.Bytes != int64(st.Entries)*charge {
+			t.Fatalf("snapshot disagrees with itself: jobs %d, queue_depth %d, entries %d, bytes %d (each entry charges %d)",
+				st.Jobs, st.QueueDepth, st.Entries, st.Bytes, charge)
+		}
+		text := do(s2, "GET", "/metricsz", "").Body.String()
+		for _, line := range strings.Split(text, "\n") {
+			fmt.Sscanf(line, "gauge serve_cache_entries value=%d", &entries)
+			fmt.Sscanf(line, "gauge serve_cache_bytes value=%d", &bytes)
+		}
+		if bytes != entries*charge {
+			t.Fatalf("metricsz disagrees with itself: %d entries, %d bytes:\n%s", entries, bytes, text)
+		}
+	}
+	if st := s2.Stats(); st.Entries != 400 || entries != 400 || st.Jobs != 1 || st.QueueDepth != 0 {
+		t.Fatalf("at rest: metricsz has %d entries; stats = %+v", entries, st)
 	}
 }
 

@@ -79,7 +79,7 @@ if [ -z "$POWERCAP_TPS" ]; then
     exit 1
 fi
 
-# Resident serving layer: the canonical load test (scripts/load_test.sh
+# Resident serving layer: the canonical load test (`make loadtest`
 # defaults — 1000 clients x 5 requests over 8 distinct configs, warm
 # burst against a seeded cache). Records the warm-cache requests/sec;
 # bench_guard.sh gates future runs on it.
