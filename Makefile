@@ -50,6 +50,7 @@ race:
 ## already run as plain tests in `make test`
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDirectory -fuzztime 20s ./internal/coherence/
+	$(GO) test -run xxx -fuzz FuzzFragMap -fuzztime 20s ./internal/memspace/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...`, `make check` and ompss-lint at
@@ -64,9 +65,10 @@ resilience:
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
 
 ## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
-## software cache's invalidation sweep and depgraph submission
+## software cache's invalidation sweep, depgraph submission and the three
+## shapes of a FragMap cover
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

@@ -125,8 +125,9 @@ func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float
 	return float64(total) / elapsed, nil
 }
 
-// Stress is the tasks/sec scaling experiment (not a paper figure; gated
-// by scripts/bench_guard.sh alongside the wall-clock budgets).
+// Stress is the tasks/sec scaling experiment (not a paper figure; its
+// rows are the submit_stress workload of benchmark/, which is where a
+// change to them is measured).
 func Stress(o Options) ([]Row, error) {
 	width, depth := o.StressWidth, o.StressDepth
 	if width == 0 {

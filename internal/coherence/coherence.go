@@ -83,8 +83,9 @@ type Directory struct {
 	home    memspace.Location
 	homeSet bool
 
-	// covbuf is the reusable fragment buffer of Produced (one runtime
-	// image drives its directory serially, so a single buffer suffices).
+	// covbuf is the reusable fragment buffer of Produced, AddHolder and
+	// DropHolder (one runtime image drives its directory serially and none
+	// of the three calls another, so a single buffer suffices).
 	covbuf []*memspace.Frag[dirData]
 }
 
@@ -218,10 +219,9 @@ func (d *Directory) Produced(r memspace.Region, loc memspace.Location) {
 // Only already-known fragments gain the holder; if no byte of r is known
 // the call is an internal invariant violation and panics.
 func (d *Directory) AddHolder(r memspace.Region, loc memspace.Location) {
-	d.frags.SplitAt(r.Addr)
-	d.frags.SplitAt(r.End())
 	known := false
-	for _, en := range d.frags.Overlapping(r) {
+	d.covbuf = d.frags.SplitInto(r, d.covbuf)
+	for _, en := range d.covbuf {
 		if len(en.V.holders) == 0 {
 			continue
 		}
@@ -275,9 +275,8 @@ func (d *Directory) Rehome(r memspace.Region) {
 // where loc is not a holder are skipped; dropping the last holder of a
 // fragment panics: the current version must live somewhere.
 func (d *Directory) DropHolder(r memspace.Region, loc memspace.Location) {
-	d.frags.SplitAt(r.Addr)
-	d.frags.SplitAt(r.End())
-	for _, en := range d.frags.Overlapping(r) {
+	d.covbuf = d.frags.SplitInto(r, d.covbuf)
+	for _, en := range d.covbuf {
 		if !en.V.holders.has(loc) {
 			continue
 		}

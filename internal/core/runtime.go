@@ -147,9 +147,8 @@ func (rt *Runtime) newTaskID() task.ID {
 	return rt.taskSeq
 }
 
-// submitBatch registers a slice of tasks with the dependency graph in one
-// batched pass (bounds sorted once, fragments split one pass per shard),
-// with per-task outcomes identical to submitting each in turn: a task with
+// submitBatch registers a slice of tasks with the dependency graph, with
+// per-task outcomes identical to submitting each in turn: a task with
 // malformed clauses is skipped (first error recorded), the rest still
 // enter the graph.
 func (rt *Runtime) submitBatch(ts []*task.Task) error {
@@ -350,13 +349,11 @@ func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
 }
 
 // SubmitBatch creates one task per definition and registers them with the
-// dependency graph in a single batched pass: clause bounds are sorted
-// once and fragments split one pass per shard (depgraph.SubmitBatch),
-// instead of paying an index search per clause per task. Semantics are
-// identical to submitting each definition on its own, in order — same
-// arcs, same readiness order, same per-task creation overhead on the
-// master thread — so batching is purely a host-side constant-factor win
-// for wide submission bursts.
+// dependency graph in order (depgraph.SubmitBatch): the same arcs, the
+// same readiness order and the same per-task creation overhead on the
+// master thread as submitting each definition on its own. What a batch
+// batches is virtual time — one Sleep for the whole creation charge and
+// one manager round for the dependence lookups — not index work.
 func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 	out := make([]*task.Task, 0, len(defs))
 	valid := make([]*task.Task, 0, len(defs))
@@ -367,8 +364,8 @@ func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
 			valid = append(valid, t)
 		}
 	}
-	// Task creation overhead on the master thread, per task: batching
-	// amortizes the host's real index work, not the modeled creation cost.
+	// Task creation overhead on the master thread, per task: a batch pays
+	// the same modeled creation cost, in one piece.
 	mc.p.Sleep(time.Duration(len(defs)) * 3 * time.Microsecond)
 	// With the manager layer armed, the batch's dependence lookups are
 	// served by the owning shards — in parallel across shards, serialized

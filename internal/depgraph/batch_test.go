@@ -72,8 +72,8 @@ func submitBoth(t *testing.T, ts []*task.Task) {
 
 // TestBatchSplitsOnFragmentEdges exercises bounds landing exactly on
 // existing fragment edges: the second batch's regions start and end
-// precisely where the first batch's fragments do, so SplitBounds must
-// treat every bound as a no-op and create no extra fragments.
+// precisely where the first batch's fragments do, so every bound is a
+// no-op and no extra fragment appears.
 func TestBatchSplitsOnFragmentEdges(t *testing.T) {
 	ts := []*task.Task{
 		mk("w0", rawDep(0, 128, task.Out)),
@@ -150,6 +150,43 @@ func TestBatchStopsAtMalformedTask(t *testing.T) {
 	}
 	if l.g.Pending() != 2 {
 		t.Fatalf("Pending = %d after partial batch, want 2", l.g.Pending())
+	}
+}
+
+// TestSubmitBatchCostsWhatSubmitCosts pins the per-task side tables that
+// are gone: Normalize hands a canonical clause list back as it is, and
+// submitting a task as a batch of one — what every ctx.Task does —
+// allocates exactly what Submit does.
+func TestSubmitBatchCostsWhatSubmitCosts(t *testing.T) {
+	deps := []task.Dep{rawDep(0, 64, task.In), rawDep(64, 64, task.InOut)}
+	if got, err := Normalize(deps); err != nil || len(got) != 2 || &got[0] != &deps[0] {
+		t.Fatalf("Normalize of a canonical list = %v, %v; want the argument itself", got, err)
+	}
+	const runs = 2000
+	allocs := func(submit func(*Graph, *task.Task)) float64 {
+		g := New(func(*task.Task) {})
+		ts := make([]*task.Task, runs+1) // AllocsPerRun warms up with one extra call
+		for i := range ts {
+			ts[i] = mk("c", deps...)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			submit(g, ts[i])
+			i++
+		})
+	}
+	seq := allocs(func(g *Graph, tk *task.Task) {
+		if err := g.Submit(tk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bat := allocs(func(g *Graph, tk *task.Task) {
+		if _, err := g.SubmitBatch([]*task.Task{tk}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bat != seq {
+		t.Fatalf("a batch of one costs %.0f allocs/task, Submit %.0f", bat, seq)
 	}
 }
 

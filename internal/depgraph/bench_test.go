@@ -47,7 +47,8 @@ func BenchmarkSubmit(b *testing.B) {
 	b.ReportMetric(float64(width), "tasks/op")
 }
 
-// BenchmarkSubmitBatch measures the batched path on the same workload.
+// BenchmarkSubmitBatch submits the same layer as one batch; it should read
+// what BenchmarkSubmit reads.
 func BenchmarkSubmitBatch(b *testing.B) {
 	const width = 100_000
 	b.ReportAllocs()

@@ -12,9 +12,8 @@
 //
 // The fragment index is a sharded interval map (memspace.FragMap), so a
 // split costs O(log n + shardMax) instead of the O(n) memmove a single
-// sorted slice paid — the difference between 10^4 and 10^6 task graphs.
-// SubmitBatch additionally pre-splits fragments at every region bound of
-// a batch in one pass per shard before wiring arcs task by task.
+// sorted slice paid — the difference between 10^4 and 10^6 task graphs —
+// and each clause costs one search of it, batched or not.
 //
 // One Graph instance covers one dynamic extent (the children of one parent
 // task); this is what makes the hierarchical, distributable implementation
@@ -151,15 +150,20 @@ func (g *Graph) newNode(t *task.Task) *node {
 // listed both as a reduction and as another access, and a reduction
 // region partially overlapping any other clause of the task. Callers
 // surface the error to the user program through ompss.Run.
+//
+// The result is read-only: when nothing is dropped or merged (the common
+// case) it is deps itself, not a copy.
 func Normalize(deps []task.Dep) ([]task.Dep, error) {
-	var out []task.Dep
-	for _, d := range deps {
-		if !d.Region.Valid() {
-			continue
-		}
-		merged := false
-		for i := range out {
-			if out[i].Region != d.Region {
+	out := deps
+	if !canonical(deps) {
+		out = nil
+		for _, d := range deps {
+			if !d.Region.Valid() {
+				continue
+			}
+			i := slices.IndexFunc(out, func(o task.Dep) bool { return o.Region == d.Region })
+			if i < 0 {
+				out = append(out, d)
 				continue
 			}
 			if out[i].Access != d.Access {
@@ -168,11 +172,6 @@ func Normalize(deps []task.Dep) ([]task.Dep, error) {
 				}
 				out[i].Access = task.InOut
 			}
-			merged = true
-			break
-		}
-		if !merged {
-			out = append(out, d)
 		}
 	}
 	for i := range out {
@@ -186,6 +185,22 @@ func Normalize(deps []task.Dep) ([]task.Dep, error) {
 		}
 	}
 	return out, nil
+}
+
+// canonical reports whether Normalize has nothing to drop or merge: every
+// region is valid and no two clauses name the same one.
+func canonical(deps []task.Dep) bool {
+	for i, d := range deps {
+		if !d.Region.Valid() {
+			return false
+		}
+		for _, e := range deps[:i] {
+			if e.Region == d.Region {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // addArc makes succ wait for pred unless pred already finished or the arc
@@ -215,55 +230,6 @@ func (g *Graph) Submit(t *task.Task) error {
 	if err != nil {
 		return fmt.Errorf("%v: %w", t, err)
 	}
-	return g.submitNormalized(t, deps)
-}
-
-// SubmitBatch adds the tasks in order, equivalent to calling Submit on
-// each in turn — same arcs, same arc order, same onReady firing points —
-// but amortizing the fragment work: every region bound in the batch is
-// collected, sorted once, and split in a single pass per shard before any
-// arcs are wired. Pre-splitting is semantically invisible (split halves
-// clone their conflict bookkeeping), so the per-task pass then covers
-// already-final fragments.
-//
-// Returns the number of tasks fully submitted. On error, tasks[0:accepted]
-// are in the graph (their onReady may have fired) and the rest are
-// untouched; the error names the first failing task.
-func (g *Graph) SubmitBatch(ts []*task.Task) (accepted int, err error) {
-	normalized := make([][]task.Dep, len(ts))
-	var bounds []uint64
-	for i, t := range ts {
-		deps, nerr := Normalize(t.Deps)
-		if nerr != nil {
-			// The batch stops at the malformed task; earlier tasks are
-			// still well-formed and must be submitted (identical to the
-			// sequential outcome), so keep their bounds.
-			normalized = normalized[:i]
-			ts = ts[:i]
-			err = fmt.Errorf("%v: %w", t, nerr)
-			break
-		}
-		normalized[i] = deps
-		for _, d := range deps {
-			bounds = append(bounds, d.Region.Addr, d.Region.End())
-		}
-	}
-	// A batch of one has nothing to amortize: its own cover splits at the
-	// same bounds, without SplitBounds rebuilding every shard they touch.
-	if len(ts) > 1 {
-		slices.Sort(bounds)
-		g.frags.SplitBounds(bounds)
-	}
-	for i, t := range ts {
-		if serr := g.submitNormalized(t, normalized[i]); serr != nil {
-			return i, serr
-		}
-	}
-	return len(ts), err
-}
-
-// submitNormalized wires one task whose clauses already passed Normalize.
-func (g *Graph) submitNormalized(t *task.Task, deps []task.Dep) error {
 	if t.DepNode != nil {
 		panic(fmt.Sprintf("depgraph: duplicate submit of %v", t))
 	}
@@ -332,6 +298,24 @@ func (g *Graph) submitNormalized(t *task.Task, deps []task.Dep) error {
 		g.onReady(t)
 	}
 	return nil
+}
+
+// SubmitBatch adds the tasks in order: it is Submit on each in turn, the
+// same arcs in the same order with the same onReady firing points. The
+// fragment index needs no batch-wide preparation — a cover is one search,
+// and pre-splitting at a batch's region bounds measured slower than not
+// (EXPERIMENTS.md "FragMap: one search per cover").
+//
+// Returns the number of tasks submitted. On error, tasks[0:accepted] are
+// in the graph (their onReady may have fired) and the rest are untouched;
+// the error names the first failing task.
+func (g *Graph) SubmitBatch(ts []*task.Task) (accepted int, err error) {
+	for i, t := range ts {
+		if err := g.Submit(t); err != nil {
+			return i, err
+		}
+	}
+	return len(ts), nil
 }
 
 // Finished marks t complete and releases successors whose last pending

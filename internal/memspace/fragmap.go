@@ -1,6 +1,6 @@
 package memspace
 
-import "sort"
+import "slices"
 
 // FragMap is the shared fragment index of the runtime's interval-tracking
 // layers (the depgraph conflict map and the coherence directory): a set of
@@ -13,8 +13,20 @@ import "sort"
 // two-level binary search (O(log n)) and a split memmoves at most one
 // shard (O(shardMax)) instead of the whole index — the seed's single
 // sorted slice paid an O(n) memmove per split, quadratic once graphs
-// reach 10^5+ fragments. Shards split in two when they outgrow shardMax,
-// which inserts one pointer into the small top-level table.
+// reach 10^5+ fragments. A shard splits in two when it outgrows shardMax,
+// which inserts one entry into the small top-level table.
+//
+// Both levels are searched over contiguous []uint64 mirrors of the
+// fragments' end addresses, never through the *Frag pointers, and every
+// operation searches once: Cover and SplitInto locate r.Addr, then walk
+// forward cutting the first and last fragments where they straddle r's
+// bounds. In the exact-match model the paper assumes, that first probe
+// lands on a fragment equal to the region and the call returns it.
+//
+// Payload contract of a split: the left half is a new fragment holding
+// clone(payload); the right half is the original *Frag, keeping its
+// payload and its End. Fragments are never removed, so every *Frag a call
+// returned stays in the map; its region can only shrink from the left.
 //
 // Every query and mutation visits shards in ascending address order and
 // fragments in address order within each shard (the deterministic
@@ -25,20 +37,15 @@ import "sort"
 // Not safe for concurrent use: one runtime image drives its maps serially
 // (sim runs one process at a time), so there is nothing to lock.
 type FragMap[V any] struct {
-	// clone copies a payload when a fragment splits (the left half gets
-	// the clone, the right half keeps the original value). Nil means a
-	// shallow copy of V is sufficient.
+	// clone copies a payload when a fragment splits. Nil means a shallow
+	// copy of V is sufficient.
 	clone func(V) V
 	// fresh builds the payload of a gap fragment created by Cover. Nil
 	// means the zero value.
 	fresh func() V
 
-	shards []*fragShard[V]
-	// ends caches shards[i].end() in a flat slice, so the top-level binary
-	// search probes contiguous uint64s instead of chasing three pointers
-	// per probe — locate() is the single hottest call of million-task
-	// submission. Kept in sync by insertAt and rebalance; fragment splits
-	// never change a shard's end.
+	shards []fragShard[V]
+	// ends[i] is shards[i]'s last key: the top-level search table.
 	ends []uint64
 	n    int
 }
@@ -50,13 +57,16 @@ type Frag[V any] struct {
 	V V
 }
 
+// fragShard is one run of fragments. ends[i] mirrors frags[i].R.End(): the
+// search key, kept contiguous. Shards are never empty.
 type fragShard[V any] struct {
 	frags []*Frag[V]
+	ends  []uint64
 }
 
 // shardMax bounds a shard's fragment count; an overflowing shard splits
 // into two halves. 256 keeps the per-split memmove under 2 KiB while the
-// top-level table stays tiny (4k entries at a million fragments).
+// top-level table stays tiny (8k entries at a million fragments).
 const shardMax = 256
 
 // NewFragMap returns an empty index. clone copies payloads across splits
@@ -68,43 +78,38 @@ func NewFragMap[V any](clone func(V) V, fresh func() V) *FragMap[V] {
 // Len returns the number of fragments.
 func (m *FragMap[V]) Len() int { return m.n }
 
-// Shards returns the number of shards (observability and tests).
-func (m *FragMap[V]) Shards() int { return len(m.shards) }
-
-// start and end give a shard's address span. Shards are never empty.
-func (s *fragShard[V]) start() uint64 { return s.frags[0].R.Addr }
-func (s *fragShard[V]) end() uint64   { return s.frags[len(s.frags)-1].R.End() }
+// firstAfter returns the first index whose key exceeds addr, len(keys) if
+// none does. keys is ascending.
+func firstAfter(keys []uint64, addr uint64) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
 
 // locate returns the position of the first fragment whose End > addr, as a
 // (shard, fragment) index pair; si == len(shards) means past the end.
 func (m *FragMap[V]) locate(addr uint64) (si, fi int) {
-	si = sort.Search(len(m.ends), func(i int) bool { return m.ends[i] > addr })
+	si = firstAfter(m.ends, addr)
 	if si == len(m.shards) {
 		return si, 0
 	}
-	sh := m.shards[si]
-	fi = sort.Search(len(sh.frags), func(i int) bool { return sh.frags[i].R.End() > addr })
-	return si, fi
+	return si, firstAfter(m.shards[si].ends, addr)
 }
 
 // Overlapping returns the fragments overlapping r in address order,
-// without mutating the index. The returned pointers stay valid (fragments
-// are never removed) but their regions shrink if a later split lands
-// inside them.
+// without mutating the index.
 func (m *FragMap[V]) Overlapping(r Region) []*Frag[V] {
-	return m.OverlappingInto(r, nil)
-}
-
-// OverlappingInto is Overlapping appending into out[:0], so a caller that
-// keeps the returned slice across calls pays no allocation in steady
-// state. The hot paths (dependence resolution, directory updates) call
-// this once per task; a fresh slice per call was a measurable share of
-// million-task submission cost.
-func (m *FragMap[V]) OverlappingInto(r Region, out []*Frag[V]) []*Frag[V] {
-	out = out[:0]
+	var out []*Frag[V]
 	si, fi := m.locate(r.Addr)
 	for ; si < len(m.shards); si, fi = si+1, 0 {
-		sh := m.shards[si]
+		sh := &m.shards[si]
 		for ; fi < len(sh.frags); fi++ {
 			f := sh.frags[fi]
 			if f.R.Addr >= r.End() {
@@ -119,114 +124,57 @@ func (m *FragMap[V]) OverlappingInto(r Region, out []*Frag[V]) []*Frag[V] {
 // All returns every fragment in address order.
 func (m *FragMap[V]) All() []*Frag[V] {
 	out := make([]*Frag[V], 0, m.n)
-	for _, sh := range m.shards {
-		out = append(out, sh.frags...)
+	for si := range m.shards {
+		out = append(out, m.shards[si].frags...)
 	}
 	return out
 }
 
-// cloneV copies a payload for a split.
-func (m *FragMap[V]) cloneV(v V) V {
-	if m.clone == nil {
-		return v
+// cut shrinks f to start at addr, which lies strictly inside it, and
+// returns the new left half (see the payload contract above). The caller
+// inserts it at f's position.
+func (m *FragMap[V]) cut(f *Frag[V], addr uint64) *Frag[V] {
+	left := &Frag[V]{R: Region{Addr: f.R.Addr, Size: addr - f.R.Addr}, V: f.V}
+	if m.clone != nil {
+		left.V = m.clone(f.V)
 	}
-	return m.clone(v)
+	f.R = Region{Addr: addr, Size: f.R.End() - addr}
+	return left
 }
 
-// freshV builds a gap payload.
-func (m *FragMap[V]) freshV() V {
-	if m.fresh == nil {
-		var zero V
-		return zero
-	}
-	return m.fresh()
-}
-
-// SplitAt splits the fragment strictly containing addr into two fragments
-// meeting at addr, giving the left half a cloned payload. No-op when addr
-// falls on a fragment boundary or outside every fragment.
-func (m *FragMap[V]) SplitAt(addr uint64) {
-	si, fi := m.locate(addr)
-	if si == len(m.shards) {
-		return
-	}
-	sh := m.shards[si]
-	if fi == len(sh.frags) {
-		return
-	}
-	f := sh.frags[fi]
-	if f.R.Addr >= addr {
-		return
-	}
-	end := f.R.End()
-	left := &Frag[V]{
-		R: Region{Addr: f.R.Addr, Size: addr - f.R.Addr},
-		V: m.cloneV(f.V),
-	}
-	f.R = Region{Addr: addr, Size: end - addr}
-	sh.frags = append(sh.frags, nil)
-	copy(sh.frags[fi+1:], sh.frags[fi:])
-	sh.frags[fi] = left
+// insert places f at position (si, fi), as locate or a walk from it gave
+// it; the caller guarantees disjointness and order. Past every shard it
+// appends to the last one. It reports whether the shard table moved, which
+// invalidates every position held across the call.
+func (m *FragMap[V]) insert(si, fi int, f *Frag[V]) bool {
 	m.n++
-	m.rebalance(si)
-}
-
-// insertAt places f as a new fragment at global position (si, fi). The
-// caller guarantees disjointness and order.
-func (m *FragMap[V]) insertAt(si, fi int, f *Frag[V]) {
 	if len(m.shards) == 0 {
-		m.shards = []*fragShard[V]{{frags: []*Frag[V]{f}}}
+		m.shards = []fragShard[V]{{frags: []*Frag[V]{f}, ends: []uint64{f.R.End()}}}
 		m.ends = []uint64{f.R.End()}
-		m.n++
-		return
+		return true
 	}
 	if si == len(m.shards) {
-		// Past every shard: append to the last one.
 		si = len(m.shards) - 1
 		fi = len(m.shards[si].frags)
 	}
-	sh := m.shards[si]
-	sh.frags = append(sh.frags, nil)
-	copy(sh.frags[fi+1:], sh.frags[fi:])
-	sh.frags[fi] = f
-	m.ends[si] = sh.end()
-	m.n++
-	m.rebalance(si)
-}
-
-// rebalance splits shard si once it outgrows shardMax, into chunks of
-// about shardMax/2 so steady-state inserts have headroom. A batched
-// rebuild can overshoot by hundreds of fragments at once, so the split is
-// n-way, not binary.
-func (m *FragMap[V]) rebalance(si int) {
-	sh := m.shards[si]
+	sh := &m.shards[si]
+	sh.frags = slices.Insert(sh.frags, fi, f)
+	sh.ends = slices.Insert(sh.ends, fi, f.R.End())
+	m.ends[si] = sh.ends[len(sh.ends)-1]
 	if len(sh.frags) <= shardMax {
-		return
+		return false
 	}
-	target := shardMax / 2
-	nchunks := (len(sh.frags) + target - 1) / target
-	chunk := (len(sh.frags) + nchunks - 1) / nchunks
-	frags := sh.frags
-	repl := make([]*fragShard[V], 0, nchunks)
-	for lo := 0; lo < len(frags); lo += chunk {
-		hi := lo + chunk
-		if hi > len(frags) {
-			hi = len(frags)
-		}
-		repl = append(repl, &fragShard[V]{frags: append([]*Frag[V](nil), frags[lo:hi]...)})
+	// Outgrown: the upper half moves to a new shard right after this one.
+	// Both halves end up with room for shardMax+1, so neither regrows.
+	h := len(sh.frags) / 2
+	up := fragShard[V]{
+		frags: append(make([]*Frag[V], 0, shardMax+1), sh.frags[h:]...),
+		ends:  append(make([]uint64, 0, shardMax+1), sh.ends[h:]...),
 	}
-	grown := make([]*fragShard[V], 0, len(m.shards)+len(repl)-1)
-	grown = append(grown, m.shards[:si]...)
-	grown = append(grown, repl...)
-	grown = append(grown, m.shards[si+1:]...)
-	m.shards = grown
-	ends := make([]uint64, 0, len(grown))
-	ends = append(ends, m.ends[:si]...)
-	for _, s := range repl {
-		ends = append(ends, s.end())
-	}
-	ends = append(ends, m.ends[si+1:]...)
-	m.ends = ends
+	sh.frags, sh.ends = sh.frags[:h], sh.ends[:h]
+	m.ends = slices.Insert(m.ends, si, sh.ends[h-1])
+	m.shards = slices.Insert(m.shards, si+1, up) // last: it may move sh
+	return true
 }
 
 // Cover returns the fragments exactly tiling r in address order, splitting
@@ -237,99 +185,72 @@ func (m *FragMap[V]) Cover(r Region) []*Frag[V] {
 	return m.CoverInto(r, nil)
 }
 
-// CoverInto is Cover appending into out[:0] (see OverlappingInto). After
-// the two boundary splits it walks fragments forward instead of paying a
-// two-level binary search per covered fragment; only a gap insert (which
-// may rebalance shards) re-locates.
+// CoverInto is Cover appending into out[:0], so a caller that keeps the
+// returned slice across calls pays no allocation in steady state: the hot
+// paths (dependence resolution, Directory.Produced) call it once per task.
 func (m *FragMap[V]) CoverInto(r Region, out []*Frag[V]) []*Frag[V] {
+	return m.tile(r, out, true)
+}
+
+// SplitInto is CoverInto without the gap fill: it splits existing
+// fragments at r's bounds and returns the ones inside r, in address order.
+func (m *FragMap[V]) SplitInto(r Region, out []*Frag[V]) []*Frag[V] {
+	return m.tile(r, out, false)
+}
+
+// tile is the one walk behind CoverInto and SplitInto: one locate, then
+// forward from r.Addr to r.End(), at each step taking a fragment that lies
+// inside r, cutting one that straddles a bound, or (fill) inserting a gap
+// fragment. It searches again only after an insert moved the shard table.
+// An empty r returns nothing and cuts nothing.
+func (m *FragMap[V]) tile(r Region, out []*Frag[V], fill bool) []*Frag[V] {
 	out = out[:0]
-	m.SplitAt(r.Addr)
-	m.SplitAt(r.End())
-	pos := r.Addr
+	pos, end := r.Addr, r.End()
 	si, fi := m.locate(pos)
-	for pos < r.End() {
-		for si < len(m.shards) && fi >= len(m.shards[si].frags) {
-			si, fi = si+1, 0
-		}
-		var f *Frag[V]
+	for pos < end {
+		var f *Frag[V] // first fragment ending after pos; nil past the last
 		if si < len(m.shards) {
-			f = m.shards[si].frags[fi]
+			sh := &m.shards[si]
+			if fi == len(sh.frags) {
+				si, fi = si+1, 0
+				continue
+			}
+			f = sh.frags[fi]
 		}
-		if f != nil && f.R.Addr == pos {
+		var nf *Frag[V] // what this step inserts at (si, fi)
+		switch {
+		case f != nil && f.R.Addr == pos && f.R.End() <= end:
 			out = append(out, f)
 			pos = f.R.End()
 			fi++
 			continue
+		case f == nil || f.R.Addr > pos: // gap up to f or end
+			gapEnd := end
+			if f != nil && f.R.Addr < end {
+				gapEnd = f.R.Addr
+			}
+			if !fill {
+				pos = gapEnd
+				continue
+			}
+			nf = &Frag[V]{R: Region{Addr: pos, Size: gapEnd - pos}}
+			if m.fresh != nil {
+				nf.V = m.fresh()
+			}
+			out = append(out, nf)
+			pos = gapEnd
+		case f.R.Addr < pos: // f straddles r.Addr; its left half is outside r
+			nf = m.cut(f, pos)
+		default: // f straddles r.End(); its left half is the last tile
+			nf = m.cut(f, end)
+			out = append(out, nf)
+			pos = end
 		}
-		gapEnd := r.End()
-		if f != nil && f.R.Addr < gapEnd {
-			gapEnd = f.R.Addr
+		if m.insert(si, fi, nf) {
+			si, fi = m.locate(pos)
+		} else {
+			fi++
 		}
-		nf := &Frag[V]{R: Region{Addr: pos, Size: gapEnd - pos}, V: m.freshV()}
-		m.insertAt(si, fi, nf)
-		out = append(out, nf)
-		pos = gapEnd
-		// The insert may have split a shard; recompute the walk position.
-		si, fi = m.locate(pos)
 	}
 	return out
-}
-
-// SplitBounds splits every fragment whose interior contains one of bounds,
-// in a single pass per shard: each affected shard is rebuilt once instead
-// of paying one memmove per split. bounds must be sorted ascending;
-// duplicates and bounds on fragment boundaries or in gaps are no-ops.
-// This is the batched-submission fast path: pre-splitting at a batch's
-// region bounds is semantically invisible (payloads are cloned, so later
-// covers see the same state at finer granularity).
-func (m *FragMap[V]) SplitBounds(bounds []uint64) {
-	if len(bounds) == 0 {
-		return
-	}
-	bi := 0
-	for si := 0; si < len(m.shards); si++ {
-		sh := m.shards[si]
-		hi := sh.end()
-		for bi < len(bounds) && bounds[bi] <= sh.start() {
-			bi++
-		}
-		if bi == len(bounds) {
-			return
-		}
-		if bounds[bi] >= hi {
-			continue
-		}
-		// At least one bound may land inside this shard: rebuild it once.
-		rebuilt := make([]*Frag[V], 0, len(sh.frags)+8)
-		bj := bi
-		for _, f := range sh.frags {
-			for bj < len(bounds) && bounds[bj] < f.R.End() {
-				cut := bounds[bj]
-				if cut <= f.R.Addr { // duplicate, gap, or exact edge: no-op
-					bj++
-					continue
-				}
-				left := &Frag[V]{
-					R: Region{Addr: f.R.Addr, Size: cut - f.R.Addr},
-					V: m.cloneV(f.V),
-				}
-				rebuilt = append(rebuilt, left)
-				f.R = Region{Addr: cut, Size: f.R.End() - cut}
-				m.n++
-				bj++
-			}
-			rebuilt = append(rebuilt, f)
-		}
-		bi = bj
-		if added := len(rebuilt) - len(sh.frags); added == 0 {
-			continue
-		}
-		sh.frags = rebuilt
-		m.rebalance(si)
-		// Skip the shards the rebalance spliced in: their fragments were
-		// all swept against bounds already.
-		for si+1 < len(m.shards) && m.shards[si+1].start() < hi {
-			si++
-		}
-	}
 }

@@ -56,6 +56,19 @@ func (f *flatRef) cover(r Region, fresh int) []int {
 	return out
 }
 
+// SplitAt is the single-bound split the reference tests drive: it cuts the
+// fragment strictly containing addr, as one end of a SplitInto does. No-op
+// when addr falls on a fragment boundary or outside every fragment.
+func (m *FragMap[V]) SplitAt(addr uint64) {
+	si, fi := m.locate(addr)
+	if si == len(m.shards) {
+		return
+	}
+	if f := m.shards[si].frags[fi]; f.R.Addr < addr {
+		m.insert(si, fi, m.cut(f, addr))
+	}
+}
+
 func checkAgainstRef(t *testing.T, m *FragMap[int], ref *flatRef) {
 	t.Helper()
 	all := m.All()
@@ -140,66 +153,6 @@ func TestFragMapMatchesFlatReference(t *testing.T) {
 	}
 }
 
-// TestFragMapSplitBoundsMatchesSequential checks the batched single-sweep
-// splitter against one SplitAt per bound, including bounds on exact
-// fragment edges, in gaps, before the first and past the last fragment.
-func TestFragMapSplitBoundsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		batched := NewFragMap[int](nil, nil)
-		seq := NewFragMap[int](nil, nil)
-		// Seed both with identical random fragments (with gaps).
-		pos := uint64(64)
-		id := 1
-		for i := 0; i < 50+rng.Intn(900); i++ {
-			if rng.Intn(3) == 0 {
-				pos += uint64(rng.Intn(100)) // gap
-			}
-			size := uint64(1 + rng.Intn(64))
-			r := Region{Addr: pos, Size: size}
-			for _, f := range batched.Cover(r) {
-				f.V = id
-			}
-			for _, f := range seq.Cover(r) {
-				f.V = id
-			}
-			pos += size
-			id++
-		}
-		var bounds []uint64
-		for i := 0; i < 200; i++ {
-			bounds = append(bounds, uint64(rng.Intn(int(pos)+200)))
-		}
-		// Include exact fragment edges explicitly.
-		for _, f := range batched.All()[:10] {
-			bounds = append(bounds, f.R.Addr, f.R.End())
-		}
-		sortUint64(bounds)
-		batched.SplitBounds(bounds)
-		for _, b := range bounds {
-			seq.SplitAt(b)
-		}
-		ba, sa := batched.All(), seq.All()
-		if len(ba) != len(sa) {
-			t.Fatalf("trial %d: batched %d fragments, sequential %d", trial, len(ba), len(sa))
-		}
-		for i := range ba {
-			if ba[i].R != sa[i].R || ba[i].V != sa[i].V {
-				t.Fatalf("trial %d fragment %d: batched %v/%d, sequential %v/%d",
-					trial, i, ba[i].R, ba[i].V, sa[i].R, sa[i].V)
-			}
-		}
-	}
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // TestFragMapShardGrowth builds fragments in a strided (non-monotonic)
 // order and checks the index stays sorted, disjoint and bounded per shard.
 func TestFragMapShardGrowth(t *testing.T) {
@@ -218,9 +171,10 @@ func TestFragMapShardGrowth(t *testing.T) {
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
-	if m.Shards() < n/shardMax {
-		t.Fatalf("only %d shards for %d fragments", m.Shards(), n)
+	if len(m.shards) < n/shardMax {
+		t.Fatalf("only %d shards for %d fragments", len(m.shards), n)
 	}
+	checkFragMapShape(t, m)
 	all := m.All()
 	for i, f := range all {
 		want := Region{Addr: uint64(i) * 64, Size: 64}
@@ -273,4 +227,75 @@ func TestFragMapCloneAndFresh(t *testing.T) {
 	if m.Len() != 2 || clones != 1 {
 		t.Fatalf("boundary splits mutated the map: len %d clones %d", m.Len(), clones)
 	}
+}
+
+// stridedMap builds the paper's exact-match shape at stress size: n
+// disjoint 64-byte fragments 128 bytes apart (a 64-byte gap after each),
+// covered in a strided, non-monotonic order. Fragment i holds payload i+1.
+func stridedMap(tb testing.TB, n int) *FragMap[int] {
+	m := NewFragMap[int](nil, nil)
+	for k := 0; k < n; k++ {
+		i := (k * 7919) % n // 7919 is coprime with the sizes used
+		m.Cover(Region{Addr: uint64(i) * 128, Size: 64})[0].V = i + 1
+	}
+	if m.Len() != n {
+		tb.Fatalf("strided map has %d fragments, want %d", m.Len(), n)
+	}
+	return m
+}
+
+// TestFragMapCoverExactIsOneProbe pins the exact-match path: covering (or
+// splitting over) a region equal to an existing fragment of a 100 000-
+// fragment map returns that very fragment, creates none, and allocates
+// nothing when the caller passes its buffer back.
+func TestFragMapCoverExactIsOneProbe(t *testing.T) {
+	const n = 100_000
+	m := stridedMap(t, n)
+	buf := make([]*Frag[int], 0, 4)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i = (i + 7919) % n
+		r := Region{Addr: uint64(i) * 128, Size: 64}
+		buf = m.CoverInto(r, buf)
+		f := buf[0]
+		buf = m.SplitInto(r, buf)
+		if len(buf) != 1 || buf[0] != f || f.R != r || f.V != i+1 {
+			t.Fatalf("exact cover of %v returned %v/%d", r, f.R, f.V)
+		}
+	})
+	if allocs != 0 || m.Len() != n {
+		t.Fatalf("exact covers cost %.1f allocs/op and left %d fragments, want 0 and %d", allocs, m.Len(), n)
+	}
+}
+
+// The three shapes of a cover on a 100 000-fragment strided map. Exact is
+// the paper's model and the steady state of every fig and stress row;
+// Straddle cuts two fragments and fills the gap between them; Gap inserts
+// one fragment between two others. The mutating two rebuild the map every
+// n/2 operations, off the clock.
+func benchCover(b *testing.B, mutates bool, region func(i int) Region) {
+	const n = 100_000
+	var m *FragMap[int]
+	var buf []*Frag[int]
+	b.ReportAllocs()
+	for k := 0; k < b.N; k++ {
+		if k%(n/2) == 0 && (mutates || k == 0) {
+			b.StopTimer()
+			m = stridedMap(b, n)
+			b.StartTimer()
+		}
+		buf = m.CoverInto(region((k*7919)%(n/2)*2), buf)
+	}
+}
+
+func BenchmarkFragMapCoverExact(b *testing.B) {
+	benchCover(b, false, func(i int) Region { return Region{Addr: uint64(i) * 128, Size: 64} })
+}
+
+func BenchmarkFragMapCoverStraddle(b *testing.B) {
+	benchCover(b, true, func(i int) Region { return Region{Addr: uint64(i)*128 + 32, Size: 128} })
+}
+
+func BenchmarkFragMapCoverGap(b *testing.B) {
+	benchCover(b, true, func(i int) Region { return Region{Addr: uint64(i)*128 + 80, Size: 32} })
 }

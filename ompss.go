@@ -285,15 +285,13 @@ type TaskSpec struct {
 	Clauses []Clause
 }
 
-// TaskBatch spawns a set of tasks in one batched submission: dependence
-// clause bounds across the whole batch are sorted once and the runtime's
-// fragment indexes split in a single pass, instead of paying an index
-// update per clause per task — the fast path for very wide task bursts
-// (10^5+ tasks). The tasks get the same arcs in the same order as
-// spawning each with Task, but all of them are created (and become ready)
-// at the end of the batch's accumulated creation overhead rather than
-// spread across it, so prefer Task/Taskloop when workers should start on
-// early tasks while later ones are still being created.
+// TaskBatch spawns a set of tasks in one submission. The tasks get the
+// same arcs in the same order as spawning each with Task, and the master
+// thread pays the same creation overhead per task, but in one piece: all
+// of them are created (and become ready) at the end of the batch's
+// accumulated creation overhead rather than spread across it. Prefer
+// Task/Taskloop when workers should start on early tasks while later
+// ones are still being created.
 func (c *Context) TaskBatch(specs []TaskSpec) {
 	defs := make([]core.TaskDef, 0, len(specs))
 	for _, s := range specs {
