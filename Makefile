@@ -20,13 +20,15 @@ build:
 test:
 	$(GO) test ./...
 
-## lint: the determinism/engine-blocking/dependence analyzers (DESIGN.md §9);
+## lint: the determinism/engine-blocking/trace-pairing analyzers (DESIGN.md §9);
 ## any unsuppressed finding fails the gate. There is no lock analyzer: where
-## the threads are, and that serve has one mutex, is a test in internal/sim
+## the threads are, and that serve has one mutex, is a test in internal/sim.
+## There is no dependence-clause analyzer: validated runs check each task
+## body against its clauses where it runs
 lint:
 	$(GO) run ./cmd/ompss-lint ./...
 
-## lint-json: the same six passes as machine-readable records in lint.json
+## lint-json: the same five passes as machine-readable records in lint.json
 ## (suppressed findings included — this is the CI lint-report artifact)
 lint-json:
 	$(GO) run ./cmd/ompss-lint -json ./... > lint.json || true
@@ -51,6 +53,7 @@ race:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDirectory -fuzztime 20s ./internal/coherence/
 	$(GO) test -run xxx -fuzz FuzzFragMap -fuzztime 20s ./internal/memspace/
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...`, `make check` and ompss-lint at

@@ -19,8 +19,9 @@ import (
 
 func TestBinaries(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"ompss-bench", "ompss-serve"} {
-		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./"+name).CombinedOutput(); err != nil {
+	for _, pkg := range []string{"./ompss-bench", "./ompss-serve", "../examples/quickstart", "../examples/reduction"} {
+		name := filepath.Base(pkg)
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), pkg).CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
 		}
 	}
@@ -52,6 +53,17 @@ func TestBinaries(t *testing.T) {
 			// recorded peak exceeds its cap.
 			name: "powercap", bin: "ompss-bench", args: []string{"-experiment", "powercap", "-quick"},
 			want: []string{`(?m)^powercap verify .* checksum .* ok$`},
+		},
+		{
+			// The validated examples exit nonzero when the result differs
+			// from the want they print, and run every task body under the
+			// dependence-contract guard.
+			name: "quickstart", bin: "quickstart",
+			want: []string{`(?m)^y\[0\] = 7 \(want 7`},
+		},
+		{
+			name: "reduction", bin: "reduction", args: []string{"-gpus", "2", "-n", "65536"},
+			want: []string{`(?m)^dot = 376832 \(want 376832\)`},
 		},
 		{
 			name: "serve", bin: "ompss-serve", args: []string{"-addr", "127.0.0.1:0"},

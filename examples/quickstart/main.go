@@ -73,6 +73,7 @@ func main() {
 	}
 	rt := ompss.New(cfg)
 
+	var y0 float32
 	stats, err := rt.Run(func(ctx *ompss.Context) {
 		x := ctx.Alloc(n * 4)
 		y := ctx.Alloc(n * 4)
@@ -85,11 +86,15 @@ func main() {
 		ctx.Task(saxpy{x: x, y: y, a: 2}, ompss.Target(ompss.CUDA), ompss.In(x), ompss.InOut(y))
 		ctx.TaskWait()
 
-		fmt.Printf("y[0] = %v (want 7: 2 + 3*1 + 2*1)\n", f32(ctx.HostBytes(y))[0])
+		y0 = f32(ctx.HostBytes(y))[0]
+		fmt.Printf("y[0] = %v (want 7: 2 + 3*1 + 2*1)\n", y0)
 		fmt.Printf("virtual time: %v\n", ctx.Now())
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if y0 != 7 {
+		log.Fatalf("y[0] = %v, want 7", y0)
 	}
 	fmt.Printf("CUDA tasks: %d, H2D: %d bytes, D2H: %d bytes, cache hits: %d\n",
 		stats.TasksCUDA, stats.BytesH2D, stats.BytesD2H, stats.CacheHits)

@@ -69,10 +69,11 @@ func main() {
 	per := *n / *chunks
 
 	rt := ompss.New(ompss.Config{Cluster: ompss.MultiGPUSystem(*gpus), Validate: true})
+	var got float32
+	var want float64
 	stats, err := rt.Run(func(ctx *ompss.Context) {
 		acc := ctx.Alloc(16)
 		ctx.InitSeq(acc, nil)
-		var want float64
 		for c := 0; c < *chunks; c++ {
 			x := ctx.Alloc(uint64(per) * 4)
 			y := ctx.Alloc(uint64(per) * 4)
@@ -95,11 +96,14 @@ func main() {
 				ompss.Target(ompss.CUDA), ompss.In(x, y), ompss.Reduction(acc, ompss.SumFloat32))
 		}
 		ctx.TaskWait()
-		got := f32(ctx.HostBytes(acc))[0]
+		got = f32(ctx.HostBytes(acc))[0]
 		fmt.Printf("dot = %v (want %v), virtual time %v\n", got, want, ctx.Now())
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if float64(got) != want {
+		log.Fatalf("dot = %v, want %v", got, want)
 	}
 	fmt.Printf("%d reduction tasks over %d GPUs, %d partial combines (writebacks: %d)\n",
 		*chunks, *gpus, stats.Writebacks, stats.Writebacks)

@@ -26,11 +26,9 @@
 //     on all paths.
 //   - ompssdirective: every //ompss: suppression directive is known,
 //     backed by a registered analyzer, and carries a reason.
-//   - depverify (interprocedural): every region a task body reads or
-//     writes through store.Bytes is covered by a matching In/Out/InOut/
-//     Reduction clause at the submission site, and every declared clause
-//     is actually used by the body (an unused clause serializes tasks
-//     for nothing).
+//
+// There is no dependence-clause analyzer: validated runs check each task
+// body against its clauses where it runs (memspace.Store.Arm, DESIGN.md §9).
 //
 // There is no lock analyzer: outside internal/serve, internal/bench's
 // grid pool and this package nothing under internal/ has a second thread
@@ -52,9 +50,7 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one static-analysis pass. Exactly one of Run
-// (per-package) and RunModule (whole-module, for interprocedural passes
-// whose facts cross package boundaries) is set.
+// An Analyzer describes one per-package static-analysis pass.
 type Analyzer struct {
 	// Name identifies the pass in diagnostics and suppression docs.
 	Name string
@@ -62,9 +58,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the pass to one type-checked package.
 	Run func(*Pass) error
-	// RunModule applies the pass once to the whole package set. Used by
-	// depverify, whose function summaries must cross package boundaries.
-	RunModule func(*ModulePass) error
 }
 
 // A Diagnostic is one finding, positioned in the analyzed source.
@@ -104,8 +97,8 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// directives indexes every //ompss: directive of the package by
-	// file and line.
+	// directives indexes every //ompss: directive of the analyzed
+	// packages by file and line.
 	directives map[string]map[int][]Directive
 	diags      *[]Diagnostic
 }
@@ -137,12 +130,8 @@ func (p *Pass) ReportSuppressible(kind string, pos token.Pos, format string, arg
 // the line immediately above. Reasonless directives never suppress — they
 // are themselves findings (see the ompssdirective analyzer).
 func (p *Pass) Suppressed(kind string, pos token.Pos) bool {
-	return suppressedIn(p.directives, p.Fset, kind, pos)
-}
-
-func suppressedIn(directives map[string]map[int][]Directive, fset *token.FileSet, kind string, pos token.Pos) bool {
-	position := fset.Position(pos)
-	byLine := directives[position.Filename]
+	position := p.Fset.Position(pos)
+	byLine := p.directives[position.Filename]
 	for _, line := range []int{position.Line, position.Line - 1} {
 		for _, d := range byLine[line] {
 			if d.Kind == kind && d.Reason != "" {
@@ -151,43 +140,6 @@ func suppressedIn(directives map[string]map[int][]Directive, fset *token.FileSet
 		}
 	}
 	return false
-}
-
-// A ModulePass connects a module-level Analyzer to the whole package set.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Pkgs are the analyzed packages, sorted by import path.
-	Pkgs []*Package
-
-	directives map[string]map[int][]Directive
-	diags      *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportSuppressible records a finding silenceable by kind (see
-// Pass.ReportSuppressible).
-func (p *ModulePass) ReportSuppressible(kind string, pos token.Pos, format string, args ...interface{}) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:        p.Fset.Position(pos),
-		Analyzer:   p.Analyzer.Name,
-		Message:    fmt.Sprintf(format, args...),
-		Kind:       kind,
-		Suppressed: p.Suppressed(kind, pos),
-	})
-}
-
-// Suppressed reports whether a reasoned directive of kind covers pos.
-func (p *ModulePass) Suppressed(kind string, pos token.Pos) bool {
-	return suppressedIn(p.directives, p.Fset, kind, pos)
 }
 
 // scopedPkgs are the runtime packages whose code feeds schedules, traces
@@ -245,13 +197,11 @@ func Analyzers() []*Analyzer {
 		SimBlocking,
 		TracePair,
 		OmpssDirective,
-		DepVerify,
 	}
 }
 
-// RunAnalyzers applies every analyzer to every package (per-package
-// analyzers run per package; module analyzers run once over the whole
-// set) and returns the findings sorted by position, then analyzer name.
+// RunAnalyzers applies every analyzer to every package and returns the
+// findings sorted by position, then analyzer name.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	allDirs := make(map[string]map[int][]Directive)
@@ -263,9 +213,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       pkg.Fset,
@@ -278,24 +225,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if len(pkgs) == 0 {
-			continue
-		}
-		pass := &ModulePass{
-			Analyzer:   a,
-			Fset:       pkgs[0].Fset,
-			Pkgs:       pkgs,
-			directives: allDirs,
-			diags:      &diags,
-		}
-		if err := a.RunModule(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -29,7 +29,6 @@ var KnownKinds = map[string]string{
 	"maporder-ok":  "detmaprange",
 	"simblock-ok":  "simblocking",
 	"tracepair-ok": "tracepair",
-	"depverify-ok": "depverify",
 }
 
 // parseDirective parses a single comment, reporting ok=false for

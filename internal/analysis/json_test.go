@@ -17,9 +17,9 @@ func TestEncodeJSON(t *testing.T) {
 	diags := []analysis.Diagnostic{
 		{
 			Pos:      token.Position{Filename: "/abs/root/pkg/a.go", Line: 10, Column: 2},
-			Analyzer: "depverify",
-			Message:  "task Saxpy reads x with no covering clause",
-			Kind:     "depverify-ok",
+			Analyzer: "detwallclock",
+			Message:  "time.Now reads the wall clock in simulator code",
+			Kind:     "wallclock-ok",
 		},
 		{
 			Pos:        token.Position{Filename: "/abs/root/pkg/b.go", Line: 3, Column: 1},

@@ -7,7 +7,7 @@ import "testing"
 // stale, and entries backed by registered analyzers must not.
 func TestStaleKinds(t *testing.T) {
 	kinds := map[string]string{
-		"depverify-ok": "depverify",
+		"tracepair-ok": "tracepair",
 		"ghost-ok":     "ghost-analyzer",
 	}
 	stale := staleKinds(kinds, Analyzers())

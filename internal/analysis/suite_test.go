@@ -9,8 +9,7 @@ import (
 // TestSuiteCleanOnTree is the tier-1 gate in test form: the full
 // analyzer suite over the real module must report no unsuppressed
 // finding. It also exercises LoadModule end to end (module walking,
-// stdlib imports via export data, recursive in-module resolution) and
-// the module-level pass (depverify) on the real task graph.
+// stdlib imports via export data, recursive in-module resolution).
 func TestSuiteCleanOnTree(t *testing.T) {
 	pkgs, err := analysis.LoadModule("../..")
 	if err != nil {
@@ -35,7 +34,7 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	}
 }
 
-// TestSuiteRoster pins the suite composition: all six passes, in
+// TestSuiteRoster pins the suite composition: all five passes, in
 // registration order. A pass silently falling out of Analyzers() would
 // otherwise leave its suppression kind dangling and its invariants
 // unenforced.
@@ -46,7 +45,6 @@ func TestSuiteRoster(t *testing.T) {
 		"simblocking",
 		"tracepair",
 		"ompssdirective",
-		"depverify",
 	}
 	got := analysis.Analyzers()
 	if len(got) != len(want) {
@@ -56,8 +54,8 @@ func TestSuiteRoster(t *testing.T) {
 		if a.Name != want[i] {
 			t.Errorf("analyzer %d is %q, want %q", i, a.Name, want[i])
 		}
-		if (a.Run == nil) == (a.RunModule == nil) {
-			t.Errorf("analyzer %q must define exactly one of Run and RunModule", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %q has no Run", a.Name)
 		}
 	}
 }

@@ -20,6 +20,13 @@ func Retired() int {
 	return 4
 }
 
+// So is the dependence-clause kind, whose contract is now checked where
+// tasks run.
+func RetiredDep() int {
+	/* want "unknown directive //ompss:depverify-ok" */ //ompss:depverify-ok clauses come from a registered table
+	return 5
+}
+
 // Reasoned directives of known kinds are fine anywhere.
 func Fine() int {
 	//ompss:maporder-ok documented: pure count

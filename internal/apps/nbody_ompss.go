@@ -47,14 +47,16 @@ func NBodyOmpSs(cfg ompss.Config, p NBodyParams) (Result, error) {
 					ompss.Target(ompss.CUDA),
 					ompss.In(prev...), ompss.InOut(vel[b]), ompss.Out(cur[b]),
 				}
+				var scratch ompss.Region
 				if p.ScratchBytes > 0 {
 					// Device working buffer per task: written by the kernel,
 					// never read back. This is what fills GPU memory and
 					// exercises the replacement machinery in Figure 8.
-					clauses = append(clauses, ompss.CopyOut(ctx.Alloc(p.ScratchBytes)))
+					scratch = ctx.Alloc(p.ScratchBytes)
+					clauses = append(clauses, ompss.CopyOut(scratch))
 				}
 				ctx.Task(kernels.NBodyForces{
-					PrevBlocks: prev, Vel: vel[b], Out: cur[b],
+					PrevBlocks: prev, Vel: vel[b], Out: cur[b], Scratch: scratch,
 					N: p.N, Block0: b * bodiesPer, BlockN: bodiesPer,
 					DT: nbodyDT, Soften2: nbodySoften2,
 				}, clauses...)

@@ -94,7 +94,6 @@ func weakscaleRun(nodes, shards, chainsPerNode, depth int) (ompss.Stats, error) 
 					Clauses: []ompss.Clause{ompss.Target(ompss.SMP), ompss.InOut(r)},
 				}
 			}
-			//ompss:depverify-ok every spec is the same InOut(dep[i]) chain link, built in the loop above
 			ctx.TaskBatch(specs)
 		}
 		ctx.TaskWaitNoflush()

@@ -81,6 +81,9 @@ type nodeRT struct {
 	redPartials  map[memspace.Region][]int
 	redCombiners map[memspace.Region]task.Combiner
 
+	// guardBuf is runBody's reused snapshot of In-only bytes.
+	guardBuf []byte
+
 	met nodeMetrics
 }
 
@@ -292,7 +295,7 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 	run.EndTask(p.Now(), int64(t.ID))
 	n.met.taskRunNS.Observe(sim.Duration(p.Now() - start))
 	if n.rt.cfg.Validate {
-		t.Work.Run(n.hostStore)
+		n.runBody(t, n.hostStore)
 	}
 	// The parent's own outputs are published before any nested tasks run,
 	// so children can read what the parent computed; children then publish
@@ -362,8 +365,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 			n.met.stageNS.Observe(sim.Duration(p.Now() - stageStart))
 		}
 		dev := n.devs[g]
-		work := t.Work
-		cost := jitter(t.ID, work.GPUCost(dev.Spec()))
+		cost := jitter(t.ID, t.Work.GPUCost(dev.Spec()))
 		// Claim this kernel's power delta before launching; under a cap the
 		// claim may defer the launch until running kernels retire.
 		powerDelta := n.spec.GPUs[g].Power.Delta()
@@ -372,7 +374,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		kernel := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, g, kernelStart)
 		kernelDone := dev.LaunchAsync(cost, func(devStore *memspace.Store) {
 			if n.rt.cfg.Validate {
-				work.Run(devStore)
+				n.runBody(t, devStore)
 			}
 		})
 		if n.rt.cfg.Prefetch {

@@ -93,6 +93,24 @@ func (w incWork) Run(store *memspace.Store) {
 	}
 }
 
+// setWork writes v into every byte of its region: an Out body, which
+// owns every byte it declares and reads none of them.
+type setWork struct {
+	r    memspace.Region
+	v    byte
+	cost time.Duration
+}
+
+func (w setWork) Name() string                      { return "set" }
+func (w setWork) GPUCost(hw.GPUSpec) time.Duration  { return w.cost }
+func (w setWork) CPUCost(hw.NodeSpec) time.Duration { return w.cost * 10 }
+func (w setWork) Run(store *memspace.Store) {
+	if store == nil {
+		return
+	}
+	fill(store.Bytes(w.r), w.v)
+}
+
 // sumWork writes the elementwise sum of regions a and b into c.
 type sumWork struct {
 	a, b, c memspace.Region
@@ -402,7 +420,7 @@ func TestSlaveToSlaveVersusMasterRouted(t *testing.T) {
 				regs[i] = mc.Alloc(1 << 20)
 				mc.Submit(TaskDef{Name: fmt.Sprintf("spread%d", i), Device: task.CUDA,
 					Deps: []task.Dep{outDep(regs[i])},
-					Work: incWork{r: regs[i], delta: 1, cost: 20 * time.Millisecond}})
+					Work: setWork{r: regs[i], v: 1, cost: 20 * time.Millisecond}})
 			}
 			mc.TaskWaitNoflush()
 			// Round 2: independent pairs (no WAR chains) — each task also
@@ -412,7 +430,7 @@ func TestSlaveToSlaveVersusMasterRouted(t *testing.T) {
 			for i := 0; i < n; i += 2 {
 				mc.Submit(TaskDef{Name: fmt.Sprintf("mix%d", i), Device: task.CUDA,
 					Deps: []task.Dep{inoutDep(regs[i]), inDep(regs[i+1])},
-					Work: incWork{r: regs[i], delta: 1, cost: 5 * time.Millisecond}})
+					Work: sumWork{a: regs[i], b: regs[i+1], c: regs[i], cost: 5 * time.Millisecond}})
 			}
 			mc.TaskWait()
 		})
@@ -653,7 +671,7 @@ func TestMultipleCommThreads(t *testing.T) {
 				r := mc.Alloc(1 << 20)
 				mc.Submit(TaskDef{Name: fmt.Sprintf("t%d", i), Device: task.CUDA,
 					Deps: []task.Dep{outDep(r)},
-					Work: incWork{r: r, delta: 1, cost: 8 * time.Millisecond}})
+					Work: setWork{r: r, v: 1, cost: 8 * time.Millisecond}})
 			}
 			mc.TaskWaitNoflush()
 		})
@@ -778,8 +796,8 @@ func TestNestedTasksOnSlaveNodes(t *testing.T) {
 						r := regions[nodeish][j]
 						lc.Submit(TaskDef{
 							Name: fmt.Sprintf("child%d.%d", nodeish, j), Device: task.CUDA,
-							Deps: []task.Dep{inoutDep(r)},
-							Work: incWork{r: r, delta: byte(nodeish + 1), cost: 2 * time.Millisecond},
+							Deps: []task.Dep{outDep(r)},
+							Work: setWork{r: r, v: byte(nodeish + 1), cost: 2 * time.Millisecond},
 						})
 					}
 					lc.Wait()
@@ -821,10 +839,10 @@ func TestNestedTasksRespectLocalDependences(t *testing.T) {
 			Work: task.NoWork{},
 			Spawner: func(lcI interface{}) {
 				lc := lcI.(*LocalCtx)
-				// A chain: each child doubles then adds; order matters.
+				// A chain: set, then add; order matters.
 				lc.Submit(TaskDef{Name: "set", Device: task.CUDA,
 					Deps: []task.Dep{outDep(r)},
-					Work: incWork{r: r, delta: 3, cost: time.Millisecond}})
+					Work: setWork{r: r, v: 3, cost: time.Millisecond}})
 				lc.Submit(TaskDef{Name: "add", Device: task.CUDA,
 					Deps: []task.Dep{inoutDep(r)},
 					Work: incWork{r: r, delta: 4, cost: time.Millisecond}})
@@ -849,7 +867,7 @@ func TestGPUParentSpawnerDoesNotDeadlockSingleGPU(t *testing.T) {
 		mc.Submit(TaskDef{
 			Name: "gpu-parent", Device: task.CUDA,
 			Deps: []task.Dep{outDep(r)},
-			Work: incWork{r: r, delta: 1, cost: time.Millisecond},
+			Work: setWork{r: r, v: 1, cost: time.Millisecond},
 			Spawner: func(lcI interface{}) {
 				lc := lcI.(*LocalCtx)
 				lc.Submit(TaskDef{Name: "gpu-child", Device: task.CUDA,
@@ -913,7 +931,7 @@ func TestWriteThroughOnCluster(t *testing.T) {
 		r := mc.Alloc(512)
 		mc.Submit(TaskDef{Name: "produce", Device: task.CUDA,
 			Deps: []task.Dep{outDep(r)},
-			Work: incWork{r: r, delta: 9, cost: 20 * time.Millisecond}})
+			Work: setWork{r: r, v: 9, cost: 20 * time.Millisecond}})
 		mc.TaskWait()
 		got = mc.HostBytes(r)[0]
 	})
@@ -939,22 +957,22 @@ func TestMtoSRoutingWhenStoSDisabled(t *testing.T) {
 		b := mc.Alloc(1 << 20)
 		// Producers spread over the slaves.
 		mc.Submit(TaskDef{Name: "prodA", Device: task.CUDA,
-			Deps: []task.Dep{outDep(a)}, Work: incWork{r: a, delta: 3, cost: 10 * time.Millisecond}})
+			Deps: []task.Dep{outDep(a)}, Work: setWork{r: a, v: 3, cost: 10 * time.Millisecond}})
 		mc.Submit(TaskDef{Name: "prodB", Device: task.CUDA,
-			Deps: []task.Dep{outDep(b)}, Work: incWork{r: b, delta: 4, cost: 10 * time.Millisecond}})
+			Deps: []task.Dep{outDep(b)}, Work: setWork{r: b, v: 4, cost: 10 * time.Millisecond}})
 		mc.TaskWaitNoflush()
 		// A consumer reading both: wherever it runs, one region crosses.
 		mc.Submit(TaskDef{Name: "mix", Device: task.CUDA,
 			Deps: []task.Dep{inoutDep(a), inDep(b)},
-			Work: incWork{r: a, delta: 1, cost: 5 * time.Millisecond}})
+			Work: sumWork{a: a, b: b, c: a, cost: 5 * time.Millisecond}})
 		mc.TaskWait()
 		got = mc.HostBytes(a)[0]
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 4 {
-		t.Fatalf("a = %d, want 4", got)
+	if got != 7 {
+		t.Fatalf("a = %d, want 7 (3 + 4)", got)
 	}
 	if stats.BytesStoS != 0 {
 		t.Fatalf("StoS bytes %d with SlaveToSlave disabled", stats.BytesStoS)
@@ -998,30 +1016,53 @@ func (badWork) Run(*memspace.Store) { panic("kernel bug") }
 // A user kernel that panics in Validate mode runs as a bare event, on
 // whichever goroutine is dispatching; Run must still return the panic as an
 // error — on one node and with the task dispatched to a slave — not hang
-// with the runtime's looping processes parked forever.
+// with the runtime's looping processes parked forever. A body that breaks
+// its dependence contract panics the same way, and errors.As reaches the
+// typed ContractError through the ProcPanicError: from an SMP worker on one
+// node, and from a kernel's completion callback on two.
 func TestPanickingKernelReturnsError(t *testing.T) {
-	for _, nodes := range []int{1, 2} {
+	run := func(nodes int, submit func(mc *MainCtx, r, other memspace.Region)) error {
 		rt := New(baseCfg(nodes, 1))
 		finished := make(chan error, 1)
 		go func() {
 			_, err := rt.Run(func(mc *MainCtx) {
-				r := mc.Alloc(1024)
+				r, other := mc.Alloc(1024), mc.Alloc(1024)
 				mc.InitSeq(r, nil)
-				mc.Submit(TaskDef{Name: "bad", Device: task.CUDA,
-					Deps: []task.Dep{inoutDep(r)},
-					Work: badWork{incWork{r: r, delta: 1, cost: time.Millisecond}}})
+				mc.InitSeq(other, nil)
+				submit(mc, r, other)
 				mc.TaskWait()
 			})
 			finished <- err
 		}()
 		select {
 		case err := <-finished:
-			var pp *sim.ProcPanicError
-			if !errors.As(err, &pp) || pp.Value != "kernel bug" {
-				t.Fatalf("%d nodes: err = %v, want ProcPanicError(kernel bug)", nodes, err)
-			}
+			return err
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%d nodes: Run did not return", nodes)
+			return nil
+		}
+	}
+	contractDevice := map[int]task.Device{1: task.SMP, 2: task.CUDA}
+	for _, nodes := range []int{1, 2} {
+		err := run(nodes, func(mc *MainCtx, r, _ memspace.Region) {
+			mc.Submit(TaskDef{Name: "bad", Device: task.CUDA,
+				Deps: []task.Dep{inoutDep(r)},
+				Work: badWork{incWork{r: r, delta: 1, cost: time.Millisecond}}})
+		})
+		var pp *sim.ProcPanicError
+		if !errors.As(err, &pp) || pp.Value != "kernel bug" {
+			t.Fatalf("%d nodes: err = %v, want ProcPanicError(kernel bug)", nodes, err)
+		}
+
+		// The body increments other, which no clause declares.
+		err = run(nodes, func(mc *MainCtx, r, other memspace.Region) {
+			mc.Submit(TaskDef{Name: "stray", Device: contractDevice[nodes],
+				Deps: []task.Dep{inoutDep(r)},
+				Work: incWork{r: other, delta: 1, cost: time.Millisecond}})
+		})
+		var ce *memspace.ContractError
+		if !errors.As(err, &ce) || ce.Kind != memspace.UndeclaredAccess || ce.Region.Size != 1024 {
+			t.Fatalf("%d nodes, %v body: err = %v, want ContractError(undeclared access)", nodes, contractDevice[nodes], err)
 		}
 	}
 }

@@ -22,10 +22,10 @@ import (
 // were recorded before the three protocols became one.
 func TestTransferRoutes(t *testing.T) {
 	const size = 1 << 16
-	cuda := func(mc *MainCtx, name string, r memspace.Region, deps ...task.Dep) {
-		mc.Submit(TaskDef{Name: name, Device: task.CUDA, Deps: deps,
-			Work: incWork{r: r, delta: 1, cost: time.Millisecond}})
+	cuda := func(mc *MainCtx, name string, w task.Work, deps ...task.Dep) {
+		mc.Submit(TaskDef{Name: name, Device: task.CUDA, Deps: deps, Work: w})
 	}
+	const cost = time.Millisecond
 	for _, tc := range []struct {
 		name string
 		main func(mc *MainCtx) []memspace.Region // returns what to check
@@ -38,7 +38,7 @@ func TestTransferRoutes(t *testing.T) {
 			main: func(mc *MainCtx) []memspace.Region {
 				a := mc.Alloc(size)
 				mc.InitSeq(a, func(b []byte) { fill(b, 0) })
-				cuda(mc, "inc", a, inoutDep(a))
+				cuda(mc, "inc", incWork{r: a, delta: 1, cost: cost}, inoutDep(a))
 				mc.TaskWait()
 				return []memspace.Region{a}
 			},
@@ -52,7 +52,7 @@ func TestTransferRoutes(t *testing.T) {
 			name: "s->m",
 			main: func(mc *MainCtx) []memspace.Region {
 				a := mc.Alloc(size)
-				cuda(mc, "make", a, outDep(a))
+				cuda(mc, "make", setWork{r: a, v: 1, cost: cost}, outDep(a))
 				mc.TaskWaitOn(a)
 				return []memspace.Region{a}
 			},
@@ -68,10 +68,10 @@ func TestTransferRoutes(t *testing.T) {
 			name: "s->s",
 			main: func(mc *MainCtx) []memspace.Region {
 				a, b := mc.Alloc(size), mc.Alloc(size)
-				cuda(mc, "makeA", a, outDep(a))
-				cuda(mc, "makeB", b, outDep(b))
+				cuda(mc, "makeA", setWork{r: a, v: 1, cost: cost}, outDep(a))
+				cuda(mc, "makeB", setWork{r: b, v: 1, cost: cost}, outDep(b))
 				mc.TaskWaitNoflush()
-				cuda(mc, "mix", b, inoutDep(b), inDep(a))
+				cuda(mc, "mix", sumWork{a: b, b: a, c: b, cost: cost}, inoutDep(b), inDep(a))
 				mc.TaskWait()
 				return []memspace.Region{a, b}
 			},

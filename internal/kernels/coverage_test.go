@@ -86,13 +86,14 @@ func TestFillChunkSkipsZeroSeed(t *testing.T) {
 	s := memspace.NewStore(memspace.Host(0))
 	a := al.Alloc(256, 0)
 	b := al.Alloc(256, 0)
+	s.Bytes(b)[7] = 0xFF // a ZeroSeed tile is written, not left as found
 	FillChunk{Tiles: []memspace.Region{a, b}, Seeds: []uint32{3, ZeroSeed}}.Run(s)
 	if f32(s.Bytes(a))[0] == 0 {
 		t.Error("seeded tile should be filled")
 	}
 	for _, v := range f32(s.Bytes(b)) {
 		if v != 0 {
-			t.Fatal("ZeroSeed tile must stay zero")
+			t.Fatal("ZeroSeed tile must come out zero")
 		}
 	}
 }

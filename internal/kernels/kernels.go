@@ -461,11 +461,14 @@ type NBodyForces struct {
 	PrevBlocks []memspace.Region
 	Vel        memspace.Region // this block's velocities (inout)
 	Out        memspace.Region // this block's next positions (output)
-	N          int
-	Block0     int
-	BlockN     int
-	DT         float32
-	Soften2    float32
+	// Scratch, when valid, is the kernel's device working buffer (a
+	// copy_out clause, never read back); the body zeroes it.
+	Scratch memspace.Region
+	N       int
+	Block0  int
+	BlockN  int
+	DT      float32
+	Soften2 float32
 }
 
 // Name implements task.Work.
@@ -513,6 +516,7 @@ func (k NBodyForces) Run(store *memspace.Store) {
 	}
 	vel := f32(store.Bytes(k.Vel))
 	out := f32(store.Bytes(k.Out))
+	clear(store.Bytes(k.Scratch))
 	for bi := 0; bi < k.BlockN; bi++ {
 		me := at(k.Block0 + bi)
 		px, py, pz := me[0], me[1], me[2]
@@ -572,7 +576,7 @@ func (k StreamInit) Run(store *memspace.Store) {
 }
 
 // FillChunk initializes a set of matrix tiles, each with FillTile's
-// deterministic pattern for its seed; ZeroSeed leaves a tile zeroed.
+// deterministic pattern for its seed; ZeroSeed zeroes a tile.
 // It is the body of the parallel-initialization tasks of the cluster
 // Matmul experiment (one chunk per node).
 type FillChunk struct {
@@ -580,7 +584,7 @@ type FillChunk struct {
 	Seeds []uint32
 }
 
-// ZeroSeed marks a tile that should stay zero.
+// ZeroSeed marks a tile that should be zero.
 const ZeroSeed = ^uint32(0)
 
 // Name implements task.Work.
@@ -610,7 +614,10 @@ func (k FillChunk) Run(store *memspace.Store) {
 		return
 	}
 	for i, t := range k.Tiles {
+		// Zeroed explicitly: the task declares Out(t), so the body owns
+		// every byte of it, whatever the store held before.
 		if k.Seeds[i] == ZeroSeed {
+			clear(store.Bytes(t))
 			continue
 		}
 		FillTile{R: t, Seed: k.Seeds[i]}.Run(store)

@@ -181,6 +181,8 @@ func (e extent) end() uint64 { return e.start + uint64(len(e.buf)) }
 type Store struct {
 	loc     Location
 	extents []extent
+	// contract is set while a task body runs against the store (Arm).
+	contract *contract
 }
 
 // NewStore returns an empty backing store for location loc.
@@ -200,10 +202,14 @@ func (s *Store) search(addr uint64) int {
 // first use. When r lies inside one existing extent the returned slice
 // aliases it; otherwise every extent overlapping r is merged (preserving
 // its bytes) into one covering extent first. Returns nil on a nil store
-// or an empty region.
+// or an empty region. On an armed store, r must lie inside the declared
+// regions (see Arm).
 func (s *Store) Bytes(r Region) []byte {
 	if s == nil || !r.Valid() {
 		return nil
+	}
+	if s.contract != nil {
+		s.contract.check(r)
 	}
 	i := s.search(r.Addr)
 	if i < len(s.extents) {

@@ -258,3 +258,27 @@ func TestLocationString(t *testing.T) {
 		t.Fatal("IsHost misclassifies")
 	}
 }
+
+// TestArmedStoreContainment: an armed store admits sub-ranges of declared
+// regions and ranges spanning adjacent ones, records which declared regions
+// were touched, and panics with a ContractError on anything else.
+func TestArmedStoreContainment(t *testing.T) {
+	s := NewStore(Host(0))
+	a, b, c := Region{0x1000, 64}, Region{0x1040, 64}, Region{0x2000, 64}
+	s.Arm("task", []Region{a, b, c})
+	s.Bytes(Region{0x1010, 16}) // inside a
+	s.Bytes(Region{0x1030, 32}) // spans a and b
+	if touched := s.Disarm(); !touched[0] || !touched[1] || touched[2] {
+		t.Fatalf("touched = %v, want [true true false]", touched)
+	}
+	s.Bytes(Region{0x5000, 8}) // disarmed: anything goes
+
+	s.Arm("task", []Region{a, c})
+	defer func() {
+		ce, ok := recover().(*ContractError)
+		if !ok || ce.Kind != UndeclaredAccess || ce.Region != (Region{0x1030, 32}) {
+			t.Fatalf("recovered %v, want ContractError(undeclared access)", ce)
+		}
+	}()
+	s.Bytes(Region{0x1030, 32}) // runs past a into undeclared bytes
+}

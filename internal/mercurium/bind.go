@@ -130,11 +130,10 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 			clauses = append(clauses, ompss.Reduction(r, comb))
 		}
 	}
-	// The kernel body and its clause list are both produced at runtime
-	// from the registered pragma: static verification is impossible here
-	// by construction, and bindings are validated dynamically against the
-	// directive's declared modes.
-	//ompss:depverify-ok work and clauses come from the registered pragma table; validated dynamically in Call
+	// The kernel body and its clause list both come from the registered
+	// pragma at run time. Under Config.Validate the runtime checks the
+	// body against exactly these clauses where it runs: a pragma that
+	// under-declares fails the run with a memspace.ContractError.
 	in.ctx.Task(in.kernels[name](bound), clauses...)
 	return nil
 }

@@ -1,6 +1,7 @@
 package mercurium
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +205,50 @@ func TestCallErrors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnderDeclaredPragmaFails: a registered pragma's clauses and the kernel
+// bound to it meet only at run time, inside Call, so nothing static can
+// compare them. Under Validate the runtime checks the kernel against exactly
+// the clauses Call evaluated: a pragma that says input for a parameter the
+// kernel writes, or omits one the kernel reads, fails the run.
+func TestUnderDeclaredPragmaFails(t *testing.T) {
+	const n = 256
+	saxpy := func(a Args) task.Work {
+		x, y, alpha := a.Region("x"), a.Region("y"), float32(a.Float("a"))
+		return task.FixedWork{Label: "saxpy", GPUTime: time.Millisecond, Body: func(s *memspace.Store) {
+			xs, ys := f32view(s.Bytes(x)), f32view(s.Bytes(y))
+			for i := range ys {
+				ys[i] += alpha * xs[i]
+			}
+		}}
+	}
+	for _, tc := range []struct {
+		name, clauses string
+		kind          ompss.ContractKind
+	}{
+		{"input for a written parameter", "input([N] x, [N] y)", ompss.WriteToIn},
+		{"read parameter omitted", "inout([N] y)", ompss.UndeclaredAccess},
+	} {
+		prog := MustParse("#pragma omp target device(cuda) copy_deps\n#pragma omp task " + tc.clauses +
+			"\nvoid saxpy(float *x, float *y, float a, int N);")
+		rt := ompss.New(ompss.Config{Cluster: ompss.MultiGPUSystem(1), Validate: true})
+		_, err := rt.Run(func(ctx *ompss.Context) {
+			inst, err := prog.Bind(ctx, map[string]Kernel{"saxpy": saxpy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := ctx.Alloc(n*4), ctx.Alloc(n*4)
+			ctx.InitSeq(x, func(b []byte) { fillF32(b, 1) })
+			ctx.InitSeq(y, func(b []byte) { fillF32(b, 2) })
+			inst.MustCall("saxpy", x, y, float32(3), n)
+			inst.TaskWait()
+		})
+		var ce *ompss.ContractError
+		if !errors.As(err, &ce) || ce.Kind != tc.kind {
+			t.Errorf("%s: err = %v, want ContractError(%s)", tc.name, err, tc.kind)
+		}
 	}
 }
 

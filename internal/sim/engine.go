@@ -292,6 +292,13 @@ func (p *ProcPanicError) Error() string {
 	return fmt.Sprintf("sim: process %s panicked: %v\n%s", p.Proc, p.Value, p.Stack)
 }
 
+// Unwrap returns the panic value when it is an error, so that errors.As
+// reaches a typed panic through Run's result.
+func (p *ProcPanicError) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
 // DeadlockError reports that processes remain blocked with no pending events.
 type DeadlockError struct {
 	Now     Time

@@ -95,6 +95,23 @@ type Config = core.Config
 // Stats is the aggregate activity report of one run.
 type Stats = core.Stats
 
+// ContractError is the error a validated run (Config.Validate) returns,
+// wrapped, when a task body breaks the dependence contract of its clauses:
+// it touched bytes outside every declared region, changed an In-only
+// region, or left a declared region untouched while accessing others. Use
+// errors.As on Run's error to reach it.
+type ContractError = memspace.ContractError
+
+// ContractKind names which part of the contract a task body broke.
+type ContractKind = memspace.ContractKind
+
+// The kinds of ContractError.
+const (
+	UndeclaredAccess = memspace.UndeclaredAccess
+	WriteToIn        = memspace.WriteToIn
+	UnusedClause     = memspace.UnusedClause
+)
+
 // FaultPlan is a deterministic fault scenario for Config.Faults: a seeded
 // drop process, link degradation, transient stalls and permanent crashes.
 // The zero plan injects nothing but still arms the resilience machinery
