@@ -2,10 +2,11 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test lint lint-json race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest weakscale powercap
+.PHONY: check vet fmt build test race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest weakscale powercap
 
-## check: gofmt + go vet + build + ompss-lint + full test suite (the tier-1 gate)
-check: fmt vet build lint test
+## check: gofmt + go vet + build + full test suite (the tier-1 gate; the
+## determinism rules of DESIGN.md §9 are a test in it, internal/sim/rules_test.go)
+check: fmt vet build test
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -19,20 +20,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-## lint: the determinism/engine-blocking/trace-pairing analyzers (DESIGN.md §9);
-## any unsuppressed finding fails the gate. There is no lock analyzer: where
-## the threads are, and that serve has one mutex, is a test in internal/sim.
-## There is no dependence-clause analyzer: validated runs check each task
-## body against its clauses where it runs
-lint:
-	$(GO) run ./cmd/ompss-lint ./...
-
-## lint-json: the same five passes as machine-readable records in lint.json
-## (suppressed findings included — this is the CI lint-report artifact)
-lint-json:
-	$(GO) run ./cmd/ompss-lint -json ./... > lint.json || true
-	@echo "wrote lint.json"
 
 ## race: race-detect every package that starts a process on the simulation
 ## engine. The engine has no lock: one thread of control per engine (Run's
@@ -56,8 +43,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
-## separate Go module, so `go test ./...`, `make check` and ompss-lint at
-## the root never see it
+## separate Go module, so `go test ./...` and `make check` at the root never
+## see it
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 

@@ -90,8 +90,8 @@ type Config struct {
 	Validate bool
 
 	// Trace, when non-nil, records an execution timeline (task runs, data
-	// transfers, network sends) for inspection, Gantt rendering, Paraver or
-	// Perfetto export and critical-path analysis. See internal/trace.
+	// transfers, network sends) for inspection, Gantt rendering, Perfetto
+	// export and critical-path analysis. See internal/trace.
 	Trace *trace.Recorder
 
 	// Metrics is the registry the runtime's typed instruments live in

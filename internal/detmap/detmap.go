@@ -2,9 +2,9 @@
 // primitives for simulator code. Go randomizes map iteration order on
 // purpose; any map range whose effects reach the scheduler, the trace,
 // checksums or the network therefore breaks the runtime's bit-identical
-// replay guarantee. The detmaprange analyzer (ompss-lint) forbids raw
-// map ranges in the runtime packages; iterating the sorted key slice
-// returned here is the standard rewrite.
+// replay guarantee. The detmaprange rule (internal/sim/rules_test.go)
+// forbids raw map ranges in the runtime packages; iterating the sorted
+// key slice returned here is the standard rewrite.
 package detmap
 
 import (

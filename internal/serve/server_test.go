@@ -198,7 +198,7 @@ func TestOverloadRejects(t *testing.T) {
 // waitJobState polls GET /v1/jobs/{id} until the job reaches state.
 func waitJobState(t *testing.T, s *Server, id, state string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second) //ompss:wallclock-ok test polling deadline
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(s.URL() + "/v1/jobs/" + id)
 		if err != nil {
@@ -210,10 +210,10 @@ func waitJobState(t *testing.T, s *Server, id, state string) {
 		if js.State == state {
 			return
 		}
-		if time.Now().After(deadline) { //ompss:wallclock-ok test polling deadline
+		if time.Now().After(deadline) {
 			t.Fatalf("job %s stuck in %q waiting for %q", id, js.State, state)
 		}
-		time.Sleep(time.Millisecond) //ompss:wallclock-ok test polling
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -489,18 +489,18 @@ func TestNoGoroutineLeak(t *testing.T) {
 		}
 		http.DefaultClient.CloseIdleConnections()
 	}()
-	deadline := time.Now().Add(5 * time.Second) //ompss:wallclock-ok test polling deadline
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= before+3 {
 			return
 		}
-		if time.Now().After(deadline) { //ompss:wallclock-ok test polling deadline
+		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("goroutines %d > baseline %d+3\n%s",
 				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(10 * time.Millisecond) //ompss:wallclock-ok test polling
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -79,6 +79,7 @@ type Engine struct {
 	free  []*event // recycled events; hot-path scheduling never allocates
 
 	procs   []*Proc // live processes, maintained on spawn/exit only
+	cur     *Proc   // the process Run has switched to, nil between switches
 	procSeq int
 	resumed int
 
@@ -336,7 +337,9 @@ func (e *Engine) Run() error {
 		}
 		p.blockedOn = nil
 		e.resumed++
+		e.cur = p
 		p.co.next()
+		e.cur = nil
 	}
 	err := e.stopErr
 	left := e.idle // the coroutines still alive: idle, or parked in block
@@ -353,8 +356,10 @@ func (e *Engine) Run() error {
 		err = &DeadlockError{Now: e.now, Blocked: names}
 	}
 	for _, c := range left {
+		e.cur = c.p
 		c.stop() // an idle coroutine returns; a blocked process unwinds
 	}
+	e.cur = nil
 	e.inRun = false
 	return err
 }

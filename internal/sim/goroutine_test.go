@@ -269,6 +269,44 @@ func TestRunIsNotReentrant(t *testing.T) {
 	}
 }
 
+// A blocking call parks the process it is given, which must be the one
+// running: from a bare callback, from another process, or on a process that
+// has not started, it panics under the name of the process it would have
+// parked, and Run reports that like any other panic.
+func TestParkOutsideOwnProcessPanics(t *testing.T) {
+	cases := map[string]struct {
+		build func(e *Engine)
+		proc  string
+	}{
+		"from a callback": {func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) {
+				e.After(time.Millisecond, func() { p.Sleep(time.Millisecond) })
+				p.Sleep(time.Second)
+			})
+		}, "(event)"},
+		"from another process": {func(e *Engine) {
+			e.Go("sleeper", func(p *Proc) {
+				e.Go("intruder", func(*Proc) { p.Sleep(time.Millisecond) })
+				p.Sleep(time.Second)
+			})
+		}, "intruder"},
+		"before it starts": {func(e *Engine) {
+			sleeper := e.GoAfter("sleeper", time.Second, func(*Proc) {})
+			e.Go("intruder", func(*Proc) { sleeper.Sleep(time.Millisecond) })
+		}, "intruder"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			tc.build(e)
+			var pp *ProcPanicError
+			if err := e.Run(); !errors.As(err, &pp) || pp.Proc != tc.proc || pp.Value != "sim: sleeper blocks outside its own process" {
+				t.Fatalf("err = %v, want ProcPanicError from %s naming sleeper", err, tc.proc)
+			}
+		})
+	}
+}
+
 // Processes that exit hand their goroutine to the next one to start.
 func TestGoroutinesAreRecycled(t *testing.T) {
 	e := NewEngine()

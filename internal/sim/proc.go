@@ -32,7 +32,13 @@ func (p *Proc) Now() Time { return p.e.now }
 // callback would have had. on, a string or a Stringer, names the wait in
 // deadlock reports. If Run stops the coroutine instead (or already has, and
 // this is a deferred call blocking during the unwinding), the process unwinds.
+// Only the running process may park itself: Park panics when p is not it —
+// called from a bare callback, from another process, or on a handle whose
+// process has not started.
 func (p *Proc) Park(on interface{}) {
+	if p != p.e.cur {
+		panic("sim: " + p.name + " blocks outside its own process")
+	}
 	p.blockedOn = on
 	if !p.co.yield(struct{}{}) {
 		panic(unwind{})

@@ -5,19 +5,63 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// moduleRoot is the root of the module, seen from this package.
+const moduleRoot = "../.."
+
+// srcFset positions everything the tests that read the tree parse or import.
+var srcFset = token.NewFileSet()
+
+// parseModule parses, once, every non-test Go file of the module with its
+// comments, by directory relative to the root ("internal/sim", "." for the
+// root). It walks as the go command does: testdata, vendor, hidden and
+// underscore directories and nested modules are not part of it.
+var parseModule = sync.OnceValues(func() (map[string][]*ast.File, error) {
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == moduleRoot {
+				return nil
+			}
+			if _, nested := os.Stat(filepath.Join(path, "go.mod")); nested == nil || name == "testdata" ||
+				name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return nil
+		}
+		f, err := parser.ParseFile(srcFset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(moduleRoot, filepath.Dir(path)) // the walk stays under moduleRoot
+		dir = filepath.ToSlash(dir)
+		files[dir] = append(files[dir], f)
+		return nil
+	})
+	return files, err
+})
 
 // secondThread lists the only directories under internal/ that may import
 // sync or sync/atomic, start a goroutine or name a channel type, each with
 // the reason it is not held to the rule.
 var secondThread = map[string]string{
-	"serve":    "net/http runs each request on its own goroutine beside a worker pool; everything they share is one table under one mutex (checked below)",
-	"bench":    "runGrid fans independent grid points out to a worker pool, one engine per point, nothing shared but the index channel and the results slice",
-	"analysis": "a build-time tool: it never runs inside an engine",
+	"serve": "net/http runs each request on its own goroutine beside a worker pool; everything they share is one table under one mutex (checked below)",
+	"bench": "runGrid fans independent grid points out to a worker pool, one engine per point, nothing shared but the index channel and the results slice",
 }
 
 // The engine is one thread of control: Run's loop, and the coroutine it has
@@ -30,64 +74,53 @@ var secondThread = map[string]string{
 // lock analyzers this test replaced. Where there are threads, in serve,
 // there is one mutex, so there is no lock order to get wrong.
 func TestOneThreadOfControlByStructure(t *testing.T) {
-	fset := token.NewFileSet()
-	var pulls, mutexes []token.Pos
-	checked := map[string]bool{}
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		pkg := strings.Split(filepath.ToSlash(path), "/")[1]
-		checked[pkg] = true
-		_, exempt := secondThread[pkg]
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); !exempt && (p == "sync" || p == "sync/atomic") {
-				t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				if !exempt {
-					t.Errorf("%s: go statement", fset.Position(n.Pos()))
-				}
-			case *ast.ChanType:
-				if !exempt {
-					t.Errorf("%s: channel type", fset.Position(n.Pos()))
-				}
-			case *ast.SelectorExpr:
-				x, ok := n.X.(*ast.Ident)
-				switch {
-				case !ok:
-				case x.Name == "iter" && n.Sel.Name == "Pull":
-					pulls = append(pulls, n.Pos())
-				case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "RWMutex":
-					t.Errorf("%s: sync.RWMutex in serve", fset.Position(n.Pos()))
-				case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "Mutex":
-					mutexes = append(mutexes, n.Pos())
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	tree, err := parseModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pkg := range []string{"sim", "netsim", "gasnet", "core", "serve", "bench", "analysis"} {
+	var pulls, mutexes []token.Pos
+	checked := map[string]bool{}
+	for dir, files := range tree {
+		rest, ok := strings.CutPrefix(dir, "internal/")
+		if !ok {
+			continue
+		}
+		pkg, _, _ := strings.Cut(rest, "/")
+		checked[pkg] = true
+		_, exempt := secondThread[pkg]
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); !exempt && (p == "sync" || p == "sync/atomic") {
+					t.Errorf("%s: imports %s", srcFset.Position(imp.Pos()), p)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					if !exempt {
+						t.Errorf("%s: go statement", srcFset.Position(n.Pos()))
+					}
+				case *ast.ChanType:
+					if !exempt {
+						t.Errorf("%s: channel type", srcFset.Position(n.Pos()))
+					}
+				case *ast.SelectorExpr:
+					x, ok := n.X.(*ast.Ident)
+					switch {
+					case !ok:
+					case x.Name == "iter" && n.Sel.Name == "Pull":
+						pulls = append(pulls, n.Pos())
+					case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "RWMutex":
+						t.Errorf("%s: sync.RWMutex in serve", srcFset.Position(n.Pos()))
+					case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "Mutex":
+						mutexes = append(mutexes, n.Pos())
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range []string{"sim", "netsim", "gasnet", "core", "serve", "bench"} {
 		if !checked[pkg] {
 			t.Errorf("no sources seen in internal/%s: the walk lost part of the tree", pkg)
 		}
@@ -97,18 +130,18 @@ func TestOneThreadOfControlByStructure(t *testing.T) {
 			t.Errorf("secondThread exempts internal/%s, which does not exist", pkg)
 		}
 	}
-	if len(pulls) != 1 || !strings.HasPrefix(fset.Position(pulls[0]).Filename, filepath.Join("..", "sim")) {
-		t.Errorf("iter.Pull is used at %s, want one site, in sim", positions(fset, pulls))
+	if len(pulls) != 1 || !strings.HasPrefix(srcFset.Position(pulls[0]).Filename, filepath.Join(moduleRoot, "internal", "sim")) {
+		t.Errorf("iter.Pull is used at %s, want one site, in sim", positions(pulls))
 	}
 	if len(mutexes) != 1 {
-		t.Errorf("serve declares sync.Mutex at %s, want exactly one: with a second, lock order is a question again", positions(fset, mutexes))
+		t.Errorf("serve declares sync.Mutex at %s, want exactly one: with a second, lock order is a question again", positions(mutexes))
 	}
 }
 
-func positions(fset *token.FileSet, at []token.Pos) string {
+func positions(at []token.Pos) string {
 	s := make([]string, len(at))
 	for i, p := range at {
-		s[i] = fset.Position(p).String()
+		s[i] = srcFset.Position(p).String()
 	}
 	return "[" + strings.Join(s, " ") + "]"
 }

@@ -1,9 +1,8 @@
 // Package trace records execution timelines of a runtime run — task
 // executions, data transfers and network messages per device — playing
 // the role of Nanos++'s instrumentation layer. Traces can be inspected
-// programmatically, rendered as an ASCII Gantt chart, or exported in a
-// simplified Paraver-style record format (the BSC tool the real runtime
-// feeds).
+// programmatically, rendered as an ASCII Gantt chart, or exported for
+// Perfetto (perfetto.go).
 package trace
 
 import (
@@ -63,22 +62,6 @@ func (k Kind) String() string {
 		return "throttle"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// paraverState maps a Kind to a Paraver state value (the real tool uses
-// 1 = running, 12 = data transfer, etc.; we keep the running/transfer
-// distinction).
-func (k Kind) paraverState() int {
-	switch k {
-	case TaskRun:
-		return 1 // running
-	case Stage, Heartbeat, Throttle:
-		return 7 // scheduling/overhead
-	case Recovery:
-		return 5 // synchronization / fault handling
-	default:
-		return 12 // memory transfer / communication
 	}
 }
 
@@ -145,9 +128,9 @@ func (r *Recorder) Record(s Span) {
 // Open is an in-flight span: the handle Recorder.Begin returns and one
 // of End/EndBytes/EndNonEmpty closes. It is a plain value — beginning a
 // span allocates nothing, and on a nil recorder the whole pair is a
-// no-op — so instrumentation sites need no guards. The tracepair
-// analyzer (ompss-lint) statically checks that every Begin reaches a
-// close on all paths.
+// no-op — so instrumentation sites need no guards. The tracepair rule
+// (internal/sim/rules_test.go) checks that every Begin reaches a close
+// on all paths.
 type Open struct {
 	r    *Recorder
 	span Span
@@ -373,39 +356,6 @@ func (r *Recorder) Gantt(w io.Writer, width int) error {
 	}
 	_, err := fmt.Fprintf(w, "%-14s  0%s%v\n", "", strings.Repeat(" ", width-len(end.String())), end)
 	return err
-}
-
-// WritePRV exports the trace as simplified Paraver state records:
-//
-//	1:<row>:1:1:1:<begin_ns>:<end_ns>:<state>
-//
-// preceded by a minimal header. Rows number resources in the order of
-// resources().
-func (r *Recorder) WritePRV(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	res := r.resources()
-	rowOf := map[resource]int{}
-	for i, re := range res {
-		rowOf[re] = i + 1
-	}
-	var end sim.Time
-	for _, s := range r.spans {
-		if s.End > end {
-			end = s.End
-		}
-	}
-	if _, err := fmt.Fprintf(w, "#Paraver (ompss-go):%d_ns:%d(%d):1\n", int64(end), len(res), len(res)); err != nil {
-		return err
-	}
-	for _, s := range r.Spans() {
-		if _, err := fmt.Fprintf(w, "1:%d:1:1:1:%d:%d:%d\n",
-			rowOf[resource{s.Node, s.Dev}], int64(s.Start), int64(s.End), s.Kind.paraverState()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Summary returns per-kind span counts and bytes.

@@ -42,10 +42,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if len(r.BusyTime()) != 0 || len(r.Summary()) != 0 {
 		t.Fatal("nil recorder aggregates should be empty")
 	}
-	var sb strings.Builder
-	if err := r.WritePRV(&sb); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBusyTime(t *testing.T) {
@@ -88,25 +84,6 @@ func TestGantt(t *testing.T) {
 	}
 	if !strings.Contains(sb2.String(), "empty") {
 		t.Fatal("empty trace should say so")
-	}
-}
-
-func TestWritePRV(t *testing.T) {
-	var sb strings.Builder
-	if err := sampleTrace().WritePRV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if !strings.HasPrefix(lines[0], "#Paraver") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 6 {
-		t.Fatalf("records = %d, want 5 + header", len(lines)-1)
-	}
-	for _, l := range lines[1:] {
-		if !strings.HasPrefix(l, "1:") || strings.Count(l, ":") != 7 {
-			t.Fatalf("malformed record %q", l)
-		}
 	}
 }
 

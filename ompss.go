@@ -128,7 +128,7 @@ type FaultStall = faults.Stall
 type Time = sim.Time
 
 // Trace records an execution timeline when assigned to Config.Trace; see
-// internal/trace for inspection, Gantt rendering and Paraver export.
+// internal/trace for inspection, Gantt rendering and Perfetto export.
 type Trace = trace.Recorder
 
 // NewTrace returns an empty execution-trace recorder.
