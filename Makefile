@@ -40,6 +40,7 @@ race:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDirectory -fuzztime 20s ./internal/coherence/
 	$(GO) test -run xxx -fuzz FuzzFragMap -fuzztime 20s ./internal/memspace/
+	$(GO) test -run xxx -fuzz FuzzStore -fuzztime 20s ./internal/memspace/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a

@@ -59,9 +59,13 @@ func HeatOmpSs(cfg ompss.Config, p HeatParams) (Result, error) {
 
 		if cfg.Validate {
 			ctx.TaskWait()
+			// Block by block, in rod order: the same additions as one pass
+			// over the rod, without stitching the blocks' extents together.
 			var sum float64
-			for _, v := range f64view(ctx.HostBytes(sub(cur, 0, p.N))) {
-				sum += v
+			for j := 0; j < nb; j++ {
+				for _, v := range f64view(ctx.HostBytes(sub(cur, j*p.BSize, p.BSize))) {
+					sum += v
+				}
 			}
 			res.Check = fmt.Sprintf("sum=%.6f", sum)
 		}

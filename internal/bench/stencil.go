@@ -31,11 +31,13 @@ func Heat(o Options) ([]Row, error) {
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
 			run: func() (float64, string, error) {
+				// The reference first: its two rods are garbage before the
+				// run's stores are allocated, not stacked on top of them.
+				want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
 				res, err := apps.HeatOmpSs(cfg, p)
 				if err != nil {
 					return 0, "", err
 				}
-				want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
 				if res.Check != want {
 					return 0, "", fmt.Errorf("heat checksum %s, want %s", res.Check, want)
 				}

@@ -399,20 +399,25 @@ type Line struct {
 	Dirty  bool
 	pins   int
 	lru    int64
+	// older and newer link the cache's recency list.
+	older, newer *Line
 }
 
 // Cache is the software cache of one device address space. Lines are
 // keyed by their full region, so overlapping lines (e.g. halo regions) can
 // coexist; residence queries are exact-region. The line set is one slice
 // kept sorted by regionLess: lookups are a binary search, and every sweep
-// visits lines in the deterministic address order for free.
+// visits lines in the deterministic address order for free. A second,
+// intrusive list keeps the same lines in lru order, oldest first, so
+// eviction walks only as far as its victims.
 type Cache struct {
-	loc      memspace.Location
-	policy   Policy
-	capacity uint64
-	used     uint64
-	lines    []*Line
-	clock    int64
+	loc            memspace.Location
+	policy         Policy
+	capacity       uint64
+	used           uint64
+	lines          []*Line
+	oldest, newest *Line
+	clock          int64
 
 	// Stats
 	Hits      int
@@ -476,7 +481,35 @@ func (c *Cache) Lookup(r memspace.Region) *Line {
 	c.ins.Hits.Inc()
 	c.clock++
 	l.lru = c.clock
+	c.unlink(l)
+	c.pushNewest(l)
 	return l
+}
+
+// unlink takes l out of the recency list.
+func (c *Cache) unlink(l *Line) {
+	if l.older != nil {
+		l.older.newer = l.newer
+	} else {
+		c.oldest = l.newer
+	}
+	if l.newer != nil {
+		l.newer.older = l.older
+	} else {
+		c.newest = l.older
+	}
+	l.older, l.newer = nil, nil
+}
+
+// pushNewest appends l to the recency list as its most recent line.
+func (c *Cache) pushNewest(l *Line) {
+	l.older = c.newest
+	if c.newest != nil {
+		c.newest.newer = l
+	} else {
+		c.oldest = l
+	}
+	c.newest = l
 }
 
 // Contains reports residence of exactly r without touching LRU or stats.
@@ -512,23 +545,13 @@ func (c *Cache) MakeSpace(size uint64) (victims []*Line, ok bool) {
 	if c.used+size <= c.capacity {
 		return nil, true
 	}
-	// Collect unpinned lines oldest-first (lru values are unique: the clock
-	// advances on every touch).
-	var cand []*Line
-	for _, l := range c.lines {
-		if l.pins == 0 {
-			cand = append(cand, l)
-		}
-	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].lru < cand[j].lru })
 	need := c.used + size - c.capacity
 	var freed uint64
-	for _, l := range cand {
-		if freed >= need {
-			break
+	for l := c.oldest; l != nil && freed < need; l = l.newer {
+		if l.pins == 0 {
+			victims = append(victims, l)
+			freed += l.Region.Size
 		}
-		victims = append(victims, l)
-		freed += l.Region.Size
 	}
 	if freed < need {
 		return nil, false
@@ -549,6 +572,7 @@ func (c *Cache) Insert(r memspace.Region, dirty bool) *Line {
 	c.clock++
 	l := &Line{Region: r, Dirty: dirty, lru: c.clock}
 	c.lines = slices.Insert(c.lines, i, l)
+	c.pushNewest(l)
 	c.used += r.Size
 	return l
 }
@@ -563,6 +587,7 @@ func (c *Cache) Remove(r memspace.Region) {
 		panic(fmt.Sprintf("coherence: remove of pinned %v at %v", r, c.loc))
 	}
 	c.lines = slices.Delete(c.lines, i, i+1)
+	c.unlink(l)
 	c.used -= r.Size
 	c.Evictions++
 	c.ins.Evictions.Inc()

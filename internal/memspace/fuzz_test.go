@@ -77,6 +77,107 @@ func FuzzFragMap(f *testing.F) {
 	})
 }
 
+// FuzzStore drives two Stores with arbitrary Bytes-and-write, Drop,
+// CopyRegion (either direction, or a store onto itself) and Has sequences
+// over a 1 KiB space against a per-byte model: each byte's value and
+// whether it is backed. Each operation is four bytes: kind and store, a
+// 9-bit address, and a size of 1–64. Bytes must return the model's values
+// (zeros where it backs a byte first), a copy must leave its source's
+// extents alone, and after every operation each store's extents must be
+// sorted, disjoint, non-empty and hold exactly the model's backed bytes.
+func FuzzStore(f *testing.F) {
+	const space = 1 << 10
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*256 {
+			data = data[:4*256] // the checks after each op are linear in the space
+		}
+		stores := [2]*Store{NewStore(Host(0)), NewStore(GPU(0, 0))}
+		var val [2][space]byte
+		var backed [2][space]bool
+		for ; len(data) >= 4; data = data[4:] {
+			r := Region{Addr: (uint64(data[1])<<8 | uint64(data[2])) & 0x1ff, Size: 1 + uint64(data[3])&63}
+			k := int(data[0]/5) % 2
+			s, v, bk := stores[k], &val[k], &backed[k]
+			switch data[0] % 5 {
+			case 0: // Bytes, then write a pattern through the view
+				b := s.Bytes(r)
+				for i := range b {
+					a := r.Addr + uint64(i)
+					if !bk[a] {
+						v[a], bk[a] = 0, true
+					}
+					if b[i] != v[a] {
+						t.Fatalf("store %d: Bytes(%v) byte %#x = %#x, model %#x", k, r, a, b[i], v[a])
+					}
+					b[i] = byte(i)*13 + data[3]
+					v[a] = b[i]
+				}
+			case 1:
+				s.Drop(r)
+				for a := r.Addr; a < r.End(); a++ {
+					bk[a] = false
+				}
+			case 2, 3: // into store k from the other one, or from itself
+				from := 1 - k
+				if data[0]%5 == 3 {
+					from = k
+				}
+				extents := len(stores[from].extents)
+				CopyRegion(s, stores[from], r)
+				if from != k && len(stores[from].extents) != extents {
+					t.Fatalf("CopyRegion(%v) changed its source's extents: %d -> %d", r, extents, len(stores[from].extents))
+				}
+				for a := r.Addr; a < r.End(); a++ {
+					if !backed[from][a] {
+						val[from][a] = 0 // unbacked bytes arrive as zeros
+					}
+					v[a], bk[a] = val[from][a], true
+				}
+			case 4:
+				want := true
+				for a := r.Addr; a < r.End(); a++ {
+					want = want && bk[a]
+				}
+				if got := s.Has(r); got != want {
+					t.Fatalf("store %d: Has(%v) = %v, model %v", k, r, got, want)
+				}
+			}
+			for i := range stores {
+				checkStore(t, stores[i], val[i][:], backed[i][:])
+			}
+		}
+	})
+}
+
+// checkStore checks s's extents against the per-byte model: sorted,
+// disjoint and non-empty, every byte they hold backed in the model with
+// the model's value, and every byte outside them unbacked.
+func checkStore(t *testing.T, s *Store, val []byte, backed []bool) {
+	t.Helper()
+	pos := uint64(0)
+	for i, e := range s.extents {
+		if len(e.buf) == 0 || e.start < pos {
+			t.Fatalf("%v: extent %d [%#x,%#x) is empty or starts before %#x", s.loc, i, e.start, e.end(), pos)
+		}
+		for a := pos; a < e.start; a++ {
+			if backed[a] {
+				t.Fatalf("%v: byte %#x is backed in the model, not in the store", s.loc, a)
+			}
+		}
+		for a := e.start; a < e.end(); a++ {
+			if !backed[a] || e.buf[a-e.start] != val[a] {
+				t.Fatalf("%v: byte %#x = %#x, model %#x (backed %v)", s.loc, a, e.buf[a-e.start], val[a], backed[a])
+			}
+		}
+		pos = e.end()
+	}
+	for a := pos; a < uint64(len(backed)); a++ {
+		if backed[a] {
+			t.Fatalf("%v: byte %#x is backed in the model, not in the store", s.loc, a)
+		}
+	}
+}
+
 // overlapping returns the payloads of the fragments overlapping r.
 func (f *flatRef) overlapping(r Region) []int {
 	var out []int

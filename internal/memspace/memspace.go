@@ -231,13 +231,30 @@ func (s *Store) Bytes(r Region) []byte {
 		j++
 	}
 	buf := make([]byte, hi-lo)
-	for _, e := range s.extents[i:j] {
-		copy(buf[e.start-lo:], e.buf)
+	if i < j { // else nothing to copy, and make has zeroed buf
+		s.read(buf, lo, i)
 	}
 	merged := extent{start: lo, buf: buf}
 	s.extents = append(s.extents[:i], append([]extent{merged}, s.extents[j:]...)...)
 	off := r.Addr - lo
 	return buf[off : off+r.Size : off+r.Size]
+}
+
+// read fills buf with the bytes [lo, lo+len(buf)) of s in place: each
+// backed piece is copied straight out of its extent, starting the walk at
+// extent i (the first whose end is past lo), and the unbacked gaps between
+// them are zeroed. It neither merges nor backs anything in s.
+func (s *Store) read(buf []byte, lo uint64, i int) {
+	hi := lo + uint64(len(buf))
+	pos := lo
+	for ; i < len(s.extents) && s.extents[i].start < hi; i++ {
+		e := s.extents[i]
+		from, to := max(e.start, lo), min(e.end(), hi)
+		clear(buf[pos-lo : from-lo])
+		copy(buf[from-lo:to-lo], e.buf[from-e.start:])
+		pos = to
+	}
+	clear(buf[pos-lo:])
 }
 
 // Has reports whether every byte of r is backed.
@@ -286,11 +303,19 @@ func (s *Store) Drop(r Region) {
 	s.extents = append(s.extents[:i], append(repl, s.extents[j:]...)...)
 }
 
-// CopyRegion copies the bytes of region r from src to dst. A nil store on
-// either side makes this a no-op (cost-only mode).
+// CopyRegion copies the bytes of region r from src to dst. The source is
+// read in place, extent by extent: bytes src does not back arrive as zeros
+// and stay unbacked there, and src's extents are never merged. The
+// destination is backed through dst.Bytes(r). An armed src still checks r
+// against its contract. A nil store on either side makes this a no-op
+// (cost-only mode).
 func CopyRegion(dst, src *Store, r Region) {
-	if dst == nil || src == nil {
+	if dst == nil || src == nil || !r.Valid() {
 		return
 	}
-	copy(dst.Bytes(r), src.Bytes(r))
+	b := dst.Bytes(r)
+	if src.contract != nil {
+		src.contract.check(r)
+	}
+	src.read(b, r.Addr, src.search(r.Addr))
 }

@@ -247,6 +247,127 @@ func TestCopyRegionAndNilStores(t *testing.T) {
 	nilStore.Drop(r) // must not panic
 }
 
+// pattern fills the bytes of r in s with a nonzero function of the address.
+func pattern(s *Store, r Region) {
+	b := s.Bytes(r)
+	for i := range b {
+		b[i] = byte((r.Addr+uint64(i))%251 + 1)
+	}
+}
+
+// TestCopyRegionReadsSourceInPlace: a transfer copies each source extent
+// straight into the destination and zero-fills what the source does not
+// back, without merging or backing anything in the source.
+func TestCopyRegionReadsSourceInPlace(t *testing.T) {
+	a, b, c := Region{0x100, 16}, Region{0x110, 16}, Region{0x130, 16} // a|b adjacent, gap [0x120,0x130)
+	gap := Region{0x120, 16}
+	cases := []struct {
+		name   string
+		src    []Region // extents the source backs, patterned
+		dst    []Region // extents the destination backs, filled with 0xee
+		r      Region
+		self   bool
+		zeroes []Region // parts of r the source does not back
+	}{
+		{name: "inside one extent", src: []Region{a}, r: Region{0x104, 8}},
+		{name: "three extents and a gap", src: []Region{a, b, c}, dst: []Region{{0x100, 0x40}},
+			r: Region{0x108, 0x30}, zeroes: []Region{gap}},
+		{name: "unbacked source", dst: []Region{gap}, r: gap, zeroes: []Region{gap}},
+		{name: "self copy across two extents", src: []Region{a, b}, r: Region{0x108, 16}, self: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := NewStore(Host(0)), NewStore(GPU(0, 0))
+			if tc.self {
+				dst = src
+			}
+			for _, e := range tc.src {
+				pattern(src, e)
+			}
+			for _, e := range tc.dst {
+				for i, b := 0, dst.Bytes(e); i < len(b); i++ {
+					b[i] = 0xee
+				}
+			}
+			extents := len(src.extents)
+			CopyRegion(dst, src, tc.r)
+			got := dst.Bytes(tc.r)
+			for i, v := range got {
+				addr := tc.r.Addr + uint64(i)
+				want := byte(addr%251 + 1)
+				for _, z := range tc.zeroes {
+					if z.Contains(Region{addr, 1}) {
+						want = 0
+					}
+				}
+				if v != want {
+					t.Fatalf("byte %#x = %#x, want %#x", addr, v, want)
+				}
+			}
+			if tc.self {
+				return
+			}
+			if len(src.extents) != extents {
+				t.Fatalf("source has %d extents after the copy, %d before", len(src.extents), extents)
+			}
+			for _, z := range tc.zeroes {
+				if src.Has(z) {
+					t.Fatalf("copy backed the source's gap %v", z)
+				}
+			}
+		})
+	}
+
+	t.Run("armed source", func(t *testing.T) {
+		src, dst := NewStore(Host(0)), NewStore(GPU(0, 0))
+		pattern(src, Region{0x100, 0x40})
+		src.Arm("task", []Region{a})
+		defer func() {
+			ce, ok := recover().(*ContractError)
+			if !ok || ce.Kind != UndeclaredAccess || ce.Region != (Region{0x108, 16}) {
+				t.Fatalf("recovered %v, want ContractError(undeclared access)", ce)
+			}
+		}()
+		CopyRegion(dst, src, Region{0x108, 16}) // runs past a
+	})
+
+	t.Run("no allocation", func(t *testing.T) {
+		dst, src, r, restore := spanningCopy(1 << 10)
+		if allocs := testing.AllocsPerRun(100, func() {
+			restore()
+			CopyRegion(dst, src, r)
+		}); allocs != 0 {
+			t.Fatalf("a copy out of two source extents costs %.1f allocs, want 0", allocs)
+		}
+	})
+}
+
+// spanningCopy returns a destination backing r, a source backing r as two
+// adjacent extents of n bytes each, r (straddling them), and a restore that
+// puts the source's two extents back — so a copy that merges the source
+// pays for it on every call, not just the first.
+func spanningCopy(n uint64) (dst, src *Store, r Region, restore func()) {
+	src, dst = NewStore(Host(0)), NewStore(GPU(0, 0))
+	lo, hi := Region{0x1000, n}, Region{0x1000 + n, n}
+	pattern(src, lo)
+	pattern(src, hi)
+	r = Region{0x1000 + n/2, n}
+	dst.Bytes(r)
+	saved := append([]extent(nil), src.extents...)
+	return dst, src, r, func() { src.extents = append(src.extents[:0], saved...) }
+}
+
+// A halo transfer: the region straddles two 64 KiB source extents.
+func BenchmarkCopyRegionSpanningExtents(b *testing.B) {
+	dst, src, r, restore := spanningCopy(64 << 10)
+	b.SetBytes(int64(r.Size))
+	b.ReportAllocs()
+	for k := 0; k < b.N; k++ {
+		restore()
+		CopyRegion(dst, src, r)
+	}
+}
+
 func TestLocationString(t *testing.T) {
 	if got := Host(2).String(); got != "node2:host" {
 		t.Fatalf("got %q", got)

@@ -133,15 +133,22 @@ func (t *table) admit(req Request, hash string, now int64) (outcome string, res 
 	t.inflight[hash] = j
 	t.jobs[j.ID] = j
 	t.order = append(t.order, j.ID)
+	t.trim()
+	return admitMiss, nil, j
+}
+
+// trim evicts finished jobs oldest-first until the table is within
+// maxJobs. Live jobs stay, so the table may exceed the bound while they
+// run; admit and finish both trim, so it never stays over at rest.
+func (t *table) trim() {
 	for len(t.jobs) > t.maxJobs {
 		i := slices.IndexFunc(t.order, func(id string) bool { return t.jobs[id].terminal() })
 		if i < 0 {
-			break // everything is still live; allow temporary excess
+			return
 		}
 		delete(t.jobs, t.order[i])
 		t.order = slices.Delete(t.order, i, i+1)
 	}
-	return admitMiss, nil, j
 }
 
 // start moves j from queued to running.
@@ -176,6 +183,7 @@ func (t *table) finish(j *Job, res *Result, err error, now int64) (evicted int) 
 		j.state, j.res = JobDone, res
 		j.append(Event{Kind: "done", ElapsedNS: now})
 	}
+	t.trim()
 	close(j.done)
 	return evicted
 }

@@ -21,6 +21,23 @@ func do(s *Server, method, target, body string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// TestTableTrimsOnFinish: jobs still live at their last admit are evicted
+// once they finish, so the table is back within MaxJobs at rest. Trimming
+// only in admit left both jobs here in the table.
+func TestTableTrimsOnFinish(t *testing.T) {
+	tab := newTable(1<<20, 1, 4)
+	_, _, j1 := tab.admit(Request{Experiment: "stress"}, "h1", 0)
+	_, _, j2 := tab.admit(Request{Experiment: "stress"}, "h2", 0)
+	if len(tab.jobs) != 2 {
+		t.Fatalf("both live jobs must stay admitted, table has %d", len(tab.jobs))
+	}
+	tab.finish(j1, &Result{Hash: "h1"}, nil, 1)
+	tab.finish(j2, &Result{Hash: "h2"}, nil, 2)
+	if _, ok := tab.job(j2.ID); len(tab.jobs) != 1 || !ok {
+		t.Fatalf("at rest the table holds %d jobs (%v), want only the newer %s", len(tab.jobs), tab.order, j2.ID)
+	}
+}
+
 // TestOneExecutionPerHash: however submissions of one never-seen request
 // interleave with the job that computes it finishing, the request executes
 // once. A submit that found the result not yet cached and then found the
