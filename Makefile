@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race fuzz benchmark-test bench baseline resilience cover bench-guard stencil stress serve loadtest weakscale powercap
+.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap
 
 ## check: gofmt + go vet + build + full test suite (the tier-1 gate; the
 ## determinism rules of DESIGN.md §9 are a test in it, internal/sim/rules_test.go)
@@ -18,6 +18,9 @@ vet:
 build:
 	$(GO) build ./...
 
+## test: every package's tests, including cmd/smoke_test.go, the end-to-end
+## smoke of the built binaries (resident serve with SIGTERM drain, quick
+## weakscale and powercap, two examples)
 test:
 	$(GO) test ./...
 
@@ -66,28 +69,10 @@ bench:
 stress:
 	$(GO) run ./cmd/ompss-bench -experiment stress
 
-## baseline: time `ompss-bench -experiment all -quick` into BENCH_harness.json
-baseline:
-	sh scripts/perf_baseline.sh
-
-## bench-guard: rerun the quick suite and fail on wall-clock, armed-overhead
-## or submission tasks/sec regression vs BENCH_harness.json (non-required CI
-## job; wide tolerance)
-bench-guard:
-	sh scripts/bench_guard.sh
-
 ## serve: run the resident experiment service on :8080 (POST /v1/experiments;
 ## see EXPERIMENTS.md "Serving experiments")
 serve:
 	$(GO) run ./cmd/ompss-serve
-
-## loadtest: the canonical serve load test — 1000 concurrent clients against
-## a warm cache; fails below 99% hit rate (the binary's -clients/-requests/
-## -distinct flags tune it). The end-to-end smoke of the binaries — resident
-## serve with SIGTERM drain, selftest, quick weakscale and powercap — is
-## cmd/smoke_test.go, part of `make test`
-loadtest:
-	$(GO) run ./cmd/ompss-serve -selftest
 
 ## weakscale: the full weak-scaling grid (8/64/256 nodes, centralized vs
 ## sharded managers; tasks/sec and directory-ops/sec in virtual time)

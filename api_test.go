@@ -94,19 +94,6 @@ func TestTaskWaitOnPublicAPI(t *testing.T) {
 	}
 }
 
-func TestStatsUtilization(t *testing.T) {
-	s := Stats{ElapsedSeconds: 2, KernelBusySeconds: 3}
-	if got := s.Utilization(2); got != 0.75 {
-		t.Fatalf("utilization = %v", got)
-	}
-	if got := (Stats{}).Utilization(4); got != 0 {
-		t.Fatalf("zero-elapsed utilization = %v", got)
-	}
-	if got := s.Utilization(0); got != 0 {
-		t.Fatalf("zero-gpu utilization = %v", got)
-	}
-}
-
 func TestNameClauseOverridesWorkName(t *testing.T) {
 	cfg := Config{Cluster: MultiGPUSystem(1)}
 	rec := NewTrace()

@@ -167,9 +167,8 @@ func writeTrace(path string, rec *trace.Recorder) (err error) {
 	return rec.CriticalPath(5).WriteText(os.Stdout)
 }
 
-// writeWalltime records the suite's host wall-clock so shell harnesses
-// (scripts/perf_baseline.sh, scripts/bench_guard.sh) need no GNU date
-// extensions to time runs portably.
+// writeWalltime records the suite's host wall-clock, measured inside the
+// process, for the benchmark/ harness (its per-experiment inside time).
 func writeWalltime(path string, elapsed time.Duration, workers int) error {
 	data := fmt.Sprintf("{\"ms\":%d,\"workers\":%d}\n", elapsed.Milliseconds(), workers)
 	return os.WriteFile(path, []byte(data), 0o644)

@@ -3,15 +3,11 @@
 // cache, request deduplication, a bounded worker pool and streaming
 // progress (see DESIGN.md §12 and EXPERIMENTS.md "Serving experiments").
 //
-// Default mode listens until SIGINT/SIGTERM, then drains gracefully.
-// -selftest boots a private server on an ephemeral port, drives the
-// canonical cold+warm load test against it, prints the JSON report, and
-// fails unless the warm burst was served almost entirely from cache.
+// It listens until SIGINT/SIGTERM, then drains gracefully.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,11 +26,6 @@ func main() {
 		cacheMB    = flag.Int64("cache-mb", 256, "result cache size bound in MiB")
 		maxJobs    = flag.Int("max-jobs", 1024, "job table bound")
 		drainSecs  = flag.Int("drain-timeout", 60, "graceful drain timeout in seconds")
-		selftest   = flag.Bool("selftest", false, "run the built-in load test against a private server and exit")
-		clients    = flag.Int("clients", 1000, "selftest: concurrent clients")
-		requests   = flag.Int("requests", 5, "selftest: requests per client in the warm burst")
-		distinct   = flag.Int("distinct", 8, "selftest: distinct configurations")
-		minHitRate = flag.Float64("min-hit-rate", 0.99, "selftest: required warm hit rate")
 	)
 	flag.Parse()
 
@@ -44,9 +35,6 @@ func main() {
 		QueueDepth: *queueDepth,
 		CacheBytes: *cacheMB << 20,
 		MaxJobs:    *maxJobs,
-	}
-	if *selftest {
-		os.Exit(runSelftest(cfg, *clients, *requests, *distinct, *minHitRate))
 	}
 	if err := runServer(cfg, time.Duration(*drainSecs)*time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "ompss-serve:", err)
@@ -76,51 +64,4 @@ func runServer(cfg serve.Config, drainTimeout time.Duration) error {
 	}
 	fmt.Fprintln(os.Stderr, "ompss-serve: drained cleanly")
 	return nil
-}
-
-// runSelftest boots a private server on an ephemeral port, runs the
-// cold+warm load test, prints the JSON report to stdout, and gates on
-// error-free completion and the warm hit rate.
-func runSelftest(cfg serve.Config, clients, requests, distinct int, minHitRate float64) int {
-	cfg.Addr = "127.0.0.1:0"
-	s := serve.New(cfg)
-	if err := s.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "selftest: start:", err)
-		return 1
-	}
-	rep, err := serve.RunLoad(serve.LoadOptions{
-		BaseURL:  s.URL(),
-		Clients:  clients,
-		Requests: requests,
-		Distinct: distinct,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "selftest: load:", err)
-		return 1
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := s.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "selftest: drain:", err)
-		return 1
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-
-	code := 0
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "selftest: FAIL: %d request errors\n", rep.Errors)
-		code = 1
-	}
-	if rep.HitRate < minHitRate {
-		fmt.Fprintf(os.Stderr, "selftest: FAIL: warm hit rate %.4f < %.4f\n", rep.HitRate, minHitRate)
-		code = 1
-	}
-	if code == 0 {
-		fmt.Fprintf(os.Stderr, "selftest: OK: %d clients, %d warm requests, hit rate %.4f, %.0f req/s warm\n",
-			rep.Clients, rep.WarmRequests, rep.HitRate, rep.WarmRPS)
-	}
-	return code
 }

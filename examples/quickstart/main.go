@@ -1,8 +1,9 @@
 // Quickstart: a complete OmpSs program against the public API.
 //
-// A vector is initialized on the host, two dependent CUDA tasks transform
-// it on a (simulated) GPU, and taskwait brings the result home — the
-// runtime moves all data automatically, like the paper's Figure 1 program.
+// A vector is initialized on the host, a CUDA task transforms it on a
+// (simulated) GPU, a dependent SMP task transforms it again on the host's
+// CPU cores, and taskwait closes the program. The runtime moves y to the
+// GPU and back between the two tasks automatically.
 // Run with:
 //
 //	go run ./examples/quickstart
@@ -28,8 +29,9 @@ func f32(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// saxpy is a user-provided kernel: y += a*x, with a roofline cost model
-// (what the simulated GPU charges) and a real body (what validation runs).
+// saxpy is a user-provided kernel: y += a*x, with a roofline cost model per
+// device class (what the simulated GPU or CPU charges) and a real body (what
+// validation runs).
 type saxpy struct {
 	x, y ompss.Region
 	a    float32
@@ -83,7 +85,9 @@ func main() {
 		// #pragma omp target device(cuda) copy_deps
 		// #pragma omp task input(x) inout(y)
 		ctx.Task(saxpy{x: x, y: y, a: 3}, ompss.Target(ompss.CUDA), ompss.In(x), ompss.InOut(y))
-		ctx.Task(saxpy{x: x, y: y, a: 2}, ompss.Target(ompss.CUDA), ompss.In(x), ompss.InOut(y))
+		// #pragma omp target device(smp) copy_deps
+		// #pragma omp task input(x) inout(y)
+		ctx.Task(saxpy{x: x, y: y, a: 2}, ompss.Target(ompss.SMP), ompss.In(x), ompss.InOut(y))
 		ctx.TaskWait()
 
 		y0 = f32(ctx.HostBytes(y))[0]
@@ -96,6 +100,6 @@ func main() {
 	if y0 != 7 {
 		log.Fatalf("y[0] = %v, want 7", y0)
 	}
-	fmt.Printf("CUDA tasks: %d, H2D: %d bytes, D2H: %d bytes, cache hits: %d\n",
-		stats.TasksCUDA, stats.BytesH2D, stats.BytesD2H, stats.CacheHits)
+	fmt.Printf("CUDA tasks: %d, SMP tasks: %d, H2D: %d bytes, D2H: %d bytes, cache hits: %d\n",
+		stats.TasksCUDA, stats.TasksSMP, stats.BytesH2D, stats.BytesD2H, stats.CacheHits)
 }

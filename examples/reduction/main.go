@@ -1,7 +1,9 @@
 // Reduction demonstrates the reduction clause (the paper's Section VII
 // future work, implemented by this runtime): a dot product whose partial
-// sums accumulate concurrently into per-GPU private copies, combined by
-// the runtime before the result is read.
+// sums accumulate concurrently into private copies on the GPUs and the
+// host, combined by the runtime before the result is read. Every fourth
+// chunk runs on the host's CPU cores, so partials of both device classes
+// meet in one combine.
 //
 //	go run ./examples/reduction -gpus 4 -n 8388608
 package main
@@ -75,6 +77,10 @@ func main() {
 		acc := ctx.Alloc(16)
 		ctx.InitSeq(acc, nil)
 		for c := 0; c < *chunks; c++ {
+			dev := ompss.CUDA
+			if c%4 == 3 {
+				dev = ompss.SMP
+			}
 			x := ctx.Alloc(uint64(per) * 4)
 			y := ctx.Alloc(uint64(per) * 4)
 			val := float32(c%5 + 1)
@@ -93,7 +99,7 @@ func main() {
 			want += float64(val) * 2 * float64(per)
 			// The reduction clause: no ordering between the chunk tasks.
 			ctx.Task(dotChunk{x: x, y: y, acc: acc},
-				ompss.Target(ompss.CUDA), ompss.In(x, y), ompss.Reduction(acc, ompss.SumFloat32))
+				ompss.Target(dev), ompss.In(x, y), ompss.Reduction(acc, ompss.SumFloat32))
 		}
 		ctx.TaskWait()
 		got = f32(ctx.HostBytes(acc))[0]
@@ -105,6 +111,6 @@ func main() {
 	if float64(got) != want {
 		log.Fatalf("dot = %v, want %v", got, want)
 	}
-	fmt.Printf("%d reduction tasks over %d GPUs, %d partial combines (writebacks: %d)\n",
-		*chunks, *gpus, stats.Writebacks, stats.Writebacks)
+	fmt.Printf("%d reduction tasks (%d on %d GPUs, %d on the host), %d partial combines\n",
+		*chunks, stats.TasksCUDA, *gpus, stats.TasksSMP, stats.Writebacks)
 }

@@ -59,7 +59,7 @@ func MatmulMPICUDA(spec hw.ClusterSpec, p MatmulParams, validate bool) (Result, 
 	done, err := m.run(func(pr2 *sim.Proc, r *mpi.Rank, node int) {
 		myRow, myCol := node/pc, node%pc
 		rowLo, colLo := myRow*rowsPer, myCol*colsPer
-		ctx := cuda.NewContext(m.engine, m.devs[node][0])
+		ctx := cuda.NewContext(m.devs[node][0])
 		gpu := m.devs[node][0].Spec()
 
 		// C stays resident on the GPU for the whole run.

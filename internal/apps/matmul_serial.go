@@ -1,7 +1,5 @@
 package apps
 
-import "github.com/bsc-repro/ompss/internal/memspace"
-
 // Serial reference Matrix Multiply, the baseline column of Table I: C = A*B
 // on n x n single-precision matrices stored in bs x bs tiles, exactly the
 // data layout the annotated versions use.
@@ -61,15 +59,6 @@ func checksum(b []byte) float64 {
 	var sum float64
 	for _, v := range f32view(b) {
 		sum += float64(v)
-	}
-	return sum
-}
-
-// storeChecksum sums checksums over a set of regions in a store.
-func storeChecksum(s *memspace.Store, regions []memspace.Region) float64 {
-	var sum float64
-	for _, r := range regions {
-		sum += checksum(s.Bytes(r))
 	}
 	return sum
 }

@@ -23,7 +23,7 @@ func NBodyCUDA(gpu hw.GPUSpec, p NBodyParams, validate bool) (Result, error) {
 
 	e := sim.NewEngine()
 	dev := gpusim.New(e, gpu, memspace.GPU(0, 0), false, validate)
-	ctx := cuda.NewContext(e, dev)
+	ctx := cuda.NewContext(dev)
 	var host *memspace.Store
 	if validate {
 		host = memspace.NewStore(memspace.Host(0))

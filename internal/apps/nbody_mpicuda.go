@@ -45,7 +45,7 @@ func NBodyMPICUDA(spec hw.ClusterSpec, p NBodyParams, validate bool) (Result, er
 	var sum float64
 	var compute float64
 	_, err := m.run(func(pr *sim.Proc, r *mpi.Rank, node int) {
-		ctx := cuda.NewContext(m.engine, m.devs[node][0])
+		ctx := cuda.NewContext(m.devs[node][0])
 		gpu := m.devs[node][0].Spec()
 		spec0 := spec.Nodes[node]
 		mustMalloc(ctx, pos)

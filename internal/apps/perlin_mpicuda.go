@@ -36,7 +36,7 @@ func PerlinMPICUDA(spec hw.ClusterSpec, p PerlinParams, validate bool) (Result, 
 	var sum float64
 	var compute float64
 	_, err := m.run(func(pr *sim.Proc, r *mpi.Rank, node int) {
-		ctx := cuda.NewContext(m.engine, m.devs[node][0])
+		ctx := cuda.NewContext(m.devs[node][0])
 		gpu := m.devs[node][0].Spec()
 		lo := node * nbPerRank
 		mine := blocks[lo : lo+nbPerRank]

@@ -24,7 +24,7 @@ func StreamCUDA(gpu hw.GPUSpec, p StreamParams, validate bool) (Result, error) {
 
 	e := sim.NewEngine()
 	dev := gpusim.New(e, gpu, memspace.GPU(0, 0), false, validate)
-	ctx := cuda.NewContext(e, dev)
+	ctx := cuda.NewContext(dev)
 	var host *memspace.Store
 	if validate {
 		host = memspace.NewStore(memspace.Host(0))

@@ -59,7 +59,7 @@ func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, 
 	var sum float64
 	var compute float64
 	_, err := m.run(func(pr *sim.Proc, r *mpi.Rank, node int) {
-		ctx := cuda.NewContext(m.engine, m.devs[node][0])
+		ctx := cuda.NewContext(m.devs[node][0])
 		gpu := m.devs[node][0].Spec()
 		for _, arr := range [][]memspace.Region{a[node], b[node], c[node]} {
 			for _, blk := range arr {

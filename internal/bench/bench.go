@@ -142,8 +142,8 @@ func All() []Experiment {
 // they are not paper figures. stress reports host wall-clock tasks/sec
 // (never golden-comparable, and it would perturb the suite's timing
 // harness); weakscale is deterministic virtual time but probes the
-// manager layer, not a figure, and has its own CI gates
-// (cmd/smoke_test.go, bench_guard).
+// manager layer, not a figure, and has its own CI gate
+// (cmd/smoke_test.go).
 func Extras() []Experiment {
 	return []Experiment{
 		{"stress", "Submission stress: host-side tasks/sec on strided million-task graphs", Stress},
@@ -165,15 +165,6 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns the experiment names in order.
-func Names() []string {
-	var out []string
-	for _, e := range All() {
-		out = append(out, e.Name)
-	}
-	return out
 }
 
 // policies and schedulers in the order the paper's charts group them.

@@ -217,9 +217,9 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestAllAndNames(t *testing.T) {
-	names := Names()
-	if len(names) != 13 || names[0] != "fig5" || names[9] != "table1" || names[12] != "heat" {
-		t.Fatalf("names = %v", names)
+	all := All()
+	if len(all) != 13 || all[0].Name != "fig5" || all[9].Name != "table1" || all[12].Name != "heat" {
+		t.Fatalf("%d experiments; want 13, fig5 first, table1 tenth, heat last", len(all))
 	}
 	if _, ok := ByName("nosuch"); ok {
 		t.Fatal("ByName should reject unknown names")
@@ -242,6 +242,11 @@ func TestResilienceShapes(t *testing.T) {
 	if v["8node matmul armed zero-fault"] < 0.9*v["8node matmul clean"] {
 		t.Errorf("armed zero-fault protocol overhead too high: %.1f vs clean %.1f",
 			v["8node matmul armed zero-fault"], v["8node matmul clean"])
+	}
+	// The overhead row is elapsed virtual time, so it is exact: the budget
+	// is 2 % (1.41 % at quick size).
+	if over, ok := v["armed zero-fault overhead"]; !ok || over > 2.0 {
+		t.Errorf("armed zero-fault overhead = %v %% (row present %v), budget 2 %%", over, ok)
 	}
 	// The crash run loses a node mid-flight and replays work; it must still
 	// finish with usable throughput (the exact cost depends on how much the

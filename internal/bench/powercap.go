@@ -20,7 +20,7 @@ import (
 // only defers kernel launches; the verify rows pin checksums capped vs
 // uncapped) but cost time, and a cost-model scheduler loses less of it.
 // The "heft uncapped throughput" row is the deterministic virtual-time
-// tasks/sec that scripts/bench_guard.sh gates against BENCH_harness.json.
+// tasks/sec that cmd/smoke_test.go pins exactly.
 
 // powercapSchedulers is the frontier's scheduler sweep: the paper's three
 // policies plus heft.
@@ -136,7 +136,7 @@ func Powercap(o Options) ([]Row, error) {
 				Row{Experiment: "powercap", Config: cfgName, Value: res.ElapsedSeconds * 1e3, Unit: "ms"},
 				Row{Experiment: "powercap", Config: cfgName + " peak", Value: res.Stats.PowerPeakWatts, Unit: "W"})
 			if policy == sched.HEFT && capW == 0 {
-				// The deterministic throughput row bench_guard gates.
+				// The deterministic throughput row the smoke test pins.
 				tasks := float64(res.Stats.TasksSMP + res.Stats.TasksCUDA)
 				rows = append(rows, Row{Experiment: "powercap",
 					Config: "heft uncapped throughput",

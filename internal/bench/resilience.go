@@ -182,8 +182,8 @@ func Resilience(o Options) ([]Row, error) {
 		Row{Experiment: "resil", Config: "crash tasks re-executed", Value: float64(crash.TasksReexecuted), Unit: "tasks"},
 		Row{Experiment: "resil", Config: "crash recovery time", Value: crash.RecoverySeconds * 1e3, Unit: "ms"},
 	)
-	// The armed-but-idle protocol overhead, the number perf_baseline.sh
-	// tracks (must stay under a few percent).
+	// The armed-but-idle protocol overhead in virtual time, which
+	// TestResilienceShapes holds to its 2 % budget.
 	if armed := statsBy[0].ElapsedSeconds; armed > 0 && clean.Stats.ElapsedSeconds > 0 {
 		over := (armed/clean.Stats.ElapsedSeconds - 1) * 100
 		rows = append(rows, Row{Experiment: "resil", Config: "armed zero-fault overhead", Value: over, Unit: "%"})

@@ -20,8 +20,8 @@ import (
 // every operation in the machine serializes through, so its tasks/sec
 // plateaus as nodes grow; sharded spreads the same operations over
 // nodes/4 queues served in parallel and keeps scaling. Both rows report
-// *virtual-time* tasks/sec, so the numbers are deterministic and CI can
-// gate them tightly (scripts/bench_guard.sh).
+// *virtual-time* tasks/sec, so the numbers are deterministic and the
+// benchmark's weakscale golden compares them exactly.
 //
 // The verify points are the checksum gate: the same validated Matmul runs
 // centralized (shards=1) and sharded (shards=4) and must produce

@@ -26,9 +26,8 @@ func TestWeakscale256ShardedBeatsCentralized(t *testing.T) {
 	}
 }
 
-// Weakscale quick must emit the full row set the smoke script and
-// bench_guard awk on: both verify rows ok, and a tasks/s plus dirops
-// pair per (nodes, mode).
+// Weakscale quick must emit the full row set cmd/smoke_test.go matches:
+// both verify rows ok, and a tasks/s plus dirops pair per (nodes, mode).
 func TestWeakscaleQuickRowShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick grid")

@@ -446,9 +446,6 @@ func NewCache(loc memspace.Location, policy Policy, capacity uint64) *Cache {
 // Location returns the device this cache fronts.
 func (c *Cache) Location() memspace.Location { return c.loc }
 
-// Policy returns the cache's write policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Used returns the bytes currently resident.
 func (c *Cache) Used() uint64 { return c.used }
 

@@ -260,7 +260,6 @@ type Stats struct {
 
 	// Fault tolerance (all zero unless Config.Faults was set).
 	FaultDropsInjected int     // messages the injector lost or blackholed
-	NetMsgsDropped     int     // undelivered messages as seen by the fabric
 	NetRetries         int     // reliable-AM retransmissions
 	HeartbeatMisses    int     // failure-detector probe misses
 	DeadNodes          int     // nodes declared dead
@@ -277,12 +276,4 @@ type Stats struct {
 	// Metrics is the full registry snapshot the summary fields above were
 	// derived from, in deterministic instrument order.
 	Metrics []metrics.Sample
-}
-
-// Utilization returns average GPU compute utilization in [0,1].
-func (s Stats) Utilization(numGPUs int) float64 {
-	if s.ElapsedSeconds == 0 || numGPUs == 0 {
-		return 0
-	}
-	return s.KernelBusySeconds / (s.ElapsedSeconds * float64(numGPUs))
 }

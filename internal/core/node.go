@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/coherence"
-	"github.com/bsc-repro/ompss/internal/cuda"
 	"github.com/bsc-repro/ompss/internal/detmap"
 	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/gpusim"
@@ -50,7 +49,6 @@ type nodeRT struct {
 	hostStore *memspace.Store
 	ep        *gasnet.Endpoint
 	devs      []*gpusim.Device
-	ctxs      []*cuda.Context
 	caches    []*coherence.Cache
 	dir       *coherence.Directory
 	sch       sched.Scheduler
@@ -151,7 +149,6 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		dev := gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate)
 		dev.Instrument(deviceInstruments(rt.cfg.Metrics, id, g))
 		n.devs = append(n.devs, dev)
-		n.ctxs = append(n.ctxs, cuda.NewContext(rt.e, dev))
 		capacity := uint64(float64(gs.MemBytes) * (1 - rt.cfg.GPUCacheHeadroom))
 		cache := coherence.NewCache(memspace.GPU(id, g), rt.cfg.CachePolicy, capacity)
 		cache.Instrument(cacheInstruments(rt.cfg.Metrics, id, g))

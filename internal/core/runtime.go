@@ -121,12 +121,6 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Engine exposes the virtual clock (for tests and harnesses).
-func (rt *Runtime) Engine() *sim.Engine { return rt.e }
-
-// Config returns the effective configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 func (rt *Runtime) master() *nodeRT { return rt.nodes[0] }
 
 // onReady fires inside Submit/Finished when a task's dependencies resolve.
@@ -523,13 +517,7 @@ func (rt *Runtime) collectStats() Stats {
 		fs := rt.fabric.Iface(n.id).Stats()
 		s.NetBytes += fs.BytesSent
 		s.NetMsgs += fs.MsgsSent
-		s.NetMsgsDropped += fs.MsgsDropped
 	}
 	s.Metrics = rt.cfg.Metrics.Snapshot()
 	return s
-}
-
-func (rt *Runtime) String() string {
-	return fmt.Sprintf("Runtime(%s, %d nodes, sched=%s, cache=%s)",
-		rt.cfg.Cluster.Name, len(rt.nodes), rt.cfg.Scheduler, rt.cfg.CachePolicy)
 }

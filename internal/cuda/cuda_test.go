@@ -11,17 +11,17 @@ import (
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
-func newCtx(t *testing.T, overlap bool) (*sim.Engine, *Context) {
+func newCtx(t *testing.T) (*sim.Engine, *Context) {
 	t.Helper()
 	e := sim.NewEngine()
 	spec := hw.GTX480()
 	spec.MemBytes = 1 << 20
-	dev := gpusim.New(e, spec, memspace.GPU(0, 0), overlap, true)
-	return e, NewContext(e, dev)
+	dev := gpusim.New(e, spec, memspace.GPU(0, 0), true, true)
+	return e, NewContext(dev)
 }
 
 func TestMallocFreeAccounting(t *testing.T) {
-	_, ctx := newCtx(t, true)
+	_, ctx := newCtx(t)
 	r1 := memspace.Region{Addr: 0x1000, Size: 1 << 19}
 	r2 := memspace.Region{Addr: 0x2000, Size: 1 << 19}
 	r3 := memspace.Region{Addr: 0x3000, Size: 1}
@@ -49,57 +49,8 @@ func TestMallocFreeAccounting(t *testing.T) {
 	ctx.Free(memspace.Region{Addr: 0x9999, Size: 8})
 }
 
-func TestStreamOrdering(t *testing.T) {
-	e, ctx := newCtx(t, true)
-	var order []string
-	var end sim.Time
-	e.Go("main", func(p *sim.Proc) {
-		s := ctx.NewStream()
-		s.LaunchAsync("k1", 2*time.Millisecond, func(*memspace.Store) { order = append(order, "k1") })
-		s.LaunchAsync("k2", time.Millisecond, func(*memspace.Store) { order = append(order, "k2") })
-		s.Synchronize(p)
-		end = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "k1" || order[1] != "k2" {
-		t.Fatalf("order = %v", order)
-	}
-	// Same stream serializes: 2ms + 1ms (cost is passed in full, the
-	// facade does not add launch overhead on top).
-	want := sim.Time(3 * time.Millisecond)
-	if end != want {
-		t.Fatalf("end = %v, want %v", end, want)
-	}
-}
-
-func TestTwoStreamsOverlapCopyAndKernel(t *testing.T) {
-	e, ctx := newCtx(t, true)
-	host := memspace.NewStore(memspace.Host(0))
-	r := memspace.Region{Addr: 0x4000, Size: 1 << 19}
-	var end sim.Time
-	e.Go("main", func(p *sim.Proc) {
-		s1 := ctx.NewStream()
-		s2 := ctx.NewStream()
-		s1.LaunchAsync("big", 5*time.Millisecond, nil)
-		s2.MemcpyAsync(gpusim.H2D, r, host, true)
-		s1.Synchronize(p)
-		s2.Synchronize(p)
-		end = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The ~100us copy hides entirely under the 5ms kernel.
-	want := sim.Time(5 * time.Millisecond)
-	if end != want {
-		t.Fatalf("end = %v, want %v", end, want)
-	}
-}
-
 func TestBlockingMemcpyMovesBytes(t *testing.T) {
-	e, ctx := newCtx(t, true)
+	e, ctx := newCtx(t)
 	host := memspace.NewStore(memspace.Host(0))
 	r := memspace.Region{Addr: 0x5000, Size: 3}
 	copy(host.Bytes(r), []byte{1, 2, 3})
@@ -123,7 +74,7 @@ func TestBlockingMemcpyMovesBytes(t *testing.T) {
 }
 
 func TestFreeDropsDeviceBytes(t *testing.T) {
-	e, ctx := newCtx(t, true)
+	e, ctx := newCtx(t)
 	host := memspace.NewStore(memspace.Host(0))
 	r := memspace.Region{Addr: 0x6000, Size: 8}
 	if err := ctx.Malloc(r); err != nil {
@@ -135,58 +86,14 @@ func TestFreeDropsDeviceBytes(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.Device().Store().Has(r) {
+	if !ctx.dev.Store().Has(r) {
 		t.Fatal("device store should hold region after copy")
 	}
 	ctx.Free(r)
-	if ctx.Device().Store().Has(r) {
+	if ctx.dev.Store().Has(r) {
 		t.Fatal("Free should drop device bytes")
 	}
-	if ctx.Device().MemUsed() != 0 {
-		t.Fatalf("MemUsed = %d after free", ctx.Device().MemUsed())
-	}
-}
-
-func TestEventsSynchronizeStreams(t *testing.T) {
-	e, ctx := newCtx(t, true)
-	var order []string
-	var end sim.Time
-	e.Go("main", func(p *sim.Proc) {
-		producer := ctx.NewStream()
-		consumer := ctx.NewStream()
-		producer.LaunchAsync("produce", 3*time.Millisecond, func(*memspace.Store) {
-			order = append(order, "produce")
-		})
-		ev := ctx.NewEvent()
-		ev.Record(producer)
-		consumer.WaitEvent(ev)
-		consumer.LaunchAsync("consume", time.Millisecond, func(*memspace.Store) {
-			order = append(order, "consume")
-		})
-		consumer.Synchronize(p)
-		end = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "produce" || order[1] != "consume" {
-		t.Fatalf("order = %v", order)
-	}
-	if want := sim.Time(4 * time.Millisecond); end != want {
-		t.Fatalf("end = %v, want %v (serialized through the event)", end, want)
-	}
-}
-
-func TestUnrecordedEventCompletesImmediately(t *testing.T) {
-	e, ctx := newCtx(t, true)
-	e.Go("main", func(p *sim.Proc) {
-		ev := ctx.NewEvent()
-		ev.Synchronize(p) // must not block
-		if p.Now() != 0 {
-			t.Errorf("unrecorded event waited until %v", p.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if ctx.dev.MemUsed() != 0 {
+		t.Fatalf("MemUsed = %d after free", ctx.dev.MemUsed())
 	}
 }

@@ -132,9 +132,6 @@ func NewInjector(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: plan.Seed}
 }
 
-// Plan returns the plan this injector executes.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns what has been injected so far.
 func (in *Injector) Stats() Stats { return in.stats }
 

@@ -104,9 +104,6 @@ func New(e *sim.Engine, spec hw.GPUSpec, loc memspace.Location, overlap, validat
 // Spec returns the hardware description.
 func (d *Device) Spec() hw.GPUSpec { return d.spec }
 
-// Location returns the device's address-space location.
-func (d *Device) Location() memspace.Location { return d.loc }
-
 // Store returns the device backing store (nil in cost-only mode).
 func (d *Device) Store() *memspace.Store { return d.store }
 

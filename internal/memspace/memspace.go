@@ -190,9 +190,6 @@ func NewStore(loc Location) *Store {
 	return &Store{loc: loc}
 }
 
-// Location returns the address space this store backs.
-func (s *Store) Location() Location { return s.loc }
-
 // search returns the index of the first extent whose end is past addr.
 func (s *Store) search(addr uint64) int {
 	return sort.Search(len(s.extents), func(i int) bool { return s.extents[i].end() > addr })

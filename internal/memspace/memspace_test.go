@@ -400,6 +400,9 @@ func TestArmedStoreContainment(t *testing.T) {
 		if !ok || ce.Kind != UndeclaredAccess || ce.Region != (Region{0x1030, 32}) {
 			t.Fatalf("recovered %v, want ContractError(undeclared access)", ce)
 		}
+		if got, want := ce.Error(), "memspace: task broke its dependence contract: undeclared access [0x1030,+32)"; got != want {
+			t.Fatalf("Error() = %q, want %q", got, want)
+		}
 	}()
 	s.Bytes(Region{0x1030, 32}) // runs past a into undeclared bytes
 }

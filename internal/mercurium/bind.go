@@ -123,7 +123,7 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 		case task.InOut:
 			clauses = append(clauses, ompss.InOut(r))
 		case task.Red:
-			comb, err := combinerFor(d.RedOp, p.Type)
+			comb, err := combinerFor(p.Type)
 			if err != nil {
 				return fmt.Errorf("mercurium: %s: %w", name, err)
 			}
@@ -151,11 +151,9 @@ func (in *Instance) TaskWait() { in.ctx.TaskWait() }
 // TaskWaitNoflush forwards to taskwait noflush.
 func (in *Instance) TaskWaitNoflush() { in.ctx.TaskWaitNoflush() }
 
-// combinerFor maps a reduction operator and element type to a combiner.
-func combinerFor(op, typ string) (task.Combiner, error) {
-	if op != "+" {
-		return nil, fmt.Errorf("unsupported reduction operator %q", op)
-	}
+// combinerFor maps the element type of a reduction(+: …) item to its
+// combiner; Parse admits no other operator.
+func combinerFor(typ string) (task.Combiner, error) {
 	switch typ {
 	case "float*":
 		return ompss.SumFloat32, nil

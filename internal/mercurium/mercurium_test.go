@@ -2,6 +2,8 @@ package mercurium
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -261,9 +263,12 @@ func fillF64(b []byte, v float64) {
 
 func f64At(b []byte, i int) float64 { return f64view(b)[i] }
 
-// dotWork is the kernel bound to the parsed dot declaration.
+// dotWork is the kernel bound to the parsed dot declaration: it adds the
+// dot product of x and y into acc[0], in float64 when f64 is set and in
+// float32 otherwise.
 type dotWork struct {
 	x, y, acc memspace.Region
+	f64       bool
 }
 
 func (w dotWork) Name() string                      { return "dot" }
@@ -273,13 +278,109 @@ func (w dotWork) Run(store *memspace.Store) {
 	if store == nil {
 		return
 	}
-	x, y := f32view(store.Bytes(w.x)), f32view(store.Bytes(w.y))
-	acc := f32view(store.Bytes(w.acc))
-	var s float32
+	if w.f64 {
+		dotInto(f64view(store.Bytes(w.x)), f64view(store.Bytes(w.y)), f64view(store.Bytes(w.acc)))
+		return
+	}
+	dotInto(f32view(store.Bytes(w.x)), f32view(store.Bytes(w.y)), f32view(store.Bytes(w.acc)))
+}
+
+func dotInto[F float32 | float64](x, y, acc []F) {
+	var s F
 	for i := range x {
 		s += x[i] * y[i]
 	}
 	acc[0] += s
+}
+
+// TestReductionThroughMercurium runs a dot product from a reduction(+: …)
+// pragma for each element type that has a combiner: concurrent chunk tasks
+// on two GPUs accumulate private partials, the combiner the declared type
+// binds folds them, and the result is exact. An operator other than + and
+// an element type with no combiner are rejected.
+func TestReductionThroughMercurium(t *testing.T) {
+	const chunks, n = 4, 256
+	for _, tc := range []struct {
+		typ  string
+		size uint64
+		want task.Combiner
+	}{
+		{"float", 4, ompss.SumFloat32},
+		{"double", 8, ompss.SumFloat64},
+	} {
+		t.Run(tc.typ, func(t *testing.T) {
+			if comb, err := combinerFor(tc.typ + "*"); err != nil || reflect.ValueOf(comb).Pointer() != reflect.ValueOf(tc.want).Pointer() {
+				t.Errorf("%s*: combiner is not the elementwise sum of its type (%v)", tc.typ, err)
+			}
+			prog := MustParse(fmt.Sprintf(`
+#pragma omp target device(cuda) copy_deps
+#pragma omp task input([N] x, [N] y) reduction(+: acc)
+void dot(%[1]s *x, %[1]s *y, %[1]s *acc, int N);
+`, tc.typ))
+			var got, want float64
+			rt := ompss.New(ompss.Config{Cluster: ompss.MultiGPUSystem(2), Validate: true})
+			_, err := rt.Run(func(ctx *ompss.Context) {
+				inst, err := prog.Bind(ctx, map[string]Kernel{"dot": func(a Args) task.Work {
+					return dotWork{x: a.Region("x"), y: a.Region("y"), acc: a.Region("acc"), f64: tc.size == 8}
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fill := func(b []byte, v float64) {
+					if tc.size == 8 {
+						fillF64(b, v)
+					} else {
+						fillF32(b, float32(v))
+					}
+				}
+				acc := ctx.Alloc(tc.size)
+				ctx.InitSeq(acc, nil)
+				for c := 0; c < chunks; c++ {
+					x, y := ctx.Alloc(n*tc.size), ctx.Alloc(n*tc.size)
+					val := float64(c + 1)
+					ctx.InitSeq(x, func(b []byte) { fill(b, val) })
+					ctx.InitSeq(y, func(b []byte) { fill(b, 2) })
+					want += val * 2 * n
+					inst.MustCall("dot", x, y, acc, n)
+				}
+				inst.TaskWait()
+				if tc.size == 8 {
+					got = f64At(ctx.HostBytes(acc), 0)
+				} else {
+					got = float64(f32view(ctx.HostBytes(acc))[0])
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s dot = %v, want %v", tc.typ, got, want)
+			}
+		})
+	}
+
+	t.Run("unsupported-operator", func(t *testing.T) {
+		if _, err := Parse("#pragma omp task reduction(*: acc)\nvoid f(float *acc);"); err == nil || !strings.Contains(err.Error(), `unsupported reduction operator "*"`) {
+			t.Errorf("reduction(*: …): err = %v, want the unsupported-operator error", err)
+		}
+	})
+	t.Run("no-combiner", func(t *testing.T) {
+		prog := MustParse("#pragma omp task reduction(+: acc)\nvoid f(int *acc);")
+		rt := ompss.New(ompss.Config{Cluster: ompss.MultiGPUSystem(1)})
+		_, err := rt.Run(func(ctx *ompss.Context) {
+			inst, err := prog.Bind(ctx, map[string]Kernel{"f": func(Args) task.Work { return task.NoWork{} }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = inst.Call("f", ctx.Alloc(4))
+			if err == nil || !strings.Contains(err.Error(), `no + combiner for element type "int*"`) {
+				t.Errorf("int* reduction: err = %v, want the no-combiner error", err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // figure1 is the Matrix Multiply annotation of the paper's Figure 1: the

@@ -51,8 +51,6 @@ type Dep struct {
 	Len    Expr
 	Param  string
 	Access Access
-	// RedOp is the reduction operator ("+") for Access == task.Red.
-	RedOp string
 }
 
 // TaskDecl is one annotated function declaration.
@@ -254,7 +252,7 @@ func applyTargetClauses(d *TaskDecl, src string) error {
 func applyTaskClauses(d *TaskDecl, src string) error {
 	for _, cl := range splitClauses(src) {
 		var acc Access
-		var body, redOp string
+		var body string
 		switch {
 		case strings.HasPrefix(cl, "input(") && strings.HasSuffix(cl, ")"):
 			acc, body = task.In, cl[len("input("):len(cl)-1]
@@ -269,9 +267,8 @@ func applyTaskClauses(d *TaskDecl, src string) error {
 			if colon < 0 {
 				return fmt.Errorf("reduction clause needs an operator: %q", cl)
 			}
-			redOp = strings.TrimSpace(inner[:colon])
-			if redOp != "+" {
-				return fmt.Errorf("unsupported reduction operator %q", redOp)
+			if op := strings.TrimSpace(inner[:colon]); op != "+" {
+				return fmt.Errorf("unsupported reduction operator %q", op)
 			}
 			acc, body = task.Red, inner[colon+1:]
 		default:
@@ -282,7 +279,6 @@ func applyTaskClauses(d *TaskDecl, src string) error {
 			if err != nil {
 				return err
 			}
-			dep.RedOp = redOp
 			d.Deps = append(d.Deps, dep)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package mpi implements the small message-passing subset the paper's
 // MPI+CUDA baselines need — eager point-to-point sends with tag matching,
-// barrier, binomial-tree broadcast, ring allgather, and naive root-looped
-// scatter/gather — on top of the netsim fabric, so baseline communication
-// contends for the same simulated wires as the OmpSs runtime.
+// barrier, binomial-tree broadcast and naive root-looped gather — on top of
+// the netsim fabric, so baseline communication contends for the same
+// simulated wires as the OmpSs runtime.
 package mpi
 
 import (
@@ -18,8 +18,6 @@ const (
 	tagBarrier = -1000 - iota
 	tagBcast
 	tagGather
-	tagScatter
-	tagAllgather
 )
 
 // envelopeBytes models the MPI header size on the wire.
@@ -222,38 +220,4 @@ func (r *Rank) Gather(p *sim.Proc, root int, regions []memspace.Region) {
 		return
 	}
 	r.send(p, root, tagGather, regions[r.rank])
-}
-
-// Scatter distributes regions[i] to rank i from root (naive root loop).
-func (r *Rank) Scatter(p *sim.Proc, root int, regions []memspace.Region) {
-	if r.rank == root {
-		for i := 0; i < r.Size(); i++ {
-			if i == root {
-				continue
-			}
-			r.send(p, i, tagScatter, regions[i])
-		}
-		return
-	}
-	r.recv(p, root, tagScatter)
-}
-
-// Allgather makes every rank hold every region: ring algorithm, n-1 steps;
-// step s passes the block originally owned by (rank-s) mod n to the right
-// neighbour. regions[i] is the block owned by rank i.
-func (r *Rank) Allgather(p *sim.Proc, regions []memspace.Region) {
-	n := r.Size()
-	right := (r.rank + 1) % n
-	left := (r.rank - 1 + n) % n
-	for s := 0; s < n-1; s++ {
-		sendBlock := regions[(r.rank-s+n)%n]
-		done := sim.NewEvent(r.w.e)
-		// Send and receive concurrently, as MPI_Sendrecv would.
-		r.w.e.Go("mpi:sendrecv", func(sp *sim.Proc) {
-			r.send(sp, right, tagAllgather-s*64, sendBlock)
-			done.Trigger()
-		})
-		r.recv(p, left, tagAllgather-s*64)
-		done.Wait(p)
-	}
 }

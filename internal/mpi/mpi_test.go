@@ -135,57 +135,33 @@ func TestBcastDeliversToAll(t *testing.T) {
 	}
 }
 
-func TestAllgatherEveryoneHasEverything(t *testing.T) {
-	const n = 4
-	e, w := testWorld(t, n)
-	regions := make([]memspace.Region, n)
-	for i := range regions {
-		regions[i] = memspace.Region{Addr: uint64(0x1000 * (i + 1)), Size: 8}
-		b := w.Rank(i).Store().Bytes(regions[i])
-		for j := range b {
-			b[j] = byte(10*i + j)
-		}
-	}
-	runAll(t, e, w, func(p *sim.Proc, r *Rank) {
-		r.Allgather(p, regions)
-		for i, rg := range regions {
-			b := r.Store().Bytes(rg)
-			for j := range b {
-				if b[j] != byte(10*i+j) {
-					t.Errorf("rank %d block %d byte %d = %d", r.Rank(), i, j, b[j])
+// TestGatherCollectsAtRoot checks that the root ends up with every rank's
+// block, for roots other than 0 too, and that no other rank receives
+// anything: a non-root rank's copy of a foreign block stays unbacked.
+func TestGatherCollectsAtRoot(t *testing.T) {
+	for _, tc := range []struct{ n, root int }{{1, 0}, {2, 1}, {4, 0}, {4, 3}, {5, 2}} {
+		t.Run(fmt.Sprintf("n%d-root%d", tc.n, tc.root), func(t *testing.T) {
+			e, w := testWorld(t, tc.n)
+			regions := make([]memspace.Region, tc.n)
+			for i := range regions {
+				regions[i] = memspace.Region{Addr: uint64(0x100 * (i + 1)), Size: 4}
+				w.Rank(i).Store().Bytes(regions[i])[0] = byte(i + 101)
+			}
+			runAll(t, e, w, func(p *sim.Proc, r *Rank) {
+				r.Gather(p, tc.root, regions)
+				for i, rg := range regions {
+					switch {
+					case r.Rank() == tc.root || i == r.Rank():
+						if got := r.Store().Bytes(rg)[0]; got != byte(i+101) {
+							t.Errorf("rank %d: block %d = %d, want %d", r.Rank(), i, got, i+101)
+						}
+					case r.Store().Has(rg):
+						t.Errorf("rank %d received block %d; only root %d gathers", r.Rank(), i, tc.root)
+					}
 				}
-			}
-		}
-	})
-}
-
-func TestScatterGather(t *testing.T) {
-	const n = 4
-	e, w := testWorld(t, n)
-	regions := make([]memspace.Region, n)
-	for i := range regions {
-		regions[i] = memspace.Region{Addr: uint64(0x100 * (i + 1)), Size: 4}
-		b := w.Rank(0).Store().Bytes(regions[i])
-		b[0] = byte(i + 1)
+			})
+		})
 	}
-	runAll(t, e, w, func(p *sim.Proc, r *Rank) {
-		r.Scatter(p, 0, regions)
-		if r.Rank() != 0 {
-			b := r.Store().Bytes(regions[r.Rank()])
-			if b[0] != byte(r.Rank()+1) {
-				t.Errorf("rank %d got %d", r.Rank(), b[0])
-			}
-			b[0] += 100 // transform before gather
-		}
-		r.Gather(p, 0, regions)
-		if r.Rank() == 0 {
-			for i := 1; i < n; i++ {
-				if got := r.Store().Bytes(regions[i])[0]; got != byte(i+1+100) {
-					t.Errorf("gathered block %d = %d", i, got)
-				}
-			}
-		}
-	})
 }
 
 func TestBcastCostScalesLogarithmically(t *testing.T) {

@@ -121,9 +121,6 @@ func (f *Fabric) SetHook(h Hook) { f.hook = h }
 // Iface returns node i's interface.
 func (f *Fabric) Iface(i int) *Iface { return f.ifaces[i] }
 
-// Spec returns the interconnect description.
-func (f *Fabric) Spec() hw.NetSpec { return f.spec }
-
 // SerializationTime returns size/bandwidth as a duration.
 func (f *Fabric) SerializationTime(size uint64) time.Duration {
 	return time.Duration(float64(size) / f.spec.Bandwidth * 1e9)

@@ -66,6 +66,9 @@ func TestLookaheadDrainReturnsWindow(t *testing.T) {
 	if got := s.Pop(0); got == nil || got.ID != 1 {
 		t.Fatalf("Pop = %v, want id 1", got)
 	}
+	if n := s.(*LookaheadSched).Buffered(); n != 3 {
+		t.Fatalf("Buffered = %d, want 3", n)
+	}
 	drained := s.Drain(0)
 	if len(drained) != 3 || drained[0].ID != 2 || drained[2].ID != 4 {
 		t.Fatalf("Drain = %v, want ids 2..4", drained)

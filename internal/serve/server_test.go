@@ -95,7 +95,8 @@ func TestColdWarmByteIdentity(t *testing.T) {
 
 // TestSingleflightCoalesces fires many identical concurrent requests at a
 // blocking executor: exactly one execution happens, everyone gets the
-// same bytes, and the dedup counter accounts for the rest.
+// same bytes, and the dedup counter accounts for the rest. A warm burst
+// over distinct cached keys then executes nothing.
 func TestSingleflightCoalesces(t *testing.T) {
 	const n = 24
 	gate := make(chan struct{})
@@ -103,7 +104,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	cfg := Config{Workers: 4, Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
 		execs.Add(1)
 		<-gate
-		return fakeResult("x"), nil
+		return fakeResult(req.Experiment), nil
 	}}
 	s := startServer(t, cfg)
 
@@ -149,6 +150,48 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if st.ExecCompleted != 1 {
 		t.Fatalf("exec_completed = %d, want 1", st.ExecCompleted)
 	}
+
+	// The warm burst: with three distinct keys cached, concurrent clients
+	// cycling over them are all served from the cache, each with its own
+	// key's cold body byte for byte.
+	t.Run("warm burst", func(t *testing.T) {
+		keys := []string{`{"experiment":"heat","quick":true}`, `{"experiment":"fig9","quick":true}`, `{"experiment":"fig11","quick":true}`}
+		cold := map[string][]byte{keys[0]: first}
+		for _, k := range keys[1:] {
+			status, b, hdr := post(t, s.URL(), k)
+			if status != http.StatusOK || hdr != "miss" {
+				t.Fatalf("seeding %s: status %d, X-Ompss-Cache %q", k, status, hdr)
+			}
+			cold[k] = b
+		}
+		const clients, rounds = 16, 3
+		var burst sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			burst.Add(1)
+			go func() {
+				defer burst.Done()
+				for r := 0; r < rounds; r++ {
+					k := keys[(c+r)%len(keys)]
+					resp, err := http.Post(s.URL()+"/v1/experiments", "application/json", strings.NewReader(k))
+					if err != nil {
+						t.Errorf("warm %s: %v", k, err)
+						return
+					}
+					b, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Ompss-Cache") != "hit" {
+						t.Errorf("warm %s: status %d, X-Ompss-Cache %q, %v", k, resp.StatusCode, resp.Header.Get("X-Ompss-Cache"), err)
+					} else if !bytes.Equal(b, cold[k]) {
+						t.Errorf("warm %s: body differs from its cold body", k)
+					}
+				}
+			}()
+		}
+		burst.Wait()
+		if got := execs.Load(); got != int64(len(keys)) {
+			t.Fatalf("executions after the warm burst = %d, want %d", got, len(keys))
+		}
+	})
 }
 
 // TestOverloadRejects fills the one-deep queue behind a blocked worker

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -111,6 +112,9 @@ func TestPanicInRecycledGoroutine(t *testing.T) {
 	var pp *ProcPanicError
 	if !errors.As(err, &pp) || pp.Proc != "boom" {
 		t.Fatalf("err = %v, want ProcPanicError from boom", err)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "sim: process boom panicked: kaboom\n") {
+		t.Fatalf("Error() = %q, want the process, the value and then the stack", msg)
 	}
 	if ran != 1 {
 		t.Fatalf("ran = %d, want only first to run", ran)

@@ -223,9 +223,6 @@ func (c *Counter) Add(delta int) {
 // Done decrements the count by one.
 func (c *Counter) Done() { c.Add(-1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int { return c.n }
-
 // Wait blocks the calling process until the count is zero.
 func (c *Counter) Wait(p *Proc) {
 	if c.n == 0 {

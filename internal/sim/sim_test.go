@@ -309,6 +309,9 @@ func TestDeadlockDetection(t *testing.T) {
 	if len(dl.Blocked) != 1 {
 		t.Fatalf("blocked = %v, want 1 entry", dl.Blocked)
 	}
+	if got, want := err.Error(), "sim: deadlock at t=0s: 1 blocked process(es): ["+dl.Blocked[0]+"]"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
 }
 
 func TestStop(t *testing.T) {

@@ -32,6 +32,7 @@ func TestNestedClauseDecomposesOnCluster(t *testing.T) {
 	rt := New(cfg)
 	const parents, parts = 3, 4
 	var regs [parents][parts]Region
+	var ranOn [parents]int
 	stats, err := rt.Run(func(ctx *Context) {
 		for pi := 0; pi < parents; pi++ {
 			pi := pi
@@ -43,6 +44,7 @@ func TestNestedClauseDecomposesOnCluster(t *testing.T) {
 			clauses := append(deps,
 				Name("decompose"),
 				Nested(func(nc *NestedCtx) {
+					ranOn[pi] = nc.Node()
 					for j := 0; j < parts; j++ {
 						nc.Task(fillVal{r: regs[pi][j], v: float32(10*pi + j)},
 							Target(CUDA), Out(regs[pi][j]))
@@ -69,5 +71,14 @@ func TestNestedClauseDecomposesOnCluster(t *testing.T) {
 	}
 	if stats.TasksRemote == 0 {
 		t.Fatal("no parent ran remotely")
+	}
+	// Each spawner runs where its parent ran, so some report a slave.
+	if ranOn == [parents]int{} {
+		t.Fatalf("every spawner reports node 0, but %d tasks ran remotely", stats.TasksRemote)
+	}
+	for pi, n := range ranOn {
+		if n < 0 || n >= 3 {
+			t.Errorf("spawner %d reports node %d of 3", pi, n)
+		}
 	}
 }
