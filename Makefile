@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFragMap -fuzztime 20s ./internal/memspace/
 	$(GO) test -run xxx -fuzz FuzzStore -fuzztime 20s ./internal/memspace/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
+	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 20s ./internal/serve/
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...` and `make check` at the root never
@@ -59,10 +60,10 @@ resilience:
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
 
 ## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
-## software cache's invalidation sweep, depgraph submission and the three
-## shapes of a FragMap cover
+## software cache's invalidation sweep, depgraph submission, the three
+## shapes of a FragMap cover and a served warm hit
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/serve/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

@@ -120,15 +120,18 @@ var clusterExperiments = map[string]bool{
 	"fig13": true, "heat": true,
 }
 
-// ParseRequest decodes and validates one request body. Unknown fields are
-// an error: a typo'd knob must not silently hash to the default
-// configuration's key and return the wrong cached result.
+// ParseRequest decodes and validates one request body. Unknown fields and
+// data after the object are errors: a typo'd knob or a dropped second
+// object must not hash to another request's key and return its result.
 func ParseRequest(body io.Reader) (Request, error) {
 	var r Request
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
 		return r, fmt.Errorf("decode request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return r, fmt.Errorf("decode request: data after the request object")
 	}
 	if err := r.Validate(); err != nil {
 		return r, err

@@ -150,6 +150,10 @@ func TestValidateRejects(t *testing.T) {
 		`{"experiment":"heat","fault_plan":{"latency_multiplier":-1}}`,
 		`{"experiment":"heat","fault_plan":{"stalls":[{"node":0,"at_ns":0,"duration_ns":0}]}}`,
 		`{"experiment":"heat","fault_plan":{"crashes":[{"node":-1,"at_ns":0}]}}`,
+		// Data after the object: the first object alone is a valid request.
+		`{"experiment":"fig11","quick":true}{"seed":5}`,
+		`{"experiment":"fig11","quick":true} garbage`,
+		`{"experiment":"fig11","quick":true}]`,
 	}
 	for _, body := range bad {
 		if _, err := ParseRequest(strings.NewReader(body)); err == nil {

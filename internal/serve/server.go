@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -183,14 +186,17 @@ func (s *Server) runJob(j *Job) {
 	er, err := s.execute(j, onPoint)
 	var res *Result
 	if err == nil {
-		res = &Result{
+		// Encoded once; every hit writes these bytes. Strings, an int and a
+		// bool cannot fail to encode.
+		reply, _ := json.Marshal(resultPayload{
 			Hash:        j.Hash,
 			Experiment:  j.Experiment,
 			Rows:        len(er.Rows),
-			CSV:         er.CSV,
-			MetricsText: er.MetricsText,
-			TraceJSON:   er.TraceJSON,
-		}
+			CSV:         string(er.CSV),
+			MetricsText: string(er.MetricsText),
+			HasTrace:    len(er.TraceJSON) > 0,
+		})
+		res = &Result{Hash: j.Hash, Reply: append(reply, '\n'), TraceJSON: er.TraceJSON, body: j.body}
 		s.st.execOK.Add(1)
 	} else {
 		s.st.execErrors.Add(1)
@@ -247,45 +253,52 @@ type resultPayload struct {
 	HasTrace    bool   `json:"has_trace"`
 }
 
+// Reply header values are shared by every reply, not built per request.
+var jsonContentType = []string{"application/json"}
+var cacheHeader = map[string][]string{admitHit: {admitHit}, admitMiss: {admitMiss}, admitCoalesced: {admitCoalesced}}
+
 func writeResult(w http.ResponseWriter, res *Result, cacheState string) {
-	body, err := json.Marshal(resultPayload{
-		Hash:        res.Hash,
-		Experiment:  res.Experiment,
-		Rows:        res.Rows,
-		CSV:         string(res.CSV),
-		MetricsText: string(res.MetricsText),
-		HasTrace:    len(res.TraceJSON) > 0,
-	})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode result: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Ompss-Cache", cacheState)
-	w.Write(body)
-	w.Write([]byte("\n"))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Ompss-Cache"] = cacheHeader[cacheState]
+	w.Write(res.Reply)
 }
 
-// handleSubmit is POST /v1/experiments: parse, hash, and let the table
-// decide in one step — cached, already in flight, or admitted to the
-// worker pool. ?async=1 returns immediately with a job id; otherwise the
-// handler waits for the result.
+// maxBodyBytes bounds a request body, which may become a cache index key.
+const maxBodyBytes = 64 << 10
+
+// handleSubmit is POST /v1/experiments. A body that computed a cached
+// result is served at once; any other is parsed and hashed, and the table
+// decides in one step — cached, in flight, or admitted to the worker pool.
+// ?async=1 returns immediately with a job id; otherwise the handler waits.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	async := r.URL.Query().Get("async") == "1"
-	req, err := ParseRequest(r.Body)
+	async := r.URL.RawQuery != "" && r.URL.Query().Get("async") == "1"
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.st.badRequests.Add(1)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "read request: %v", err)
 		return
 	}
+	res, hit := s.tab.cached(body)
+	outcome, j := admitHit, (*Job)(nil)
+	if !hit {
+		req, err := ParseRequest(bytes.NewReader(body))
+		if err != nil {
+			s.st.badRequests.Add(1)
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		outcome, res, j = s.tab.admit(req, body, req.Hash(), s.elapsedNS())
+	}
 	s.st.requests.Add(1)
-	hash := req.Hash()
-
-	outcome, res, j := s.tab.admit(req, hash, s.elapsedNS())
 	if outcome == admitHit {
 		s.st.cacheHits.Add(1)
 		if async {
-			s.writeAsyncAccepted(w, http.StatusOK, "", hash, JobDone)
+			s.writeAsyncAccepted(w, http.StatusOK, "", res.Hash, JobDone)
 			return
 		}
 		writeResult(w, res, outcome)
@@ -306,7 +319,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if async {
-		s.writeAsyncAccepted(w, http.StatusAccepted, j.ID, hash, JobQueued)
+		s.writeAsyncAccepted(w, http.StatusAccepted, j.ID, j.Hash, JobQueued)
 		return
 	}
 	select {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,7 +22,7 @@ import (
 
 // startServer boots a server on an ephemeral port and tears it down with
 // the test.
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s := New(cfg)
@@ -63,33 +65,155 @@ func fakeResult(tag string) *bench.ExecResult {
 }
 
 // TestColdWarmByteIdentity runs a real (cheap, deterministic) experiment
-// twice: the cold miss and the warm hit must produce byte-identical
-// response bodies — hit-vs-miss is visible only in the header. A second
-// fresh server computing the same request cold must also produce the
-// same bytes, which is the cross-restart determinism the cache key
-// depends on.
+// and checks that every way of being answered returns the same bytes —
+// hit-vs-miss is visible only in the header: the cold reply, a waiter
+// coalesced onto its run, a hit through the raw-body index, a hit through
+// the hash for the same request spelled differently, and ?async=1 followed
+// by GET /v1/results/{hash}. A second fresh server computing the request
+// cold, asynchronously, must also produce the same bytes, which is the
+// cross-restart determinism the cache key depends on.
 func TestColdWarmByteIdentity(t *testing.T) {
 	body := `{"experiment":"table1","quick":true}`
-	s := startServer(t, Config{})
-	st1, cold, hdr1 := post(t, s.URL(), body)
-	st2, warm, hdr2 := post(t, s.URL(), body)
-	if st1 != http.StatusOK || st2 != http.StatusOK {
-		t.Fatalf("status %d / %d; cold body: %s", st1, st2, cold)
+	gate := make(chan struct{})
+	s := startServer(t, Config{Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		<-gate
+		return defaultExecute(req, onPoint)
+	}})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // runs before the server's drain, which waits for the run
+	recs := make(chan *httptest.ResponseRecorder, 2)
+	for range 2 {
+		go func() { recs <- do(s, "POST", "/v1/experiments", body) }()
 	}
-	if hdr1 != "miss" || hdr2 != "hit" {
-		t.Fatalf("cache headers = %q, %q; want miss, hit", hdr1, hdr2)
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Requests < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/2 requests admitted", s.Stats().Requests)
+		}
 	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("cold and warm bodies differ:\ncold: %s\nwarm: %s", cold, warm)
+	release()
+	replies := map[string][]byte{}
+	for range 2 {
+		rec := <-recs
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		replies[rec.Header().Get("X-Ompss-Cache")] = rec.Body.Bytes()
+	}
+	cold := replies["miss"]
+	if len(replies) != 2 || cold == nil || !bytes.Equal(cold, replies["coalesced"]) {
+		t.Fatalf("want one miss and one coalesced waiter with equal bodies, got %q", replies)
+	}
+
+	respelled := "{ \"quick\" : true,\n\t\"experiment\":\"table1\" }"
+	if _, ok := s.tab.cached([]byte(body)); !ok {
+		t.Fatalf("the computing body does not index its result")
+	}
+	if _, ok := s.tab.cached([]byte(respelled)); ok {
+		t.Fatalf("a body that computed nothing indexes a result")
+	}
+	for _, b := range []string{body, respelled} {
+		st, warm, hdr := post(t, s.URL(), b)
+		if st != http.StatusOK || hdr != "hit" || !bytes.Equal(cold, warm) {
+			t.Fatalf("warm %q: status %d, X-Ompss-Cache %q, body equal to cold: %v", b, st, hdr, bytes.Equal(cold, warm))
+		}
+	}
+	if got := resultByAsync(t, s, body, http.StatusOK); !bytes.Equal(cold, got) {
+		t.Fatalf("async hit then GET /v1/results differs from the cold reply")
 	}
 
 	s2 := startServer(t, Config{})
-	st3, cold2, _ := post(t, s2.URL(), body)
-	if st3 != http.StatusOK {
-		t.Fatalf("second server status %d", st3)
-	}
-	if !bytes.Equal(cold, cold2) {
+	if got := resultByAsync(t, s2, body, http.StatusAccepted); !bytes.Equal(cold, got) {
 		t.Fatalf("two cold computations of the same request differ")
+	}
+}
+
+// resultByAsync submits body with ?async=1, expecting status, waits for
+// the job when one was queued, and returns GET /v1/results/{hash}.
+func resultByAsync(t *testing.T, s *Server, body string, status int) []byte {
+	t.Helper()
+	resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("async submit: %v", err)
+	}
+	var sub struct {
+		JobID string `json:"job_id"`
+		Hash  string `json:"hash"`
+	}
+	json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if resp.StatusCode != status {
+		t.Fatalf("async submit: status %d, want %d", resp.StatusCode, status)
+	}
+	if sub.JobID != "" {
+		waitJobState(t, s, sub.JobID, JobDone)
+	}
+	resp, err = http.Get(s.URL() + "/v1/results/" + sub.Hash)
+	if err != nil {
+		t.Fatalf("result by hash: %v", err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Ompss-Cache") != "hit" {
+		t.Fatalf("result by hash: status %d, X-Ompss-Cache %q, %v", resp.StatusCode, resp.Header.Get("X-Ompss-Cache"), err)
+	}
+	return got
+}
+
+// TestEvictedEntryRecomputes: once the size bound evicts an entry, its
+// body no longer indexes anything, so a repeat of that body is computed
+// again, not served from a stale index entry.
+func TestEvictedEntryRecomputes(t *testing.T) {
+	var execs atomic.Int64
+	s := startServer(t, Config{CacheBytes: 600, Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		execs.Add(1)
+		return fakeResult(req.Experiment), nil
+	}})
+	a, b := `{"experiment":"heat"}`, `{"experiment":"fig9"}`
+	_, first, _ := post(t, s.URL(), a)
+	post(t, s.URL(), b)
+	if st := s.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("the cache holds %d entries after %d evictions; want one entry after one eviction", st.Entries, st.Evictions)
+	}
+	if _, ok := s.tab.cached([]byte(a)); ok {
+		t.Fatalf("an evicted entry's body still indexes it")
+	}
+	st, again, hdr := post(t, s.URL(), a)
+	if st != http.StatusOK || hdr != "miss" || execs.Load() != 3 || !bytes.Equal(first, again) {
+		t.Fatalf("repeat of an evicted body: status %d, X-Ompss-Cache %q, %d executions (want 3), same bytes: %v",
+			st, hdr, execs.Load(), bytes.Equal(first, again))
+	}
+}
+
+// warmHit primes a server with one cached result and returns the warm path
+// a repeat of its request takes through the route table, construction of
+// the request and of the recorder included.
+func warmHit(tb testing.TB) func() *httptest.ResponseRecorder {
+	s := startServer(tb, Config{Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
+		return fakeResult("warm"), nil
+	}})
+	h := s.Handler()
+	target := &url.URL{Path: "/v1/experiments"}
+	body := []byte(`{"experiment":"fig11","quick":true,"seed":1}`)
+	rd := bytes.NewReader(body)
+	hit := func() *httptest.ResponseRecorder {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, &http.Request{Method: "POST", URL: target, Body: io.NopCloser(rd)})
+		return rec
+	}
+	if rec := hit(); rec.Code != http.StatusOK || rec.Header().Get("X-Ompss-Cache") != "miss" {
+		tb.Fatalf("priming: status %d, X-Ompss-Cache %q", rec.Code, rec.Header().Get("X-Ompss-Cache"))
+	}
+	return hit
+}
+
+// BenchmarkWarmHit times one warm hit through the route table.
+func BenchmarkWarmHit(b *testing.B) {
+	hit := warmHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
 	}
 }
 
@@ -429,7 +553,8 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 }
 
 // TestBadRequestsRejected: malformed bodies and invalid knob combinations
-// are 400s and counted, never queued.
+// are 400s, a body over the size bound is a 413 even when it is a valid
+// request, and all are counted, never queued and never indexed.
 func TestBadRequestsRejected(t *testing.T) {
 	s := startServer(t, Config{})
 	for _, body := range []string{`not json`, `{"experiment":"nope"}`, `{"experiment":"fig5","seed":1}`} {
@@ -437,8 +562,13 @@ func TestBadRequestsRejected(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400", body, st)
 		}
 	}
-	if st := s.Stats(); st.BadRequests != 3 {
-		t.Fatalf("bad_requests = %d, want 3", st.BadRequests)
+	big := `{"experiment":"table1",` + strings.Repeat(" ", maxBodyBytes) + `"quick":true}`
+	if rec := do(s, "POST", "/v1/experiments", big); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413: %s", len(big), rec.Code, rec.Body)
+	}
+	if st := s.Stats(); st.BadRequests != 4 || st.Requests != 0 || st.Entries != 0 || len(s.tab.results.bodies) != 0 {
+		t.Fatalf("bad_requests = %d (want 4), requests %d, entries %d, indexed bodies %d",
+			st.BadRequests, st.Requests, st.Entries, len(s.tab.results.bodies))
 	}
 }
 
@@ -586,8 +716,12 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	// requests stream through a job table bounded at one finished job,
 	// every queued job is a registered job and every cached result is
 	// charged — in /v1/cache/stats and in /metricsz alike.
+	// Every request below has a three-digit width, so every entry charges
+	// the same: its reply, its body and the overhead.
 	fake := fakeResult("stats")
-	charge := (&Result{CSV: fake.CSV, MetricsText: fake.MetricsText}).sizeBytes()
+	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "stress",
+		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
+	charge := (&Result{Reply: append(reply, '\n'), body: `{"experiment":"stress","stress_width":101}`}).sizeBytes()
 	s2 := startServer(t, Config{Workers: 2, MaxJobs: 1, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
 		return fake, nil
 	}})
@@ -597,7 +731,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		go func() {
 			defer submitters.Done()
 			for i := 0; i < 100; i++ {
-				do(s2, "POST", "/v1/experiments", fmt.Sprintf(`{"experiment":"stress","stress_width":%d}`, 1+c*100+i))
+				do(s2, "POST", "/v1/experiments", fmt.Sprintf(`{"experiment":"stress","stress_width":%d}`, 101+c*100+i))
 			}
 		}()
 	}

@@ -39,6 +39,7 @@ type Job struct {
 	Hash       string
 	Experiment string
 	req        Request       // the validated request this job computes
+	body       string        // its raw body, the result's byte index key
 	done       chan struct{} // closed once state is terminal
 
 	state   string
@@ -101,7 +102,7 @@ const (
 // or join the in-flight job, or queue a new one. The job table stays
 // bounded by evicting finished jobs oldest-first — never a live one, a
 // subscriber must always be able to follow an admitted job to its end.
-func (t *table) admit(req Request, hash string, now int64) (outcome string, res *Result, j *Job) {
+func (t *table) admit(req Request, body []byte, hash string, now int64) (outcome string, res *Result, j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if hit, ok := t.results.get(hash); ok {
@@ -119,6 +120,7 @@ func (t *table) admit(req Request, hash string, now int64) (outcome string, res 
 		Hash:       hash,
 		Experiment: req.Experiment,
 		req:        req,
+		body:       string(body),
 		done:       make(chan struct{}),
 		state:      JobQueued,
 		events:     []Event{{Kind: "queued", ElapsedNS: now}},
@@ -216,6 +218,13 @@ func (t *table) result(hash string) (*Result, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.results.get(hash)
+}
+
+// cached returns the cached result a raw request body computed, unparsed.
+func (t *table) cached(body []byte) (*Result, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.results.getBody(body)
 }
 
 // eventsFrom returns j's events at index >= from plus a channel that is

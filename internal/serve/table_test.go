@@ -26,8 +26,8 @@ func do(s *Server, method, target, body string) *httptest.ResponseRecorder {
 // only in admit left both jobs here in the table.
 func TestTableTrimsOnFinish(t *testing.T) {
 	tab := newTable(1<<20, 1, 4)
-	_, _, j1 := tab.admit(Request{Experiment: "stress"}, "h1", 0)
-	_, _, j2 := tab.admit(Request{Experiment: "stress"}, "h2", 0)
+	_, _, j1 := tab.admit(Request{Experiment: "stress"}, []byte("b1"), "h1", 0)
+	_, _, j2 := tab.admit(Request{Experiment: "stress"}, []byte("b2"), "h2", 0)
 	if len(tab.jobs) != 2 {
 		t.Fatalf("both live jobs must stay admitted, table has %d", len(tab.jobs))
 	}
