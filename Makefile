@@ -60,10 +60,11 @@ resilience:
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
 
 ## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
-## software cache's invalidation sweep, depgraph submission, the three
-## shapes of a FragMap cover and a served warm hit
+## software cache's invalidation sweep and a directory query, depgraph
+## submission, the three shapes of a FragMap cover, an idle place's pop
+## and a served warm hit
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/serve/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

@@ -290,25 +290,24 @@ func (d *Directory) DropHolder(r memspace.Region, loc memspace.Location) {
 // IsHolder reports whether loc holds the current version of every byte
 // of r.
 func (d *Directory) IsHolder(r memspace.Region, loc memspace.Location) bool {
-	pos := r.Addr
-	for _, en := range d.frags.Overlapping(r) {
-		if en.R.Addr > pos || !en.V.holders.has(loc) {
-			return false
-		}
+	pos, held := r.Addr, true
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		held = en.R.Addr <= pos && en.V.holders.has(loc)
 		pos = en.R.End()
-	}
-	return pos >= r.End()
+		return held
+	})
+	return held && pos >= r.End()
 }
 
 // Known reports whether the directory has residence information for any
 // byte of r.
 func (d *Directory) Known(r memspace.Region) bool {
-	for _, en := range d.frags.Overlapping(r) {
-		if len(en.V.holders) > 0 {
-			return true
-		}
-	}
-	return false
+	known := false
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		known = len(en.V.holders) > 0
+		return !known
+	})
+	return known
 }
 
 // Missing returns the known subranges of r that loc does not hold, one per
@@ -317,12 +316,12 @@ func (d *Directory) Known(r memspace.Region) bool {
 // either nothing or r itself back. Read-only: no fragments split.
 func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace.Region {
 	var out []memspace.Region
-	for _, en := range d.frags.Overlapping(r) {
-		if len(en.V.holders) == 0 || en.V.holders.has(loc) {
-			continue
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		if len(en.V.holders) > 0 && !en.V.holders.has(loc) {
+			out = append(out, en.R.Intersect(r))
 		}
-		out = append(out, en.R.Intersect(r))
-	}
+		return true
+	})
 	return out
 }
 
@@ -331,11 +330,12 @@ func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace
 // Read-only: no fragments split.
 func (d *Directory) Held(r memspace.Region, loc memspace.Location) []memspace.Region {
 	var out []memspace.Region
-	for _, en := range d.frags.Overlapping(r) {
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
 		if en.V.holders.has(loc) {
 			out = append(out, en.R.Intersect(r))
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -343,11 +343,12 @@ func (d *Directory) Held(r memspace.Region, loc memspace.Location) []memspace.Re
 // affinity scoring.
 func (d *Directory) HeldBytes(r memspace.Region, loc memspace.Location) uint64 {
 	var n uint64
-	for _, en := range d.frags.Overlapping(r) {
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
 		if en.V.holders.has(loc) {
 			n += en.R.Intersect(r).Size
 		}
-	}
+		return true
+	})
 	return n
 }
 
@@ -355,11 +356,10 @@ func (d *Directory) HeldBytes(r memspace.Region, loc memspace.Location) uint64 {
 // (0 if never produced).
 func (d *Directory) Version(r memspace.Region) int {
 	v := 0
-	for _, en := range d.frags.Overlapping(r) {
-		if en.V.version > v {
-			v = en.V.version
-		}
-	}
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		v = max(v, en.V.version)
+		return true
+	})
 	return v
 }
 
@@ -367,12 +367,13 @@ func (d *Directory) Version(r memspace.Region) int {
 // of r, in a deterministic order (node, then device). Queried per fragment
 // by the transfer planner, where it is exact.
 func (d *Directory) Holders(r memspace.Region) []memspace.Location {
-	ens := d.frags.Overlapping(r)
-	if len(ens) == 0 {
-		return nil
-	}
+	var first holderSet
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		first = en.V.holders
+		return false
+	})
 	var out []memspace.Location
-	for _, l := range ens[0].V.holders {
+	for _, l := range first {
 		if d.IsHolder(r, l) {
 			out = append(out, l)
 		}

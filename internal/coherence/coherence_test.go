@@ -405,3 +405,51 @@ func BenchmarkCacheProducedSweep(b *testing.B) {
 		c.Insert(r, false)
 	}
 }
+
+// fragmented returns a directory over 64 fragments of 64 bytes, each held
+// by the host and every other one by gpu0 too, and the region spanning all.
+func fragmented() (*Directory, memspace.Region) {
+	d := NewDirectory()
+	for i := uint64(0); i < 64; i++ {
+		f := reg(0x1000+64*i, 64)
+		d.Init(f, host)
+		if i%2 == 0 {
+			d.AddHolder(f, gpu0)
+		}
+	}
+	return d, reg(0x1000, 64*64)
+}
+
+// The read queries affinity scoring and staging ask per task walk the
+// fragments in place: no slice, no closure on the heap.
+func TestDirectoryQueryAllocs(t *testing.T) {
+	d, r := fragmented()
+	for _, q := range []struct {
+		name  string
+		query func()
+	}{
+		{"IsHolder", func() { d.IsHolder(r, gpu0) }},
+		{"HeldBytes", func() { d.HeldBytes(r, gpu0) }},
+		{"Known", func() { d.Known(r) }},
+		{"Version", func() { d.Version(r) }},
+		{"Missing", func() { d.Missing(r, host) }}, // nothing missing
+		{"Held", func() { d.Held(r, gpu1) }},       // nothing held
+	} {
+		if allocs := testing.AllocsPerRun(100, q.query); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per query, want 0", q.name, allocs)
+		}
+	}
+	if hb := d.HeldBytes(r, gpu0); hb != 32*64 {
+		t.Fatalf("HeldBytes = %d, want %d", hb, 32*64)
+	}
+}
+
+// BenchmarkDirectoryHeldBytes measures one affinity-score query over a
+// region of 64 fragments.
+func BenchmarkDirectoryHeldBytes(b *testing.B) {
+	d, r := fragmented()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.HeldBytes(r, gpu0)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
 	"github.com/bsc-repro/ompss/internal/trace"
@@ -47,6 +48,10 @@ type clusterState struct {
 	outstanding []int // per node: dispatched but unfinished tasks
 	xferSeq     int64
 	xferEvents  map[int64]*sim.Event
+	// scores and estimates are the per-node slices clusterScore and
+	// clusterEstimates return, reused as the images reuse theirs.
+	scores    []uint64
+	estimates []sched.Estimate
 }
 
 // registerMasterHandlers installs the master image's protocol endpoints.
@@ -122,50 +127,43 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 		return
 	}
 	cursor := 0
-	for {
-		ev := m.workSignal
-		progress := false
-		for tried := 0; tried < len(mine); tried++ {
-			k := mine[(cursor+tried)%len(mine)]
-			if rt.nodeIsDead(k) {
+	// The idle wait's take is the Pop half of a sweep: the next node in
+	// round-robin order with room and a task for it.
+	var t *task.Task
+	var k, tried int
+	wait := m.idleWait(p, func() bool {
+		for tried = 0; tried < len(mine); tried++ {
+			k = mine[(cursor+tried)%len(mine)]
+			if rt.nodeIsDead(k) || cl.outstanding[k] >= limit {
 				continue
 			}
-			if cl.outstanding[k] >= limit {
-				continue
+			if t = rt.clSch.Pop(k); t != nil {
+				return true
 			}
-			t := rt.clSch.Pop(k)
-			if t == nil {
-				continue
-			}
-			cl.outstanding[k]++
-			if ft := rt.ft; ft != nil && k > 0 {
-				// Track the dispatch before its process exists, so a death
-				// can never catch the task in an untracked window.
-				ft.inflightNode[t.ID] = k
-				ft.inflightTask[t.ID] = t
-			}
-			progress = true
-			if k == 0 {
-				m.enqueueLocal(t, func(_ *sim.Proc, done *task.Task, _ int) { rt.retire(done, 0) })
-			} else {
-				if cl.outstanding[k] > 1 {
-					rt.met.presends.Inc()
-				}
-				rt.e.Go(rt.nodes[k].dispatchName, func(dp *sim.Proc) { rt.dispatchRemote(dp, t, k) })
-			}
-			// Resume the next poll at the following node: one dispatch per
-			// sweep keeps the distribution round-robin.
-			cursor = (cursor + tried + 1) % len(mine)
-			break
 		}
-		if progress {
-			p.Yield()
-			continue
+		return false
+	}, func() bool { return m.stopping && cl.total() == 0 })
+	for wait() {
+		t, k := t, k // the dispatch process keeps them past the next take
+		cl.outstanding[k]++
+		if ft := rt.ft; ft != nil && k > 0 {
+			// Track the dispatch before its process exists, so a death
+			// can never catch the task in an untracked window.
+			ft.inflightNode[t.ID] = k
+			ft.inflightTask[t.ID] = t
 		}
-		if m.stopping && cl.total() == 0 {
-			return
+		if k == 0 {
+			m.enqueueLocal(t, func(_ *sim.Proc, done *task.Task, _ int) { rt.retire(done, 0) })
+		} else {
+			if cl.outstanding[k] > 1 {
+				rt.met.presends.Inc()
+			}
+			rt.e.Go(rt.nodes[k].dispatchName, func(dp *sim.Proc) { rt.dispatchRemote(dp, t, k) })
 		}
-		ev.Wait(p)
+		// Resume the next poll at the following node: one dispatch per
+		// sweep keeps the distribution round-robin.
+		cursor = (cursor + tried + 1) % len(mine)
+		p.Yield()
 	}
 }
 
@@ -193,7 +191,8 @@ func (cl *clusterState) total() int {
 // on each node (the master's host and GPUs together count as node 0).
 func (rt *Runtime) clusterScore(t *task.Task) []uint64 {
 	m := rt.master()
-	scores := make([]uint64, len(rt.nodes))
+	scores := rt.cl.scores
+	clear(scores)
 	for _, c := range t.Copies() {
 		w := uint64(1)
 		if c.Access.Writes() {
@@ -249,10 +248,13 @@ func (rt *Runtime) clusterCanRun(place int, t *task.Task) bool {
 			return false
 		}
 	}
-	if t.Device == task.CUDA {
-		return len(rt.nodes[place].devs) > 0
-	}
-	return true
+	return rt.clusterAccepts(place, t.Device)
+}
+
+// clusterAccepts is the static half of clusterCanRun: CUDA tasks need a node
+// with GPUs.
+func (rt *Runtime) clusterAccepts(place int, d task.Device) bool {
+	return d != task.CUDA || len(rt.nodes[place].devs) > 0
 }
 
 // dispatchRemote stages a task's input data at node k and sends the run

@@ -36,7 +36,7 @@ func missingBytes(size, held uint64) uint64 {
 // the directory says are missing at the place, so a task whose inputs are
 // already resident looks cheap exactly where affinity would send it.
 func (n *nodeRT) placeEstimates(t *task.Task) []sched.Estimate {
-	out := make([]sched.Estimate, n.places)
+	out := n.estimates
 	for place := 0; place < n.places; place++ {
 		if !n.canRun(place, t) {
 			out[place] = incompatible
@@ -102,7 +102,7 @@ func (rt *Runtime) nodeHeldBytes(r memspace.Region, k int) uint64 {
 // PCIe hop for CUDA tasks).
 func (rt *Runtime) clusterEstimates(t *task.Task) []sched.Estimate {
 	net := rt.cfg.Cluster.Net
-	out := make([]sched.Estimate, len(rt.nodes))
+	out := rt.cl.estimates
 	for k, n := range rt.nodes {
 		if !rt.clusterCanRun(k, t) {
 			out[k] = incompatible

@@ -56,9 +56,9 @@ type nodeRT struct {
 	// ready-ahead window; kept for window-depth sampling.
 	lookahead *sched.LookaheadSched
 
-	places       int    // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
-	dispatchName string // of the master's processes dispatching to this node
-	workSignal   *sim.Event
+	places       int         // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
+	dispatchName string      // of the master's processes dispatching to this node
+	workSignal   *sim.Signal // broadcast whenever work may have appeared
 	stopping     bool
 
 	// onDone maps locally queued tasks to their completion action (retire
@@ -81,6 +81,11 @@ type nodeRT struct {
 
 	// guardBuf is runBody's reused snapshot of In-only bytes.
 	guardBuf []byte
+	// scores and estimates are the per-place slices affinityScore and
+	// placeEstimates return, reused: the scheduler reads each before its
+	// next call.
+	scores    []uint64
+	estimates []sched.Estimate
 
 	met nodeMetrics
 }
@@ -136,7 +141,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		redPartials:  make(map[memspace.Region][]int),
 		redCombiners: make(map[memspace.Region]task.Combiner),
 		prefetched:   make([]*task.Task, len(spec.GPUs)),
-		workSignal:   sim.NewEvent(rt.e),
+		workSignal:   sim.NewSignal(rt.e),
 		dispatchName: "dispatch->node" + strconv.Itoa(id),
 		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
@@ -155,10 +160,11 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		n.caches = append(n.caches, cache)
 	}
 	n.places = 1 + len(spec.GPUs)
+	n.scores, n.estimates = make([]uint64, n.places), make([]sched.Estimate, n.places)
 	scope := "node" + strconv.Itoa(id)
 	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
 		Score: n.affinityScore, Cost: n.costModel(), Steal: rt.cfg.Steal,
-		CanRun: n.canRun, Hooks: schedHooks(rt.cfg.Metrics, scope)})
+		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, scope)})
 	if rt.cfg.Lookahead > 1 {
 		n.sch = sched.Lookahead(n.sch, rt.cfg.Lookahead, lookaheadHooks(rt.cfg.Metrics, scope))
 		n.lookahead = n.sch.(*sched.LookaheadSched)
@@ -174,19 +180,23 @@ func (n *nodeRT) placeLoc(place int) memspace.Location {
 	return memspace.GPU(n.id, place-1)
 }
 
-// canRun implements device compatibility: the CPU pool runs SMP tasks and
+// accepts implements device compatibility: the CPU pool runs SMP tasks and
 // GPU managers run CUDA tasks.
-func (n *nodeRT) canRun(place int, t *task.Task) bool {
+func (n *nodeRT) accepts(place int, d task.Device) bool {
 	if place == 0 {
-		return t.Device == task.SMP
+		return d == task.SMP
 	}
-	return t.Device == task.CUDA
+	return d == task.CUDA
 }
+
+// canRun is accepts for one task: on an image, compatibility is all there is.
+func (n *nodeRT) canRun(place int, t *task.Task) bool { return n.accepts(place, t.Device) }
 
 // affinityScore scores each place by the bytes of t's data it already
 // holds, per the locality-aware policy.
 func (n *nodeRT) affinityScore(t *task.Task) []uint64 {
-	scores := make([]uint64, n.places)
+	scores := n.scores
+	clear(scores)
 	for place := 0; place < n.places; place++ {
 		if !n.canRun(place, t) {
 			continue
@@ -225,11 +235,30 @@ func (n *nodeRT) sampleSchedDepth(now sim.Time) {
 }
 
 // signalWork wakes idle workers.
-func (n *nodeRT) signalWork() {
-	ev := n.workSignal
-	n.workSignal = sim.NewEvent(n.rt.e)
-	ev.Trigger()
+func (n *nodeRT) signalWork() { n.workSignal.Broadcast() }
+
+// idleWait builds, once per process, the idle wait of a loop whose work is
+// what take finds: each call runs take, and while take finds nothing and
+// quit reports false, waits for signalWork and runs take again. The waits
+// are guarded (sim.Signal.WaitUntil): a wake-up whose take would find
+// nothing leaves the process parked instead of switching to it. A call
+// reports whether take found work; false means quit.
+func (n *nodeRT) idleWait(p *sim.Proc, take, quit func() bool) func() bool {
+	found := false
+	ready := func() bool {
+		found = take()
+		return found || quit()
+	}
+	return func() bool {
+		if gen := n.workSignal.Gen(); !ready() {
+			n.workSignal.WaitUntil(p, gen, ready)
+		}
+		return found
+	}
 }
+
+// isStopping is the quit test of the image's worker loops.
+func (n *nodeRT) isStopping() bool { return n.stopping }
 
 // enqueueLocal queues t on this node's scheduler with a completion action.
 func (n *nodeRT) enqueueLocal(t *task.Task, done func(p *sim.Proc, t *task.Task, place int)) {
@@ -264,16 +293,12 @@ func (n *nodeRT) start() {
 
 // workerLoop is the SMP worker thread body.
 func (n *nodeRT) workerLoop(p *sim.Proc, place int) {
-	for {
-		ev := n.workSignal
-		t := n.sch.Pop(place)
-		if t == nil {
-			if n.stopping {
-				return
-			}
-			ev.Wait(p)
-			continue
-		}
+	var t *task.Task
+	wait := n.idleWait(p, func() bool {
+		t = n.sch.Pop(place)
+		return t != nil
+	}, n.isStopping)
+	for wait() {
 		n.sampleSchedDepth(p.Now())
 		n.runSMP(p, t)
 	}
@@ -338,20 +363,22 @@ func (n *nodeRT) completeLocal(p *sim.Proc, t *task.Task, place int) {
 // write policy afterwards.
 func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 	place := 1 + g
+	var popped *task.Task
+	wait := n.idleWait(p, func() bool {
+		popped = n.sch.Pop(place)
+		return popped != nil
+	}, n.isStopping)
 	for {
 		var t *task.Task
 		if n.prefetched[g] != nil {
 			t, n.prefetched[g] = n.prefetched[g], nil
 		} else {
-			ev := n.workSignal
-			t = n.sch.Pop(place)
-			if t == nil {
-				if n.stopping {
-					return
-				}
-				ev.Wait(p)
-				continue
+			if !wait() {
+				return
 			}
+			// A copy: the next wait overwrites popped, and the closures
+			// below keep t.
+			t = popped
 			n.sampleSchedDepth(p.Now())
 			p.Sleep(taskOverhead)
 			n.registerReduction(t)

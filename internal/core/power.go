@@ -11,7 +11,7 @@ import (
 // run (the baseline), and a GPU adds its busy-minus-idle delta while a
 // kernel occupies it. With Config.PowerCapWatts set, a kernel launch that
 // would push the modeled draw over the cap is deferred — the GPU manager
-// sleeps on the headroom event until enough kernels retire — so the cap
+// sleeps on the headroom signal until enough kernels retire — so the cap
 // only ever delays work, never changes what runs or what it computes:
 // results stay checksum-identical to an uncapped run.
 //
@@ -22,8 +22,8 @@ type powerGov struct {
 	capW float64 // +Inf when uncapped
 	draw float64 // current modeled draw, watts
 
-	// headroom is re-armed on every release, waking throttled launches.
-	headroom *sim.Event
+	// headroom is broadcast on every release, waking throttled launches.
+	headroom *sim.Signal
 
 	drawMW    *metrics.Gauge // milliwatts; Max() is the recorded peak
 	throttles *metrics.Counter
@@ -34,7 +34,7 @@ func newPowerGov(rt *Runtime, capW float64) *powerGov {
 		rt:        rt,
 		capW:      capW,
 		draw:      rt.cfg.Cluster.IdleWatts(),
-		headroom:  sim.NewEvent(rt.e),
+		headroom:  sim.NewSignal(rt.e),
 		drawMW:    rt.cfg.Metrics.Gauge("power_draw_mw"),
 		throttles: rt.cfg.Metrics.Counter("power_throttles_total"),
 	}
@@ -50,11 +50,11 @@ func (pg *powerGov) acquire(p *sim.Proc, name string, node, dev int, delta float
 		pg.throttles.Inc()
 		th := pg.rt.cfg.Trace.Begin(trace.Throttle, name, node, dev, p.Now())
 		for {
-			ev := pg.headroom
+			gen := pg.headroom.Gen()
 			if pg.draw+delta <= pg.capW+1e-9 {
 				break
 			}
-			ev.Wait(p)
+			pg.headroom.Wait(p, gen)
 		}
 		th.End(p.Now())
 	}
@@ -66,9 +66,7 @@ func (pg *powerGov) acquire(p *sim.Proc, name string, node, dev int, delta float
 func (pg *powerGov) release(delta float64) {
 	pg.draw -= delta
 	pg.drawMW.Set(int64(pg.draw * 1000))
-	ev := pg.headroom
-	pg.headroom = sim.NewEvent(pg.rt.e)
-	ev.Trigger()
+	pg.headroom.Broadcast()
 }
 
 // PeakWatts is the high-water modeled draw so far.

@@ -27,7 +27,7 @@ type Runtime struct {
 	graph    *depgraph.Graph
 	pending  int
 	idleEvt  *sim.Event
-	taskDone map[task.ID]*sim.Event
+	taskDone map[task.ID]*sim.Event // made when TaskWaitOn waits, not per task
 
 	// rankMemo caches upward ranks for the HEFT cost model (costmodel.go).
 	rankMemo map[task.ID]time.Duration
@@ -102,8 +102,9 @@ func New(cfg Config) *Runtime {
 		// cluster-level steals would migrate a task's data with it.
 		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
 			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
-			CanRun: rt.clusterCanRun, Hooks: schedHooks(cfg.Metrics, "cluster")})
-		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), xferEvents: make(map[int64]*sim.Event)}
+			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts, Hooks: schedHooks(cfg.Metrics, "cluster")})
+		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), xferEvents: make(map[int64]*sim.Event),
+			scores: make([]uint64, len(rt.nodes)), estimates: make([]sched.Estimate, len(rt.nodes))}
 	}
 	rt.mgr = newMgrState(cfg, rt.met)
 	rt.registerDirOpHandlers()
@@ -152,10 +153,7 @@ func (rt *Runtime) submitBatch(ts []*task.Task) error {
 	if rt.pending == 0 {
 		rt.idleEvt = sim.NewEvent(rt.e)
 	}
-	for _, t := range ts {
-		rt.pending++
-		rt.taskDone[t.ID] = sim.NewEvent(rt.e)
-	}
+	rt.pending += len(ts)
 	prev := rt.releasePlace
 	rt.releasePlace = -1 // submit-time readiness is not a release
 	var firstErr error
@@ -167,8 +165,6 @@ func (rt *Runtime) submitBatch(ts []*task.Task) error {
 		}
 		// rest[accepted] was rejected: roll back its bookkeeping and
 		// continue with the tasks after it, as sequential Submit would.
-		bad := rest[accepted]
-		delete(rt.taskDone, bad.ID)
 		rt.pending--
 		if firstErr == nil {
 			firstErr = err
@@ -394,9 +390,12 @@ func (mc *MainCtx) TaskWaitOn(r memspace.Region) {
 		if w == nil {
 			break
 		}
-		ev, ok := rt.taskDone[w.ID]
-		if !ok {
-			break
+		// w is in the graph unfinished, so finishTask has yet to run for
+		// it and will trigger the event.
+		ev := rt.taskDone[w.ID]
+		if ev == nil {
+			ev = sim.NewEvent(rt.e)
+			rt.taskDone[w.ID] = ev
 		}
 		ev.Wait(mc.p)
 	}

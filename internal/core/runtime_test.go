@@ -185,7 +185,7 @@ func runDuplicateCopyClauses(t *testing.T, dev task.Device) Stats {
 		def := TaskDef{Name: "inc", Device: dev,
 			Deps: []task.Dep{inDep(r), outDep(r)},
 			Work: incWork{r: r, delta: 5, cost: time.Millisecond}}
-		scores = rt.master().affinityScore(&task.Task{Device: task.SMP, Deps: def.Deps, CopyDeps: true})
+		scores = append([]uint64(nil), rt.master().affinityScore(&task.Task{Device: task.SMP, Deps: def.Deps, CopyDeps: true})...)
 		mc.Submit(def)
 		mc.TaskWait()
 		result = append([]byte(nil), mc.HostBytes(r)...)

@@ -103,21 +103,30 @@ func (m *FragMap[V]) locate(addr uint64) (si, fi int) {
 	return si, firstAfter(m.shards[si].ends, addr)
 }
 
-// Overlapping returns the fragments overlapping r in address order,
-// without mutating the index.
-func (m *FragMap[V]) Overlapping(r Region) []*Frag[V] {
-	var out []*Frag[V]
+// Visit calls fn on the fragments overlapping r in address order, until fn
+// returns false, without mutating the index. It walks the shards in place,
+// so a query that keeps no fragment allocates nothing.
+func (m *FragMap[V]) Visit(r Region, fn func(*Frag[V]) bool) {
 	si, fi := m.locate(r.Addr)
 	for ; si < len(m.shards); si, fi = si+1, 0 {
 		sh := &m.shards[si]
 		for ; fi < len(sh.frags); fi++ {
 			f := sh.frags[fi]
-			if f.R.Addr >= r.End() {
-				return out
+			if f.R.Addr >= r.End() || !fn(f) {
+				return
 			}
-			out = append(out, f)
 		}
 	}
+}
+
+// Overlapping returns the fragments overlapping r in address order,
+// without mutating the index.
+func (m *FragMap[V]) Overlapping(r Region) []*Frag[V] {
+	var out []*Frag[V]
+	m.Visit(r, func(f *Frag[V]) bool {
+		out = append(out, f)
+		return true
+	})
 	return out
 }
 

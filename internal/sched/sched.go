@@ -24,7 +24,9 @@
 // Places are dense integer ids; the runtime decides what a place is (a GPU
 // manager thread, the CPU worker pool, or a remote cluster node). Because
 // the runtime is heterogeneous, every pop is filtered by a compatibility
-// predicate (an SMP-only place never receives a CUDA task).
+// predicate (an SMP-only place never receives a CUDA task), and the FIFO
+// queues are split by device so that a pop never walks past the tasks of a
+// device its place cannot run (Options.Accepts).
 package sched
 
 import (
@@ -53,11 +55,17 @@ const (
 // ScoreFn returns, for each place id, the affinity score of t: the total
 // bytes of t's data already resident at that place, so that big data
 // dominates the placement. Supplied by the coherence layer. Incompatible
-// places must score zero.
+// places must score zero. A scheduler reads the slice before its next
+// call, so the function may return the same slice every time.
 type ScoreFn func(t *task.Task) []uint64
 
 // CanRunFn reports whether a place can execute a task (device match).
 type CanRunFn func(place int, t *task.Task) bool
+
+// AcceptsFn reports whether a place can ever run tasks of device d: the
+// static half of CanRun, fixed for the scheduler's lifetime. CanRun must
+// refuse every task of a device Accepts refuses.
+type AcceptsFn func(place int, d task.Device) bool
 
 // Estimate is the projected cost of running one task at one place,
 // produced by the runtime's cost estimator (gpusim roofline costs plus
@@ -76,7 +84,7 @@ type Estimate struct {
 func (e Estimate) Incompatible() bool { return e.Compute < 0 }
 
 // CostFn returns, for each place id, the estimated cost of running t
-// there. The slice is indexed like ScoreFn's.
+// there. The slice is indexed, and may be reused, like ScoreFn's.
 type CostFn func(t *task.Task) []Estimate
 
 // RankFn returns t's upward rank: its compute cost plus the longest
@@ -129,6 +137,10 @@ type Options struct {
 	// CanRun filters task-place compatibility (nil means any place runs
 	// any task).
 	CanRun CanRunFn
+	// Accepts narrows the devices a place's pop visits in the FIFO
+	// queues, which are split by device; CanRun filters within them. Nil
+	// means every place visits every device.
+	Accepts AcceptsFn
 	// Hooks attaches observation instruments.
 	Hooks Hooks
 }
@@ -140,55 +152,111 @@ func New(policy Policy, places int, o Options) Scheduler {
 	if canRun == nil {
 		canRun = func(int, *task.Task) bool { return true }
 	}
+	queue := fifo{accepts: o.Accepts}
 	switch policy {
 	case BreadthFirst:
-		return &bfSched{canRun: canRun, hooks: h}
+		return &bfSched{canRun: canRun, fifo: queue, hooks: h}
 	case Dependencies:
-		return &depSched{canRun: canRun, perPlace: make(map[int][]*entry), hooks: h}
+		return &depSched{canRun: canRun, fifo: queue, perPlace: make(map[int][]*entry), hooks: h}
 	case Affinity:
 		if o.Score == nil {
 			panic("sched: Affinity policy requires a ScoreFn")
 		}
 		return &affSched{places: places, score: o.Score, steal: o.Steal, canRun: canRun,
-			local: make([][]*entry, places), hooks: h}
+			local: make([][]*entry, places), global: queue, hooks: h}
 	case HEFT:
 		if o.Cost == nil || o.Cost.Estimates == nil {
 			panic("sched: HEFT policy requires a CostModel with Estimates")
 		}
 		return &heftSched{places: places, cost: o.Cost.Estimates, rank: o.Cost.Rank,
-			steal: o.Steal, canRun: canRun,
-			local: make([][]*entry, places), backlog: make([]time.Duration, places), hooks: h}
+			steal: o.Steal, canRun: canRun, local: make([][]*entry, places), global: queue,
+			backlog: make([]time.Duration, places), hooks: h}
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
 	}
 }
 
 // entry wraps a task so it can sit in several queues; the first Pop that
-// reaches it takes it. compute and rank are only set by the heft policy
-// (the place's backlog accounting and priority order).
+// reaches it takes it. seq is its submission number in a fifo (it fits in
+// taken's padding: an entry stays 32 bytes). compute and rank are only set
+// by the heft policy (the place's backlog accounting and priority order).
 type entry struct {
 	t       *task.Task
 	taken   bool
+	seq     uint32
 	compute time.Duration
 	rank    time.Duration
 }
 
-// popFront takes the oldest live entry satisfying pred, compacting consumed
-// entries from the front as a side effect.
+// popFront takes the oldest live entry satisfying pred.
 func popFront(q *[]*entry, pred func(*task.Task) bool) *entry {
-	// Drop already-taken entries from the head.
+	e := front(q, pred)
+	if e != nil {
+		e.taken = true
+	}
+	return e
+}
+
+// front returns the oldest live entry satisfying pred without taking it,
+// compacting consumed entries from the head as a side effect.
+func front(q *[]*entry, pred func(*task.Task) bool) *entry {
 	for len(*q) > 0 && (*q)[0].taken {
 		*q = (*q)[1:]
 	}
-	for i := 0; i < len(*q); i++ {
-		e := (*q)[i]
-		if e.taken || !pred(e.t) {
-			continue
+	for _, e := range *q {
+		if !e.taken && pred(e.t) {
+			return e
 		}
-		e.taken = true
-		return e
 	}
 	return nil
+}
+
+// fifo is a ready queue in submission order. It keeps one queue per device
+// and numbers its entries, so that a pop visits only the devices its place
+// accepts (all of them with no accepts) and still takes the oldest entry
+// its filter passes.
+type fifo struct {
+	accepts AcceptsFn
+	byDev   [][]*entry // indexed by task.Device
+	seq     uint32
+}
+
+func (f *fifo) push(e *entry) {
+	d := int(e.t.Device)
+	for len(f.byDev) <= d {
+		f.byDev = append(f.byDev, nil)
+	}
+	e.seq = f.seq
+	f.seq++
+	f.byDev[d] = append(f.byDev[d], e)
+}
+
+// pop takes the oldest live entry, among the devices place accepts, that
+// pred passes.
+func (f *fifo) pop(place int, pred func(*task.Task) bool) *entry {
+	var oldest *entry
+	for d := range f.byDev {
+		if f.accepts != nil && !f.accepts(place, task.Device(d)) {
+			continue
+		}
+		// Wrapping difference: numbers stay ordered across overflow while
+		// the live entries span less than 2^31 submissions.
+		if e := front(&f.byDev[d], pred); e != nil && (oldest == nil || int32(e.seq-oldest.seq) < 0) {
+			oldest = e
+		}
+	}
+	if oldest != nil {
+		oldest.taken = true
+	}
+	return oldest
+}
+
+func (f *fifo) len() int {
+	n := 0
+	for _, q := range f.byDev {
+		n += liveLen(q)
+	}
+	return n
 }
 
 // popBack takes the newest live entry satisfying pred.
@@ -220,17 +288,17 @@ func liveLen(q []*entry) int {
 // bfSched: plain FIFO.
 type bfSched struct {
 	canRun CanRunFn
-	fifo   []*entry
+	fifo   fifo
 	hooks  Hooks
 }
 
 func (s *bfSched) Submit(t *task.Task, releasedBy int) {
-	s.fifo = append(s.fifo, &entry{t: t})
+	s.fifo.push(&entry{t: t})
 	s.hooks.Queued.Add(1)
 }
 
 func (s *bfSched) Pop(place int) *task.Task {
-	e := popFront(&s.fifo, func(t *task.Task) bool { return s.canRun(place, t) })
+	e := s.fifo.pop(place, func(t *task.Task) bool { return s.canRun(place, t) })
 	if e == nil {
 		return nil
 	}
@@ -240,19 +308,19 @@ func (s *bfSched) Pop(place int) *task.Task {
 
 func (s *bfSched) Drain(place int) []*task.Task { return nil }
 
-func (s *bfSched) Len() int { return liveLen(s.fifo) }
+func (s *bfSched) Len() int { return s.fifo.len() }
 
 // depSched: FIFO plus per-place successor lists.
 type depSched struct {
 	canRun   CanRunFn
-	fifo     []*entry
+	fifo     fifo
 	perPlace map[int][]*entry
 	hooks    Hooks
 }
 
 func (s *depSched) Submit(t *task.Task, releasedBy int) {
 	e := &entry{t: t}
-	s.fifo = append(s.fifo, e)
+	s.fifo.push(e)
 	s.hooks.Queued.Add(1)
 	if releasedBy >= 0 {
 		// The place that released this successor should pick it up next, to
@@ -267,7 +335,7 @@ func (s *depSched) Pop(place int) *task.Task {
 	e := popBack(&q, pred) // most recently released first
 	s.perPlace[place] = q
 	if e == nil {
-		e = popFront(&s.fifo, pred)
+		e = s.fifo.pop(place, pred)
 	}
 	if e == nil {
 		return nil
@@ -283,7 +351,7 @@ func (s *depSched) Drain(place int) []*task.Task {
 	return nil
 }
 
-func (s *depSched) Len() int { return liveLen(s.fifo) }
+func (s *depSched) Len() int { return s.fifo.len() }
 
 // affSched: per-place queues + global queue + stealing.
 type affSched struct {
@@ -292,7 +360,7 @@ type affSched struct {
 	steal  bool
 	canRun CanRunFn
 	local  [][]*entry
-	global []*entry
+	global fifo
 	hooks  Hooks
 }
 
@@ -322,7 +390,7 @@ func (s *affSched) Submit(t *task.Task, releasedBy int) {
 		s.local[p] = append(s.local[p], e)
 		return
 	}
-	s.global = append(s.global, e)
+	s.global.push(e)
 }
 
 func (s *affSched) Pop(place int) *task.Task {
@@ -333,7 +401,7 @@ func (s *affSched) Pop(place int) *task.Task {
 			return e.t
 		}
 	}
-	if e := popFront(&s.global, pred); e != nil {
+	if e := s.global.pop(place, pred); e != nil {
 		s.hooks.Queued.Add(-1)
 		return e.t
 	}
@@ -382,7 +450,7 @@ func (s *affSched) Drain(place int) []*task.Task {
 }
 
 func (s *affSched) Len() int {
-	n := liveLen(s.global)
+	n := s.global.len()
 	for _, q := range s.local {
 		n += liveLen(q)
 	}
@@ -405,7 +473,7 @@ type heftSched struct {
 	local [][]*entry
 	// global holds tasks no place can run right now (e.g. every
 	// compatible place is dead); any place that becomes able pops them.
-	global []*entry
+	global fifo
 	// backlog[p] is the projected compute time queued at place p: the sum
 	// of the Compute estimates of its queued entries. Pops and steals pay
 	// it down. Execution time while a task runs is not tracked — the
@@ -436,7 +504,7 @@ func (s *heftSched) Submit(t *task.Task, releasedBy int) {
 		}
 	}
 	if best < 0 {
-		s.global = append(s.global, e)
+		s.global.push(e)
 		return
 	}
 	e.compute = est[best].Compute
@@ -470,7 +538,7 @@ func (s *heftSched) Pop(place int) *task.Task {
 			return e.t
 		}
 	}
-	if e := popFront(&s.global, pred); e != nil {
+	if e := s.global.pop(place, pred); e != nil {
 		s.hooks.Queued.Add(-1)
 		return e.t
 	}
@@ -524,7 +592,7 @@ func (s *heftSched) Drain(place int) []*task.Task {
 }
 
 func (s *heftSched) Len() int {
-	n := liveLen(s.global)
+	n := s.global.len()
 	for _, q := range s.local {
 		n += liveLen(q)
 	}

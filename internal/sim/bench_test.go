@@ -85,6 +85,33 @@ func BenchmarkEngineEventTrigger(b *testing.B) {
 	}
 }
 
+// BenchmarkSignalIdleWake measures a broadcast to eight idle waiters whose
+// guards decline — the runtime's idle CPU workers and GPU managers when
+// signalWork finds them nothing to pop: eight wake-up events and no switch.
+func BenchmarkSignalIdleWake(b *testing.B) {
+	e := NewEngine()
+	s := NewSignal(e)
+	stop := false
+	for i := 0; i < 8; i++ {
+		e.Go("idle", func(p *Proc) {
+			s.WaitUntil(p, s.Gen(), func() bool { return stop })
+		})
+	}
+	e.Go("broadcaster", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			s.Broadcast()
+			p.Yield() // the wake-ups run, and decline
+		}
+		stop = true
+		s.Broadcast()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkEngineQueuePutGet measures a producer/consumer pair handing b.N
 // items through a Queue, with the consumer blocking on every item.
 func BenchmarkEngineQueuePutGet(b *testing.B) {

@@ -21,7 +21,9 @@
 //
 // One loop: Engine.Run pops every event, runs a bare callback inline and
 // resumes a process with a coroutine switch (iter.Pull); a process that
-// blocks switches back. Nothing else runs, so an engine has no lock: its
+// blocks switches back. A guarded wake-up (Signal.WaitUntil) first asks its
+// guard, inline: one that finds nothing to do leaves the process parked,
+// waiting again in that slot, and costs no switch. Nothing else runs, so an engine has no lock: its
 // state, and everything its processes and callbacks touch — the unlocked
 // free lists of the layers above included — is accessed by one thread of
 // control at a time, by construction. The other side of that rule is that
@@ -31,7 +33,8 @@
 // all as it returns. Events are recycled and name their process or callback
 // without a closure of their own, so scheduling allocates nothing: what
 // allocates is a spawn (its Proc), a blocked Queue.Get (its slot) and an
-// Event's waiters and subscribers after the first.
+// Event's waiters and subscribers after the first; a Signal keeps its
+// waiter slice from round to round.
 package sim
 
 import (
@@ -56,11 +59,14 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // event is a pending occurrence in the priority queue: the start (its first
 // event) or a wake-up of proc, with no closure, or else the bare callback fn.
+// A wake-up with ready set is guarded (Signal.WaitUntil): Run asks ready
+// before it switches to proc.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
+	at    Time
+	seq   uint64
+	fn    func()
+	proc  *Proc
+	ready func() bool
 }
 
 func eventLess(a, b *event) bool {
@@ -144,7 +150,7 @@ func (e *Engine) popEvent() *event {
 // schedule enqueues, for time at, the start or wake-up of p or else the bare
 // callback fn, and gives it the next sequence number. Events are recycled, so
 // scheduling allocates nothing.
-func (e *Engine) schedule(at Time, p *Proc, fn func()) {
+func (e *Engine) schedule(at Time, p *Proc, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev, e.free = e.free[n-1], e.free[:n-1]
@@ -154,17 +160,24 @@ func (e *Engine) schedule(at Time, p *Proc, fn func()) {
 	ev.at, ev.seq, ev.proc, ev.fn = at, e.seq, p, fn
 	e.seq++
 	e.pushEvent(ev)
+	return ev
 }
 
-// call runs a bare callback. Its panic, like a process's, becomes Run's
-// error, under the name "(event)".
-func (e *Engine) call(fn func()) {
+// call runs a bare callback fn, or else the guard ready of a wake-up of the
+// process named name, and returns ready's verdict. A panic in either, like
+// a process's, becomes Run's error: under the name "(event)" for a
+// callback, under the waiter's name for a guard, which then returns false.
+func (e *Engine) call(name string, fn func(), ready func() bool) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.Stop(&ProcPanicError{Proc: "(event)", Value: r, Stack: debug.Stack()})
+			e.Stop(&ProcPanicError{Proc: name, Value: r, Stack: debug.Stack()})
 		}
 	}()
+	if ready != nil {
+		return ready()
+	}
 	fn()
+	return true
 }
 
 // coro is one engine coroutine. It runs the processes handed to it in p one
@@ -325,11 +338,19 @@ func (e *Engine) Run() error {
 	for !e.stopped && len(e.queue) > 0 {
 		ev := e.popEvent()
 		e.now = ev.at
-		p, fn := ev.proc, ev.fn
-		ev.proc, ev.fn = nil, nil
+		p, fn, ready := ev.proc, ev.fn, ev.ready
+		ev.proc, ev.fn, ev.ready = nil, nil, nil
 		e.free = append(e.free, ev)
 		if p == nil {
-			e.call(fn)
+			e.call("(event)", fn, nil)
+			continue
+		}
+		if ready != nil && !e.call(p.name, nil, ready) {
+			// A guarded wake-up that would find nothing: p stays parked and
+			// waits again in this slot, as its loop would have done had it
+			// been switched to — with no switch.
+			s := p.blockedOn.(*Signal)
+			s.waiters = append(s.waiters, sigWaiter{p, ready})
 			continue
 		}
 		if p.co == nil {

@@ -181,6 +181,32 @@ func TestPanicInBareCallback(t *testing.T) {
 	}
 }
 
+// A WaitUntil guard runs on the engine loop: its panic, and a block inside
+// it (which Park refuses), stop the run with an error under the waiter's
+// name, and the parked waiter is unwound.
+func TestWaitUntilGuardPanicIsRunError(t *testing.T) {
+	for want, guard := range map[string]func(p *Proc) bool{
+		"guard":                          func(*Proc) bool { panic("guard") },
+		"blocks outside its own process": func(p *Proc) bool { p.Yield(); return true },
+	} {
+		e := NewEngine()
+		s := NewSignal(e)
+		unwound := false
+		e.Go("guarded", func(p *Proc) {
+			defer func() { unwound = true }()
+			s.WaitUntil(p, s.Gen(), func() bool { return guard(p) })
+		})
+		e.After(time.Millisecond, s.Broadcast)
+		var pp *ProcPanicError
+		if err := e.Run(); !errors.As(err, &pp) || pp.Proc != "guarded" || !strings.Contains(fmt.Sprint(pp.Value), want) {
+			t.Fatalf("err = %v, want ProcPanicError from guarded: %s", err, want)
+		}
+		if !unwound {
+			t.Fatal("the waiter was not unwound")
+		}
+	}
+}
+
 // A deferred call that blocks while Run unwinds its parked process is cut
 // short; the defers registered before it still run, and Run returns.
 func TestUnwindCutsShortBlockingDefer(t *testing.T) {
@@ -386,6 +412,38 @@ func TestEventWaitAllocs(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(Event{}); size > 64 {
 		t.Fatalf("Event is %d bytes, want <= 64 (the next size class is 80)", size)
+	}
+}
+
+// A Signal keeps its waiter slice from round to round, so a broadcast and
+// the waits that follow it allocate nothing in steady state: a plain Wait
+// that is switched to, and a WaitUntil whose guard declines.
+func TestSignalAllocs(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	stop := false
+	e.Go("plain", func(p *Proc) {
+		for !stop {
+			s.Wait(p, s.Gen())
+		}
+	})
+	e.Go("guarded", func(p *Proc) {
+		s.WaitUntil(p, s.Gen(), func() bool { return stop })
+	})
+	var allocs float64
+	e.Go("broadcaster", func(p *Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			s.Broadcast()
+			p.Yield() // the waiters wake, or decline, and wait again
+		})
+		stop = true
+		s.Broadcast()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per broadcast and re-wait, want 0", allocs)
 	}
 }
 

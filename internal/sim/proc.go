@@ -195,6 +195,75 @@ func WaitAll(p *Proc, evs ...*Event) {
 	}
 }
 
+// Signal is a reusable broadcast: every Broadcast wakes the processes then
+// waiting, in the order they waited, and leaves the signal ready for the
+// next round — where a fresh Event per round would allocate the event and
+// its waiter slice each time. Gen names a round, so that a process that
+// checks for work and then waits misses no broadcast in between: a Wait
+// for a round that has already ended returns at once.
+type Signal struct {
+	e       *Engine
+	gen     uint64
+	waiters []sigWaiter
+}
+
+// sigWaiter is one waiting process and, for WaitUntil, its guard.
+type sigWaiter struct {
+	p     *Proc
+	ready func() bool
+}
+
+// NewSignal returns a signal on engine e, in its first round.
+func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
+
+// Gen returns the current round: the number of broadcasts so far.
+func (s *Signal) Gen() uint64 { return s.gen }
+
+// String names a wait on the signal in deadlock reports.
+func (s *Signal) String() string { return "signal wait" }
+
+// Broadcast ends the round: it schedules one wake-up per waiter at the
+// current time, in wait order — the slots Event.Trigger gives its waiters —
+// and keeps its waiter slice for the next round. Safe to call from
+// processes or bare callbacks.
+func (s *Signal) Broadcast() {
+	s.gen++
+	e := s.e
+	for _, w := range s.waiters {
+		e.schedule(e.now, w.p, nil).ready = w.ready
+	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
+}
+
+// Wait blocks the calling process until the round after gen begins;
+// it returns at once if that has already happened.
+func (s *Signal) Wait(p *Proc, gen uint64) {
+	if gen == s.gen {
+		s.waiters = append(s.waiters, sigWaiter{p: p})
+		p.Park(s)
+	}
+}
+
+// WaitUntil blocks the calling process until ready reports true, asking it
+// at every broadcast from round gen on — at once for each round already
+// ended. It is the loop "Wait, then re-check" without its cost: Run calls
+// ready at each wake-up in the slot the process would have resumed in, and
+// when ready declines, the process waits again in that slot without being
+// switched to, so no event moves and Resumed counts only the wake-up that
+// returns. ready runs on the engine loop like a bare callback: it must not
+// block, and its panic is Run's error under the waiter's name. What it
+// finds it hands to the process through the variables it captures.
+func (s *Signal) WaitUntil(p *Proc, gen uint64, ready func() bool) {
+	for ; gen != s.gen; gen = s.gen {
+		if ready() {
+			return
+		}
+	}
+	s.waiters = append(s.waiters, sigWaiter{p, ready})
+	p.Park(s)
+}
+
 // Counter is a countdown latch: Wait releases when the count reaches zero.
 type Counter struct {
 	e       *Engine

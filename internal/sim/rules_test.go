@@ -273,16 +273,18 @@ func detMapRange(p *pkg) {
 // (the sim primitives, and the process forms of a send above them);
 // unboundedFuncs are the sim ones whose wait no duration bounds, which
 // deadlock rather than stall when the wake-up never comes; inlineCallbacks
-// run their function-literal arguments inline on the engine loop.
+// run their function-literal arguments inline on the engine loop — the
+// guard of Signal.WaitUntil too, which is also a blocking call itself.
 var (
-	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitFor",
-		"internal/sim.Park", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use", "internal/sim.Run",
-		"internal/sim.WaitAll", "internal/netsim.Send", "internal/gasnet.AMShort", "internal/gasnet.AMMedium",
-		"internal/gasnet.AMLong", "internal/gasnet.AMProbe")
-	unboundedFuncs = set("internal/sim.Wait", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
-		"internal/sim.Run", "internal/sim.WaitAll", "internal/sim.Park")
+	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitUntil",
+		"internal/sim.WaitFor", "internal/sim.Park", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
+		"internal/sim.Run", "internal/sim.WaitAll", "internal/netsim.Send", "internal/gasnet.AMShort",
+		"internal/gasnet.AMMedium", "internal/gasnet.AMLong", "internal/gasnet.AMProbe")
+	unboundedFuncs = set("internal/sim.Wait", "internal/sim.WaitUntil", "internal/sim.Get", "internal/sim.Acquire",
+		"internal/sim.Use", "internal/sim.Run", "internal/sim.WaitAll", "internal/sim.Park")
 	inlineCallbacks = set("internal/sim.After", "internal/sim.OnTrigger", "internal/sim.AcquireFunc",
-		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/netsim.SendFunc", "internal/gasnet.RegisterNonBlocking")
+		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitUntil", "internal/netsim.SendFunc",
+		"internal/gasnet.RegisterNonBlocking", "internal/core.idleWait")
 )
 
 // simBlocking flags the deadlock shapes the engine cannot detect at run
@@ -323,13 +325,14 @@ func (p *pkg) scanBlocking(body *ast.BlockStmt, noblock bool) {
 				return true
 			}
 			name := qualified(fn)
-			switch {
-			case inlineCallbacks[name]:
+			if inlineCallbacks[name] {
 				for _, arg := range n.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
 						inline[lit] = true
 					}
 				}
+			}
+			switch {
 			case fn.FullName() == resourceMethod+"Release":
 				for i := len(held) - 1; i >= 0 && !deferred[n]; i-- {
 					if held[i] == recv {
@@ -342,7 +345,8 @@ func (p *pkg) scanBlocking(body *ast.BlockStmt, noblock bool) {
 				switch {
 				case noblock:
 					p.report(n.Pos(), "%s inside an inline engine callback: After, OnTrigger, AcquireFunc, GetFunc, "+
-						"SendFunc and RegisterNonBlocking bodies run on the engine loop and must not block", what)
+						"SendFunc and RegisterNonBlocking bodies, WaitUntil guards and idleWait's take and quit run on the engine loop "+
+						"and must not block", what)
 				case len(held) > 0 && acquire:
 					p.report(n.Pos(), "nested %s.Acquire while resource %s is held: opposite "+
 						"acquisition orders deadlock at a frozen virtual time", recv, held[len(held)-1])
@@ -615,7 +619,8 @@ var ruleCases = []struct{ rule, want, src string }{
 	{"detmaprange", "", `func f(s []int) (n int) { for _, v := range s { n += v }; return }`},
 
 	// Under a held resource, a nested acquire and unbounded waits (the last
-	// in a spawned process); in inline callbacks, any blocking call.
+	// in a spawned process); in inline callbacks, any blocking call; a
+	// WaitUntil guard that blocks, and a WaitUntil under a held resource.
 	{"simblocking", "nested b.Acquire while resource a is held", `func f(p *sim.Proc, a, b *sim.Resource) { a.Acquire(p); b.Acquire(p); b.Release(); a.Release() }`},
 	{"simblocking", "unbounded sim Get while resource r is held", `func f(p *sim.Proc, r *sim.Resource, q *sim.Queue[int]) { r.Acquire(p); q.Get(p); r.Release() }`},
 	{"simblocking", "unbounded sim Get while resource r is held", `func f(e *sim.Engine, r *sim.Resource, q *sim.Queue[*sim.Event]) {
@@ -626,9 +631,14 @@ var ruleCases = []struct{ rule, want, src string }{
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(ep *gasnet.Endpoint, p *sim.Proc) { ep.RegisterNonBlocking("done", func(gasnet.AM) { p.Sleep(1) }) }`},
 	{"simblocking", "netsim Send inside an inline engine callback", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, p *sim.Proc) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.Send(p, netsim.Message{From: 1, To: am.From}) }) }`},
+	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, s *sim.Signal) {
+	s.WaitUntil(p, s.Gen(), func() bool { p.Sleep(1); return true }) }`},
+	{"simblocking", "unbounded sim WaitUntil while resource r is held", `func f(p *sim.Proc, r *sim.Resource, s *sim.Signal, q *sim.Queue[int]) {
+	r.Acquire(p); s.WaitUntil(p, s.Gen(), func() bool { return q.Len() > 0 }); r.Release() }`},
 	// The occupancy model, a spawn from a callback, a documented acquisition
-	// order, occupancy as continuations, both handler forms, and a reply
-	// from a non-blocking handler with the event-chain send.
+	// order, occupancy as continuations, both handler forms, a reply from a
+	// non-blocking handler with the event-chain send, and a WaitUntil guard
+	// that only takes.
 	{"simblocking", "", `func f(p *sim.Proc, r *sim.Resource) { r.Acquire(p); p.Sleep(10); r.Release() }`},
 	{"simblocking", "", `func f(e *sim.Engine, ev *sim.Event) { e.After(1, func() { e.Go("drain", func(p *sim.Proc) { ev.Wait(p) }) }) }`},
 	{"simblocking", "", "func f(p *sim.Proc, tx, rx *sim.Resource) { tx.Acquire(p)\n//ompss:simblock-ok TX is always acquired before RX; the wait graph is acyclic\nrx.Acquire(p); tx.Release(); rx.Release() }"},
@@ -637,6 +647,8 @@ var ruleCases = []struct{ rule, want, src string }{
 	ep.Register("fetch", func(p *sim.Proc, am gasnet.AM) { ev.Wait(p) }); ep.RegisterNonBlocking("ack", func(gasnet.AM) { ev.Trigger() }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, ev *sim.Event) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.SendFunc(netsim.Message{From: 1, To: am.From}, func() { ev.Trigger() }) }) }`},
+	{"simblocking", "", `func f(p *sim.Proc, s *sim.Signal, q *sim.Queue[int]) (v int) {
+	s.WaitUntil(p, s.Gen(), func() (ok bool) { v, ok = q.TryGet(); return ok }); return v }`},
 
 	// A discarded handle, a span never closed, a span a return leaks; then
 	// a deferred close, a close before any return, a close in a closure, and
@@ -689,7 +701,27 @@ func TestDetWallclock(t *testing.T) {
 	})
 }
 
-func TestDetMapRange(t *testing.T)    { testRule(t, "detmaprange") }
-func TestSimBlocking(t *testing.T)    { testRule(t, "simblocking") }
+func TestDetMapRange(t *testing.T) { testRule(t, "detmaprange") }
+
 func TestTracePair(t *testing.T)      { testRule(t, "tracepair") }
 func TestOmpssDirective(t *testing.T) { testRule(t, "ompssdirective") }
+
+func TestSimBlocking(t *testing.T) {
+	testRule(t, "simblocking")
+	// The runtime's idle loops reach WaitUntil through nodeRT.idleWait, so
+	// its take and quit are inline callbacks too: blocking in take is
+	// flagged, a take that only pops is clean.
+	const idle = `type image struct{}
+func (image) idleWait(p *sim.Proc, take, quit func() bool) func() bool { return take }
+`
+	for _, c := range []struct{ want, take string }{
+		{"sim Sleep inside an inline engine callback", `func() bool { p.Sleep(1); return true }`},
+		{"", `func() bool { _, ok := q.TryGet(); return ok }`},
+	} {
+		src := idle + `func f(n image, p *sim.Proc, q *sim.Queue[int]) { n.idleWait(p, ` + c.take + `, func() bool { return false }) }`
+		found := checkSnippet(t, modPath+"/internal/core", "simblocking", src)
+		if c.want == "" && len(found) > 0 || c.want != "" && (len(found) != 1 || !strings.Contains(found[0].text, c.want)) {
+			t.Errorf("simblocking on\n%s\nfound %v, want %q", src, found, c.want)
+		}
+	}
+}
