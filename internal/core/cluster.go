@@ -37,15 +37,14 @@ type pushArgs struct {
 	XferID int64
 }
 
-type doneArgs struct {
-	Task *task.Task
-	Node int
-}
-
 // clusterState lives on the Runtime (of a machine with more than one node)
 // but only the master uses it.
 type clusterState struct {
-	outstanding []int // per node: dispatched but unfinished tasks
+	outstanding []int  // per node: dispatched but unfinished tasks
+	busy        int    // the sum of outstanding
+	closed      []bool // per node: dead or at 1+Presend outstanding, as last tracked
+	open        []int  // per comm thread: the nodes it serves that are not closed
+	onTrack     func() // if set, runs after every track (tests)
 	xferSeq     int64
 	xferEvents  map[int64]*sim.Event
 	// scores and estimates are the per-node slices clusterScore and
@@ -59,8 +58,7 @@ type clusterState struct {
 func (rt *Runtime) registerMasterHandlers() {
 	m := rt.master()
 	m.ep.RegisterNonBlocking(amTaskDone, func(am gasnet.AM) {
-		args := am.Args.(doneArgs)
-		t, node := args.Task, args.Node
+		t, node := am.Args.(*task.Task), am.From
 		if ft := rt.ft; ft != nil {
 			// Only the dispatch of record may retire the task: a completion
 			// from a node that was declared dead (and whose copy of the task
@@ -115,7 +113,6 @@ func (rt *Runtime) spawnCommThread() {
 // node enter its local scheduler.
 func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	m, cl := rt.master(), rt.cl
-	limit := 1 + rt.cfg.Presend
 	// This thread serves the nodes whose index is ≡ thread (mod threads).
 	var mine []int
 	for k := 0; k < len(rt.nodes); k++ {
@@ -126,15 +123,17 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	if len(mine) == 0 {
 		return
 	}
+	cl.open[thread] = len(mine) // all alive and idle
 	cursor := 0
 	// The idle wait's take is the Pop half of a sweep: the next node in
-	// round-robin order with room and a task for it.
+	// round-robin order with room and a task for it, if there can be one.
 	var t *task.Task
 	var k, tried int
+	retireLocal := func(_ *sim.Proc, done *task.Task, _ int) { rt.retire(done, 0) }
 	wait := m.idleWait(p, func() bool {
-		for tried = 0; tried < len(mine); tried++ {
+		for tried = 0; tried < len(mine) && cl.open[thread] > 0 && rt.clSch.Len() > 0; tried++ {
 			k = mine[(cursor+tried)%len(mine)]
-			if rt.nodeIsDead(k) || cl.outstanding[k] >= limit {
+			if cl.closed[k] {
 				continue
 			}
 			if t = rt.clSch.Pop(k); t != nil {
@@ -142,10 +141,10 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			}
 		}
 		return false
-	}, func() bool { return m.stopping && cl.total() == 0 })
+	}, func() bool { return m.stopping && cl.busy == 0 })
 	for wait() {
 		t, k := t, k // the dispatch process keeps them past the next take
-		cl.outstanding[k]++
+		rt.track(k, 1)
 		if ft := rt.ft; ft != nil && k > 0 {
 			// Track the dispatch before its process exists, so a death
 			// can never catch the task in an untracked window.
@@ -153,7 +152,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			ft.inflightTask[t.ID] = t
 		}
 		if k == 0 {
-			m.enqueueLocal(t, func(_ *sim.Proc, done *task.Task, _ int) { rt.retire(done, 0) })
+			m.enqueueLocal(t, retireLocal)
 		} else {
 			if cl.outstanding[k] > 1 {
 				rt.met.presends.Inc()
@@ -170,7 +169,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 // retire completes t, which ran on node, at the master. A re-executed
 // producer only advances its rebuild: the graph retired it long ago.
 func (rt *Runtime) retire(t *task.Task, node int) {
-	rt.cl.outstanding[node]--
+	rt.track(node, -1)
 	if rt.isRecoveryTask(t) {
 		rt.ft.recoveryDone[t.ID].Trigger()
 	} else {
@@ -179,12 +178,24 @@ func (rt *Runtime) retire(t *task.Task, node int) {
 	rt.master().signalWork()
 }
 
-func (cl *clusterState) total() int {
-	n := 0
-	for _, o := range cl.outstanding {
-		n += o
+// track moves node k's outstanding dispatches by delta and brings its
+// closed flag, dead or at the limit, and its comm thread's open count up
+// to date: at a dispatch, a retire and k's death.
+func (rt *Runtime) track(k, delta int) {
+	cl := rt.cl
+	cl.outstanding[k] += delta
+	cl.busy += delta
+	if closed := rt.nodeIsDead(k) || cl.outstanding[k] > rt.cfg.Presend; closed != cl.closed[k] {
+		cl.closed[k] = closed
+		if closed {
+			cl.open[k%len(cl.open)]--
+		} else {
+			cl.open[k%len(cl.open)]++
+		}
 	}
-	return n
+	if cl.onTrack != nil {
+		cl.onTrack()
+	}
 }
 
 // clusterScore is the cluster-level affinity: bytes of t's data resident
@@ -264,14 +275,13 @@ func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
 	if rt.nodeIsDead(k) {
 		return // nodeDead already requeued this task
 	}
-	var reads []memspace.Region
+	reads := make([]memspace.Region, 0, 4)
 	for _, c := range t.Copies() {
 		if c.Access.Reads() {
 			reads = append(reads, c.Region)
 		}
 	}
-	staged := rt.moveEach(p, "stageNet", rt.cfg.NonBlockingCache, reads,
-		func(sp *sim.Proc, r memspace.Region) bool { return rt.stageToNode(sp, r, k) })
+	staged := rt.moveEach(p, "stageNet", rt.cfg.NonBlockingCache, reads, rt.nodes[k].stageHere)
 	if !staged || rt.nodeIsDead(k) {
 		// Staging only fails when k itself is unreachable; declaring it
 		// dead (idempotently) requeues every task bound to it, this one
@@ -455,19 +465,17 @@ func (rt *Runtime) ackXfer(id int64) {
 // III.D.1: slaves wait for requests and submit them to the local
 // scheduler).
 func (n *nodeRT) registerSlaveHandlers() {
+	report := func(cp *sim.Proc, done *task.Task, place int) {
+		if n.rt.ft != nil {
+			// A reliable send lasts the ack round-trip (and any retries):
+			// it goes out as events, so the worker can take its next task.
+			n.rt.e.After(0, func() { n.ep.AMShortFunc(0, amTaskDone, done) })
+			return
+		}
+		n.ep.AMShort(cp, 0, amTaskDone, done)
+	}
 	n.ep.RegisterNonBlocking(amRunTask, func(am gasnet.AM) {
-		t := am.Args.(*task.Task)
-		n.enqueueLocal(t, func(cp *sim.Proc, done *task.Task, place int) {
-			if n.rt.ft != nil {
-				// A reliable send lasts the ack round-trip (and any retries):
-				// it goes out as events, so the worker can take its next task.
-				n.rt.e.After(0, func() {
-					n.ep.AMShortFunc(0, amTaskDone, doneArgs{Task: done, Node: n.id})
-				})
-				return
-			}
-			n.ep.AMShort(cp, 0, amTaskDone, doneArgs{Task: done, Node: n.id})
-		})
+		n.enqueueLocal(am.Args.(*task.Task), report)
 	})
 	if n.rt.ft != nil {
 		n.ep.RegisterNonBlocking(amPing, func(am gasnet.AM) {

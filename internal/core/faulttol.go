@@ -232,6 +232,7 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 		return
 	}
 	ft.dead[k] = true
+	rt.track(k, -rt.cl.outstanding[k]) // its dispatches are requeued below
 	rt.met.deadNodes.Inc()
 	m := rt.master()
 	now := rt.e.Now()
@@ -277,7 +278,6 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 	for _, t := range requeue {
 		rt.clSch.Submit(t, -1)
 	}
-	rt.cl.outstanding[k] = 0
 	// If k hosted manager shards, rehost them on the master before the
 	// data recovery below: the rebuilt directory slices must be owned by
 	// a live manager while the producer chains replay.

@@ -142,7 +142,7 @@ func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) 
 // mgrChargeQuery models a blocking coherence query (the transfer
 // planner's Missing/Holders round) against r's owning shards; p sleeps
 // until the slowest shard has answered. Runs inside per-dispatch procs, so
-// it decomposes into a fresh span slice instead of the shared scratch.
+// it decomposes into a buffer of its own instead of the shared scratch.
 func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
 	m := rt.mgr
 	if m.model.OpCost == 0 {
@@ -150,7 +150,8 @@ func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
 	}
 	now := p.Now()
 	done := now
-	for _, sp := range m.dmap.Spans(r) {
+	spans := m.dmap.SpansInto(r, make([]dmgr.Span, 0, 4))
+	for _, sp := range spans {
 		if end := m.model.ServeFrom(now, caller, sp.Shard, opsStagePerSpan); end > done {
 			done = end
 		}
@@ -158,18 +159,18 @@ func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
 	if done > now {
 		p.Sleep(sim.Duration(done - now))
 	}
-	rt.mgrRouteVisible(p, caller, r)
+	rt.mgrRouteVisible(p, caller, spans)
 }
 
 // mgrRouteVisible emits one best-effort control datagram from the
-// caller's endpoint to each distinct remote shard host owning part of r.
+// caller's endpoint to each distinct remote shard host owning a span.
 // State was already applied at the master image; the datagrams put the
 // metadata routing on the simulated wire where the fabric's counters (and
 // traces) can see it.
-func (rt *Runtime) mgrRouteVisible(p *sim.Proc, caller int, r memspace.Region) {
+func (rt *Runtime) mgrRouteVisible(p *sim.Proc, caller int, spans []dmgr.Span) {
 	m := rt.mgr
 	prev := -1
-	for _, sp := range m.dmap.Spans(r) {
+	for _, sp := range spans {
 		h := m.dmap.Host(sp.Shard)
 		if h == caller || h == prev || rt.nodeIsDead(h) {
 			continue

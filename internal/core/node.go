@@ -56,9 +56,10 @@ type nodeRT struct {
 	// ready-ahead window; kept for window-depth sampling.
 	lookahead *sched.LookaheadSched
 
-	places       int         // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
-	dispatchName string      // of the master's processes dispatching to this node
-	workSignal   *sim.Signal // broadcast whenever work may have appeared
+	places       int                                       // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
+	dispatchName string                                    // of the master's processes dispatching to this node
+	stageHere    func(p *sim.Proc, r memspace.Region) bool // stageToNode into this node, bound once
+	workSignal   *sim.Signal                               // broadcast whenever work may have appeared
 	stopping     bool
 
 	// onDone maps locally queued tasks to their completion action (retire
@@ -110,9 +111,14 @@ const hostDevKey = -1
 func (n *nodeRT) isMaster() bool { return n.id == 0 }
 
 // joinInflight waits out a transfer of r into dst that is already under
-// way and reports whether there was one.
+// way and reports whether there was one; the first joiner makes its event.
 func (n *nodeRT) joinInflight(p *sim.Proc, r memspace.Region, dst memspace.Location) bool {
-	ev, busy := n.inflight[inflightKey{r, dst}]
+	key := inflightKey{r, dst}
+	ev, busy := n.inflight[key]
+	if busy && ev == nil {
+		ev = sim.NewEvent(n.rt.e)
+		n.inflight[key] = ev
+	}
 	if busy {
 		ev.Wait(p)
 	}
@@ -122,11 +128,13 @@ func (n *nodeRT) joinInflight(p *sim.Proc, r memspace.Region, dst memspace.Locat
 // leadInflight announces the caller's transfer of r into dst; the returned
 // function ends it and wakes whoever joined.
 func (n *nodeRT) leadInflight(r memspace.Region, dst memspace.Location) func() {
-	key, ev := inflightKey{r, dst}, sim.NewEvent(n.rt.e)
-	n.inflight[key] = ev
+	key := inflightKey{r, dst}
+	n.inflight[key] = nil
 	return func() {
+		if ev := n.inflight[key]; ev != nil {
+			ev.Trigger()
+		}
 		delete(n.inflight, key)
-		ev.Trigger()
 	}
 }
 
@@ -143,6 +151,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		prefetched:   make([]*task.Task, len(spec.GPUs)),
 		workSignal:   sim.NewSignal(rt.e),
 		dispatchName: "dispatch->node" + strconv.Itoa(id),
+		stageHere:    func(p *sim.Proc, r memspace.Region) bool { return rt.stageToNode(p, r, id) },
 		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
 	if rt.cfg.Validate {

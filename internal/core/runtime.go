@@ -103,7 +103,8 @@ func New(cfg Config) *Runtime {
 		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
 			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
 			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts, Hooks: schedHooks(cfg.Metrics, "cluster")})
-		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), xferEvents: make(map[int64]*sim.Event),
+		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), closed: make([]bool, len(rt.nodes)),
+			open: make([]int, cfg.CommThreads), xferEvents: make(map[int64]*sim.Event),
 			scores: make([]uint64, len(rt.nodes)), estimates: make([]sched.Estimate, len(rt.nodes))}
 	}
 	rt.mgr = newMgrState(cfg, rt.met)

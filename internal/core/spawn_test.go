@@ -23,39 +23,10 @@ import (
 // delivery woke a dispatcher): that count is the cost left in sim, and it is
 // held to what was measured plus 5 %.
 func TestProcessesPerTask(t *testing.T) {
-	const nodes, chains, depth = 8, 8, 25
 	for _, point := range []struct{ shards, measuredResumes int }{{1, 17687}, {2, 18680}} {
 		shards, maxResumes := point.shards, point.measuredResumes*105/100
-		rt := New(Config{
-			Cluster:       hw.GPUCluster(nodes),
-			Scheduler:     sched.BreadthFirst,
-			SlaveToSlave:  true,
-			CommThreads:   4,
-			CPUWorkers:    2,
-			ManagerShards: shards,
-			ManagerOpCost: 2 * time.Microsecond,
-		})
-		_, err := rt.Run(func(mc *MainCtx) {
-			deps := make([]memspace.Region, nodes*chains)
-			for i := range deps {
-				deps[i] = memspace.Region{Addr: mc.Alloc(1 << 18).Addr, Size: 256}
-			}
-			defs := make([]TaskDef, len(deps))
-			for d := 0; d < depth; d++ {
-				for i, r := range deps {
-					defs[i] = TaskDef{
-						Name: "chain", Device: task.SMP, Deps: []task.Dep{inoutDep(r)},
-						Work: task.FixedWork{Label: "chain", CPUTime: 20 * time.Microsecond},
-					}
-				}
-				mc.SubmitBatch(defs)
-			}
-			mc.TaskWaitNoflush()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks := nodes * chains * depth
+		rt := runWeakscalePoint(t, shards)
+		tasks := weakscaleTasks
 		if spawned := rt.e.Spawned(); spawned > tasks*16/10 {
 			t.Errorf("shards=%d: %d processes for %d tasks (%.2f per task), want <= 1.6",
 				shards, spawned, tasks, float64(spawned)/float64(tasks))
@@ -69,4 +40,47 @@ func TestProcessesPerTask(t *testing.T) {
 			t.Logf("shards=%d: %d process resumes, %.1f per task", shards, resumed, float64(resumed)/float64(tasks))
 		}
 	}
+}
+
+// The weakscale point's shape: nodes × chains chains of depth tasks.
+const (
+	weakscaleNodes, weakscaleChains, weakscaleDepth = 8, 8, 25
+	weakscaleTasks                                  = weakscaleNodes * weakscaleChains * weakscaleDepth
+)
+
+// runWeakscalePoint builds and runs the 8-node weakscale point with the
+// given manager shard count and returns the finished runtime.
+func runWeakscalePoint(t *testing.T, shards int) *Runtime {
+	t.Helper()
+	const nodes, chains, depth = weakscaleNodes, weakscaleChains, weakscaleDepth
+	rt := New(Config{
+		Cluster:       hw.GPUCluster(nodes),
+		Scheduler:     sched.BreadthFirst,
+		SlaveToSlave:  true,
+		CommThreads:   4,
+		CPUWorkers:    2,
+		ManagerShards: shards,
+		ManagerOpCost: 2 * time.Microsecond,
+	})
+	_, err := rt.Run(func(mc *MainCtx) {
+		deps := make([]memspace.Region, nodes*chains)
+		for i := range deps {
+			deps[i] = memspace.Region{Addr: mc.Alloc(1 << 18).Addr, Size: 256}
+		}
+		defs := make([]TaskDef, len(deps))
+		for d := 0; d < depth; d++ {
+			for i, r := range deps {
+				defs[i] = TaskDef{
+					Name: "chain", Device: task.SMP, Deps: []task.Dep{inoutDep(r)},
+					Work: task.FixedWork{Label: "chain", CPUTime: 20 * time.Microsecond},
+				}
+			}
+			mc.SubmitBatch(defs)
+		}
+		mc.TaskWaitNoflush()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
 }

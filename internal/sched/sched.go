@@ -111,7 +111,8 @@ type Scheduler interface {
 	// tasks any surviving place will pop anyway). The fault-tolerant
 	// runtime drains a dead place to resubmit its work elsewhere.
 	Drain(place int) []*task.Task
-	// Len returns the number of queued tasks.
+	// Len returns the number of queued tasks: a count kept as they come
+	// and go, so asking is O(1).
 	Len() int
 }
 
@@ -155,22 +156,22 @@ func New(policy Policy, places int, o Options) Scheduler {
 	queue := fifo{accepts: o.Accepts}
 	switch policy {
 	case BreadthFirst:
-		return &bfSched{canRun: canRun, fifo: queue, hooks: h}
+		return &bfSched{canRun: canRun, fifo: queue, queued: queued{hooks: h}}
 	case Dependencies:
-		return &depSched{canRun: canRun, fifo: queue, perPlace: make(map[int][]*entry), hooks: h}
+		return &depSched{canRun: canRun, fifo: queue, perPlace: make(map[int][]*entry), queued: queued{hooks: h}}
 	case Affinity:
 		if o.Score == nil {
 			panic("sched: Affinity policy requires a ScoreFn")
 		}
 		return &affSched{places: places, score: o.Score, steal: o.Steal, canRun: canRun,
-			local: make([][]*entry, places), global: queue, hooks: h}
+			local: make([][]*entry, places), global: queue, queued: queued{hooks: h}}
 	case HEFT:
 		if o.Cost == nil || o.Cost.Estimates == nil {
 			panic("sched: HEFT policy requires a CostModel with Estimates")
 		}
 		return &heftSched{places: places, cost: o.Cost.Estimates, rank: o.Cost.Rank,
 			steal: o.Steal, canRun: canRun, local: make([][]*entry, places), global: queue,
-			backlog: make([]time.Duration, places), hooks: h}
+			backlog: make([]time.Duration, places), queued: queued{hooks: h}}
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
 	}
@@ -198,11 +199,19 @@ func popFront(q *[]*entry, pred func(*task.Task) bool) *entry {
 }
 
 // front returns the oldest live entry satisfying pred without taking it,
-// compacting consumed entries from the head as a side effect.
+// compacting consumed entries from the head as a side effect: a queue left
+// empty keeps its array for the next push.
 func front(q *[]*entry, pred func(*task.Task) bool) *entry {
-	for len(*q) > 0 && (*q)[0].taken {
-		*q = (*q)[1:]
+	i := 0
+	for i < len(*q) && (*q)[i].taken {
+		i++
 	}
+	if i == len(*q) {
+		clear(*q)
+		*q = (*q)[:0]
+		return nil
+	}
+	*q = (*q)[i:]
 	for _, e := range *q {
 		if !e.taken && pred(e.t) {
 			return e
@@ -251,14 +260,6 @@ func (f *fifo) pop(place int, pred func(*task.Task) bool) *entry {
 	return oldest
 }
 
-func (f *fifo) len() int {
-	n := 0
-	for _, q := range f.byDev {
-		n += liveLen(q)
-	}
-	return n
-}
-
 // popBack takes the newest live entry satisfying pred.
 func popBack(q *[]*entry, pred func(*task.Task) bool) *entry {
 	for len(*q) > 0 && (*q)[len(*q)-1].taken {
@@ -285,16 +286,30 @@ func liveLen(q []*entry) int {
 	return n
 }
 
+// queued is a scheduler's count of live tasks, kept by Submit, the pops
+// that take and Drain, and mirrored to Hooks.Queued.
+type queued struct {
+	n     int
+	hooks Hooks
+}
+
+func (q *queued) add(d int) {
+	q.n += d
+	q.hooks.Queued.Add(int64(d))
+}
+
+func (q *queued) Len() int { return q.n }
+
 // bfSched: plain FIFO.
 type bfSched struct {
 	canRun CanRunFn
 	fifo   fifo
-	hooks  Hooks
+	queued
 }
 
 func (s *bfSched) Submit(t *task.Task, releasedBy int) {
 	s.fifo.push(&entry{t: t})
-	s.hooks.Queued.Add(1)
+	s.add(1)
 }
 
 func (s *bfSched) Pop(place int) *task.Task {
@@ -302,26 +317,24 @@ func (s *bfSched) Pop(place int) *task.Task {
 	if e == nil {
 		return nil
 	}
-	s.hooks.Queued.Add(-1)
+	s.add(-1)
 	return e.t
 }
 
 func (s *bfSched) Drain(place int) []*task.Task { return nil }
-
-func (s *bfSched) Len() int { return s.fifo.len() }
 
 // depSched: FIFO plus per-place successor lists.
 type depSched struct {
 	canRun   CanRunFn
 	fifo     fifo
 	perPlace map[int][]*entry
-	hooks    Hooks
+	queued
 }
 
 func (s *depSched) Submit(t *task.Task, releasedBy int) {
 	e := &entry{t: t}
 	s.fifo.push(e)
-	s.hooks.Queued.Add(1)
+	s.add(1)
 	if releasedBy >= 0 {
 		// The place that released this successor should pick it up next, to
 		// reuse the data the predecessor just produced.
@@ -340,7 +353,7 @@ func (s *depSched) Pop(place int) *task.Task {
 	if e == nil {
 		return nil
 	}
-	s.hooks.Queued.Add(-1)
+	s.add(-1)
 	return e.t
 }
 
@@ -351,8 +364,6 @@ func (s *depSched) Drain(place int) []*task.Task {
 	return nil
 }
 
-func (s *depSched) Len() int { return s.fifo.len() }
-
 // affSched: per-place queues + global queue + stealing.
 type affSched struct {
 	places int
@@ -361,7 +372,7 @@ type affSched struct {
 	canRun CanRunFn
 	local  [][]*entry
 	global fifo
-	hooks  Hooks
+	queued
 }
 
 // bestPlace returns the place with the strictly highest score, or -1 when
@@ -385,7 +396,7 @@ func bestPlace(scores []uint64) int {
 
 func (s *affSched) Submit(t *task.Task, releasedBy int) {
 	e := &entry{t: t}
-	s.hooks.Queued.Add(1)
+	s.add(1)
 	if p := bestPlace(s.score(t)); p >= 0 && p < s.places && s.canRun(p, t) {
 		s.local[p] = append(s.local[p], e)
 		return
@@ -397,12 +408,12 @@ func (s *affSched) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
 	if place >= 0 && place < s.places {
 		if e := popFront(&s.local[place], pred); e != nil {
-			s.hooks.Queued.Add(-1)
+			s.add(-1)
 			return e.t
 		}
 	}
 	if e := s.global.pop(place, pred); e != nil {
-		s.hooks.Queued.Add(-1)
+		s.add(-1)
 		return e.t
 	}
 	if !s.steal {
@@ -426,7 +437,7 @@ func (s *affSched) Pop(place int) *task.Task {
 	if e == nil {
 		return nil
 	}
-	s.hooks.Queued.Add(-1)
+	s.add(-1)
 	s.hooks.Steals.Inc()
 	return e.t
 }
@@ -445,16 +456,8 @@ func (s *affSched) Drain(place int) []*task.Task {
 		}
 	}
 	s.local[place] = nil
-	s.hooks.Queued.Add(-int64(len(out)))
+	s.add(-len(out))
 	return out
-}
-
-func (s *affSched) Len() int {
-	n := s.global.len()
-	for _, q := range s.local {
-		n += liveLen(q)
-	}
-	return n
 }
 
 // heftSched: HEFT-style list scheduling. Each ready task is bound at
@@ -479,7 +482,7 @@ type heftSched struct {
 	// it down. Execution time while a task runs is not tracked — the
 	// backlog is a queue-pressure signal, not a clock.
 	backlog []time.Duration
-	hooks   Hooks
+	queued
 }
 
 func (s *heftSched) Submit(t *task.Task, releasedBy int) {
@@ -491,7 +494,7 @@ func (s *heftSched) Submit(t *task.Task, releasedBy int) {
 	if s.rank != nil {
 		e.rank = s.rank(t)
 	}
-	s.hooks.Queued.Add(1)
+	s.add(1)
 	best := -1
 	var bestEFT time.Duration
 	for p := 0; p < s.places; p++ {
@@ -533,13 +536,13 @@ func (s *heftSched) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
 	if place >= 0 && place < s.places {
 		if e := popFront(&s.local[place], pred); e != nil {
-			s.hooks.Queued.Add(-1)
+			s.add(-1)
 			s.backlog[place] -= e.compute
 			return e.t
 		}
 	}
 	if e := s.global.pop(place, pred); e != nil {
-		s.hooks.Queued.Add(-1)
+		s.add(-1)
 		return e.t
 	}
 	if !s.steal {
@@ -565,7 +568,7 @@ func (s *heftSched) Pop(place int) *task.Task {
 	if e == nil {
 		return nil
 	}
-	s.hooks.Queued.Add(-1)
+	s.add(-1)
 	s.hooks.Steals.Inc()
 	s.backlog[victim] -= e.compute
 	return e.t
@@ -587,14 +590,6 @@ func (s *heftSched) Drain(place int) []*task.Task {
 	}
 	s.local[place] = nil
 	s.backlog[place] = 0
-	s.hooks.Queued.Add(-int64(len(out)))
+	s.add(-len(out))
 	return out
-}
-
-func (s *heftSched) Len() int {
-	n := s.global.len()
-	for _, q := range s.local {
-		n += liveLen(q)
-	}
-	return n
 }

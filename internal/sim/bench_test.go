@@ -112,6 +112,41 @@ func BenchmarkSignalIdleWake(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSameInstant measures events that fire at the instant they
+// are scheduled, the lane's case (over half the events of a figure run):
+// per op, a bare callback that schedules the next with After(0) and ends a
+// Signal round, whose four guarded waiters decline, while 1 024 timers wait
+// further on so that a heap holds what it holds in a run.
+func BenchmarkEngineSameInstant(b *testing.B) {
+	e := NewEngine()
+	s := NewSignal(e)
+	stop := false
+	for i := 0; i < 4; i++ {
+		e.Go("idle", func(p *Proc) {
+			s.WaitUntil(p, s.Gen(), func() bool { return stop })
+		})
+	}
+	for i := 0; i < 1024; i++ {
+		e.After(time.Hour+time.Duration(i), func() {})
+	}
+	n := 0
+	var step func()
+	step = func() {
+		if n++; n > b.N {
+			stop = true
+		} else {
+			e.After(0, step)
+		}
+		s.Broadcast()
+	}
+	e.After(0, step)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkEngineQueuePutGet measures a producer/consumer pair handing b.N
 // items through a Queue, with the consumer blocking on every item.
 func BenchmarkEngineQueuePutGet(b *testing.B) {

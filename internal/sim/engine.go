@@ -78,11 +78,22 @@ func eventLess(a, b *event) bool {
 
 // Engine is the simulation kernel. Create one with NewEngine, spawn the root
 // process(es) with Go, then call Run. It has no lock: see the package comment.
+//
+// Pending events live in two places. An event for a later time goes to the
+// heap; one for the current instant goes to the lane, a FIFO, with no heap
+// push or pop. That moves nothing: a lane event took its number at now,
+// after every heap event for now was numbered (before the clock reached
+// it), so Run serves the heap's events at now first and then the lane in
+// arrival order — (time, sequence number) order, as one heap would.
 type Engine struct {
 	now   Time // the virtual clock, advanced only by Run's loop
 	seq   uint64
-	queue []*event // binary min-heap on (at, seq)
+	queue []*event // binary min-heap on (at, seq): the events after now
+	lane  ring     // the events at now, in sequence order
 	free  []*event // recycled events; hot-path scheduling never allocates
+
+	// onPop, when set, sees each event Run pops; tests use it.
+	onPop func(at Time, seq uint64)
 
 	procs   []*Proc // live processes, maintained on spawn/exit only
 	cur     *Proc   // the process Run has switched to, nil between switches
@@ -147,8 +158,46 @@ func (e *Engine) popEvent() *event {
 	return top
 }
 
-// schedule enqueues, for time at, the start or wake-up of p or else the bare
-// callback fn, and gives it the next sequence number. Events are recycled, so
+// next removes and returns the earliest pending event, or nil when none is
+// left: the heap's top while it is due now, else the lane's head, else the
+// heap's top, which advances the clock.
+func (e *Engine) next() *event {
+	if len(e.queue) > 0 && (e.lane.n == 0 || e.queue[0].at == e.now) {
+		return e.popEvent()
+	}
+	if e.lane.n > 0 {
+		return e.lane.pop()
+	}
+	return nil
+}
+
+// ring is a FIFO of events on a power-of-two ring buffer.
+type ring struct {
+	buf     []*event
+	head, n int
+}
+
+func (r *ring) push(ev *event) {
+	if r.n == len(r.buf) {
+		buf := make([]*event, max(2*len(r.buf), 64))
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+}
+
+func (r *ring) pop() *event {
+	ev := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return ev
+}
+
+// schedule enqueues, for time at (not before now), the start or wake-up of p
+// or else the bare callback fn, and gives it the next sequence number: in
+// the lane when at is now, else in the heap. Events are recycled, so
 // scheduling allocates nothing.
 func (e *Engine) schedule(at Time, p *Proc, fn func()) *event {
 	var ev *event
@@ -159,7 +208,11 @@ func (e *Engine) schedule(at Time, p *Proc, fn func()) *event {
 	}
 	ev.at, ev.seq, ev.proc, ev.fn = at, e.seq, p, fn
 	e.seq++
-	e.pushEvent(ev)
+	if at == e.now {
+		e.lane.push(ev)
+	} else {
+		e.pushEvent(ev)
+	}
 	return ev
 }
 
@@ -257,12 +310,13 @@ func (e *Engine) runProc(p *Proc) (reusable bool) {
 // that called Run, not only the process: a coroutine passes it on.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc { return e.GoAfter(name, 0, fn) }
 
-// GoAfter spawns a process that begins executing fn after delay d.
+// GoAfter spawns a process that begins executing fn after delay d (a
+// negative d counts as zero).
 func (e *Engine) GoAfter(name string, d Duration, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{e: e, name: name, id: int32(e.procSeq), fn: fn, regIdx: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
-	e.schedule(e.now+Time(d), p, nil)
+	e.schedule(e.now+Time(max(d, 0)), p, nil)
 	return p
 }
 
@@ -282,10 +336,10 @@ func (e *Engine) unregister(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// After schedules a bare callback (not a process) at now+d. The callback
-// runs inline in Run's loop and must not block; it may schedule further
-// events, trigger Events, or push to Queues.
-func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
+// After schedules a bare callback (not a process) at now+d (a negative d
+// counts as zero). The callback runs inline in Run's loop and must not
+// block; it may schedule further events, trigger Events, or push to Queues.
+func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now+Time(max(d, 0)), nil, fn) }
 
 // Stop aborts the simulation: Run returns err once the process or callback
 // now running blocks or returns. Pending events are discarded.
@@ -335,8 +389,14 @@ func (e *Engine) Run() error {
 		panic("sim: Run is not re-entrant")
 	}
 	e.inRun = true
-	for !e.stopped && len(e.queue) > 0 {
-		ev := e.popEvent()
+	for !e.stopped {
+		ev := e.next()
+		if ev == nil {
+			break
+		}
+		if e.onPop != nil {
+			e.onPop(ev.at, ev.seq)
+		}
 		e.now = ev.at
 		p, fn, ready := ev.proc, ev.fn, ev.ready
 		ev.proc, ev.fn, ev.ready = nil, nil, nil

@@ -1,0 +1,14 @@
+package sim
+
+// popped is one event as Run popped it: its time and sequence number.
+type popped struct {
+	at  Time
+	seq uint64
+}
+
+// recordPops makes e append every event it pops to the returned log.
+func recordPops(e *Engine) *[]popped {
+	log := new([]popped)
+	e.onPop = func(at Time, seq uint64) { *log = append(*log, popped{at, seq}) }
+	return log
+}

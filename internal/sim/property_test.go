@@ -234,3 +234,101 @@ func TestQuickGuardedWaitMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the same-instant lane keeps the heap's order. Random programs
+// mix bare callbacks after zero and non-zero delays, spawns, Signal
+// broadcasts with plain and guarded waiters, Queue puts to process and
+// callback getters, and Resource hand-offs, every one issued from processes
+// and from callbacks alike, mostly at tied times; every event Run pops must
+// come strictly after the one before in (time, sequence number) order.
+func TestQuickLaneKeepsHeapOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		pops := recordPops(e)
+		sig := NewSignal(e)
+		q := NewQueue[int](e)
+		res := NewResource(e, "res", 1+rng.Intn(2))
+		budget := 200 + rng.Intn(200)
+		delay := func() Duration { return Duration(rng.Intn(3)) * time.Microsecond }
+		var act func(p *Proc) // one random action: of process p, or of a callback when p is nil
+		callback := func() { act(nil) }
+		body := func(p *Proc) {
+			for budget > 0 {
+				act(p)
+			}
+		}
+		act = func(p *Proc) {
+			if budget <= 0 {
+				return
+			}
+			budget--
+			switch rng.Intn(9) {
+			case 0:
+				e.After(0, callback)
+			case 1:
+				e.After(delay(), callback)
+			case 2:
+				e.GoAfter("p", delay(), body)
+			case 3:
+				sig.Broadcast()
+			case 4:
+				q.Put(budget)
+			case 5:
+				if p != nil {
+					res.Use(p, delay())
+					break
+				}
+				d := delay()
+				res.AcquireFunc(func() { e.After(d, func() { res.Release(); act(nil) }) })
+			case 6:
+				switch {
+				case p == nil:
+					q.GetFunc(func(int, bool) { act(nil) })
+				case rng.Intn(2) == 0:
+					q.Get(p)
+				default:
+					sig.Wait(p, sig.Gen())
+				}
+			case 7:
+				if p != nil {
+					sig.WaitUntil(p, sig.Gen(), func() bool { return budget <= 0 || rng.Intn(2) == 0 })
+				} else {
+					e.Go("p", body)
+				}
+			default:
+				if p != nil {
+					p.Sleep(delay())
+				} else {
+					e.After(0, callback)
+					e.After(delay(), callback)
+				}
+			}
+		}
+		for i := 0; i < 3; i++ {
+			e.Go("p", body)
+			e.After(delay(), callback)
+		}
+		// Whatever is still waiting when the activity dies out is released.
+		e.After(time.Second, func() {
+			budget = 0
+			sig.Broadcast()
+			q.Close()
+		})
+		if err := e.Run(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for i := 1; i < len(*pops); i++ {
+			a, b := (*pops)[i-1], (*pops)[i]
+			if b.at < a.at || b.at == a.at && b.seq <= a.seq {
+				t.Logf("seed %d: pop %d at (%v, %d) after (%v, %d)", seed, i, b.at, b.seq, a.at, a.seq)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -118,10 +118,6 @@ type Task struct {
 	Reductions map[uint64]Combiner
 	Work       Work
 
-	// Parent is the task that created this one (nil for the implicit main
-	// task). Dependencies only connect siblings: tasks with the same Parent.
-	Parent *Task
-
 	// Spawner, when set, runs after the task's own Work completes, in the
 	// context of the node executing the task ("Tasks executed in a remote
 	// node can create new tasks that use the data transferred or created
@@ -138,7 +134,7 @@ type Task struct {
 	// parent's extent).
 	DepNode any
 
-	// copies caches Copies(); non-nil once derived.
+	// copies caches Copies() once derived.
 	copies []Dep
 }
 
@@ -149,9 +145,15 @@ type Task struct {
 // separate entries: each gets its own cache line and the stores alias
 // their shared bytes. The list is derived on first use and cached, so the
 // clauses must not change afterwards and every consumer — scoring,
-// staging, pinning, publishing — iterates the same one.
+// staging, pinning, publishing — iterates the same one. When the
+// dependence clauses alone are the list, and already name distinct regions,
+// the list is Deps itself.
 func (t *Task) Copies() []Dep {
 	if t.copies != nil {
+		return t.copies
+	}
+	if t.CopyDeps && len(t.ExtraCopies) == 0 && distinctRegions(t.Deps) {
+		t.copies = t.Deps
 		return t.copies
 	}
 	var deps []Dep
@@ -174,6 +176,18 @@ func (t *Task) Copies() []Dep {
 		}
 	}
 	return t.copies
+}
+
+// distinctRegions reports whether no two clauses name the same region.
+func distinctRegions(deps []Dep) bool {
+	for i := range deps {
+		for j := range i {
+			if deps[j].Region == deps[i].Region {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (t *Task) String() string {
