@@ -61,8 +61,9 @@ resilience:
 
 ## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
 ## software cache's invalidation sweep and a directory query, depgraph
-## submission, the three shapes of a FragMap cover, an idle place's pop
-## and a served warm hit
+## submission, the three shapes of a FragMap cover and an exact-region
+## visit, an idle place's pop, a ready task's submit and pop under each
+## policy, and a served warm hit
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/
 

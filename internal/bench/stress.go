@@ -125,11 +125,33 @@ func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float
 	return float64(total) / elapsed, nil
 }
 
-// Stress is the tasks/sec scaling experiment (not a paper figure; its
-// rows are the submit_stress workload of benchmark/, which is where a
-// change to them is measured).
-func Stress(o Options) ([]Row, error) {
-	width, depth := o.StressWidth, o.StressDepth
+// stressRow is one point of the stress grid.
+type stressRow struct {
+	overlap   int
+	batch     bool
+	lookahead int
+	label     string
+}
+
+// stressRows is the stress grid at overlap overlapEvery: sequential and
+// batched submission, batched with a lookahead window and, when the grid
+// has no overlap of its own, one partially overlapping point (every 4th
+// column straddles).
+func stressRows(overlapEvery int) []stressRow {
+	rows := []stressRow{
+		{overlapEvery, false, 0, "submit=seq"},
+		{overlapEvery, true, 0, "submit=batch"},
+		{overlapEvery, true, 32, "submit=batch lookahead=32"},
+	}
+	if overlapEvery == 0 {
+		rows = append(rows, stressRow{4, true, 0, "submit=batch"})
+	}
+	return rows
+}
+
+// stressSize is the grid's width and depth under o.
+func stressSize(o Options) (width, depth int) {
+	width, depth = o.StressWidth, o.StressDepth
 	if width == 0 {
 		if o.Quick {
 			width = 20_000
@@ -144,27 +166,20 @@ func Stress(o Options) ([]Row, error) {
 			depth = 10
 		}
 	}
-	overlapEvery := o.StressOverlap
-	pts := []point{}
-	add := func(batch bool, lookahead int, label string) {
+	return width, depth
+}
+
+// Stress is the tasks/sec scaling experiment (not a paper figure; its
+// rows are the submit_stress workload of benchmark/, which is where a
+// change to them is measured).
+func Stress(o Options) ([]Row, error) {
+	width, depth := stressSize(o)
+	var pts []point
+	for _, r := range stressRows(o.StressOverlap) {
 		pts = append(pts, point{
-			config: fmt.Sprintf("w=%d d=%d ov=%d %s", width, depth, overlapEvery, label),
+			config: fmt.Sprintf("w=%d d=%d ov=%d %s", width, depth, r.overlap, r.label),
 			run: func() (float64, string, error) {
-				v, err := stressRun(width, depth, overlapEvery, batch, lookahead)
-				return v, "tasks/s", err
-			},
-		})
-	}
-	add(false, 0, "submit=seq")
-	add(true, 0, "submit=batch")
-	add(true, 32, "submit=batch lookahead=32")
-	if overlapEvery == 0 {
-		// One partially-overlapping point: every 4th column straddles.
-		ov := 4
-		pts = append(pts, point{
-			config: fmt.Sprintf("w=%d d=%d ov=%d submit=batch", width, depth, ov),
-			run: func() (float64, string, error) {
-				v, err := stressRun(width, depth, ov, true, 0)
+				v, err := stressRun(width, depth, r.overlap, r.batch, r.lookahead)
 				return v, "tasks/s", err
 			},
 		})

@@ -310,12 +310,12 @@ func (d *Directory) Known(r memspace.Region) bool {
 	return known
 }
 
-// Missing returns the known subranges of r that loc does not hold, one per
-// underlying fragment, in address order. Unknown (homeless) bytes are not
-// reported — there is no version to fetch. An exact-match program gets
-// either nothing or r itself back. Read-only: no fragments split.
-func (d *Directory) Missing(r memspace.Region, loc memspace.Location) []memspace.Region {
-	var out []memspace.Region
+// Missing appends to out the known subranges of r that loc does not hold,
+// one per underlying fragment, in address order, and returns the result.
+// Unknown (homeless) bytes are not reported — there is no version to
+// fetch. An exact-match program gets either nothing or r itself back.
+// Read-only: no fragments split.
+func (d *Directory) Missing(r memspace.Region, loc memspace.Location, out []memspace.Region) []memspace.Region {
 	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
 		if len(en.V.holders) > 0 && !en.V.holders.has(loc) {
 			out = append(out, en.R.Intersect(r))
@@ -363,16 +363,16 @@ func (d *Directory) Version(r memspace.Region) int {
 	return v
 }
 
-// Holders returns the locations holding the current version of every byte
-// of r, in a deterministic order (node, then device). Queried per fragment
-// by the transfer planner, where it is exact.
-func (d *Directory) Holders(r memspace.Region) []memspace.Location {
+// Holders appends to out the locations holding the current version of
+// every byte of r, in a deterministic order (node, then device), and
+// returns the result. Queried per fragment by the transfer planner, where
+// it is exact.
+func (d *Directory) Holders(r memspace.Region, out []memspace.Location) []memspace.Location {
 	var first holderSet
 	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
 		first = en.V.holders
 		return false
 	})
-	var out []memspace.Location
 	for _, l := range first {
 		if d.IsHolder(r, l) {
 			out = append(out, l)

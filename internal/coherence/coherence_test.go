@@ -28,7 +28,7 @@ func TestDirectoryInitAndHolders(t *testing.T) {
 		t.Fatal("holder bookkeeping wrong after Init")
 	}
 	d.AddHolder(r, gpu0)
-	hs := d.Holders(r)
+	hs := d.Holders(r, nil)
 	if len(hs) != 2 || hs[0] != host || hs[1] != gpu0 {
 		t.Fatalf("holders = %v", hs)
 	}
@@ -113,17 +113,17 @@ func TestDirectoryFragmentAssembly(t *testing.T) {
 	if !d.Known(mid) {
 		t.Fatal("straddling region must be Known")
 	}
-	miss := d.Missing(mid, host)
+	miss := d.Missing(mid, host, nil)
 	if len(miss) != 2 || miss[0] != reg(0x1020, 32) || miss[1] != reg(0x1040, 32) {
 		t.Fatalf("Missing = %v", miss)
 	}
-	if hs := d.Holders(reg(0x1020, 32)); len(hs) != 1 || hs[0] != gpu0 {
+	if hs := d.Holders(reg(0x1020, 32), nil); len(hs) != 1 || hs[0] != gpu0 {
 		t.Fatalf("holders of left half = %v", hs)
 	}
 	// After both fragments come home, nothing is missing and host holds all.
 	d.AddHolder(reg(0x1020, 32), host)
 	d.AddHolder(reg(0x1040, 32), host)
-	if got := d.Missing(mid, host); got != nil {
+	if got := d.Missing(mid, host, nil); got != nil {
 		t.Fatalf("Missing after assembly = %v", got)
 	}
 	if !d.IsHolder(mid, host) {
@@ -421,9 +421,13 @@ func fragmented() (*Directory, memspace.Region) {
 }
 
 // The read queries affinity scoring and staging ask per task walk the
-// fragments in place: no slice, no closure on the heap.
+// fragments in place: no slice, no closure on the heap. Missing and
+// Holders append into the caller's buffer, so a reused one costs nothing
+// even when the answer is not empty.
 func TestDirectoryQueryAllocs(t *testing.T) {
 	d, r := fragmented()
+	var miss []memspace.Region
+	var holders []memspace.Location
 	for _, q := range []struct {
 		name  string
 		query func()
@@ -432,12 +436,17 @@ func TestDirectoryQueryAllocs(t *testing.T) {
 		{"HeldBytes", func() { d.HeldBytes(r, gpu0) }},
 		{"Known", func() { d.Known(r) }},
 		{"Version", func() { d.Version(r) }},
-		{"Missing", func() { d.Missing(r, host) }}, // nothing missing
-		{"Held", func() { d.Held(r, gpu1) }},       // nothing held
+		{"Missing", func() { d.Missing(r, host, nil) }}, // nothing missing
+		{"Held", func() { d.Held(r, gpu1) }},            // nothing held
+		{"Missing into a buffer", func() { miss = d.Missing(r, gpu1, miss[:0]) }},
+		{"Holders into a buffer", func() { holders = d.Holders(reg(0x1000, 64), holders[:0]) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, q.query); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per query, want 0", q.name, allocs)
 		}
+	}
+	if len(miss) != 64 || miss[63] != reg(0x1000+63*64, 64) || len(holders) != 2 {
+		t.Fatalf("Missing = %d regions, Holders = %v; want 64 and [host gpu0]", len(miss), holders)
 	}
 	if hb := d.HeldBytes(r, gpu0); hb != 32*64 {
 		t.Fatalf("HeldBytes = %d, want %d", hb, 32*64)

@@ -139,7 +139,7 @@ func checkDirectoryProbe(t *testing.T, d *Directory, ref *[fuzzSpace]uint8, r me
 	if got := d.IsHolder(r, loc); got != (all&bit != 0) {
 		t.Fatalf("IsHolder(%v, %v) = %v, want %v", r, loc, got, !got)
 	}
-	if got, want := d.Holders(r), maskLocs(all); !slices.Equal(got, want) {
+	if got, want := d.Holders(r, nil), maskLocs(all); !slices.Equal(got, want) {
 		t.Fatalf("Holders(%v) = %v, want %v", r, got, want)
 	}
 	// Missing and Held tile exactly the bytes the reference says, in address
@@ -165,11 +165,11 @@ func checkDirectoryProbe(t *testing.T, d *Directory, ref *[fuzzSpace]uint8, r me
 			}
 		}
 	}
-	missing := d.Missing(r, loc)
+	missing := d.Missing(r, loc, nil)
 	pieces("Missing", missing, func(m uint8) bool { return m != 0 && m&bit == 0 })
 	pieces("Held", d.Held(r, loc), func(m uint8) bool { return m&bit != 0 })
 	for _, f := range missing {
-		if hs := d.Holders(f); len(hs) == 0 || slices.Contains(hs, loc) {
+		if hs := d.Holders(f, nil); len(hs) == 0 || slices.Contains(hs, loc) {
 			t.Fatalf("Missing(%v, %v) has %v, whose Holders are %v", r, loc, f, hs)
 		}
 	}

@@ -98,7 +98,7 @@ func TestRehomeRebasesOntoHome(t *testing.T) {
 		t.Fatalf("lost = %v", lost)
 	}
 	d.Rehome(r)
-	hs := d.Holders(r)
+	hs := d.Holders(r, nil)
 	if len(hs) != 1 || hs[0] != host {
 		t.Fatalf("holders after Rehome = %v", hs)
 	}

@@ -329,7 +329,11 @@ func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, s
 	// With the manager layer armed this is a blocking query answered by
 	// r's owning shards — which is why joining and leading are two steps.
 	rt.mgrChargeQuery(p, 0, r)
-	missing := m.dir.Missing(r, dst)
+	// The lists live on this call's stack: missing is held across blocking
+	// transfers, while other dispatches query the same directory.
+	var missBuf [4]memspace.Region
+	var holdBuf [4]memspace.Location
+	missing := m.dir.Missing(r, dst, missBuf[:0])
 	if len(missing) == 0 {
 		return true, true
 	}
@@ -343,7 +347,7 @@ func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, s
 	for _, frag := range missing {
 		// The fragment list is fixed for the attempt; the source of each is
 		// chosen when its turn comes, from the holders it has by then.
-		src := pickSource(m.dir.Holders(frag), k, rt.cfg.SlaveToSlave, rt.nodeIsDead)
+		src := pickSource(m.dir.Holders(frag, holdBuf[:0]), k, rt.cfg.SlaveToSlave, rt.nodeIsDead)
 		switch {
 		case src == srcHeld:
 			continue // an overlapping stage landed it at k meanwhile

@@ -758,7 +758,10 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 	// The directory says which subranges of r the host is missing; each is
 	// pulled from its own holder. Under exact-match regions this is either
 	// nothing or r itself — the seed's single-transfer path.
-	missing := n.dir.Missing(r, host)
+	// On this call's stack, as in stageToNodeOnce.
+	var missBuf [4]memspace.Region
+	var holdBuf [4]memspace.Location
+	missing := n.dir.Missing(r, host, missBuf[:0])
 	if len(missing) == 0 {
 		return true
 	}
@@ -770,7 +773,7 @@ func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) b
 	// The fragment list is fixed for the attempt; the source of each is
 	// chosen when its turn comes, from the holders it has by then.
 	for _, frag := range missing {
-		holders := n.dir.Holders(frag)
+		holders := n.dir.Holders(frag, holdBuf[:0])
 		// Prefer a local GPU (cheap D2H) over a remote node.
 		fetched := false
 		for _, h := range holders {

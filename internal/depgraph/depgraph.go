@@ -13,7 +13,8 @@
 // The fragment index is a sharded interval map (memspace.FragMap), so a
 // split costs O(log n + shardMax) instead of the O(n) memmove a single
 // sorted slice paid — the difference between 10^4 and 10^6 task graphs —
-// and each clause costs one search of it, batched or not.
+// and each clause costs at most one search of it, batched or not: none
+// when its region is already one fragment, the exact-match steady state.
 //
 // One Graph instance covers one dynamic extent (the children of one parent
 // task); this is what makes the hierarchical, distributable implementation
@@ -35,10 +36,15 @@ import (
 const succSetThreshold = 8
 
 type node struct {
-	t          *task.Task
-	waitCount  int
-	done       bool
+	t *task.Task
+	// waitCount and done share a word, which pays for first: a node stays
+	// 56 bytes, and a million-task graph holds every node at once.
+	waitCount int32
+	done      bool
+	// successors starts as first[:0], so the first arc (a chain's only
+	// one) is stored inline and costs no allocation.
 	successors []*node
+	first      [1]*node
 	// succSet mirrors successors for O(1) duplicate checks; nil until the
 	// node accumulates succSetThreshold successors.
 	succSet map[task.ID]bool
@@ -140,6 +146,7 @@ func (g *Graph) newNode(t *task.Task) *node {
 	n := &g.slab[0]
 	g.slab = g.slab[1:]
 	n.t = t
+	n.successors = n.first[:0]
 	return n
 }
 
@@ -302,9 +309,9 @@ func (g *Graph) Submit(t *task.Task) error {
 
 // SubmitBatch adds the tasks in order: it is Submit on each in turn, the
 // same arcs in the same order with the same onReady firing points. The
-// fragment index needs no batch-wide preparation — a cover is one search,
-// and pre-splitting at a batch's region bounds measured slower than not
-// (EXPERIMENTS.md "FragMap: one search per cover").
+// fragment index needs no batch-wide preparation — a cover is one search
+// at most, and pre-splitting at a batch's region bounds measured slower
+// than not (EXPERIMENTS.md "FragMap: one search per cover").
 //
 // Returns the number of tasks submitted. On error, tasks[0:accepted] are
 // in the graph (their onReady may have fired) and the rest are untouched;
@@ -336,7 +343,7 @@ func (g *Graph) Finished(t *task.Task) {
 			g.onReady(s.t)
 		}
 	}
-	n.successors = nil
+	n.successors, n.first[0] = nil, nil
 	n.succSet = nil
 	t.DepNode = nil
 }

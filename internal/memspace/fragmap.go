@@ -1,6 +1,9 @@
 package memspace
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // FragMap is the shared fragment index of the runtime's interval-tracking
 // layers (the depgraph conflict map and the coherence directory): a set of
@@ -17,11 +20,19 @@ import "slices"
 // which inserts one entry into the small top-level table.
 //
 // Both levels are searched over contiguous []uint64 mirrors of the
-// fragments' end addresses, never through the *Frag pointers, and every
-// operation searches once: Cover and SplitInto locate r.Addr, then walk
-// forward cutting the first and last fragments where they straddle r's
-// bounds. In the exact-match model the paper assumes, that first probe
-// lands on a fragment equal to the region and the call returns it.
+// fragments' end addresses, never through the *Frag pointers, and an
+// operation the slot table below does not answer searches once: Cover and
+// SplitInto locate r.Addr, then walk forward cutting the first and last
+// fragments where they straddle r's bounds.
+//
+// Before searching, every query and cover probes a direct-mapped table of
+// fragments keyed by start address (exactSlot). A slot answers only when its
+// fragment's region equals the queried region: fragments are disjoint and
+// never removed, so a live fragment spanning exactly r is r's whole cover.
+// A split changes f.R, which turns a stale slot into a miss, never a wrong
+// answer, so the table needs no invalidation. A miss searches and records
+// the result when it is one fragment equal to r. In the exact-match model
+// the paper assumes, the probe answers and nothing is searched.
 //
 // Payload contract of a split: the left half is a new fragment holding
 // clone(payload); the right half is the original *Frag, keeping its
@@ -48,6 +59,17 @@ type FragMap[V any] struct {
 	// ends[i] is shards[i]'s last key: the top-level search table.
 	ends []uint64
 	n    int
+
+	// slots is the exact-region table, len(slots) the least power of two
+	// at or above n (8–16 bytes per fragment); bits is its log2.
+	slots []*Frag[V]
+	bits  int
+	// searches counts binary searches of the shards (locate calls): the
+	// work the slots save, asserted by tests.
+	searches int
+
+	// slab is where new fragments come from (newFrag).
+	slab []Frag[V]
 }
 
 // Frag is one fragment: a region plus the caller's payload. The region is
@@ -93,9 +115,43 @@ func firstAfter(keys []uint64, addr uint64) int {
 	return lo
 }
 
+// exactSlot returns r's slot: r's address in units of its size class (the
+// largest power of two not above r.Size), with the bits above the table's
+// width folded in by a multiplicative hash. Equal-size regions laid end to
+// end (tiles, the stress grid's columns) take consecutive slots, so up to
+// len(slots) of them never collide.
+func (m *FragMap[V]) exactSlot(r Region) int {
+	x := r.Addr >> (bits.Len64(r.Size) - 1)
+	return int((x + (x>>m.bits)*0x9E3779B97F4A7C15) & uint64(len(m.slots)-1))
+}
+
+// exact returns the fragment spanning exactly r, if r's slot holds it.
+func (m *FragMap[V]) exact(r Region) *Frag[V] {
+	if len(m.slots) == 0 || r.Size == 0 {
+		return nil
+	}
+	if f := m.slots[m.exactSlot(r)]; f != nil && f.R == r {
+		return f
+	}
+	return nil
+}
+
+// grow doubles the slot table and records every fragment in it: called as
+// n passes len(slots), so the table stays sized from Len().
+func (m *FragMap[V]) grow() {
+	m.slots = make([]*Frag[V], max(1, 2*len(m.slots)))
+	m.bits = bits.TrailingZeros(uint(len(m.slots)))
+	for si := range m.shards {
+		for _, f := range m.shards[si].frags {
+			m.slots[m.exactSlot(f.R)] = f
+		}
+	}
+}
+
 // locate returns the position of the first fragment whose End > addr, as a
 // (shard, fragment) index pair; si == len(shards) means past the end.
 func (m *FragMap[V]) locate(addr uint64) (si, fi int) {
+	m.searches++
 	si = firstAfter(m.ends, addr)
 	if si == len(m.shards) {
 		return si, 0
@@ -104,10 +160,20 @@ func (m *FragMap[V]) locate(addr uint64) (si, fi int) {
 }
 
 // Visit calls fn on the fragments overlapping r in address order, until fn
-// returns false, without mutating the index. It walks the shards in place,
-// so a query that keeps no fragment allocates nothing.
+// returns false. It does not change the fragments, but a miss may record r
+// in the exact-slot table, so concurrent readers are not safe. It walks the
+// shards in place, so a query that keeps no fragment allocates nothing.
 func (m *FragMap[V]) Visit(r Region, fn func(*Frag[V]) bool) {
+	if f := m.exact(r); f != nil {
+		fn(f)
+		return
+	}
 	si, fi := m.locate(r.Addr)
+	if si < len(m.shards) {
+		if f := m.shards[si].frags[fi]; f.R == r {
+			m.slots[m.exactSlot(r)] = f
+		}
+	}
 	for ; si < len(m.shards); si, fi = si+1, 0 {
 		sh := &m.shards[si]
 		for ; fi < len(sh.frags); fi++ {
@@ -119,8 +185,8 @@ func (m *FragMap[V]) Visit(r Region, fn func(*Frag[V]) bool) {
 	}
 }
 
-// Overlapping returns the fragments overlapping r in address order,
-// without mutating the index.
+// Overlapping returns the fragments overlapping r in address order. Like
+// Visit, it may record r in the exact-slot table.
 func (m *FragMap[V]) Overlapping(r Region) []*Frag[V] {
 	var out []*Frag[V]
 	m.Visit(r, func(f *Frag[V]) bool {
@@ -139,11 +205,25 @@ func (m *FragMap[V]) All() []*Frag[V] {
 	return out
 }
 
+// newFrag returns a fragment of region r with a zero payload, carved from
+// a slab that grows with the map up to shardMax fragments. Fragments are
+// never removed, so no slab ever holds garbage.
+func (m *FragMap[V]) newFrag(r Region) *Frag[V] {
+	if len(m.slab) == 0 {
+		m.slab = make([]Frag[V], min(shardMax, max(1, m.n)))
+	}
+	f := &m.slab[0]
+	m.slab = m.slab[1:]
+	f.R = r
+	return f
+}
+
 // cut shrinks f to start at addr, which lies strictly inside it, and
 // returns the new left half (see the payload contract above). The caller
 // inserts it at f's position.
 func (m *FragMap[V]) cut(f *Frag[V], addr uint64) *Frag[V] {
-	left := &Frag[V]{R: Region{Addr: f.R.Addr, Size: addr - f.R.Addr}, V: f.V}
+	left := m.newFrag(Region{Addr: f.R.Addr, Size: addr - f.R.Addr})
+	left.V = f.V
 	if m.clone != nil {
 		left.V = m.clone(f.V)
 	}
@@ -157,6 +237,9 @@ func (m *FragMap[V]) cut(f *Frag[V], addr uint64) *Frag[V] {
 // invalidates every position held across the call.
 func (m *FragMap[V]) insert(si, fi int, f *Frag[V]) bool {
 	m.n++
+	if m.n > len(m.slots) {
+		m.grow()
+	}
 	if len(m.shards) == 0 {
 		m.shards = []fragShard[V]{{frags: []*Frag[V]{f}, ends: []uint64{f.R.End()}}}
 		m.ends = []uint64{f.R.End()}
@@ -207,13 +290,17 @@ func (m *FragMap[V]) SplitInto(r Region, out []*Frag[V]) []*Frag[V] {
 	return m.tile(r, out, false)
 }
 
-// tile is the one walk behind CoverInto and SplitInto: one locate, then
-// forward from r.Addr to r.End(), at each step taking a fragment that lies
-// inside r, cutting one that straddles a bound, or (fill) inserting a gap
-// fragment. It searches again only after an insert moved the shard table.
-// An empty r returns nothing and cuts nothing.
+// tile is the one walk behind CoverInto and SplitInto: an exact-slot
+// probe, else one locate, then forward from r.Addr to r.End(), at each
+// step taking a fragment that lies inside r, cutting one that straddles a
+// bound, or (fill) inserting a gap fragment. It searches again only after
+// an insert moved the shard table with part of r still to walk. An empty
+// r returns nothing and cuts nothing.
 func (m *FragMap[V]) tile(r Region, out []*Frag[V], fill bool) []*Frag[V] {
 	out = out[:0]
+	if f := m.exact(r); f != nil {
+		return append(out, f)
+	}
 	pos, end := r.Addr, r.End()
 	si, fi := m.locate(pos)
 	for pos < end {
@@ -242,7 +329,7 @@ func (m *FragMap[V]) tile(r Region, out []*Frag[V], fill bool) []*Frag[V] {
 				pos = gapEnd
 				continue
 			}
-			nf = &Frag[V]{R: Region{Addr: pos, Size: gapEnd - pos}}
+			nf = m.newFrag(Region{Addr: pos, Size: gapEnd - pos})
 			if m.fresh != nil {
 				nf.V = m.fresh()
 			}
@@ -255,11 +342,14 @@ func (m *FragMap[V]) tile(r Region, out []*Frag[V], fill bool) []*Frag[V] {
 			out = append(out, nf)
 			pos = end
 		}
-		if m.insert(si, fi, nf) {
+		if m.insert(si, fi, nf) && pos < end {
 			si, fi = m.locate(pos)
 		} else {
 			fi++
 		}
+	}
+	if len(out) == 1 && out[0].R == r {
+		m.slots[m.exactSlot(r)] = out[0]
 	}
 	return out
 }

@@ -230,13 +230,13 @@ func TestFragMapCloneAndFresh(t *testing.T) {
 }
 
 // stridedMap builds the paper's exact-match shape at stress size: n
-// disjoint 64-byte fragments 128 bytes apart (a 64-byte gap after each),
-// covered in a strided, non-monotonic order. Fragment i holds payload i+1.
-func stridedMap(tb testing.TB, n int) *FragMap[int] {
+// disjoint 64-byte fragments stride bytes apart, covered in a strided,
+// non-monotonic order. Fragment i holds payload i+1.
+func stridedMap(tb testing.TB, n int, stride uint64) *FragMap[int] {
 	m := NewFragMap[int](nil, nil)
 	for k := 0; k < n; k++ {
 		i := (k * 7919) % n // 7919 is coprime with the sizes used
-		m.Cover(Region{Addr: uint64(i) * 128, Size: 64})[0].V = i + 1
+		m.Cover(Region{Addr: uint64(i) * stride, Size: 64})[0].V = i + 1
 	}
 	if m.Len() != n {
 		tb.Fatalf("strided map has %d fragments, want %d", m.Len(), n)
@@ -244,27 +244,109 @@ func stridedMap(tb testing.TB, n int) *FragMap[int] {
 	return m
 }
 
-// TestFragMapCoverExactIsOneProbe pins the exact-match path: covering (or
-// splitting over) a region equal to an existing fragment of a 100 000-
-// fragment map returns that very fragment, creates none, and allocates
-// nothing when the caller passes its buffer back.
+// TestFragMapCoverExactIsOneProbe pins the exact-match path, counting
+// binary searches rather than time, on two 100 000-fragment maps: the
+// stress grid's 64-byte columns end to end, and one with a 64-byte gap
+// after each. Building makes one search per cover (a miss that inserts
+// the fragment and records it in its slot). A second pass that covers,
+// splits over and visits each region returns that very fragment, searches
+// nothing, creates nothing, and allocates nothing when the caller passes
+// its buffer back.
 func TestFragMapCoverExactIsOneProbe(t *testing.T) {
 	const n = 100_000
-	m := stridedMap(t, n)
-	buf := make([]*Frag[int], 0, 4)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		i = (i + 7919) % n
-		r := Region{Addr: uint64(i) * 128, Size: 64}
-		buf = m.CoverInto(r, buf)
-		f := buf[0]
-		buf = m.SplitInto(r, buf)
-		if len(buf) != 1 || buf[0] != f || f.R != r || f.V != i+1 {
-			t.Fatalf("exact cover of %v returned %v/%d", r, f.R, f.V)
+	for _, stride := range []uint64{64, 128} {
+		m := stridedMap(t, n, stride)
+		if m.searches != n {
+			t.Fatalf("stride %d: building made %d searches for %d covers", stride, m.searches, n)
 		}
-	})
-	if allocs != 0 || m.Len() != n {
-		t.Fatalf("exact covers cost %.1f allocs/op and left %d fragments, want 0 and %d", allocs, m.Len(), n)
+		buf := make([]*Frag[int], 0, 4)
+		i := 0
+		allocs := testing.AllocsPerRun(n, func() { // n+1 runs: every fragment
+			i = (i + 7919) % n
+			r := Region{Addr: uint64(i) * stride, Size: 64}
+			buf = m.CoverInto(r, buf)
+			f := buf[0]
+			buf = m.SplitInto(r, buf)
+			visited := 0
+			m.Visit(r, func(g *Frag[int]) bool {
+				if g == f {
+					visited++
+				}
+				return true
+			})
+			if len(buf) != 1 || buf[0] != f || f.R != r || f.V != i+1 || visited != 1 {
+				t.Fatalf("stride %d: exact cover of %v returned %v/%d", stride, r, f.R, f.V)
+			}
+		})
+		if allocs != 0 || m.Len() != n || m.searches != n {
+			t.Fatalf("stride %d: exact covers cost %.1f allocs/op and %d searches and left %d fragments, want 0, 0 and %d",
+				stride, allocs, m.searches-n, m.Len(), n)
+		}
+	}
+}
+
+// regionsOf returns the regions of frags, for comparing with a want list.
+func regionsOf(frags []*Frag[int]) []Region {
+	out := make([]Region, len(frags))
+	for i, f := range frags {
+		out[i] = f.R
+	}
+	return out
+}
+
+// TestFragMapStaleSlot: r's slot holds r's fragment until a straddling
+// cover splits it; from then on the slot's fragment no longer spans r and
+// every query of r must walk to the pieces, in order.
+func TestFragMapStaleSlot(t *testing.T) {
+	m := NewFragMap[int](nil, nil)
+	r := Region{Addr: 0x1000, Size: 64}
+	m.Cover(r)[0].V = 1
+	if got := m.Overlapping(r); len(got) != 1 || got[0].R != r || m.searches != 1 {
+		t.Fatalf("exact query of a fresh cover = %v after %d searches, want [%v] after 1", regionsOf(got), m.searches, r)
+	}
+	m.Cover(Region{Addr: 0x1020, Size: 64}) // cuts r's fragment at 0x1020
+	want := []Region{{Addr: 0x1000, Size: 32}, {Addr: 0x1020, Size: 32}}
+	for _, q := range []struct {
+		name string
+		op   func() []*Frag[int]
+	}{
+		{"Overlapping", func() []*Frag[int] { return m.Overlapping(r) }},
+		{"CoverInto", func() []*Frag[int] { return m.CoverInto(r, nil) }},
+		{"SplitInto", func() []*Frag[int] { return m.SplitInto(r, nil) }},
+	} {
+		got := q.op()
+		if len(got) != 2 || got[0].R != want[0] || got[1].R != want[1] || got[0].V != 1 || got[1].V != 1 {
+			t.Errorf("%s(%v) after the split = %v, want %v with r's payload", q.name, r, regionsOf(got), want)
+		}
+	}
+}
+
+// TestFragMapSlotCollision: two regions at one address in one size class
+// share a slot. The slot answers only the region its fragment spans, so
+// the other one's queries walk, and a cover of it splits what it must.
+func TestFragMapSlotCollision(t *testing.T) {
+	m := NewFragMap[int](nil, nil)
+	short, long := Region{Addr: 0x2000, Size: 32}, Region{Addr: 0x2000, Size: 48}
+	m.Cover(short)[0].V = 1
+	m.Cover(Region{Addr: 0x2020, Size: 32})[0].V = 2
+	m.Cover(short) // records short in the shared slot
+	if m.exactSlot(short) != m.exactSlot(long) {
+		t.Fatalf("slots %d and %d: the regions must collide", m.exactSlot(short), m.exactSlot(long))
+	}
+	if got := m.Overlapping(long); len(got) != 2 || got[0].V != 1 || got[1].V != 2 {
+		t.Fatalf("Overlapping(%v) = %v, want both fragments", long, regionsOf(got))
+	}
+	got := m.CoverInto(long, nil)
+	want := []Region{short, {Addr: 0x2020, Size: 16}}
+	if len(got) != 2 || got[0].R != want[0] || got[1].R != want[1] {
+		t.Fatalf("CoverInto(%v) = %v, want %v", long, regionsOf(got), want)
+	}
+	// Now long's slot may hold nothing of length 48; short still answers.
+	if got := m.SplitInto(short, nil); len(got) != 1 || got[0].R != short || got[0].V != 1 {
+		t.Fatalf("SplitInto(%v) = %v", short, regionsOf(got))
+	}
+	if m.Len() != 3 {
+		t.Fatalf("%d fragments, want 3", m.Len())
 	}
 }
 
@@ -281,7 +363,7 @@ func benchCover(b *testing.B, mutates bool, region func(i int) Region) {
 	for k := 0; k < b.N; k++ {
 		if k%(n/2) == 0 && (mutates || k == 0) {
 			b.StopTimer()
-			m = stridedMap(b, n)
+			m = stridedMap(b, n, 128)
 			b.StartTimer()
 		}
 		buf = m.CoverInto(region((k*7919)%(n/2)*2), buf)
@@ -298,4 +380,25 @@ func BenchmarkFragMapCoverStraddle(b *testing.B) {
 
 func BenchmarkFragMapCoverGap(b *testing.B) {
 	benchCover(b, true, func(i int) Region { return Region{Addr: uint64(i)*128 + 80, Size: 32} })
+}
+
+// BenchmarkFragMapVisitExact is a directory-style read query (HeldBytes,
+// IsHolder) of a region equal to one fragment of the strided map: one
+// slot probe.
+func BenchmarkFragMapVisitExact(b *testing.B) {
+	const n = 100_000
+	m := stridedMap(b, n, 128)
+	held := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i := (k * 7919) % n
+		m.Visit(Region{Addr: uint64(i) * 128, Size: 64}, func(f *Frag[int]) bool {
+			held += f.V
+			return true
+		})
+	}
+	if held == 0 {
+		b.Fatal("no fragment visited")
+	}
 }

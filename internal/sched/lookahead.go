@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
@@ -27,9 +29,11 @@ type LookaheadHooks struct {
 // place, which can change schedules — the runtime keeps lookahead opt-in
 // (Config.Lookahead, default off) so default schedules stay bit-identical.
 type LookaheadSched struct {
-	inner    Scheduler
-	window   int
-	buf      map[int][]*task.Task
+	inner  Scheduler
+	window int
+	// buf[place] is the place's window, newest claim first: a pop takes
+	// from the end, so the window's array serves every refill.
+	buf      [][]*task.Task
 	buffered int
 	hooks    LookaheadHooks
 }
@@ -41,7 +45,7 @@ func Lookahead(inner Scheduler, window int, h LookaheadHooks) Scheduler {
 	if window <= 1 {
 		return inner
 	}
-	return &LookaheadSched{inner: inner, window: window, buf: make(map[int][]*task.Task), hooks: h}
+	return &LookaheadSched{inner: inner, window: window, hooks: h}
 }
 
 // Submit forwards to the wrapped scheduler; submissions never bypass the
@@ -53,6 +57,9 @@ func (s *LookaheadSched) Submit(t *task.Task, releasedBy int) {
 // Pop serves the place's window, refilling it from the wrapped scheduler
 // when empty.
 func (s *LookaheadSched) Pop(place int) *task.Task {
+	for len(s.buf) <= place {
+		s.buf = append(s.buf, nil)
+	}
 	q := s.buf[place]
 	if len(q) == 0 {
 		for len(q) < s.window {
@@ -65,22 +72,28 @@ func (s *LookaheadSched) Pop(place int) *task.Task {
 		if len(q) == 0 {
 			return nil
 		}
+		slices.Reverse(q)
 		s.hooks.Refills.Inc()
 		s.buffered += len(q)
 		s.hooks.Depth.Add(int64(len(q)))
 	}
-	t := q[0]
-	s.buf[place] = q[1:]
+	t := q[len(q)-1]
+	q[len(q)-1] = nil
+	s.buf[place] = q[:len(q)-1]
 	s.buffered--
 	s.hooks.Depth.Add(-1)
 	return t
 }
 
-// Drain returns the place's windowed tasks plus whatever the wrapped
-// scheduler had queued for it.
+// Drain returns the place's windowed tasks, in window order, plus
+// whatever the wrapped scheduler had queued for it.
 func (s *LookaheadSched) Drain(place int) []*task.Task {
-	out := append([]*task.Task(nil), s.buf[place]...)
-	delete(s.buf, place)
+	var out []*task.Task
+	if place >= 0 && place < len(s.buf) {
+		out = slices.Clone(s.buf[place])
+		slices.Reverse(out)
+		s.buf[place] = nil
+	}
 	s.buffered -= len(out)
 	s.hooks.Depth.Add(-int64(len(out)))
 	return append(out, s.inner.Drain(place)...)

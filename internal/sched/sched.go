@@ -153,24 +153,24 @@ func New(policy Policy, places int, o Options) Scheduler {
 	if canRun == nil {
 		canRun = func(int, *task.Task) bool { return true }
 	}
-	queue := fifo{accepts: o.Accepts}
+	ready := fifo{accepts: o.Accepts}
 	switch policy {
 	case BreadthFirst:
-		return &bfSched{canRun: canRun, fifo: queue, queued: queued{hooks: h}}
+		return &bfSched{canRun: canRun, fifo: ready, queued: queued{hooks: h}}
 	case Dependencies:
-		return &depSched{canRun: canRun, fifo: queue, perPlace: make(map[int][]*entry), queued: queued{hooks: h}}
+		return &depSched{canRun: canRun, fifo: ready, queued: queued{hooks: h}}
 	case Affinity:
 		if o.Score == nil {
 			panic("sched: Affinity policy requires a ScoreFn")
 		}
 		return &affSched{places: places, score: o.Score, steal: o.Steal, canRun: canRun,
-			local: make([][]*entry, places), global: queue, queued: queued{hooks: h}}
+			local: make([]queue, places), global: ready, queued: queued{hooks: h}}
 	case HEFT:
 		if o.Cost == nil || o.Cost.Estimates == nil {
 			panic("sched: HEFT policy requires a CostModel with Estimates")
 		}
 		return &heftSched{places: places, cost: o.Cost.Estimates, rank: o.Cost.Rank,
-			steal: o.Steal, canRun: canRun, local: make([][]*entry, places), global: queue,
+			steal: o.Steal, canRun: canRun, local: make([]queue, places), global: ready,
 			backlog: make([]time.Duration, places), queued: queued{hooks: h}}
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
@@ -178,46 +178,80 @@ func New(policy Policy, places int, o Options) Scheduler {
 }
 
 // entry wraps a task so it can sit in several queues; the first Pop that
-// reaches it takes it. seq is its submission number in a fifo (it fits in
-// taken's padding: an entry stays 32 bytes). compute and rank are only set
-// by the heft policy (the place's backlog accounting and priority order).
+// reaches it takes it (queued.take), clearing t: a nil t marks a consumed
+// entry in every queue still holding it, and a consumed entry pins no
+// task. seq is its submission number in a fifo. compute and rank are only
+// set by the heft policy (the place's backlog accounting and priority
+// order).
 type entry struct {
 	t       *task.Task
-	taken   bool
 	seq     uint32
 	compute time.Duration
 	rank    time.Duration
 }
 
-// popFront takes the oldest live entry satisfying pred.
-func popFront(q *[]*entry, pred func(*task.Task) bool) *entry {
-	e := front(q, pred)
-	if e != nil {
-		e.taken = true
-	}
-	return e
+// queue holds entries in arrival order. head skips the consumed prefix,
+// whose slots are cleared as it passes them; push moves the live rest
+// down instead of growing the array once the prefix is half of it, so a
+// steady stream of pushes and front pops reuses one array.
+type queue struct {
+	q    []*entry
+	head int
 }
 
-// front returns the oldest live entry satisfying pred without taking it,
-// compacting consumed entries from the head as a side effect: a queue left
-// empty keeps its array for the next push.
-func front(q *[]*entry, pred func(*task.Task) bool) *entry {
-	i := 0
-	for i < len(*q) && (*q)[i].taken {
-		i++
+func (q *queue) push(e *entry) {
+	if len(q.q) == cap(q.q) && q.head > 0 && 2*q.head >= len(q.q) {
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
 	}
-	if i == len(*q) {
-		clear(*q)
-		*q = (*q)[:0]
+	q.q = append(q.q, e)
+}
+
+// front returns the oldest live entry pred passes, without taking it,
+// dropping the consumed prefix as a side effect: a queue left empty keeps
+// its array for the next push.
+func (q *queue) front(pred func(*task.Task) bool) *entry {
+	for q.head < len(q.q) && q.q[q.head].t == nil {
+		q.q[q.head] = nil
+		q.head++
+	}
+	if q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
 		return nil
 	}
-	*q = (*q)[i:]
-	for _, e := range *q {
-		if !e.taken && pred(e.t) {
+	for _, e := range q.q[q.head:] {
+		if e.t != nil && pred(e.t) {
 			return e
 		}
 	}
 	return nil
+}
+
+// back returns the newest live entry pred passes, without taking it,
+// dropping the consumed suffix as a side effect.
+func (q *queue) back(pred func(*task.Task) bool) *entry {
+	for len(q.q) > q.head && q.q[len(q.q)-1].t == nil {
+		q.q[len(q.q)-1] = nil
+		q.q = q.q[:len(q.q)-1]
+	}
+	for i := len(q.q) - 1; i >= q.head; i-- {
+		if e := q.q[i]; e.t != nil && pred(e.t) {
+			return e
+		}
+	}
+	return nil
+}
+
+// live counts the entries not yet taken.
+func (q *queue) live() int {
+	n := 0
+	for _, e := range q.q[q.head:] {
+		if e.t != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // fifo is a ready queue in submission order. It keeps one queue per device
@@ -226,22 +260,22 @@ func front(q *[]*entry, pred func(*task.Task) bool) *entry {
 // its filter passes.
 type fifo struct {
 	accepts AcceptsFn
-	byDev   [][]*entry // indexed by task.Device
+	byDev   []queue // indexed by task.Device
 	seq     uint32
 }
 
 func (f *fifo) push(e *entry) {
 	d := int(e.t.Device)
 	for len(f.byDev) <= d {
-		f.byDev = append(f.byDev, nil)
+		f.byDev = append(f.byDev, queue{})
 	}
 	e.seq = f.seq
 	f.seq++
-	f.byDev[d] = append(f.byDev[d], e)
+	f.byDev[d].push(e)
 }
 
-// pop takes the oldest live entry, among the devices place accepts, that
-// pred passes.
+// pop returns the oldest live entry, among the devices place accepts,
+// that pred passes; the caller takes it.
 func (f *fifo) pop(place int, pred func(*task.Task) bool) *entry {
 	var oldest *entry
 	for d := range f.byDev {
@@ -250,47 +284,20 @@ func (f *fifo) pop(place int, pred func(*task.Task) bool) *entry {
 		}
 		// Wrapping difference: numbers stay ordered across overflow while
 		// the live entries span less than 2^31 submissions.
-		if e := front(&f.byDev[d], pred); e != nil && (oldest == nil || int32(e.seq-oldest.seq) < 0) {
+		if e := f.byDev[d].front(pred); e != nil && (oldest == nil || int32(e.seq-oldest.seq) < 0) {
 			oldest = e
 		}
-	}
-	if oldest != nil {
-		oldest.taken = true
 	}
 	return oldest
 }
 
-// popBack takes the newest live entry satisfying pred.
-func popBack(q *[]*entry, pred func(*task.Task) bool) *entry {
-	for len(*q) > 0 && (*q)[len(*q)-1].taken {
-		*q = (*q)[:len(*q)-1]
-	}
-	for i := len(*q) - 1; i >= 0; i-- {
-		e := (*q)[i]
-		if e.taken || !pred(e.t) {
-			continue
-		}
-		e.taken = true
-		return e
-	}
-	return nil
-}
-
-func liveLen(q []*entry) int {
-	n := 0
-	for _, e := range q {
-		if !e.taken {
-			n++
-		}
-	}
-	return n
-}
-
-// queued is a scheduler's count of live tasks, kept by Submit, the pops
-// that take and Drain, and mirrored to Hooks.Queued.
+// queued is what every policy shares: the count of live tasks, kept by
+// Submit, the pops that take and Drain, and mirrored to Hooks.Queued; and
+// the slab entries come from.
 type queued struct {
 	n     int
 	hooks Hooks
+	slab  []entry
 }
 
 func (q *queued) add(d int) {
@@ -300,6 +307,39 @@ func (q *queued) add(d int) {
 
 func (q *queued) Len() int { return q.n }
 
+// newEntry counts t in and wraps it in an entry from a bulk-allocated
+// slab, so a ready task costs no allocation of its own.
+func (q *queued) newEntry(t *task.Task) *entry {
+	if len(q.slab) == 0 {
+		q.slab = make([]entry, 256)
+	}
+	e := &q.slab[0]
+	q.slab = q.slab[1:]
+	e.t = t
+	q.add(1)
+	return e
+}
+
+// take counts e out and returns its task, clearing it (see entry).
+func (q *queued) take(e *entry) *task.Task {
+	t := e.t
+	e.t = nil
+	q.add(-1)
+	return t
+}
+
+// drain takes every live entry of q, in queue order, and empties it.
+func (q *queued) drain(l *queue) []*task.Task {
+	var out []*task.Task
+	for _, e := range l.q[l.head:] {
+		if e.t != nil {
+			out = append(out, q.take(e))
+		}
+	}
+	*l = queue{}
+	return out
+}
+
 // bfSched: plain FIFO.
 type bfSched struct {
 	canRun CanRunFn
@@ -308,59 +348,60 @@ type bfSched struct {
 }
 
 func (s *bfSched) Submit(t *task.Task, releasedBy int) {
-	s.fifo.push(&entry{t: t})
-	s.add(1)
+	s.fifo.push(s.newEntry(t))
 }
 
 func (s *bfSched) Pop(place int) *task.Task {
-	e := s.fifo.pop(place, func(t *task.Task) bool { return s.canRun(place, t) })
-	if e == nil {
-		return nil
+	if e := s.fifo.pop(place, func(t *task.Task) bool { return s.canRun(place, t) }); e != nil {
+		return s.take(e)
 	}
-	s.add(-1)
-	return e.t
+	return nil
 }
 
 func (s *bfSched) Drain(place int) []*task.Task { return nil }
 
-// depSched: FIFO plus per-place successor lists.
+// depSched: FIFO plus per-place successor lists, indexed by place.
 type depSched struct {
 	canRun   CanRunFn
 	fifo     fifo
-	perPlace map[int][]*entry
+	perPlace []queue
 	queued
 }
 
 func (s *depSched) Submit(t *task.Task, releasedBy int) {
-	e := &entry{t: t}
+	e := s.newEntry(t)
 	s.fifo.push(e)
-	s.add(1)
 	if releasedBy >= 0 {
 		// The place that released this successor should pick it up next, to
 		// reuse the data the predecessor just produced.
-		s.perPlace[releasedBy] = append(s.perPlace[releasedBy], e)
+		for len(s.perPlace) <= releasedBy {
+			s.perPlace = append(s.perPlace, queue{})
+		}
+		s.perPlace[releasedBy].push(e)
 	}
 }
 
 func (s *depSched) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
-	q := s.perPlace[place]
-	e := popBack(&q, pred) // most recently released first
-	s.perPlace[place] = q
+	var e *entry
+	if place >= 0 && place < len(s.perPlace) {
+		e = s.perPlace[place].back(pred) // most recently released first
+	}
 	if e == nil {
 		e = s.fifo.pop(place, pred)
 	}
 	if e == nil {
 		return nil
 	}
-	s.add(-1)
-	return e.t
+	return s.take(e)
 }
 
 // Drain forgets the dead place's successor hints; the entries stay live in
 // the shared FIFO, where any surviving place pops them.
 func (s *depSched) Drain(place int) []*task.Task {
-	delete(s.perPlace, place)
+	if place >= 0 && place < len(s.perPlace) {
+		s.perPlace[place] = queue{}
+	}
 	return nil
 }
 
@@ -370,7 +411,7 @@ type affSched struct {
 	score  ScoreFn
 	steal  bool
 	canRun CanRunFn
-	local  [][]*entry
+	local  []queue
 	global fifo
 	queued
 }
@@ -395,10 +436,9 @@ func bestPlace(scores []uint64) int {
 }
 
 func (s *affSched) Submit(t *task.Task, releasedBy int) {
-	e := &entry{t: t}
-	s.add(1)
+	e := s.newEntry(t)
 	if p := bestPlace(s.score(t)); p >= 0 && p < s.places && s.canRun(p, t) {
-		s.local[p] = append(s.local[p], e)
+		s.local[p].push(e)
 		return
 	}
 	s.global.push(e)
@@ -407,14 +447,12 @@ func (s *affSched) Submit(t *task.Task, releasedBy int) {
 func (s *affSched) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
 	if place >= 0 && place < s.places {
-		if e := popFront(&s.local[place], pred); e != nil {
-			s.add(-1)
-			return e.t
+		if e := s.local[place].front(pred); e != nil {
+			return s.take(e)
 		}
 	}
 	if e := s.global.pop(place, pred); e != nil {
-		s.add(-1)
-		return e.t
+		return s.take(e)
 	}
 	if !s.steal {
 		return nil
@@ -426,20 +464,19 @@ func (s *affSched) Pop(place int) *task.Task {
 		if i == place {
 			continue
 		}
-		if n := liveLen(s.local[i]); n > max {
+		if n := s.local[i].live(); n > max {
 			victim, max = i, n
 		}
 	}
 	if victim < 0 {
 		return nil
 	}
-	e := popBack(&s.local[victim], pred)
+	e := s.local[victim].back(pred)
 	if e == nil {
 		return nil
 	}
-	s.add(-1)
 	s.hooks.Steals.Inc()
-	return e.t
+	return s.take(e)
 }
 
 // Drain takes every live task queued locally at place, in queue order.
@@ -448,16 +485,7 @@ func (s *affSched) Drain(place int) []*task.Task {
 	if place < 0 || place >= s.places {
 		return nil
 	}
-	var out []*task.Task
-	for _, e := range s.local[place] {
-		if !e.taken {
-			e.taken = true
-			out = append(out, e.t)
-		}
-	}
-	s.local[place] = nil
-	s.add(-len(out))
-	return out
+	return s.drain(&s.local[place])
 }
 
 // heftSched: HEFT-style list scheduling. Each ready task is bound at
@@ -473,7 +501,7 @@ type heftSched struct {
 	canRun CanRunFn
 	// local[p] holds the tasks bound to place p, sorted by descending
 	// rank (stable: equal ranks keep submission order).
-	local [][]*entry
+	local []queue
 	// global holds tasks no place can run right now (e.g. every
 	// compatible place is dead); any place that becomes able pops them.
 	global fifo
@@ -490,11 +518,10 @@ func (s *heftSched) Submit(t *task.Task, releasedBy int) {
 	if len(est) != s.places {
 		panic(fmt.Sprintf("sched: CostFn returned %d estimates for %d places", len(est), s.places))
 	}
-	e := &entry{t: t}
+	e := s.newEntry(t)
 	if s.rank != nil {
 		e.rank = s.rank(t)
 	}
-	s.add(1)
 	best := -1
 	var bestEFT time.Duration
 	for p := 0; p < s.places; p++ {
@@ -518,32 +545,31 @@ func (s *heftSched) Submit(t *task.Task, releasedBy int) {
 // insertByRank places e into local[p] before the first live entry of
 // strictly lower rank, so the queue stays rank-descending and stable.
 func (s *heftSched) insertByRank(p int, e *entry) {
-	q := s.local[p]
-	at := len(q)
-	for i, o := range q {
-		if !o.taken && o.rank < e.rank {
+	q := &s.local[p]
+	live := q.q[q.head:]
+	at := len(live)
+	for i, o := range live {
+		if o.t != nil && o.rank < e.rank {
 			at = i
 			break
 		}
 	}
-	q = append(q, nil)
-	copy(q[at+1:], q[at:])
-	q[at] = e
-	s.local[p] = q
+	q.push(e)
+	live = q.q[q.head:]
+	copy(live[at+1:], live[at:len(live)-1])
+	live[at] = e
 }
 
 func (s *heftSched) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
 	if place >= 0 && place < s.places {
-		if e := popFront(&s.local[place], pred); e != nil {
-			s.add(-1)
+		if e := s.local[place].front(pred); e != nil {
 			s.backlog[place] -= e.compute
-			return e.t
+			return s.take(e)
 		}
 	}
 	if e := s.global.pop(place, pred); e != nil {
-		s.add(-1)
-		return e.t
+		return s.take(e)
 	}
 	if !s.steal {
 		return nil
@@ -554,7 +580,7 @@ func (s *heftSched) Pop(place int) *task.Task {
 	victim := -1
 	var max time.Duration
 	for i := range s.local {
-		if i == place || liveLen(s.local[i]) == 0 {
+		if i == place || s.local[i].live() == 0 {
 			continue
 		}
 		if s.backlog[i] > max {
@@ -564,14 +590,13 @@ func (s *heftSched) Pop(place int) *task.Task {
 	if victim < 0 {
 		return nil
 	}
-	e := popBack(&s.local[victim], pred)
+	e := s.local[victim].back(pred)
 	if e == nil {
 		return nil
 	}
-	s.add(-1)
 	s.hooks.Steals.Inc()
 	s.backlog[victim] -= e.compute
-	return e.t
+	return s.take(e)
 }
 
 // Drain takes every live task bound to place and zeroes its backlog; the
@@ -581,15 +606,6 @@ func (s *heftSched) Drain(place int) []*task.Task {
 	if place < 0 || place >= s.places {
 		return nil
 	}
-	var out []*task.Task
-	for _, e := range s.local[place] {
-		if !e.taken {
-			e.taken = true
-			out = append(out, e.t)
-		}
-	}
-	s.local[place] = nil
 	s.backlog[place] = 0
-	s.add(-len(out))
-	return out
+	return s.drain(&s.local[place])
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/bsc-repro/ompss/internal/task"
 )
@@ -182,35 +183,62 @@ func TestBestPlace(t *testing.T) {
 	}
 }
 
+// TestNoTaskLostOrDuplicated drains 50 mixed submissions of every policy,
+// with Accepts nil and per device, and checks each task pops exactly once
+// and no entry still references a popped task (see TestQueueProperties
+// for random interleavings).
 func TestNoTaskLostOrDuplicated(t *testing.T) {
-	for _, policy := range []Policy{BreadthFirst, Dependencies, Affinity} {
-		policy := policy
-		t.Run(string(policy), func(t *testing.T) {
-			scores := scoreMap{}
-			s := New(policy, 3, Options{Score: scores.fn, Steal: true})
-			const n = 50
-			seen := make(map[task.ID]int)
-			for i := 0; i < n; i++ {
-				x := mk("x")
-				scores[x.ID] = []uint64{uint64(i % 4 * 10), uint64((i + 1) % 3 * 10), 0}
-				s.Submit(x, i%4-1) // mix of -1..2
-				seen[x.ID] = 0
-			}
-			for place := 0; ; place = (place + 1) % 3 {
-				x := s.Pop(place)
-				if x == nil {
-					break
+	for _, policy := range []Policy{BreadthFirst, Dependencies, Affinity, HEFT} {
+		for _, perDevice := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/perDevice=%v", policy, perDevice), func(t *testing.T) {
+				scores, costs := scoreMap{}, costMap{}
+				o := Options{Score: scores.fn, Cost: &CostModel{Estimates: costs.fn}, Steal: true}
+				if perDevice {
+					o.CanRun, o.Accepts = deviceFilter, deviceAccepts
 				}
-				seen[x.ID]++
-			}
-			if s.Len() != 0 {
-				t.Fatalf("len = %d after drain", s.Len())
-			}
-			for id, c := range seen {
-				if c != 1 {
-					t.Fatalf("task %d popped %d times", id, c)
+				s := New(policy, 3, o)
+				const n = 50
+				seen := make(map[task.ID]int)
+				for i := 0; i < n; i++ {
+					x := mkDev("x", task.Device(i%2))
+					scores[x.ID] = []uint64{uint64(i % 4 * 10), uint64((i + 1) % 3 * 10), 0}
+					costs[x.ID] = []Estimate{est(ms, 0), est(time.Duration(i%3)*ms, 0), incompat}
+					s.Submit(x, i%4-1) // mix of -1..2
+					seen[x.ID] = 0
 				}
-			}
-		})
+				// With no filter, BreadthFirst, Dependencies and Affinity
+				// serve every place while work remains, so the first nil Pop
+				// must find the queue empty. A per-device filter or a HEFT
+				// victim with no backlog may return nil with work left for
+				// another place, so those cells drain until every place is idle.
+				strict := !perDevice && policy != HEFT
+				for place, idle, pops := 0, 0, 0; idle < 3; place = (place + 1) % 3 {
+					x := s.Pop(place)
+					if x == nil {
+						if strict && s.Len() != 0 {
+							t.Fatalf("place %d popped nil with %d queued", place, s.Len())
+						}
+						idle++
+						continue
+					}
+					if pops++; pops > n {
+						t.Fatalf("%d pops of %d tasks", pops, n)
+					}
+					idle = 0
+					seen[x.ID]++
+				}
+				if s.Len() != 0 {
+					t.Fatalf("len = %d after drain", s.Len())
+				}
+				if err := checkEntries(s, nil); err != nil {
+					t.Fatal(err)
+				}
+				for id, c := range seen {
+					if c != 1 {
+						t.Fatalf("task %d popped %d times", id, c)
+					}
+				}
+			})
+		}
 	}
 }
