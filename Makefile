@@ -63,9 +63,10 @@ resilience:
 ## software cache's invalidation sweep and a directory query, depgraph
 ## submission, the three shapes of a FragMap cover and an exact-region
 ## visit, an idle place's pop, a ready task's submit and pop under each
-## policy, and a served warm hit
+## policy, a served warm hit, and a remote task at the 8-node weakscale
+## point (with its spawns, resumes and events per task)
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/ ./internal/core/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

@@ -87,6 +87,7 @@ type Directory struct {
 	// DropHolder (one runtime image drives its directory serially and none
 	// of the three calls another, so a single buffer suffices).
 	covbuf []*memspace.Frag[dirData]
+	slab   holderSet // backing for holder sets that had none (only)
 }
 
 // holderSet is the holder set of one fragment: a slice kept sorted in
@@ -127,8 +128,16 @@ func (h *holderSet) remove(l memspace.Location) {
 	}
 }
 
-// only resets the set to the single holder l, reusing the backing array.
-func (h *holderSet) only(l memspace.Location) {
+// only resets *h to the single holder l, reusing its backing array or, for
+// a set that has none, a piece of d's slab with room for a second holder:
+// a one-holder set allocates nothing of its own.
+func (d *Directory) only(h *holderSet, l memspace.Location) {
+	if cap(*h) == 0 {
+		if len(d.slab) < 2 {
+			d.slab = make(holderSet, 256)
+		}
+		*h, d.slab = d.slab[:0:2], d.slab[2:]
+	}
 	*h = append((*h)[:0], l)
 }
 
@@ -208,7 +217,7 @@ func (d *Directory) Produced(r memspace.Region, loc memspace.Location) {
 	d.covbuf = d.frags.CoverInto(r, d.covbuf)
 	for _, en := range d.covbuf {
 		en.V.version++
-		en.V.holders.only(loc)
+		d.only(&en.V.holders, loc)
 		if d.homeSet && loc == d.home {
 			en.V.producers = nil
 		}
@@ -266,7 +275,7 @@ func (d *Directory) Rehome(r memspace.Region) {
 		panic("coherence: Rehome without TrackProducers")
 	}
 	for _, en := range d.frags.Cover(r) {
-		en.V.holders.only(d.home)
+		d.only(&en.V.holders, d.home)
 		en.V.producers = nil
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
-	"github.com/bsc-repro/ompss/internal/trace"
 )
 
 // Active-message handler names (Section III.D.1: all control information
@@ -27,16 +26,6 @@ func taskDescBytes(t *task.Task) uint64 {
 	return 256 + 48*uint64(len(t.Deps)+len(t.ExtraCopies))
 }
 
-type dataArgs struct {
-	XferID int64 // transfer to acknowledge at the master
-}
-
-type pushArgs struct {
-	Region memspace.Region
-	Dest   int
-	XferID int64
-}
-
 // clusterState lives on the Runtime (of a machine with more than one node)
 // but only the master uses it.
 type clusterState struct {
@@ -46,7 +35,7 @@ type clusterState struct {
 	open        []int  // per comm thread: the nodes it serves that are not closed
 	onTrack     func() // if set, runs after every track (tests)
 	xferSeq     int64
-	xferEvents  map[int64]*sim.Event
+	xfers       map[int64]*plan // the plans whose transfer awaits its acknowledgement
 	// scores and estimates are the per-node slices clusterScore and
 	// clusterEstimates return, reused as the images reuse theirs.
 	scores    []uint64
@@ -58,7 +47,7 @@ type clusterState struct {
 func (rt *Runtime) registerMasterHandlers() {
 	m := rt.master()
 	m.ep.RegisterNonBlocking(amTaskDone, func(am gasnet.AM) {
-		t, node := am.Args.(*task.Task), am.From
+		t, node := am.Args.Task, am.From
 		if ft := rt.ft; ft != nil {
 			// Only the dispatch of record may retire the task: a completion
 			// from a node that was declared dead (and whose copy of the task
@@ -86,10 +75,10 @@ func (rt *Runtime) registerMasterHandlers() {
 		// Data pulled back to the master host: the producer still holds
 		// the current version, the master host gains a copy.
 		m.dir.AddHolder(am.Region, memspace.Host(0))
-		rt.ackXfer(am.Args.(dataArgs).XferID)
+		rt.ackXfer(am.Args.ID)
 	})
 	m.ep.RegisterNonBlocking(amAck, func(am gasnet.AM) {
-		rt.ackXfer(am.Args.(dataArgs).XferID)
+		rt.ackXfer(am.Args.ID)
 	})
 }
 
@@ -109,8 +98,8 @@ func (rt *Runtime) spawnCommThread() {
 // commLoop polls the ready pool for every node round-robin — the remote
 // slaves and the master's own image alike — keeping up to 1+Presend tasks
 // outstanding per node (Section III.D.1). Tasks for remote nodes are
-// staged and shipped by spawned dispatch processes; tasks for the master
-// node enter its local scheduler.
+// staged and shipped by dispatch chains; tasks for the master node enter
+// its local scheduler.
 func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	m, cl := rt.master(), rt.cl
 	// This thread serves the nodes whose index is ≡ thread (mod threads).
@@ -143,11 +132,10 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 		return false
 	}, func() bool { return m.stopping && cl.busy == 0 })
 	for wait() {
-		t, k := t, k // the dispatch process keeps them past the next take
 		rt.track(k, 1)
 		if ft := rt.ft; ft != nil && k > 0 {
-			// Track the dispatch before its process exists, so a death
-			// can never catch the task in an untracked window.
+			// Track the dispatch before its chain starts, so a death can
+			// never catch the task in an untracked window.
 			ft.inflightNode[t.ID] = k
 			ft.inflightTask[t.ID] = t
 		}
@@ -157,7 +145,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			if cl.outstanding[k] > 1 {
 				rt.met.presends.Inc()
 			}
-			rt.e.Go(rt.nodes[k].dispatchName, func(dp *sim.Proc) { rt.dispatchRemote(dp, t, k) })
+			rt.dispatch(t, k)
 		}
 		// Resume the next poll at the following node: one dispatch per
 		// sweep keeps the distribution round-robin.
@@ -268,109 +256,6 @@ func (rt *Runtime) clusterAccepts(place int, d task.Device) bool {
 	return d != task.CUDA || len(rt.nodes[place].devs) > 0
 }
 
-// dispatchRemote stages a task's input data at node k and sends the run
-// request. Staging overlaps the execution of other remote tasks because
-// each dispatch runs in its own process.
-func (rt *Runtime) dispatchRemote(p *sim.Proc, t *task.Task, k int) {
-	if rt.nodeIsDead(k) {
-		return // nodeDead already requeued this task
-	}
-	reads := make([]memspace.Region, 0, 4)
-	for _, c := range t.Copies() {
-		if c.Access.Reads() {
-			reads = append(reads, c.Region)
-		}
-	}
-	staged := rt.moveEach(p, "stageNet", rt.cfg.NonBlockingCache, reads, rt.nodes[k].stageHere)
-	if !staged || rt.nodeIsDead(k) {
-		// Staging only fails when k itself is unreachable; declaring it
-		// dead (idempotently) requeues every task bound to it, this one
-		// included.
-		rt.nodeDead(k, "stage")
-		return
-	}
-	if !rt.master().ep.AMMedium(p, k, amRunTask, t, taskDescBytes(t)) {
-		rt.nodeDead(k, "runTask")
-	}
-}
-
-// stageToNode makes node k hold the current version of r. Routes are:
-// master host -> k directly; a master GPU -> master host -> k; another
-// slave j -> k directly when SlaveToSlave is enabled, else j -> master -> k.
-// Returns false only when k itself is unreachable; a failed source is
-// declared dead and the transfer re-routed around it.
-func (rt *Runtime) stageToNode(p *sim.Proc, r memspace.Region, k int) bool {
-	for {
-		ok, settled := rt.stageToNodeOnce(p, r, k)
-		if settled {
-			return ok
-		}
-		if rt.nodeIsDead(k) {
-			return false
-		}
-		// The attempt was disturbed by a fault (source died, or we
-		// piggybacked on a transfer that failed): wait out any rebuild of
-		// r, then re-evaluate from the directory.
-		rt.waitRestore(p, r)
-	}
-}
-
-func (rt *Runtime) stageToNodeOnce(p *sim.Proc, r memspace.Region, k int) (ok, settled bool) {
-	m := rt.master()
-	dst := memspace.Host(k)
-	if m.joinInflight(p, r, dst) {
-		// Without fault tolerance the transfer we piggybacked on always
-		// succeeded; with it, it may have failed — re-evaluate.
-		return true, rt.ft == nil
-	}
-	// The consumer needs every known byte of r at node k. Missing returns
-	// the directory fragments not yet held there: one entry equal to r under
-	// exact-match regions, several when writers fragmented the range.
-	// With the manager layer armed this is a blocking query answered by
-	// r's owning shards — which is why joining and leading are two steps.
-	rt.mgrChargeQuery(p, 0, r)
-	// The lists live on this call's stack: missing is held across blocking
-	// transfers, while other dispatches query the same directory.
-	var missBuf [4]memspace.Region
-	var holdBuf [4]memspace.Location
-	missing := m.dir.Missing(r, dst, missBuf[:0])
-	if len(missing) == 0 {
-		return true, true
-	}
-	if rt.nodeIsDead(k) {
-		return false, true
-	}
-	defer m.leadInflight(r, dst)()
-	if len(missing) > 1 || missing[0] != r {
-		m.met.fragAssemblies.Inc()
-	}
-	for _, frag := range missing {
-		// The fragment list is fixed for the attempt; the source of each is
-		// chosen when its turn comes, from the holders it has by then.
-		src := pickSource(m.dir.Holders(frag, holdBuf[:0]), k, rt.cfg.SlaveToSlave, rt.nodeIsDead)
-		switch {
-		case src == srcHeld:
-			continue // an overlapping stage landed it at k meanwhile
-		case src == srcLost:
-			// A source died mid-assembly — the outer loop re-evaluates what
-			// is still missing after any rebuild.
-			return false, false
-		case src == 0 || !rt.cfg.SlaveToSlave:
-			// Via the master host: after a D2H flush of a master GPU or,
-			// master-routed, an s->m pull (fetchToHost re-routes internally
-			// if a remote holder dies).
-			m.fetchToHost(p, frag)
-			src = 0
-		}
-		if !rt.xfer(p, frag, src, k) {
-			// From the master, k itself never acknowledged and the caller
-			// declares it dead; from a slave, re-plan.
-			return false, src == 0
-		}
-	}
-	return true, true
-}
-
 // Outcomes of pickSource other than a source node.
 const (
 	srcLost = -1 // no live holder: gone until a rebuild restores the version
@@ -396,75 +281,6 @@ func pickSource(holders []memspace.Location, dst int, s2s bool, dead func(int) b
 	return src
 }
 
-// xfer moves frag from node src's host memory to node dst's and records
-// Host(dst) as a holder — the one inter-node transfer, whichever of the
-// routes m->s, s->s or s->m it is. The master sends its own data; a slave is
-// asked to push (by the manager brokering frag's metadata when the data
-// stays between slaves). The caller blocks until dst has acknowledged to the
-// master, so ordering with a subsequent runTask holds even under retries.
-// False means a peer died or exhausted the retry ladder first; this is the
-// one place an unreachable source is declared dead.
-func (rt *Runtime) xfer(p *sim.Proc, frag memspace.Region, src, dst int) bool {
-	m := rt.master()
-	id := rt.newXfer(src, dst)
-	ack := rt.cl.xferEvents[id]
-	start := p.Now()
-	push := pushArgs{Region: frag, Dest: dst, XferID: id}
-	name, bytes, sent := "m->s", rt.met.bytesMtoS, false
-	switch {
-	case src == 0:
-		sent = m.ep.AMLong(p, dst, amData, dataArgs{XferID: id}, frag)
-	case dst == 0:
-		name = "s->m"
-		sent = m.ep.AMShort(p, src, amPush, push)
-	default:
-		name, bytes = "s->s", rt.met.bytesStoS
-		sent = rt.mgrBrokerEndpoint(frag).ep.AMShort(p, src, amPush, push)
-	}
-	if !sent {
-		rt.ackXfer(id)
-		rt.xferFailedTake(id)
-		rt.nodeDead(src, "push")
-		return false
-	}
-	ack.Wait(p)
-	if rt.xferFailedTake(id) {
-		return false
-	}
-	rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: name,
-		Node: src, Dev: -1, Start: start, End: p.Now(),
-		Bytes: frag.Size, Region: frag.Addr, Peer: dst})
-	bytes.Add(int64(frag.Size))
-	if dst != 0 { // the master's data handler recorded Host(0) on arrival
-		m.dir.AddHolder(frag, memspace.Host(dst))
-	}
-	return true
-}
-
-// newXfer allocates a transfer id with a pending ack event; src and dst
-// are the nodes moving the data, recorded so a peer's death can fail the
-// transfer and unblock its waiter.
-func (rt *Runtime) newXfer(src, dst int) int64 {
-	cl := rt.cl
-	cl.xferSeq++
-	cl.xferEvents[cl.xferSeq] = sim.NewEvent(rt.e)
-	if rt.ft != nil {
-		rt.ft.xferPeers[cl.xferSeq] = [2]int{src, dst}
-	}
-	return cl.xferSeq
-}
-
-// ackXfer is called at the master when a transfer acknowledgement arrives.
-func (rt *Runtime) ackXfer(id int64) {
-	if ev, ok := rt.cl.xferEvents[id]; ok {
-		ev.Trigger()
-		delete(rt.cl.xferEvents, id)
-		if rt.ft != nil {
-			delete(rt.ft.xferPeers, id)
-		}
-	}
-}
-
 // registerSlaveHandlers installs the slave image's protocol (Section
 // III.D.1: slaves wait for requests and submit them to the local
 // scheduler).
@@ -473,30 +289,30 @@ func (n *nodeRT) registerSlaveHandlers() {
 		if n.rt.ft != nil {
 			// A reliable send lasts the ack round-trip (and any retries):
 			// it goes out as events, so the worker can take its next task.
-			n.rt.e.After(0, func() { n.ep.AMShortFunc(0, amTaskDone, done) })
+			n.rt.e.After(0, func() { n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: done}, nil) })
 			return
 		}
-		n.ep.AMShort(cp, 0, amTaskDone, done)
+		n.ep.AMShort(cp, 0, amTaskDone, gasnet.Args{Task: done})
 	}
 	n.ep.RegisterNonBlocking(amRunTask, func(am gasnet.AM) {
-		n.enqueueLocal(am.Args.(*task.Task), report)
+		n.enqueueLocal(am.Args.Task, report)
 	})
 	if n.rt.ft != nil {
 		n.ep.RegisterNonBlocking(amPing, func(am gasnet.AM) {
 			// Reply to whichever manager node probed.
-			n.ep.AMProbeFunc(am.From, amPong, nil)
+			n.ep.AMProbeFunc(am.From, amPong, gasnet.Args{}, nil)
 		})
 	}
 	n.ep.RegisterNonBlocking(amData, func(am gasnet.AM) {
 		// Fresh data arriving at this node's host: it becomes the node's
 		// current local version, invalidating stale GPU copies.
 		n.produced(am.Region, memspace.Host(n.id))
-		n.ep.AMShortFunc(0, amAck, am.Args) // the same dataArgs: the id to acknowledge
+		n.ep.AMShortFunc(0, amAck, am.Args, nil) // the same Args: the id to acknowledge
 	})
-	n.ep.Register(amPush, func(p *sim.Proc, am gasnet.AM) {
-		args := am.Args.(pushArgs)
-		n.fetchToHost(p, args.Region) // D2H first if only a GPU holds it
-		n.ep.AMLong(p, args.Dest, amData, dataArgs{XferID: args.XferID}, args.Region)
+	n.ep.RegisterNonBlocking(amPush, func(am gasnet.AM) {
+		pu := n.rt.chains.pushes.get()
+		pu.n, pu.args = n, am.Args
+		n.fetchToHost(am.Args.Region, true, pu.fetched)
 	})
 	n.ep.RegisterNonBlocking(amShutdown, func(gasnet.AM) {
 		n.stopping = true

@@ -7,7 +7,10 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/sched"
+	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
+	"github.com/bsc-repro/ompss/internal/trace"
 )
 
 // A comm thread's count of open nodes — alive and below 1+Presend
@@ -71,6 +74,95 @@ func TestCommOpenCountMatchesRecount(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// The fault paths of the staging chains, with NonBlockingCache off and on
+// and one and two manager shards. Slave 1 produces its regions on a GPU —
+// write-back, so that GPU holds the only current copy — and a later task on
+// one of them runs on another slave, which has slave 1 push it: D2H into its
+// host, then on over the wire. Slave 1 dies at points spread over that
+// transfer. In its first sixth, the D2H copy of the push, the master's
+// transfer from slave 1 fails once the node is declared dead; the region's
+// only copy died with it, so it is fenced while its producers re-run, and
+// the dispatch chain staging it parks in waitRestore on the fence until the
+// rebuild lifts it. Every run must be checksum-exact against serial,
+// replay bit-identically, and keep the comm thread's open count equal to a
+// recount after every change.
+func TestChainFaultPathsRecountAndReplay(t *testing.T) {
+	const nodes, regions, rounds, victim = 4, 5, 3, 1
+	run := func(nbc bool, shards int, plan *faults.Plan, rec *trace.Recorder) (string, []byte) {
+		cfg := baseCfg(nodes, 2)
+		cfg.Scheduler, cfg.Faults, cfg.Trace = sched.BreadthFirst, plan, rec
+		cfg.NonBlockingCache, cfg.Presend, cfg.ManagerShards, cfg.ManagerOpCost = nbc, 1, shards, 2*time.Microsecond
+		rt := New(cfg)
+		drift := ""
+		rt.cl.onTrack = func() {
+			open := 0
+			for k := range rt.nodes {
+				if !rt.nodeIsDead(k) && rt.cl.outstanding[k] < 1+cfg.Presend {
+					open++
+				}
+			}
+			if rt.cl.open[0] != open && drift == "" {
+				drift = fmt.Sprintf("at %v the comm thread counts %d open nodes, a recount finds %d", rt.e.Now(), rt.cl.open[0], open)
+			}
+		}
+		results := make([]byte, regions)
+		stats, err := rt.Run(func(mc *MainCtx) {
+			regs := make([]memspace.Region, regions)
+			for i := range regs {
+				regs[i] = mc.Alloc(1 << 18)
+				mc.InitSeq(regs[i], func(b []byte) { fill(b, 0) })
+			}
+			for round := 0; round < rounds; round++ {
+				for _, r := range regs {
+					mc.Submit(TaskDef{Name: "inc", Device: task.CUDA, Deps: []task.Dep{inoutDep(r)},
+						Work: incWork{r: r, delta: 1, cost: 2 * time.Millisecond}})
+				}
+			}
+			mc.TaskWait()
+			for i, r := range regs {
+				results[i] = mc.HostBytes(r)[0]
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drift != "" {
+			t.Fatal(drift)
+		}
+		if plan.Crashes != nil && stats.DeadNodes != 1 {
+			t.Fatalf("crash at %v: %d dead nodes, want 1", plan.Crashes[0].At, stats.DeadNodes)
+		}
+		return fmt.Sprintf("%+v", stats), results
+	}
+	for _, nbc := range []bool{false, true} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("nbc=%v/shards=%d", nbc, shards), func(t *testing.T) {
+				rec := trace.New()
+				run(nbc, shards, &faults.Plan{Seed: 5}, rec)
+				var push trace.Span
+				for _, s := range rec.Spans() {
+					if s.Kind == trace.NetSend && s.Node == victim && s.Name == "s->s" {
+						push = s
+						break
+					}
+				}
+				if push.End == 0 {
+					t.Fatalf("node %d pushed nothing to a slave; reshape the workload", victim)
+				}
+				for _, at40 := range []sim.Time{2, 4, 6, 20, 35} {
+					at := push.Start + (push.End-push.Start)*at40/40
+					plan := &faults.Plan{Seed: 5, Crashes: []faults.Crash{{Node: victim, At: time.Duration(at)}}}
+					stats, results := run(nbc, shards, plan, nil)
+					checkAll(t, results, rounds)
+					if again, _ := run(nbc, shards, plan, nil); again != stats {
+						t.Fatalf("crash at %v: the replay diverged:\n%s\nvs\n%s", at, stats, again)
+					}
+				}
+			})
 		}
 	}
 }

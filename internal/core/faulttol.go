@@ -31,6 +31,7 @@ type ftState struct {
 	missThreshold int
 
 	dead       []bool
+	deaths     int    // nodes declared dead so far
 	pongSince  []bool // a pong arrived since the last probe round
 	missStreak []int  // consecutive unanswered probes
 
@@ -41,12 +42,6 @@ type ftState struct {
 	// an untracked window.
 	inflightNode map[task.ID]int
 	inflightTask map[task.ID]*task.Task
-
-	// xferPeers records the two endpoints of every pending transfer ack;
-	// xferFailed marks transfers aborted by a peer's death so their waiters
-	// can distinguish failure from completion.
-	xferPeers  map[int64][2]int
-	xferFailed map[int64]bool
 
 	// recoveryDone maps re-executed task ids to their completion events.
 	// Entries are never removed: a later recovery sharing a task must see
@@ -89,8 +84,6 @@ func (rt *Runtime) armFaultTolerance() {
 		missStreak:    make([]int, len(rt.nodes)),
 		inflightNode:  make(map[task.ID]int),
 		inflightTask:  make(map[task.ID]*task.Task),
-		xferPeers:     make(map[int64][2]int),
-		xferFailed:    make(map[int64]bool),
 		recoveryDone:  make(map[task.ID]*sim.Event),
 		restoreEvents: make(map[memspace.Region]*sim.Event),
 	}
@@ -156,11 +149,14 @@ func (rt *Runtime) isRecoveryTask(t *task.Task) bool {
 func (rt *Runtime) spawnHeartbeat() {
 	ft := rt.ft
 	mgrs := rt.mgr.dmap.ManagerNodes() // includes node 0 (shard 0's host)
+	live, deaths := make([]int, 0, len(mgrs)), -1
 	liveMon := func(k int) int {
-		live := make([]int, 0, len(mgrs))
-		for _, mk := range mgrs {
-			if !ft.dead[mk] {
-				live = append(live, mk)
+		if deaths != ft.deaths { // the live managers change only with a death
+			deaths, live = ft.deaths, live[:0]
+			for _, mk := range mgrs {
+				if !ft.dead[mk] {
+					live = append(live, mk)
+				}
 			}
 		}
 		mon := live[k%len(live)]
@@ -214,7 +210,7 @@ func (rt *Runtime) spawnHeartbeat() {
 					}
 					ft.pongSince[k] = false
 					awaiting[k] = true
-					me.ep.AMProbe(p, k, amPing, nil)
+					me.ep.AMProbe(p, k, amPing, gasnet.Args{})
 				}
 			}
 		})
@@ -232,6 +228,7 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 		return
 	}
 	ft.dead[k] = true
+	ft.deaths++
 	rt.track(k, -rt.cl.outstanding[k]) // its dispatches are requeued below
 	rt.met.deadNodes.Inc()
 	m := rt.master()
@@ -249,17 +246,17 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 	if m.stopping {
 		return // shutting down: results already flushed, nothing to recover
 	}
-	// Fail every pending transfer with k as a peer so its waiter unblocks
-	// and re-routes (sorted for a deterministic wake order).
-	var ids []int64
-	for _, id := range detmap.Keys(ft.xferPeers) {
-		if peers := ft.xferPeers[id]; peers[0] == k || peers[1] == k {
-			ids = append(ids, id)
+	// Fail every pending transfer with k as a peer so its chain goes on
+	// and re-routes (in id order, for a deterministic wake order).
+	var failed []*plan
+	for _, id := range detmap.Keys(rt.cl.xfers) {
+		if x := rt.cl.xfers[id]; x.src == k || x.dst == k {
+			failed = append(failed, x)
 		}
 	}
-	for _, id := range ids {
-		ft.xferFailed[id] = true
-		rt.ackXfer(id)
+	for _, x := range failed {
+		x.failed = true
+		rt.ackXfer(x.id)
 	}
 	// Requeue k's queued and in-flight tasks on the survivors.
 	requeue := rt.clSch.Drain(k)
@@ -391,32 +388,19 @@ func (ft *ftState) fencedOn(r memspace.Region) (*sim.Event, bool) {
 	return nil, false
 }
 
-// waitRestore blocks until no rebuild overlapping r is pending. No-op
+// waitRestore runs then once no rebuild overlapping r is pending: at once
 // without fault tolerance or when r is not fenced.
-func (rt *Runtime) waitRestore(p *sim.Proc, r memspace.Region) {
-	if rt.ft == nil {
-		return
-	}
-	for {
-		ev, busy := rt.ft.fencedOn(r)
-		if !busy {
+func (rt *Runtime) waitRestore(r memspace.Region, then func(bool)) {
+	if rt.ft != nil {
+		if ev, busy := rt.ft.fencedOn(r); busy {
+			ev.WaitFunc(func() { rt.waitRestore(r, then) })
 			return
 		}
-		ev.Wait(p)
 	}
+	then(true)
 }
 
 // restorePending reports whether a rebuild overlapping r is in progress.
 func (rt *Runtime) restorePending(r memspace.Region) bool {
 	return rt.ft != nil && rt.ft.fenced(r)
-}
-
-// xferFailedTake consumes the failure mark of transfer id, reporting
-// whether its ack was synthesized by a peer's death rather than earned.
-func (rt *Runtime) xferFailedTake(id int64) bool {
-	if rt.ft == nil || !rt.ft.xferFailed[id] {
-		return false
-	}
-	delete(rt.ft.xferFailed, id)
-	return true
 }

@@ -58,8 +58,8 @@ type mgrState struct {
 	model *dmgr.Model
 
 	// Reusable span scratch of the (serial) charge paths that run on the
-	// submission thread; concurrent paths (staging procs, handlers)
-	// decompose into their own buffers.
+	// submission thread; concurrent paths (staging chains) decompose into
+	// buffers of their own.
 	spanbuf []dmgr.Span
 	opsbuf  []int
 }
@@ -139,45 +139,30 @@ func (rt *Runtime) mgrChargeUpdate(now sim.Time, caller int, r memspace.Region) 
 	}
 }
 
-// mgrChargeQuery models a blocking coherence query (the transfer
-// planner's Missing/Holders round) against r's owning shards; p sleeps
-// until the slowest shard has answered. Runs inside per-dispatch procs, so
-// it decomposes into a buffer of its own instead of the shared scratch.
-func (rt *Runtime) mgrChargeQuery(p *sim.Proc, caller int, r memspace.Region) {
+// mgrChargeQuery models the staging plan pl's blocking coherence query
+// (the planner's Missing/Holders round) against its region's owning
+// shards: pl waits until the slowest shard has answered, then routes
+// (plan.routeFn).
+func (rt *Runtime) mgrChargeQuery(pl *plan) {
 	m := rt.mgr
 	if m.model.OpCost == 0 {
+		pl.plannedFn(true)
 		return
 	}
-	now := p.Now()
+	now := rt.e.Now()
 	done := now
-	spans := m.dmap.SpansInto(r, make([]dmgr.Span, 0, 4))
-	for _, sp := range spans {
-		if end := m.model.ServeFrom(now, caller, sp.Shard, opsStagePerSpan); end > done {
+	pl.spans = m.dmap.SpansInto(pl.r, pl.spans[:0])
+	for _, sp := range pl.spans {
+		if end := m.model.ServeFrom(now, 0, sp.Shard, opsStagePerSpan); end > done {
 			done = end
 		}
 	}
+	pl.qi, pl.prev = 0, -1
 	if done > now {
-		p.Sleep(sim.Duration(done - now))
+		rt.e.After(sim.Duration(done-now), pl.route)
+		return
 	}
-	rt.mgrRouteVisible(p, caller, spans)
-}
-
-// mgrRouteVisible emits one best-effort control datagram from the
-// caller's endpoint to each distinct remote shard host owning a span.
-// State was already applied at the master image; the datagrams put the
-// metadata routing on the simulated wire where the fabric's counters (and
-// traces) can see it.
-func (rt *Runtime) mgrRouteVisible(p *sim.Proc, caller int, spans []dmgr.Span) {
-	m := rt.mgr
-	prev := -1
-	for _, sp := range spans {
-		h := m.dmap.Host(sp.Shard)
-		if h == caller || h == prev || rt.nodeIsDead(h) {
-			continue
-		}
-		prev = h
-		rt.nodes[caller].ep.AMProbe(p, h, amDirOp, nil)
-	}
+	pl.routeFn()
 }
 
 // mgrBrokerEndpoint returns the endpoint the push request for frag should

@@ -56,11 +56,10 @@ type nodeRT struct {
 	// ready-ahead window; kept for window-depth sampling.
 	lookahead *sched.LookaheadSched
 
-	places       int                                       // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
-	dispatchName string                                    // of the master's processes dispatching to this node
-	stageHere    func(p *sim.Proc, r memspace.Region) bool // stageToNode into this node, bound once
-	workSignal   *sim.Signal                               // broadcast whenever work may have appeared
-	stopping     bool
+	places     int                                         // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
+	stageHere  func(r memspace.Region, then func(ok bool)) // stageToNode into this node, bound once
+	workSignal *sim.Signal                                 // broadcast whenever work may have appeared
+	stopping   bool
 
 	// onDone maps locally queued tasks to their completion action (retire
 	// at master, or notify the master over the wire).
@@ -110,32 +109,30 @@ const hostDevKey = -1
 
 func (n *nodeRT) isMaster() bool { return n.id == 0 }
 
-// joinInflight waits out a transfer of r into dst that is already under
-// way and reports whether there was one; the first joiner makes its event.
-func (n *nodeRT) joinInflight(p *sim.Proc, r memspace.Region, dst memspace.Location) bool {
+// joinInflight returns the event that ends a transfer of r into dst already
+// under way, nil when there is none; the first joiner makes it.
+func (n *nodeRT) joinInflight(r memspace.Region, dst memspace.Location) *sim.Event {
 	key := inflightKey{r, dst}
 	ev, busy := n.inflight[key]
 	if busy && ev == nil {
 		ev = sim.NewEvent(n.rt.e)
 		n.inflight[key] = ev
 	}
-	if busy {
-		ev.Wait(p)
-	}
-	return busy
+	return ev
 }
 
-// leadInflight announces the caller's transfer of r into dst; the returned
-// function ends it and wakes whoever joined.
-func (n *nodeRT) leadInflight(r memspace.Region, dst memspace.Location) func() {
+// leadInflight announces the caller's transfer of r into dst; endInflight
+// ends it and wakes whoever joined.
+func (n *nodeRT) leadInflight(r memspace.Region, dst memspace.Location) {
+	n.inflight[inflightKey{r, dst}] = nil
+}
+
+func (n *nodeRT) endInflight(r memspace.Region, dst memspace.Location) {
 	key := inflightKey{r, dst}
-	n.inflight[key] = nil
-	return func() {
-		if ev := n.inflight[key]; ev != nil {
-			ev.Trigger()
-		}
-		delete(n.inflight, key)
+	if ev := n.inflight[key]; ev != nil {
+		ev.Trigger()
 	}
+	delete(n.inflight, key)
 }
 
 func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
@@ -150,8 +147,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		redCombiners: make(map[memspace.Region]task.Combiner),
 		prefetched:   make([]*task.Task, len(spec.GPUs)),
 		workSignal:   sim.NewSignal(rt.e),
-		dispatchName: "dispatch->node" + strconv.Itoa(id),
-		stageHere:    func(p *sim.Proc, r memspace.Region) bool { return rt.stageToNode(p, r, id) },
+		stageHere:    func(r memspace.Region, then func(bool)) { rt.stageToNode(r, id, then) },
 		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
 	if rt.cfg.Validate {
@@ -573,18 +569,14 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 	if g == hostDevKey {
 		for _, c := range copies {
 			if fence && c.Access.Reads() {
-				n.rt.waitRestore(p, c.Region)
+				n.rt.await(p, func(done func(bool)) { n.rt.waitRestore(c.Region, done) })
 			}
-			if c.Access == task.Red {
-				// SMP reduction tasks accumulate straight into the host
-				// copy, which must be valid — but other participants'
-				// partials are NOT combined yet (reductions commute; the
-				// graph only orders the eventual reader after all of them).
-				n.fetchToHostInner(p, c.Region, false)
-				continue
-			}
-			if c.Access.Reads() {
-				n.fetchToHost(p, c.Region)
+			// SMP reduction tasks accumulate straight into the host copy,
+			// which must be valid — but other participants' partials are
+			// NOT combined yet (reductions commute; the graph only orders
+			// the eventual reader after all of them).
+			if red := c.Access == task.Red; red || c.Access.Reads() {
+				n.rt.await(p, func(done func(bool)) { n.fetchToHost(c.Region, !red, done) })
 			}
 		}
 		return true
@@ -636,13 +628,13 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 		}
 	}
 	// Phase 2: data movement.
-	return n.rt.moveEach(p, "stage", n.rt.cfg.NonBlockingCache, fetch, func(sp *sim.Proc, r memspace.Region) bool {
-		if fence {
-			n.rt.waitRestore(sp, r)
+	move := func(r memspace.Region, done func(bool)) { n.fetchToGPU(g, r, done) }
+	if fence {
+		move = func(r memspace.Region, done func(bool)) {
+			n.rt.waitRestore(r, func(bool) { n.fetchToGPU(g, r, done) })
 		}
-		n.fetchToGPU(sp, g, r)
-		return true
-	})
+	}
+	return n.rt.await(p, func(done func(bool)) { n.rt.moveEach(n.rt.cfg.NonBlockingCache, fetch, move, done) })
 }
 
 // evictLine writes back a dirty victim and removes it. Replacement under
@@ -708,109 +700,30 @@ func (n *nodeRT) writeBackLine(p *sim.Proc, g int, r memspace.Region) {
 }
 
 // fetchToGPU brings the current version of r into GPU g, assuming the cache
-// line is already allocated and pinned. Concurrent fetches of the same
-// region to the same device coalesce.
-func (n *nodeRT) fetchToGPU(p *sim.Proc, g int, r memspace.Region) {
+// line is already allocated and pinned, then runs then. Concurrent fetches
+// of the same region to the same device coalesce.
+func (n *nodeRT) fetchToGPU(g int, r memspace.Region, then func(bool)) {
 	loc := memspace.GPU(n.id, g)
-	if n.joinInflight(p, r, loc) || n.dir.IsHolder(r, loc) {
+	if ev := n.joinInflight(r, loc); ev != nil {
+		ev.WaitFunc(func() { then(true) })
 		return
 	}
-	defer n.leadInflight(r, loc)()
+	if n.dir.IsHolder(r, loc) {
+		then(true)
+		return
+	}
+	n.leadInflight(r, loc)
 	// The data must be in this node's host memory first (Fermi-era CUDA:
 	// no peer-to-peer; remote data arrives over the wire into the host).
-	n.fetchToHost(p, r)
-	xfer := n.rt.cfg.Trace.Begin(trace.XferH2D, "fetch", n.id, g, p.Now())
-	n.devs[g].Copy(p, gpusim.H2D, r, n.hostStore, false)
-	xfer.EndRegion(p.Now(), r.Addr, r.Size)
-	n.dir.AddHolder(r, loc)
-}
-
-// fetchToHost makes this node's host memory hold the current, fully
-// combined version of r.
-func (n *nodeRT) fetchToHost(p *sim.Proc, r memspace.Region) {
-	n.fetchToHostInner(p, r, true)
-}
-
-func (n *nodeRT) fetchToHostInner(p *sim.Proc, r memspace.Region, combine bool) {
-	for {
-		if n.fetchToHostOnce(p, r, combine) {
-			return
-		}
-		// A holder died mid-pull (or we piggybacked on a transfer that
-		// failed): wait out any rebuild of r, then retry against the
-		// updated directory.
-		n.rt.waitRestore(p, r)
-	}
-}
-
-func (n *nodeRT) fetchToHostOnce(p *sim.Proc, r memspace.Region, combine bool) bool {
-	host := memspace.Host(n.id)
-	if n.joinInflight(p, r, host) {
-		// Without fault tolerance the fetch we piggybacked on always
-		// succeeded; with it, it may have failed — re-evaluate.
-		return n.rt.ft == nil
-	}
-	if combine {
-		for _, rr := range n.overlappingRedRegions(r) {
-			n.combineReduction(p, rr)
-		}
-	}
-	// The directory says which subranges of r the host is missing; each is
-	// pulled from its own holder. Under exact-match regions this is either
-	// nothing or r itself — the seed's single-transfer path.
-	// On this call's stack, as in stageToNodeOnce.
-	var missBuf [4]memspace.Region
-	var holdBuf [4]memspace.Location
-	missing := n.dir.Missing(r, host, missBuf[:0])
-	if len(missing) == 0 {
-		return true
-	}
-	defer n.leadInflight(r, host)()
-	fragmented := len(missing) > 1 || missing[0] != r
-	if fragmented {
-		n.met.fragAssemblies.Inc()
-	}
-	// The fragment list is fixed for the attempt; the source of each is
-	// chosen when its turn comes, from the holders it has by then.
-	for _, frag := range missing {
-		holders := n.dir.Holders(frag, holdBuf[:0])
-		// Prefer a local GPU (cheap D2H) over a remote node.
-		fetched := false
-		for _, h := range holders {
-			if h.Node == n.id && !h.IsHost() {
-				var asm trace.Open
-				if fragmented {
-					asm = n.rt.cfg.Trace.Begin(trace.XferD2H, "assemble", n.id, h.Dev, p.Now())
-				}
-				n.devs[h.Dev].Copy(p, gpusim.D2H, frag, n.hostStore, false)
-				if fragmented {
-					asm.EndRegion(p.Now(), frag.Addr, frag.Size)
-				}
-				n.caches[h.Dev].Clean(frag)
-				n.dir.AddHolder(frag, host)
-				n.rt.met.writebacks.Inc()
-				fetched = true
-				break
-			}
-		}
-		if fetched {
-			continue
-		}
-		// Remote holder: pull across the network (cluster layer).
-		src := pickSource(holders, n.id, n.rt.cfg.SlaveToSlave, n.rt.nodeIsDead)
-		if src == srcHeld {
-			continue // an overlapping fetch landed it here meanwhile
-		}
-		if src != srcLost && !n.isMaster() {
-			panic(fmt.Sprintf("core: node %d asked to fetch %v it does not hold", n.id, frag))
-		}
-		// Lost between the Missing query and now (holder died), or the pull
-		// failed: let the caller wait out the rebuild and retry.
-		if src == srcLost || !n.rt.xfer(p, frag, src, 0) {
-			return false
-		}
-	}
-	return true
+	n.fetchToHost(r, true, func(bool) {
+		xfer := n.rt.cfg.Trace.Begin(trace.XferH2D, "fetch", n.id, g, n.rt.e.Now())
+		n.devs[g].CopyAsync(gpusim.H2D, r, n.hostStore, false).WaitFunc(func() {
+			xfer.EndRegion(n.rt.e.Now(), r.Addr, r.Size)
+			n.dir.AddHolder(r, loc)
+			n.endInflight(r, loc)
+			then(true)
+		})
+	})
 }
 
 // stageReduction prepares GPU g's private accumulator for region r: a
@@ -858,27 +771,44 @@ func (n *nodeRT) registerReduction(t *task.Task) {
 	}
 }
 
-// combineReduction folds every GPU partial of r into the host copy and
-// releases the accumulators. Runs before the first post-reduction reader;
+// combineReductions folds every GPU partial of each region in rrs into the
+// host copy and releases the accumulators, one region and one GPU after
+// the other, then runs then. Runs before the first post-reduction reader;
 // the dependency graph guarantees all reduction tasks have finished.
-func (n *nodeRT) combineReduction(p *sim.Proc, r memspace.Region) {
+func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
+	if len(rrs) == 0 {
+		then(true)
+		return
+	}
+	r := rrs[0]
 	gpus := n.redPartials[r]
 	delete(n.redPartials, r)
 	combiner := n.redCombiners[r]
 	delete(n.redCombiners, r)
-	for _, g := range gpus {
-		partial := n.devs[g].ReadBack(p, r)
-		// Host-side fold cost.
-		p.Sleep(time.Duration(float64(r.Size) / n.spec.HostMemBandwidth * 1e9))
-		// The host buffer is re-fetched per fold: an unrelated overlapping
-		// Bytes call during the sleep may have re-based the backing extent.
-		if acc := n.hostStore.Bytes(r); acc != nil && partial != nil && combiner != nil {
-			combiner(acc, partial)
+	var fold func(i int)
+	fold = func(i int) {
+		if i == len(gpus) {
+			// The host copy is now the combined current version.
+			n.produced(r, memspace.Host(n.id))
+			n.combineReductions(rrs[1:], then)
+			return
 		}
-		n.caches[g].Unpin(r)
-		n.dropLine(g, r)
-		n.rt.met.writebacks.Inc()
+		g := gpus[i]
+		n.devs[g].ReadBack(r, func(partial []byte) {
+			// Host-side fold cost.
+			n.rt.e.After(time.Duration(float64(r.Size)/n.spec.HostMemBandwidth*1e9), func() {
+				// The host buffer is fetched at the fold: an unrelated
+				// overlapping Bytes call meanwhile may have re-based the
+				// backing extent.
+				if acc := n.hostStore.Bytes(r); acc != nil && partial != nil && combiner != nil {
+					combiner(acc, partial)
+				}
+				n.caches[g].Unpin(r)
+				n.dropLine(g, r)
+				n.rt.met.writebacks.Inc()
+				fold(i + 1)
+			})
+		})
 	}
-	// The host copy is now the combined current version.
-	n.produced(r, memspace.Host(n.id))
+	fold(0)
 }

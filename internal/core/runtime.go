@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/depgraph"
+	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
@@ -59,6 +60,10 @@ type Runtime struct {
 	// are one shard on the master at zero op cost, which charges nothing.
 	mgr *mgrState
 
+	// chains recycles the records of the event chains that move data and
+	// control for one task (chain.go).
+	chains chains
+
 	// userErr records the first user-program error (malformed dependence
 	// clauses, missing combiners). The offending task is not submitted;
 	// Run surfaces the error after the engine drains.
@@ -104,10 +109,11 @@ func New(cfg Config) *Runtime {
 			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
 			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts, Hooks: schedHooks(cfg.Metrics, "cluster")})
 		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), closed: make([]bool, len(rt.nodes)),
-			open: make([]int, cfg.CommThreads), xferEvents: make(map[int64]*sim.Event),
+			open: make([]int, cfg.CommThreads), xfers: make(map[int64]*plan),
 			scores: make([]uint64, len(rt.nodes)), estimates: make([]sched.Estimate, len(rt.nodes))}
 	}
 	rt.mgr = newMgrState(cfg, rt.met)
+	rt.initChains()
 	rt.registerDirOpHandlers()
 	if cfg.Faults != nil {
 		rt.armFaultTolerance()
@@ -262,7 +268,7 @@ func (rt *Runtime) shutdown(p *sim.Proc) {
 			if rt.nodeIsDead(k) {
 				continue // its workers were stopped above; no peer to notify
 			}
-			rt.master().ep.AMShort(p, k, amShutdown, nil)
+			rt.master().ep.AMShort(p, k, amShutdown, gasnet.Args{})
 		}
 		// Close endpoints after the shutdown notices drain.
 		p.Sleep(rt.cfg.Cluster.Net.Latency * 4)
@@ -306,12 +312,12 @@ func (mc *MainCtx) Submit(def TaskDef) *task.Task {
 	return mc.SubmitBatch([]TaskDef{def})[0]
 }
 
-// buildTask constructs the task for one definition and validates its
+// buildTask fills in t, the task for one definition, and validates its
 // reduction clauses; ok is false when the task must not be submitted (the
 // error has been recorded).
-func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
+func (mc *MainCtx) buildTask(t *task.Task, def TaskDef) (ok bool) {
 	rt := mc.rt
-	t = &task.Task{
+	*t = task.Task{
 		ID:          rt.newTaskID(),
 		Name:        def.Name,
 		Device:      def.Device,
@@ -332,11 +338,11 @@ func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
 		if d.Access == task.Red {
 			if _, ok := t.Reductions[d.Region.Addr]; !ok {
 				rt.fail(fmt.Errorf("core: %v has a reduction dependence on %v but no combiner (use the Reduction clause)", t, d.Region))
-				return t, false
+				return false
 			}
 		}
 	}
-	return t, true
+	return true
 }
 
 // SubmitBatch creates one task per definition and registers them with the
@@ -344,15 +350,16 @@ func (mc *MainCtx) buildTask(def TaskDef) (t *task.Task, ok bool) {
 // same readiness order and the same per-task creation overhead on the
 // master thread as submitting each definition on its own. What a batch
 // batches is virtual time — one Sleep for the whole creation charge and
-// one manager round for the dependence lookups — not index work.
+// one manager round for the dependence lookups — not index work; what it
+// saves on the host is allocations: the batch's task descriptors are one.
 func (mc *MainCtx) SubmitBatch(defs []TaskDef) []*task.Task {
-	out := make([]*task.Task, 0, len(defs))
+	out := make([]*task.Task, len(defs))
 	valid := make([]*task.Task, 0, len(defs))
-	for _, def := range defs {
-		t, ok := mc.buildTask(def)
-		out = append(out, t)
-		if ok {
-			valid = append(valid, t)
+	tasks := make([]task.Task, len(defs))
+	for i, def := range defs {
+		out[i] = &tasks[i]
+		if mc.buildTask(out[i], def) {
+			valid = append(valid, out[i])
 		}
 	}
 	// Task creation overhead on the master thread, per task: a batch pays
@@ -400,8 +407,9 @@ func (mc *MainCtx) TaskWaitOn(r memspace.Region) {
 		}
 		ev.Wait(mc.p)
 	}
-	rt.waitRestore(mc.p, r)
-	rt.master().fetchToHost(mc.p, r)
+	rt.await(mc.p, func(done func(bool)) {
+		rt.waitRestore(r, func(bool) { rt.master().fetchToHost(r, true, done) })
+	})
 }
 
 // flushAll pulls every region whose current version is off-host back to the
@@ -414,44 +422,13 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 			stale = append(stale, r)
 		}
 	}
-	rt.moveEach(p, "flush", true, stale, func(fp *sim.Proc, r memspace.Region) bool {
-		// A region under rebuild nominally lists the master as holder
-		// (its stale base); wait for the real version first.
-		rt.waitRestore(fp, r)
-		m.fetchToHost(fp, r)
-		return true
+	rt.await(p, func(done func(bool)) {
+		rt.moveEach(true, stale, func(r memspace.Region, done func(bool)) {
+			// A region under rebuild nominally lists the master as holder
+			// (its stale base); wait for the real version first.
+			rt.waitRestore(r, func(bool) { m.fetchToHost(r, true, done) })
+		}, done)
 	})
-}
-
-// moveEach runs move on every region and reports whether all succeeded:
-// concurrently, one process per region started in order and all awaited,
-// or one after the other on p up to the first failure.
-func (rt *Runtime) moveEach(p *sim.Proc, name string, concurrent bool, regions []memspace.Region,
-	move func(*sim.Proc, memspace.Region) bool) bool {
-	if !concurrent {
-		for _, r := range regions {
-			if !move(p, r) {
-				return false
-			}
-		}
-		return true
-	}
-	ok := true
-	wait := make([]*sim.Event, 0, len(regions))
-	for _, r := range regions {
-		done := sim.NewEvent(rt.e)
-		rt.e.Go(name, func(sp *sim.Proc) {
-			if !move(sp, r) {
-				ok = false
-			}
-			done.Trigger()
-		})
-		wait = append(wait, done)
-	}
-	for _, ev := range wait {
-		ev.Wait(p)
-	}
-	return ok
 }
 
 func (rt *Runtime) collectStats() Stats {

@@ -12,33 +12,37 @@ import (
 
 // The 8-node point of `ompss-bench -experiment weakscale` (8 chains per
 // node, 25 dependent 20 µs SMP tasks each, 256-byte regions), centralized
-// and sharded: a remote task costs a dispatch process and the blocking end
-// of its data transfer, nothing per kernel, DMA, message, dispatcher
-// delivery, ack, taskDone or dirop. The count is deterministic — 4.4 and 5.0
-// per task before those became events, 1.43 and 1.52 now — so a goroutine
-// per operation creeping back fails here rather than in a profile. So is the
-// number of times the engine switches to a process, 11.1 and 11.7 per task
-// (18.6 and 19.1 while every signalWork switched to every idle loop, 27.4
-// and 28.9 while a send woke its caller two to four times and every
-// delivery woke a dispatcher): that count is the cost left in sim, and it is
-// held to what was measured plus 5 %.
+// and sharded: nothing is a process per task — not a kernel, DMA, message,
+// delivery, ack, taskDone or dirop, and since dispatch, staging and the
+// slave's push became event chains, not a dispatch or a push either. The
+// counts are deterministic. Spawns are the run's fixed processes, 29 (1.43
+// and 1.52 per task while a remote task cost a dispatch process and a push
+// handler, 4.4 and 5.0 before that). Resumes — the times the engine switches
+// to a process, the cost left in sim — are the loops': 6.0 per task (11.1
+// and 11.7 with the dispatch and push processes, 18.6 and 19.1 while every
+// signalWork switched to every idle loop, 27.4 and 28.9 while a send woke
+// its caller two to four times and every delivery woke a dispatcher). Both
+// are held to what was measured plus 5 %. The number of events the engine
+// pops is held exactly: an operation may change form — a process become an
+// event chain — only by taking the slots of the form it replaces, so a
+// change to this count is a change to the simulation's event order.
 func TestProcessesPerTask(t *testing.T) {
-	for _, point := range []struct{ shards, measuredResumes int }{{1, 17687}, {2, 18680}} {
-		shards, maxResumes := point.shards, point.measuredResumes*105/100
-		rt := runWeakscalePoint(t, shards)
-		tasks := weakscaleTasks
-		if spawned := rt.e.Spawned(); spawned > tasks*16/10 {
-			t.Errorf("shards=%d: %d processes for %d tasks (%.2f per task), want <= 1.6",
-				shards, spawned, tasks, float64(spawned)/float64(tasks))
-		} else {
-			t.Logf("shards=%d: %.2f processes per task", shards, float64(spawned)/float64(tasks))
+	for _, point := range []struct{ shards, spawns, resumes, events int }{{1, 29, 9564, 53290}, {2, 29, 9621, 57324}} {
+		rt := runWeakscalePoint(t, point.shards)
+		shards, tasks := point.shards, weakscaleTasks
+		if popped := rt.e.Popped(); popped != point.events {
+			t.Errorf("shards=%d: %d events popped (%.2f per task), want exactly %d",
+				shards, popped, float64(popped)/float64(tasks), point.events)
 		}
-		if resumed := rt.e.Resumed(); resumed > maxResumes {
-			t.Errorf("shards=%d: %d process resumes for %d tasks (%.1f per task), want <= %d",
-				shards, resumed, tasks, float64(resumed)/float64(tasks), maxResumes)
-		} else {
-			t.Logf("shards=%d: %d process resumes, %.1f per task", shards, resumed, float64(resumed)/float64(tasks))
+		if spawned, max := rt.e.Spawned(), point.spawns*105/100; spawned > max {
+			t.Errorf("shards=%d: %d processes for %d tasks, want <= %d", shards, spawned, tasks, max)
 		}
+		if resumed, max := rt.e.Resumed(), point.resumes*105/100; resumed > max {
+			t.Errorf("shards=%d: %d process resumes for %d tasks (%.2f per task), want <= %d",
+				shards, resumed, tasks, float64(resumed)/float64(tasks), max)
+		}
+		t.Logf("shards=%d: per task %.3f spawns, %.2f resumes, %.2f events", shards,
+			float64(rt.e.Spawned())/float64(tasks), float64(rt.e.Resumed())/float64(tasks), float64(rt.e.Popped())/float64(tasks))
 	}
 }
 
@@ -50,7 +54,7 @@ const (
 
 // runWeakscalePoint builds and runs the 8-node weakscale point with the
 // given manager shard count and returns the finished runtime.
-func runWeakscalePoint(t *testing.T, shards int) *Runtime {
+func runWeakscalePoint(t testing.TB, shards int) *Runtime {
 	t.Helper()
 	const nodes, chains, depth = weakscaleNodes, weakscaleChains, weakscaleDepth
 	rt := New(Config{
@@ -83,4 +87,19 @@ func runWeakscalePoint(t *testing.T, shards int) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// BenchmarkRemoteTask runs TestProcessesPerTask's centralized point once per
+// op and reports, per task, what the engine did for it — spawns, resumes
+// and events popped — beside the op's time and allocations.
+func BenchmarkRemoteTask(b *testing.B) {
+	b.ReportAllocs()
+	var rt *Runtime
+	for i := 0; i < b.N; i++ {
+		rt = runWeakscalePoint(b, 1)
+	}
+	per := func(n int) float64 { return float64(n) / weakscaleTasks }
+	b.ReportMetric(per(rt.e.Spawned()), "spawns/task")
+	b.ReportMetric(per(rt.e.Resumed()), "resumes/task")
+	b.ReportMetric(per(rt.e.Popped()), "events/task")
 }

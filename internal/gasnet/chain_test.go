@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
@@ -18,7 +19,7 @@ func TestRunWithoutShutdownReturnsNil(t *testing.T) {
 	for _, ep := range eps {
 		ep.Start(e)
 	}
-	e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "work", nil) })
+	e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "work", Args{}) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
 	}
@@ -49,7 +50,7 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 		ep.Start(e)
 	}
 	var ok bool
-	e.Go("main", func(p *sim.Proc) { ok = eps[0].AMShort(p, 1, "work", nil) })
+	e.Go("main", func(p *sim.Proc) { ok = eps[0].AMShort(p, 1, "work", Args{}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 		}
 		e.Go("main", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				eps[0].AMShort(p, 1, "work", i)
+				eps[0].AMShort(p, 1, "work", Args{ID: int64(i)})
 				p.Sleep(time.Millisecond) // delivered, handled, acknowledged
 			}
 		})
@@ -108,9 +109,9 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 }
 
 // The reliable ladder is one state machine: a reply sent by a process
-// (AMShort from a blocking handler) and one sent as events (AMShortFunc from
-// a non-blocking handler) retry through the same losses and arrive at the
-// same instant, the second without a process.
+// (AMShort from one the handler spawns) and one sent as events (AMShortFunc
+// from the handler) retry through the same losses and arrive at the same
+// instant, the second without a process.
 func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 	run := func(nonBlocking bool) (arrived sim.Time, retries, spawned int) {
 		e, f, eps := setup(2, false)
@@ -125,16 +126,18 @@ func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 		rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8,
 			OnRetry: func(to int, handler string, attempt int) { retries++ }}
 		if nonBlocking {
-			eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", nil) })
+			eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", Args{}, nil) })
 		} else {
-			eps[1].Register("ping", func(p *sim.Proc, am AM) { eps[1].AMShort(p, am.From, "pong", nil) })
+			eps[1].RegisterNonBlocking("ping", func(am AM) {
+				e.Go("reply", func(p *sim.Proc) { eps[1].AMShort(p, am.From, "pong", Args{}) })
+			})
 		}
 		eps[0].RegisterNonBlocking("pong", func(AM) { arrived = e.Now() })
 		for _, ep := range eps {
 			ep.EnableReliability(rel)
 			ep.Start(e)
 		}
-		e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "ping", nil) })
+		e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "ping", Args{}) })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -147,18 +150,58 @@ func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 			procAt, procRetries, funcAt, funcRetries)
 	}
 	if procSpawned != 2 || funcSpawned != 1 {
-		t.Fatalf("spawned %d and %d processes, want 2 (main, handler) and 1 (main)", procSpawned, funcSpawned)
+		t.Fatalf("spawned %d and %d processes, want 2 (main, reply) and 1 (main)", procSpawned, funcSpawned)
+	}
+}
+
+// A Func send hands its continuation the outcome AMShort returns — true for
+// an acknowledged reliable send, false once the ladder gives up — and
+// AMShortFunc hands it on in the slot AMShort returns in.
+func TestFuncSendHandsTheOutcomeOn(t *testing.T) {
+	for _, lose := range []bool{false, true} {
+		var shortAt sim.Time
+		for _, form := range []string{"short", "process", "medium", "long"} {
+			e, f, eps := setup(2, true)
+			f.SetHook(&dropHook{dropIf: func(m netsim.Message) bool { return lose && handlerOf(m) == "work" }})
+			eps[1].RegisterNonBlocking("work", func(AM) {})
+			for _, ep := range eps {
+				ep.EnableReliability(Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 3})
+				ep.Start(e)
+			}
+			var ok bool
+			var at sim.Time
+			done := func(got bool) { ok, at = got, e.Now() }
+			r := memspace.Region{Addr: 0x1000, Size: 16}
+			switch form {
+			case "process":
+				e.Go("main", func(p *sim.Proc) { done(eps[0].AMShort(p, 1, "work", Args{})) })
+			case "short":
+				e.After(0, func() { eps[0].AMShortFunc(1, "work", Args{}, done) })
+			case "medium":
+				e.After(0, func() { eps[0].AMMediumFunc(1, "work", Args{}, r.Size, done) })
+			case "long":
+				e.After(0, func() { eps[0].AMLongFunc(1, "work", Args{}, r, done) })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if form == "short" {
+				shortAt = at
+			}
+			if ok != !lose || at == 0 || (form == "process" && at != shortAt) {
+				t.Errorf("lose=%v %s: %v at %v, want %v (AMShortFunc's at %v)", lose, form, ok, at, !lose, shortAt)
+			}
+		}
 	}
 }
 
 // A steady-state AMShort round trip — request from a process, reply from a
-// non-blocking handler — allocates its two boxed Args and nothing else: no
-// wire record, no delivery or handler-start closure, no getter slot.
+// non-blocking handler — allocates nothing: Args travel by value, and there
+// is no wire record, delivery or handler-start closure or getter slot to make.
 func TestRoundTripAllocs(t *testing.T) {
-	type args struct{ id, payload int64 }
 	e, _, eps := setup(2, false)
 	var main *sim.Proc
-	eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", am.Args.(args)) })
+	eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", am.Args, nil) })
 	eps[0].RegisterNonBlocking("pong", func(AM) { main.WakeAfter(0) })
 	for _, ep := range eps {
 		ep.Start(e)
@@ -169,14 +212,14 @@ func TestRoundTripAllocs(t *testing.T) {
 		id := int64(0)
 		allocs = testing.AllocsPerRun(200, func() {
 			id++
-			eps[0].AMShort(p, 1, "ping", args{id, 1 << 40})
+			eps[0].AMShort(p, 1, "ping", Args{ID: id, Node: 1 << 20})
 			p.Park("pong")
 		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 2 {
-		t.Fatalf("%.1f allocs per round trip, want <= 2 (the boxed Args of ping and pong)", allocs)
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per round trip, want 0", allocs)
 	}
 }

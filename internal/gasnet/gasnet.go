@@ -1,10 +1,12 @@
 // Package gasnet provides a GASNet-style active-message layer on top of the
 // netsim fabric. Each node owns an Endpoint with a registry of named
-// handlers; AMShort carries only control arguments, AMMedium carries an
-// opaque payload size, and AMLong additionally delivers the bytes of a
-// program region into the destination node's host store. The Nanos++
-// cluster dependent layer implements all control and data traffic with
-// these primitives, as the paper's implementation does (Section III.D.1).
+// handlers, each run as a bare event: a handler does not block, and what it
+// sends it sends with the Func forms, as event chains. AMShort carries only
+// control arguments, AMMediumFunc carries an opaque payload size, and AMLongFunc
+// also delivers the bytes of a program region into the destination
+// node's host store. The Nanos++ cluster dependent layer implements all
+// control and data traffic with these primitives, as the paper's
+// implementation does (Section III.D.1).
 package gasnet
 
 import (
@@ -14,6 +16,7 @@ import (
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
+	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // headerBytes is the modeled wire size of AM headers and control arguments.
@@ -31,17 +34,20 @@ type AM struct {
 	From    int
 	To      int
 	Handler string
-	Args    interface{}
-	// Region and payload size for AMLong/AMMedium; zero Region for AMShort.
+	Args    Args
+	// Region and payload size for AMLongFunc/AMMediumFunc; zero for AMShort.
 	Region memspace.Region
 	Bytes  uint64
 }
 
-// Handler processes one delivered active message in its own simulation
-// process: it may block, issue further AMs, or reply. One that only updates
-// state, or sends with the Func forms, is a plain func(am AM) instead — see
-// RegisterNonBlocking.
-type Handler func(p *sim.Proc, am AM)
+// Args are an active message's control arguments. They travel by value, so
+// a send boxes nothing; which fields a handler reads is its protocol's.
+type Args struct {
+	Task   *task.Task
+	ID     int64
+	Node   int
+	Region memspace.Region
+}
 
 // wireAM is what a netsim.Message carries for this layer, by pointer. The
 // sending endpoint recycles its records: the receiver gives one back once
@@ -57,9 +63,11 @@ type wireAM struct {
 	seq     uint64
 	needAck bool
 
-	home *Endpoint // the sender
-	h    func(AM)  // the non-blocking handler that run was scheduled for
-	run  func()    // bound once: h(am), then release
+	home *Endpoint     // the sender
+	h    func(AM)      // the handler that run was scheduled for
+	run  func()        // bound once: h(am), then release
+	done func(ok bool) // the sender's continuation, if it has one
+	sent func()        // bound once: done(true) once the sender-side cost is paid
 }
 
 func (w *wireAM) release() {
@@ -69,8 +77,18 @@ func (w *wireAM) release() {
 	}
 }
 
+// then is the continuation that hands done(true) to the end of w's
+// sender-side cost, nil without one.
+func (w *wireAM) then(done func(bool)) func() {
+	if done == nil {
+		return nil
+	}
+	w.done = done
+	return w.sent
+}
+
 // Reliability configures the ack/timeout/retry layer of an endpoint. With
-// it enabled, AMShort/AMMedium/AMLong retransmit until acknowledged (with
+// it enabled, AMShort and the Func sends retransmit until acknowledged (with
 // exponential backoff) and report success; receivers acknowledge and
 // deduplicate by sequence number, so handlers still run exactly once per
 // logical message even when the wire drops packets or delivers late
@@ -104,8 +122,8 @@ type Endpoint struct {
 	node     int
 	inbox    *sim.Queue[netsim.Message]
 	recv     func(netsim.Message, bool)
-	handlers map[string]func(*wireAM) // starts the handler of one message
-	store    *memspace.Store          // host store of this node; may be nil
+	handlers map[string]func(AM)
+	store    *memspace.Store // host store of this node; may be nil
 	started  bool
 	closed   bool
 	free     []*wireAM // records of delivered messages, for the next sends
@@ -137,7 +155,7 @@ func (ep *Endpoint) Instrument(ins Instruments) { ep.ins = ins }
 // host backing store (nil in cost-only mode).
 func NewEndpoint(f *netsim.Fabric, node int, store *memspace.Store) *Endpoint {
 	return &Endpoint{f: f, e: f.Engine(), node: node, inbox: f.Iface(node).Inbox(),
-		handlers: make(map[string]func(*wireAM)), store: store}
+		handlers: make(map[string]func(AM)), store: store}
 }
 
 // EnableReliability arms the ack/timeout/retry layer. Must be called
@@ -166,43 +184,24 @@ func (ep *Endpoint) SetInboundFilter(f func(from int) bool) { ep.inFilter = f }
 // Store returns this endpoint's host store.
 func (ep *Endpoint) Store() *memspace.Store { return ep.store }
 
-// Register installs handler h under name: each message starts a process
-// running it. Must be called before Start.
-func (ep *Endpoint) Register(name string, h Handler) {
-	procName := fmt.Sprintf("gasnet:h:%s@%d", name, ep.node)
-	ep.register(name, func(w *wireAM) {
-		am := w.am
-		w.release()
-		ep.e.Go(procName, func(p *sim.Proc) { h(p, am) })
-	})
-}
-
 // RegisterNonBlocking installs h, which has no process handle and so cannot
 // block, under name: each message runs it as a bare event, in the slot a
 // handler process would have started in. Must be called before Start.
 func (ep *Endpoint) RegisterNonBlocking(name string, h func(am AM)) {
-	ep.register(name, func(w *wireAM) {
-		w.h = h
-		ep.e.After(0, w.run)
-	})
-}
-
-func (ep *Endpoint) register(name string, start func(*wireAM)) {
 	if ep.started {
 		panic("gasnet: Register after Start")
 	}
 	if _, dup := ep.handlers[name]; dup {
 		panic("gasnet: duplicate handler " + name)
 	}
-	ep.handlers[name] = start
+	ep.handlers[name] = h
 }
 
 // Start opens the endpoint's dispatcher, which is not a process: a callback
 // takes each delivered message off the fabric inbox (receive), sends the
 // wire-level ack a reliable message asks for as an event chain, and in that
-// chain's last step starts the handler — a process, or an event for a
-// non-blocking one. AMLong payload bytes land in the destination host store
-// just before the handler starts.
+// chain's last step schedules the handler's event. AMLong payload bytes land
+// in the destination host store just before the handler is scheduled.
 func (ep *Endpoint) Start(e *sim.Engine) {
 	if ep.started {
 		panic("gasnet: double Start")
@@ -226,7 +225,7 @@ func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
 		// tiny, non-occupying, best-effort — a lost one is repaired by the
 		// sender's retransmission and the receiver's dedup.
 		ep.ins.AcksSent.Inc()
-		ack := ep.wire(w.am.From, ackHandler, nil, memspace.Region{}, 0)
+		ack := ep.wire(w.am.From, ackHandler, Args{}, memspace.Region{}, 0)
 		ack.seq = w.seq
 		ep.control(nil, ack, ackBytes, func() {
 			ep.dispatch(w)
@@ -263,14 +262,15 @@ func (ep *Endpoint) dispatch(w *wireAM) {
 	if ep.inFilter != nil && !ep.inFilter(w.am.From) {
 		return
 	}
-	start, known := ep.handlers[w.am.Handler]
+	h, known := ep.handlers[w.am.Handler]
 	if !known {
 		panic(fmt.Sprintf("gasnet: node %d has no handler %q", ep.node, w.am.Handler))
 	}
 	if w.am.Region.Valid() && w.srcStore != nil {
 		memspace.CopyRegion(ep.store, w.srcStore, w.am.Region)
 	}
-	start(w)
+	w.h = h
+	ep.e.After(0, w.run)
 }
 
 // Shutdown closes the endpoint's inbox, ending its dispatcher once drained.
@@ -282,7 +282,7 @@ func (ep *Endpoint) Shutdown() {
 }
 
 // wire returns a record, recycled if one is free, for a message from here.
-func (ep *Endpoint) wire(to int, handler string, args interface{}, r memspace.Region, bytes uint64) *wireAM {
+func (ep *Endpoint) wire(to int, handler string, args Args, r memspace.Region, bytes uint64) *wireAM {
 	var w *wireAM
 	if n := len(ep.free); n > 0 {
 		w, ep.free = ep.free[n-1], ep.free[:n-1]
@@ -291,6 +291,11 @@ func (ep *Endpoint) wire(to int, handler string, args interface{}, r memspace.Re
 		w.run = func() {
 			w.h(w.am)
 			w.release()
+		}
+		w.sent = func() {
+			done := w.done
+			w.done = nil
+			done(true)
 		}
 	}
 	w.am = AM{From: ep.node, To: to, Handler: handler, Args: args, Region: r, Bytes: bytes}
@@ -321,65 +326,73 @@ func (ep *Endpoint) control(p *sim.Proc, w *wireAM, size uint64, next func()) {
 // sender-side cost. With reliability enabled the call blocks until the
 // message is acknowledged (retrying as needed) and reports success; on a
 // perfect fabric it always returns true.
-func (ep *Endpoint) AMShort(p *sim.Proc, to int, handler string, args interface{}) bool {
-	return ep.send(p, to, handler, args, memspace.Region{}, 0)
+func (ep *Endpoint) AMShort(p *sim.Proc, to int, handler string, args Args) bool {
+	return ep.send(p, to, handler, args, memspace.Region{}, 0, nil)
 }
 
 // AMShortFunc is AMShort from a callback or a non-blocking handler: the
-// send, retries included, is a chain of events, and whether it was
-// acknowledged is not reported.
-func (ep *Endpoint) AMShortFunc(to int, handler string, args interface{}) {
-	ep.send(nil, to, handler, args, memspace.Region{}, 0)
+// send, retries included, is a chain of events, whose last step hands what
+// AMShort would have returned to done (which may be nil) where AMShort
+// would have returned it.
+func (ep *Endpoint) AMShortFunc(to int, handler string, args Args, done func(ok bool)) {
+	ep.send(nil, to, handler, args, memspace.Region{}, 0, done)
 }
 
-// AMMedium sends an active message carrying bytes of opaque payload.
-func (ep *Endpoint) AMMedium(p *sim.Proc, to int, handler string, args interface{}, bytes uint64) bool {
-	return ep.send(p, to, handler, args, memspace.Region{}, bytes)
+// AMMediumFunc sends, in the way of AMShortFunc, an active message carrying
+// bytes of opaque payload.
+func (ep *Endpoint) AMMediumFunc(to int, handler string, args Args, bytes uint64, done func(ok bool)) {
+	ep.send(nil, to, handler, args, memspace.Region{}, bytes, done)
 }
 
-// AMLong sends an active message carrying the bytes of region r from this
-// node's host store into the destination's host store.
-func (ep *Endpoint) AMLong(p *sim.Proc, to int, handler string, args interface{}, r memspace.Region) bool {
-	return ep.send(p, to, handler, args, r, r.Size)
+// AMLongFunc sends, in the way of AMShortFunc, an active message carrying
+// the bytes of region r from this node's host store into the destination's
+// host store.
+func (ep *Endpoint) AMLongFunc(to int, handler string, args Args, r memspace.Region, done func(ok bool)) {
+	ep.send(nil, to, handler, args, r, r.Size, done)
 }
 
 // AMProbe sends a best-effort control datagram: no ack, no retry, no TX/RX
 // occupancy. The heartbeat primitive — a probe that could queue behind a
 // bulk transfer or grow a retry ladder would measure the protocol instead
 // of the peer.
-func (ep *Endpoint) AMProbe(p *sim.Proc, to int, handler string, args interface{}) {
+func (ep *Endpoint) AMProbe(p *sim.Proc, to int, handler string, args Args) {
 	ep.control(p, ep.wire(to, handler, args, memspace.Region{}, 0), headerBytes, nil)
 }
 
-// AMProbeFunc is AMProbe from a callback or a non-blocking handler.
-func (ep *Endpoint) AMProbeFunc(to int, handler string, args interface{}) {
-	ep.AMProbe(nil, to, handler, args)
+// AMProbeFunc is AMProbe from a callback or a non-blocking handler; done
+// (which may be nil) runs with true where AMProbe would have returned.
+func (ep *Endpoint) AMProbeFunc(to int, handler string, args Args, done func(ok bool)) {
+	w := ep.wire(to, handler, args, memspace.Region{}, 0)
+	ep.control(nil, w, headerBytes, w.then(done))
 }
 
-// send is AMShort, AMMedium and AMLong, from process p or, p nil, as a chain
-// of events.
-func (ep *Endpoint) send(p *sim.Proc, to int, handler string, args interface{}, r memspace.Region, bytes uint64) bool {
+// send is every reliable-capable send, from process p or, p nil, as a chain
+// of events that ends in done.
+func (ep *Endpoint) send(p *sim.Proc, to int, handler string, args Args, r memspace.Region, bytes uint64, done func(bool)) bool {
 	w := ep.wire(to, handler, args, r, bytes)
 	w.srcStore = ep.store
 	m := netsim.Message{From: ep.node, To: to, Size: headerBytes + bytes, Payload: w}
 	if ep.rel != nil && to != ep.node {
-		return ep.sendReliably(p, m, w)
+		return ep.sendReliably(p, m, w, done)
 	}
 	ep.ins.MsgsSent.Inc()
 	ep.ins.BytesSent.Add(int64(m.Size))
-	ep.put(p, m, nil)
+	ep.put(p, m, w.then(done))
 	return true
 }
 
 // sendReliably transmits m until it is acknowledged: transmit, wait for the
 // ack or the timeout, double the timeout, again — one ladder for both forms,
-// its steps run by p between waits or, p nil, each an event. From a process
-// the result is whether the ack came.
-func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM) bool {
+// its steps run by p between waits or, p nil, each an event. The outcome,
+// whether the ack came, p gets as the result and a chain as done's argument.
+func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM, done func(bool)) bool {
 	rel := ep.rel
 	ep.seqTo[m.To]++
 	w.seq, w.needAck = ep.seqTo[m.To], true
 	if ep.closed {
+		if done != nil {
+			done(false)
+		}
 		return false
 	}
 	key, ack := ackKey{m.To, w.seq}, sim.NewEvent(ep.e)
@@ -404,6 +417,9 @@ func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM) bool 
 			return
 		}
 		delete(ep.pending, key)
+		if done != nil {
+			done(ack.Triggered())
+		}
 	}
 	transmit = func() {
 		ep.ins.MsgsSent.Inc()

@@ -31,20 +31,20 @@ func setup(n int, validate bool) (*sim.Engine, *netsim.Fabric, []*Endpoint) {
 
 func TestAMShortRoundTrip(t *testing.T) {
 	e, _, eps := setup(2, false)
-	gotArgs := make(chan interface{}, 1)
+	gotArgs := make(chan Args, 1)
 	pongDone := sim.NewEvent(e)
-	eps[1].Register("ping", func(p *sim.Proc, am AM) {
+	eps[1].RegisterNonBlocking("ping", func(am AM) {
 		gotArgs <- am.Args
-		eps[1].AMShort(p, am.From, "pong", nil)
+		eps[1].AMShortFunc(am.From, "pong", Args{}, nil)
 	})
-	eps[0].Register("pong", func(p *sim.Proc, am AM) {
+	eps[0].RegisterNonBlocking("pong", func(am AM) {
 		pongDone.Trigger()
 	})
 	for _, ep := range eps {
 		ep.Start(e)
 	}
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMShort(p, 1, "ping", 42)
+		eps[0].AMShort(p, 1, "ping", Args{ID: 42})
 		pongDone.Wait(p)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -52,7 +52,7 @@ func TestAMShortRoundTrip(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if v := <-gotArgs; v != 42 {
+	if v := <-gotArgs; v != (Args{ID: 42}) {
 		t.Fatalf("args = %v", v)
 	}
 }
@@ -65,7 +65,7 @@ func TestAMLongDeliversBytes(t *testing.T) {
 		src[i] = byte(i * 3)
 	}
 	got := sim.NewEvent(e)
-	eps[1].Register("data", func(p *sim.Proc, am AM) {
+	eps[1].RegisterNonBlocking("data", func(am AM) {
 		if am.Region != r {
 			t.Errorf("region = %v", am.Region)
 		}
@@ -79,7 +79,7 @@ func TestAMLongDeliversBytes(t *testing.T) {
 	})
 	eps[1].Start(e)
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMLong(p, 1, "data", nil, r)
+		eps[0].AMLongFunc(1, "data", Args{}, r, nil)
 		got.Wait(p)
 		eps[1].Shutdown()
 	})
@@ -102,7 +102,7 @@ func TestAMLongNonBlockingHandler(t *testing.T) {
 		eps[1].Shutdown()
 	})
 	eps[1].Start(e)
-	e.Go("main", func(p *sim.Proc) { eps[0].AMLong(p, 1, "data", nil, r) })
+	e.After(0, func() { eps[0].AMLongFunc(1, "data", Args{}, r, nil) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestAMLongNonBlockingHandler(t *testing.T) {
 	if handlerAt < sim.Time(time.Millisecond) {
 		t.Fatalf("handler at %v, expected >= 1ms wire time", handlerAt)
 	}
-	if n := e.Spawned(); n != 1 { // main; none for the dispatcher or the handler
-		t.Fatalf("spawned %d processes, want 1", n)
+	if n := e.Spawned(); n != 0 { // none for the sender, the dispatcher or the handler
+		t.Fatalf("spawned %d processes, want 0", n)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestPanickingNonBlockingHandlerStopsRun(t *testing.T) {
 		eps[1].RegisterNonBlocking("boom", func(am AM) { panic("bad handler") })
 		eps[1].Start(e)
 		e.Go("main", func(p *sim.Proc) {
-			eps[0].AMShort(p, 1, "boom", nil)
+			eps[0].AMShort(p, 1, "boom", Args{})
 			if senderStays {
 				p.Sleep(time.Second)
 			}
@@ -148,15 +148,15 @@ func TestPanickingNonBlockingHandlerStopsRun(t *testing.T) {
 func TestAMMediumChargesPayload(t *testing.T) {
 	e, _, eps := setup(2, false)
 	var at sim.Time
-	eps[1].Register("blob", func(p *sim.Proc, am AM) {
-		at = p.Now()
+	eps[1].RegisterNonBlocking("blob", func(am AM) {
+		at = e.Now()
 		if am.Bytes != 2_000_000 {
 			t.Errorf("bytes = %d", am.Bytes)
 		}
 	})
 	eps[1].Start(e)
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMMedium(p, 1, "blob", "hdr", 2_000_000)
+		eps[0].AMMediumFunc(1, "blob", Args{ID: 1}, 2_000_000, nil)
 		p.Sleep(time.Second)
 		eps[1].Shutdown()
 	})
@@ -168,22 +168,23 @@ func TestAMMediumChargesPayload(t *testing.T) {
 	}
 }
 
+// A handler that goes on as a chain — here, waiting on an event — leaves the
+// dispatcher free for the next message.
 func TestHandlersCanBlockWithoutStallingDispatch(t *testing.T) {
 	e, _, eps := setup(2, false)
 	release := sim.NewEvent(e)
 	var order []string
-	eps[1].Register("slow", func(p *sim.Proc, am AM) {
-		release.Wait(p)
-		order = append(order, "slow")
+	eps[1].RegisterNonBlocking("slow", func(am AM) {
+		release.WaitFunc(func() { order = append(order, "slow") })
 	})
-	eps[1].Register("fast", func(p *sim.Proc, am AM) {
+	eps[1].RegisterNonBlocking("fast", func(am AM) {
 		order = append(order, "fast")
 		release.Trigger()
 	})
 	eps[1].Start(e)
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMShort(p, 1, "slow", nil)
-		eps[0].AMShort(p, 1, "fast", nil)
+		eps[0].AMShort(p, 1, "slow", Args{})
+		eps[0].AMShort(p, 1, "fast", Args{})
 		p.Sleep(time.Second)
 		eps[1].Shutdown()
 	})
@@ -204,18 +205,18 @@ func TestRegisterAfterStartPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	eps[0].Register("late", func(*sim.Proc, AM) {})
+	eps[0].RegisterNonBlocking("late", func(AM) {})
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
 	_, _, eps := setup(1, false)
-	eps[0].Register("h", func(*sim.Proc, AM) {})
+	eps[0].RegisterNonBlocking("h", func(AM) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	eps[0].Register("h", func(*sim.Proc, AM) {})
+	eps[0].RegisterNonBlocking("h", func(AM) {})
 }
 
 func TestDataBeforeControlOrdering(t *testing.T) {
@@ -226,19 +227,18 @@ func TestDataBeforeControlOrdering(t *testing.T) {
 	r := memspace.Region{Addr: 0x9000, Size: 500_000}
 	eps[0].Store().Bytes(r)[0] = 77
 	var order []string
-	eps[1].Register("data", func(p *sim.Proc, am AM) {
+	eps[1].RegisterNonBlocking("data", func(am AM) {
 		order = append(order, "data")
 		if eps[1].Store().Bytes(r)[0] != 77 {
 			t.Error("payload bytes not present at data handler time")
 		}
 	})
-	eps[1].Register("run", func(p *sim.Proc, am AM) {
+	eps[1].RegisterNonBlocking("run", func(am AM) {
 		order = append(order, "run")
 	})
 	eps[1].Start(e)
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMLong(p, 1, "data", nil, r)
-		eps[0].AMShort(p, 1, "run", nil)
+		eps[0].AMLongFunc(1, "data", Args{}, r, func(bool) { eps[0].AMShortFunc(1, "run", Args{}, nil) })
 		p.Sleep(time.Second)
 		eps[1].Shutdown()
 	})

@@ -37,14 +37,14 @@ func TestReliableSendRetriesThroughDrops(t *testing.T) {
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8,
 		OnRetry: func(to int, handler string, attempt int) { retries = append(retries, attempt) }}
 	runs := 0
-	eps[1].Register("work", func(p *sim.Proc, am AM) { runs++ })
+	eps[1].RegisterNonBlocking("work", func(am AM) { runs++ })
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", nil)
+		ok = eps[0].AMShort(p, 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -77,7 +77,7 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 		return false
 	}})
 	runs, dups := 0, 0
-	eps[1].Register("work", func(p *sim.Proc, am AM) { runs++ })
+	eps[1].RegisterNonBlocking("work", func(am AM) { runs++ })
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8,
 		OnDuplicate: func(from int, handler string) { dups++ }}
 	for _, ep := range eps {
@@ -86,7 +86,7 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", nil)
+		ok = eps[0].AMShort(p, 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -118,7 +118,7 @@ func TestMaxAttemptsExhaustionBacksOffExponentially(t *testing.T) {
 	gaveUp := 0
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 3,
 		OnGiveUp: func(to int, handler string) { gaveUp++ }}
-	eps[1].Register("work", func(p *sim.Proc, am AM) {})
+	eps[1].RegisterNonBlocking("work", func(am AM) {})
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
@@ -127,7 +127,7 @@ func TestMaxAttemptsExhaustionBacksOffExponentially(t *testing.T) {
 	var elapsed sim.Time
 	e.Go("main", func(p *sim.Proc) {
 		start := p.Now()
-		ok = eps[0].AMShort(p, 1, "work", nil)
+		ok = eps[0].AMShort(p, 1, "work", Args{})
 		elapsed = p.Now() - start
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -164,7 +164,7 @@ func TestShutdownAbortsRetryLadder(t *testing.T) {
 		return false
 	}})
 	rel := Reliability{AckTimeout: 100 * time.Microsecond, MaxAttempts: 50}
-	eps[1].Register("work", func(p *sim.Proc, am AM) {})
+	eps[1].RegisterNonBlocking("work", func(am AM) {})
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
@@ -172,7 +172,7 @@ func TestShutdownAbortsRetryLadder(t *testing.T) {
 	var ok bool
 	var finishedAt sim.Time
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", nil)
+		ok = eps[0].AMShort(p, 1, "work", Args{})
 		finishedAt = p.Now()
 		eps[1].Shutdown()
 	})
@@ -205,17 +205,17 @@ func TestProbeIsBestEffort(t *testing.T) {
 		return handlerOf(m) == "ping" && drop
 	}})
 	runs := 0
-	eps[1].Register("ping", func(p *sim.Proc, am AM) { runs++ })
+	eps[1].RegisterNonBlocking("ping", func(am AM) { runs++ })
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 4}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
 	}
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMProbe(p, 1, "ping", nil) // dropped, no retry
+		eps[0].AMProbe(p, 1, "ping", Args{}) // dropped, no retry
 		p.Sleep(time.Millisecond)
 		drop = false
-		eps[0].AMProbe(p, 1, "ping", nil) // delivered
+		eps[0].AMProbe(p, 1, "ping", Args{}) // delivered
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -233,7 +233,7 @@ func TestInboundFilterAcksButDoesNotDispatch(t *testing.T) {
 	// the retry ladder) but their messages never reach a handler.
 	e, _, eps := setup(2, false)
 	runs := 0
-	eps[1].Register("work", func(p *sim.Proc, am AM) { runs++ })
+	eps[1].RegisterNonBlocking("work", func(am AM) { runs++ })
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 3}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
@@ -244,7 +244,7 @@ func TestInboundFilterAcksButDoesNotDispatch(t *testing.T) {
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", nil)
+		ok = eps[0].AMShort(p, 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()

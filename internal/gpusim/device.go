@@ -235,21 +235,24 @@ func (d *Device) Copy(p *sim.Proc, dir Dir, r memspace.Region, hostStore *memspa
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ReadBack charges a device-to-host transfer of r and returns a copy of
-// the device bytes without touching any host store — used to collect
-// reduction partials. Returns nil in cost-only mode.
-func (d *Device) ReadBack(p *sim.Proc, r memspace.Region) []byte {
+// ReadBack charges a device-to-host transfer of r and hands fn a copy of the
+// device bytes — nil in cost-only mode — without touching any host store:
+// how reduction partials are collected. Like a copy it is events: fn runs
+// as a bare callback where a process that held the DMA engine for the
+// transfer would have woken.
+func (d *Device) ReadBack(r memspace.Region, fn func(partial []byte)) {
 	cost := TransferCost(d.spec, r.Size)
-	d.dma[D2H].Use(p, cost)
-	d.stats.DMABusy += sim.Time(cost)
-	d.stats.BytesD2H += r.Size
-	d.stats.XfersD2H++
-	d.ins.DMABusy.Add(int64(cost))
-	d.ins.BytesD2H.Add(int64(r.Size))
-	if d.store == nil {
-		return nil
-	}
-	out := make([]byte, r.Size)
-	copy(out, d.store.Bytes(r))
-	return out
+	d.occupy(d.dma[D2H], cost, func() {
+		d.stats.DMABusy += sim.Time(cost)
+		d.stats.BytesD2H += r.Size
+		d.stats.XfersD2H++
+		d.ins.DMABusy.Add(int64(cost))
+		d.ins.BytesD2H.Add(int64(r.Size))
+		var out []byte
+		if d.store != nil {
+			out = make([]byte, r.Size)
+			copy(out, d.store.Bytes(r))
+		}
+		fn(out)
+	})
 }

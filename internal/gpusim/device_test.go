@@ -208,11 +208,7 @@ func TestReadBackChargesTimeAndCopiesBytes(t *testing.T) {
 	copy(d.Store().Bytes(r), []byte{1, 2, 3})
 	var got []byte
 	var elapsed sim.Time
-	e.Go("driver", func(p *sim.Proc) {
-		start := p.Now()
-		got = d.ReadBack(p, r)
-		elapsed = p.Now() - start
-	})
+	d.ReadBack(r, func(b []byte) { got, elapsed = b, e.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +232,8 @@ func TestReadBackChargesTimeAndCopiesBytes(t *testing.T) {
 func TestReadBackCostOnlyReturnsNil(t *testing.T) {
 	e := sim.NewEngine()
 	d := New(e, testSpec(), memspace.GPU(0, 0), true, false)
-	e.Go("driver", func(p *sim.Proc) {
-		if b := d.ReadBack(p, memspace.Region{Addr: 1, Size: 64}); b != nil {
+	d.ReadBack(memspace.Region{Addr: 1, Size: 64}, func(b []byte) {
+		if b != nil {
 			t.Errorf("cost-only ReadBack = %v", b)
 		}
 	})

@@ -219,3 +219,70 @@ func TestQuickWaitForFuncOrdersLikeWaitFor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Processes and WaitFunc and OnTrigger callbacks waiting on one Event wake in
+// the order they began to wait; a WaitFunc on a triggered event runs at once.
+func TestEventWaitFuncKeepsWaiterOrder(t *testing.T) {
+	e := NewEngine()
+	ev := NewEvent(e)
+	var order []string
+	e.After(0, func() { ev.WaitFunc(func() { order = append(order, "fn1") }) })
+	e.Go("p1", func(p *Proc) { ev.Wait(p); order = append(order, "p1") })
+	e.After(0, func() { ev.OnTrigger(func() { order = append(order, "sub") }) })
+	e.After(0, func() { ev.WaitFunc(func() { order = append(order, "fn2") }) })
+	e.Go("p2", func(p *Proc) { ev.Wait(p); order = append(order, "p2") })
+	e.After(time.Millisecond, func() {
+		ev.Trigger()
+		ev.WaitFunc(func() { order = append(order, "late") })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "late fn1 p1 sub fn2 p2"; got != want {
+		t.Fatalf("wake order %q, want %q", got, want)
+	}
+}
+
+// A process parked on a chain goes on inside the chain's last callback:
+// no event of its own and no resume per step, and what it does next takes the
+// sequence numbers it would have taken had it woken from a Sleep there.
+func TestResumeRunsTheProcessInTheCallbacksSlot(t *testing.T) {
+	run := func(chain bool) (trace string, popped, resumed int) {
+		e := NewEngine()
+		var log []string
+		e.Go("p", func(p *Proc) {
+			if chain {
+				e.After(time.Millisecond, func() { e.After(time.Millisecond, p.Resume) })
+				p.Park("chain")
+			} else {
+				p.Sleep(time.Millisecond)
+				p.Sleep(time.Millisecond)
+			}
+			log = append(log, fmt.Sprintf("p@%v", p.Now()))
+			e.After(0, func() { log = append(log, "after") })
+		})
+		e.After(2*time.Millisecond, func() { log = append(log, "other") })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(log, " "), e.Popped(), e.Resumed()
+	}
+	pt, pp, pr := run(false)
+	ct, cp, cr := run(true)
+	if pt != ct || pp != cp || pr != 3 || cr != 2 {
+		t.Fatalf("process form %q, %d events, %d resumes; chain %q, %d events, %d resumes; want equal traces and events, 3 and 2 resumes",
+			pt, pp, pr, ct, cp, cr)
+	}
+	e := NewEngine()
+	e.Go("p", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Resume from a process did not panic")
+			}
+		}()
+		p.Resume()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,13 +1,14 @@
 // Package sim implements a deterministic discrete-event simulation engine:
 // processes for things that loop, events for timed operations, one thread of
-// control. A component with control flow — a CPU worker, a GPU manager,
-// anything that stages and sends in a loop — is a process (Engine.Go): a
-// function on a coroutine, blocking in virtual time. A timed operation
-// without control flow — a kernel, a DMA, a message, a handler that only
-// updates state or sends — is a chain of bare callbacks (Engine.After,
-// Resource.AcquireFunc, Queue.GetFunc, Event.WaitForFunc) run inline by the
-// engine's loop; a process that needs one parks, and its wake-up is the
-// chain's last step (Proc.Park, Proc.WakeAfter).
+// control. A loop — a CPU worker, a GPU manager, a communication thread — is
+// a process (Engine.Go): a function on a coroutine, blocking in virtual
+// time. An operation for one piece of work — a kernel, a DMA, a message, a
+// handler, staging one task's data — is a chain of bare callbacks
+// (Engine.After, Resource.AcquireFunc, Queue.GetFunc, Event.WaitFunc,
+// Event.WaitForFunc) run inline by the engine's loop; a process that needs
+// one parks, and its wake-up is the chain's last step (Proc.Park, then
+// Proc.WakeAfter for a step known to be the last, or Proc.Resume from the
+// callback that turns out to be).
 //
 // Determinism contract: exactly one process or callback executes at any
 // instant. A process runs until it blocks (Sleep, Event.Wait, Queue.Get,
@@ -32,9 +33,11 @@
 // coroutine, stack already grown, to the next one to start; Run ends them
 // all as it returns. Events are recycled and name their process or callback
 // without a closure of their own, so scheduling allocates nothing: what
-// allocates is a spawn (its Proc), a blocked Queue.Get (its slot) and an
-// Event's waiters and subscribers after the first; a Signal keeps its
-// waiter slice from round to round.
+// allocates is a spawn (its Proc, and its coroutine while no exited process
+// has left one), a blocked Queue.Get (its slot) and an Event's waiters after
+// the first; a Signal keeps its waiter slice from round to round, and a
+// chain's callbacks cost what binding them costs its caller — nothing, when
+// they are bound once on a recycled record.
 package sim
 
 import (
@@ -99,6 +102,7 @@ type Engine struct {
 	cur     *Proc   // the process Run has switched to, nil between switches
 	procSeq int
 	resumed int
+	popped  int
 
 	// idle holds the coroutines whose process has exited, most recent last,
 	// for the next process to start on.
@@ -320,12 +324,28 @@ func (e *Engine) GoAfter(name string, d Duration, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// switchTo starts or wakes p and runs it until it blocks or exits.
+func (e *Engine) switchTo(p *Proc) {
+	if p.co == nil {
+		p.co = e.coroutine(p)
+	}
+	p.blockedOn = nil
+	e.resumed++
+	e.cur = p
+	p.co.next()
+	e.cur = nil
+}
+
 // Spawned returns the number of processes spawned so far.
 func (e *Engine) Spawned() int { return e.procSeq }
 
 // Resumed returns the number of times Run has switched to a process, to
 // start it or to wake it: the coroutine switches (two each) a run has paid.
 func (e *Engine) Resumed() int { return e.resumed }
+
+// Popped returns the number of events Run has popped: starts, wake-ups
+// (guarded ones its guard declined included) and bare callbacks.
+func (e *Engine) Popped() int { return e.popped }
 
 // unregister removes p from the live-process registry (swap-remove).
 func (e *Engine) unregister(p *Proc) {
@@ -394,6 +414,7 @@ func (e *Engine) Run() error {
 		if ev == nil {
 			break
 		}
+		e.popped++
 		if e.onPop != nil {
 			e.onPop(ev.at, ev.seq)
 		}
@@ -413,14 +434,7 @@ func (e *Engine) Run() error {
 			s.waiters = append(s.waiters, sigWaiter{p, ready})
 			continue
 		}
-		if p.co == nil {
-			p.co = e.coroutine(p)
-		}
-		p.blockedOn = nil
-		e.resumed++
-		e.cur = p
-		p.co.next()
-		e.cur = nil
+		e.switchTo(p)
 	}
 	err := e.stopErr
 	left := e.idle // the coroutines still alive: idle, or parked in block

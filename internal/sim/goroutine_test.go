@@ -410,8 +410,8 @@ func TestEventWaitAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%.1f allocs per wait and trigger, want 0", allocs)
 	}
-	if size := unsafe.Sizeof(Event{}); size > 64 {
-		t.Fatalf("Event is %d bytes, want <= 64 (the next size class is 80)", size)
+	if size := unsafe.Sizeof(Event{}); size > 48 {
+		t.Fatalf("Event is %d bytes, want <= 48 (the next size class is 64)", size)
 	}
 }
 

@@ -55,6 +55,18 @@ func (p *Proc) WakeAfter(d Duration) {
 	p.e.schedule(p.e.now+Time(d), p, nil)
 }
 
+// Resume switches to p, parked on a chain of events, from the bare callback
+// that is the chain's last step: p goes on in that slot, where it would have
+// woken had it run the chain's steps itself, with no event of its own. It
+// panics unless called from a bare callback on a parked process.
+func (p *Proc) Resume() {
+	e := p.e
+	if !e.inRun || e.cur != nil || p.blockedOn == nil || p.co == nil {
+		panic("sim: Resume of " + p.name + " outside a bare callback, or of a process not parked")
+	}
+	e.switchTo(p)
+}
+
 // Sleep suspends the process for virtual duration d. Negative or zero d
 // yields: the process is rescheduled at the current time behind already
 // pending same-time events.
@@ -88,20 +100,26 @@ type Event struct {
 	e *Engine
 	// first is the first waiter, held inline — most events that are waited
 	// on have one waiter, so waiting allocates nothing — and, once the event
-	// has triggered, fired: one word for both keeps an Event at 64 bytes.
-	first   *Proc
-	waiters []*Proc // the waiters after the first
-	subs    []func()
+	// has triggered, fired: one field for both keeps an Event at 48 bytes.
+	first   waiter
+	waiters []waiter // the waiters after the first
 }
 
-// fired is what Event.first points to once the event has triggered.
+// waiter is one waiter of an Event: a process (Wait) or a callback
+// (WaitFunc, OnTrigger), in one queue.
+type waiter struct {
+	p  *Proc
+	fn func()
+}
+
+// fired is what Event.first names once the event has triggered.
 var fired = new(Proc)
 
 // NewEvent returns an untriggered Event on engine e.
 func NewEvent(e *Engine) *Event { return &Event{e: e} }
 
 // Triggered reports whether the event has fired.
-func (ev *Event) Triggered() bool { return ev.first == fired }
+func (ev *Event) Triggered() bool { return ev.first.p == fired }
 
 // Trigger fires the event, waking all current waiters in FIFO order at the
 // current virtual time. Safe to call from processes or bare callbacks;
@@ -111,29 +129,34 @@ func (ev *Event) Trigger() {
 		return
 	}
 	e := ev.e
-	if ev.first != nil {
-		e.schedule(e.now, ev.first, nil)
+	if w := ev.first; w.p != nil || w.fn != nil {
+		e.schedule(e.now, w.p, w.fn)
 	}
-	ev.first = fired
+	ev.first = waiter{p: fired}
 	for _, w := range ev.waiters {
-		e.schedule(e.now, w, nil)
+		e.schedule(e.now, w.p, w.fn)
 	}
 	ev.waiters = nil
-	for _, fn := range ev.subs {
-		e.schedule(e.now, nil, fn)
-	}
-	ev.subs = nil
 }
 
-// OnTrigger schedules fn as a bare callback when the event fires (behind
-// events already pending at the trigger time). If the event has already
-// triggered, fn is scheduled at the current time.
+// wait queues w behind the event's earlier waiters.
+func (ev *Event) wait(w waiter) {
+	if ev.first.p == nil && ev.first.fn == nil {
+		ev.first = w
+	} else {
+		ev.waiters = append(ev.waiters, w)
+	}
+}
+
+// OnTrigger schedules fn as a bare callback when the event fires, as a
+// waiter (behind events already pending at the trigger time). If the event
+// has already triggered, fn is scheduled at the current time.
 func (ev *Event) OnTrigger(fn func()) {
 	if ev.Triggered() {
 		ev.e.schedule(ev.e.now, nil, fn)
 		return
 	}
-	ev.subs = append(ev.subs, fn)
+	ev.wait(waiter{fn: fn})
 }
 
 // WaitFor blocks the calling process until the event triggers or virtual
@@ -175,15 +198,23 @@ func (ev *Event) orAfter(d Duration, wake func()) {
 // Wait blocks the calling process until the event triggers. Returns
 // immediately if already triggered.
 func (ev *Event) Wait(p *Proc) {
-	switch ev.first {
-	case fired:
+	if ev.Triggered() {
 		return
-	case nil:
-		ev.first = p
-	default:
-		ev.waiters = append(ev.waiters, p)
 	}
+	ev.wait(waiter{p: p})
 	p.Park("event wait")
+}
+
+// WaitFunc is Wait for a waiter that has no process: fn runs at once if the
+// event has triggered, else as a bare callback in the slot Wait's process
+// would have resumed in. Processes and callbacks wait in one queue, so they
+// wake in the order they began to wait. fn must not block.
+func (ev *Event) WaitFunc(fn func()) {
+	if ev.Triggered() {
+		fn()
+		return
+	}
+	ev.wait(waiter{fn: fn})
 }
 
 // WaitAll blocks until every event in evs has triggered.

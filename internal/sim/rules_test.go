@@ -279,12 +279,14 @@ var (
 	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitUntil",
 		"internal/sim.WaitFor", "internal/sim.Park", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
 		"internal/sim.Run", "internal/sim.WaitAll", "internal/netsim.Send", "internal/gasnet.AMShort",
-		"internal/gasnet.AMMedium", "internal/gasnet.AMLong", "internal/gasnet.AMProbe")
+		"internal/gasnet.AMProbe")
 	unboundedFuncs = set("internal/sim.Wait", "internal/sim.WaitUntil", "internal/sim.Get", "internal/sim.Acquire",
 		"internal/sim.Use", "internal/sim.Run", "internal/sim.WaitAll", "internal/sim.Park")
 	inlineCallbacks = set("internal/sim.After", "internal/sim.OnTrigger", "internal/sim.AcquireFunc",
-		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitUntil", "internal/netsim.SendFunc",
-		"internal/gasnet.RegisterNonBlocking", "internal/core.idleWait")
+		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitFunc", "internal/sim.WaitUntil",
+		"internal/netsim.SendFunc", "internal/gasnet.RegisterNonBlocking", "internal/gasnet.AMShortFunc",
+		"internal/gasnet.AMMediumFunc", "internal/gasnet.AMLongFunc", "internal/gasnet.AMProbeFunc",
+		"internal/core.idleWait", "internal/core.moveEach")
 )
 
 // simBlocking flags the deadlock shapes the engine cannot detect at run
@@ -644,7 +646,7 @@ var ruleCases = []struct{ rule, want, src string }{
 	{"simblocking", "", "func f(p *sim.Proc, tx, rx *sim.Resource) { tx.Acquire(p)\n//ompss:simblock-ok TX is always acquired before RX; the wait graph is acyclic\nrx.Acquire(p); tx.Release(); rx.Release() }"},
 	{"simblocking", "", `func f(e *sim.Engine, r *sim.Resource, done *sim.Event) { r.AcquireFunc(func() { e.After(10, func() { r.Release(); done.Trigger() }) }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, ev *sim.Event) {
-	ep.Register("fetch", func(p *sim.Proc, am gasnet.AM) { ev.Wait(p) }); ep.RegisterNonBlocking("ack", func(gasnet.AM) { ev.Trigger() }) }`},
+	ep.RegisterNonBlocking("fetch", func(am gasnet.AM) { ev.WaitFunc(func() {}) }); ep.RegisterNonBlocking("ack", func(gasnet.AM) { ev.Trigger() }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, ev *sim.Event) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.SendFunc(netsim.Message{From: 1, To: am.From}, func() { ev.Trigger() }) }) }`},
 	{"simblocking", "", `func f(p *sim.Proc, s *sim.Signal, q *sim.Queue[int]) (v int) {

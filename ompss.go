@@ -171,35 +171,99 @@ type Context struct {
 }
 
 // Clause is a directive clause for Task: In, Out, InOut, Target, Name,
-// CopyIn, CopyOut, CopyInOut, NoCopyDeps.
-type Clause func(*core.TaskDef)
+// CopyIn, CopyOut, CopyInOut, NoCopyDeps, Reduction, Nested. It is a value
+// its constructor fills, not a closure, so a clause over one region — or a
+// device, a name — allocates nothing; one over several regions holds a copy
+// of the list.
+type Clause struct {
+	kind    clauseKind
+	access  task.Access
+	one     bool     // regions is the one region in region
+	region  Region   // the region of a one-region clause
+	regions []Region // the regions of any other region clause
+	dev     Device
+	name    string
+	combine Combiner
+	spawner func(interface{})
+}
+
+type clauseKind uint8
+
+const (
+	clauseDeps clauseKind = iota
+	clauseCopies
+	clauseReduction
+	clauseTarget
+	clauseName
+	clauseNoCopyDeps
+	clauseNested
+)
+
+// regionClause is a dependence or copy clause over regions.
+func regionClause(kind clauseKind, access task.Access, regions []Region) Clause {
+	c := Clause{kind: kind, access: access, one: len(regions) == 1}
+	if c.one {
+		c.region = regions[0]
+	} else {
+		c.regions = append([]Region(nil), regions...)
+	}
+	return c
+}
+
+// deps is the number of dependences c adds to a task.
+func (c *Clause) deps() int {
+	switch {
+	case c.kind == clauseReduction || c.kind == clauseDeps && c.one:
+		return 1
+	case c.kind == clauseDeps:
+		return len(c.regions)
+	}
+	return 0
+}
+
+// appendTo appends c's regions under its access to list.
+func (c *Clause) appendTo(list []task.Dep) []task.Dep {
+	if c.one {
+		return append(list, task.Dep{Region: c.region, Access: c.access})
+	}
+	for _, r := range c.regions {
+		list = append(list, task.Dep{Region: r, Access: c.access})
+	}
+	return list
+}
+
+// apply adds c to the definition d.
+func (c *Clause) apply(d *core.TaskDef) {
+	switch c.kind {
+	case clauseDeps:
+		d.Deps = c.appendTo(d.Deps)
+	case clauseCopies:
+		d.ExtraCopies = c.appendTo(d.ExtraCopies)
+	case clauseReduction:
+		d.Deps = append(d.Deps, task.Dep{Region: c.region, Access: task.Red})
+		if d.Reductions == nil {
+			d.Reductions = make(map[uint64]task.Combiner)
+		}
+		d.Reductions[c.region.Addr] = c.combine
+	case clauseTarget:
+		d.Device = c.dev
+	case clauseName:
+		d.Name = c.name
+	case clauseNoCopyDeps:
+		d.NoCopyDeps = true
+	case clauseNested:
+		d.Spawner = c.spawner
+	}
+}
 
 // In declares input dependences (`input(...)`): the task reads each region.
-func In(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.Deps = append(d.Deps, task.Dep{Region: r, Access: task.In})
-		}
-	}
-}
+func In(regions ...Region) Clause { return regionClause(clauseDeps, task.In, regions) }
 
 // Out declares output dependences (`output(...)`).
-func Out(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.Deps = append(d.Deps, task.Dep{Region: r, Access: task.Out})
-		}
-	}
-}
+func Out(regions ...Region) Clause { return regionClause(clauseDeps, task.Out, regions) }
 
 // InOut declares inout dependences (`inout(...)`).
-func InOut(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.Deps = append(d.Deps, task.Dep{Region: r, Access: task.InOut})
-		}
-	}
-}
+func InOut(regions ...Region) Clause { return regionClause(clauseDeps, task.InOut, regions) }
 
 // Combiner folds a partial reduction result into the accumulator (both
 // as backing bytes). Only called in validation mode.
@@ -212,13 +276,7 @@ type Combiner = task.Combiner
 // the partials into r with combine before the next reader. See SumFloat32
 // and friends for common combiners.
 func Reduction(r Region, combine Combiner) Clause {
-	return func(d *core.TaskDef) {
-		d.Deps = append(d.Deps, task.Dep{Region: r, Access: task.Red})
-		if d.Reductions == nil {
-			d.Reductions = make(map[uint64]task.Combiner)
-		}
-		d.Reductions[r.Addr] = combine
-	}
+	return Clause{kind: clauseReduction, one: true, region: r, combine: combine}
 }
 
 // SumFloat32 adds float32 partials elementwise.
@@ -240,46 +298,24 @@ func SumFloat64(acc, partial []byte) {
 }
 
 // Target selects the device (`target device(...)`). Default: SMP.
-func Target(dev Device) Clause {
-	return func(d *core.TaskDef) { d.Device = dev }
-}
+func Target(dev Device) Clause { return Clause{kind: clauseTarget, dev: dev} }
 
 // Name labels the task in traces.
-func Name(name string) Clause {
-	return func(d *core.TaskDef) { d.Name = name }
-}
+func Name(name string) Clause { return Clause{kind: clauseName, name: name} }
 
 // NoCopyDeps detaches copy semantics from the dependence clauses (the
 // default is copy_deps, which every example in the paper uses).
-func NoCopyDeps() Clause {
-	return func(d *core.TaskDef) { d.NoCopyDeps = true }
-}
+func NoCopyDeps() Clause { return Clause{kind: clauseNoCopyDeps} }
 
 // CopyIn adds explicit copy_in clauses beyond the dependence list.
-func CopyIn(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.ExtraCopies = append(d.ExtraCopies, task.Dep{Region: r, Access: task.In})
-		}
-	}
-}
+func CopyIn(regions ...Region) Clause { return regionClause(clauseCopies, task.In, regions) }
 
 // CopyOut adds explicit copy_out clauses.
-func CopyOut(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.ExtraCopies = append(d.ExtraCopies, task.Dep{Region: r, Access: task.Out})
-		}
-	}
-}
+func CopyOut(regions ...Region) Clause { return regionClause(clauseCopies, task.Out, regions) }
 
 // CopyInOut adds explicit copy_inout clauses.
 func CopyInOut(regions ...Region) Clause {
-	return func(d *core.TaskDef) {
-		for _, r := range regions {
-			d.ExtraCopies = append(d.ExtraCopies, task.Dep{Region: r, Access: task.InOut})
-		}
-	}
+	return regionClause(clauseCopies, task.InOut, regions)
 }
 
 // Task spawns a task running work under the given clauses
@@ -287,8 +323,8 @@ func CopyInOut(regions ...Region) Clause {
 // TaskWait or dependences.
 func (c *Context) Task(work Work, clauses ...Clause) {
 	def := core.TaskDef{Work: work}
-	for _, cl := range clauses {
-		cl(&def)
+	for i := range clauses {
+		clauses[i].apply(&def)
 	}
 	if def.Name == "" && work != nil {
 		def.Name = work.Name()
@@ -308,18 +344,33 @@ type TaskSpec struct {
 // of them are created (and become ready) at the end of the batch's
 // accumulated creation overhead rather than spread across it. Prefer
 // Task/Taskloop when workers should start on early tasks while later
-// ones are still being created.
+// ones are still being created. The batch's dependence lists are one
+// allocation.
 func (c *Context) TaskBatch(specs []TaskSpec) {
-	defs := make([]core.TaskDef, 0, len(specs))
+	n := 0
 	for _, s := range specs {
-		def := core.TaskDef{Work: s.Work}
-		for _, cl := range s.Clauses {
-			cl(&def)
+		for i := range s.Clauses {
+			n += s.Clauses[i].deps()
+		}
+	}
+	deps := make([]task.Dep, n)
+	defs := make([]core.TaskDef, len(specs))
+	for i, s := range specs {
+		def := &defs[i]
+		def.Work = s.Work
+		m := 0
+		for j := range s.Clauses {
+			m += s.Clauses[j].deps()
+		}
+		if m > 0 {
+			def.Deps, deps = deps[:0:m], deps[m:] // the clauses fill it in place
+		}
+		for j := range s.Clauses {
+			s.Clauses[j].apply(def)
 		}
 		if def.Name == "" && s.Work != nil {
 			def.Name = s.Work.Name()
 		}
-		defs = append(defs, def)
 	}
 	c.mc.SubmitBatch(defs)
 }
@@ -382,11 +433,9 @@ type NestedCtx struct {
 // scalable data decomposition (Section III.D.1). The parent completes
 // when the nested tasks drain.
 func Nested(fn func(nc *NestedCtx)) Clause {
-	return func(d *core.TaskDef) {
-		d.Spawner = func(v interface{}) {
-			fn(&NestedCtx{lc: v.(*core.LocalCtx)})
-		}
-	}
+	return Clause{kind: clauseNested, spawner: func(v interface{}) {
+		fn(&NestedCtx{lc: v.(*core.LocalCtx)})
+	}}
 }
 
 // Node returns the node the nested tasks will run on.
@@ -396,8 +445,8 @@ func (nc *NestedCtx) Node() int { return nc.lc.Node() }
 // nested tasks of the same parent (sibling scope, as in the paper).
 func (nc *NestedCtx) Task(work Work, clauses ...Clause) {
 	def := core.TaskDef{Work: work}
-	for _, cl := range clauses {
-		cl(&def)
+	for i := range clauses {
+		clauses[i].apply(&def)
 	}
 	if def.Name == "" && work != nil {
 		def.Name = work.Name()

@@ -141,3 +141,15 @@ func TestNoCopyDepsSkipsTransfers(t *testing.T) {
 		t.Fatalf("transfers happened despite NoCopyDeps: %+v", stats)
 	}
 }
+
+// A clause is a value its constructor fills: one over one region, a device
+// or a name allocates nothing.
+func TestClausesAllocateNothing(t *testing.T) {
+	r := Region{Addr: 1 << 20, Size: 256}
+	var sink [4]Clause
+	if n := testing.AllocsPerRun(100, func() {
+		sink[0], sink[1], sink[2], sink[3] = InOut(r), In(r), Target(SMP), Name("x")
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per four clauses, want 0", n)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bsc-repro/ompss/internal/core"
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/task"
@@ -224,9 +223,7 @@ func TestReductionWithoutCombinerErrors(t *testing.T) {
 		ctx.InitSeq(acc, nil)
 		// Hand-build a Red dependence without registering a combiner.
 		ctx.Task(partialSum{in: acc, acc: acc, cost: time.Millisecond},
-			Target(CUDA), func(d *core.TaskDef) {
-				d.Deps = append(d.Deps, task.Dep{Region: acc, Access: task.Red})
-			})
+			Target(CUDA), regionClause(clauseDeps, task.Red, []Region{acc}))
 	})
 	if err == nil {
 		t.Fatal("expected Run to surface the missing-combiner error")
