@@ -17,8 +17,9 @@ import (
 // region at a node or a host, a transfer, a slave's push — is an event
 // chain, under the chain rule of DESIGN.md §6: a chain takes exactly the
 // event slots of the process it replaced, and hands its outcome to its
-// continuation last, where that process returned. Its state is a pooled
-// record whose hot steps are bound once, so it allocates nothing.
+// continuation last, where that process returned; a loop that needs one
+// waits on it with sim.Proc.Await. Its state is a pooled record whose hot
+// steps are bound once, so it allocates nothing.
 
 // pool recycles the records of one kind of chain.
 type pool[T any] struct {
@@ -38,7 +39,6 @@ func (p *pool[T]) get() *T {
 func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
 
 type chains struct {
-	awaiters    pool[awaiter]
 	movers      pool[mover]
 	plans       pool[plan]
 	dispatchers pool[dispatcher]
@@ -47,7 +47,6 @@ type chains struct {
 
 func (rt *Runtime) initChains() {
 	c := &rt.chains
-	c.awaiters.make = func() *awaiter { a := new(awaiter); a.done = a.end; return a }
 	c.movers.make = func() *mover { mv := &mover{rt: rt}; mv.step = mv.stepped; return mv }
 	c.plans.make = func() *plan {
 		pl := &plan{rt: rt}
@@ -61,38 +60,6 @@ func (rt *Runtime) initChains() {
 		return d
 	}
 	c.pushes.make = func() *pushRec { pu := new(pushRec); pu.fetched = pu.fetchedFn; return pu }
-}
-
-// awaiter parks a process on a chain (Runtime.await).
-type awaiter struct {
-	p                 *sim.Proc
-	ok, ended, parked bool
-	done              func(bool)
-}
-
-func (a *awaiter) end(ok bool) {
-	a.ok, a.ended = ok, true
-	if a.parked {
-		a.p.Resume()
-	}
-}
-
-// await runs from process p the chain that start begins with the
-// continuation done, and returns its outcome: p parks unless the chain
-// ended before start returned, and the chain's last step resumes p in its
-// own slot, where p would have returned had it run the steps itself.
-func (rt *Runtime) await(p *sim.Proc, start func(done func(ok bool))) bool {
-	a := rt.chains.awaiters.get()
-	a.p, a.ended, a.parked = p, false, false
-	start(a.done)
-	if !a.ended {
-		a.parked = true
-		p.Park("staging")
-	}
-	ok := a.ok
-	a.p = nil
-	rt.chains.awaiters.put(a)
-	return ok
 }
 
 // moveEach runs move on every region and hands then whether all succeeded:

@@ -292,7 +292,7 @@ func (n *nodeRT) registerSlaveHandlers() {
 			n.rt.e.After(0, func() { n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: done}, nil) })
 			return
 		}
-		n.ep.AMShort(cp, 0, amTaskDone, gasnet.Args{Task: done})
+		cp.Await("taskDone", func(sent func(bool)) { n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: done}, sent) })
 	}
 	n.ep.RegisterNonBlocking(amRunTask, func(am gasnet.AM) {
 		n.enqueueLocal(am.Args.Task, report)

@@ -210,7 +210,7 @@ func (rt *Runtime) spawnHeartbeat() {
 					}
 					ft.pongSince[k] = false
 					awaiting[k] = true
-					me.ep.AMProbe(p, k, amPing, gasnet.Args{})
+					p.Await("ping", func(done func(bool)) { me.ep.AMProbeFunc(k, amPing, gasnet.Args{}, done) })
 				}
 			}
 		})

@@ -569,14 +569,14 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 	if g == hostDevKey {
 		for _, c := range copies {
 			if fence && c.Access.Reads() {
-				n.rt.await(p, func(done func(bool)) { n.rt.waitRestore(c.Region, done) })
+				p.Await("staging", func(done func(bool)) { n.rt.waitRestore(c.Region, done) })
 			}
 			// SMP reduction tasks accumulate straight into the host copy,
 			// which must be valid — but other participants' partials are
 			// NOT combined yet (reductions commute; the graph only orders
 			// the eventual reader after all of them).
 			if red := c.Access == task.Red; red || c.Access.Reads() {
-				n.rt.await(p, func(done func(bool)) { n.fetchToHost(c.Region, !red, done) })
+				p.Await("staging", func(done func(bool)) { n.fetchToHost(c.Region, !red, done) })
 			}
 		}
 		return true
@@ -634,7 +634,7 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 			n.rt.waitRestore(r, func(bool) { n.fetchToGPU(g, r, done) })
 		}
 	}
-	return n.rt.await(p, func(done func(bool)) { n.rt.moveEach(n.rt.cfg.NonBlockingCache, fetch, move, done) })
+	return p.Await("staging", func(done func(bool)) { n.rt.moveEach(n.rt.cfg.NonBlockingCache, fetch, move, done) })
 }
 
 // evictLine writes back a dirty victim and removes it. Replacement under

@@ -268,7 +268,7 @@ func (rt *Runtime) shutdown(p *sim.Proc) {
 			if rt.nodeIsDead(k) {
 				continue // its workers were stopped above; no peer to notify
 			}
-			rt.master().ep.AMShort(p, k, amShutdown, gasnet.Args{})
+			p.Await("shutdown", func(done func(bool)) { rt.master().ep.AMShortFunc(k, amShutdown, gasnet.Args{}, done) })
 		}
 		// Close endpoints after the shutdown notices drain.
 		p.Sleep(rt.cfg.Cluster.Net.Latency * 4)
@@ -407,7 +407,7 @@ func (mc *MainCtx) TaskWaitOn(r memspace.Region) {
 		}
 		ev.Wait(mc.p)
 	}
-	rt.await(mc.p, func(done func(bool)) {
+	mc.p.Await("staging", func(done func(bool)) {
 		rt.waitRestore(r, func(bool) { rt.master().fetchToHost(r, true, done) })
 	})
 }
@@ -422,7 +422,7 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 			stale = append(stale, r)
 		}
 	}
-	rt.await(p, func(done func(bool)) {
+	p.Await("staging", func(done func(bool)) {
 		rt.moveEach(true, stale, func(r memspace.Region, done func(bool)) {
 			// A region under rebuild nominally lists the master as holder
 			// (its stale base); wait for the real version first.

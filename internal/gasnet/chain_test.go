@@ -19,7 +19,7 @@ func TestRunWithoutShutdownReturnsNil(t *testing.T) {
 	for _, ep := range eps {
 		ep.Start(e)
 	}
-	e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "work", Args{}) })
+	e.Go("main", func(p *sim.Proc) { amShort(p, eps[0], 1, "work", Args{}) })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
 	}
@@ -50,7 +50,7 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 		ep.Start(e)
 	}
 	var ok bool
-	e.Go("main", func(p *sim.Proc) { ok = eps[0].AMShort(p, 1, "work", Args{}) })
+	e.Go("main", func(p *sim.Proc) { ok = amShort(p, eps[0], 1, "work", Args{}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 		}
 		e.Go("main", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				eps[0].AMShort(p, 1, "work", Args{ID: int64(i)})
+				amShort(p, eps[0], 1, "work", Args{ID: int64(i)})
 				p.Sleep(time.Millisecond) // delivered, handled, acknowledged
 			}
 		})
@@ -108,10 +108,10 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 	}
 }
 
-// The reliable ladder is one state machine: a reply sent by a process
-// (AMShort from one the handler spawns) and one sent as events (AMShortFunc
-// from the handler) retry through the same losses and arrive at the same
-// instant, the second without a process.
+// The reliable ladder is one state machine: a reply a process awaits (one
+// the handler spawns) and one sent as events (AMShortFunc from the handler)
+// retry through the same losses and arrive at the same instant, the second
+// without a process.
 func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 	run := func(nonBlocking bool) (arrived sim.Time, retries, spawned int) {
 		e, f, eps := setup(2, false)
@@ -129,7 +129,7 @@ func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 			eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", Args{}, nil) })
 		} else {
 			eps[1].RegisterNonBlocking("ping", func(am AM) {
-				e.Go("reply", func(p *sim.Proc) { eps[1].AMShort(p, am.From, "pong", Args{}) })
+				e.Go("reply", func(p *sim.Proc) { amShort(p, eps[1], am.From, "pong", Args{}) })
 			})
 		}
 		eps[0].RegisterNonBlocking("pong", func(AM) { arrived = e.Now() })
@@ -137,7 +137,7 @@ func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 			ep.EnableReliability(rel)
 			ep.Start(e)
 		}
-		e.Go("main", func(p *sim.Proc) { eps[0].AMShort(p, 1, "ping", Args{}) })
+		e.Go("main", func(p *sim.Proc) { amShort(p, eps[0], 1, "ping", Args{}) })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -154,9 +154,9 @@ func TestAMShortFuncClimbsTheSameLadder(t *testing.T) {
 	}
 }
 
-// A Func send hands its continuation the outcome AMShort returns — true for
-// an acknowledged reliable send, false once the ladder gives up — and
-// AMShortFunc hands it on in the slot AMShort returns in.
+// A Func send hands its continuation the outcome — true for an acknowledged
+// reliable send, false once the ladder gives up — and a process awaiting
+// AMShortFunc gets it in the slot where the continuation runs.
 func TestFuncSendHandsTheOutcomeOn(t *testing.T) {
 	for _, lose := range []bool{false, true} {
 		var shortAt sim.Time
@@ -174,7 +174,7 @@ func TestFuncSendHandsTheOutcomeOn(t *testing.T) {
 			r := memspace.Region{Addr: 0x1000, Size: 16}
 			switch form {
 			case "process":
-				e.Go("main", func(p *sim.Proc) { done(eps[0].AMShort(p, 1, "work", Args{})) })
+				e.Go("main", func(p *sim.Proc) { done(amShort(p, eps[0], 1, "work", Args{})) })
 			case "short":
 				e.After(0, func() { eps[0].AMShortFunc(1, "work", Args{}, done) })
 			case "medium":
@@ -195,25 +195,25 @@ func TestFuncSendHandsTheOutcomeOn(t *testing.T) {
 	}
 }
 
-// A steady-state AMShort round trip — request from a process, reply from a
-// non-blocking handler — allocates nothing: Args travel by value, and there
-// is no wire record, delivery or handler-start closure or getter slot to make.
+// A steady-state round trip — request from a process, reply from a
+// non-blocking handler, both awaited — allocates nothing: Args travel by
+// value, an Await's record is recycled, and there is no wire record,
+// delivery or handler-start closure or getter slot to make.
 func TestRoundTripAllocs(t *testing.T) {
 	e, _, eps := setup(2, false)
-	var main *sim.Proc
+	var pong func(bool)
 	eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", am.Args, nil) })
-	eps[0].RegisterNonBlocking("pong", func(AM) { main.WakeAfter(0) })
+	eps[0].RegisterNonBlocking("pong", func(AM) { pong(true) })
 	for _, ep := range eps {
 		ep.Start(e)
 	}
 	var allocs float64
 	e.Go("main", func(p *sim.Proc) {
-		main = p
 		id := int64(0)
 		allocs = testing.AllocsPerRun(200, func() {
 			id++
-			eps[0].AMShort(p, 1, "ping", Args{ID: id, Node: 1 << 20})
-			p.Park("pong")
+			amShort(p, eps[0], 1, "ping", Args{ID: id, Node: 1 << 20})
+			p.Await("pong", func(done func(bool)) { pong = done })
 		})
 	})
 	if err := e.Run(); err != nil {

@@ -1,12 +1,12 @@
 // Package gasnet provides a GASNet-style active-message layer on top of the
 // netsim fabric. Each node owns an Endpoint with a registry of named
-// handlers, each run as a bare event: a handler does not block, and what it
-// sends it sends with the Func forms, as event chains. AMShort carries only
-// control arguments, AMMediumFunc carries an opaque payload size, and AMLongFunc
-// also delivers the bytes of a program region into the destination
-// node's host store. The Nanos++ cluster dependent layer implements all
-// control and data traffic with these primitives, as the paper's
-// implementation does (Section III.D.1).
+// handlers, each run as a bare event. Every send is an event chain that
+// hands its outcome to a continuation (a process waits on one with
+// sim.Proc.Await). AMShortFunc carries only control arguments, AMMediumFunc
+// carries an opaque payload size, and AMLongFunc also delivers the bytes of
+// a program region into the destination node's host store. The Nanos++
+// cluster dependent layer implements all control and data traffic with these
+// primitives, as the paper's implementation does (Section III.D.1).
 package gasnet
 
 import (
@@ -35,7 +35,7 @@ type AM struct {
 	To      int
 	Handler string
 	Args    Args
-	// Region and payload size for AMLongFunc/AMMediumFunc; zero for AMShort.
+	// Region and payload size for AMLongFunc/AMMediumFunc; zero for AMShortFunc.
 	Region memspace.Region
 	Bytes  uint64
 }
@@ -88,17 +88,17 @@ func (w *wireAM) then(done func(bool)) func() {
 }
 
 // Reliability configures the ack/timeout/retry layer of an endpoint. With
-// it enabled, AMShort and the Func sends retransmit until acknowledged (with
-// exponential backoff) and report success; receivers acknowledge and
-// deduplicate by sequence number, so handlers still run exactly once per
-// logical message even when the wire drops packets or delivers late
-// duplicates.
+// it enabled, AMShortFunc, AMMediumFunc and AMLongFunc retransmit until
+// acknowledged (with exponential backoff) and report success; receivers
+// acknowledge and deduplicate by sequence number, so handlers still run
+// exactly once per logical message even when the wire drops packets or
+// delivers late duplicates.
 type Reliability struct {
 	// AckTimeout is how long the first transmission waits for its ack;
 	// each retry doubles it.
 	AckTimeout sim.Duration
 	// MaxAttempts bounds the number of transmissions before a send gives
-	// up and returns false.
+	// up and reports false.
 	MaxAttempts int
 	// OnRetry, if set, is called before every retransmission.
 	OnRetry func(to int, handler string, attempt int)
@@ -227,7 +227,7 @@ func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
 		ep.ins.AcksSent.Inc()
 		ack := ep.wire(w.am.From, ackHandler, Args{}, memspace.Region{}, 0)
 		ack.seq = w.seq
-		ep.control(nil, ack, ackBytes, func() {
+		ep.control(ack, ackBytes, func() {
 			ep.dispatch(w)
 			ep.next()
 		})
@@ -302,90 +302,60 @@ func (ep *Endpoint) wire(to int, handler string, args Args, r memspace.Region, b
 	return w
 }
 
-// put sends m: from process p, which blocks for the sender-side cost and
-// then runs next itself, or — p nil — as a chain of events that ends in next.
-// Every send of this layer goes through here, and that is all that differs
-// between the process form and the Func form of one.
-func (ep *Endpoint) put(p *sim.Proc, m netsim.Message, next func()) {
-	if p == nil {
-		ep.f.SendFunc(m, next)
-		return
-	}
-	ep.f.Send(p, m)
-	if next != nil {
-		next()
-	}
-}
-
 // control sends w as a datagram that bypasses TX/RX occupancy.
-func (ep *Endpoint) control(p *sim.Proc, w *wireAM, size uint64, next func()) {
-	ep.put(p, netsim.Message{From: ep.node, To: w.am.To, Size: size, Control: true, Payload: w}, next)
+func (ep *Endpoint) control(w *wireAM, size uint64, next func()) {
+	ep.f.SendFunc(netsim.Message{From: ep.node, To: w.am.To, Size: size, Control: true, Payload: w}, next)
 }
 
-// AMShort sends a control-only active message; the caller blocks for the
-// sender-side cost. With reliability enabled the call blocks until the
-// message is acknowledged (retrying as needed) and reports success; on a
-// perfect fabric it always returns true.
-func (ep *Endpoint) AMShort(p *sim.Proc, to int, handler string, args Args) bool {
-	return ep.send(p, to, handler, args, memspace.Region{}, 0, nil)
-}
-
-// AMShortFunc is AMShort from a callback or a non-blocking handler: the
-// send, retries included, is a chain of events, whose last step hands what
-// AMShort would have returned to done (which may be nil) where AMShort
-// would have returned it.
+// AMShortFunc sends a control-only active message as a chain of events whose
+// last step hands done (which may be nil) the outcome once the sender-side
+// cost is paid: true on a perfect fabric; with reliability enabled, once the
+// message is acknowledged (retrying as needed), whether it was.
 func (ep *Endpoint) AMShortFunc(to int, handler string, args Args, done func(ok bool)) {
-	ep.send(nil, to, handler, args, memspace.Region{}, 0, done)
+	ep.send(to, handler, args, memspace.Region{}, 0, done)
 }
 
 // AMMediumFunc sends, in the way of AMShortFunc, an active message carrying
 // bytes of opaque payload.
 func (ep *Endpoint) AMMediumFunc(to int, handler string, args Args, bytes uint64, done func(ok bool)) {
-	ep.send(nil, to, handler, args, memspace.Region{}, bytes, done)
+	ep.send(to, handler, args, memspace.Region{}, bytes, done)
 }
 
 // AMLongFunc sends, in the way of AMShortFunc, an active message carrying
 // the bytes of region r from this node's host store into the destination's
 // host store.
 func (ep *Endpoint) AMLongFunc(to int, handler string, args Args, r memspace.Region, done func(ok bool)) {
-	ep.send(nil, to, handler, args, r, r.Size, done)
+	ep.send(to, handler, args, r, r.Size, done)
 }
 
-// AMProbe sends a best-effort control datagram: no ack, no retry, no TX/RX
-// occupancy. The heartbeat primitive — a probe that could queue behind a
-// bulk transfer or grow a retry ladder would measure the protocol instead
-// of the peer.
-func (ep *Endpoint) AMProbe(p *sim.Proc, to int, handler string, args Args) {
-	ep.control(p, ep.wire(to, handler, args, memspace.Region{}, 0), headerBytes, nil)
-}
-
-// AMProbeFunc is AMProbe from a callback or a non-blocking handler; done
-// (which may be nil) runs with true where AMProbe would have returned.
+// AMProbeFunc sends a best-effort control datagram: no ack, no retry, no
+// TX/RX occupancy. The heartbeat primitive — a probe that could queue behind
+// a bulk transfer or grow a retry ladder would measure the protocol instead
+// of the peer. done (which may be nil) runs with true once the sender-side
+// cost is paid.
 func (ep *Endpoint) AMProbeFunc(to int, handler string, args Args, done func(ok bool)) {
 	w := ep.wire(to, handler, args, memspace.Region{}, 0)
-	ep.control(nil, w, headerBytes, w.then(done))
+	ep.control(w, headerBytes, w.then(done))
 }
 
-// send is every reliable-capable send, from process p or, p nil, as a chain
-// of events that ends in done.
-func (ep *Endpoint) send(p *sim.Proc, to int, handler string, args Args, r memspace.Region, bytes uint64, done func(bool)) bool {
+// send is every reliable-capable send, a chain of events that ends in done.
+func (ep *Endpoint) send(to int, handler string, args Args, r memspace.Region, bytes uint64, done func(bool)) {
 	w := ep.wire(to, handler, args, r, bytes)
 	w.srcStore = ep.store
 	m := netsim.Message{From: ep.node, To: to, Size: headerBytes + bytes, Payload: w}
 	if ep.rel != nil && to != ep.node {
-		return ep.sendReliably(p, m, w, done)
+		ep.sendReliably(m, w, done)
+		return
 	}
 	ep.ins.MsgsSent.Inc()
 	ep.ins.BytesSent.Add(int64(m.Size))
-	ep.put(p, m, w.then(done))
-	return true
+	ep.f.SendFunc(m, w.then(done))
 }
 
 // sendReliably transmits m until it is acknowledged: transmit, wait for the
-// ack or the timeout, double the timeout, again — one ladder for both forms,
-// its steps run by p between waits or, p nil, each an event. The outcome,
-// whether the ack came, p gets as the result and a chain as done's argument.
-func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM, done func(bool)) bool {
+// ack or the timeout, double the timeout, again — each step an event. Its
+// continuation done gets the outcome, whether the ack came.
+func (ep *Endpoint) sendReliably(m netsim.Message, w *wireAM, done func(bool)) {
 	rel := ep.rel
 	ep.seqTo[m.To]++
 	w.seq, w.needAck = ep.seqTo[m.To], true
@@ -393,7 +363,7 @@ func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM, done 
 		if done != nil {
 			done(false)
 		}
-		return false
+		return
 	}
 	key, ack := ackKey{m.To, w.seq}, sim.NewEvent(ep.e)
 	ep.pending[key] = ack
@@ -421,18 +391,11 @@ func (ep *Endpoint) sendReliably(p *sim.Proc, m netsim.Message, w *wireAM, done 
 			done(ack.Triggered())
 		}
 	}
+	sent := func() { ack.WaitForFunc(timeout, waited) }
 	transmit = func() {
 		ep.ins.MsgsSent.Inc()
 		ep.ins.BytesSent.Add(int64(m.Size))
-		ep.put(p, m, func() {
-			if p == nil {
-				ack.WaitForFunc(timeout, waited)
-				return
-			}
-			ack.WaitFor(p, timeout)
-			waited()
-		})
+		ep.f.SendFunc(m, sent)
 	}
 	transmit()
-	return ack.Triggered()
 }

@@ -29,6 +29,16 @@ func setup(n int, validate bool) (*sim.Engine, *netsim.Fabric, []*Endpoint) {
 	return e, f, eps
 }
 
+// amShort and amProbe send from process p, which waits on the send's chain:
+// for the sender-side cost and, with reliability enabled, the ack.
+func amShort(p *sim.Proc, ep *Endpoint, to int, handler string, args Args) bool {
+	return p.Await("amShort", func(done func(bool)) { ep.AMShortFunc(to, handler, args, done) })
+}
+
+func amProbe(p *sim.Proc, ep *Endpoint, to int, handler string, args Args) {
+	p.Await("amProbe", func(done func(bool)) { ep.AMProbeFunc(to, handler, args, done) })
+}
+
 func TestAMShortRoundTrip(t *testing.T) {
 	e, _, eps := setup(2, false)
 	gotArgs := make(chan Args, 1)
@@ -44,7 +54,7 @@ func TestAMShortRoundTrip(t *testing.T) {
 		ep.Start(e)
 	}
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMShort(p, 1, "ping", Args{ID: 42})
+		amShort(p, eps[0], 1, "ping", Args{ID: 42})
 		pongDone.Wait(p)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -126,7 +136,7 @@ func TestPanickingNonBlockingHandlerStopsRun(t *testing.T) {
 		eps[1].RegisterNonBlocking("boom", func(am AM) { panic("bad handler") })
 		eps[1].Start(e)
 		e.Go("main", func(p *sim.Proc) {
-			eps[0].AMShort(p, 1, "boom", Args{})
+			amShort(p, eps[0], 1, "boom", Args{})
 			if senderStays {
 				p.Sleep(time.Second)
 			}
@@ -183,8 +193,8 @@ func TestHandlersCanBlockWithoutStallingDispatch(t *testing.T) {
 	})
 	eps[1].Start(e)
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMShort(p, 1, "slow", Args{})
-		eps[0].AMShort(p, 1, "fast", Args{})
+		amShort(p, eps[0], 1, "slow", Args{})
+		amShort(p, eps[0], 1, "fast", Args{})
 		p.Sleep(time.Second)
 		eps[1].Shutdown()
 	})
@@ -221,7 +231,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 
 func TestDataBeforeControlOrdering(t *testing.T) {
 	// The cluster protocol depends on this: an AMLong (data) sent before an
-	// AMShort (runTask) to the same destination is handled first, so a
+	// AMShortFunc (runTask) to the same destination is handled first, so a
 	// task never starts before its staged input landed.
 	e, _, eps := setup(2, true)
 	r := memspace.Region{Addr: 0x9000, Size: 500_000}

@@ -44,7 +44,7 @@ func TestReliableSendRetriesThroughDrops(t *testing.T) {
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", Args{})
+		ok = amShort(p, eps[0], 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -86,7 +86,7 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", Args{})
+		ok = amShort(p, eps[0], 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -127,7 +127,7 @@ func TestMaxAttemptsExhaustionBacksOffExponentially(t *testing.T) {
 	var elapsed sim.Time
 	e.Go("main", func(p *sim.Proc) {
 		start := p.Now()
-		ok = eps[0].AMShort(p, 1, "work", Args{})
+		ok = amShort(p, eps[0], 1, "work", Args{})
 		elapsed = p.Now() - start
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -169,11 +169,17 @@ func TestShutdownAbortsRetryLadder(t *testing.T) {
 		ep.EnableReliability(rel)
 		ep.Start(e)
 	}
-	var ok bool
+	var ok, closedOK bool
 	var finishedAt sim.Time
+	closedResumes := -1
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", Args{})
+		ok = amShort(p, eps[0], 1, "work", Args{})
 		finishedAt = p.Now()
+		// On the closed endpoint the chain ends before Await's start
+		// returns: false, with no park and no resume.
+		resumed := e.Resumed()
+		closedOK = amShort(p, eps[0], 1, "work", Args{})
+		closedResumes = e.Resumed() - resumed
 		eps[1].Shutdown()
 	})
 	e.Go("killer", func(p *sim.Proc) {
@@ -183,8 +189,8 @@ func TestShutdownAbortsRetryLadder(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("send reported success after shutdown")
+	if ok || closedOK || closedResumes != 0 {
+		t.Fatalf("sends reported %v and, once closed, %v after %d resumes; want false, false and 0", ok, closedOK, closedResumes)
 	}
 	// Aborted at the first timeout after the close (~300us), nowhere near
 	// the 50-attempt ladder.
@@ -197,7 +203,7 @@ func TestShutdownAbortsRetryLadder(t *testing.T) {
 }
 
 func TestProbeIsBestEffort(t *testing.T) {
-	// AMProbe must not ack, retry, or dedup — a dropped probe simply
+	// AMProbeFunc must not ack, retry, or dedup — a dropped probe simply
 	// vanishes, and a delivered one runs its handler without growing state.
 	e, f, eps := setup(2, false)
 	drop := true
@@ -212,10 +218,10 @@ func TestProbeIsBestEffort(t *testing.T) {
 		ep.Start(e)
 	}
 	e.Go("main", func(p *sim.Proc) {
-		eps[0].AMProbe(p, 1, "ping", Args{}) // dropped, no retry
+		amProbe(p, eps[0], 1, "ping", Args{}) // dropped, no retry
 		p.Sleep(time.Millisecond)
 		drop = false
-		eps[0].AMProbe(p, 1, "ping", Args{}) // delivered
+		amProbe(p, eps[0], 1, "ping", Args{}) // delivered
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()
@@ -244,7 +250,7 @@ func TestInboundFilterAcksButDoesNotDispatch(t *testing.T) {
 	}
 	var ok bool
 	e.Go("main", func(p *sim.Proc) {
-		ok = eps[0].AMShort(p, 1, "work", Args{})
+		ok = amShort(p, eps[0], 1, "work", Args{})
 		p.Sleep(time.Millisecond)
 		eps[0].Shutdown()
 		eps[1].Shutdown()

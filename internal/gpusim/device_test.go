@@ -259,7 +259,9 @@ func TestOperationsSpawnNoProcess(t *testing.T) {
 			d.CopyAsync(D2H, r, host, false),
 			d.LaunchAsync(time.Millisecond, nil), d.LaunchAsync(time.Millisecond, nil),
 		}
-		sim.WaitAll(p, evs...)
+		for _, ev := range evs {
+			ev.Wait(p)
+		}
 		allocs = testing.AllocsPerRun(100, func() { d.Launch(p, time.Microsecond, nil) })
 	})
 	if err := e.Run(); err != nil {

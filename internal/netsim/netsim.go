@@ -129,20 +129,20 @@ func (f *Fabric) SerializationTime(size uint64) time.Duration {
 // xmit is one message in flight and its send chain: After(overhead) → TX →
 // RX → After(serialization) → After(latency), each step a func bound once,
 // so that a send on a recycled record allocates nothing. The end of
-// serialization, the chain's last step on the sender's side, is the wake-up
-// of the parked sender p, which then runs sent itself (Send), or one more
-// event, which runs sent and then done (SendFunc): the two forms differ in
-// nothing else.
+// serialization, the chain's last step on the sender's side, runs sent and
+// then the sender's continuation: SendFunc's done, or the end of the Await
+// of a process that Send parked.
 type xmit struct {
 	f        *Fabric
 	msg      Message
 	src, dst *Iface
 	v        Verdict
 	ser      time.Duration
-	p        *sim.Proc
 	done     func()
+	woken    func(ok bool)
 
 	afterOverhead, afterTX, afterRX, afterSer, afterLat func()
+	await                                               func(woken func(ok bool)) // Send's, bound on first use
 }
 
 // String names the message a parked sender waits on, for deadlock reports.
@@ -169,26 +169,20 @@ func (f *Fabric) newXmit() *xmit {
 		x.src.tx.AcquireFunc(x.afterTX)
 	}
 	x.afterTX = func() { x.dst.rx.AcquireFunc(x.afterRX) }
-	x.afterRX = func() {
-		if x.p != nil {
-			x.p.WakeAfter(x.ser)
-		} else {
-			f.e.After(x.ser, x.afterSer)
-		}
-	}
+	x.afterRX = func() { f.e.After(x.ser, x.afterSer) }
 	x.afterSer, x.afterLat = x.sent, x.deliver
 	return x
 }
 
 func (f *Fabric) recycle(x *xmit) {
-	x.msg, x.p, x.done = Message{}, nil, nil
+	x.msg, x.done, x.woken = Message{}, nil, nil
 	f.free = append(f.free, x)
 }
 
 // sent ends the sender-side cost of x and puts it on the wire: delivery is
 // one latency later, unless the fault hook drops the message here.
 func (x *xmit) sent() {
-	f, src, done := x.f, x.src, x.done
+	f, src, done, woken := x.f, x.src, x.done, x.woken
 	if !x.msg.Control {
 		src.tx.Release()
 		x.dst.rx.Release()
@@ -211,6 +205,8 @@ func (x *xmit) sent() {
 	}
 	if done != nil {
 		done()
+	} else if woken != nil {
+		woken(true)
 	}
 }
 
@@ -226,10 +222,10 @@ func (x *xmit) deliver() {
 	f.recycle(x)
 }
 
-// start begins the send chain of msg and returns its record; p or done says
-// who ends it (see xmit). Loopback (From == To) is delivered at once, with
-// no interface occupancy and no fault filtering, and start returns nil.
-func (f *Fabric) start(msg Message, p *sim.Proc, done func()) *xmit {
+// start begins the send chain of msg, which ends in done, and returns its
+// record. Loopback (From == To) is delivered at once, with no interface
+// occupancy and no fault filtering, and start returns nil.
+func (f *Fabric) start(msg Message, done func()) *xmit {
 	if msg.From < 0 || msg.From >= len(f.ifaces) || msg.To < 0 || msg.To >= len(f.ifaces) {
 		panic(fmt.Sprintf("netsim: bad endpoints %d->%d", msg.From, msg.To))
 	}
@@ -243,7 +239,7 @@ func (f *Fabric) start(msg Message, p *sim.Proc, done func()) *xmit {
 		return nil
 	}
 	x := f.newXmit()
-	x.msg, x.src, x.dst, x.p, x.done, x.v = msg, src, dst, p, done, Verdict{}
+	x.msg, x.src, x.dst, x.done, x.v = msg, src, dst, done, Verdict{}
 	if f.hook != nil {
 		x.v = f.hook.FilterSend(f.e.Now(), msg)
 	}
@@ -257,12 +253,15 @@ func (f *Fabric) start(msg Message, p *sim.Proc, done func()) *xmit {
 
 // Send transmits msg, blocking the calling process for the sender-side cost:
 // per-message overhead plus serialization, including any queueing on the two
-// interfaces. p parks once per message, whatever the queueing. Delivery into
-// the destination inbox happens one wire latency after Send returns.
+// interfaces. It is SendFunc awaited: p parks once per message, whatever the
+// queueing, and not at all for loopback. Delivery into the destination inbox
+// happens one wire latency after Send returns.
 func (f *Fabric) Send(p *sim.Proc, msg Message) {
-	if x := f.start(msg, p, nil); x != nil {
-		p.Park(x)
-		x.sent()
+	if x := f.start(msg, nil); x != nil {
+		if x.await == nil {
+			x.await = func(woken func(bool)) { x.woken = woken }
+		}
+		p.Await(x, x.await)
 	}
 }
 
@@ -270,7 +269,7 @@ func (f *Fabric) Send(p *sim.Proc, msg Message) {
 // and must not block) runs where Send would have returned — at once for
 // loopback.
 func (f *Fabric) SendFunc(msg Message, done func()) {
-	if f.start(msg, nil, done) == nil && done != nil {
+	if f.start(msg, done) == nil && done != nil {
 		done()
 	}
 }

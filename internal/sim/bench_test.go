@@ -15,7 +15,7 @@ func BenchmarkEngineSpawn(b *testing.B) {
 	e := NewEngine()
 	e.Go("spawner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Go("child", func(c *Proc) {})
+			e.Go("child", func(c *Proc) {})
 			p.Yield() // let the child run and exit
 		}
 	})

@@ -135,23 +135,37 @@ func TestGetFuncAllocs(t *testing.T) {
 	}
 }
 
-// Park and WakeAfter are Sleep taken apart: a chain of callbacks started by
-// the process ends in its wake-up, and the process resumes once.
-func TestParkIsWokenByTheChainItStarted(t *testing.T) {
-	e := NewEngine()
-	var woke Time
-	e.Go("main", func(p *Proc) {
-		e.After(time.Millisecond, func() {
-			e.After(time.Millisecond, func() { p.WakeAfter(time.Millisecond) })
+// Await is Sleep taken apart: a chain of callbacks started by the process
+// ends in its wake-up, and the process resumes once — or not at all when the
+// chain ends before start returns — and gets the outcome done was handed.
+func TestAwaitIsWokenByTheChainItStarted(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		chain   func(e *Engine, done func(bool))
+		at      Time
+		resumed int
+		ok      bool
+	}{
+		{"chain", func(e *Engine, done func(bool)) {
+			e.After(time.Millisecond, func() {
+				e.After(2*time.Millisecond, func() { done(true) })
+			})
+		}, Time(3 * time.Millisecond), 2, true},
+		{"ended at once", func(_ *Engine, done func(bool)) { done(false) }, 0, 1, false},
+	} {
+		e := NewEngine()
+		var woke Time
+		var ok bool
+		e.Go("main", func(p *Proc) {
+			ok = p.Await("the chain", func(done func(bool)) { c.chain(e, done) })
+			woke = p.Now()
 		})
-		p.Park("the chain")
-		woke = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != Time(3*time.Millisecond) || e.Resumed() != 2 {
-		t.Fatalf("woke at %v after %d resumes, want 3ms and 2 (start, wake)", woke, e.Resumed())
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if woke != c.at || e.Resumed() != c.resumed || ok != c.ok {
+			t.Errorf("%s: woke at %v after %d resumes with %v, want %v, %d and %v", c.name, woke, e.Resumed(), ok, c.at, c.resumed, c.ok)
+		}
 	}
 }
 
@@ -162,7 +176,7 @@ func (w parkedOn) String() string { return fmt.Sprintf("link %d->%d", w.from, w.
 // What a process parked on is formatted only for the deadlock report.
 func TestDeadlockReportNamesWhatAProcessParkedOn(t *testing.T) {
 	e := NewEngine()
-	e.Go("stuck", func(p *Proc) { p.Park(parkedOn{3, 5}) })
+	e.Go("stuck", func(p *Proc) { p.Await(parkedOn{3, 5}, func(func(bool)) {}) })
 	r := NewResource(e, "dma", 1)
 	r.AcquireFunc(func() {})
 	e.Go("queued", func(p *Proc) { r.Acquire(p) })
@@ -243,17 +257,19 @@ func TestEventWaitFuncKeepsWaiterOrder(t *testing.T) {
 	}
 }
 
-// A process parked on a chain goes on inside the chain's last callback:
-// no event of its own and no resume per step, and what it does next takes the
-// sequence numbers it would have taken had it woken from a Sleep there.
+// A process awaiting a chain goes on inside the chain's last callback: no
+// event of its own and no resume per step, and what it does next takes the
+// sequence numbers it would have taken had it woken from a Sleep there. The
+// chain must end in a bare callback: ended from another process, it panics.
 func TestResumeRunsTheProcessInTheCallbacksSlot(t *testing.T) {
 	run := func(chain bool) (trace string, popped, resumed int) {
 		e := NewEngine()
 		var log []string
 		e.Go("p", func(p *Proc) {
 			if chain {
-				e.After(time.Millisecond, func() { e.After(time.Millisecond, p.Resume) })
-				p.Park("chain")
+				p.Await("chain", func(done func(bool)) {
+					e.After(time.Millisecond, func() { e.After(time.Millisecond, func() { done(true) }) })
+				})
 			} else {
 				p.Sleep(time.Millisecond)
 				p.Sleep(time.Millisecond)
@@ -274,15 +290,11 @@ func TestResumeRunsTheProcessInTheCallbacksSlot(t *testing.T) {
 			pt, pp, pr, ct, cp, cr)
 	}
 	e := NewEngine()
-	e.Go("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Resume from a process did not panic")
-			}
-		}()
-		p.Resume()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	var done func(bool)
+	e.Go("p", func(p *Proc) { p.Await("chain", func(d func(bool)) { done = d }) })
+	e.Go("q", func(*Proc) { done(true) })
+	var pe *ProcPanicError
+	if err := e.Run(); !errors.As(err, &pe) || pe.Proc != "q" {
+		t.Fatalf("err = %v, want q's panic: a chain ended from a process", err)
 	}
 }

@@ -6,9 +6,7 @@
 // handler, staging one task's data — is a chain of bare callbacks
 // (Engine.After, Resource.AcquireFunc, Queue.GetFunc, Event.WaitFunc,
 // Event.WaitForFunc) run inline by the engine's loop; a process that needs
-// one parks, and its wake-up is the chain's last step (Proc.Park, then
-// Proc.WakeAfter for a step known to be the last, or Proc.Resume from the
-// callback that turns out to be).
+// one waits on it with Proc.Await, and the chain's last step resumes it.
 //
 // Determinism contract: exactly one process or callback executes at any
 // instant. A process runs until it blocks (Sleep, Event.Wait, Queue.Get,
@@ -35,9 +33,9 @@
 // without a closure of their own, so scheduling allocates nothing: what
 // allocates is a spawn (its Proc, and its coroutine while no exited process
 // has left one), a blocked Queue.Get (its slot) and an Event's waiters after
-// the first; a Signal keeps its waiter slice from round to round, and a
-// chain's callbacks cost what binding them costs its caller — nothing, when
-// they are bound once on a recycled record.
+// the first; a Signal keeps its waiter slice from round to round, an Await
+// its record on the engine, and a chain's callbacks cost what binding them
+// costs its caller — nothing, when they are bound once on a recycled record.
 package sim
 
 import (
@@ -98,11 +96,12 @@ type Engine struct {
 	// onPop, when set, sees each event Run pops; tests use it.
 	onPop func(at Time, seq uint64)
 
-	procs   []*Proc // live processes, maintained on spawn/exit only
-	cur     *Proc   // the process Run has switched to, nil between switches
-	procSeq int
-	resumed int
-	popped  int
+	procs    []*Proc    // live processes, maintained on spawn/exit only
+	awaiters []*awaiter // the records of ended Awaits, for the next
+	cur      *Proc      // the process Run has switched to, nil between switches
+	procSeq  int
+	resumed  int
+	popped   int
 
 	// idle holds the coroutines whose process has exited, most recent last,
 	// for the next process to start on.

@@ -182,7 +182,7 @@ func TestPanicInBareCallback(t *testing.T) {
 }
 
 // A WaitUntil guard runs on the engine loop: its panic, and a block inside
-// it (which Park refuses), stop the run with an error under the waiter's
+// it (which park refuses), stop the run with an error under the waiter's
 // name, and the parked waiter is unwound.
 func TestWaitUntilGuardPanicIsRunError(t *testing.T) {
 	for want, guard := range map[string]func(p *Proc) bool{
@@ -344,7 +344,7 @@ func TestGoroutinesAreRecycled(t *testing.T) {
 	e.Go("spawner", func(p *Proc) {
 		base := runtime.NumGoroutine()
 		for i := 0; i < 1000; i++ {
-			p.Go("child", func(c *Proc) { c.Sleep(time.Microsecond) })
+			e.Go("child", func(c *Proc) { c.Sleep(time.Microsecond) })
 			p.Sleep(time.Millisecond)
 			if n := runtime.NumGoroutine() - base; n > peak {
 				peak = n
@@ -366,7 +366,7 @@ func TestSpawnAllocs(t *testing.T) {
 	var allocs float64
 	e.Go("spawner", func(p *Proc) {
 		allocs = testing.AllocsPerRun(200, func() {
-			p.Go("child", func(c *Proc) {})
+			e.Go("child", func(c *Proc) {})
 			p.Yield() // let the child run and exit
 		})
 	})

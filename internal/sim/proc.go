@@ -24,18 +24,15 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// Park suspends the process, switching back to Run's loop, until a wake-up
-// has Run resume it: one that a primitive schedules (Sleep, Event.Wait, ...),
-// or one that callbacks the process started schedule with WakeAfter — which
-// is how an operation built as a chain of events serves a process too: the
-// chain's last timed step is the caller's wake-up, in the slot one more
-// callback would have had. on, a string or a Stringer, names the wait in
+// park suspends the process, switching back to Run's loop, until a wake-up
+// that a primitive schedules (Sleep, Event.Wait, ...) or an awaited chain's
+// end (Await) resumes it. on, a string or a Stringer, names the wait in
 // deadlock reports. If Run stops the coroutine instead (or already has, and
-// this is a deferred call blocking during the unwinding), the process unwinds.
-// Only the running process may park itself: Park panics when p is not it —
-// called from a bare callback, from another process, or on a handle whose
-// process has not started.
-func (p *Proc) Park(on interface{}) {
+// this is a deferred call blocking during the unwinding), the process
+// unwinds. Only the running process may park itself: park panics when p is
+// not it — called from a bare callback, from another process, or on a
+// handle whose process has not started.
+func (p *Proc) park(on interface{}) {
 	if p != p.e.cur {
 		panic("sim: " + p.name + " blocks outside its own process")
 	}
@@ -45,42 +42,66 @@ func (p *Proc) Park(on interface{}) {
 	}
 }
 
-// WakeAfter schedules the wake-up of p, which is parked or about to park,
-// after d (behind the events pending now when d <= 0). A process has at most
-// one wake-up pending.
-func (p *Proc) WakeAfter(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.e.schedule(p.e.now+Time(d), p, nil)
+// awaiter is the record of one Await, recycled on its engine.
+type awaiter struct {
+	p                 *Proc
+	ok, ended, parked bool
+	done              func(ok bool) // bound once: end
 }
 
-// Resume switches to p, parked on a chain of events, from the bare callback
-// that is the chain's last step: p goes on in that slot, where it would have
-// woken had it run the chain's steps itself, with no event of its own. It
-// panics unless called from a bare callback on a parked process.
-func (p *Proc) Resume() {
-	e := p.e
-	if !e.inRun || e.cur != nil || p.blockedOn == nil || p.co == nil {
-		panic("sim: Resume of " + p.name + " outside a bare callback, or of a process not parked")
+// end is the awaited chain's continuation: it hands over ok and, if the
+// process has parked, switches to it from the chain's last callback.
+func (a *awaiter) end(ok bool) {
+	a.ok, a.ended = ok, true
+	if a.parked {
+		e := a.p.e
+		if !e.inRun || e.cur != nil {
+			panic("sim: the chain " + a.p.name + " awaits ended outside a bare callback")
+		}
+		e.switchTo(a.p)
 	}
-	e.switchTo(p)
+}
+
+// Await is how a process waits on an operation built as a chain of events:
+// it calls start with the chain's continuation done and returns the ok that
+// done is handed. Unless the chain ended before start returned, the process
+// parks, with on (a string or a Stringer) naming the wait in deadlock
+// reports, and the chain's last step, a bare callback calling done, resumes
+// it in that callback's slot, where the process would have returned had it
+// run the chain's steps itself: no event of its own, one resume. start must
+// not block, and done must be called once.
+func (p *Proc) Await(on interface{}, start func(done func(ok bool))) bool {
+	e := p.e
+	var a *awaiter
+	if n := len(e.awaiters); n > 0 {
+		a, e.awaiters = e.awaiters[n-1], e.awaiters[:n-1]
+	} else {
+		a = new(awaiter)
+		a.done = a.end
+	}
+	a.p, a.ended, a.parked = p, false, false
+	start(a.done)
+	if !a.ended {
+		a.parked = true
+		p.park(on)
+	}
+	ok := a.ok
+	a.p = nil
+	e.awaiters = append(e.awaiters, a)
+	return ok
 }
 
 // Sleep suspends the process for virtual duration d. Negative or zero d
 // yields: the process is rescheduled at the current time behind already
 // pending same-time events.
 func (p *Proc) Sleep(d Duration) {
-	p.WakeAfter(d)
-	p.Park("sleeping")
+	p.e.schedule(p.e.now+Time(max(d, 0)), p, nil)
+	p.park("sleeping")
 }
 
 // Yield reschedules the process behind all events pending at the current
 // virtual time.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// Go spawns a child process at the current time.
-func (p *Proc) Go(name string, fn func(p *Proc)) *Proc { return p.e.Go(name, fn) }
 
 // Done returns an Event that triggers when this process's function returns;
 // requested after that, it is returned already triggered.
@@ -164,8 +185,8 @@ func (ev *Event) OnTrigger(fn func()) {
 // has triggered.
 func (ev *Event) WaitFor(p *Proc, d Duration) bool {
 	if !ev.Triggered() {
-		ev.orAfter(d, func() { p.WakeAfter(0) })
-		p.Park("event wait")
+		ev.orAfter(d, func() { p.e.schedule(p.e.now, p, nil) })
+		p.park("event wait")
 	}
 	return ev.Triggered()
 }
@@ -202,7 +223,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.wait(waiter{p: p})
-	p.Park("event wait")
+	p.park("event wait")
 }
 
 // WaitFunc is Wait for a waiter that has no process: fn runs at once if the
@@ -215,15 +236,6 @@ func (ev *Event) WaitFunc(fn func()) {
 		return
 	}
 	ev.wait(waiter{fn: fn})
-}
-
-// WaitAll blocks until every event in evs has triggered.
-func WaitAll(p *Proc, evs ...*Event) {
-	for _, ev := range evs {
-		if ev != nil {
-			ev.Wait(p)
-		}
-	}
 }
 
 // Signal is a reusable broadcast: every Broadcast wakes the processes then
@@ -272,7 +284,7 @@ func (s *Signal) Broadcast() {
 func (s *Signal) Wait(p *Proc, gen uint64) {
 	if gen == s.gen {
 		s.waiters = append(s.waiters, sigWaiter{p: p})
-		p.Park(s)
+		p.park(s)
 	}
 }
 
@@ -292,7 +304,7 @@ func (s *Signal) WaitUntil(p *Proc, gen uint64, ready func() bool) {
 		}
 	}
 	s.waiters = append(s.waiters, sigWaiter{p, ready})
-	p.Park(s)
+	p.park(s)
 }
 
 // Counter is a countdown latch: Wait releases when the count reaches zero.
@@ -329,5 +341,5 @@ func (c *Counter) Wait(p *Proc) {
 		return
 	}
 	c.waiters = append(c.waiters, p)
-	p.Park("counter wait")
+	p.park("counter wait")
 }

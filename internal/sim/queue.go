@@ -76,7 +76,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	}
 	w := &getter[T]{p: p}
 	q.waiters = append(q.waiters, w)
-	p.Park("queue get")
+	p.park("queue get")
 	return w.item, w.ok
 }
 

@@ -10,8 +10,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []resWaiter
-
-	busy Time // accumulated unit-busy time, for utilization stats
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -35,7 +33,7 @@ type resWaiter struct {
 // the resource is saturated.
 func (r *Resource) Acquire(p *Proc) {
 	if !r.request(resWaiter{p: p}) {
-		p.Park(r)
+		p.park(r)
 	}
 }
 
@@ -78,14 +76,9 @@ func (r *Resource) Release() {
 // engine for bytes/bandwidth seconds).
 func (r *Resource) Use(p *Proc, d Duration) {
 	r.Acquire(p)
-	r.busy += Time(d)
 	p.Sleep(d)
 	r.Release()
 }
-
-// BusyTime returns accumulated unit-busy virtual time (service time summed
-// over Use calls), usable for utilization = BusyTime / (capacity * elapsed).
-func (r *Resource) BusyTime() Time { return r.busy }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }

@@ -270,18 +270,18 @@ func detMapRange(p *pkg) {
 }
 
 // Functions by module path and name: blockingFuncs park the calling process
-// (the sim primitives, and the process forms of a send above them);
+// (the sim primitives, Await among them, and netsim's Send, which awaits
+// SendFunc);
 // unboundedFuncs are the sim ones whose wait no duration bounds, which
 // deadlock rather than stall when the wake-up never comes; inlineCallbacks
 // run their function-literal arguments inline on the engine loop — the
 // guard of Signal.WaitUntil too, which is also a blocking call itself.
 var (
 	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitUntil",
-		"internal/sim.WaitFor", "internal/sim.Park", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
-		"internal/sim.Run", "internal/sim.WaitAll", "internal/netsim.Send", "internal/gasnet.AMShort",
-		"internal/gasnet.AMProbe")
+		"internal/sim.WaitFor", "internal/sim.Await", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
+		"internal/sim.Run", "internal/netsim.Send")
 	unboundedFuncs = set("internal/sim.Wait", "internal/sim.WaitUntil", "internal/sim.Get", "internal/sim.Acquire",
-		"internal/sim.Use", "internal/sim.Run", "internal/sim.WaitAll", "internal/sim.Park")
+		"internal/sim.Use", "internal/sim.Run", "internal/sim.Await")
 	inlineCallbacks = set("internal/sim.After", "internal/sim.OnTrigger", "internal/sim.AcquireFunc",
 		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitFunc", "internal/sim.WaitUntil",
 		"internal/netsim.SendFunc", "internal/gasnet.RegisterNonBlocking", "internal/gasnet.AMShortFunc",
@@ -292,7 +292,7 @@ var (
 // simBlocking flags the deadlock shapes the engine cannot detect at run
 // time: a nested Resource.Acquire, or an unbounded wait, while a resource
 // is held (a bounded Sleep under one is the occupancy model, and allowed).
-// Blocking inside an inline callback is flagged too, though Proc.Park also
+// Blocking inside an inline callback is flagged too, though the engine also
 // refuses it at run time. Each function body, and each function literal, is
 // its own context: a spawned process holds none of its parent's resources.
 func simBlocking(p *pkg) {
@@ -635,12 +635,14 @@ var ruleCases = []struct{ rule, want, src string }{
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.Send(p, netsim.Message{From: 1, To: am.From}) }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, s *sim.Signal) {
 	s.WaitUntil(p, s.Gen(), func() bool { p.Sleep(1); return true }) }`},
+	{"simblocking", "sim Await inside an inline engine callback", `func f(ep *gasnet.Endpoint, p *sim.Proc) {
+	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { p.Await("pong", func(done func(bool)) { ep.AMShortFunc(am.From, "pong", am.Args, done) }) }) }`},
 	{"simblocking", "unbounded sim WaitUntil while resource r is held", `func f(p *sim.Proc, r *sim.Resource, s *sim.Signal, q *sim.Queue[int]) {
 	r.Acquire(p); s.WaitUntil(p, s.Gen(), func() bool { return q.Len() > 0 }); r.Release() }`},
 	// The occupancy model, a spawn from a callback, a documented acquisition
 	// order, occupancy as continuations, both handler forms, a reply from a
-	// non-blocking handler with the event-chain send, and a WaitUntil guard
-	// that only takes.
+	// non-blocking handler with the event-chain send, a process awaiting that
+	// send, and a WaitUntil guard that only takes.
 	{"simblocking", "", `func f(p *sim.Proc, r *sim.Resource) { r.Acquire(p); p.Sleep(10); r.Release() }`},
 	{"simblocking", "", `func f(e *sim.Engine, ev *sim.Event) { e.After(1, func() { e.Go("drain", func(p *sim.Proc) { ev.Wait(p) }) }) }`},
 	{"simblocking", "", "func f(p *sim.Proc, tx, rx *sim.Resource) { tx.Acquire(p)\n//ompss:simblock-ok TX is always acquired before RX; the wait graph is acyclic\nrx.Acquire(p); tx.Release(); rx.Release() }"},
@@ -649,6 +651,8 @@ var ruleCases = []struct{ rule, want, src string }{
 	ep.RegisterNonBlocking("fetch", func(am gasnet.AM) { ev.WaitFunc(func() {}) }); ep.RegisterNonBlocking("ack", func(gasnet.AM) { ev.Trigger() }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, ev *sim.Event) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.SendFunc(netsim.Message{From: 1, To: am.From}, func() { ev.Trigger() }) }) }`},
+	{"simblocking", "", `func f(ep *gasnet.Endpoint, p *sim.Proc) bool {
+	return p.Await("ping", func(done func(bool)) { ep.AMShortFunc(1, "ping", gasnet.Args{}, done) }) }`},
 	{"simblocking", "", `func f(p *sim.Proc, s *sim.Signal, q *sim.Queue[int]) (v int) {
 	s.WaitUntil(p, s.Gen(), func() (ok bool) { v, ok = q.TryGet(); return ok }); return v }`},
 

@@ -262,9 +262,6 @@ func TestResourceSerializes(t *testing.T) {
 	if fmt.Sprint(finish) != fmt.Sprint(want) {
 		t.Fatalf("finish = %v, want %v", finish, want)
 	}
-	if r.BusyTime() != Time(30*time.Millisecond) {
-		t.Fatalf("busy = %v, want 30ms", r.BusyTime())
-	}
 }
 
 func TestResourceCapacityTwoOverlaps(t *testing.T) {
@@ -371,7 +368,7 @@ func TestNestedSpawn(t *testing.T) {
 		if d == 5 {
 			return
 		}
-		child := p.Go("child", func(c *Proc) {
+		child := e.Go("child", func(c *Proc) {
 			c.Sleep(time.Millisecond)
 			spawn(c, d+1)
 		})
