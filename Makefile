@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap
+.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap align
 
 ## check: gofmt + go vet + build + full test suite (the tier-1 gate; the
 ## determinism rules of DESIGN.md §9 are a test in it, internal/sim/rules_test.go)
@@ -46,6 +46,18 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzStore -fuzztime 20s ./internal/memspace/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
 	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 20s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzDepgraph -fuzztime 20s ./internal/depgraph/
+
+## align: each validated kernel's Run address mod 64 in an ompss-bench
+## built as the benchmark builds it. A kernel's speed depends on it (Sgemm
+## runs about 2x slower at 32 than at 0), and the linker moves it with any
+## change to the binary, so compare both sides before crediting a change
+## with a weakscale or paper_figs move
+align:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -buildvcs=false -o "$$d/ompss-bench" ./cmd/ompss-bench && \
+	$(GO) tool nm "$$d/ompss-bench" | grep -E 'kernels\.(Sgemm|JacobiStep|StreamTriad)\.Run$$' | \
+	while read addr kind sym; do echo "$${sym##*/} $$((0x$$addr % 64)) mod 64"; done
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...` and `make check` at the root never

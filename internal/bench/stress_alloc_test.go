@@ -5,6 +5,10 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"github.com/bsc-repro/ompss/internal/depgraph"
+	"github.com/bsc-repro/ompss/internal/sched"
+	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // Heap allocations per task over the quick stress grid's rows, the two
@@ -36,4 +40,38 @@ func TestStressAllocsPerTask(t *testing.T) {
 		t.Errorf("%.3f allocations per task, want <= %.3f", allocs, max)
 	}
 	t.Logf("%.3f allocations, %.0f bytes per task", allocs, bytes)
+}
+
+// Live heap per task while the quick stress grid sits submitted and
+// undrained: each task, its Deps, its graph node, and the fragments and
+// ready entries it shares — what a million-task graph holds at once. It
+// was 283.7 bytes (265.7 on the full grid, where it is 190.7 now) before
+// the task put its rare clauses and copy cache behind one pointer
+// (152 -> 96 B) and the node lost its successor map (56 -> 48 B); it is
+// held to what was measured plus 5 %. The race detector allocates on its
+// own, hence the build tag.
+func TestStressLiveBytesPerTask(t *testing.T) {
+	const measured = 208.6
+	width, depth := stressSize(Options{Quick: true})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sc := sched.New(sched.Dependencies, stressPlaces, sched.Options{})
+	g := depgraph.New(func(t *task.Task) { sc.Submit(t, -1) })
+	var base task.ID
+	for d := 0; d < depth; d++ {
+		if _, err := g.SubmitBatch(stressLayer(width, d, 0, base)); err != nil {
+			t.Fatal(err)
+		}
+		base += task.ID(width)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(sc)
+	live := float64(after.HeapAlloc-before.HeapAlloc) / float64(width*depth)
+	if max := measured * 1.05; live > max {
+		t.Errorf("%.1f live bytes per task, want <= %.1f", live, max)
+	}
+	t.Logf("%.1f live bytes per task", live)
 }

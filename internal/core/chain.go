@@ -200,6 +200,9 @@ func (pl *plan) attempt(bool) {
 		ev.WaitFunc(func() { pl.once(true, pl.rt.ft == nil) })
 	case pl.stage:
 		pl.rt.mgrChargeQuery(pl)
+	case pl.combine && n.folding != nil:
+		// The host copy of pl.r may be what is being folded into.
+		n.folding.WaitFunc(func() { pl.attempt(true) })
 	case pl.combine:
 		n.combineReductions(n.overlappingRedRegions(pl.r), pl.planned)
 	default:

@@ -23,7 +23,7 @@ const (
 
 // taskDescBytes models the wire size of a task descriptor.
 func taskDescBytes(t *task.Task) uint64 {
-	return 256 + 48*uint64(len(t.Deps)+len(t.ExtraCopies))
+	return 256 + 48*uint64(len(t.Deps)+len(t.ExtraCopies()))
 }
 
 // clusterState lives on the Runtime (of a machine with more than one node)

@@ -33,7 +33,7 @@ import (
 // region's address.
 func (n *nodeRT) runBody(t *task.Task, store *memspace.Store) {
 	var declared, ins, outs, reads, writes []memspace.Region
-	for _, clauses := range [2][]task.Dep{t.Deps, t.ExtraCopies} {
+	for _, clauses := range [2][]task.Dep{t.Deps, t.ExtraCopies()} {
 		for _, d := range clauses {
 			if !d.Region.Valid() {
 				continue

@@ -28,20 +28,8 @@ func (lc *LocalCtx) Node() int { return lc.n.id }
 // against the other nested tasks of the same parent.
 func (lc *LocalCtx) Submit(def TaskDef) *task.Task {
 	rt := lc.n.rt
-	t := &task.Task{
-		ID:          rt.newTaskID(),
-		Name:        def.Name,
-		Device:      def.Device,
-		Deps:        def.Deps,
-		CopyDeps:    !def.NoCopyDeps,
-		ExtraCopies: def.ExtraCopies,
-		Reductions:  def.Reductions,
-		Work:        def.Work,
-		Spawner:     def.Spawner,
-	}
-	if t.Work == nil {
-		t.Work = task.NoWork{Label: def.Name}
-	}
+	t := new(task.Task)
+	def.fill(t, rt.newTaskID())
 	if t.Device == task.CUDA && len(lc.n.devs) == 0 {
 		panic(fmt.Sprintf("core: nested CUDA task on GPU-less node %d", lc.n.id))
 	}
@@ -91,6 +79,6 @@ func (n *nodeRT) runSpawner(p *sim.Proc, t *task.Task) {
 		// Nested extents contribute their sibling arcs to the same trace.
 		lc.graph.OnArc = func(pred, succ task.ID) { tr.Edge(int64(pred), int64(succ)) }
 	}
-	t.Spawner(lc)
+	t.Spawner()(lc)
 	lc.Wait()
 }

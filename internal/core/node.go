@@ -75,9 +75,11 @@ type nodeRT struct {
 
 	// redPartials tracks, per reduction region, the GPUs holding partial
 	// accumulators; redCombiners the folding function. Partials are
-	// combined into the host copy before the next reader (fetchToHost).
+	// combined into the host copy before the next reader (fetchToHost);
+	// folding is set while they are, and readers wait for it.
 	redPartials  map[memspace.Region][]int
 	redCombiners map[memspace.Region]task.Combiner
+	folding      *sim.Event
 
 	// guardBuf is runBody's reused snapshot of In-only bytes.
 	guardBuf []byte
@@ -332,7 +334,7 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 			n.produced(c.Region, memspace.Host(n.id))
 		}
 	}
-	if t.Spawner != nil {
+	if t.Spawner() != nil {
 		// The spawner blocks until its nested tasks drain; detach it so
 		// this worker can execute those very tasks (a parent waiting on
 		// its children must not occupy the only executor).
@@ -426,7 +428,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		kernel.EndTask(p.Now(), int64(t.ID))
 		n.met.taskRunNS.Observe(sim.Duration(p.Now() - kernelStart))
 		n.publishGPUTask(p, g, t)
-		if t.Spawner != nil {
+		if t.Spawner() != nil {
 			// Detached: the nested tasks need this very GPU manager.
 			n.rt.e.Go("spawner:"+t.Name, func(sp *sim.Proc) {
 				n.runSpawner(sp, t)
@@ -763,7 +765,7 @@ func (n *nodeRT) registerReduction(t *task.Task) {
 		if d.Access != task.Red {
 			continue
 		}
-		c, ok := t.Reductions[d.Region.Addr]
+		c, ok := t.Reductions()[d.Region.Addr]
 		if !ok {
 			panic(fmt.Sprintf("core: %v has a reduction dependence on %v but no combiner", t, d.Region))
 		}
@@ -777,8 +779,15 @@ func (n *nodeRT) registerReduction(t *task.Task) {
 // the dependency graph guarantees all reduction tasks have finished.
 func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 	if len(rrs) == 0 {
+		if folding := n.folding; folding != nil {
+			n.folding = nil
+			folding.Trigger()
+		}
 		then(true)
 		return
+	}
+	if n.folding == nil {
+		n.folding = sim.NewEvent(n.rt.e)
 	}
 	r := rrs[0]
 	gpus := n.redPartials[r]

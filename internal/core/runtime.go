@@ -224,6 +224,22 @@ type TaskDef struct {
 	Spawner func(interface{})
 }
 
+// fill makes t the task of def, numbered id.
+func (def *TaskDef) fill(t *task.Task, id task.ID) {
+	*t = task.Task{
+		ID:       id,
+		Name:     def.Name,
+		Device:   def.Device,
+		Deps:     def.Deps,
+		CopyDeps: !def.NoCopyDeps,
+		Work:     def.Work,
+	}
+	if t.Work == nil {
+		t.Work = task.NoWork{Label: def.Name}
+	}
+	t.SetClauses(def.ExtraCopies, def.Reductions, def.Spawner)
+}
+
 // Run executes main as the application's initial task and drives the
 // simulation to completion, returning aggregate statistics. The implicit
 // barrier and flush of the end of an OmpSs program are applied after main
@@ -317,26 +333,13 @@ func (mc *MainCtx) Submit(def TaskDef) *task.Task {
 // error has been recorded).
 func (mc *MainCtx) buildTask(t *task.Task, def TaskDef) (ok bool) {
 	rt := mc.rt
-	*t = task.Task{
-		ID:          rt.newTaskID(),
-		Name:        def.Name,
-		Device:      def.Device,
-		Deps:        def.Deps,
-		CopyDeps:    !def.NoCopyDeps,
-		ExtraCopies: def.ExtraCopies,
-		Reductions:  def.Reductions,
-		Work:        def.Work,
-		Spawner:     def.Spawner,
-	}
-	if t.Work == nil {
-		t.Work = task.NoWork{Label: def.Name}
-	}
+	def.fill(t, rt.newTaskID())
 	if t.Device == task.CUDA && rt.cfg.Cluster.TotalGPUs() == 0 {
 		panic("core: CUDA task on a machine with no GPUs")
 	}
 	for _, d := range t.Deps {
 		if d.Access == task.Red {
-			if _, ok := t.Reductions[d.Region.Addr]; !ok {
+			if _, ok := t.Reductions()[d.Region.Addr]; !ok {
 				rt.fail(fmt.Errorf("core: %v has a reduction dependence on %v but no combiner (use the Reduction clause)", t, d.Region))
 				return false
 			}

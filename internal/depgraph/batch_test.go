@@ -212,28 +212,80 @@ func TestBatchMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// TestLazySuccSetDedup checks arc dedup across the map promotion point:
-// repeated arcs to the same successor stay deduplicated below, at, and
-// above succSetThreshold.
-func TestLazySuccSetDedup(t *testing.T) {
-	l := newArcLog()
-	w := mk("w", rawDep(0, uint64(64*(succSetThreshold+4)), task.Out))
-	if err := l.g.Submit(w); err != nil {
-		t.Fatal(err)
+// dedupRun submits ts, then finishes ready tasks first in, first out. It
+// fails the test if OnArc reports a (pred, succ) pair twice or a task is
+// not released exactly once, and returns the arcs in creation order.
+func dedupRun(t *testing.T, ts ...*task.Task) []string {
+	t.Helper()
+	var ready []*task.Task
+	released := map[task.ID]int{}
+	g := New(func(rt *task.Task) { ready = append(ready, rt); released[rt.ID]++ })
+	var arcs []string
+	seen := map[[2]task.ID]bool{}
+	g.OnArc = func(pred, succ task.ID) {
+		if seen[[2]task.ID{pred, succ}] {
+			t.Errorf("arc %d->%d made twice", pred, succ)
+		}
+		seen[[2]task.ID{pred, succ}] = true
+		arcs = append(arcs, fmt.Sprintf("%d->%d", pred, succ))
 	}
-	// succSetThreshold+4 readers of disjoint slices, each also re-reading
-	// slice 0 — the second clause must never create a second arc.
-	for i := 0; i < succSetThreshold+4; i++ {
-		r := mk(fmt.Sprintf("r%d", i),
-			rawDep(uint64(64*i), 64, task.In),
-			rawDep(0, 32, task.In))
-		if err := l.g.Submit(r); err != nil {
+	for _, tk := range ts {
+		if err := g.Submit(tk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	succ := l.g.Successors(w)
-	if len(succ) != succSetThreshold+4 {
-		t.Fatalf("writer has %d successors, want %d (dup arcs leaked past the map promotion)",
-			len(succ), succSetThreshold+4)
+	for len(ready) > 0 {
+		rt := ready[0]
+		ready = ready[1:]
+		g.Finished(rt)
+	}
+	for _, tk := range ts {
+		if released[tk.ID] != 1 {
+			t.Errorf("%v released %d times, want 1", tk, released[tk.ID])
+		}
+	}
+	return arcs
+}
+
+// A repeated arc is always its predecessor's last successor, since every
+// arc into a task is made while that task is submitted: a successor whose
+// clauses alternate between two predecessors gets one arc from each, a
+// successor reached through a predecessor's read and its reduction gets
+// one, and so does each of many successors re-reading a writer's bytes.
+func TestDuplicateArcIsTheLastSuccessor(t *testing.T) {
+	// P's earlier successor E sits first in P's list; S's clauses go P, Q, P.
+	p := mk("p", out(1), out(3))
+	e := mk("e", in(1))
+	q := mk("q", out(2))
+	s := mk("s", in(1), in(2), in(3))
+	got := fmt.Sprint(dedupRun(t, p, e, q, s))
+	want := fmt.Sprint([]string{
+		fmt.Sprintf("%d->%d", p.ID, e.ID),
+		fmt.Sprintf("%d->%d", p.ID, s.ID),
+		fmt.Sprintf("%d->%d", q.ID, s.ID),
+	})
+	if got != want {
+		t.Errorf("alternating clauses: arcs %s, want %s", got, want)
+	}
+
+	// Fan-in: S waits for A and B through their reads of 1 and again
+	// through their reductions into 2.
+	a := mk("a", in(1), red(2))
+	b := mk("b", in(1), red(2))
+	s = mk("s", inout(1), inout(2))
+	if got := dedupRun(t, a, b, s); len(got) != 2 {
+		t.Errorf("reader-plus-reducer fan-in: arcs %v, want one from each of %d and %d", got, a.ID, b.ID)
+	}
+
+	// A writer with more successors than the old map threshold (8), each
+	// reading a slice of its own and re-reading slice 0.
+	const readers = 12
+	w := mk("w", rawDep(0, 64*readers, task.Out))
+	ts := []*task.Task{w}
+	for i := 0; i < readers; i++ {
+		ts = append(ts, mk(fmt.Sprintf("r%d", i), rawDep(uint64(64*i), 64, task.In), rawDep(0, 32, task.In)))
+	}
+	if got := dedupRun(t, ts...); len(got) != readers {
+		t.Errorf("re-reading successors: %d arcs, want %d", len(got), readers)
 	}
 }

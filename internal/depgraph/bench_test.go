@@ -61,9 +61,10 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	b.ReportMetric(float64(width), "tasks/op")
 }
 
-// BenchmarkSubmitChainAllocs pins the lazy-succSet win: a linear chain
-// (each task inout on one region, one successor per node) must not pay a
-// map allocation per task. Run with -benchmem; allocs/op is the gate.
+// BenchmarkSubmitChainAllocs: a linear chain (each task inout on one
+// region, one successor per node) keeps its one arc in the node, so it
+// pays no allocation per task beyond the task's own. Run with -benchmem;
+// allocs/op is the gate.
 func BenchmarkSubmitChainAllocs(b *testing.B) {
 	r := memspace.Region{Addr: 0, Size: 64}
 	b.ReportAllocs()

@@ -29,60 +29,32 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-// succSetThreshold is the successor count at which a node switches from a
-// linear duplicate scan to a map. Most nodes have 0–2 successors; the map
-// allocation (and its hashing) is pure overhead there, so it is built
-// lazily only for high-fanout nodes.
-const succSetThreshold = 8
-
 type node struct {
 	t *task.Task
-	// waitCount and done share a word, which pays for first: a node stays
-	// 56 bytes, and a million-task graph holds every node at once.
+	// waitCount and done share a word, which pays for first: a node is 48
+	// bytes, and a million-task graph holds every node at once.
 	waitCount int32
 	done      bool
 	// successors starts as first[:0], so the first arc (a chain's only
 	// one) is stored inline and costs no allocation.
 	successors []*node
 	first      [1]*node
-	// succSet mirrors successors for O(1) duplicate checks; nil until the
-	// node accumulates succSetThreshold successors.
-	succSet map[task.ID]bool
 }
 
-// hasSuccessor reports whether succ is already wired after this node.
+// hasSuccessor reports whether succ is already wired after this node. All
+// arcs into succ are made inside Submit(succ), and nothing else appends to
+// a successor list meanwhile: an arc to succ can only be the last one.
 func (n *node) hasSuccessor(succ *node) bool {
-	if n.succSet != nil {
-		return n.succSet[succ.t.ID]
-	}
-	for _, s := range n.successors {
-		if s == succ {
-			return true
-		}
-	}
-	return false
-}
-
-// addSuccessor records succ, promoting the duplicate check to a map once
-// the fanout crosses succSetThreshold.
-func (n *node) addSuccessor(succ *node) {
-	n.successors = append(n.successors, succ)
-	if n.succSet != nil {
-		n.succSet[succ.t.ID] = true
-		return
-	}
-	if len(n.successors) >= succSetThreshold {
-		n.succSet = make(map[task.ID]bool, 2*len(n.successors))
-		for _, s := range n.successors {
-			n.succSet[s.t.ID] = true
-		}
-	}
+	return len(n.successors) > 0 && n.successors[len(n.successors)-1] == succ
 }
 
 // fragData holds the conflict bookkeeping for one fragment of the address
-// space: the last writer, the readers since that write, and any pending
-// commuting reductions (with the exact region they were declared on —
-// reductions only commute over identical regions).
+// space: the last writer, the readers since that write, and the reducers
+// of the last reduction phase since. While the phase is pending, redRegion
+// is the exact region it reduces over (reductions only commute over
+// identical regions) and readers are those of the value before it, whom
+// every reducer waits for; its first reader ends it (zero redRegion), and
+// every reader after waits for every reducer.
 type fragData struct {
 	lastWriter *node
 	readers    []*node
@@ -197,17 +169,12 @@ func Normalize(deps []task.Dep) ([]task.Dep, error) {
 // canonical reports whether Normalize has nothing to drop or merge: every
 // region is valid and no two clauses name the same one.
 func canonical(deps []task.Dep) bool {
-	for i, d := range deps {
+	for _, d := range deps {
 		if !d.Region.Valid() {
 			return false
 		}
-		for _, e := range deps[:i] {
-			if e.Region == d.Region {
-				return false
-			}
-		}
 	}
-	return true
+	return task.DistinctRegions(deps)
 }
 
 // addArc makes succ wait for pred unless pred already finished or the arc
@@ -219,7 +186,7 @@ func (g *Graph) addArc(pred, succ *node) {
 	if pred.hasSuccessor(succ) {
 		return
 	}
-	pred.addSuccessor(succ)
+	pred.successors = append(pred.successors, succ)
 	succ.waitCount++
 	if g.OnArc != nil {
 		g.OnArc(pred.t.ID, succ.t.ID)
@@ -248,7 +215,7 @@ func (g *Graph) Submit(t *task.Task) error {
 			continue
 		}
 		for _, f := range g.frags.Overlapping(d.Region) {
-			if len(f.V.reducers) > 0 && f.V.redRegion != d.Region {
+			if f.V.redRegion.Valid() && f.V.redRegion != d.Region {
 				return fmt.Errorf("depgraph: %v: reduction over %v partially overlaps pending reduction over %v", t, d.Region, f.V.redRegion)
 			}
 		}
@@ -260,6 +227,7 @@ func (g *Graph) Submit(t *task.Task) error {
 		g.covbuf = g.frags.CoverInto(d.Region, g.covbuf)
 		for _, f := range g.covbuf {
 			fs := &f.V
+			pending := fs.redRegion.Valid()
 			if d.Access == task.Red {
 				// Reductions wait for the previous writer and any readers
 				// of the old value, but not for each other.
@@ -267,38 +235,33 @@ func (g *Graph) Submit(t *task.Task) error {
 				for _, rd := range fs.readers {
 					g.addArc(rd, n)
 				}
+				if !pending {
+					fs.reducers = nil
+				}
 				fs.reducers = append(fs.reducers, n)
 				fs.redRegion = d.Region
-				fs.readers = nil
 				continue
 			}
-			if d.Access.Reads() {
-				g.addArc(fs.lastWriter, n) // read-after-write
+			g.addArc(fs.lastWriter, n) // read- or write-after-write
+			if pending || d.Access == task.In {
 				for _, rx := range fs.reducers {
-					g.addArc(rx, n) // read-after-reduction: combine must be possible
+					g.addArc(rx, n) // after a reduction: combine must be possible
 				}
 			}
-			if d.Access.Writes() {
-				g.addArc(fs.lastWriter, n) // write-after-write
+			if d.Access.Writes() && !pending {
 				for _, rd := range fs.readers {
 					g.addArc(rd, n) // write-after-read
-				}
-				for _, rx := range fs.reducers {
-					g.addArc(rx, n) // write-after-reduction
 				}
 			}
 			// Update fragment bookkeeping after arcs are in place.
 			if d.Access.Writes() {
-				fs.lastWriter = n
-				fs.readers = nil
-				fs.reducers = nil
-				fs.redRegion = memspace.Region{}
+				*fs = fragData{lastWriter: n}
+				continue
 			}
-			if d.Access == task.In {
-				fs.readers = append(fs.readers, n)
-				fs.reducers = nil
-				fs.redRegion = memspace.Region{}
+			if pending {
+				fs.readers, fs.redRegion = nil, memspace.Region{}
 			}
+			fs.readers = append(fs.readers, n)
 		}
 	}
 	if n.waitCount == 0 {
@@ -344,7 +307,6 @@ func (g *Graph) Finished(t *task.Task) {
 		}
 	}
 	n.successors, n.first[0] = nil, nil
-	n.succSet = nil
 	t.DepNode = nil
 }
 

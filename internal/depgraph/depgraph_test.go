@@ -450,17 +450,20 @@ func TestReducersAfterReaderWait(t *testing.T) {
 	w := mk("w", out(1))
 	rd := mk("reader", in(1))
 	r1 := mk("r1", red(1))
+	r2 := mk("r2", red(1))
 	tr.g.Submit(w)
 	tr.g.Submit(rd)
 	tr.g.Submit(r1)
+	tr.g.Submit(r2)
 	tr.takeReady()
 	tr.g.Finished(w)
 	if got := names(tr.takeReady()); got != "[reader]" {
 		t.Fatalf("after w: %s", got)
 	}
-	// The reducer mutates the region, so it must wait for the old reader.
+	// The reducers mutate the region, so each must wait for the old
+	// reader: the second as well as the first.
 	tr.g.Finished(rd)
-	if got := names(tr.takeReady()); got != "[r1]" {
+	if got := names(tr.takeReady()); got != "[r1 r2]" {
 		t.Fatalf("after reader: %s", got)
 	}
 }
@@ -537,10 +540,10 @@ func TestNormalizeMergesAndDrops(t *testing.T) {
 	}
 }
 
-// A node holds its first successor inline in 56 bytes: a million-task
+// A node holds its first successor inline in 48 bytes: a million-task
 // graph holds a million of them at once.
 func TestNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(node{}); size > 56 {
-		t.Fatalf("node is %d bytes, want <= 56", size)
+	if size := unsafe.Sizeof(node{}); size > 48 {
+		t.Fatalf("node is %d bytes, want <= 48", size)
 	}
 }

@@ -6,6 +6,7 @@ package task
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/hw"
@@ -99,33 +100,21 @@ type Work interface {
 	Run(store *memspace.Store)
 }
 
-// Task is one task instance flowing through the runtime.
+// Task is one task instance flowing through the runtime. A million-task
+// graph holds every Task live at once: the clauses few tasks carry sit
+// behind one pointer, and a Task is 96 bytes.
 type Task struct {
 	ID     ID
 	Name   string
 	Device Device
 	// CopyDeps indicates the copy_deps clause: dependence clauses double as
-	// copy clauses. (Kept next to the one-byte Device so the two share a
-	// word: a million-task graph holds every Task live at once.)
-	CopyDeps bool
+	// copy clauses. It and copiesAreDeps, set once Copies() is known to be
+	// Deps itself, share the one-byte Device's word.
+	CopyDeps      bool
+	copiesAreDeps bool
 	// Deps are the dependence clauses used to build the task graph.
 	Deps []Dep
-	// ExtraCopies are explicit copy_in/copy_out/copy_inout clauses beyond
-	// the dependence list.
-	ExtraCopies []Dep
-	// Reductions maps a region address to the combiner folding a partial
-	// result into the accumulator, for Red dependences.
-	Reductions map[uint64]Combiner
-	Work       Work
-
-	// Spawner, when set, runs after the task's own Work completes, in the
-	// context of the node executing the task ("Tasks executed in a remote
-	// node can create new tasks that use the data transferred or created
-	// by their parent task. This allows scalable data decomposition" —
-	// Section III.D.1). It receives a runtime-provided local context
-	// (core.LocalCtx) for submitting and awaiting nested tasks; the parent
-	// task completes only after the nested tasks drain.
-	Spawner func(interface{})
+	Work Work
 
 	// DepNode is an opaque slot owned by the dependency graph: the task's
 	// graph node, stored on the task itself (set at submit, cleared at
@@ -134,9 +123,48 @@ type Task struct {
 	// parent's extent).
 	DepNode any
 
-	// copies caches Copies() once derived.
-	copies []Dep
+	// rare is nil unless SetClauses set a clause or Copies() is merged.
+	rare *rareClauses
 }
+
+// rareClauses holds the clauses of SetClauses and a merged Copies() list.
+type rareClauses struct {
+	extraCopies []Dep
+	reductions  map[uint64]Combiner
+	spawner     func(interface{})
+	copies      []Dep
+}
+
+// noClauses stands for the rare clauses of a task that has none.
+var noClauses rareClauses
+
+func (t *Task) clauses() *rareClauses {
+	if t.rare == nil {
+		return &noClauses
+	}
+	return t.rare
+}
+
+// SetClauses sets the clauses few tasks carry, and allocates nothing when
+// there are none; call it before Copies. extraCopies are copy clauses
+// beyond Deps; reductions maps a Red region's address to the combiner that
+// folds a partial result into it; spawner runs after Work on the executing
+// node and submits nested tasks through the context it gets (core.LocalCtx,
+// Section III.D.1), and the task completes after they drain.
+func (t *Task) SetClauses(extraCopies []Dep, reductions map[uint64]Combiner, spawner func(interface{})) {
+	if len(extraCopies) > 0 || len(reductions) > 0 || spawner != nil {
+		t.rare = &rareClauses{extraCopies: extraCopies, reductions: reductions, spawner: spawner}
+	}
+}
+
+// ExtraCopies returns the copy clauses beyond Deps (see SetClauses).
+func (t *Task) ExtraCopies() []Dep { return t.clauses().extraCopies }
+
+// Reductions returns the combiners of the Red clauses by region address.
+func (t *Task) Reductions() map[uint64]Combiner { return t.clauses().reductions }
+
+// Spawner returns the nested-task spawner, or nil (see SetClauses).
+func (t *Task) Spawner() func(interface{}) { return t.clauses().spawner }
 
 // Copies returns the effective copy clause list: the dependence clauses
 // (when CopyDeps is set) followed by ExtraCopies, with duplicate clauses on
@@ -149,46 +177,52 @@ type Task struct {
 // dependence clauses alone are the list, and already name distinct regions,
 // the list is Deps itself.
 func (t *Task) Copies() []Dep {
-	if t.copies != nil {
-		return t.copies
+	if t.copiesAreDeps {
+		return t.Deps
 	}
-	if t.CopyDeps && len(t.ExtraCopies) == 0 && distinctRegions(t.Deps) {
-		t.copies = t.Deps
-		return t.copies
+	if c := t.clauses().copies; c != nil {
+		return c
+	}
+	extra := t.ExtraCopies()
+	if t.CopyDeps && len(extra) == 0 && DistinctRegions(t.Deps) {
+		t.copiesAreDeps = true
+		return t.Deps
 	}
 	var deps []Dep
 	if t.CopyDeps {
 		deps = t.Deps
 	}
-	t.copies = make([]Dep, 0, len(deps)+len(t.ExtraCopies))
-	for _, clauses := range [2][]Dep{deps, t.ExtraCopies} {
-	next:
+	copies := make([]Dep, 0, len(deps)+len(extra))
+	for _, clauses := range [2][]Dep{deps, extra} {
 		for _, c := range clauses {
-			for i := range t.copies {
-				if t.copies[i].Region == c.Region {
-					if t.copies[i].Access != c.Access {
-						t.copies[i].Access = InOut
-					}
-					continue next
-				}
+			switch i := slices.IndexFunc(copies, c.sameRegion); {
+			case i < 0:
+				copies = append(copies, c)
+			case copies[i].Access != c.Access:
+				copies[i].Access = InOut
 			}
-			t.copies = append(t.copies, c)
 		}
 	}
-	return t.copies
+	if len(copies) > 0 {
+		if t.rare == nil {
+			t.rare = &rareClauses{}
+		}
+		t.rare.copies = copies
+	}
+	return copies
 }
 
-// distinctRegions reports whether no two clauses name the same region.
-func distinctRegions(deps []Dep) bool {
-	for i := range deps {
-		for j := range i {
-			if deps[j].Region == deps[i].Region {
-				return false
-			}
+// DistinctRegions reports whether no two clauses name the same region.
+func DistinctRegions(deps []Dep) bool {
+	for i, d := range deps {
+		if slices.ContainsFunc(deps[:i], d.sameRegion) {
+			return false
 		}
 	}
 	return true
 }
+
+func (d Dep) sameRegion(e Dep) bool { return d.Region == e.Region }
 
 func (t *Task) String() string {
 	return fmt.Sprintf("task#%d(%s,%v)", t.ID, t.Name, t.Device)

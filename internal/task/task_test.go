@@ -1,6 +1,12 @@
 package task
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+
+	"github.com/bsc-repro/ompss/internal/memspace"
+)
 
 // A NoWork is named by its label, or "nop" without one: the name a task
 // spawned with NoWork and no Name clause gets.
@@ -33,6 +39,51 @@ func TestAccessClauses(t *testing.T) {
 		}
 		if tc.a.Reads() != tc.reads || tc.a.Writes() != tc.writes {
 			t.Errorf("%s: Reads, Writes = %v, %v, want %v, %v", tc.name, tc.a.Reads(), tc.a.Writes(), tc.reads, tc.writes)
+		}
+	}
+}
+
+// A Task is 96 bytes: a million-task graph holds every one live at once,
+// so the clauses few tasks carry sit behind one pointer.
+func TestTaskSize(t *testing.T) {
+	if size := unsafe.Sizeof(Task{}); size > 96 {
+		t.Fatalf("Task is %d bytes, want <= 96", size)
+	}
+}
+
+// Copies is Deps itself when the dependence clauses are the copy list and
+// name distinct regions, and costs a task without rare clauses nothing;
+// otherwise it merges duplicate regions (differing accesses as InOut) and
+// appends the extra copy clauses, once.
+func TestCopies(t *testing.T) {
+	r := func(addr uint64) memspace.Region { return memspace.Region{Addr: addr, Size: 8} }
+	plain := &Task{CopyDeps: true, Deps: []Dep{{r(0), In}, {r(8), Out}}}
+	plain.SetClauses(nil, nil, nil)
+	if allocs := testing.AllocsPerRun(10, func() { plain.Copies() }); allocs != 0 || plain.rare != nil {
+		t.Errorf("plain task: %v allocations, rare clauses %v", allocs, plain.rare)
+	}
+	if got := plain.Copies(); &got[0] != &plain.Deps[0] {
+		t.Errorf("plain task: Copies() is not Deps itself")
+	}
+	for _, tc := range []struct {
+		name     string
+		copyDeps bool
+		deps     []Dep
+		extra    []Dep
+		want     []Dep
+	}{
+		{"duplicate deps", true, []Dep{{r(0), In}, {r(8), In}, {r(0), Out}}, nil, []Dep{{r(0), InOut}, {r(8), In}}},
+		{"extra copies", true, []Dep{{r(0), In}}, []Dep{{r(0), In}, {r(16), Out}}, []Dep{{r(0), In}, {r(16), Out}}},
+		{"no copy_deps", false, []Dep{{r(0), In}}, []Dep{{r(8), In}}, []Dep{{r(8), In}}},
+	} {
+		tk := &Task{CopyDeps: tc.copyDeps, Deps: tc.deps}
+		tk.SetClauses(tc.extra, nil, nil)
+		first := tk.Copies()
+		if fmt.Sprint(first) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: Copies() = %v, want %v", tc.name, first, tc.want)
+		}
+		if again := tk.Copies(); &again[0] != &first[0] {
+			t.Errorf("%s: Copies() derived twice", tc.name)
 		}
 	}
 }

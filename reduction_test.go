@@ -232,3 +232,74 @@ func TestReductionWithoutCombinerErrors(t *testing.T) {
 		t.Fatalf("error = %v, want a missing-combiner message", err)
 	}
 }
+
+// A reader of the value before a reduction phase must not see any of the
+// phase's partials, however late it runs: every reducer of the phase waits
+// for it, not only the first. The reader here waits behind a slow writer,
+// so a reducer that does not wait for it runs first.
+func TestReaderBeforeReductionSeesTheOldValue(t *testing.T) {
+	for _, dev := range []Device{CUDA, SMP} {
+		rt := New(Config{Cluster: MultiGPUSystem(2), Validate: true})
+		_, err := rt.Run(func(ctx *Context) {
+			acc, out := ctx.Alloc(16), ctx.Alloc(16)
+			ctx.InitSeq(acc, func(b []byte) { unsafeF32(b)[0] = 5 })
+			slow := task.FixedWork{Label: "slow", CPUTime: 10 * time.Millisecond, Body: func(s *memspace.Store) {
+				if s != nil {
+					unsafeF32(s.Bytes(out))[0] = 0
+				}
+			}}
+			ctx.Task(slow, Target(SMP), Out(out))
+			ctx.Task(copyFirst{src: acc, dst: out}, Target(SMP), In(acc), InOut(out))
+			for i := 0; i < 3; i++ {
+				in := ctx.Alloc(256)
+				ctx.InitSeq(in, func(b []byte) {
+					v := unsafeF32(b)
+					for j := range v {
+						v[j] = 1
+					}
+				})
+				ctx.Task(partialSum{in: in, acc: acc, cost: time.Millisecond}, Target(dev), In(in), Reduction(acc, SumFloat32))
+			}
+			ctx.TaskWait()
+			if got := unsafeF32(ctx.HostBytes(out))[0]; got != 5 {
+				t.Errorf("%v reducers: reader saw %v, want 5", dev, got)
+			}
+			if got := unsafeF32(ctx.HostBytes(acc))[0]; got != 5+3*64 {
+				t.Errorf("%v reducers: sum = %v, want %v", dev, got, 5+3*64)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Every reader of a reduced value sees the whole reduction, the second
+// as well as the first.
+func TestEveryReaderAfterReductionSeesIt(t *testing.T) {
+	rt := New(Config{Cluster: MultiGPUSystem(2), Validate: true})
+	_, err := rt.Run(func(ctx *Context) {
+		acc, in := ctx.Alloc(16), ctx.Alloc(256)
+		ctx.InitSeq(acc, func(b []byte) { unsafeF32(b)[0] = 5 })
+		ctx.InitSeq(in, func(b []byte) {
+			v := unsafeF32(b)
+			for j := range v {
+				v[j] = 1
+			}
+		})
+		ctx.Task(partialSum{in: in, acc: acc, cost: 10 * time.Millisecond}, Target(CUDA), In(in), Reduction(acc, SumFloat32))
+		outs := []Region{ctx.Alloc(16), ctx.Alloc(16)}
+		for _, out := range outs {
+			ctx.Task(copyFirst{src: acc, dst: out}, Target(SMP), In(acc), Out(out))
+		}
+		ctx.TaskWait()
+		for i, out := range outs {
+			if got := unsafeF32(ctx.HostBytes(out))[0]; got != 5+64 {
+				t.Errorf("reader %d saw %v, want %v", i, got, 5+64)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
