@@ -12,11 +12,11 @@ import (
 )
 
 // Heap allocations per task over the quick stress grid's rows, the two
-// stressRun builds itself (each task and its Deps) included. Graph nodes,
-// scheduler entries and fragments come from slabs and a chain's successor
-// arc lives in its node, and a one-holder set takes its array from the
-// directory's slab, so what is left beyond those two is, on the
-// overlapping row, the second successor of a node and the holder lists of
+// stressRun builds itself (each task and its Deps) included. A task is its
+// own graph node and keeps a chain's successor arc inline, scheduler
+// entries and fragments come from slabs, and a one-holder set takes its
+// array from the directory's slab, so what is left beyond those two is, on
+// the overlapping row, a task's second successor and the holder lists of
 // split fragments. It was 4.61 before those and 2.316 with a holder list
 // per region; it is held to what was measured plus 5 %. The race detector
 // allocates on its own, hence the build tag.
@@ -43,15 +43,15 @@ func TestStressAllocsPerTask(t *testing.T) {
 }
 
 // Live heap per task while the quick stress grid sits submitted and
-// undrained: each task, its Deps, its graph node, and the fragments and
-// ready entries it shares — what a million-task graph holds at once. It
-// was 283.7 bytes (265.7 on the full grid, where it is 190.7 now) before
-// the task put its rare clauses and copy cache behind one pointer
-// (152 -> 96 B) and the node lost its successor map (56 -> 48 B); it is
+// undrained: each task (its graph node included), its Deps, and the
+// fragments and ready entries it shares — what a million-task graph holds
+// at once. It was 283.7 bytes with a 152 B task and a 56 B node beside it,
+// 208.6 with a 96 B task and a 48 B node, and is 171.6 with the node's
+// state in a 112 B task (on the full grid 265.7, 190.7 and 153.7); it is
 // held to what was measured plus 5 %. The race detector allocates on its
 // own, hence the build tag.
 func TestStressLiveBytesPerTask(t *testing.T) {
-	const measured = 208.6
+	const measured = 171.6
 	width, depth := stressSize(Options{Quick: true})
 	var before, after runtime.MemStats
 	runtime.GC()

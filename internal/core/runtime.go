@@ -393,7 +393,8 @@ func (mc *MainCtx) TaskWaitNoflush() {
 }
 
 // TaskWaitOn blocks until the data of r has been produced (the `taskwait
-// on(...)` extension), then makes r valid on the master host.
+// on(...)` extension), by its last writer and any reducers since, then
+// makes r valid on the master host with the reduction partials combined.
 func (mc *MainCtx) TaskWaitOn(r memspace.Region) {
 	rt := mc.rt
 	for {

@@ -30,8 +30,7 @@ func rawDep(addr, size uint64, a task.Access) task.Dep {
 }
 
 // cloneTasks duplicates a task list so two graphs can consume the same
-// workload without sharing *task.Task pointers mattering (the graphs key
-// on IDs; the tasks themselves are not mutated).
+// workload: a task is its own graph node, so it is in one graph at a time.
 func cloneTasks(ts []*task.Task) []*task.Task {
 	out := make([]*task.Task, len(ts))
 	for i, t := range ts {

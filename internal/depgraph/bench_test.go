@@ -62,8 +62,8 @@ func BenchmarkSubmitBatch(b *testing.B) {
 }
 
 // BenchmarkSubmitChainAllocs: a linear chain (each task inout on one
-// region, one successor per node) keeps its one arc in the node, so it
-// pays no allocation per task beyond the task's own. Run with -benchmem;
+// region, one successor per task) keeps its one arc inline in the task, so
+// it pays no allocation per task beyond the task's own. Run with -benchmem;
 // allocs/op is the gate.
 func BenchmarkSubmitChainAllocs(b *testing.B) {
 	r := memspace.Region{Addr: 0, Size: 64}

@@ -29,23 +29,11 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-type node struct {
-	t *task.Task
-	// waitCount and done share a word, which pays for first: a node is 48
-	// bytes, and a million-task graph holds every node at once.
-	waitCount int32
-	done      bool
-	// successors starts as first[:0], so the first arc (a chain's only
-	// one) is stored inline and costs no allocation.
-	successors []*node
-	first      [1]*node
-}
-
-// hasSuccessor reports whether succ is already wired after this node. All
-// arcs into succ are made inside Submit(succ), and nothing else appends to
-// a successor list meanwhile: an arc to succ can only be the last one.
-func (n *node) hasSuccessor(succ *node) bool {
-	return len(n.successors) > 0 && n.successors[len(n.successors)-1] == succ
+// hasSuccessor reports whether succ is already wired after pred. All arcs
+// into succ are made inside Submit(succ), and nothing else appends to a
+// successor list meanwhile: an arc to succ can only be the last one.
+func hasSuccessor(pred, succ *task.Task) bool {
+	return len(pred.NodeSuccs) > 0 && pred.NodeSuccs[len(pred.NodeSuccs)-1] == succ
 }
 
 // fragData holds the conflict bookkeeping for one fragment of the address
@@ -56,9 +44,9 @@ func (n *node) hasSuccessor(succ *node) bool {
 // every reducer waits for; its first reader ends it (zero redRegion), and
 // every reader after waits for every reducer.
 type fragData struct {
-	lastWriter *node
-	readers    []*node
-	reducers   []*node
+	lastWriter *task.Task
+	readers    []*task.Task
+	reducers   []*task.Task
 	redRegion  memspace.Region
 }
 
@@ -74,10 +62,11 @@ func cloneFragData(v fragData) fragData {
 	}
 }
 
-// Graph is the dependency DAG for one dynamic extent. Per-task nodes live
-// in the tasks' DepNode slots rather than a map: at a million tasks the
-// three map operations per task (insert, lookup, delete) were a measurable
-// share of submission cost.
+// Graph is the dependency DAG for one dynamic extent. Each task is its own
+// node (the task.Task Node fields) rather than an entry of a map or a
+// record beside it: at a million tasks the three map operations per task
+// (insert, lookup, delete) were a measurable share of submission cost, and
+// a 48 B node beside the task costs more than the 16 B its fields add.
 type Graph struct {
 	onReady func(*task.Task)
 	frags   *memspace.FragMap[fragData]
@@ -86,10 +75,8 @@ type Graph struct {
 	finished  int
 
 	// covbuf is the reusable fragment buffer of the submit hot path (one
-	// Graph is serial, so a single buffer suffices); slab bulk-allocates
-	// nodes so million-task graphs don't pay one small allocation per task.
+	// Graph is serial, so a single buffer suffices).
 	covbuf []*memspace.Frag[fragData]
-	slab   []node
 
 	// OnArc, when non-nil, observes every arc actually created (after
 	// dedup and finished-pred filtering), in creation order. The runtime
@@ -109,18 +96,6 @@ func New(onReady func(*task.Task)) *Graph {
 
 // Fragments returns the current fragment count (observability and tests).
 func (g *Graph) Fragments() int { return g.frags.Len() }
-
-// newNode hands out nodes from a bulk-allocated slab.
-func (g *Graph) newNode(t *task.Task) *node {
-	if len(g.slab) == 0 {
-		g.slab = make([]node, 256)
-	}
-	n := &g.slab[0]
-	g.slab = g.slab[1:]
-	n.t = t
-	n.successors = n.first[:0]
-	return n
-}
 
 // Normalize validates and canonicalizes the dependence clauses of one
 // task: invalid (empty) regions are dropped, duplicate clauses on the
@@ -179,17 +154,17 @@ func canonical(deps []task.Dep) bool {
 
 // addArc makes succ wait for pred unless pred already finished or the arc
 // exists.
-func (g *Graph) addArc(pred, succ *node) {
-	if pred == nil || pred.done || pred == succ {
+func (g *Graph) addArc(pred, succ *task.Task) {
+	if pred == nil || pred.NodeDone || pred == succ {
 		return
 	}
-	if pred.hasSuccessor(succ) {
+	if hasSuccessor(pred, succ) {
 		return
 	}
-	pred.successors = append(pred.successors, succ)
-	succ.waitCount++
+	pred.NodeSuccs = append(pred.NodeSuccs, succ)
+	succ.NodeWait++
 	if g.OnArc != nil {
-		g.OnArc(pred.t.ID, succ.t.ID)
+		g.OnArc(pred.ID, succ.ID)
 	}
 }
 
@@ -204,7 +179,7 @@ func (g *Graph) Submit(t *task.Task) error {
 	if err != nil {
 		return fmt.Errorf("%v: %w", t, err)
 	}
-	if t.DepNode != nil {
+	if t.NodeSuccs != nil || t.NodeDone {
 		panic(fmt.Sprintf("depgraph: duplicate submit of %v", t))
 	}
 	// Cross-task guard, checked before any mutation: bytes under a pending
@@ -220,8 +195,7 @@ func (g *Graph) Submit(t *task.Task) error {
 			}
 		}
 	}
-	n := g.newNode(t)
-	t.DepNode = n
+	t.NodeSuccs = t.NodeFirst[:0]
 	g.submitted++
 	for _, d := range deps {
 		g.covbuf = g.frags.CoverInto(d.Region, g.covbuf)
@@ -231,40 +205,40 @@ func (g *Graph) Submit(t *task.Task) error {
 			if d.Access == task.Red {
 				// Reductions wait for the previous writer and any readers
 				// of the old value, but not for each other.
-				g.addArc(fs.lastWriter, n)
+				g.addArc(fs.lastWriter, t)
 				for _, rd := range fs.readers {
-					g.addArc(rd, n)
+					g.addArc(rd, t)
 				}
 				if !pending {
 					fs.reducers = nil
 				}
-				fs.reducers = append(fs.reducers, n)
+				fs.reducers = append(fs.reducers, t)
 				fs.redRegion = d.Region
 				continue
 			}
-			g.addArc(fs.lastWriter, n) // read- or write-after-write
+			g.addArc(fs.lastWriter, t) // read- or write-after-write
 			if pending || d.Access == task.In {
 				for _, rx := range fs.reducers {
-					g.addArc(rx, n) // after a reduction: combine must be possible
+					g.addArc(rx, t) // after a reduction: combine must be possible
 				}
 			}
 			if d.Access.Writes() && !pending {
 				for _, rd := range fs.readers {
-					g.addArc(rd, n) // write-after-read
+					g.addArc(rd, t) // write-after-read
 				}
 			}
 			// Update fragment bookkeeping after arcs are in place.
 			if d.Access.Writes() {
-				*fs = fragData{lastWriter: n}
+				*fs = fragData{lastWriter: t}
 				continue
 			}
 			if pending {
 				fs.readers, fs.redRegion = nil, memspace.Region{}
 			}
-			fs.readers = append(fs.readers, n)
+			fs.readers = append(fs.readers, t)
 		}
 	}
-	if n.waitCount == 0 {
+	if t.NodeWait == 0 {
 		g.onReady(t)
 	}
 	return nil
@@ -291,50 +265,48 @@ func (g *Graph) SubmitBatch(ts []*task.Task) (accepted int, err error) {
 // Finished marks t complete and releases successors whose last pending
 // predecessor it was; each release fires onReady in arc-creation order.
 func (g *Graph) Finished(t *task.Task) {
-	n, ok := t.DepNode.(*node)
-	if !ok {
-		panic(fmt.Sprintf("depgraph: Finished for unknown %v", t))
-	}
-	if n.done {
+	if t.NodeDone {
 		panic(fmt.Sprintf("depgraph: double Finished for %v", t))
 	}
-	n.done = true
+	if t.NodeSuccs == nil {
+		panic(fmt.Sprintf("depgraph: Finished for unknown %v", t))
+	}
+	t.NodeDone = true
 	g.finished++
-	for _, s := range n.successors {
-		s.waitCount--
-		if s.waitCount == 0 {
-			g.onReady(s.t)
+	for _, s := range t.NodeSuccs {
+		s.NodeWait--
+		if s.NodeWait == 0 {
+			g.onReady(s)
 		}
 	}
-	n.successors, n.first[0] = nil, nil
-	t.DepNode = nil
+	t.NodeSuccs, t.NodeFirst[0] = nil, nil
 }
 
-// Successors returns the tasks currently waiting on t, in arc order. Used
-// by the "dependencies" scheduling policy to run a successor of a just-
-// finished task. Returns nil for unknown tasks.
+// Successors returns a copy of the tasks currently waiting on t, in arc
+// order: the HEFT policy's upward rank walks them. Returns nil for a task
+// that is not in the graph or has finished.
 func (g *Graph) Successors(t *task.Task) []*task.Task {
-	n, ok := t.DepNode.(*node)
-	if !ok {
-		return nil
-	}
-	out := make([]*task.Task, 0, len(n.successors))
-	for _, s := range n.successors {
-		out = append(out, s.t)
-	}
-	return out
+	return slices.Clone(t.NodeSuccs)
 }
 
 // Pending returns the number of submitted-but-unfinished tasks.
 func (g *Graph) Pending() int { return g.submitted - g.finished }
 
 // LastWriter returns an unfinished task that will produce part of the
-// current version of r, or nil when every byte of r is settled. Used by
-// taskwait-on, which loops until no writer remains.
+// current version of r, or nil when every byte of r is settled. A byte's
+// current version is produced by its last writer and by the reducers of
+// the last reduction phase since, which a reader ends for ordering but
+// whose partials the bytes still need. Used by taskwait-on, which loops
+// until no producer remains.
 func (g *Graph) LastWriter(r memspace.Region) *task.Task {
 	for _, f := range g.frags.Overlapping(r) {
-		if f.V.lastWriter != nil && !f.V.lastWriter.done {
-			return f.V.lastWriter.t
+		if w := f.V.lastWriter; w != nil && !w.NodeDone {
+			return w
+		}
+		for _, rx := range f.V.reducers {
+			if !rx.NodeDone {
+				return rx
+			}
 		}
 	}
 	return nil

@@ -3,7 +3,6 @@ package depgraph
 import (
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/task"
@@ -537,13 +536,5 @@ func TestNormalizeMergesAndDrops(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Access != task.InOut || got[0].Region != reg(5) || got[1].Access != task.In {
 		t.Fatalf("Normalize = %v", got)
-	}
-}
-
-// A node holds its first successor inline in 48 bytes: a million-task
-// graph holds a million of them at once.
-func TestNodeSize(t *testing.T) {
-	if size := unsafe.Sizeof(node{}); size > 48 {
-		t.Fatalf("node is %d bytes, want <= 48", size)
 	}
 }

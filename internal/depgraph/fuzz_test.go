@@ -74,13 +74,65 @@ func runFuzzBody(t *task.Task, mem []byte) uint64 {
 	return h
 }
 
+// producers is the serial oracle's record of who produces one byte's
+// current version: its last writer and the reducers of the last reduction
+// phase since. A reader ends a pending phase (later reducers start a new
+// one) but not its reducers' claim on the bytes.
+type producers struct {
+	writer   *task.Task
+	reducers []*task.Task
+	pending  bool
+}
+
+// submitProducers records t's clauses, as accepted by Submit, in per-byte order.
+func submitProducers(prod []producers, t *task.Task) {
+	for _, d := range t.Deps {
+		for i := d.Region.Addr; i < d.Region.End(); i++ {
+			p := &prod[i]
+			switch {
+			case d.Access == task.Red:
+				if !p.pending {
+					p.reducers = nil
+				}
+				p.reducers, p.pending = append(p.reducers, t), true
+			case d.Access.Writes():
+				*p = producers{writer: t}
+			default:
+				p.pending = false
+			}
+		}
+	}
+}
+
+// checkLastWriter holds LastWriter(r) to the oracle: non-nil exactly when
+// an unfinished task produces some byte of r, and then one of those.
+func checkLastWriter(t *testing.T, g *Graph, prod []producers, done map[*task.Task]bool, r memspace.Region) {
+	t.Helper()
+	unfinished := map[*task.Task]bool{}
+	for _, p := range prod[r.Addr:r.End()] {
+		for _, tk := range append([]*task.Task{p.writer}, p.reducers...) {
+			if tk != nil && !done[tk] {
+				unfinished[tk] = true
+			}
+		}
+	}
+	switch got := g.LastWriter(r); {
+	case got == nil && len(unfinished) > 0:
+		t.Fatalf("LastWriter(%v) = nil, but %d unfinished tasks produce it", r, len(unfinished))
+	case got != nil && !unfinished[got]:
+		t.Fatalf("LastWriter(%v) = %v, which is not an unfinished producer of it", r, got)
+	}
+}
+
 // FuzzDepgraph checks the graph against serial execution: tasks drained
 // in a seeded random order among the ready ones (in one pass after all
 // are submitted, in three more interleaved with submission) must read
 // what they read when run one by one in submission order, and leave the
 // same bytes. A task Submit rejects is left out on both sides. Every arc
 // OnArc reports must be new, each accepted task must become ready exactly
-// once, and the graph must end with nothing pending.
+// once, and the graph must end with nothing pending. After each Finished
+// the task pins no successor, and LastWriter over each of its regions
+// agrees with the serial oracle of who produces those bytes.
 func FuzzDepgraph(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seed, ts := decodeFuzzTasks(data)
@@ -103,6 +155,8 @@ func FuzzDepgraph(f *testing.F) {
 				arcs[[2]task.ID{pred, succ}] = true
 			}
 			mem := make([]byte, fuzzSpace)
+			prod := make([]producers, fuzzSpace)
+			done := map[*task.Task]bool{}
 			got := map[task.ID]uint64{}
 			var ok []*task.Task
 			for next := 0; next < len(ts) || len(ready) > 0; {
@@ -111,6 +165,7 @@ func FuzzDepgraph(f *testing.F) {
 					next++
 					if err := g.Submit(&tk); err == nil {
 						ok = append(ok, &tk)
+						submitProducers(prod, &tk)
 					}
 					continue
 				}
@@ -119,6 +174,13 @@ func FuzzDepgraph(f *testing.F) {
 				ready = append(ready[:i], ready[i+1:]...)
 				got[rt.ID] = runFuzzBody(rt, mem)
 				g.Finished(rt)
+				done[rt] = true
+				if rt.NodeSuccs != nil || rt.NodeFirst[0] != nil {
+					t.Fatalf("pass %d: finished task %d pins successors: %d listed, inline %v", pass, rt.ID, len(rt.NodeSuccs), rt.NodeFirst[0])
+				}
+				for _, d := range rt.Deps {
+					checkLastWriter(t, g, prod, done, d.Region)
+				}
 			}
 			if pass == 0 {
 				accepted = ok

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,4 +145,72 @@ func positions(at []token.Pos) string {
 		s[i] = srcFset.Position(p).String()
 	}
 	return "[" + strings.Join(s, " ") + "]"
+}
+
+// nodeStateOwners are the only directories that may name the node state
+// of task.Task: the package that declares it and the graph that keeps it.
+var nodeStateOwners = []string{"internal/task", "internal/depgraph"}
+
+// A task is its own dependence-graph node: its Node fields (the wait
+// count, the done flag and the successor list) sit in task.Task so that a
+// million-task graph pays no second record per task, and they are right
+// only while depgraph alone keeps them. Nothing outside nodeStateOwners
+// may name a Node field or method of task.Task.
+func TestNodeStateIsDepgraphsByStructure(t *testing.T) {
+	tree, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]bool{}
+	for _, f := range tree["internal/task"] {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && strings.HasPrefix(d.Name.Name, "Node") && recvName(d.Recv.List[0].Type) == "Task" {
+					state[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "Task" {
+						continue
+					}
+					for _, field := range ts.Type.(*ast.StructType).Fields.List {
+						for _, name := range field.Names {
+							if strings.HasPrefix(name.Name, "Node") {
+								state[name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(state) == 0 {
+		t.Fatal("task.Task has no Node fields: the walk lost internal/task, or the node state moved")
+	}
+	for dir, files := range tree {
+		if slices.Contains(nodeStateOwners, dir) {
+			continue
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && state[sel.Sel.Name] {
+					t.Errorf("%s: names %s, the dependence graph's node state of task.Task", srcFset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// recvName is the type name of a method receiver, T or *T.
+func recvName(x ast.Expr) string {
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	if id, ok := x.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -102,26 +102,34 @@ type Work interface {
 
 // Task is one task instance flowing through the runtime. A million-task
 // graph holds every Task live at once: the clauses few tasks carry sit
-// behind one pointer, and a Task is 96 bytes.
+// behind one pointer, the task is its own dependence-graph node, and a
+// Task is 112 bytes.
 type Task struct {
 	ID     ID
 	Name   string
 	Device Device
 	// CopyDeps indicates the copy_deps clause: dependence clauses double as
 	// copy clauses. It and copiesAreDeps, set once Copies() is known to be
-	// Deps itself, share the one-byte Device's word.
+	// Deps itself, share the one-byte Device's word with NodeDone and
+	// NodeWait.
 	CopyDeps      bool
 	copiesAreDeps bool
+
+	// The Node fields are the task's node in its parent's dependence graph
+	// (a task belongs to at most one graph at a time). Only
+	// internal/depgraph reads or writes them. NodeWait counts the
+	// unfinished predecessors and NodeDone is set at finish. NodeSuccs
+	// lists the tasks waiting on this one, in arc order; it is non-nil
+	// exactly while the task is submitted and unfinished, and starts as
+	// NodeFirst[:0], so the first arc (a chain's only one) is stored inline.
+	NodeDone  bool
+	NodeWait  int32
+	NodeSuccs []*Task
+	NodeFirst [1]*Task
+
 	// Deps are the dependence clauses used to build the task graph.
 	Deps []Dep
 	Work Work
-
-	// DepNode is an opaque slot owned by the dependency graph: the task's
-	// graph node, stored on the task itself (set at submit, cleared at
-	// finish) so the million-task hot path pays no graph-side map lookup
-	// per task. A task belongs to at most one graph at a time (its
-	// parent's extent).
-	DepNode any
 
 	// rare is nil unless SetClauses set a clause or Copies() is merged.
 	rare *rareClauses

@@ -410,8 +410,9 @@ func (c *Context) TaskWait() { c.mc.TaskWait() }
 // devices (`#pragma omp taskwait noflush`).
 func (c *Context) TaskWaitNoflush() { c.mc.TaskWaitNoflush() }
 
-// TaskWaitOn blocks until the region's producer finishes and the data is
-// valid on the host (`#pragma omp taskwait on(...)`).
+// TaskWaitOn blocks until the region's producers finish — its last writer
+// and any pending reducers — and the data, partials combined, is valid on
+// the host (`#pragma omp taskwait on(...)`).
 func (c *Context) TaskWaitOn(r Region) { c.mc.TaskWaitOn(r) }
 
 // Now returns the current virtual time since program start.

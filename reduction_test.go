@@ -303,3 +303,29 @@ func TestEveryReaderAfterReductionSeesIt(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Waiting on an accumulator waits for its pending reducers and reads the
+// combined value: a reducer produces the accumulator's current version
+// as much as a writer does.
+func TestTaskWaitOnWaitsForReduction(t *testing.T) {
+	rt := New(Config{Cluster: MultiGPUSystem(2), Validate: true})
+	_, err := rt.Run(func(ctx *Context) {
+		acc, in := ctx.Alloc(16), ctx.Alloc(256)
+		ctx.InitSeq(acc, func(b []byte) { unsafeF32(b)[0] = 5 })
+		ctx.InitSeq(in, func(b []byte) {
+			v := unsafeF32(b)
+			for j := range v {
+				v[j] = 1
+			}
+		})
+		ctx.Task(partialSum{in: in, acc: acc, cost: 10 * time.Millisecond}, Target(CUDA), In(in), Reduction(acc, SumFloat32))
+		ctx.TaskWaitOn(acc)
+		if got := unsafeF32(ctx.HostBytes(acc))[0]; got != 5+64 {
+			t.Errorf("acc = %v after TaskWaitOn, want %v", got, 5+64)
+		}
+		ctx.TaskWait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
