@@ -30,7 +30,6 @@ func main() {
 	cfg := ompss.Config{
 		CachePolicy:      ompss.CachePolicy(*cache),
 		NonBlockingCache: true,
-		Steal:            true,
 		SlaveToSlave:     true,
 		Validate:         *verify,
 	}

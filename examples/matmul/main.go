@@ -39,7 +39,6 @@ func main() {
 		Scheduler:        ompss.Policy(*schedP),
 		CachePolicy:      ompss.CachePolicy(*cache),
 		NonBlockingCache: true,
-		Steal:            true,
 		SlaveToSlave:     *stos,
 		Presend:          *presend,
 		Validate:         *verify,

@@ -32,7 +32,6 @@ func main() {
 	cfg := ompss.Config{
 		CachePolicy:      ompss.CachePolicy(*cache),
 		NonBlockingCache: true,
-		Steal:            true,
 		SlaveToSlave:     true,
 		Presend:          2,
 		Validate:         *verify,

@@ -31,7 +31,6 @@ func main() {
 
 	cfg := ompss.Config{
 		NonBlockingCache: true,
-		Steal:            true,
 		SlaveToSlave:     true,
 		Validate:         *verify,
 	}

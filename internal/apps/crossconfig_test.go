@@ -37,7 +37,6 @@ func sweepConfigs(t *testing.T) []sweepConfig {
 					Scheduler:        sc,
 					CachePolicy:      pol,
 					NonBlockingCache: true,
-					Steal:            true,
 					SlaveToSlave:     true,
 					Presend:          1,
 					Validate:         true,
@@ -51,7 +50,7 @@ func sweepConfigs(t *testing.T) []sweepConfig {
 	}
 	// A few feature combinations on top of the grid.
 	extra := ompss.Config{Cluster: smallCluster(2, 2), Overlap: true, Prefetch: true,
-		NonBlockingCache: true, SlaveToSlave: true, Presend: 2, Steal: true, Validate: true}
+		NonBlockingCache: true, SlaveToSlave: true, Presend: 2, Validate: true}
 	out = append(out, sweepConfig{label: "overlap-prefetch", cfg: extra})
 	blocking := ompss.Config{Cluster: smallCluster(1, 2), Validate: true}
 	out = append(out, sweepConfig{label: "blocking-cache", cfg: blocking})

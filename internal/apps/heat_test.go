@@ -35,7 +35,6 @@ func TestHeatOmpSsMatchesSerial(t *testing.T) {
 				Validate:         true,
 				SlaveToSlave:     s2s,
 				NonBlockingCache: true,
-				Steal:            true,
 			}
 			res, err := HeatOmpSs(cfg, tc.p)
 			if err != nil {

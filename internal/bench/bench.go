@@ -132,7 +132,7 @@ func All() []Experiment {
 		{"fig12", "Perlin noise, GPU cluster: Flush/NoFlush, OmpSs vs MPI+CUDA", Fig12},
 		{"fig13", "N-Body, GPU cluster: OmpSs vs MPI+CUDA", Fig13},
 		{"table1", "Useful lines of code: Serial vs CUDA vs MPI+CUDA vs OmpSs", Table1},
-		{"ablations", "Runtime-mechanism ablations on Matmul (beyond the paper's grid)", Ablations},
+		{"ablations", "Runtime-mechanism ablations (beyond the paper's grid)", Ablations},
 		{"resilience", "Fault injection on cluster Matmul/STREAM: correctness and cost under drops, stalls, crashes", Resilience},
 		{"heat", "Jacobi heat stencil, GPU cluster: overlapping halo regions, checksum-validated", Heat},
 	}
@@ -195,7 +195,6 @@ func multiGPUConfig(o Options, gpus int, policy coherence.Policy, scheduler sche
 		Scheduler:        scheduler,
 		CachePolicy:      policy,
 		NonBlockingCache: true,
-		Steal:            true,
 	}
 	if o.Lookahead > 0 {
 		cfg.Lookahead = o.Lookahead
@@ -291,7 +290,6 @@ func clusterConfig(o Options, nodes int) ompss.Config {
 		Scheduler:        sched.Affinity,
 		CachePolicy:      coherence.WriteBack,
 		NonBlockingCache: true,
-		Steal:            true,
 	}
 	if o.Scheduler != "" {
 		cfg.Scheduler = o.Scheduler

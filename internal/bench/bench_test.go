@@ -277,9 +277,11 @@ func TestAblationShapes(t *testing.T) {
 	expectOrder(t, v, "8node stos=true", "8node stos=false")
 	// Presend is monotone on this workload.
 	expectOrder(t, v, "4node presend=4", "4node presend=0")
-	// A second communication thread must not hurt.
-	if v["8node commthreads=2"] < 0.9*v["8node commthreads=1"] {
-		t.Errorf("2 comm threads regressed: %v vs %v", v["8node commthreads=2"], v["8node commthreads=1"])
+	// The non-blocking cache beats waiting on each transfer in turn.
+	expectOrder(t, v, "2node nbody nonblocking=true", "2node nbody nonblocking=false")
+	// More communication threads must not hurt.
+	if one, four := v["16node weakscale commthreads=1"], v["16node weakscale commthreads=4"]; one == 0 || four < 0.9*one {
+		t.Errorf("4 comm threads regressed: %v vs %v", four, one)
 	}
 }
 

@@ -169,18 +169,24 @@ func fig13Params(o Options, nodes int) apps.NBodyParams {
 	return p
 }
 
+// fig13Config is the cluster N-Body configuration. The all-to-all pattern
+// leaves no stable locality; the runtime's default (dependencies) scheduler
+// distributes the force tasks by demand, which is the best setup for this
+// application.
+func fig13Config(o Options, nodes int) ompss.Config {
+	cfg := clusterConfig(o, nodes)
+	cfg.Scheduler = sched.Dependencies
+	cfg.SlaveToSlave = true
+	cfg.Presend = 2
+	return cfg
+}
+
 // Fig13 reproduces Figure 13: cluster N-Body, OmpSs vs MPI+CUDA.
 func Fig13(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := fig13Params(o, nodes)
-		cfg := clusterConfig(o, nodes)
-		// The all-to-all pattern leaves no stable locality; the runtime's
-		// default (dependencies) scheduler distributes the force tasks by
-		// demand, which is the best setup for this application.
-		cfg.Scheduler = sched.Dependencies
-		cfg.SlaveToSlave = true
-		cfg.Presend = 2
+		cfg := fig13Config(o, nodes)
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
 			run: func() (float64, string, error) {

@@ -64,7 +64,6 @@ func powercapConfig(policy sched.Policy, capW float64, validate bool) ompss.Conf
 		Scheduler:        policy,
 		CachePolicy:      coherence.WriteBack,
 		NonBlockingCache: true,
-		Steal:            true,
 		SlaveToSlave:     true,
 		PowerCapWatts:    capW,
 		Validate:         validate,

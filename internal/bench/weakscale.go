@@ -72,13 +72,22 @@ func weakscaleConfig(nodes, shards int) ompss.Config {
 	}
 }
 
-// weakscaleRun executes chainsPerNode*nodes chains of depth dependent SMP
-// tasks, submitted layer by layer through TaskBatch, and returns the
-// run's stats. Chain regions are never initialized host-side: the first
-// producer establishes residence wherever it runs, exactly like
-// GPU-initialized application data.
-func weakscaleRun(nodes, shards, chainsPerNode, depth int) (ompss.Stats, error) {
-	rt := ompss.New(weakscaleConfig(nodes, shards))
+// weakscaleSize is the per-node workload: chains per node and their depth.
+func weakscaleSize(o Options) (chains, depth int) {
+	if o.Quick {
+		return 2, 10
+	}
+	return 8, 25
+}
+
+// weakscaleRun executes chainsPerNode chains per node of cfg's cluster, each
+// of depth dependent SMP tasks, submitted layer by layer through TaskBatch,
+// and returns the run's stats. Chain regions are never initialized
+// host-side: the first producer establishes residence wherever it runs,
+// exactly like GPU-initialized application data.
+func weakscaleRun(cfg ompss.Config, chainsPerNode, depth int) (ompss.Stats, error) {
+	nodes := len(cfg.Cluster.Nodes)
+	rt := ompss.New(cfg)
 	return rt.Run(func(ctx *ompss.Context) {
 		nchains := nodes * chainsPerNode
 		deps := make([]ompss.Region, nchains)
@@ -133,10 +142,9 @@ func weakscaleVerify(o Options, nodes, shards int) (float64, string, error) {
 func Weakscale(o Options) ([]Row, error) {
 	// Derived row pairs (tasks/sec and dirops/sec come from one run) and
 	// the verify gate must always run in full; GridPoint does not apply.
-	chains, depth := 8, 25
+	chains, depth := weakscaleSize(o)
 	nodesList := []int{8, 64, 256}
 	if o.Quick {
-		chains, depth = 2, 10
 		nodesList = []int{8, 64}
 	}
 	rows := []Row{}
@@ -158,7 +166,7 @@ func Weakscale(o Options) ([]Row, error) {
 			{"centralized", 1},
 			{fmt.Sprintf("sharded s=%d", weakscaleShards(nodes)), weakscaleShards(nodes)},
 		} {
-			st, err := weakscaleRun(nodes, mode.shards, chains, depth)
+			st, err := weakscaleRun(weakscaleConfig(nodes, mode.shards), chains, depth)
 			if err != nil {
 				return rows, fmt.Errorf("weakscale n=%d %s: %w", nodes, mode.label, err)
 			}

@@ -8,11 +8,11 @@ import "testing"
 // virtual-time, so the ratio is deterministic.
 func TestWeakscale256ShardedBeatsCentralized(t *testing.T) {
 	const nodes, chains, depth = 256, 1, 6
-	central, err := weakscaleRun(nodes, 1, chains, depth)
+	central, err := weakscaleRun(weakscaleConfig(nodes, 1), chains, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := weakscaleRun(nodes, weakscaleShards(nodes), chains, depth)
+	sharded, err := weakscaleRun(weakscaleConfig(nodes, weakscaleShards(nodes)), chains, depth)
 	if err != nil {
 		t.Fatal(err)
 	}

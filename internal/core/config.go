@@ -62,10 +62,6 @@ type Config struct {
 	// master ("MtoS").
 	SlaveToSlave bool
 
-	// Steal enables work stealing between the affinity scheduler's local
-	// queues.
-	Steal bool
-
 	// Lookahead is the per-place ready-ahead window of each node's
 	// scheduler: when a worker or GPU manager finds its window empty, it
 	// claims up to Lookahead ready tasks from the shared pool in one batch
@@ -243,17 +239,9 @@ type Stats struct {
 	Evictions   int
 	Writebacks  int // dirty lines written back (eviction, wt, flush)
 
-	// Presend: tasks shipped to a node before it was idle.
-	Presends int
-
-	// KernelBusySeconds sums kernel engine busy time across GPUs.
-	KernelBusySeconds float64
-
-	// Power model (metered on every run; throttles only move when
-	// Config.PowerCapWatts is set).
+	// Power model, metered on every run.
 	PowerPeakWatts float64 // high-water modeled cluster draw
 	EnergyJoules   float64 // idle baseline + per-kernel busy deltas
-	PowerThrottles int     // kernel launches deferred by the governor
 
 	// TasksPerNode counts tasks executed on each node (SMP + CUDA).
 	TasksPerNode []int
@@ -268,10 +256,7 @@ type Stats struct {
 
 	// Distributed managers (all zero at the defaults: one shard, zero
 	// ManagerOpCost).
-	ManagerOps       int // directory/dependence operations served by shards
-	ManagerRemoteOps int // subset served by a shard hosted off the caller's node
-	ManagerFailovers int // shards rehosted after a manager crash
-	ManagerBrokered  int // slave-to-slave pushes brokered by a non-master shard host
+	ManagerOps int // directory/dependence operations served by shards
 
 	// Metrics is the full registry snapshot the summary fields above were
 	// derived from, in deterministic instrument order.

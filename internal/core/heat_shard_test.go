@@ -10,6 +10,7 @@ import (
 	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
 // TestHeatAcrossOwnershipEdgeMatchesSerial runs the stencil on 8 nodes x 4
@@ -63,12 +64,15 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 				t.Fatalf("layout premise broken: %d halo reads and %d blocks span two shards", inStraddles, outStraddles)
 			}
 
+			var reg *metrics.Registry
 			run := func() apps.Result {
+				reg = metrics.New()
 				res, err := apps.HeatOmpSs(core.Config{
 					Cluster:       hw.GPUCluster(nodes),
 					Validate:      true,
 					ManagerShards: shards,
 					ManagerOpCost: 2 * time.Microsecond,
+					Metrics:       reg,
 				}, p)
 				if err != nil {
 					t.Fatal(err)
@@ -79,9 +83,10 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 			if want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p)); res.Check != want {
 				t.Fatalf("check = %s, want %s", res.Check, want)
 			}
-			if res.Stats.ManagerRemoteOps == 0 || res.Stats.ManagerBrokered == 0 {
+			remote := reg.Counter("mgr_ops_total", metrics.L("route", "remote")).Value()
+			if brokered := reg.Counter("mgr_brokered_pushes_total").Value(); remote == 0 || brokered == 0 {
 				t.Fatalf("sharded run charged %d remote ops and brokered %d pushes; the shards never engaged",
-					res.Stats.ManagerRemoteOps, res.Stats.ManagerBrokered)
+					remote, brokered)
 			}
 			if a, b := fmt.Sprintf("%+v", res.Stats), fmt.Sprintf("%+v", run().Stats); a != b {
 				t.Fatalf("stats diverged across identical runs:\n%s\nvs\n%s", a, b)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/faults"
+	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
 // shardedCfg is faultedCfg with the manager service model armed and the
@@ -49,11 +50,14 @@ func TestShardedManagerMatchesCentralizedResults(t *testing.T) {
 	// op accounting may differ (ops are charged per ownership span, and a
 	// region straddling a 256KiB block boundary is one span centralized
 	// but several sharded).
-	run := func(shards int) (Stats, []byte) {
-		return runFaulted(t, shardedCfg(8, shards, nil), 16, 3, 10*time.Millisecond)
+	run := func(shards int) (Stats, []byte, int64) {
+		cfg := shardedCfg(8, shards, nil)
+		cfg.Metrics = metrics.New()
+		stats, results := runFaulted(t, cfg, 16, 3, 10*time.Millisecond)
+		return stats, results, cfg.Metrics.Counter("mgr_ops_total", metrics.L("route", "remote")).Value()
 	}
-	cs, cr := run(1)
-	ss, sr := run(4)
+	cs, cr, cRemote := run(1)
+	ss, sr, sRemote := run(4)
 	checkAll(t, cr, 3)
 	checkAll(t, sr, 3)
 	if cs.ManagerOps == 0 {
@@ -66,10 +70,10 @@ func TestShardedManagerMatchesCentralizedResults(t *testing.T) {
 	// Remote ops flow in both modes (slaves always update some manager
 	// across the wire: the master's in centralized mode, the owning
 	// shard's host in sharded mode).
-	if cs.ManagerRemoteOps == 0 {
+	if cRemote == 0 {
 		t.Fatal("centralized run charged no remote ops despite slave producers")
 	}
-	if ss.ManagerRemoteOps == 0 {
+	if sRemote == 0 {
 		t.Fatal("4-shard run on 8 nodes charged no remote ops")
 	}
 }
@@ -89,12 +93,13 @@ func TestManagerFailoverMidProducerChain(t *testing.T) {
 		Seed:    7,
 		Crashes: []faults.Crash{{Node: 2, At: 30 * time.Millisecond}},
 	})
+	cfg.Metrics = metrics.New()
 	stats, results := runFaulted(t, cfg, 16, 3, 10*time.Millisecond)
 	checkAll(t, results, 3)
 	if stats.DeadNodes != 1 {
 		t.Fatalf("DeadNodes = %d, want 1", stats.DeadNodes)
 	}
-	if stats.ManagerFailovers == 0 {
+	if cfg.Metrics.Counter("mgr_failovers_total").Value() == 0 {
 		t.Fatal("shard host died but no manager failover was recorded")
 	}
 	if stats.TasksReexecuted == 0 {

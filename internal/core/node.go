@@ -169,8 +169,10 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	n.places = 1 + len(spec.GPUs)
 	n.scores, n.estimates = make([]uint64, n.places), make([]sched.Estimate, n.places)
 	scope := "node" + strconv.Itoa(id)
+	// A node's places steal from each other's queues, as the paper's
+	// affinity scheduler does; the cluster level never does (see New).
 	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
-		Score: n.affinityScore, Cost: n.costModel(), Steal: rt.cfg.Steal,
+		Score: n.affinityScore, Cost: n.costModel(), Steal: true,
 		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, scope)})
 	if rt.cfg.Lookahead > 1 {
 		n.sch = sched.Lookahead(n.sch, rt.cfg.Lookahead, lookaheadHooks(rt.cfg.Metrics, scope))

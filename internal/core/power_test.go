@@ -7,16 +7,19 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
 // runPowerWorkload runs independent CUDA tasks on a 4-GPU node under the
-// given cap, returning the stats and the final bytes of each region.
-func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte) {
+// given cap, returning the stats, the final bytes of each region and the
+// kernel launches the governor deferred.
+func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte, int64) {
 	t.Helper()
 	cfg := baseCfg(1, 4)
 	cfg.PowerCapWatts = capWatts
+	cfg.Metrics = metrics.New()
 	rt := New(cfg)
 	const tasks = 8
 	var out [][]byte
@@ -45,16 +48,16 @@ func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, out
+	return stats, out, cfg.Metrics.Counter("power_throttles_total").Value()
 }
 
 func TestPowerCapThrottlesWithoutChangingResults(t *testing.T) {
 	// testCluster(1, 4): host idles at 100 W, each GPU at 30 W with a
 	// 170 W busy delta. Idle baseline 220 W; one kernel 390 W; four
 	// concurrent kernels 900 W.
-	uncapped, wantBytes := runPowerWorkload(t, 0)
-	if uncapped.PowerThrottles != 0 {
-		t.Fatalf("uncapped run throttled %d times", uncapped.PowerThrottles)
+	uncapped, wantBytes, throttles := runPowerWorkload(t, 0)
+	if throttles != 0 {
+		t.Fatalf("uncapped run throttled %d times", throttles)
 	}
 	if uncapped.PowerPeakWatts <= 400 {
 		t.Fatalf("uncapped peak = %g W, want concurrent kernels above 400 W", uncapped.PowerPeakWatts)
@@ -64,11 +67,11 @@ func TestPowerCapThrottlesWithoutChangingResults(t *testing.T) {
 	}
 
 	// Cap at 400 W: exactly one kernel fits above the baseline.
-	capped, gotBytes := runPowerWorkload(t, 400)
+	capped, gotBytes, throttles := runPowerWorkload(t, 400)
 	if capped.PowerPeakWatts > 400 {
 		t.Fatalf("capped run peaked at %g W above the 400 W cap", capped.PowerPeakWatts)
 	}
-	if capped.PowerThrottles == 0 {
+	if throttles == 0 {
 		t.Fatal("capped run recorded no throttles")
 	}
 	if capped.ElapsedSeconds <= uncapped.ElapsedSeconds {
@@ -116,7 +119,6 @@ func runMixed(t *testing.T, policy sched.Policy) Stats {
 	cfg := Config{
 		Cluster:          hw.MixedGPUCluster(2, 2),
 		Scheduler:        policy,
-		Steal:            true,
 		SlaveToSlave:     true,
 		NonBlockingCache: true,
 	}

@@ -438,7 +438,6 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 func (rt *Runtime) collectStats() Stats {
 	s := Stats{
 		ElapsedSeconds: rt.e.Now().Seconds(),
-		Presends:       int(rt.met.presends.Value()),
 		Writebacks:     int(rt.met.writebacks.Value()),
 		BytesMtoS:      uint64(rt.met.bytesMtoS.Value()),
 		BytesStoS:      uint64(rt.met.bytesStoS.Value()),
@@ -456,15 +455,11 @@ func (rt *Runtime) collectStats() Stats {
 		}
 	}
 	s.ManagerOps = int(rt.met.mgrOps.Value())
-	s.ManagerRemoteOps = int(rt.met.mgrRemoteOps.Value())
-	s.ManagerFailovers = int(rt.met.mgrFailovers.Value())
-	s.ManagerBrokered = int(rt.met.mgrBrokered.Value())
 	// Energy under the two-level power model: the whole cluster idles for
 	// the whole run, and each kernel adds its device's busy delta for its
 	// duration. Pure arithmetic over already-collected busy counters.
 	s.EnergyJoules = rt.cfg.Cluster.IdleWatts() * s.ElapsedSeconds
 	s.PowerPeakWatts = rt.gov.PeakWatts()
-	s.PowerThrottles = int(rt.gov.throttles.Value())
 	elapsed := int64(rt.e.Now())
 	for _, n := range rt.nodes {
 		nodeTasks := int(n.met.tasksSMP.Value() + n.met.tasksCUDA.Value())
@@ -477,7 +472,6 @@ func (rt *Runtime) collectStats() Stats {
 			s.BytesD2H += ds.BytesD2H
 			s.XfersH2D += ds.XfersH2D
 			s.XfersD2H += ds.XfersD2H
-			s.KernelBusySeconds += ds.KernelBusy.Seconds()
 			s.EnergyJoules += n.spec.GPUs[g].Power.Delta() * ds.KernelBusy.Seconds()
 			// Derived per-device time split: busy running kernels, stalled
 			// on DMA, idle otherwise (gauges, recomputed at each collect).

@@ -11,6 +11,7 @@ import (
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
@@ -68,7 +69,6 @@ func baseCfg(nodes, gpus int) Config {
 		CachePolicy:      coherence.WriteBack,
 		NonBlockingCache: true,
 		SlaveToSlave:     true,
-		Steal:            true,
 		Validate:         true,
 	}
 }
@@ -456,7 +456,7 @@ func TestSlaveToSlaveVersusMasterRouted(t *testing.T) {
 }
 
 func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
-	run := func(presend int) Stats {
+	run := func(presend int) (Stats, int64) {
 		// The master has no GPU: every CUDA task must run on the single
 		// slave, so presend's transfer/compute overlap is isolated.
 		cluster := testCluster(2, 1, 1<<26)
@@ -465,6 +465,7 @@ func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
 		cfg.Cluster = cluster
 		cfg.Scheduler = sched.BreadthFirst
 		cfg.Presend = presend
+		cfg.Metrics = metrics.New()
 		rt := New(cfg)
 		stats, err := rt.Run(func(mc *MainCtx) {
 			for i := 0; i < 12; i++ {
@@ -479,14 +480,14 @@ func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return stats, cfg.Metrics.Counter("presend_total").Value()
 	}
-	none := run(0)
-	two := run(2)
-	if none.Presends != 0 {
-		t.Fatalf("presend=0 recorded %d presends", none.Presends)
+	none, nonePresends := run(0)
+	two, twoPresends := run(2)
+	if nonePresends != 0 {
+		t.Fatalf("presend=0 recorded %d presends", nonePresends)
 	}
-	if two.Presends == 0 {
+	if twoPresends == 0 {
 		t.Fatal("presend=2 recorded no presends")
 	}
 	// Without presend each remote task serializes wire + PCIe + kernel;

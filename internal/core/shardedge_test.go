@@ -8,6 +8,7 @@ import (
 	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
 
@@ -37,20 +38,20 @@ func TestCrashMidStagingOfRegionAcrossOwnershipEdge(t *testing.T) {
 		}
 	}
 
-	run := func(crashes []faults.Crash) (Stats, []byte, *trace.Recorder) {
+	run := func(crashes []faults.Crash) (Stats, []byte, Config) {
 		cfg := shardedCfg(nodes, shards, &faults.Plan{Seed: 5, Crashes: crashes})
-		cfg.Trace = trace.New()
+		cfg.Trace, cfg.Metrics = trace.New(), metrics.New()
 		stats, results := runFaulted(t, cfg, regions, rounds, 10*time.Millisecond)
-		return stats, results, cfg.Trace
+		return stats, results, cfg
 	}
 
 	// A crash-free run of the armed protocol is identical to a crashed one
 	// up to the crash, so the midpoint of one of its two-owner transfers
 	// into the victim is mid-staging by construction.
-	_, _, rec := run(nil)
+	_, _, clean := run(nil)
 	for victim := 1; victim < nodes; victim++ {
 		var mid *trace.Span
-		for _, s := range rec.Spans() {
+		for _, s := range clean.Trace.Spans() {
 			if s.Kind == trace.NetSend && s.Peer == victim && twoOwners[s.Region] && s.Bytes == 1<<18 {
 				s := s
 				mid = &s // keep the last: the longest producer chains to replay
@@ -62,14 +63,15 @@ func TestCrashMidStagingOfRegionAcrossOwnershipEdge(t *testing.T) {
 		}
 		crash := []faults.Crash{{Node: victim, At: time.Duration(mid.Start + (mid.End-mid.Start)/2)}}
 
-		stats, results, _ := run(crash)
+		stats, results, cfg := run(crash)
 		checkAll(t, results, rounds)
 		if stats.DeadNodes != 1 || stats.TasksReexecuted == 0 {
 			t.Fatalf("victim %d: DeadNodes = %d, TasksReexecuted = %d; want one death with work to redo",
 				victim, stats.DeadNodes, stats.TasksReexecuted)
 		}
-		if hosted := len(dmap.HostedOn(victim)); (stats.ManagerFailovers > 0) != (hosted > 0) {
-			t.Fatalf("victim %d hosts %d shards but ManagerFailovers = %d", victim, hosted, stats.ManagerFailovers)
+		failovers := cfg.Metrics.Counter("mgr_failovers_total").Value()
+		if hosted := len(dmap.HostedOn(victim)); (failovers > 0) != (hosted > 0) {
+			t.Fatalf("victim %d hosts %d shards but mgr_failovers_total = %d", victim, hosted, failovers)
 		}
 		again, _, _ := run(crash)
 		if a, b := fmt.Sprintf("%+v", stats), fmt.Sprintf("%+v", again); a != b {

@@ -173,17 +173,25 @@ func BenchmarkEngineQueuePutGet(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineResourceUse measures contended Acquire/Release handoff:
-// two processes sharing a capacity-1 resource for b.N timed uses.
+// BenchmarkEngineResourceUse measures contended AcquireFunc/Release
+// handoff: two chains sharing a capacity-1 resource for b.N timed uses, each
+// use a grant, a hold of 1us and a release, with callbacks bound once.
 func BenchmarkEngineResourceUse(b *testing.B) {
 	e := NewEngine()
 	r := NewResource(e, "res", 1)
 	for g := 0; g < 2; g++ {
-		e.Go("user", func(p *Proc) {
-			for i := 0; i < b.N/2; i++ {
-				r.Use(p, time.Microsecond)
+		left := b.N / 2
+		var grant, release func()
+		grant = func() { e.After(time.Microsecond, release) }
+		release = func() {
+			r.Release()
+			if left--; left > 0 {
+				r.AcquireFunc(grant)
 			}
-		})
+		}
+		if left > 0 {
+			r.AcquireFunc(grant)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -179,7 +179,7 @@ func TestDeadlockReportNamesWhatAProcessParkedOn(t *testing.T) {
 	e.Go("stuck", func(p *Proc) { p.Await(parkedOn{3, 5}, func(func(bool)) {}) })
 	r := NewResource(e, "dma", 1)
 	r.AcquireFunc(func() {})
-	e.Go("queued", func(p *Proc) { r.Acquire(p) })
+	e.Go("queued", func(p *Proc) { acquire(p, r) })
 	var dl *DeadlockError
 	if err := e.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 2 {
 		t.Fatalf("err = %v, want a DeadlockError with 2 processes", err)
@@ -189,27 +189,40 @@ func TestDeadlockReportNamesWhatAProcessParkedOn(t *testing.T) {
 	}
 }
 
-// Property: a timed wait in callback form (WaitForFunc) takes the slots the
-// process form (WaitFor) takes, whether the trigger or the timeout wins or
-// they tie, so a waiter can change form and move nothing around it.
-func TestQuickWaitForFuncOrdersLikeWaitFor(t *testing.T) {
+// Property: a timed wait in callback form (WaitForFunc) takes the slot of a
+// process that parks on a wake-up fed by the event and by a timer, whether
+// the trigger or the timeout wins or they tie, and so does a process that
+// awaits WaitForFunc; a waiter can change form and move nothing around it.
+func TestQuickWaitForFuncOrdersLikeAProcess(t *testing.T) {
 	type entry struct {
 		who      int
 		at       Time
 		seq      uint64
 		happened bool
 	}
-	run := func(triggers, timeouts []Duration, callbacks bool) (log []entry) {
+	const callback, parked, awaiting = 0, 1, 2
+	run := func(triggers, timeouts []Duration, form int) (log []entry) {
 		e := NewEngine()
 		for i := range triggers {
-			i, ev := i, NewEvent(e)
+			i, ev, d := i, NewEvent(e), timeouts[i]
 			e.After(triggers[i], ev.Trigger)
 			note := func() { log = append(log, entry{i, e.Now(), e.seq, ev.Triggered()}) }
-			if callbacks {
-				e.After(0, func() { ev.WaitForFunc(timeouts[i], note) })
-			} else {
+			switch form {
+			case callback:
+				e.After(0, func() { ev.WaitForFunc(d, note) })
+			case parked:
 				e.Go("waiter", func(p *Proc) {
-					ev.WaitFor(p, timeouts[i])
+					if !ev.Triggered() {
+						wake := NewEvent(e)
+						ev.WaitFunc(wake.Trigger)
+						e.After(d, wake.Trigger)
+						wake.Wait(p)
+					}
+					note()
+				})
+			case awaiting:
+				e.Go("waiter", func(p *Proc) {
+					timedWait(p, ev, d)
 					note()
 				})
 			}
@@ -227,14 +240,15 @@ func TestQuickWaitForFuncOrdersLikeWaitFor(t *testing.T) {
 			triggers[i] = Duration(rng.Intn(4)) * time.Millisecond
 			timeouts[i] = Duration(rng.Intn(4)) * time.Millisecond
 		}
-		return reflect.DeepEqual(run(triggers, timeouts, false), run(triggers, timeouts, true))
+		want := run(triggers, timeouts, parked)
+		return reflect.DeepEqual(run(triggers, timeouts, callback), want) && reflect.DeepEqual(run(triggers, timeouts, awaiting), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Processes and WaitFunc and OnTrigger callbacks waiting on one Event wake in
+// Processes and WaitFunc callbacks waiting on one Event wake in
 // the order they began to wait; a WaitFunc on a triggered event runs at once.
 func TestEventWaitFuncKeepsWaiterOrder(t *testing.T) {
 	e := NewEngine()
@@ -242,7 +256,7 @@ func TestEventWaitFuncKeepsWaiterOrder(t *testing.T) {
 	var order []string
 	e.After(0, func() { ev.WaitFunc(func() { order = append(order, "fn1") }) })
 	e.Go("p1", func(p *Proc) { ev.Wait(p); order = append(order, "p1") })
-	e.After(0, func() { ev.OnTrigger(func() { order = append(order, "sub") }) })
+	e.After(0, func() { ev.WaitFunc(func() { order = append(order, "sub") }) })
 	e.After(0, func() { ev.WaitFunc(func() { order = append(order, "fn2") }) })
 	e.Go("p2", func(p *Proc) { ev.Wait(p); order = append(order, "p2") })
 	e.After(time.Millisecond, func() {

@@ -226,7 +226,7 @@ func (e *Engine) schedule(at Time, p *Proc, fn func()) *event {
 func (e *Engine) call(name string, fn func(), ready func() bool) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.Stop(&ProcPanicError{Proc: name, Value: r, Stack: debug.Stack()})
+			e.stop(&ProcPanicError{Proc: name, Value: r, Stack: debug.Stack()})
 		}
 	}()
 	if ready != nil {
@@ -287,11 +287,7 @@ func (e *Engine) runProc(p *Proc) (reusable bool) {
 		if r != nil {
 			// A panicking process aborts the whole simulation: Run returns
 			// the panic as an error instead of crashing the host program.
-			e.Stop(&ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
-		}
-		p.done = true
-		if p.onExit != nil {
-			p.onExit.Trigger()
+			e.stop(&ProcPanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
 		}
 		e.unregister(p)
 		reusable = true
@@ -311,15 +307,11 @@ func (e *Engine) runProc(p *Proc) (reusable bool) {
 // every blocking call it makes afterwards, so it must not loop on them
 // forever. runtime.Goexit in fn (t.FailNow in a test, say) ends the goroutine
 // that called Run, not only the process: a coroutine passes it on.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc { return e.GoAfter(name, 0, fn) }
-
-// GoAfter spawns a process that begins executing fn after delay d (a
-// negative d counts as zero).
-func (e *Engine) GoAfter(name string, d Duration, fn func(p *Proc)) *Proc {
+func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{e: e, name: name, id: int32(e.procSeq), fn: fn, regIdx: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
-	e.schedule(e.now+Time(max(d, 0)), p, nil)
+	e.schedule(e.now, p, nil)
 	return p
 }
 
@@ -360,9 +352,9 @@ func (e *Engine) unregister(p *Proc) {
 // block; it may schedule further events, trigger Events, or push to Queues.
 func (e *Engine) After(d Duration, fn func()) { e.schedule(e.now+Time(max(d, 0)), nil, fn) }
 
-// Stop aborts the simulation: Run returns err once the process or callback
+// stop aborts the simulation: Run returns err once the process or callback
 // now running blocks or returns. Pending events are discarded.
-func (e *Engine) Stop(err error) {
+func (e *Engine) stop(err error) {
 	e.stopped = true
 	e.stopErr = err
 }
@@ -400,9 +392,10 @@ func (d *DeadlockError) Error() string {
 // seq) order, runs a bare callback inline and switches to a process until
 // that process blocks or exits, until the queue drains or the engine stops.
 // It returns a *DeadlockError if processes remain blocked at the end, or the
-// error passed to Stop. No coroutine the engine made outlives Run, whichever
-// way it ends: a process still blocked is unwound (see Go), so its deferred
-// calls run. Run panics if called from one of its own processes or callbacks.
+// *ProcPanicError of a process or callback that panicked. No coroutine the
+// engine made outlives Run, whichever way it ends: a process still blocked
+// is unwound (see Go), so its deferred calls run. Run panics if called from
+// one of its own processes or callbacks.
 func (e *Engine) Run() error {
 	if e.inRun {
 		panic("sim: Run is not re-entrant")

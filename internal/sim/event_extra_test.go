@@ -5,53 +5,19 @@ import (
 	"time"
 )
 
-func TestOnTriggerRunsAtTriggerTime(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	var firedAt Time
-	fired := 0
-	ev.OnTrigger(func() { fired++; firedAt = e.Now() })
-	e.Go("trigger", func(p *Proc) {
-		p.Sleep(3 * time.Millisecond)
-		ev.Trigger()
-		ev.Trigger() // double trigger stays a no-op for subscribers too
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("callback ran %d times", fired)
-	}
-	if firedAt != Time(3*time.Millisecond) {
-		t.Fatalf("callback at %v, want 3ms", firedAt)
-	}
+// timedWait is how a process waits on ev for at most d: it awaits
+// WaitForFunc and reports whether the event has triggered.
+func timedWait(p *Proc, ev *Event, d Duration) bool {
+	return p.Await("event wait", func(done func(bool)) { ev.WaitForFunc(d, func() { done(ev.Triggered()) }) })
 }
 
-func TestOnTriggerAfterTriggerRunsImmediately(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	fired := false
-	e.Go("main", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		ev.Trigger()
-		ev.OnTrigger(func() { fired = true })
-		p.Sleep(time.Microsecond) // let the scheduled callback run
-		if !fired {
-			t.Error("late subscriber not scheduled")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitForTimesOut(t *testing.T) {
+func TestWaitForFuncTimesOut(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)
 	e.Go("main", func(p *Proc) {
 		start := p.Now()
-		if ev.WaitFor(p, 500*time.Microsecond) {
-			t.Error("WaitFor true without a trigger")
+		if timedWait(p, ev, 500*time.Microsecond) {
+			t.Error("triggered without a trigger")
 		}
 		if got := p.Now() - start; got != Time(500*time.Microsecond) {
 			t.Errorf("timed out after %v, want 500us", got)
@@ -62,24 +28,22 @@ func TestWaitForTimesOut(t *testing.T) {
 	}
 }
 
-func TestWaitForSeesEarlyTrigger(t *testing.T) {
+func TestWaitForFuncSeesEarlyTrigger(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)
-	e.Go("trigger", func(p *Proc) {
-		p.Sleep(100 * time.Microsecond)
-		ev.Trigger()
-	})
+	e.After(100*time.Microsecond, ev.Trigger)
 	e.Go("main", func(p *Proc) {
 		start := p.Now()
-		if !ev.WaitFor(p, time.Second) {
-			t.Error("WaitFor false despite trigger")
+		if !timedWait(p, ev, time.Second) {
+			t.Error("not triggered despite the trigger")
 		}
 		if got := p.Now() - start; got != Time(100*time.Microsecond) {
 			t.Errorf("woke after %v, want 100us", got)
 		}
-		// Already-triggered events return immediately.
-		if !ev.WaitFor(p, time.Nanosecond) {
-			t.Error("WaitFor false on a triggered event")
+		// On a triggered event fn runs at once, with no event.
+		seq := e.seq
+		if !timedWait(p, ev, time.Nanosecond) || e.seq != seq {
+			t.Errorf("on a triggered event: %d events scheduled", e.seq-seq)
 		}
 	})
 	if err := e.Run(); err != nil {

@@ -12,3 +12,9 @@ func recordPops(e *Engine) *[]popped {
 	e.onPop = func(at Time, seq uint64) { *log = append(*log, popped{at, seq}) }
 	return log
 }
+
+// acquire is how a process holds a unit of r: it awaits AcquireFunc's
+// grant, and resumes in the grant's slot.
+func acquire(p *Proc, r *Resource) {
+	p.Await(r, func(done func(bool)) { r.AcquireFunc(func() { done(true) }) })
+}

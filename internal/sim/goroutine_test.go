@@ -30,10 +30,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			return errors.As(err, &dl) && len(dl.Blocked) == 10
 		}},
 		{"stop", func(e *Engine) {
-			e.GoAfter("stopper", 2*time.Millisecond, func(p *Proc) { e.Stop(sentinel) })
+			e.Go("stopper", func(p *Proc) { p.Sleep(2 * time.Millisecond); e.stop(sentinel) })
 		}, func(err error) bool { return errors.Is(err, sentinel) }},
 		{"panic", func(e *Engine) {
-			e.GoAfter("boom", 2*time.Millisecond, func(p *Proc) { panic("kaboom") })
+			e.Go("boom", func(p *Proc) { p.Sleep(2 * time.Millisecond); panic("kaboom") })
 		}, func(err error) bool {
 			var pp *ProcPanicError
 			return errors.As(err, &pp) && pp.Proc == "boom"
@@ -106,8 +106,8 @@ func TestPanicInRecycledGoroutine(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	e.Go("first", func(p *Proc) { ran++ })
-	e.GoAfter("boom", time.Millisecond, func(p *Proc) { panic("kaboom") })
-	e.GoAfter("after", time.Millisecond, func(p *Proc) { ran++ }) // discarded by the stop
+	e.Go("boom", func(p *Proc) { p.Sleep(time.Millisecond); panic("kaboom") })
+	e.Go("after", func(p *Proc) { p.Sleep(time.Millisecond); ran++ }) // discarded by the stop
 	err := e.Run()
 	var pp *ProcPanicError
 	if !errors.As(err, &pp) || pp.Proc != "boom" {
@@ -145,7 +145,7 @@ func TestPanicInBareCallback(t *testing.T) {
 		"granted by Release": func(e *Engine) {
 			r := NewResource(e, "engine", 1)
 			e.Go("holder", func(p *Proc) {
-				r.Acquire(p)
+				acquire(p, r)
 				r.AcquireFunc(func() { panic("kaboom") })
 				p.Sleep(time.Millisecond)
 				r.Release()
@@ -159,7 +159,7 @@ func TestPanicInBareCallback(t *testing.T) {
 			e := NewEngine()
 			build(e)
 			ran := false
-			e.GoAfter("later", time.Hour, func(p *Proc) { ran = true })
+			e.After(time.Hour, func() { e.Go("later", func(p *Proc) { ran = true }) })
 			finished := make(chan error, 1)
 			go func() { finished <- e.Run() }()
 			select {
@@ -287,7 +287,7 @@ func TestRunIsNotReentrant(t *testing.T) {
 			e := NewEngine()
 			tc.build(e)
 			ran := false
-			e.GoAfter("later", time.Hour, func(p *Proc) { ran = true })
+			e.After(time.Hour, func() { e.Go("later", func(p *Proc) { ran = true }) })
 			var pp *ProcPanicError
 			if err := e.Run(); !errors.As(err, &pp) || pp.Proc != tc.proc || pp.Value != "sim: Run is not re-entrant" {
 				t.Fatalf("err = %v, want ProcPanicError from %s", err, tc.proc)
@@ -321,8 +321,9 @@ func TestParkOutsideOwnProcessPanics(t *testing.T) {
 			})
 		}, "intruder"},
 		"before it starts": {func(e *Engine) {
-			sleeper := e.GoAfter("sleeper", time.Second, func(*Proc) {})
+			var sleeper *Proc
 			e.Go("intruder", func(*Proc) { sleeper.Sleep(time.Millisecond) })
+			sleeper = e.Go("sleeper", func(*Proc) {})
 		}, "intruder"},
 	}
 	for name, tc := range cases {
@@ -376,8 +377,8 @@ func TestSpawnAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("%.1f allocs per spawn, want 1", allocs)
 	}
-	if size := unsafe.Sizeof(Proc{}); size > 80 {
-		t.Fatalf("Proc is %d bytes, want <= 80 (the next size class is 96)", size)
+	if size := unsafe.Sizeof(Proc{}); size > 64 {
+		t.Fatalf("Proc is %d bytes, want <= 64 (the next size class is 80)", size)
 	}
 }
 
@@ -447,15 +448,15 @@ func TestSignalAllocs(t *testing.T) {
 	}
 }
 
-// Property: on one Resource, acquirers in process form (Acquire) and in
-// callback form (AcquireFunc) are granted in request order (observable as
-// such at capacity 1, where a unit only ever passes to the oldest waiter),
-// and every grant and completion is dispatched in the (at, seq) slot the
-// all-process version gives it: the logs, which carry the engine's next
-// sequence number at every step, are equal. Times are drawn from a tiny
-// range so that equal-time ties — where only seq decides — are the common
-// case.
-func TestQuickAcquireFuncOrdersLikeAcquire(t *testing.T) {
+// Property: on one Resource, processes that await AcquireFunc and chains of
+// callbacks around it are granted in request order (observable as such at
+// capacity 1, where a unit only ever passes to the oldest waiter), and
+// every grant and completion is dispatched in the (at, seq) slot the
+// all-callback version gives it: a process resumes in its grant's slot. The
+// logs, which carry the engine's next sequence number at every step, are
+// equal. Times are drawn from a tiny range so that equal-time ties — where
+// only seq decides — are the common case.
+func TestQuickAcquireFuncOrdersLikeAChain(t *testing.T) {
 	type user struct {
 		arrive, hold Duration
 		callback     bool
@@ -466,7 +467,7 @@ func TestQuickAcquireFuncOrdersLikeAcquire(t *testing.T) {
 		at   Time
 		seq  uint64
 	}
-	run := func(users []user, capacity int, allProcs bool) (log []entry, requests, grants []int) {
+	run := func(users []user, capacity int, allCallbacks bool) (log []entry, requests, grants []int) {
 		e := NewEngine()
 		r := NewResource(e, "res", capacity)
 		note := func(what string, i int) {
@@ -475,25 +476,29 @@ func TestQuickAcquireFuncOrdersLikeAcquire(t *testing.T) {
 		for i, u := range users {
 			i, u := i, u
 			done := NewEvent(e)
-			if u.callback && !allProcs {
-				e.After(u.arrive, func() {
-					note("request", i)
-					requests = append(requests, i)
-					r.AcquireFunc(func() {
-						note("grant", i)
-						grants = append(grants, i)
-						e.After(u.hold, func() {
-							r.Release()
-							note("done", i)
-							done.Trigger()
+			// Both forms start in one slot at time zero and ask at arrive.
+			if u.callback || allCallbacks {
+				e.After(0, func() {
+					e.After(u.arrive, func() {
+						note("request", i)
+						requests = append(requests, i)
+						r.AcquireFunc(func() {
+							note("grant", i)
+							grants = append(grants, i)
+							e.After(u.hold, func() {
+								r.Release()
+								note("done", i)
+								done.Trigger()
+							})
 						})
 					})
 				})
 			} else {
-				e.GoAfter("user", u.arrive, func(p *Proc) {
+				e.Go("user", func(p *Proc) {
+					p.Sleep(u.arrive)
 					note("request", i)
 					requests = append(requests, i)
-					r.Acquire(p)
+					acquire(p, r)
 					note("grant", i)
 					grants = append(grants, i)
 					p.Sleep(u.hold)
@@ -526,9 +531,9 @@ func TestQuickAcquireFuncOrdersLikeAcquire(t *testing.T) {
 		}
 		capacity := 1 + rng.Intn(2)
 		mixed, requests, grants := run(users, capacity, false)
-		procs, _, _ := run(users, capacity, true)
+		chains, _, _ := run(users, capacity, true)
 		fifo := capacity > 1 || reflect.DeepEqual(requests, grants)
-		return fifo && reflect.DeepEqual(mixed, procs)
+		return fifo && reflect.DeepEqual(mixed, chains)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

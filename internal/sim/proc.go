@@ -12,14 +12,9 @@ type Proc struct {
 	// Stringer asked only when a deadlock report is made. Reports scan the
 	// live-process registry, so a block or a wake maintains no map.
 	blockedOn interface{}
-	onExit    *Event // lazily created by Done()
 
 	id, regIdx int32 // regIdx: position in e.procs, maintained on spawn/exit
-	done       bool  // packed with them: a Proc stays in the 80-byte class
 }
-
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -103,18 +98,6 @@ func (p *Proc) Sleep(d Duration) {
 // virtual time.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Done returns an Event that triggers when this process's function returns;
-// requested after that, it is returned already triggered.
-func (p *Proc) Done() *Event {
-	if p.onExit == nil {
-		p.onExit = NewEvent(p.e)
-		if p.done {
-			p.onExit.Trigger()
-		}
-	}
-	return p.onExit
-}
-
 // Event is a one-shot level-triggered synchronization point: once triggered
 // it stays triggered, and all past and future waiters proceed.
 type Event struct {
@@ -127,7 +110,7 @@ type Event struct {
 }
 
 // waiter is one waiter of an Event: a process (Wait) or a callback
-// (WaitFunc, OnTrigger), in one queue.
+// (WaitFunc, WaitForFunc), in one queue.
 type waiter struct {
 	p  *Proc
 	fn func()
@@ -169,50 +152,25 @@ func (ev *Event) wait(w waiter) {
 	}
 }
 
-// OnTrigger schedules fn as a bare callback when the event fires, as a
-// waiter (behind events already pending at the trigger time). If the event
-// has already triggered, fn is scheduled at the current time.
-func (ev *Event) OnTrigger(fn func()) {
-	if ev.Triggered() {
-		ev.e.schedule(ev.e.now, nil, fn)
-		return
-	}
-	ev.wait(waiter{fn: fn})
-}
-
-// WaitFor blocks the calling process until the event triggers or virtual
-// duration d elapses, whichever comes first, and reports whether the event
-// has triggered.
-func (ev *Event) WaitFor(p *Proc, d Duration) bool {
-	if !ev.Triggered() {
-		ev.orAfter(d, func() { p.e.schedule(p.e.now, p, nil) })
-		p.park("event wait")
-	}
-	return ev.Triggered()
-}
-
-// WaitForFunc is WaitFor for a waiter that has no process: fn runs — at once
-// if the event has triggered, else as a bare callback in the slot the
-// process would have resumed in — and asks Triggered for the outcome.
+// WaitForFunc waits until the event triggers or virtual duration d
+// elapses, whichever comes first: fn runs at once if the event has
+// triggered, else as a bare callback scheduled at that instant — in the
+// slot a process woken then would resume in — and asks Triggered for the
+// outcome. fn must not block.
 func (ev *Event) WaitForFunc(d Duration, fn func()) {
 	if ev.Triggered() {
 		fn()
 		return
 	}
-	ev.orAfter(d, func() { ev.e.After(0, fn) })
-}
-
-// orAfter calls wake once, when the event triggers or d from now, whichever
-// comes first: a waiter has at most one wake-up pending, so the two sources
-// feed one callback that schedules it rather than each scheduling their own.
-func (ev *Event) orAfter(d Duration, wake func()) {
+	// The trigger and the timeout feed one callback, so fn is scheduled
+	// once, by whichever of them comes first.
 	first := func() {
-		if wake != nil {
-			wake()
-			wake = nil
+		if fn != nil {
+			ev.e.After(0, fn)
+			fn = nil
 		}
 	}
-	ev.OnTrigger(first)
+	ev.wait(waiter{fn: first})
 	ev.e.After(d, first)
 }
 
@@ -317,10 +275,10 @@ type Counter struct {
 // NewCounter returns a latch initialized to n.
 func NewCounter(e *Engine, n int) *Counter { return &Counter{e: e, n: n} }
 
-// Add adjusts the count by delta; if it reaches zero all waiters wake.
+// Done decrements the count by one; if it reaches zero all waiters wake.
 // Panics if the count goes negative.
-func (c *Counter) Add(delta int) {
-	c.n += delta
+func (c *Counter) Done() {
+	c.n--
 	if c.n < 0 {
 		panic("sim: Counter went negative")
 	}
@@ -331,9 +289,6 @@ func (c *Counter) Add(delta int) {
 		c.waiters = nil
 	}
 }
-
-// Done decrements the count by one.
-func (c *Counter) Done() { c.Add(-1) }
 
 // Wait blocks the calling process until the count is zero.
 func (c *Counter) Wait(p *Proc) {

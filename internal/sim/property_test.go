@@ -25,8 +25,8 @@ func TestQuickResourceCapacityInvariant(t *testing.T) {
 		for _, d := range durs {
 			d := time.Duration(d%20+1) * time.Millisecond
 			e.Go("user", func(p *Proc) {
-				r.Acquire(p)
-				if r.InUse() > capacity {
+				acquire(p, r)
+				if r.inUse > capacity {
 					violated = true
 				}
 				p.Sleep(d)
@@ -36,7 +36,7 @@ func TestQuickResourceCapacityInvariant(t *testing.T) {
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return !violated && r.InUse() == 0 && r.QueueLen() == 0
+		return !violated && r.inUse == 0 && len(r.waiters) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -269,14 +269,16 @@ func TestQuickLaneKeepsHeapOrder(t *testing.T) {
 			case 1:
 				e.After(delay(), callback)
 			case 2:
-				e.GoAfter("p", delay(), body)
+				e.After(delay(), func() { e.Go("p", body) })
 			case 3:
 				sig.Broadcast()
 			case 4:
 				q.Put(budget)
 			case 5:
 				if p != nil {
-					res.Use(p, delay())
+					acquire(p, res)
+					p.Sleep(delay())
+					res.Release()
 					break
 				}
 				d := delay()

@@ -71,7 +71,7 @@ func (q *Queue[T]) Close() {
 // Get removes and returns the oldest item, blocking the calling process if
 // the queue is empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	if v, ok = q.TryGet(); ok || q.closed {
+	if v, ok = q.tryGet(); ok || q.closed {
 		return v, ok
 	}
 	w := &getter[T]{p: p}
@@ -88,7 +88,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 // allocates nothing: it is handed the slot it was served from. fn must not
 // block.
 func (q *Queue[T]) GetFunc(fn func(v T, ok bool)) {
-	if v, ok := q.TryGet(); ok || q.closed {
+	if v, ok := q.tryGet(); ok || q.closed {
 		fn(v, ok)
 		return
 	}
@@ -107,8 +107,8 @@ func (q *Queue[T]) GetFunc(fn func(v T, ok bool)) {
 	q.waiters = append(q.waiters, w)
 }
 
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
+// tryGet removes and returns the oldest item without blocking.
+func (q *Queue[T]) tryGet() (v T, ok bool) {
 	if len(q.items) == 0 {
 		return v, false
 	}

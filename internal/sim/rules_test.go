@@ -18,9 +18,9 @@ import (
 )
 
 // The determinism rules (DESIGN.md §9): no wall clock or unseeded
-// randomness, no map-order leaks, no blocking under a held resource or
-// inside an inline engine callback, every trace span closed, and every
-// //ompss:<kind> <reason> suppression well-formed. Each rule is a plain
+// randomness, no map-order leaks, no blocking inside an inline engine
+// callback, every trace span closed, and every //ompss:<kind> <reason>
+// suppression well-formed. Each rule is a plain
 // function over one type-checked package. TestRulesOnTree holds the module
 // to them; a test named after each rule (TestDetWallclock, ...) holds it
 // to its verdicts on snippets compiled against the real packages.
@@ -63,7 +63,7 @@ func rules() []rule {
 	return []rule{
 		{"detwallclock", "wallclock-ok", detWallclock},
 		{"detmaprange", "maporder-ok", detMapRange},
-		{"simblocking", "simblock-ok", simBlocking},
+		{"simblocking", "", simBlocking},
 		{"tracepair", "tracepair-ok", tracePair},
 		{"ompssdirective", "", ompssDirective},
 	}
@@ -271,30 +271,23 @@ func detMapRange(p *pkg) {
 
 // Functions by module path and name: blockingFuncs park the calling process
 // (the sim primitives, Await among them, and netsim's Send, which awaits
-// SendFunc);
-// unboundedFuncs are the sim ones whose wait no duration bounds, which
-// deadlock rather than stall when the wake-up never comes; inlineCallbacks
-// run their function-literal arguments inline on the engine loop — the
-// guard of Signal.WaitUntil too, which is also a blocking call itself.
+// SendFunc); inlineCallbacks run their function-literal arguments inline on
+// the engine loop — the guard of Signal.WaitUntil too, which is also a
+// blocking call itself.
 var (
 	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitUntil",
-		"internal/sim.WaitFor", "internal/sim.Await", "internal/sim.Get", "internal/sim.Acquire", "internal/sim.Use",
-		"internal/sim.Run", "internal/netsim.Send")
-	unboundedFuncs = set("internal/sim.Wait", "internal/sim.WaitUntil", "internal/sim.Get", "internal/sim.Acquire",
-		"internal/sim.Use", "internal/sim.Run", "internal/sim.Await")
-	inlineCallbacks = set("internal/sim.After", "internal/sim.OnTrigger", "internal/sim.AcquireFunc",
+		"internal/sim.Await", "internal/sim.Get", "internal/sim.Run", "internal/netsim.Send")
+	inlineCallbacks = set("internal/sim.After", "internal/sim.AcquireFunc",
 		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitFunc", "internal/sim.WaitUntil",
 		"internal/netsim.SendFunc", "internal/gasnet.RegisterNonBlocking", "internal/gasnet.AMShortFunc",
 		"internal/gasnet.AMMediumFunc", "internal/gasnet.AMLongFunc", "internal/gasnet.AMProbeFunc",
 		"internal/core.idleWait", "internal/core.moveEach")
 )
 
-// simBlocking flags the deadlock shapes the engine cannot detect at run
-// time: a nested Resource.Acquire, or an unbounded wait, while a resource
-// is held (a bounded Sleep under one is the occupancy model, and allowed).
-// Blocking inside an inline callback is flagged too, though the engine also
-// refuses it at run time. Each function body, and each function literal, is
-// its own context: a spawned process holds none of its parent's resources.
+// simBlocking flags a blocking call inside an inline engine callback. The
+// engine refuses one at run time too, but only on the paths a run takes.
+// Each function body, and each function literal, is its own context: a
+// process spawned from a callback may block.
 func simBlocking(p *pkg) {
 	if !inScope(p.path) || p.path == modPath+"/internal/sim" {
 		return
@@ -308,21 +301,16 @@ func simBlocking(p *pkg) {
 	})
 }
 
-// scanBlocking walks one body in source order, tracking held resources by
-// the source text of their receivers; noblock marks an inline callback.
+// scanBlocking walks one body; noblock marks an inline callback.
 func (p *pkg) scanBlocking(body *ast.BlockStmt, noblock bool) {
-	var held []string
 	inline := map[*ast.FuncLit]bool{}
-	deferred := map[*ast.CallExpr]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
 		case *ast.FuncLit:
 			p.scanBlocking(n.Body, inline[n])
 			return false
 		case *ast.CallExpr:
-			fn, recv := p.callee(n)
+			fn := p.callee(n)
 			if fn == nil {
 				return true
 			}
@@ -334,49 +322,27 @@ func (p *pkg) scanBlocking(body *ast.BlockStmt, noblock bool) {
 					}
 				}
 			}
-			switch {
-			case fn.FullName() == resourceMethod+"Release":
-				for i := len(held) - 1; i >= 0 && !deferred[n]; i-- {
-					if held[i] == recv {
-						held = slices.Delete(held, i, i+1)
-						break
-					}
-				}
-			case blockingFuncs[name]:
-				what, acquire := fn.Pkg().Name()+" "+fn.Name(), fn.FullName() == resourceMethod+"Acquire"
-				switch {
-				case noblock:
-					p.report(n.Pos(), "%s inside an inline engine callback: After, OnTrigger, AcquireFunc, GetFunc, "+
-						"SendFunc and RegisterNonBlocking bodies, WaitUntil guards and idleWait's take and quit run on the engine loop "+
-						"and must not block", what)
-				case len(held) > 0 && acquire:
-					p.report(n.Pos(), "nested %s.Acquire while resource %s is held: opposite "+
-						"acquisition orders deadlock at a frozen virtual time", recv, held[len(held)-1])
-				case len(held) > 0 && unboundedFuncs[name]:
-					p.report(n.Pos(), "unbounded %s while resource %s is held: the waiter "+
-						"keeps the resource occupied forever if the wake-up never comes", what, held[len(held)-1])
-				}
-				if acquire {
-					held = append(held, recv)
-				}
+			if noblock && blockingFuncs[name] {
+				p.report(n.Pos(), "%s %s inside an inline engine callback: After, AcquireFunc, GetFunc, "+
+					"SendFunc and RegisterNonBlocking bodies, WaitUntil guards and idleWait's take and quit run on the engine loop "+
+					"and must not block", fn.Pkg().Name(), fn.Name())
 			}
 		}
 		return true
 	})
 }
 
-// callee resolves a call to the function or method it calls, with the
-// source text of the receiver ("" for a function); fn is nil for anything
-// else.
-func (p *pkg) callee(call *ast.CallExpr) (fn *types.Func, recv string) {
+// callee resolves a call to the function or method it calls; nil for
+// anything else.
+func (p *pkg) callee(call *ast.CallExpr) *types.Func {
 	id, _ := call.Fun.(*ast.Ident)
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		id, recv = sel.Sel, types.ExprString(sel.X)
+		id = sel.Sel
 	}
 	if fn, ok := p.info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
-		return fn, recv
+		return fn
 	}
-	return nil, ""
+	return nil
 }
 
 // qualified names fn by its package's path in the module and its own name:
@@ -384,9 +350,6 @@ func (p *pkg) callee(call *ast.CallExpr) (fn *types.Func, recv string) {
 func qualified(fn *types.Func) string {
 	return strings.TrimPrefix(fn.Pkg().Path(), modPath+"/") + "." + fn.Name()
 }
-
-// resourceMethod prefixes the full names of sim.Resource's methods.
-const resourceMethod = "(*" + modPath + "/internal/sim.Resource)."
 
 // traceCloseFuncs are the trace.Open methods that record the span.
 var traceCloseFuncs = set("End", "EndBytes", "EndNonEmpty", "EndTask", "EndRegion")
@@ -511,7 +474,7 @@ func (p *pkg) spanUses(body *ast.BlockStmt, obj types.Object) (closes []token.Po
 }
 
 func (p *pkg) isTraceBegin(call *ast.CallExpr) bool {
-	fn, _ := p.callee(call)
+	fn := p.callee(call)
 	return fn != nil && qualified(fn) == "internal/trace.Begin"
 }
 
@@ -620,15 +583,10 @@ var ruleCases = []struct{ rule, want, src string }{
 	{"detmaprange", "", "func f(m map[string]bool) (n int) {\n//ompss:maporder-ok pure count; no effect escapes the loop\nfor range m { n++ }; return }"},
 	{"detmaprange", "", `func f(s []int) (n int) { for _, v := range s { n += v }; return }`},
 
-	// Under a held resource, a nested acquire and unbounded waits (the last
-	// in a spawned process); in inline callbacks, any blocking call; a
-	// WaitUntil guard that blocks, and a WaitUntil under a held resource.
-	{"simblocking", "nested b.Acquire while resource a is held", `func f(p *sim.Proc, a, b *sim.Resource) { a.Acquire(p); b.Acquire(p); b.Release(); a.Release() }`},
-	{"simblocking", "unbounded sim Get while resource r is held", `func f(p *sim.Proc, r *sim.Resource, q *sim.Queue[int]) { r.Acquire(p); q.Get(p); r.Release() }`},
-	{"simblocking", "unbounded sim Get while resource r is held", `func f(e *sim.Engine, r *sim.Resource, q *sim.Queue[*sim.Event]) {
-	e.Go("drain", func(p *sim.Proc) { r.Acquire(p); ev, _ := q.Get(p); r.Release(); ev.Trigger() }) }`},
+	// In inline callbacks, any blocking call; a WaitUntil guard that blocks.
 	{"simblocking", "sim Wait inside an inline engine callback", `func f(e *sim.Engine, p *sim.Proc, ev *sim.Event) { e.After(1, func() { ev.Wait(p) }) }`},
-	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, ev *sim.Event) { ev.OnTrigger(func() { p.Sleep(1) }) }`},
+	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, ev *sim.Event) { ev.WaitFunc(func() { p.Sleep(1) }) }`},
+	{"simblocking", "sim Get inside an inline engine callback", `func f(p *sim.Proc, ev *sim.Event, q *sim.Queue[int]) { ev.WaitForFunc(1, func() { q.Get(p) }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, r *sim.Resource) { r.AcquireFunc(func() { p.Sleep(1); r.Release() }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(ep *gasnet.Endpoint, p *sim.Proc) { ep.RegisterNonBlocking("done", func(gasnet.AM) { p.Sleep(1) }) }`},
 	{"simblocking", "netsim Send inside an inline engine callback", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, p *sim.Proc) {
@@ -637,24 +595,22 @@ var ruleCases = []struct{ rule, want, src string }{
 	s.WaitUntil(p, s.Gen(), func() bool { p.Sleep(1); return true }) }`},
 	{"simblocking", "sim Await inside an inline engine callback", `func f(ep *gasnet.Endpoint, p *sim.Proc) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { p.Await("pong", func(done func(bool)) { ep.AMShortFunc(am.From, "pong", am.Args, done) }) }) }`},
-	{"simblocking", "unbounded sim WaitUntil while resource r is held", `func f(p *sim.Proc, r *sim.Resource, s *sim.Signal, q *sim.Queue[int]) {
-	r.Acquire(p); s.WaitUntil(p, s.Gen(), func() bool { return q.Len() > 0 }); r.Release() }`},
-	// The occupancy model, a spawn from a callback, a documented acquisition
-	// order, occupancy as continuations, both handler forms, a reply from a
-	// non-blocking handler with the event-chain send, a process awaiting that
-	// send, and a WaitUntil guard that only takes.
-	{"simblocking", "", `func f(p *sim.Proc, r *sim.Resource) { r.Acquire(p); p.Sleep(10); r.Release() }`},
+	// A spawn from a callback, occupancy as continuations, a process that
+	// awaits a grant and sleeps through its hold, both handler forms, a reply
+	// from a non-blocking handler with the event-chain send, a process
+	// awaiting that send, and a WaitUntil guard that only looks.
 	{"simblocking", "", `func f(e *sim.Engine, ev *sim.Event) { e.After(1, func() { e.Go("drain", func(p *sim.Proc) { ev.Wait(p) }) }) }`},
-	{"simblocking", "", "func f(p *sim.Proc, tx, rx *sim.Resource) { tx.Acquire(p)\n//ompss:simblock-ok TX is always acquired before RX; the wait graph is acyclic\nrx.Acquire(p); tx.Release(); rx.Release() }"},
 	{"simblocking", "", `func f(e *sim.Engine, r *sim.Resource, done *sim.Event) { r.AcquireFunc(func() { e.After(10, func() { r.Release(); done.Trigger() }) }) }`},
+	{"simblocking", "", `func f(p *sim.Proc, r *sim.Resource) {
+	p.Await(r, func(done func(bool)) { r.AcquireFunc(func() { done(true) }) }); p.Sleep(10); r.Release() }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, ev *sim.Event) {
 	ep.RegisterNonBlocking("fetch", func(am gasnet.AM) { ev.WaitFunc(func() {}) }); ep.RegisterNonBlocking("ack", func(gasnet.AM) { ev.Trigger() }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, ev *sim.Event) {
 	ep.RegisterNonBlocking("ping", func(am gasnet.AM) { fab.SendFunc(netsim.Message{From: 1, To: am.From}, func() { ev.Trigger() }) }) }`},
 	{"simblocking", "", `func f(ep *gasnet.Endpoint, p *sim.Proc) bool {
 	return p.Await("ping", func(done func(bool)) { ep.AMShortFunc(1, "ping", gasnet.Args{}, done) }) }`},
-	{"simblocking", "", `func f(p *sim.Proc, s *sim.Signal, q *sim.Queue[int]) (v int) {
-	s.WaitUntil(p, s.Gen(), func() (ok bool) { v, ok = q.TryGet(); return ok }); return v }`},
+	{"simblocking", "", `func f(p *sim.Proc, s *sim.Signal, q *sim.Queue[int]) {
+	s.WaitUntil(p, s.Gen(), func() bool { return q.Len() > 0 }) }`},
 
 	// A discarded handle, a span never closed, a span a return leaks; then
 	// a deferred close, a close before any return, a close in a closure, and
@@ -668,12 +624,14 @@ var ruleCases = []struct{ rule, want, src string }{
 	{"tracepair", "", `func f(rec *trace.Recorder) { closeLater(rec.Begin(trace.NetSend, "n", 0, -1, 0)); sp := rec.Begin(trace.NetSend, "n", 0, -1, 0); closeLater(sp) }
 func closeLater(sp trace.Open) { sp.End(10) }`},
 
-	// No reason, an unknown kind, the kinds of two retired rules; then a
-	// reasoned directive of a known kind.
+	// No reason, an unknown kind, the kinds of two retired rules and of the
+	// held-resource half of simblocking; then a reasoned directive of a
+	// known kind.
 	{"ompssdirective", "//ompss:wallclock-ok needs a reason", "func f() {\n//ompss:wallclock-ok\n}"},
 	{"ompssdirective", "unknown directive //ompss:frobnicate", "func f() {\n//ompss:frobnicate because reasons\n}"},
 	{"ompssdirective", "unknown directive //ompss:lockorder-ok", "func f() {\n//ompss:lockorder-ok both paths run under the admission lock\n}"},
 	{"ompssdirective", "unknown directive //ompss:depverify-ok", "func f() {\n//ompss:depverify-ok clauses come from a registered table\n}"},
+	{"ompssdirective", "unknown directive //ompss:simblock-ok", "func f() {\n//ompss:simblock-ok TX is always acquired before RX\n}"},
 	{"ompssdirective", "", "func f() {\n//ompss:maporder-ok documented: pure count\n}"},
 }
 
@@ -722,7 +680,7 @@ func (image) idleWait(p *sim.Proc, take, quit func() bool) func() bool { return 
 `
 	for _, c := range []struct{ want, take string }{
 		{"sim Sleep inside an inline engine callback", `func() bool { p.Sleep(1); return true }`},
-		{"", `func() bool { _, ok := q.TryGet(); return ok }`},
+		{"", `func() bool { return q.Len() > 0 }`},
 	} {
 		src := idle + `func f(n image, p *sim.Proc, q *sim.Queue[int]) { n.idleWait(p, ` + c.take + `, func() bool { return false }) }`
 		found := checkSnippet(t, modPath+"/internal/core", "simblocking", src)

@@ -50,7 +50,8 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.GoAfter(fmt.Sprintf("p%d", i), 3*time.Millisecond, func(p *Proc) {
+		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Sleep(3 * time.Millisecond)
 			order = append(order, i)
 		})
 	}
@@ -107,7 +108,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 			woke++
 		})
 	}
-	e.GoAfter("trigger", time.Millisecond, func(p *Proc) { ev.Trigger() })
+	e.After(time.Millisecond, ev.Trigger)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestCounter(t *testing.T) {
 	})
 	for i := 1; i <= 3; i++ {
 		d := time.Duration(i) * time.Millisecond
-		e.GoAfter("dec", d, func(p *Proc) { c.Done() })
+		e.After(d, c.Done)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -200,10 +201,10 @@ func TestQueueBlockedGettersServedInOrder(t *testing.T) {
 		name := fmt.Sprintf("g%d", i)
 		e.Go(name, func(p *Proc) {
 			v, _ := q.Get(p)
-			got = append(got, fmt.Sprintf("%s=%d", p.Name(), v))
+			got = append(got, fmt.Sprintf("%s=%d", p.name, v))
 		})
 	}
-	e.GoAfter("prod", time.Millisecond, func(p *Proc) {
+	e.After(time.Millisecond, func() {
 		for i := 0; i < 3; i++ {
 			q.Put(i)
 		}
@@ -225,11 +226,12 @@ func TestQueueClose(t *testing.T) {
 		_, ok := q.Get(p)
 		results["blocked"] = ok
 	})
-	e.GoAfter("closer", time.Millisecond, func(p *Proc) {
+	e.After(time.Millisecond, func() {
 		q.Put(42)
 		q.Close()
 	})
-	e.GoAfter("late", 2*time.Millisecond, func(p *Proc) {
+	e.Go("late", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
 		_, ok := q.Get(p)
 		results["late"] = ok
 	})
@@ -251,7 +253,9 @@ func TestResourceSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
-			r.Use(p, 10*time.Millisecond)
+			acquire(p, r)
+			p.Sleep(10 * time.Millisecond)
+			r.Release()
 			finish = append(finish, p.Now())
 		})
 	}
@@ -270,7 +274,9 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		e.Go("user", func(p *Proc) {
-			r.Use(p, 10*time.Millisecond)
+			acquire(p, r)
+			p.Sleep(10 * time.Millisecond)
+			r.Release()
 			finish = append(finish, p.Now())
 		})
 	}
@@ -316,10 +322,10 @@ func TestStop(t *testing.T) {
 	sentinel := errors.New("stopped")
 	e.Go("p", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		e.Stop(sentinel)
+		e.stop(sentinel)
 	})
-	e.GoAfter("never", time.Hour, func(p *Proc) {
-		t.Error("should not run after Stop")
+	e.After(time.Hour, func() {
+		t.Error("should not run after stop")
 	})
 	if err := e.Run(); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
@@ -338,25 +344,6 @@ func TestAfterCallback(t *testing.T) {
 	}
 }
 
-func TestProcDoneEvent(t *testing.T) {
-	e := NewEngine()
-	var observed Time
-	worker := e.Go("worker", func(p *Proc) {
-		p.Sleep(9 * time.Millisecond)
-	})
-	done := worker.Done()
-	e.Go("watcher", func(p *Proc) {
-		done.Wait(p)
-		observed = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if observed != Time(9*time.Millisecond) {
-		t.Fatalf("observed = %v, want 9ms", observed)
-	}
-}
-
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	depth := 0
@@ -368,11 +355,13 @@ func TestNestedSpawn(t *testing.T) {
 		if d == 5 {
 			return
 		}
-		child := e.Go("child", func(c *Proc) {
+		done := NewEvent(e)
+		e.Go("child", func(c *Proc) {
 			c.Sleep(time.Millisecond)
 			spawn(c, d+1)
+			done.Trigger()
 		})
-		child.Done().Wait(p)
+		done.Wait(p)
 	}
 	e.Go("root", func(p *Proc) { spawn(p, 0) })
 	if err := e.Run(); err != nil {

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -136,6 +138,104 @@ func TestOneThreadOfControlByStructure(t *testing.T) {
 	}
 	if len(mutexes) != 1 {
 		t.Errorf("serve declares sync.Mutex at %s, want exactly one: with a second, lock order is a question again", positions(mutexes))
+	}
+}
+
+// simExportsOnlyTestsCall are the exported names of internal/sim that no
+// non-test code outside it uses, each with what it is kept for. Every other
+// exported name needs a user outside sim: a form that only sim's own tests
+// call is a second way to do one thing, and goes.
+var simExportsOnlyTestsCall = map[string]string{
+	"Engine.Spawned": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin spawns per task",
+	"Engine.Resumed": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin resumes per task",
+	"Engine.Popped":  "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin events per task",
+	"Queue.Len":      "the tests of netsim read an inbox's depth through it",
+
+	"DeadlockError":         "one of Run's two error types, which a caller tells apart with errors.As",
+	"ProcPanicError":        "one of Run's two error types, which a caller tells apart with errors.As",
+	"DeadlockError.Error":   "the error interface",
+	"ProcPanicError.Error":  "the error interface",
+	"ProcPanicError.Unwrap": "errors.As reaches a typed panic through Run's error",
+	"Signal.String":         "names a signal wait in deadlock reports, through fmt",
+	"Resource.String":       "names a resource wait in deadlock reports, through fmt",
+}
+
+// No exported name of internal/sim is there for its own tests alone: each
+// package-level name and each method of an exported type has a user in
+// non-test code outside the package (a call, a method value, a type named
+// there or a method of it used), or an entry in simExportsOnlyTestsCall.
+// Struct fields are data a caller reads off a value it was handed, not
+// forms, and are not held to it. The uses are found by type-checking the
+// module's packages, so a method is told apart from another type's method
+// of the same name.
+func TestSimExportsHaveUsersOutsideSim(t *testing.T) {
+	tree, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp, err := gcImporter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const simPath = modPath + "/internal/sim"
+	simPkg, err := imp.Import(simPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every exported name: package-level objects, and the exported methods
+	// of exported types, as "Type.Name".
+	exported := map[string]bool{}
+	for _, name := range simPkg.Scope().Names() {
+		obj := simPkg.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		exported[name] = true
+		if named, ok := obj.Type().(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					exported[name+"."+m.Name()] = true
+				}
+			}
+		}
+	}
+	used := map[string]bool{}
+	for dir, files := range tree {
+		if dir == "internal/sim" {
+			continue
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		conf := types.Config{Importer: imp}
+		if _, err := conf.Check(modPath+"/"+dir, srcFset, files, info); err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, obj := range info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() == simPath && obj.Parent() == obj.Pkg().Scope() {
+				used[obj.Name()] = true
+			}
+		}
+		for _, sel := range info.Selections {
+			recv := sel.Recv()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			if named, ok := recv.(*types.Named); ok && sel.Obj().Pkg() != nil && sel.Obj().Pkg().Path() == simPath {
+				typ := named.Origin().Obj().Name()
+				used[typ], used[typ+"."+sel.Obj().Name()] = true, true
+			}
+		}
+	}
+	for name := range simExportsOnlyTestsCall {
+		if !exported[name] {
+			t.Errorf("simExportsOnlyTestsCall lists %s, which sim does not export", name)
+		} else if used[name] {
+			t.Errorf("simExportsOnlyTestsCall lists %s, which has a user outside sim: drop the entry", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(exported)) {
+		if _, kept := simExportsOnlyTestsCall[name]; !used[name] && !kept {
+			t.Errorf("sim exports %s, and nothing outside sim but tests uses it: unexport or delete it", name)
+		}
 	}
 }
 
