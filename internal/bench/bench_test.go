@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/csv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -282,6 +285,42 @@ func TestAblationShapes(t *testing.T) {
 	// More communication threads must not hurt.
 	if one, four := v["16node weakscale commthreads=1"], v["16node weakscale commthreads=4"]; one == 0 || four < 0.9*one {
 		t.Errorf("4 comm threads regressed: %v vs %v", four, one)
+	}
+}
+
+// Every ablation varies one mechanism across rows that share the config up
+// to the last "=". A group whose rows all read the same shows no mechanism
+// at work. The quick CSV is the run's output (TestQuickGoldens holds the
+// two together), so this reads it rather than running the grid again.
+func TestAblationEveryMechanismMoves(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "quick", "ablations.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]map[string]bool{}
+	for _, r := range recs[1:] {
+		i := strings.LastIndex(r[1], "=")
+		if i < 0 {
+			t.Fatalf("ablation row %q names no setting", r[1])
+		}
+		group := r[1][:i]
+		if values[group] == nil {
+			values[group] = map[string]bool{}
+		}
+		values[group][r[2]] = true
+	}
+	if len(values) == 0 {
+		t.Fatal("no ablation rows")
+	}
+	for group, vs := range values {
+		if len(vs) < 2 {
+			t.Errorf("%q reads the same in every row", group)
+		}
 	}
 }
 

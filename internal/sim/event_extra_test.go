@@ -11,6 +11,30 @@ func timedWait(p *Proc, ev *Event, d Duration) bool {
 	return p.Await("event wait", func(done func(bool)) { ev.WaitForFunc(d, func() { done(ev.Triggered()) }) })
 }
 
+// A callback waiter runs once, at the trigger instant, however often the
+// event is triggered.
+func TestWaitFuncRunsOnceAtTriggerTime(t *testing.T) {
+	e := NewEngine()
+	ev := NewEvent(e)
+	var firedAt Time
+	fired := 0
+	ev.WaitFunc(func() { fired++; firedAt = e.Now() })
+	e.Go("trigger", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		ev.Trigger()
+		ev.Trigger() // a second trigger wakes no one
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("callback ran %d times", fired)
+	}
+	if firedAt != Time(3*time.Millisecond) {
+		t.Fatalf("callback at %v, want 3ms", firedAt)
+	}
+}
+
 func TestWaitForFuncTimesOut(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)

@@ -344,6 +344,30 @@ func TestAfterCallback(t *testing.T) {
 	}
 }
 
+// A process spawned by a callback starts at that instant, behind the
+// events already pending then.
+func TestGoFromACallbackStartsNow(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	var startedAt Time
+	e.After(3*time.Millisecond, func() {
+		e.After(0, func() { order = append(order, "pending") })
+		e.Go("p", func(p *Proc) {
+			startedAt = p.Now()
+			order = append(order, "p")
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[pending p]" {
+		t.Fatalf("order = %v, want [pending p]", got)
+	}
+	if startedAt != Time(3*time.Millisecond) {
+		t.Fatalf("started at %v, want 3ms", startedAt)
+	}
+}
+
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	depth := 0
