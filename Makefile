@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap align
+.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap align loc
 
 ## check: gofmt + go vet + build + full test suite (the tier-1 gate; the
 ## determinism rules of DESIGN.md §9 are a test in it, internal/sim/rules_test.go)
@@ -58,6 +58,13 @@ align:
 	$(GO) build -buildvcs=false -o "$$d/ompss-bench" ./cmd/ompss-bench && \
 	$(GO) tool nm "$$d/ompss-bench" | grep -E 'kernels\.(Sgemm|JacobiStep|StreamTriad)\.Run$$' | \
 	while read addr kind sym; do echo "$${sym##*/} $$((0x$$addr % 64)) mod 64"; done
+
+## loc: non-test Go lines per internal/ package and their total, the
+## measure ROADMAP's line budgets are written in
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' | while read -r f; do \
+		echo "$$(dirname "$$f") $$(wc -l < "$$f")"; done | \
+	awk '{ n[$$1] += $$2; t += $$2 } END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 ## benchmark-test: the benchmark harness's own tests. benchmark/ is a
 ## separate Go module, so `go test ./...` and `make check` at the root never

@@ -8,7 +8,7 @@ import (
 )
 
 // Ablations isolates each runtime mechanism — the design-choice studies
-// DESIGN.md §5 calls for, beyond the paper's own parameter grid. Each pair
+// DESIGN.md §5 calls for, beyond the paper's own parameter grid. Each row
 // runs where its mechanism acts: Matmul on one 4-GPU node or a cluster,
 // cluster N-Body (fig13's 2-node point) for the non-blocking cache, and
 // weakscale's chains on 16 nodes with four manager shards for the
@@ -16,59 +16,85 @@ import (
 // at both sizes (dispatch costs no virtual time, so threads only reorder it).
 // `ompss-bench -experiment ablations` prints the table.
 func Ablations(o Options) ([]Row, error) {
-	p := fig5Params(o)
-	pCluster := fig9MatmulParams(o)
-	pCluster.Init = apps.InitSMP
-
-	var pts []point
-	multi := func(config string, mutate func(*ompss.Config)) {
-		pts = append(pts, point{config: config, run: func() (float64, string, error) {
-			cfg := multiGPUConfig(o, 4, "wb", defaultSched())
-			mutate(&cfg)
-			res, err := apps.MatmulOmpSs(cfg, p)
-			return res.Metric, "GFLOPS", err
-		}})
-	}
-	cluster := func(config string, nodes int, mutate func(*ompss.Config)) {
-		pts = append(pts, point{config: config, run: func() (float64, string, error) {
-			cfg := clusterConfig(o, nodes)
-			cfg.SlaveToSlave = true
-			cfg.Presend = 2
-			mutate(&cfg)
-			res, err := apps.MatmulOmpSs(cfg, pCluster)
-			return res.Metric, "GFLOPS", err
-		}})
-	}
-
-	for _, on := range []bool{false, true} {
-		multi(fmt.Sprintf("4gpu overlap=%v", on), func(c *ompss.Config) { c.Overlap = on })
-	}
-	for _, on := range []bool{false, true} {
-		multi(fmt.Sprintf("4gpu overlap prefetch=%v", on), func(c *ompss.Config) { c.Overlap = true; c.Prefetch = on })
-	}
-	for _, on := range []bool{false, true} {
-		pts = append(pts, point{config: fmt.Sprintf("2node nbody nonblocking=%v", on), run: func() (float64, string, error) {
-			cfg := fig13Config(o, 2)
-			cfg.NonBlockingCache = on
-			res, err := apps.NBodyOmpSs(cfg, fig13Params(o, 2))
-			return res.Metric, res.MetricName, err
-		}})
-	}
-	for _, presend := range []int{0, 1, 2, 4} {
-		cluster(fmt.Sprintf("4node presend=%d", presend), 4, func(c *ompss.Config) { c.Presend = presend })
-	}
-	for _, on := range []bool{false, true} {
-		cluster(fmt.Sprintf("8node stos=%v", on), 8, func(c *ompss.Config) { c.SlaveToSlave = on })
-	}
-	for _, threads := range []int{1, 2, 4} {
-		pts = append(pts, point{config: fmt.Sprintf("16node weakscale commthreads=%d", threads), run: func() (float64, string, error) {
-			const nodes = 16
-			cfg := weakscaleConfig(nodes, weakscaleShards(nodes))
-			cfg.CommThreads = threads
-			chains, depth := weakscaleSize(o)
-			st, err := weakscaleRun(cfg, chains, depth)
-			return float64(nodes*chains*depth) / st.ElapsedSeconds, "tasks/s", err
-		}})
+	grid := ablationGrid(o)
+	pts := make([]point, len(grid))
+	for i, a := range grid {
+		pts[i] = point{config: a.config, run: func() (float64, string, error) { return a.run(a.cfg) }}
 	}
 	return runGrid("ablations", o, pts)
+}
+
+// ablation is one row of the table: a workload run under one Config. Two
+// rows are one simulation when their workload and Config are equal.
+type ablation struct {
+	config   string // the row's label
+	workload string // names what run simulates
+	cfg      ompss.Config
+	run      func(ompss.Config) (float64, string, error)
+}
+
+// ablationGrid lists the rows in table order. Each row differs in the one
+// setting its label names from a row of the same workload.
+func ablationGrid(o Options) []ablation {
+	var grid []ablation
+	add := func(config, workload string, cfg ompss.Config, run func(ompss.Config) (float64, string, error)) {
+		grid = append(grid, ablation{config, workload, cfg, run})
+	}
+	p := fig5Params(o)
+	matmul := func(cfg ompss.Config) (float64, string, error) {
+		res, err := apps.MatmulOmpSs(cfg, p)
+		return res.Metric, "GFLOPS", err
+	}
+	pCluster := fig9MatmulParams(o)
+	pCluster.Init = apps.InitSMP
+	clusterMatmul := func(cfg ompss.Config) (float64, string, error) {
+		res, err := apps.MatmulOmpSs(cfg, pCluster)
+		return res.Metric, "GFLOPS", err
+	}
+	nbody := func(cfg ompss.Config) (float64, string, error) {
+		res, err := apps.NBodyOmpSs(cfg, fig13Params(o, 2))
+		return res.Metric, res.MetricName, err
+	}
+	chains, depth := weakscaleSize(o)
+	weakscale := func(cfg ompss.Config) (float64, string, error) {
+		st, err := weakscaleRun(cfg, chains, depth)
+		return float64(len(cfg.Cluster.Nodes)*chains*depth) / st.ElapsedSeconds, "tasks/s", err
+	}
+	cluster := func(nodes int) ompss.Config {
+		cfg := clusterConfig(o, nodes)
+		cfg.SlaveToSlave = true
+		cfg.Presend = 2
+		return cfg
+	}
+
+	for _, on := range []bool{false, true} {
+		cfg := multiGPUConfig(4, "wb", defaultSched())
+		cfg.Overlap = on
+		add(fmt.Sprintf("4gpu overlap=%v", on), "matmul", cfg, matmul)
+	}
+	cfg := multiGPUConfig(4, "wb", defaultSched())
+	cfg.Overlap, cfg.Prefetch = true, true
+	add("4gpu overlap prefetch=true", "matmul", cfg, matmul) // against overlap=true
+	for _, on := range []bool{false, true} {
+		cfg := fig13Config(o, 2)
+		cfg.NonBlockingCache = on
+		add(fmt.Sprintf("2node nbody nonblocking=%v", on), "nbody", cfg, nbody)
+	}
+	for _, presend := range []int{0, 1, 2, 4} {
+		cfg := cluster(4)
+		cfg.Presend = presend
+		add(fmt.Sprintf("4node presend=%d", presend), "cluster matmul", cfg, clusterMatmul)
+	}
+	for _, on := range []bool{false, true} {
+		cfg := cluster(8)
+		cfg.SlaveToSlave = on
+		add(fmt.Sprintf("8node stos=%v", on), "cluster matmul", cfg, clusterMatmul)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		const nodes = 16
+		cfg := weakscaleConfig(nodes, weakscaleShards(nodes))
+		cfg.CommThreads = threads
+		add(fmt.Sprintf("16node weakscale commthreads=%d", threads), "weakscale", cfg, weakscale)
+	}
+	return grid
 }

@@ -4,8 +4,11 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/bsc-repro/ompss"
 )
 
 // The bench tests run every experiment at quick scale and assert the
@@ -275,7 +278,7 @@ func TestResilienceShapes(t *testing.T) {
 func TestAblationShapes(t *testing.T) {
 	v := rows(t, "ablations")
 	// Prefetch with overlap beats overlap alone.
-	expectOrder(t, v, "4gpu overlap prefetch=true", "4gpu overlap prefetch=false")
+	expectOrder(t, v, "4gpu overlap prefetch=true", "4gpu overlap=true")
 	// Slave-to-slave transfers are decisive at 8 nodes.
 	expectOrder(t, v, "8node stos=true", "8node stos=false")
 	// Presend is monotone on this workload.
@@ -288,10 +291,12 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
-// Every ablation varies one mechanism across rows that share the config up
-// to the last "=". A group whose rows all read the same shows no mechanism
-// at work. The quick CSV is the run's output (TestQuickGoldens holds the
-// two together), so this reads it rather than running the grid again.
+// Every ablation row differs from some row of its workload in exactly one
+// Config field, and every such pair must read differently: a pair that
+// reads the same shows no mechanism at work. Two rows of one workload with
+// equal Configs are one simulation run twice. The quick CSV is the run's
+// output (TestQuickGoldens holds the two together), so this reads it
+// rather than running the grid again.
 func TestAblationEveryMechanismMoves(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "quick", "ablations.csv"))
 	if err != nil {
@@ -302,26 +307,49 @@ func TestAblationEveryMechanismMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	values := map[string]map[string]bool{}
+	values := map[string]string{}
 	for _, r := range recs[1:] {
-		i := strings.LastIndex(r[1], "=")
-		if i < 0 {
-			t.Fatalf("ablation row %q names no setting", r[1])
-		}
-		group := r[1][:i]
-		if values[group] == nil {
-			values[group] = map[string]bool{}
-		}
-		values[group][r[2]] = true
+		values[r[1]] = r[2]
 	}
-	if len(values) == 0 {
-		t.Fatal("no ablation rows")
+	grid := ablationGrid(Options{Quick: true})
+	if len(grid) == 0 || len(grid) != len(values) {
+		t.Fatalf("the grid has %d rows, the quick CSV %d", len(grid), len(values))
 	}
-	for group, vs := range values {
-		if len(vs) < 2 {
-			t.Errorf("%q reads the same in every row", group)
+	measured := make([]bool, len(grid))
+	for i, a := range grid {
+		for j := i + 1; j < len(grid); j++ {
+			b := grid[j]
+			if a.workload != b.workload {
+				continue
+			}
+			switch diff := configDiff(a.cfg, b.cfg); len(diff) {
+			case 0:
+				t.Errorf("%q and %q run the same configuration", a.config, b.config)
+			case 1:
+				measured[i], measured[j] = true, true
+				if values[a.config] == values[b.config] {
+					t.Errorf("%q and %q both read %s: %s moves nothing", a.config, b.config, values[a.config], diff[0])
+				}
+			}
 		}
 	}
+	for i, ok := range measured {
+		if !ok {
+			t.Errorf("%q differs from every other %s row in more than one setting", grid[i].config, grid[i].workload)
+		}
+	}
+}
+
+// configDiff names the Config fields in which a and b differ.
+func configDiff(a, b ompss.Config) []string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	var diff []string
+	for i := range va.NumField() {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			diff = append(diff, va.Type().Field(i).Name)
+		}
+	}
+	return diff
 }
 
 func TestHeatShapes(t *testing.T) {

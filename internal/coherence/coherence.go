@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
@@ -433,20 +432,7 @@ type Cache struct {
 	Hits      int
 	Misses    int
 	Evictions int
-
-	ins Instruments
 }
-
-// Instruments mirrors the cache's counters into a metrics registry so
-// hit/miss/eviction rates can be sampled mid-run. Nil counters no-op.
-type Instruments struct {
-	Hits      *metrics.Counter
-	Misses    *metrics.Counter
-	Evictions *metrics.Counter
-}
-
-// Instrument attaches registry counters to the cache.
-func (c *Cache) Instrument(ins Instruments) { c.ins = ins }
 
 // NewCache returns a cache for device loc with the given byte capacity.
 func NewCache(loc memspace.Location, policy Policy, capacity uint64) *Cache {
@@ -481,11 +467,9 @@ func (c *Cache) Lookup(r memspace.Region) *Line {
 	_, l := c.find(r)
 	if l == nil {
 		c.Misses++
-		c.ins.Misses.Inc()
 		return nil
 	}
 	c.Hits++
-	c.ins.Hits.Inc()
 	c.clock++
 	l.lru = c.clock
 	c.unlink(l)
@@ -597,7 +581,6 @@ func (c *Cache) Remove(r memspace.Region) {
 	c.unlink(l)
 	c.used -= r.Size
 	c.Evictions++
-	c.ins.Evictions.Inc()
 }
 
 // Pin prevents eviction of r while a task uses it.

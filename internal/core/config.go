@@ -62,15 +62,6 @@ type Config struct {
 	// master ("MtoS").
 	SlaveToSlave bool
 
-	// Lookahead is the per-place ready-ahead window of each node's
-	// scheduler: when a worker or GPU manager finds its window empty, it
-	// claims up to Lookahead ready tasks from the shared pool in one batch
-	// and dispatches from the window afterwards, so dispatch does not
-	// contend with graph construction on every pop. Claiming binds a task
-	// to a place early, which can change schedules; 0 (and 1) disable the
-	// window and keep schedules bit-identical to the paper-default runtime.
-	Lookahead int
-
 	// NonBlockingCache issues a task's input transfers concurrently and
 	// waits once (the paper's non-blocking cache). When false each
 	// transfer completes before the next is requested.
@@ -93,7 +84,8 @@ type Config struct {
 	// Metrics is the registry the runtime's typed instruments live in
 	// (counters, queue-depth gauges, virtual-time histograms — see
 	// internal/metrics). Nil gets a private registry, so instruments always
-	// record; supply one to snapshot mid-run or to aggregate across runs.
+	// record; supply one to snapshot mid-run (the GPU and cache counters
+	// appear at the end of the run) or to aggregate across runs.
 	Metrics *metrics.Registry
 
 	// CPUWorkers is the number of SMP worker threads per node; 0 derives
@@ -181,9 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Presend < 0 {
 		panic(fmt.Sprintf("core: negative Presend %d", c.Presend))
-	}
-	if c.Lookahead < 0 {
-		panic(fmt.Sprintf("core: negative Lookahead %d", c.Lookahead))
 	}
 	if c.ManagerShards < 0 {
 		panic(fmt.Sprintf("core: negative ManagerShards %d", c.ManagerShards))

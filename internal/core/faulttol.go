@@ -99,7 +99,6 @@ func (rt *Runtime) armFaultTolerance() {
 			AckTimeout:  ft.ackTimeout,
 			MaxAttempts: ft.maxAttempts,
 			OnRetry: func(to int, handler string, attempt int) {
-				rt.met.retries.Inc()
 				now := rt.e.Now()
 				rt.cfg.Trace.Record(trace.Span{Kind: trace.Retry,
 					Name: fmt.Sprintf("%s->node%d#%d", handler, to, attempt),

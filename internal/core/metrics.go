@@ -3,19 +3,21 @@ package core
 import (
 	"strconv"
 
-	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/gasnet"
-	"github.com/bsc-repro/ompss/internal/gpusim"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 )
 
-// The runtime's activity counters are typed instruments in the run's
-// metrics registry (Config.Metrics) rather than ad-hoc struct fields:
-// every increment is visible in a mid-run Registry.Snapshot, and
-// collectStats derives the Stats summary from the same instruments, so
-// the two can never disagree. All instruments count deterministically —
-// they only record virtual-time activity.
+// Every run event is tallied once. The runtime's own activity counters
+// are typed instruments in the run's metrics registry (Config.Metrics),
+// visible in a mid-run Registry.Snapshot. The GPU devices and software
+// caches, which also run without a registry (internal/apps), keep their
+// tallies in their own structs; collectStats publishes those to the
+// registry once, at the end of the run, as gpu_* and cache_* counters
+// beside the derived gpu_stall_ns/gpu_idle_ns gauges. collectStats
+// derives the Stats summary from the same tallies, so the two can never
+// disagree. All instruments count deterministically — they only record
+// virtual-time activity.
 
 // rtMetrics bundles the cross-cutting runtime instruments.
 type rtMetrics struct {
@@ -24,7 +26,6 @@ type rtMetrics struct {
 	bytesMtoS  *metrics.Counter
 	bytesStoS  *metrics.Counter
 	remoteRun  *metrics.Counter
-	retries    *metrics.Counter
 	hbMisses   *metrics.Counter
 	reexecs    *metrics.Counter
 	deadNodes  *metrics.Counter
@@ -45,7 +46,6 @@ func newRTMetrics(reg *metrics.Registry) *rtMetrics {
 		bytesMtoS:  reg.Counter("net_bytes_total", metrics.L("route", "mtos")),
 		bytesStoS:  reg.Counter("net_bytes_total", metrics.L("route", "stos")),
 		remoteRun:  reg.Counter("tasks_remote_total"),
-		retries:    reg.Counter("net_retries_total"),
 		hbMisses:   reg.Counter("heartbeat_misses_total"),
 		reexecs:    reg.Counter("tasks_reexecuted_total"),
 		deadNodes:  reg.Counter("nodes_dead_total"),
@@ -90,39 +90,6 @@ func schedHooks(reg *metrics.Registry, scope string) sched.Hooks {
 	return sched.Hooks{
 		Queued: reg.Gauge("sched_queue_depth", l),
 		Steals: reg.Counter("sched_steals_total", l),
-	}
-}
-
-// lookaheadHooks builds the window-depth/refill instruments of one
-// node's lookahead wrapper.
-func lookaheadHooks(reg *metrics.Registry, scope string) sched.LookaheadHooks {
-	l := metrics.L("sched", scope)
-	return sched.LookaheadHooks{
-		Depth:   reg.Gauge("sched_lookahead_depth", l),
-		Refills: reg.Counter("sched_lookahead_refills_total", l),
-	}
-}
-
-// cacheInstruments builds the hit/miss/eviction counters of one device's
-// software cache.
-func cacheInstruments(reg *metrics.Registry, node, gpu int) coherence.Instruments {
-	ls := []metrics.Label{metrics.L("node", strconv.Itoa(node)), metrics.L("gpu", strconv.Itoa(gpu))}
-	return coherence.Instruments{
-		Hits:      reg.Counter("cache_hits_total", ls...),
-		Misses:    reg.Counter("cache_misses_total", ls...),
-		Evictions: reg.Counter("cache_evictions_total", ls...),
-	}
-}
-
-// deviceInstruments builds one GPU's activity counters.
-func deviceInstruments(reg *metrics.Registry, node, gpu int) gpusim.Instruments {
-	ls := []metrics.Label{metrics.L("node", strconv.Itoa(node)), metrics.L("gpu", strconv.Itoa(gpu))}
-	return gpusim.Instruments{
-		Kernels:    reg.Counter("gpu_kernels_total", ls...),
-		BytesH2D:   reg.Counter("gpu_bytes_total", append([]metrics.Label{metrics.L("dir", "h2d")}, ls...)...),
-		BytesD2H:   reg.Counter("gpu_bytes_total", append([]metrics.Label{metrics.L("dir", "d2h")}, ls...)...),
-		KernelBusy: reg.Counter("gpu_busy_ns", ls...),
-		DMABusy:    reg.Counter("gpu_dma_busy_ns", ls...),
 	}
 }
 

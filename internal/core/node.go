@@ -52,9 +52,6 @@ type nodeRT struct {
 	caches    []*coherence.Cache
 	dir       *coherence.Directory
 	sch       sched.Scheduler
-	// lookahead is non-nil when Config.Lookahead wrapped sch with a
-	// ready-ahead window; kept for window-depth sampling.
-	lookahead *sched.LookaheadSched
 
 	places     int                                         // 0 = CPU pool, 1..G = GPUs, master adds G+1..G+K remote
 	stageHere  func(r memspace.Region, then func(ok bool)) // stageToNode into this node, bound once
@@ -158,26 +155,17 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	n.ep = gasnet.NewEndpoint(rt.fabric, id, n.hostStore)
 	n.ep.Instrument(endpointInstruments(rt.cfg.Metrics, id))
 	for g, gs := range spec.GPUs {
-		dev := gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate)
-		dev.Instrument(deviceInstruments(rt.cfg.Metrics, id, g))
-		n.devs = append(n.devs, dev)
+		n.devs = append(n.devs, gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate))
 		capacity := uint64(float64(gs.MemBytes) * (1 - rt.cfg.GPUCacheHeadroom))
-		cache := coherence.NewCache(memspace.GPU(id, g), rt.cfg.CachePolicy, capacity)
-		cache.Instrument(cacheInstruments(rt.cfg.Metrics, id, g))
-		n.caches = append(n.caches, cache)
+		n.caches = append(n.caches, coherence.NewCache(memspace.GPU(id, g), rt.cfg.CachePolicy, capacity))
 	}
 	n.places = 1 + len(spec.GPUs)
 	n.scores, n.estimates = make([]uint64, n.places), make([]sched.Estimate, n.places)
-	scope := "node" + strconv.Itoa(id)
 	// A node's places steal from each other's queues, as the paper's
 	// affinity scheduler does; the cluster level never does (see New).
 	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
 		Score: n.affinityScore, Cost: n.costModel(), Steal: true,
-		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, scope)})
-	if rt.cfg.Lookahead > 1 {
-		n.sch = sched.Lookahead(n.sch, rt.cfg.Lookahead, lookaheadHooks(rt.cfg.Metrics, scope))
-		n.lookahead = n.sch.(*sched.LookaheadSched)
-	}
+		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, "node"+strconv.Itoa(id))})
 	return n
 }
 
@@ -229,18 +217,14 @@ func (n *nodeRT) affinityScore(t *task.Task) []uint64 {
 	return scores
 }
 
-// sampleSchedDepth records the scheduler's queue depth (and, with
-// lookahead enabled, the ready-ahead window depth) as Perfetto counter
-// rows. No-op when tracing is off.
+// sampleSchedDepth records the scheduler's queue depth as a Perfetto
+// counter row. No-op when tracing is off.
 func (n *nodeRT) sampleSchedDepth(now sim.Time) {
 	tr := n.rt.cfg.Trace
 	if tr == nil {
 		return
 	}
 	tr.Count("sched_queue_depth", n.id, now, int64(n.sch.Len()))
-	if n.lookahead != nil {
-		tr.Count("sched_lookahead_depth", n.id, now, int64(n.lookahead.Buffered()))
-	}
 }
 
 // signalWork wakes idle workers.

@@ -446,7 +446,6 @@ func (rt *Runtime) collectStats() Stats {
 	if rt.ft != nil {
 		is := rt.ft.inj.Stats()
 		s.FaultDropsInjected = is.Drops + is.CrashDrops
-		s.NetRetries = int(rt.met.retries.Value())
 		s.HeartbeatMisses = int(rt.met.hbMisses.Value())
 		s.DeadNodes = int(rt.met.deadNodes.Value())
 		s.TasksReexecuted = int(rt.met.reexecs.Value())
@@ -460,34 +459,44 @@ func (rt *Runtime) collectStats() Stats {
 	// duration. Pure arithmetic over already-collected busy counters.
 	s.EnergyJoules = rt.cfg.Cluster.IdleWatts() * s.ElapsedSeconds
 	s.PowerPeakWatts = rt.gov.PeakWatts()
+	reg := rt.cfg.Metrics
 	elapsed := int64(rt.e.Now())
 	for _, n := range rt.nodes {
+		node := metrics.L("node", strconv.Itoa(n.id))
 		nodeTasks := int(n.met.tasksSMP.Value() + n.met.tasksCUDA.Value())
 		s.TasksPerNode = append(s.TasksPerNode, nodeTasks)
 		s.TasksSMP += int(n.met.tasksSMP.Value())
 		s.TasksCUDA += int(n.met.tasksCUDA.Value())
+		s.NetRetries += int(reg.Counter("am_retries_total", node).Value())
 		for g, d := range n.devs {
-			ds := d.Stats()
+			ds, c := d.Stats(), n.caches[g]
 			s.BytesH2D += ds.BytesH2D
 			s.BytesD2H += ds.BytesD2H
 			s.XfersH2D += ds.XfersH2D
 			s.XfersD2H += ds.XfersD2H
 			s.EnergyJoules += n.spec.GPUs[g].Power.Delta() * ds.KernelBusy.Seconds()
-			// Derived per-device time split: busy running kernels, stalled
-			// on DMA, idle otherwise (gauges, recomputed at each collect).
-			ls := []metrics.Label{metrics.L("node", strconv.Itoa(n.id)), metrics.L("gpu", strconv.Itoa(g))}
+			s.CacheHits += c.Hits
+			s.CacheMisses += c.Misses
+			s.Evictions += c.Evictions
+			// Publish the device's and its cache's own tallies, and the
+			// derived per-device time split: busy running kernels, stalled
+			// on DMA, idle otherwise.
+			ls := []metrics.Label{node, metrics.L("gpu", strconv.Itoa(g))}
 			busy, dma := int64(ds.KernelBusy), int64(ds.DMABusy)
 			idle := elapsed - busy - dma
 			if idle < 0 {
 				idle = 0 // overlap mode: engines run concurrently
 			}
-			rt.cfg.Metrics.Gauge("gpu_stall_ns", ls...).Set(dma)
-			rt.cfg.Metrics.Gauge("gpu_idle_ns", ls...).Set(idle)
-		}
-		for _, c := range n.caches {
-			s.CacheHits += c.Hits
-			s.CacheMisses += c.Misses
-			s.Evictions += c.Evictions
+			reg.Counter("gpu_kernels_total", ls...).Add(int64(ds.Kernels))
+			reg.Counter("gpu_bytes_total", append(ls, metrics.L("dir", "h2d"))...).Add(int64(ds.BytesH2D))
+			reg.Counter("gpu_bytes_total", append(ls, metrics.L("dir", "d2h"))...).Add(int64(ds.BytesD2H))
+			reg.Counter("gpu_busy_ns", ls...).Add(busy)
+			reg.Counter("gpu_dma_busy_ns", ls...).Add(dma)
+			reg.Gauge("gpu_stall_ns", ls...).Set(dma)
+			reg.Gauge("gpu_idle_ns", ls...).Set(idle)
+			reg.Counter("cache_hits_total", ls...).Add(int64(c.Hits))
+			reg.Counter("cache_misses_total", ls...).Add(int64(c.Misses))
+			reg.Counter("cache_evictions_total", ls...).Add(int64(c.Evictions))
 		}
 		fs := rt.fabric.Iface(n.id).Stats()
 		s.NetBytes += fs.BytesSent

@@ -1098,3 +1098,71 @@ func TestReductionInCorePackage(t *testing.T) {
 		t.Fatalf("acc = %d, want 9", got)
 	}
 }
+
+// chainWorkload builds width independent chains of depth inc tasks each,
+// submitted through submit (either Submit per def or one SubmitBatch), and
+// returns the regions for validation.
+func chainWorkload(mc *MainCtx, width, depth int, batch bool) []memspace.Region {
+	regions := make([]memspace.Region, width)
+	defs := make([]TaskDef, 0, width*depth)
+	for i := range regions {
+		regions[i] = mc.Alloc(256)
+		mc.InitSeq(regions[i], func(b []byte) {
+			for j := range b {
+				b[j] = 0
+			}
+		})
+	}
+	for d := 0; d < depth; d++ {
+		for i, r := range regions {
+			def := TaskDef{
+				Name:   fmt.Sprintf("inc%d_%d", i, d),
+				Device: task.CUDA,
+				Deps:   []task.Dep{{Region: r, Access: task.InOut}},
+				Work:   incWork{r: r, delta: 1, cost: 20e3},
+			}
+			if batch {
+				defs = append(defs, def)
+			} else {
+				mc.Submit(def)
+			}
+		}
+	}
+	if batch {
+		mc.SubmitBatch(defs)
+	}
+	return regions
+}
+
+// TestSubmitBatchRuntimeEquivalent checks batch submission executes the
+// same tasks to the same data as sequential submission.
+func TestSubmitBatchRuntimeEquivalent(t *testing.T) {
+	run := func(batch bool) (Stats, [][]byte) {
+		cfg := baseCfg(1, 2)
+		rt := New(cfg)
+		var data [][]byte
+		stats, err := rt.Run(func(mc *MainCtx) {
+			regions := chainWorkload(mc, 6, 4, batch)
+			mc.TaskWait()
+			for _, r := range regions {
+				data = append(data, append([]byte(nil), mc.HostBytes(r)...))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, data
+	}
+	ss, sd := run(false)
+	bs, bd := run(true)
+	if ss.TasksCUDA != bs.TasksCUDA {
+		t.Fatalf("task counts differ: sequential %d, batch %d", ss.TasksCUDA, bs.TasksCUDA)
+	}
+	for i := range sd {
+		for j := range sd[i] {
+			if sd[i][j] != bd[i][j] {
+				t.Fatalf("region %d byte %d: sequential %d, batch %d", i, j, sd[i][j], bd[i][j])
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
@@ -41,10 +42,10 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 		}
 		return false
 	}})
-	runs, dups := 0, 0
+	runs, dups := 0, &metrics.Counter{}
 	eps[1].RegisterNonBlocking("work", func(AM) { runs++ })
-	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8,
-		OnDuplicate: func(from int, handler string) { dups++ }}
+	eps[1].Instrument(Instruments{Duplicates: dups})
+	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
@@ -54,8 +55,8 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ok || runs != 1 || dups != 1 || acks != 2 {
-		t.Fatalf("ok=%v runs=%d dups=%d acks=%d; want true, 1, 1, 2", ok, runs, dups, acks)
+	if !ok || runs != 1 || dups.Value() != 1 || acks != 2 {
+		t.Fatalf("ok=%v runs=%d dups=%d acks=%d; want true, 1, 1, 2", ok, runs, dups.Value(), acks)
 	}
 	if n := e.Spawned(); n != 1 {
 		t.Fatalf("%d processes spawned, want 1: the acks need none", n)

@@ -102,12 +102,6 @@ type Reliability struct {
 	MaxAttempts int
 	// OnRetry, if set, is called before every retransmission.
 	OnRetry func(to int, handler string, attempt int)
-	// OnGiveUp, if set, is called when MaxAttempts transmissions all went
-	// unacknowledged.
-	OnGiveUp func(to int, handler string)
-	// OnDuplicate, if set, is called on the receiving endpoint when a
-	// duplicate delivery is suppressed.
-	OnDuplicate func(from int, handler string)
 }
 
 type ackKey struct {
@@ -249,9 +243,6 @@ func (ep *Endpoint) dispatch(w *wireAM) {
 		return
 	case w.needAck && ep.seen[k]:
 		ep.ins.Duplicates.Inc()
-		if ep.rel != nil && ep.rel.OnDuplicate != nil {
-			ep.rel.OnDuplicate(w.am.From, w.am.Handler)
-		}
 		return
 	case w.needAck:
 		if ep.seen == nil { // reliable sender, plain receiver
@@ -370,13 +361,7 @@ func (ep *Endpoint) sendReliably(m netsim.Message, w *wireAM, done func(bool)) {
 	attempt, timeout := 1, rel.AckTimeout
 	var transmit func()
 	waited := func() {
-		switch {
-		case ack.Triggered():
-		case attempt >= rel.MaxAttempts || ep.closed:
-			if rel.OnGiveUp != nil {
-				rel.OnGiveUp(m.To, w.am.Handler)
-			}
-		default:
+		if !ack.Triggered() && attempt < rel.MaxAttempts && !ep.closed {
 			attempt++
 			timeout *= 2
 			ep.ins.Retries.Inc()

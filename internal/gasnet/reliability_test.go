@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
@@ -76,10 +77,10 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 		}
 		return false
 	}})
-	runs, dups := 0, 0
+	runs, dups := 0, &metrics.Counter{}
 	eps[1].RegisterNonBlocking("work", func(am AM) { runs++ })
-	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8,
-		OnDuplicate: func(from int, handler string) { dups++ }}
+	eps[1].Instrument(Instruments{Duplicates: dups})
+	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
 		ep.Start(e)
@@ -100,8 +101,8 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("handler ran %d times, want exactly 1 (dedup failed)", runs)
 	}
-	if dups != 1 {
-		t.Fatalf("OnDuplicate fired %d times, want 1", dups)
+	if dups.Value() != 1 {
+		t.Fatalf("am_duplicates_total = %d, want 1", dups.Value())
 	}
 }
 
@@ -115,9 +116,7 @@ func TestMaxAttemptsExhaustionBacksOffExponentially(t *testing.T) {
 		}
 		return false
 	}})
-	gaveUp := 0
-	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 3,
-		OnGiveUp: func(to int, handler string) { gaveUp++ }}
+	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 3}
 	eps[1].RegisterNonBlocking("work", func(am AM) {})
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
@@ -137,9 +136,6 @@ func TestMaxAttemptsExhaustionBacksOffExponentially(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("send succeeded with every transmission dropped")
-	}
-	if gaveUp != 1 {
-		t.Fatalf("OnGiveUp fired %d times", gaveUp)
 	}
 	if sends != 3 {
 		t.Fatalf("transmissions = %d, want MaxAttempts = 3", sends)

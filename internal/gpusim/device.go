@@ -16,7 +16,6 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -67,22 +66,7 @@ type Device struct {
 	store   *memspace.Store // nil in cost-only mode
 
 	stats Stats
-	ins   Instruments
 }
-
-// Instruments mirrors the device counters into a metrics registry so
-// per-device activity (kernels, DMA traffic, busy time) can be sampled
-// mid-run. Nil counters no-op. Busy times accumulate nanoseconds.
-type Instruments struct {
-	Kernels    *metrics.Counter
-	BytesH2D   *metrics.Counter
-	BytesD2H   *metrics.Counter
-	KernelBusy *metrics.Counter // ns the compute engine was occupied
-	DMABusy    *metrics.Counter // ns the DMA engines were occupied
-}
-
-// Instrument attaches registry counters to the device.
-func (d *Device) Instrument(ins Instruments) { d.ins = ins }
 
 // New returns a device for GPU dev of node at location loc. If validate is
 // true the device carries a backing store and kernels can really run.
@@ -174,8 +158,6 @@ func (d *Device) LaunchAsync(cost time.Duration, body func(devStore *memspace.St
 		d.occupy(d.compute, cost, func() {
 			d.stats.Kernels++
 			d.stats.KernelBusy += sim.Time(cost)
-			d.ins.Kernels.Inc()
-			d.ins.KernelBusy.Add(int64(cost))
 			if body != nil {
 				body(d.store)
 			}
@@ -200,17 +182,14 @@ func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store
 	dma := func() {
 		d.occupy(d.dma[dir], cost, func() {
 			d.stats.DMABusy += sim.Time(cost)
-			d.ins.DMABusy.Add(int64(cost))
 			switch dir {
 			case H2D:
 				d.stats.BytesH2D += r.Size
 				d.stats.XfersH2D++
-				d.ins.BytesH2D.Add(int64(r.Size))
 				memspace.CopyRegion(d.store, hostStore, r)
 			case D2H:
 				d.stats.BytesD2H += r.Size
 				d.stats.XfersD2H++
-				d.ins.BytesD2H.Add(int64(r.Size))
 				memspace.CopyRegion(hostStore, d.store, r)
 			}
 			done.Trigger()
@@ -246,8 +225,6 @@ func (d *Device) ReadBack(r memspace.Region, fn func(partial []byte)) {
 		d.stats.DMABusy += sim.Time(cost)
 		d.stats.BytesD2H += r.Size
 		d.stats.XfersD2H++
-		d.ins.DMABusy.Add(int64(cost))
-		d.ins.BytesD2H.Add(int64(r.Size))
 		var out []byte
 		if d.store != nil {
 			out = make([]byte, r.Size)

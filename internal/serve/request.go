@@ -39,7 +39,7 @@ import (
 // canonical encoding below, the result artifact layout, or the meaning of
 // any request field changes — old cached bytes must never be served for a
 // request a newer binary would compute differently.
-const KeyVersion = "1"
+const KeyVersion = "2"
 
 // Request is one experiment request as accepted by POST /v1/experiments.
 // The zero value of every optional field means "paper default", and the
@@ -71,10 +71,6 @@ type Request struct {
 	// ("bf", "default"/"dependencies", "affinity", "heft"). The multi-GPU
 	// figures sweep the scheduler as part of their grid; use grid_point.
 	Scheduler string `json:"scheduler,omitempty"`
-
-	// Lookahead sets the per-place ready-ahead window (PR 6) on every
-	// simulated grid point. 0 keeps the paper default (off).
-	Lookahead int `json:"lookahead,omitempty"`
 
 	// Trace records the designated grid point's Perfetto trace (fig10
 	// only) and stores it with the result.
@@ -162,12 +158,6 @@ func (r Request) Validate() error {
 	if (r.Seed != 0 || r.FaultPlan != nil) && !cluster {
 		return fmt.Errorf("fault injection applies only to cluster experiments (fig9-13, heat)")
 	}
-	if r.Lookahead < 0 {
-		return fmt.Errorf("lookahead must be >= 0")
-	}
-	if r.Lookahead > 0 && (r.Experiment == "table1" || r.Experiment == "stress") {
-		return fmt.Errorf("lookahead does not apply to %s", r.Experiment)
-	}
 	if r.Trace && r.Experiment != "fig10" {
 		return fmt.Errorf("trace recording has a designated grid point only in fig10")
 	}
@@ -252,9 +242,6 @@ func (r Request) canonical() []byte {
 	if r.GridPoint != "" {
 		kv("grid_point", r.GridPoint)
 	}
-	if r.Lookahead != 0 {
-		kv("lookahead", strconv.Itoa(r.Lookahead))
-	}
 	if r.Quick {
 		kv("quick", "1")
 	}
@@ -312,7 +299,6 @@ func (r Request) Options() bench.Options {
 	o := bench.Options{
 		Quick:         r.Quick,
 		GridPoint:     r.GridPoint,
-		Lookahead:     r.Lookahead,
 		StressWidth:   r.StressWidth,
 		StressDepth:   r.StressDepth,
 		StressOverlap: r.StressOverlap,

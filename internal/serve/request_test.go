@@ -19,10 +19,10 @@ func parse(t *testing.T, body string) Request {
 // is computed from the canonical encoding, so JSON field order,
 // whitespace, and fault-plan spelling variations never split the cache.
 func TestHashFieldOrderInsensitive(t *testing.T) {
-	a := parse(t, `{"experiment":"heat","quick":true,"lookahead":4,"seed":7,
+	a := parse(t, `{"experiment":"heat","quick":true,"grid_point":"2node ompss","seed":7,
 		"fault_plan":{"drop_rate":0.25,"stalls":[{"node":1,"at_ns":100,"duration_ns":50}]}}`)
 	b := parse(t, `{"fault_plan":{"stalls":[{"duration_ns":50,"at_ns":100,"node":1}],"drop_rate":0.25},
-		"seed":7,"lookahead":4,"quick":true,"experiment":"heat"}`)
+		"seed":7,"grid_point":"2node ompss","quick":true,"experiment":"heat"}`)
 	if a.Hash() != b.Hash() {
 		t.Fatalf("field order changed the hash: %s vs %s", a.Hash(), b.Hash())
 	}
@@ -32,7 +32,7 @@ func TestHashFieldOrderInsensitive(t *testing.T) {
 // means the same run as omitting the field, so it must hash identically.
 func TestHashExplicitDefaultsMatchOmitted(t *testing.T) {
 	a := parse(t, `{"experiment":"heat"}`)
-	b := parse(t, `{"experiment":"heat","quick":false,"lookahead":0,"seed":0,"grid_point":"","scheduler":""}`)
+	b := parse(t, `{"experiment":"heat","quick":false,"trace":false,"seed":0,"grid_point":"","scheduler":""}`)
 	if a.Hash() != b.Hash() {
 		t.Fatalf("explicit defaults changed the hash")
 	}
@@ -67,8 +67,6 @@ func TestHashDistinguishesRuns(t *testing.T) {
 	bodies := []string{
 		`{"experiment":"heat"}`,
 		`{"experiment":"heat","quick":true}`,
-		`{"experiment":"heat","lookahead":2}`,
-		`{"experiment":"heat","lookahead":3}`,
 		`{"experiment":"heat","scheduler":"bf"}`,
 		`{"experiment":"heat","scheduler":"affinity"}`,
 		`{"experiment":"heat","grid_point":"2node ompss"}`,
@@ -140,9 +138,7 @@ func TestValidateRejects(t *testing.T) {
 		`{"experiment":"heat","scheduler":"lifo"}`,
 		`{"experiment":"fig5","seed":3}`,
 		`{"experiment":"fig5","fault_plan":{}}`,
-		`{"experiment":"table1","lookahead":2}`,
-		`{"experiment":"stress","lookahead":2}`,
-		`{"experiment":"heat","lookahead":-1}`,
+		`{"experiment":"heat","lookahead":2}`, // no ready-ahead window: an unknown field
 		`{"experiment":"fig9","trace":true}`,
 		`{"experiment":"heat","stress_width":5}`,
 		`{"experiment":"stress","stress_width":-1}`,

@@ -651,7 +651,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				exp := []string{"heat", "fig9", "fig11", "fig12"}[i%4]
-				post(t, s.URL(), `{"experiment":"`+exp+`","lookahead":`+fmt.Sprint(i%8)+`}`)
+				post(t, s.URL(), `{"experiment":"`+exp+`","seed":`+fmt.Sprint(i%8)+`}`)
 			}(i)
 		}
 		wg.Wait()

@@ -135,6 +135,34 @@ func TestGetFuncAllocs(t *testing.T) {
 	}
 }
 
+// A contended hand-off reuses the waiter list's slot: Release copies the
+// list down rather than slicing its head off, so the next waiter's append
+// finds the capacity the last one left. The steady state allocates nothing.
+func TestContendedHandOffAllocs(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "res", 1)
+	grants := 0
+	grant := func() { grants++ }
+	var allocs float64
+	e.Go("holder", func(p *Proc) {
+		r.AcquireFunc(grant) // the unit stays held from here on
+		allocs = testing.AllocsPerRun(200, func() {
+			r.AcquireFunc(grant) // queues behind the holder
+			r.Release()          // hands the unit over
+			p.Yield()            // the grant runs
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if grants != 202 { // the first hold, AllocsPerRun's warm-up and 200 runs
+		t.Fatalf("%d grants, want 202", grants)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per contended hand-off, want 0", allocs)
+	}
+}
+
 // Await is Sleep taken apart: a chain of callbacks started by the process
 // ends in its wake-up, and the process resumes once — or not at all when the
 // chain ends before start returns — and gets the outcome done was handed.

@@ -43,7 +43,7 @@ func (r *Resource) Release() {
 	}
 	if len(r.waiters) > 0 {
 		fn := r.waiters[0]
-		r.waiters = r.waiters[1:]
+		r.waiters = r.waiters[:copy(r.waiters, r.waiters[1:])]
 		// Unit passes directly to the waiter; inUse unchanged.
 		r.e.schedule(r.e.now, nil, fn)
 		return

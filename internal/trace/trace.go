@@ -94,8 +94,8 @@ type DepEdge struct {
 }
 
 // CounterSample is one sampled value of a named per-node counter track
-// (scheduler queue depth, lookahead window depth). Perfetto renders each
-// distinct name as its own counter row.
+// (scheduler queue depth). Perfetto renders each distinct name as its own
+// counter row.
 type CounterSample struct {
 	Name  string
 	Node  int
