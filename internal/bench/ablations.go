@@ -19,7 +19,7 @@ func Ablations(o Options) ([]Row, error) {
 	grid := ablationGrid(o)
 	pts := make([]point, len(grid))
 	for i, a := range grid {
-		pts[i] = point{config: a.config, run: func() (float64, string, error) { return a.run(a.cfg) }}
+		pts[i] = point{config: a.config, run: func() (apps.Result, error) { return a.run(a.cfg) }}
 	}
 	return runGrid("ablations", o, pts)
 }
@@ -30,35 +30,26 @@ type ablation struct {
 	config   string // the row's label
 	workload string // names what run simulates
 	cfg      ompss.Config
-	run      func(ompss.Config) (float64, string, error)
+	run      func(ompss.Config) (apps.Result, error)
 }
 
 // ablationGrid lists the rows in table order. Each row differs in the one
 // setting its label names from a row of the same workload.
 func ablationGrid(o Options) []ablation {
 	var grid []ablation
-	add := func(config, workload string, cfg ompss.Config, run func(ompss.Config) (float64, string, error)) {
+	add := func(config, workload string, cfg ompss.Config, run func(ompss.Config) (apps.Result, error)) {
 		grid = append(grid, ablation{config, workload, cfg, run})
 	}
 	p := fig5Params(o)
-	matmul := func(cfg ompss.Config) (float64, string, error) {
-		res, err := apps.MatmulOmpSs(cfg, p)
-		return res.Metric, "GFLOPS", err
-	}
+	matmul := func(cfg ompss.Config) (apps.Result, error) { return apps.MatmulOmpSs(cfg, p) }
 	pCluster := fig9MatmulParams(o)
 	pCluster.Init = apps.InitSMP
-	clusterMatmul := func(cfg ompss.Config) (float64, string, error) {
-		res, err := apps.MatmulOmpSs(cfg, pCluster)
-		return res.Metric, "GFLOPS", err
-	}
-	nbody := func(cfg ompss.Config) (float64, string, error) {
-		res, err := apps.NBodyOmpSs(cfg, fig13Params(o, 2))
-		return res.Metric, res.MetricName, err
-	}
+	clusterMatmul := func(cfg ompss.Config) (apps.Result, error) { return apps.MatmulOmpSs(cfg, pCluster) }
+	nbody := func(cfg ompss.Config) (apps.Result, error) { return apps.NBodyOmpSs(cfg, fig13Params(o, 2)) }
 	chains, depth := weakscaleSize(o)
-	weakscale := func(cfg ompss.Config) (float64, string, error) {
+	weakscale := func(cfg ompss.Config) (apps.Result, error) {
 		st, err := weakscaleRun(cfg, chains, depth)
-		return float64(len(cfg.Cluster.Nodes)*chains*depth) / st.ElapsedSeconds, "tasks/s", err
+		return apps.Result{Metric: float64(len(cfg.Cluster.Nodes)*chains*depth) / st.ElapsedSeconds, MetricName: "tasks/s"}, err
 	}
 	cluster := func(nodes int) ompss.Config {
 		cfg := clusterConfig(o, nodes)

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"github.com/bsc-repro/ompss"
+	"github.com/bsc-repro/ompss/internal/apps"
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/sched"
@@ -193,11 +194,11 @@ func multiGPUConfig(gpus int, policy coherence.Policy, scheduler sched.Policy) o
 }
 
 // point is one independent grid point of an experiment: one simulated run
-// on its own Engine, producing one row. run returns the plotted value and
-// its unit.
+// on its own Engine, producing one row. run's Metric is the plotted value
+// and its MetricName the unit.
 type point struct {
 	config string
-	run    func() (float64, string, error)
+	run    func() (apps.Result, error)
 }
 
 // runGrid executes the grid points of experiment exp across o.workers()
@@ -221,11 +222,11 @@ func runGrid(exp string, o Options, pts []point) ([]Row, error) {
 	errs := make([]error, len(pts))
 	var notifyMu sync.Mutex
 	runOne := func(i int) {
-		v, unit, err := pts[i].run()
+		res, err := pts[i].run()
 		if err != nil {
 			errs[i] = fmt.Errorf("%s %s: %w", exp, pts[i].config, err)
 		} else {
-			rows[i] = Row{Experiment: exp, Config: pts[i].config, Value: v, Unit: unit}
+			rows[i] = Row{Experiment: exp, Config: pts[i].config, Value: res.Metric, Unit: res.MetricName}
 		}
 		if o.OnPoint != nil {
 			notifyMu.Lock()

@@ -41,10 +41,7 @@ func Fig9(o Options) ([]Row, error) {
 					pp.Init = init
 					pts = append(pts, point{
 						config: fmt.Sprintf("%dnode %s %s presend%d", nodes, route, init, presend),
-						run: func() (float64, string, error) {
-							res, err := apps.MatmulOmpSs(cfg, pp)
-							return res.Metric, res.MetricName, err
-						},
+						run:    func() (apps.Result, error) { return apps.MatmulOmpSs(cfg, pp) },
 					})
 				}
 			}
@@ -74,15 +71,11 @@ func Fig10(o Options) ([]Row, error) {
 		}
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.MatmulOmpSs(cfg, p)
-				return res.Metric, res.MetricName, err
-			},
+			run:    func() (apps.Result, error) { return apps.MatmulOmpSs(cfg, p) },
 		}, point{
 			config: fmt.Sprintf("%dnode mpi+cuda", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.MatmulMPICUDA(ompss.GPUCluster(nodes), fig9MatmulParams(o), false)
-				return res.Metric, res.MetricName, err
+			run: func() (apps.Result, error) {
+				return apps.MatmulMPICUDA(ompss.GPUCluster(nodes), fig9MatmulParams(o), false)
 			},
 		})
 	}
@@ -109,16 +102,10 @@ func Fig11(o Options) ([]Row, error) {
 		cfg.SlaveToSlave = true
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.StreamOmpSs(cfg, p)
-				return res.Metric, res.MetricName, err
-			},
+			run:    func() (apps.Result, error) { return apps.StreamOmpSs(cfg, p) },
 		}, point{
 			config: fmt.Sprintf("%dnode mpi+cuda", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.StreamMPICUDA(ompss.GPUCluster(nodes), p, false)
-				return res.Metric, res.MetricName, err
-			},
+			run:    func() (apps.Result, error) { return apps.StreamMPICUDA(ompss.GPUCluster(nodes), p, false) },
 		})
 	}
 	return runGrid("fig11", o, pts)
@@ -139,16 +126,10 @@ func Fig12(o Options) ([]Row, error) {
 			cfg.SlaveToSlave = true
 			pts = append(pts, point{
 				config: fmt.Sprintf("%dnode %s ompss", nodes, variant),
-				run: func() (float64, string, error) {
-					res, err := apps.PerlinOmpSs(cfg, p)
-					return res.Metric, res.MetricName, err
-				},
+				run:    func() (apps.Result, error) { return apps.PerlinOmpSs(cfg, p) },
 			}, point{
 				config: fmt.Sprintf("%dnode %s mpi+cuda", nodes, variant),
-				run: func() (float64, string, error) {
-					res, err := apps.PerlinMPICUDA(ompss.GPUCluster(nodes), p, false)
-					return res.Metric, res.MetricName, err
-				},
+				run:    func() (apps.Result, error) { return apps.PerlinMPICUDA(ompss.GPUCluster(nodes), p, false) },
 			})
 		}
 	}
@@ -189,16 +170,10 @@ func Fig13(o Options) ([]Row, error) {
 		cfg := fig13Config(o, nodes)
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.NBodyOmpSs(cfg, p)
-				return res.Metric, res.MetricName, err
-			},
+			run:    func() (apps.Result, error) { return apps.NBodyOmpSs(cfg, p) },
 		}, point{
 			config: fmt.Sprintf("%dnode mpi+cuda", nodes),
-			run: func() (float64, string, error) {
-				res, err := apps.NBodyMPICUDA(ompss.GPUCluster(nodes), p, false)
-				return res.Metric, res.MetricName, err
-			},
+			run:    func() (apps.Result, error) { return apps.NBodyMPICUDA(ompss.GPUCluster(nodes), p, false) },
 		})
 	}
 	return runGrid("fig13", o, pts)

@@ -28,10 +28,7 @@ func Fig5(o Options) ([]Row, error) {
 				cfg := multiGPUConfig(gpus, pol, sch)
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, pol, schedLabel(sch)),
-					run: func() (float64, string, error) {
-						res, err := apps.MatmulOmpSs(cfg, p)
-						return res.Metric, res.MetricName, err
-					},
+					run:    func() (apps.Result, error) { return apps.MatmulOmpSs(cfg, p) },
 				})
 			}
 		}
@@ -60,10 +57,7 @@ func Fig6(o Options) ([]Row, error) {
 				cfg := multiGPUConfig(gpus, pol, sch)
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, pol, schedLabel(sch)),
-					run: func() (float64, string, error) {
-						res, err := apps.StreamOmpSs(cfg, p)
-						return res.Metric, res.MetricName, err
-					},
+					run:    func() (apps.Result, error) { return apps.StreamOmpSs(cfg, p) },
 				})
 			}
 		}
@@ -94,10 +88,7 @@ func Fig7(o Options) ([]Row, error) {
 				cfg := multiGPUConfig(gpus, pol, defaultSched())
 				pts = append(pts, point{
 					config: fmt.Sprintf("%dgpu %s %s", gpus, variant, pol),
-					run: func() (float64, string, error) {
-						res, err := apps.PerlinOmpSs(cfg, p)
-						return res.Metric, res.MetricName, err
-					},
+					run:    func() (apps.Result, error) { return apps.PerlinOmpSs(cfg, p) },
 				})
 			}
 		}
@@ -139,10 +130,7 @@ func Fig8(o Options) ([]Row, error) {
 			cfg.GPUCacheHeadroom = 1 - float64(capBytes)/float64(memBytes)
 			pts = append(pts, point{
 				config: fmt.Sprintf("%dgpu %s", gpus, pol),
-				run: func() (float64, string, error) {
-					res, err := apps.NBodyOmpSs(cfg, p)
-					return res.Metric, res.MetricName, err
-				},
+				run:    func() (apps.Result, error) { return apps.NBodyOmpSs(cfg, p) },
 			})
 		}
 	}

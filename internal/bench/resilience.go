@@ -123,21 +123,16 @@ func Resilience(o Options) ([]Row, error) {
 		i, sc := i, sc
 		pts = append(pts, point{
 			config: sc.config,
-			run: func() (float64, string, error) {
+			run: func() (apps.Result, error) {
 				res, err := apps.MatmulOmpSs(resilientConfig(o, nodes, sc.plan), p)
-				if err != nil {
-					return 0, "", err
+				if err == nil && res.Check != clean.Check {
+					err = fmt.Errorf("wrong result under faults: %s, clean %s", res.Check, clean.Check)
 				}
-				if res.Check != clean.Check {
-					return 0, "", fmt.Errorf("wrong result under faults: %s, clean %s", res.Check, clean.Check)
-				}
-				if sc.verify != nil {
-					if err := sc.verify(res.Stats); err != nil {
-						return 0, "", err
-					}
+				if err == nil && sc.verify != nil {
+					err = sc.verify(res.Stats)
 				}
 				statsBy[i] = res.Stats
-				return res.Metric, res.MetricName, nil
+				return res, err
 			},
 		})
 	}
@@ -153,15 +148,12 @@ func Resilience(o Options) ([]Row, error) {
 	}
 	pts = append(pts, point{
 		config: "4node stream drop1%",
-		run: func() (float64, string, error) {
+		run: func() (apps.Result, error) {
 			res, err := apps.StreamOmpSs(resilientConfig(o, streamNodes, &faults.Plan{Seed: 21, DropRate: 0.01}), streamP)
-			if err != nil {
-				return 0, "", err
+			if err == nil && res.Check != streamClean.Check {
+				err = fmt.Errorf("wrong result under faults: %s, clean %s", res.Check, streamClean.Check)
 			}
-			if res.Check != streamClean.Check {
-				return 0, "", fmt.Errorf("wrong result under faults: %s, clean %s", res.Check, streamClean.Check)
-			}
-			return res.Metric, res.MetricName, nil
+			return res, err
 		},
 	})
 

@@ -30,18 +30,15 @@ func Heat(o Options) ([]Row, error) {
 		cfg.Validate = true
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
-			run: func() (float64, string, error) {
+			run: func() (apps.Result, error) {
 				// The reference first: its two rods are garbage before the
 				// run's stores are allocated, not stacked on top of them.
 				want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
 				res, err := apps.HeatOmpSs(cfg, p)
-				if err != nil {
-					return 0, "", err
+				if err == nil && res.Check != want {
+					err = fmt.Errorf("heat checksum %s, want %s", res.Check, want)
 				}
-				if res.Check != want {
-					return 0, "", fmt.Errorf("heat checksum %s, want %s", res.Check, want)
-				}
-				return res.Metric, res.MetricName, nil
+				return res, err
 			},
 		})
 	}

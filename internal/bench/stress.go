@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/bsc-repro/ompss/internal/apps"
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/depgraph"
 	"github.com/bsc-repro/ompss/internal/memspace"
@@ -178,9 +179,9 @@ func Stress(o Options) ([]Row, error) {
 	for _, r := range stressRows(o.StressOverlap) {
 		pts = append(pts, point{
 			config: fmt.Sprintf("w=%d d=%d ov=%d %s", width, depth, r.overlap, r.label),
-			run: func() (float64, string, error) {
+			run: func() (apps.Result, error) {
 				v, err := stressRun(width, depth, r.overlap, r.batch, r.lookahead)
-				return v, "tasks/s", err
+				return apps.Result{Metric: v, MetricName: "tasks/s"}, err
 			},
 		})
 	}

@@ -360,17 +360,6 @@ func (d *Directory) HeldBytes(r memspace.Region, loc memspace.Location) uint64 {
 	return n
 }
 
-// Version returns the highest current version number of r's fragments
-// (0 if never produced).
-func (d *Directory) Version(r memspace.Region) int {
-	v := 0
-	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
-		v = max(v, en.V.version)
-		return true
-	})
-	return v
-}
-
 // Holders appends to out the locations holding the current version of
 // every byte of r, in a deterministic order (node, then device), and
 // returns the result. Queried per fragment by the transfer planner, where
@@ -398,9 +387,6 @@ func (d *Directory) Regions() []memspace.Region {
 	}
 	return out
 }
-
-// Fragments returns the current fragment count (observability and tests).
-func (d *Directory) Fragments() int { return d.frags.Len() }
 
 // Line is one cached region.
 type Line struct {
@@ -441,15 +427,6 @@ func NewCache(loc memspace.Location, policy Policy, capacity uint64) *Cache {
 
 // Location returns the device this cache fronts.
 func (c *Cache) Location() memspace.Location { return c.loc }
-
-// Used returns the bytes currently resident.
-func (c *Cache) Used() uint64 { return c.used }
-
-// Capacity returns the configured capacity.
-func (c *Cache) Capacity() uint64 { return c.capacity }
-
-// Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
 
 // find returns the position r's line has, or would be inserted at, and
 // the line itself when resident.
@@ -617,6 +594,3 @@ func (c *Cache) Clean(r memspace.Region) {
 		l.Dirty = false
 	}
 }
-
-// Lines returns all resident lines ordered by region.
-func (c *Cache) Lines() []*Line { return slices.Clone(c.lines) }

@@ -47,9 +47,20 @@ func TestDirectoryProducedInvalidatesOthers(t *testing.T) {
 	if !d.IsHolder(r, gpu1) {
 		t.Fatal("producer must hold the new version")
 	}
-	if d.Version(r) != 1 {
-		t.Fatalf("version = %d", d.Version(r))
+	if version(d, r) != 1 {
+		t.Fatalf("version = %d", version(d, r))
 	}
+}
+
+// version is the highest current version number of r's fragments (0 if
+// never produced).
+func version(d *Directory, r memspace.Region) int {
+	v := 0
+	d.frags.Visit(r, func(en *memspace.Frag[dirData]) bool {
+		v = max(v, en.V.version)
+		return true
+	})
+	return v
 }
 
 func TestDirectoryDropHolder(t *testing.T) {
@@ -150,8 +161,8 @@ func TestDirectoryProducedInvalidatesByOverlap(t *testing.T) {
 	if !d.IsHolder(mid, gpu0) {
 		t.Fatal("producer must hold the middle")
 	}
-	if d.Version(mid) != 1 || d.Version(reg(0x2000, 32)) != 0 {
-		t.Fatalf("versions = %d / %d", d.Version(mid), d.Version(reg(0x2000, 32)))
+	if version(d, mid) != 1 || version(d, reg(0x2000, 32)) != 0 {
+		t.Fatalf("versions = %d / %d", version(d, mid), version(d, reg(0x2000, 32)))
 	}
 }
 
@@ -219,12 +230,12 @@ func TestCacheRemoveAccounting(t *testing.T) {
 	c := NewCache(gpu0, WriteBack, 200)
 	a := reg(0xa, 150)
 	c.Insert(a, true)
-	if c.Used() != 150 {
-		t.Fatalf("used = %d", c.Used())
+	if c.used != 150 {
+		t.Fatalf("used = %d", c.used)
 	}
 	c.Remove(a)
-	if c.Used() != 0 || c.Len() != 0 || c.Evictions != 1 {
-		t.Fatalf("after remove: used=%d len=%d evictions=%d", c.Used(), c.Len(), c.Evictions)
+	if c.used != 0 || len(c.lines) != 0 || c.Evictions != 1 {
+		t.Fatalf("after remove: used=%d len=%d evictions=%d", c.used, len(c.lines), c.Evictions)
 	}
 }
 
@@ -255,7 +266,7 @@ func TestCacheInsertOverflowPanics(t *testing.T) {
 // dirtyLines is the flush view of a cache: its dirty lines in region order.
 func dirtyLines(c *Cache) []*Line {
 	var out []*Line
-	for _, l := range c.Lines() {
+	for _, l := range c.lines {
 		if l.Dirty {
 			out = append(out, l)
 		}
@@ -286,7 +297,7 @@ func TestCacheLinesSorted(t *testing.T) {
 	c.Insert(reg(0x30, 10), false)
 	c.Insert(reg(0x10, 10), false)
 	c.Insert(reg(0x20, 10), false)
-	ls := c.Lines()
+	ls := c.lines
 	if ls[0].Region.Addr != 0x10 || ls[1].Region.Addr != 0x20 || ls[2].Region.Addr != 0x30 {
 		t.Fatalf("lines = %v", ls)
 	}
@@ -295,14 +306,14 @@ func TestCacheLinesSorted(t *testing.T) {
 // wantVictims is MakeSpace's specification: every unpinned line sorted by
 // lru, cut at the shortest prefix that frees enough bytes.
 func wantVictims(c *Cache, size uint64) ([]*Line, bool) {
-	if size > c.Capacity() {
+	if size > c.capacity {
 		return nil, false
 	}
-	if c.Used()+size <= c.Capacity() {
+	if c.used+size <= c.capacity {
 		return nil, true
 	}
 	var free []*Line
-	for _, l := range c.Lines() {
+	for _, l := range c.lines {
 		if l.pins == 0 {
 			free = append(free, l)
 		}
@@ -311,7 +322,7 @@ func wantVictims(c *Cache, size uint64) ([]*Line, bool) {
 	var freed uint64
 	for i, l := range free {
 		freed += l.Region.Size
-		if freed >= c.Used()+size-c.Capacity() {
+		if freed >= c.used+size-c.capacity {
 			return free[:i+1], true
 		}
 	}
@@ -354,7 +365,7 @@ func TestQuickCacheInvariant(t *testing.T) {
 			default:
 				c.Lookup(r)
 			}
-			lines := c.Lines()
+			lines := c.lines
 			var sum uint64
 			for i, l := range lines {
 				sum += l.Region.Size
@@ -362,7 +373,7 @@ func TestQuickCacheInvariant(t *testing.T) {
 					return false
 				}
 			}
-			if sum != c.Used() || c.Used() > c.Capacity() {
+			if sum != c.used || c.used > c.capacity {
 				return false
 			}
 			probe := reg(addr-0x80, size+0x100)
@@ -435,7 +446,6 @@ func TestDirectoryQueryAllocs(t *testing.T) {
 		{"IsHolder", func() { d.IsHolder(r, gpu0) }},
 		{"HeldBytes", func() { d.HeldBytes(r, gpu0) }},
 		{"Known", func() { d.Known(r) }},
-		{"Version", func() { d.Version(r) }},
 		{"Missing", func() { d.Missing(r, host, nil) }}, // nothing missing
 		{"Held", func() { d.Held(r, gpu1) }},            // nothing held
 		{"Missing into a buffer", func() { miss = d.Missing(r, gpu1, miss[:0]) }},

@@ -187,9 +187,8 @@ func (rt *Runtime) track(k, delta int) {
 }
 
 // clusterScore is the cluster-level affinity: bytes of t's data resident
-// on each node (the master's host and GPUs together count as node 0).
+// on each node (nodeHeldBytes), writes weighted double.
 func (rt *Runtime) clusterScore(t *task.Task) []uint64 {
-	m := rt.master()
 	scores := rt.cl.scores
 	clear(scores)
 	for _, c := range t.Copies() {
@@ -197,22 +196,8 @@ func (rt *Runtime) clusterScore(t *task.Task) []uint64 {
 		if c.Access.Writes() {
 			w = 2
 		}
-		if hb := m.dir.HeldBytes(c.Region, memspace.Host(0)); hb > 0 {
-			scores[0] += w * hb
-		} else {
-			for g := range m.devs {
-				if hb := m.dir.HeldBytes(c.Region, memspace.GPU(0, g)); hb > 0 {
-					scores[0] += w * hb
-					break
-				}
-			}
-		}
-		for k := 1; k < len(rt.nodes); k++ {
-			// Dead nodes score zero: PurgeNode removed their holdings, the
-			// check is belt-and-braces for the declaration window.
-			if !rt.nodeIsDead(k) {
-				scores[k] += w * m.dir.HeldBytes(c.Region, memspace.Host(k))
-			}
+		for k := range rt.nodes {
+			scores[k] += w * rt.nodeHeldBytes(c.Region, k)
 		}
 	}
 	return scores

@@ -74,9 +74,10 @@ func (n *nodeRT) placeEstimates(t *task.Task) []sched.Estimate {
 	return out
 }
 
-// nodeHeldBytes is the cluster-level residency of r on node k, mirroring
-// clusterScore: the master's host and GPUs together count as node 0,
-// slaves count their host image only.
+// nodeHeldBytes is the cluster-level residency of r on node k: the
+// master's host and GPUs together count as node 0, slaves count their host
+// image only, and a dead node holds nothing (PurgeNode removed its
+// holdings; the check covers the declaration window).
 func (rt *Runtime) nodeHeldBytes(r memspace.Region, k int) uint64 {
 	m := rt.master()
 	if k == 0 {

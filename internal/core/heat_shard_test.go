@@ -52,10 +52,10 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 				for j := 1; j < p.N/p.BSize-1; j++ {
 					out := memspace.Region{Addr: arr.Addr + uint64(j*p.BSize)*cell, Size: uint64(p.BSize) * cell}
 					in := memspace.Region{Addr: out.Addr - cell, Size: out.Size + 2*cell}
-					if len(dmap.Spans(in)) > 1 {
+					if len(dmap.SpansInto(in, nil)) > 1 {
 						inStraddles++
 					}
-					if len(dmap.Spans(out)) > 1 {
+					if len(dmap.SpansInto(out, nil)) > 1 {
 						outStraddles++
 					}
 				}

@@ -14,11 +14,10 @@ import (
 // graph requires), they are scheduled by the node's local scheduler, and
 // the parent does not complete until they drain.
 type LocalCtx struct {
-	n       *nodeRT
-	p       *sim.Proc
-	graph   *depgraph.Graph
-	pending int
-	idle    *sim.Event
+	n     *nodeRT
+	p     *sim.Proc
+	graph *depgraph.Graph
+	idle  *sim.Event // made each time a task enters the empty extent
 }
 
 // Node returns the node id the nested tasks will run on.
@@ -33,32 +32,21 @@ func (lc *LocalCtx) Submit(def TaskDef) *task.Task {
 	if t.Device == task.CUDA && len(lc.n.devs) == 0 {
 		panic(fmt.Sprintf("core: nested CUDA task on GPU-less node %d", lc.n.id))
 	}
-	// Pre-validate so the extent bookkeeping only counts tasks that enter
-	// the graph; a malformed clause set is surfaced through ompss.Run.
-	if _, err := depgraph.Normalize(t.Deps); err != nil {
-		rt.fail(fmt.Errorf("%v: %w", t, err))
-		return t
-	}
-	if lc.pending == 0 {
-		lc.idle = sim.NewEvent(rt.e)
-	}
-	lc.pending++
+	// A malformed clause set never enters the graph; it is surfaced
+	// through ompss.Run.
 	if err := lc.graph.Submit(t); err != nil {
 		rt.fail(err)
-		lc.pending--
-		if lc.pending == 0 {
-			lc.idle.Trigger()
-		}
+	} else if lc.graph.Pending() == 1 {
+		lc.idle = sim.NewEvent(rt.e)
 	}
 	return t
 }
 
 // Wait blocks the spawner until every nested task has finished.
 func (lc *LocalCtx) Wait() {
-	if lc.pending == 0 {
-		return
+	if lc.graph.Pending() > 0 {
+		lc.idle.Wait(lc.p)
 	}
-	lc.idle.Wait(lc.p)
 }
 
 // runSpawner executes t's Spawner with a fresh local extent and waits for
@@ -69,8 +57,7 @@ func (n *nodeRT) runSpawner(p *sim.Proc, t *task.Task) {
 	lc.graph = depgraph.New(func(ready *task.Task) {
 		n.enqueueLocal(ready, func(cp *sim.Proc, ft *task.Task, place int) {
 			lc.graph.Finished(ft)
-			lc.pending--
-			if lc.pending == 0 {
+			if lc.graph.Pending() == 0 {
 				lc.idle.Trigger()
 			}
 		})

@@ -26,8 +26,7 @@ type Runtime struct {
 
 	taskSeq  task.ID
 	graph    *depgraph.Graph
-	pending  int
-	idleEvt  *sim.Event
+	idleEvt  *sim.Event             // triggered while the graph has nothing pending
 	taskDone map[task.ID]*sim.Event // made when TaskWaitOn waits, not per task
 
 	// rankMemo caches upward ranks for the HEFT cost model (costmodel.go).
@@ -154,33 +153,24 @@ func (rt *Runtime) newTaskID() task.ID {
 // malformed clauses is skipped (first error recorded), the rest still
 // enter the graph.
 func (rt *Runtime) submitBatch(ts []*task.Task) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	if rt.pending == 0 {
-		rt.idleEvt = sim.NewEvent(rt.e)
-	}
-	rt.pending += len(ts)
 	prev := rt.releasePlace
 	rt.releasePlace = -1 // submit-time readiness is not a release
 	var firstErr error
-	rest := ts
-	for len(rest) > 0 {
+	for rest := ts; len(rest) > 0; {
 		accepted, err := rt.graph.SubmitBatch(rest)
-		if err == nil && accepted == len(rest) {
+		if err == nil {
 			break
 		}
-		// rest[accepted] was rejected: roll back its bookkeeping and
+		// rest[accepted] was rejected before it touched the graph:
 		// continue with the tasks after it, as sequential Submit would.
-		rt.pending--
 		if firstErr == nil {
 			firstErr = err
 		}
 		rest = rest[accepted+1:]
 	}
 	rt.releasePlace = prev
-	if rt.pending == 0 {
-		rt.idleEvt.Trigger()
+	if rt.graph.Pending() > 0 && rt.idleEvt.Triggered() {
+		rt.idleEvt = sim.NewEvent(rt.e)
 	}
 	return firstErr
 }
@@ -195,8 +185,7 @@ func (rt *Runtime) finishTask(t *task.Task, place int) {
 		ev.Trigger()
 		delete(rt.taskDone, t.ID)
 	}
-	rt.pending--
-	if rt.pending == 0 {
+	if rt.graph.Pending() == 0 {
 		rt.idleEvt.Trigger()
 	}
 }

@@ -647,9 +647,8 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	if stats.TasksRemote > 0 && net == 0 {
 		t.Fatal("remote tasks ran but no net spans recorded")
 	}
-	busy := rec.BusyTime()
-	if len(busy) == 0 {
-		t.Fatal("no busy rows")
+	if taskRuns == 0 {
+		t.Fatal("no task spans")
 	}
 	var sb strings.Builder
 	if err := rec.Gantt(&sb, 60); err != nil {
@@ -983,8 +982,9 @@ func TestMtoSRoutingWhenStoSDisabled(t *testing.T) {
 func TestOversizedWorkingSetReturnsError(t *testing.T) {
 	cfg := baseCfg(1, 1) // 64 MB test GPU
 	rt := New(cfg)
+	var small memspace.Region
 	_, err := rt.Run(func(mc *MainCtx) {
-		small := mc.Alloc(1 << 10)
+		small = mc.Alloc(1 << 10)
 		r := mc.Alloc(1 << 28) // 256 MB: cannot fit the 64 MB device
 		mc.InitSeq(small, nil)
 		mc.InitSeq(r, nil)
@@ -1002,9 +1002,10 @@ func TestOversizedWorkingSetReturnsError(t *testing.T) {
 	}
 	// The failed staging gave back the pin it had taken on the small region:
 	// the whole cache can still be reclaimed.
-	if c := rt.nodes[0].caches[0]; c.Len() != 1 {
-		t.Fatalf("%d lines resident, want the small region's", c.Len())
-	} else if _, ok := c.MakeSpace(c.Capacity()); !ok {
+	capacity := uint64(float64(rt.cfg.Cluster.Nodes[0].GPUs[0].MemBytes) * (1 - rt.cfg.GPUCacheHeadroom))
+	if c := rt.nodes[0].caches[0]; !c.Contains(small) {
+		t.Fatal("the small region's line is not resident")
+	} else if _, ok := c.MakeSpace(capacity); !ok {
 		t.Fatal("a pin outlived the staging that failed")
 	}
 }

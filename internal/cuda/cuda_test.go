@@ -77,6 +77,7 @@ func TestFreeDropsDeviceBytes(t *testing.T) {
 	e, ctx := newCtx(t)
 	host := memspace.NewStore(memspace.Host(0))
 	r := memspace.Region{Addr: 0x6000, Size: 8}
+	host.Bytes(r)[0] = 7
 	if err := ctx.Malloc(r); err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +87,14 @@ func TestFreeDropsDeviceBytes(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ctx.dev.Store().Has(r) {
-		t.Fatal("device store should hold region after copy")
+	if got := ctx.dev.Store().Bytes(r)[0]; got != 7 {
+		t.Fatalf("device byte = %d after copy, want 7", got)
 	}
 	ctx.Free(r)
-	if ctx.dev.Store().Has(r) {
-		t.Fatal("Free should drop device bytes")
+	if got := ctx.dev.Store().Bytes(r)[0]; got != 0 {
+		t.Fatalf("device byte = %d after Free, want 0: Free should drop device bytes", got)
 	}
-	if ctx.dev.MemUsed() != 0 {
-		t.Fatalf("MemUsed = %d after free", ctx.dev.MemUsed())
+	if err := ctx.Malloc(memspace.Region{Addr: 0x8000, Size: 1 << 20}); err != nil {
+		t.Fatalf("whole-device Malloc after Free: %v", err)
 	}
 }

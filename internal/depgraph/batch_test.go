@@ -64,8 +64,8 @@ func submitBoth(t *testing.T, ts []*task.Task) {
 			t.Fatalf("event %d: sequential %q, batched %q", i, seq.events[i], bat.events[i])
 		}
 	}
-	if seq.g.Fragments() != bat.g.Fragments() {
-		t.Fatalf("fragments: sequential %d, batched %d", seq.g.Fragments(), bat.g.Fragments())
+	if len(seq.g.frags.All()) != len(bat.g.frags.All()) {
+		t.Fatalf("fragments: sequential %d, batched %d", len(seq.g.frags.All()), len(bat.g.frags.All()))
 	}
 }
 
@@ -88,7 +88,7 @@ func TestBatchSplitsOnFragmentEdges(t *testing.T) {
 	if _, err := bat.g.SubmitBatch(cloneTasks(ts)); err != nil {
 		t.Fatal(err)
 	}
-	if got := bat.g.Fragments(); got != 2 {
+	if got := len(bat.g.frags.All()); got != 2 {
 		t.Fatalf("fragments after edge-aligned batch = %d, want 2", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestBatchAdjacentRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Adjacency must not merge or split: exactly the two declared regions.
-	if got := bat.g.Fragments(); got != 2 {
+	if got := len(bat.g.frags.All()); got != 2 {
 		t.Fatalf("fragments = %d, want 2", got)
 	}
 }

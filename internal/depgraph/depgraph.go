@@ -94,9 +94,6 @@ func New(onReady func(*task.Task)) *Graph {
 	}
 }
 
-// Fragments returns the current fragment count (observability and tests).
-func (g *Graph) Fragments() int { return g.frags.Len() }
-
 // Normalize validates and canonicalizes the dependence clauses of one
 // task: invalid (empty) regions are dropped, duplicate clauses on the
 // exact same region merge (input + output behaves as inout), and the two

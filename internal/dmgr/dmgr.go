@@ -33,9 +33,6 @@ import (
 // order — which also preserves the centralized fragment visit order.
 const OwnBlockBits = 18
 
-// BlockSize is the ownership granule in bytes (256 KiB).
-const BlockSize uint64 = 1 << OwnBlockBits
-
 // Span is one maximal address-ordered run of same-owner blocks within a
 // region: the unit of work routed to a single shard.
 type Span struct {
@@ -153,9 +150,6 @@ func (m *Map) SpansInto(r memspace.Region, out []Span) []Span {
 	}
 	return out
 }
-
-// Spans is SpansInto with a fresh slice.
-func (m *Map) Spans(r memspace.Region) []Span { return m.SpansInto(r, nil) }
 
 // ShardFragments tallies per shard the (fragment, span) pairs of frags: the
 // number of directory entries each shard's slice of the metadata indexes,

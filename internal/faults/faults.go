@@ -22,8 +22,8 @@ import (
 // simulation keeps running (a crash is modeled as a total network
 // partition), but nothing it computes can ever reach the cluster again.
 type Crash struct {
-	Node int
-	At   time.Duration
+	Node int           `json:"node"`
+	At   time.Duration `json:"at_ns"`
 }
 
 // Stall freezes a node's link for a window of virtual time: messages sent
@@ -31,41 +31,43 @@ type Crash struct {
 // of the window. A stall longer than the failure detector's patience is
 // indistinguishable from a crash and will get the node excluded.
 type Stall struct {
-	Node     int
-	At       time.Duration
-	Duration time.Duration
+	Node     int           `json:"node"`
+	At       time.Duration `json:"at_ns"`
+	Duration time.Duration `json:"duration_ns"`
 }
 
 // Plan is a complete deterministic fault scenario. The zero value injects
 // nothing; a Config carrying a zero Plan still arms the resilience
 // machinery (acks, retries, heartbeats), which is how its overhead is
-// measured.
+// measured. The JSON tags are the fault_plan wire form of the serving
+// layer's requests: durations are integer virtual nanoseconds, and the
+// seed is not part of it (the request's top-level seed sets it).
 type Plan struct {
 	// Seed drives the pseudo-random drop process. Two runs with the same
 	// Plan are bit-identical.
-	Seed uint64
+	Seed uint64 `json:"-"`
 
 	// DropRate is the probability in [0,1] that any given non-loopback
 	// message is lost on the wire (after paying its full send cost).
-	DropRate float64
+	DropRate float64 `json:"drop_rate,omitempty"`
 
 	// LatencyMultiplier scales wire latency for every message; 0 or 1
 	// means unchanged.
-	LatencyMultiplier float64
+	LatencyMultiplier float64 `json:"latency_multiplier,omitempty"`
 
 	// BandwidthMultiplier scales link bandwidth for every message; 0 or 1
 	// means unchanged, 0.5 doubles serialization time.
-	BandwidthMultiplier float64
+	BandwidthMultiplier float64 `json:"bandwidth_multiplier,omitempty"`
 
-	Stalls  []Stall
-	Crashes []Crash
+	Stalls  []Stall `json:"stalls,omitempty"`
+	Crashes []Crash `json:"crashes,omitempty"`
 
 	// Protocol knobs. Zero selects defaults derived from the network spec
 	// (see the *Or methods).
-	AckTimeout        time.Duration // first-attempt ack timeout; doubles per retry
-	MaxAttempts       int           // transmissions before a reliable send gives up
-	HeartbeatInterval time.Duration // master -> slave probe period
-	MissThreshold     int           // consecutive unanswered probes before a node is declared dead
+	AckTimeout        time.Duration `json:"ack_timeout_ns,omitempty"`        // first-attempt ack timeout; doubles per retry
+	MaxAttempts       int           `json:"max_attempts,omitempty"`          // transmissions before a reliable send gives up
+	HeartbeatInterval time.Duration `json:"heartbeat_interval_ns,omitempty"` // master -> slave probe period
+	MissThreshold     int           `json:"miss_threshold,omitempty"`        // consecutive unanswered probes before a node is declared dead
 }
 
 // AckTimeoutOr returns the plan's ack timeout, defaulting to a small

@@ -175,9 +175,6 @@ func (ep *Endpoint) EnableReliability(rel Reliability) {
 // cluster state.
 func (ep *Endpoint) SetInboundFilter(f func(from int) bool) { ep.inFilter = f }
 
-// Store returns this endpoint's host store.
-func (ep *Endpoint) Store() *memspace.Store { return ep.store }
-
 // RegisterNonBlocking installs h, which has no process handle and so cannot
 // block, under name: each message runs it as a bare event, in the slot a
 // handler process would have started in. Must be called before Start.

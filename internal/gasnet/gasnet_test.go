@@ -70,7 +70,7 @@ func TestAMShortRoundTrip(t *testing.T) {
 func TestAMLongDeliversBytes(t *testing.T) {
 	e, _, eps := setup(2, true)
 	r := memspace.Region{Addr: 0x1000, Size: 16}
-	src := eps[0].Store().Bytes(r)
+	src := eps[0].store.Bytes(r)
 	for i := range src {
 		src[i] = byte(i * 3)
 	}
@@ -79,7 +79,7 @@ func TestAMLongDeliversBytes(t *testing.T) {
 		if am.Region != r {
 			t.Errorf("region = %v", am.Region)
 		}
-		b := eps[1].Store().Bytes(r)
+		b := eps[1].store.Bytes(r)
 		for i := range b {
 			if b[i] != byte(i*3) {
 				t.Errorf("byte %d = %d", i, b[i])
@@ -103,12 +103,12 @@ func TestAMLongDeliversBytes(t *testing.T) {
 func TestAMLongNonBlockingHandler(t *testing.T) {
 	e, _, eps := setup(2, true)
 	r := memspace.Region{Addr: 0x2000, Size: 1_000_000}
-	eps[0].Store().Bytes(r)[0] = 99
+	eps[0].store.Bytes(r)[0] = 99
 	var handlerAt sim.Time
 	var got byte
 	eps[1].RegisterNonBlocking("data", func(am AM) {
 		handlerAt = e.Now()
-		got = eps[1].Store().Bytes(am.Region)[0]
+		got = eps[1].store.Bytes(am.Region)[0]
 		eps[1].Shutdown()
 	})
 	eps[1].Start(e)
@@ -235,11 +235,11 @@ func TestDataBeforeControlOrdering(t *testing.T) {
 	// task never starts before its staged input landed.
 	e, _, eps := setup(2, true)
 	r := memspace.Region{Addr: 0x9000, Size: 500_000}
-	eps[0].Store().Bytes(r)[0] = 77
+	eps[0].store.Bytes(r)[0] = 77
 	var order []string
 	eps[1].RegisterNonBlocking("data", func(am AM) {
 		order = append(order, "data")
-		if eps[1].Store().Bytes(r)[0] != 77 {
+		if eps[1].store.Bytes(r)[0] != 77 {
 			t.Error("payload bytes not present at data handler time")
 		}
 	})

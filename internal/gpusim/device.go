@@ -91,12 +91,6 @@ func (d *Device) Spec() hw.GPUSpec { return d.spec }
 // Store returns the device backing store (nil in cost-only mode).
 func (d *Device) Store() *memspace.Store { return d.store }
 
-// MemUsed returns the bytes currently allocated on the device.
-func (d *Device) MemUsed() uint64 { return d.memUsed }
-
-// MemFree returns the bytes still allocatable.
-func (d *Device) MemFree() uint64 { return d.spec.MemBytes - d.memUsed }
-
 // Alloc reserves size bytes of device memory, reporting whether it fits.
 func (d *Device) Alloc(size uint64) bool {
 	if d.memUsed+size > d.spec.MemBytes {

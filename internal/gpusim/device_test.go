@@ -61,12 +61,12 @@ func TestMemoryAccounting(t *testing.T) {
 	if d.Alloc(1) {
 		t.Fatal("alloc past capacity should fail")
 	}
-	if d.MemFree() != 0 {
-		t.Fatalf("MemFree = %d, want 0", d.MemFree())
+	if free := d.spec.MemBytes - d.memUsed; free != 0 {
+		t.Fatalf("free = %d, want 0", free)
 	}
 	d.Free(1 << 29)
-	if d.MemUsed() != 1<<29 {
-		t.Fatalf("MemUsed = %d", d.MemUsed())
+	if d.memUsed != 1<<29 {
+		t.Fatalf("memUsed = %d", d.memUsed)
 	}
 	defer func() {
 		if recover() == nil {

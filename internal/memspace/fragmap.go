@@ -97,9 +97,6 @@ func NewFragMap[V any](clone func(V) V, fresh func() V) *FragMap[V] {
 	return &FragMap[V]{clone: clone, fresh: fresh}
 }
 
-// Len returns the number of fragments.
-func (m *FragMap[V]) Len() int { return m.n }
-
 // firstAfter returns the first index whose key exceeds addr, len(keys) if
 // none does. keys is ascending.
 func firstAfter(keys []uint64, addr uint64) int {
@@ -137,7 +134,7 @@ func (m *FragMap[V]) exact(r Region) *Frag[V] {
 }
 
 // grow doubles the slot table and records every fragment in it: called as
-// n passes len(slots), so the table stays sized from Len().
+// n passes len(slots), so the table stays sized from n.
 func (m *FragMap[V]) grow() {
 	m.slots = make([]*Frag[V], max(1, 2*len(m.slots)))
 	m.bits = bits.TrailingZeros(uint(len(m.slots)))

@@ -75,8 +75,8 @@ func checkAgainstRef(t *testing.T, m *FragMap[int], ref *flatRef) {
 	if len(all) != len(ref.regions) {
 		t.Fatalf("fragment count: map %d, ref %d", len(all), len(ref.regions))
 	}
-	if m.Len() != len(all) {
-		t.Fatalf("Len %d != len(All) %d", m.Len(), len(all))
+	if m.n != len(all) {
+		t.Fatalf("Len %d != len(All) %d", m.n, len(all))
 	}
 	prevEnd := uint64(0)
 	for i, f := range all {
@@ -168,8 +168,8 @@ func TestFragMapShardGrowth(t *testing.T) {
 		}
 		frags[0].V = i
 	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
+	if m.n != n {
+		t.Fatalf("Len = %d, want %d", m.n, n)
 	}
 	if len(m.shards) < n/shardMax {
 		t.Fatalf("only %d shards for %d fragments", len(m.shards), n)
@@ -224,8 +224,8 @@ func TestFragMapCloneAndFresh(t *testing.T) {
 	m.SplitAt(100)
 	m.SplitAt(200)
 	m.SplitAt(5000)
-	if m.Len() != 2 || clones != 1 {
-		t.Fatalf("boundary splits mutated the map: len %d clones %d", m.Len(), clones)
+	if m.n != 2 || clones != 1 {
+		t.Fatalf("boundary splits mutated the map: len %d clones %d", m.n, clones)
 	}
 }
 
@@ -238,8 +238,8 @@ func stridedMap(tb testing.TB, n int, stride uint64) *FragMap[int] {
 		i := (k * 7919) % n // 7919 is coprime with the sizes used
 		m.Cover(Region{Addr: uint64(i) * stride, Size: 64})[0].V = i + 1
 	}
-	if m.Len() != n {
-		tb.Fatalf("strided map has %d fragments, want %d", m.Len(), n)
+	if m.n != n {
+		tb.Fatalf("strided map has %d fragments, want %d", m.n, n)
 	}
 	return m
 }
@@ -278,9 +278,9 @@ func TestFragMapCoverExactIsOneProbe(t *testing.T) {
 				t.Fatalf("stride %d: exact cover of %v returned %v/%d", stride, r, f.R, f.V)
 			}
 		})
-		if allocs != 0 || m.Len() != n || m.searches != n {
+		if allocs != 0 || m.n != n || m.searches != n {
 			t.Fatalf("stride %d: exact covers cost %.1f allocs/op and %d searches and left %d fragments, want 0, 0 and %d",
-				stride, allocs, m.searches-n, m.Len(), n)
+				stride, allocs, m.searches-n, m.n, n)
 		}
 	}
 }
@@ -345,8 +345,8 @@ func TestFragMapSlotCollision(t *testing.T) {
 	if got := m.SplitInto(short, nil); len(got) != 1 || got[0].R != short || got[0].V != 1 {
 		t.Fatalf("SplitInto(%v) = %v", short, regionsOf(got))
 	}
-	if m.Len() != 3 {
-		t.Fatalf("%d fragments, want 3", m.Len())
+	if m.n != 3 {
+		t.Fatalf("%d fragments, want 3", m.n)
 	}
 }
 

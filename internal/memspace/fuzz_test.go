@@ -138,7 +138,7 @@ func FuzzStore(f *testing.F) {
 				for a := r.Addr; a < r.End(); a++ {
 					want = want && bk[a]
 				}
-				if got := s.Has(r); got != want {
+				if got := has(s, r); got != want {
 					t.Fatalf("store %d: Has(%v) = %v, model %v", k, r, got, want)
 				}
 			}
@@ -218,7 +218,7 @@ func checkFragMapShape[V any](t *testing.T, m *FragMap[V]) {
 		}
 		n += len(sh.frags)
 	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d, counted %d", m.Len(), n)
+	if m.n != n {
+		t.Fatalf("Len = %d, counted %d", m.n, n)
 	}
 }

@@ -254,24 +254,6 @@ func (s *Store) read(buf []byte, lo uint64, i int) {
 	clear(buf[pos-lo:])
 }
 
-// Has reports whether every byte of r is backed.
-func (s *Store) Has(r Region) bool {
-	if s == nil || !r.Valid() {
-		return false
-	}
-	pos := r.Addr
-	for i := s.search(r.Addr); i < len(s.extents) && pos < r.End(); i++ {
-		e := s.extents[i]
-		if e.start > pos {
-			return false
-		}
-		if e.end() >= pos {
-			pos = e.end()
-		}
-	}
-	return pos >= r.End()
-}
-
 // Drop releases the backing of r. Extents partially covered by r are
 // trimmed, keeping their bytes outside r; a later Bytes of the dropped
 // range comes back zeroed.

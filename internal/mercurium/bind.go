@@ -19,9 +19,6 @@ type Args struct {
 // Region returns the region bound to pointer parameter name.
 func (a Args) Region(name string) memspace.Region { return a.Regions[name] }
 
-// Int returns the integer bound to scalar parameter name.
-func (a Args) Int(name string) int64 { return a.Ints[name] }
-
 // Float returns the float bound to scalar parameter name.
 func (a Args) Float(name string) float64 { return a.Floats[name] }
 
@@ -144,9 +141,6 @@ func (in *Instance) MustCall(name string, args ...interface{}) {
 		panic(err)
 	}
 }
-
-// TaskWait forwards to the runtime's taskwait.
-func (in *Instance) TaskWait() { in.ctx.TaskWait() }
 
 // TaskWaitNoflush forwards to taskwait noflush.
 func (in *Instance) TaskWaitNoflush() { in.ctx.TaskWaitNoflush() }

@@ -152,7 +152,7 @@ func TestStreamThroughMercurium(t *testing.T) {
 			inst.MustCall("add", a, b, c, n)
 			inst.MustCall("triad", a, b, c, scalar, n)
 		}
-		inst.TaskWait()
+		inst.ctx.TaskWait()
 		got = f64At(ctx.HostBytes(a), 17)
 	})
 	if err != nil {
@@ -245,7 +245,7 @@ func TestUnderDeclaredPragmaFails(t *testing.T) {
 			ctx.InitSeq(x, func(b []byte) { fillF32(b, 1) })
 			ctx.InitSeq(y, func(b []byte) { fillF32(b, 2) })
 			inst.MustCall("saxpy", x, y, float32(3), n)
-			inst.TaskWait()
+			inst.ctx.TaskWait()
 		})
 		var ce *ompss.ContractError
 		if !errors.As(err, &ce) || ce.Kind != tc.kind {
@@ -343,7 +343,7 @@ void dot(%[1]s *x, %[1]s *y, %[1]s *acc, int N);
 					want += val * 2 * n
 					inst.MustCall("dot", x, y, acc, n)
 				}
-				inst.TaskWait()
+				inst.ctx.TaskWait()
 				if tc.size == 8 {
 					got = f64At(ctx.HostBytes(acc), 0)
 				} else {
@@ -405,7 +405,7 @@ func TestMatmulThroughMercurium(t *testing.T) {
 	_, err := rt.Run(func(ctx *ompss.Context) {
 		inst, err := prog.Bind(ctx, map[string]Kernel{
 			"matmul_tile": func(a Args) task.Work {
-				return kernels.Sgemm{A: a.Region("a"), B: a.Region("b"), C: a.Region("c"), BS: int(a.Int("BS"))}
+				return kernels.Sgemm{A: a.Region("a"), B: a.Region("b"), C: a.Region("c"), BS: int(a.Ints["BS"])}
 			},
 		})
 		if err != nil {
@@ -441,7 +441,7 @@ func TestMatmulThroughMercurium(t *testing.T) {
 				}
 			}
 		}
-		inst.TaskWait()
+		inst.ctx.TaskWait()
 		for _, tile := range c {
 			for _, v := range f32view(ctx.HostBytes(tile)) {
 				got += float64(v)

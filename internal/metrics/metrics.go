@@ -171,14 +171,6 @@ func (h *Histogram) Sum() sim.Duration {
 	return sim.Duration(h.sum)
 }
 
-// Mean returns the average observation, or 0 with no observations.
-func (h *Histogram) Mean() sim.Duration {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return sim.Duration(h.sum / h.count)
-}
-
 // Kind tags what a Sample measures.
 type Kind int
 

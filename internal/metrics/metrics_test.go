@@ -75,8 +75,8 @@ func TestHistogram(t *testing.T) {
 	if h.Sum() != want {
 		t.Fatalf("sum = %v, want %v", h.Sum(), want)
 	}
-	if h.Mean() != want/4 {
-		t.Fatalf("mean = %v, want %v", h.Mean(), want/4)
+	if mean := time.Duration(h.sum / h.count); mean != want/4 {
+		t.Fatalf("mean = %v, want %v", mean, want/4)
 	}
 	if h.buckets[0] != 1 || h.buckets[1] != 1 {
 		t.Fatalf("buckets 0/1 = %d/%d, want 1/1", h.buckets[0], h.buckets[1])

@@ -99,9 +99,6 @@ type wireDelivery struct {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Rank returns rank i's handle.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
 // Spawn runs fn as rank i's program in its own simulation process.
 func (w *World) Spawn(i int, fn func(p *sim.Proc, r *Rank)) *sim.Proc {
 	r := w.ranks[i]

@@ -101,7 +101,3 @@ func (s *LookaheadSched) Drain(place int) []*task.Task {
 
 // Len counts windowed tasks plus the wrapped scheduler's queue.
 func (s *LookaheadSched) Len() int { return s.buffered + s.inner.Len() }
-
-// Buffered returns the number of ready-ahead tasks currently claimed into
-// windows (observability: the Perfetto lookahead-depth row samples it).
-func (s *LookaheadSched) Buffered() int { return s.buffered }

@@ -12,15 +12,15 @@ import (
 // a freshly built metrics.Registry on demand — same canonical ids and
 // text format, race-free updates.
 type stats struct {
-	requests       atomic.Int64 // serve_requests_total
-	cacheHits      atomic.Int64 // serve_cache_hits_total
-	cacheMisses    atomic.Int64 // serve_cache_misses_total
-	cacheEvicts    atomic.Int64 // serve_cache_evictions_total
-	coalesced      atomic.Int64 // serve_dedup_coalesced_total
-	rejectOverload atomic.Int64 // serve_reject_overload_total
-	badRequests    atomic.Int64 // serve_bad_requests_total
-	execErrors     atomic.Int64 // serve_exec_errors_total
-	execOK         atomic.Int64 // serve_exec_completed_total
+	requests       atomic.Int64 // serve_requests
+	cacheHits      atomic.Int64 // serve_cache_hit
+	cacheMisses    atomic.Int64 // serve_cache_miss
+	cacheEvicts    atomic.Int64 // serve_cache_evict
+	coalesced      atomic.Int64 // serve_dedup_coalesced
+	rejectOverload atomic.Int64 // serve_reject_overload
+	badRequests    atomic.Int64 // serve_bad_requests
+	execErrors     atomic.Int64 // serve_exec_errors
+	execOK         atomic.Int64 // serve_exec_completed
 }
 
 // registry renders one Stats snapshot into an internal/metrics registry.

@@ -28,7 +28,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/bsc-repro/ompss/internal/bench"
 	"github.com/bsc-repro/ompss/internal/faults"
@@ -64,8 +63,10 @@ type Request struct {
 	Seed uint64 `json:"seed,omitempty"`
 
 	// FaultPlan injects deterministic faults into the cluster
-	// experiments (fig9-13, heat).
-	FaultPlan *FaultPlanSpec `json:"fault_plan,omitempty"`
+	// experiments (fig9-13, heat). Its durations are virtual
+	// nanoseconds, integers, so the canonical encoding is exact; its seed
+	// is the top-level Seed.
+	FaultPlan *faults.Plan `json:"fault_plan,omitempty"`
 
 	// Scheduler overrides the scheduler of the cluster experiments
 	// ("bf", "default"/"dependencies", "affinity", "heft"). The multi-GPU
@@ -80,33 +81,6 @@ type Request struct {
 	StressWidth   int `json:"stress_width,omitempty"`
 	StressDepth   int `json:"stress_depth,omitempty"`
 	StressOverlap int `json:"stress_overlap,omitempty"`
-}
-
-// FaultPlanSpec is the JSON form of faults.Plan. Durations are virtual
-// nanoseconds — integers, so the canonical encoding is exact.
-type FaultPlanSpec struct {
-	DropRate            float64     `json:"drop_rate,omitempty"`
-	LatencyMultiplier   float64     `json:"latency_multiplier,omitempty"`
-	BandwidthMultiplier float64     `json:"bandwidth_multiplier,omitempty"`
-	Stalls              []StallSpec `json:"stalls,omitempty"`
-	Crashes             []CrashSpec `json:"crashes,omitempty"`
-	AckTimeoutNS        int64       `json:"ack_timeout_ns,omitempty"`
-	MaxAttempts         int         `json:"max_attempts,omitempty"`
-	HeartbeatIntervalNS int64       `json:"heartbeat_interval_ns,omitempty"`
-	MissThreshold       int         `json:"miss_threshold,omitempty"`
-}
-
-// StallSpec freezes one node's link for a window of virtual time.
-type StallSpec struct {
-	Node       int   `json:"node"`
-	AtNS       int64 `json:"at_ns"`
-	DurationNS int64 `json:"duration_ns"`
-}
-
-// CrashSpec removes one node permanently at a virtual time.
-type CrashSpec struct {
-	Node int   `json:"node"`
-	AtNS int64 `json:"at_ns"`
 }
 
 // clusterExperiments are the experiments built on clusterConfig, the only
@@ -174,16 +148,16 @@ func (r Request) Validate() error {
 		if p.LatencyMultiplier < 0 || p.BandwidthMultiplier < 0 {
 			return fmt.Errorf("fault_plan multipliers must be >= 0")
 		}
-		if p.AckTimeoutNS < 0 || p.HeartbeatIntervalNS < 0 || p.MaxAttempts < 0 || p.MissThreshold < 0 {
+		if p.AckTimeout < 0 || p.HeartbeatInterval < 0 || p.MaxAttempts < 0 || p.MissThreshold < 0 {
 			return fmt.Errorf("fault_plan protocol knobs must be >= 0")
 		}
 		for _, st := range p.Stalls {
-			if st.Node < 0 || st.AtNS < 0 || st.DurationNS <= 0 {
+			if st.Node < 0 || st.At < 0 || st.Duration <= 0 {
 				return fmt.Errorf("fault_plan.stalls entries need node >= 0, at_ns >= 0, duration_ns > 0")
 			}
 		}
 		for _, c := range p.Crashes {
-			if c.Node < 0 || c.AtNS < 0 {
+			if c.Node < 0 || c.At < 0 {
 				return fmt.Errorf("fault_plan.crashes entries need node >= 0, at_ns >= 0")
 			}
 		}
@@ -208,21 +182,21 @@ func (r Request) canonical() []byte {
 	// meaning.
 	kv("experiment", r.Experiment)
 	if p := r.FaultPlan; p != nil {
-		if p.AckTimeoutNS != 0 {
-			kv("fault.ack_timeout_ns", strconv.FormatInt(p.AckTimeoutNS, 10))
+		if p.AckTimeout != 0 {
+			kv("fault.ack_timeout_ns", strconv.FormatInt(int64(p.AckTimeout), 10))
 		}
 		if p.BandwidthMultiplier != 0 {
 			kv("fault.bandwidth_multiplier", canonFloat(p.BandwidthMultiplier))
 		}
 		for i, c := range p.Crashes {
 			kv("fault.crash."+strconv.Itoa(i),
-				strconv.Itoa(c.Node)+"@"+strconv.FormatInt(c.AtNS, 10))
+				strconv.Itoa(c.Node)+"@"+strconv.FormatInt(int64(c.At), 10))
 		}
 		if p.DropRate != 0 {
 			kv("fault.drop_rate", canonFloat(p.DropRate))
 		}
-		if p.HeartbeatIntervalNS != 0 {
-			kv("fault.heartbeat_interval_ns", strconv.FormatInt(p.HeartbeatIntervalNS, 10))
+		if p.HeartbeatInterval != 0 {
+			kv("fault.heartbeat_interval_ns", strconv.FormatInt(int64(p.HeartbeatInterval), 10))
 		}
 		if p.LatencyMultiplier != 0 {
 			kv("fault.latency_multiplier", canonFloat(p.LatencyMultiplier))
@@ -235,7 +209,7 @@ func (r Request) canonical() []byte {
 		}
 		for i, st := range p.Stalls {
 			kv("fault.stall."+strconv.Itoa(i),
-				strconv.Itoa(st.Node)+"@"+strconv.FormatInt(st.AtNS, 10)+"+"+strconv.FormatInt(st.DurationNS, 10))
+				strconv.Itoa(st.Node)+"@"+strconv.FormatInt(int64(st.At), 10)+"+"+strconv.FormatInt(int64(st.Duration), 10))
 		}
 		kv("fault_plan", "1") // an armed zero plan still changes the run
 	}
@@ -305,25 +279,12 @@ func (r Request) Options() bench.Options {
 		Scheduler:     sched.Policy(canonSched(r.Scheduler)),
 	}
 	if r.Seed != 0 || r.FaultPlan != nil {
-		plan := &faults.Plan{Seed: r.Seed}
-		if p := r.FaultPlan; p != nil {
-			plan.DropRate = p.DropRate
-			plan.LatencyMultiplier = p.LatencyMultiplier
-			plan.BandwidthMultiplier = p.BandwidthMultiplier
-			plan.AckTimeout = time.Duration(p.AckTimeoutNS)
-			plan.MaxAttempts = p.MaxAttempts
-			plan.HeartbeatInterval = time.Duration(p.HeartbeatIntervalNS)
-			plan.MissThreshold = p.MissThreshold
-			for _, st := range p.Stalls {
-				plan.Stalls = append(plan.Stalls, faults.Stall{
-					Node: st.Node, At: time.Duration(st.AtNS), Duration: time.Duration(st.DurationNS)})
-			}
-			for _, c := range p.Crashes {
-				plan.Crashes = append(plan.Crashes, faults.Crash{
-					Node: c.Node, At: time.Duration(c.AtNS)})
-			}
+		var plan faults.Plan
+		if r.FaultPlan != nil {
+			plan = *r.FaultPlan
 		}
-		o.Faults = plan
+		plan.Seed = r.Seed
+		o.Faults = &plan
 	}
 	return o
 }

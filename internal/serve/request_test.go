@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/bsc-repro/ompss/internal/faults"
 )
 
 // parse is a test helper for request bodies.
@@ -162,5 +167,53 @@ func TestValidateRejects(t *testing.T) {
 func TestBuildIDNonEmpty(t *testing.T) {
 	if BuildID() == "" {
 		t.Fatal("empty build id")
+	}
+}
+
+// TestFaultPlanWireSchema pins the wire form of a request that sets seed
+// and every fault_plan field: the canonical key lines (recorded before
+// fault_plan decoded straight into faults.Plan), the plan the harness
+// receives, and the bodies that stay 400s.
+func TestFaultPlanWireSchema(t *testing.T) {
+	r := parse(t, `{"experiment":"heat","seed":7,"fault_plan":{
+		"drop_rate":0.25,"latency_multiplier":1.5,"bandwidth_multiplier":0.5,
+		"stalls":[{"node":1,"at_ns":100,"duration_ns":50}],
+		"crashes":[{"node":2,"at_ns":300}],
+		"ack_timeout_ns":4000,"max_attempts":3,
+		"heartbeat_interval_ns":20000,"miss_threshold":4}}`)
+	const want = `experiment=heat
+fault.ack_timeout_ns=4000
+fault.bandwidth_multiplier=0x1p-01
+fault.crash.0=2@300
+fault.drop_rate=0x1p-02
+fault.heartbeat_interval_ns=20000
+fault.latency_multiplier=0x1.8p+00
+fault.max_attempts=3
+fault.miss_threshold=4
+fault.stall.0=1@100+50
+fault_plan=1
+seed=7
+`
+	if got := string(r.canonical()); got != want {
+		t.Errorf("canonical lines:\n%s\nwant:\n%s", got, want)
+	}
+	plan := faults.Plan{
+		Seed: 7, DropRate: 0.25, LatencyMultiplier: 1.5, BandwidthMultiplier: 0.5,
+		Stalls:      []faults.Stall{{Node: 1, At: 100, Duration: 50}},
+		Crashes:     []faults.Crash{{Node: 2, At: 300}},
+		AckTimeout:  4000 * time.Nanosecond,
+		MaxAttempts: 3, HeartbeatInterval: 20 * time.Microsecond, MissThreshold: 4,
+	}
+	if got := r.Options().Faults; got == nil || !reflect.DeepEqual(*got, plan) {
+		t.Errorf("Options().Faults = %+v, want %+v", got, plan)
+	}
+	s := startServer(t, Config{})
+	for _, body := range []string{
+		`{"experiment":"heat","fault_plan":{"seed":7}}`,
+		`{"experiment":"heat","fault_plan":{"ack_timeout_ns":1.5}}`,
+	} {
+		if rec := do(s, "POST", "/v1/experiments", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, rec.Code)
+		}
 	}
 }

@@ -138,9 +138,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// URL returns the base URL of the running server.
-func (s *Server) URL() string { return "http://" + s.Addr() }
-
 // Shutdown drains gracefully: new experiment submissions are refused,
 // queued and running jobs finish, then the HTTP server closes. Safe to
 // call once; ctx bounds the wait.

@@ -112,7 +112,7 @@ func TestColdWarmByteIdentity(t *testing.T) {
 		t.Fatalf("a body that computed nothing indexes a result")
 	}
 	for _, b := range []string{body, respelled} {
-		st, warm, hdr := post(t, s.URL(), b)
+		st, warm, hdr := post(t, "http://"+s.Addr(), b)
 		if st != http.StatusOK || hdr != "hit" || !bytes.Equal(cold, warm) {
 			t.Fatalf("warm %q: status %d, X-Ompss-Cache %q, body equal to cold: %v", b, st, hdr, bytes.Equal(cold, warm))
 		}
@@ -131,7 +131,7 @@ func TestColdWarmByteIdentity(t *testing.T) {
 // the job when one was queued, and returns GET /v1/results/{hash}.
 func resultByAsync(t *testing.T, s *Server, body string, status int) []byte {
 	t.Helper()
-	resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json", strings.NewReader(body))
+	resp, err := http.Post("http://"+s.Addr()+"/v1/experiments?async=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("async submit: %v", err)
 	}
@@ -147,7 +147,7 @@ func resultByAsync(t *testing.T, s *Server, body string, status int) []byte {
 	if sub.JobID != "" {
 		waitJobState(t, s, sub.JobID, JobDone)
 	}
-	resp, err = http.Get(s.URL() + "/v1/results/" + sub.Hash)
+	resp, err = http.Get("http://" + s.Addr() + "/v1/results/" + sub.Hash)
 	if err != nil {
 		t.Fatalf("result by hash: %v", err)
 	}
@@ -169,15 +169,15 @@ func TestEvictedEntryRecomputes(t *testing.T) {
 		return fakeResult(req.Experiment), nil
 	}})
 	a, b := `{"experiment":"heat"}`, `{"experiment":"fig9"}`
-	_, first, _ := post(t, s.URL(), a)
-	post(t, s.URL(), b)
+	_, first, _ := post(t, "http://"+s.Addr(), a)
+	post(t, "http://"+s.Addr(), b)
 	if st := s.Stats(); st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("the cache holds %d entries after %d evictions; want one entry after one eviction", st.Entries, st.Evictions)
 	}
 	if _, ok := s.tab.cached([]byte(a)); ok {
 		t.Fatalf("an evicted entry's body still indexes it")
 	}
-	st, again, hdr := post(t, s.URL(), a)
+	st, again, hdr := post(t, "http://"+s.Addr(), a)
 	if st != http.StatusOK || hdr != "miss" || execs.Load() != 3 || !bytes.Equal(first, again) {
 		t.Fatalf("repeat of an evicted body: status %d, X-Ompss-Cache %q, %d executions (want 3), same bytes: %v",
 			st, hdr, execs.Load(), bytes.Equal(first, again))
@@ -238,7 +238,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, b, _ := post(t, s.URL(), `{"experiment":"heat","quick":true}`)
+			_, b, _ := post(t, "http://"+s.Addr(), `{"experiment":"heat","quick":true}`)
 			bodiesCh <- b
 		}()
 	}
@@ -282,7 +282,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		keys := []string{`{"experiment":"heat","quick":true}`, `{"experiment":"fig9","quick":true}`, `{"experiment":"fig11","quick":true}`}
 		cold := map[string][]byte{keys[0]: first}
 		for _, k := range keys[1:] {
-			status, b, hdr := post(t, s.URL(), k)
+			status, b, hdr := post(t, "http://"+s.Addr(), k)
 			if status != http.StatusOK || hdr != "miss" {
 				t.Fatalf("seeding %s: status %d, X-Ompss-Cache %q", k, status, hdr)
 			}
@@ -296,7 +296,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 				defer burst.Done()
 				for r := 0; r < rounds; r++ {
 					k := keys[(c+r)%len(keys)]
-					resp, err := http.Post(s.URL()+"/v1/experiments", "application/json", strings.NewReader(k))
+					resp, err := http.Post("http://"+s.Addr()+"/v1/experiments", "application/json", strings.NewReader(k))
 					if err != nil {
 						t.Errorf("warm %s: %v", k, err)
 						return
@@ -330,7 +330,7 @@ func TestOverloadRejects(t *testing.T) {
 	s := startServer(t, cfg)
 
 	submitAsync := func(body string) (int, string) {
-		resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post("http://"+s.Addr()+"/v1/experiments?async=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("post: %v", err)
 		}
@@ -367,7 +367,7 @@ func waitJobState(t *testing.T, s *Server, id, state string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(s.URL() + "/v1/jobs/" + id)
+		resp, err := http.Get("http://" + s.Addr() + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatalf("get job: %v", err)
 		}
@@ -395,7 +395,7 @@ func TestAsyncSSEProgress(t *testing.T) {
 	}}
 	s := startServer(t, cfg)
 
-	resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json",
+	resp, err := http.Post("http://"+s.Addr()+"/v1/experiments?async=1", "application/json",
 		strings.NewReader(`{"experiment":"heat"}`))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -410,7 +410,7 @@ func TestAsyncSSEProgress(t *testing.T) {
 		t.Fatalf("submit: status %d, job %q", resp.StatusCode, sub.JobID)
 	}
 
-	stream, err := http.Get(s.URL() + "/v1/jobs/" + sub.JobID + "?stream=1")
+	stream, err := http.Get("http://" + s.Addr() + "/v1/jobs/" + sub.JobID + "?stream=1")
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
@@ -448,7 +448,7 @@ func TestAsyncSSEProgress(t *testing.T) {
 
 	// The finished result is addressable by hash, and the job snapshot is
 	// terminal.
-	res, err := http.Get(s.URL() + "/v1/results/" + sub.Hash)
+	res, err := http.Get("http://" + s.Addr() + "/v1/results/" + sub.Hash)
 	if err != nil || res.StatusCode != http.StatusOK {
 		t.Fatalf("result by hash: %v status %d", err, res.StatusCode)
 	}
@@ -465,10 +465,10 @@ func TestResultTraceEndpoints(t *testing.T) {
 		return r, nil
 	}}
 	s := startServer(t, cfg)
-	_, _, _ = post(t, s.URL(), `{"experiment":"heat"}`)
+	_, _, _ = post(t, "http://"+s.Addr(), `{"experiment":"heat"}`)
 	hash := parse(t, `{"experiment":"heat"}`).Hash()
 
-	resp, err := http.Get(s.URL() + "/v1/results/" + hash + "/trace")
+	resp, err := http.Get("http://" + s.Addr() + "/v1/results/" + hash + "/trace")
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
@@ -477,7 +477,7 @@ func TestResultTraceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, traceBytes) {
 		t.Fatalf("trace status %d body %s", resp.StatusCode, got)
 	}
-	if resp, _ = http.Get(s.URL() + "/v1/results/ffffffffffffffffffffffffffffffff/trace"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ = http.Get("http://" + s.Addr() + "/v1/results/ffffffffffffffffffffffffffffffff/trace"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing hash trace status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
@@ -495,11 +495,11 @@ func TestExecErrorPropagates(t *testing.T) {
 		return fakeResult("ok"), nil
 	}}
 	s := startServer(t, cfg)
-	st1, body1, _ := post(t, s.URL(), `{"experiment":"heat"}`)
+	st1, body1, _ := post(t, "http://"+s.Addr(), `{"experiment":"heat"}`)
 	if st1 != http.StatusInternalServerError || !strings.Contains(string(body1), "transient boom") {
 		t.Fatalf("first request: status %d body %s", st1, body1)
 	}
-	st2, _, hdr := post(t, s.URL(), `{"experiment":"heat"}`)
+	st2, _, hdr := post(t, "http://"+s.Addr(), `{"experiment":"heat"}`)
 	if st2 != http.StatusOK || hdr != "miss" {
 		t.Fatalf("retry: status %d cache %q", st2, hdr)
 	}
@@ -520,7 +520,7 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 	}}
 	s := startServer(t, cfg)
 	bad := Request{Experiment: "powercap"}
-	st, body, _ := post(t, s.URL(), `{"experiment":"powercap"}`)
+	st, body, _ := post(t, "http://"+s.Addr(), `{"experiment":"powercap"}`)
 	if st != http.StatusInternalServerError {
 		t.Fatalf("panicking request: status %d body %s", st, body)
 	}
@@ -531,7 +531,7 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 	if !strings.Contains(e.Error, "feasibility floor") || !strings.Contains(e.Error, bad.Hash()) {
 		t.Fatalf("500 body names neither the panic nor key %s: %s", bad.Hash(), e.Error)
 	}
-	resp, err := http.Get(s.URL() + "/healthz")
+	resp, err := http.Get("http://" + s.Addr() + "/healthz")
 	if err != nil {
 		t.Fatalf("healthz after panic: %v", err)
 	}
@@ -539,12 +539,12 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panic: status %d", resp.StatusCode)
 	}
-	if st, _, hdr := post(t, s.URL(), `{"experiment":"heat"}`); st != http.StatusOK || hdr != "miss" {
+	if st, _, hdr := post(t, "http://"+s.Addr(), `{"experiment":"heat"}`); st != http.StatusOK || hdr != "miss" {
 		t.Fatalf("good request after panic: status %d cache %q", st, hdr)
 	}
 	// The inflight entry was removed: the same request runs (and fails) again
 	// instead of waiting on a job that never finishes.
-	if st, _, _ := post(t, s.URL(), `{"experiment":"powercap"}`); st != http.StatusInternalServerError {
+	if st, _, _ := post(t, "http://"+s.Addr(), `{"experiment":"powercap"}`); st != http.StatusInternalServerError {
 		t.Fatalf("repeat of the panicking request: status %d", st)
 	}
 	if st := s.Stats(); st.ExecErrors != 2 || st.ExecCompleted != 1 {
@@ -558,7 +558,7 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 func TestBadRequestsRejected(t *testing.T) {
 	s := startServer(t, Config{})
 	for _, body := range []string{`not json`, `{"experiment":"nope"}`, `{"experiment":"fig5","seed":1}`} {
-		if st, _, _ := post(t, s.URL(), body); st != http.StatusBadRequest {
+		if st, _, _ := post(t, "http://"+s.Addr(), body); st != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, st)
 		}
 	}
@@ -585,7 +585,7 @@ func TestDrainFinishesAdmittedWork(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json",
+	resp, err := http.Post("http://"+s.Addr()+"/v1/experiments?async=1", "application/json",
 		strings.NewReader(`{"experiment":"heat"}`))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -620,7 +620,7 @@ func TestDrainFinishesAdmittedWork(t *testing.T) {
 		t.Fatalf("drained job's result not cached")
 	}
 	// New work is refused (the listener is down).
-	if _, err := http.Post(s.URL()+"/v1/experiments", "application/json",
+	if _, err := http.Post("http://"+s.Addr()+"/v1/experiments", "application/json",
 		strings.NewReader(`{"experiment":"heat"}`)); err == nil {
 		t.Fatalf("post after drain succeeded")
 	}
@@ -651,7 +651,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				exp := []string{"heat", "fig9", "fig11", "fig12"}[i%4]
-				post(t, s.URL(), `{"experiment":"`+exp+`","seed":`+fmt.Sprint(i%8)+`}`)
+				post(t, "http://"+s.Addr(), `{"experiment":"`+exp+`","seed":`+fmt.Sprint(i%8)+`}`)
 			}(i)
 		}
 		wg.Wait()
@@ -680,16 +680,16 @@ func TestNoGoroutineLeak(t *testing.T) {
 // TestHealthzAndMetricsEndpoints sanity-checks the operational surface.
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	s := startServer(t, Config{})
-	resp, err := http.Get(s.URL() + "/healthz")
+	resp, err := http.Get("http://" + s.Addr() + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %v status %d", err, resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	_, _, _ = post(t, s.URL(), `{"experiment":"table1","quick":true}`)
-	_, _, _ = post(t, s.URL(), `{"experiment":"table1","quick":true}`)
+	_, _, _ = post(t, "http://"+s.Addr(), `{"experiment":"table1","quick":true}`)
+	_, _, _ = post(t, "http://"+s.Addr(), `{"experiment":"table1","quick":true}`)
 
-	resp, err = http.Get(s.URL() + "/metricsz")
+	resp, err = http.Get("http://" + s.Addr() + "/metricsz")
 	if err != nil {
 		t.Fatalf("metricsz: %v", err)
 	}
@@ -702,7 +702,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	}
 
 	var st CacheStats
-	resp, err = http.Get(s.URL() + "/v1/cache/stats")
+	resp, err = http.Get("http://" + s.Addr() + "/v1/cache/stats")
 	if err != nil {
 		t.Fatalf("cache/stats: %v", err)
 	}
@@ -773,7 +773,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 		onPoint(bench.PointDone{Config: "p", Index: 1, Total: 1})
 		return fakeResult("jt"), nil
 	}})
-	resp, err := http.Post(s.URL()+"/v1/experiments?async=1", "application/json",
+	resp, err := http.Post("http://"+s.Addr()+"/v1/experiments?async=1", "application/json",
 		strings.NewReader(`{"experiment":"heat"}`))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -785,7 +785,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	resp.Body.Close()
 	waitJobState(t, s, sub.JobID, JobDone)
 
-	tr, err := http.Get(s.URL() + "/v1/jobs/" + sub.JobID + "/trace")
+	tr, err := http.Get("http://" + s.Addr() + "/v1/jobs/" + sub.JobID + "/trace")
 	if err != nil {
 		t.Fatalf("job trace: %v", err)
 	}

@@ -141,34 +141,38 @@ func TestOneThreadOfControlByStructure(t *testing.T) {
 	}
 }
 
-// simExportsOnlyTestsCall are the exported names of internal/sim that no
-// non-test code outside it uses, each with what it is kept for. Every other
-// exported name needs a user outside sim: a form that only sim's own tests
-// call is a second way to do one thing, and goes.
-var simExportsOnlyTestsCall = map[string]string{
-	"Engine.Spawned": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin spawns per task",
-	"Engine.Resumed": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin resumes per task",
-	"Engine.Popped":  "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin events per task",
-	"Queue.Len":      "the tests of netsim read an inbox's depth through it",
+// exportsKept are the exported names under internal/ ("pkg.Name" or
+// "pkg.Type.Method") that the rule of TestInternalExportsHaveUsers does not
+// see used, each with what it is kept for.
+var exportsKept = map[string]string{
+	"sim.Engine.Spawned": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin spawns per task",
+	"sim.Engine.Resumed": "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin resumes per task",
+	"sim.Engine.Popped":  "a host-work counter: TestProcessesPerTask and BenchmarkRemoteTask pin events per task",
+	"sim.Queue.Len":      "the tests of netsim read an inbox's depth through it",
 
-	"DeadlockError":         "one of Run's two error types, which a caller tells apart with errors.As",
-	"ProcPanicError":        "one of Run's two error types, which a caller tells apart with errors.As",
-	"DeadlockError.Error":   "the error interface",
-	"ProcPanicError.Error":  "the error interface",
-	"ProcPanicError.Unwrap": "errors.As reaches a typed panic through Run's error",
-	"Signal.String":         "names a signal wait in deadlock reports, through fmt",
-	"Resource.String":       "names a resource wait in deadlock reports, through fmt",
+	"sim.DeadlockError":         "one of Run's two error types, which a caller tells apart with errors.As",
+	"sim.ProcPanicError":        "one of Run's two error types, which a caller tells apart with errors.As",
+	"sim.ProcPanicError.Unwrap": "errors.As reaches a typed panic through Run's error",
+
+	"apps.MatmulCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
+	"apps.NBodyCUDA":  "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
+	"apps.PerlinCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
+	"apps.StreamCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
 }
 
-// No exported name of internal/sim is there for its own tests alone: each
-// package-level name and each method of an exported type has a user in
-// non-test code outside the package (a call, a method value, a type named
-// there or a method of it used), or an entry in simExportsOnlyTestsCall.
-// Struct fields are data a caller reads off a value it was handed, not
-// forms, and are not held to it. The uses are found by type-checking the
-// module's packages, so a method is told apart from another type's method
-// of the same name.
-func TestSimExportsHaveUsersOutsideSim(t *testing.T) {
+// No exported name under internal/ is there for tests alone: each
+// package-level name and each exported method of a named type has a user
+// in the module's non-test code (a call, a method value, a type named there
+// or a method of it used), or an entry in exportsKept; a form that only
+// tests call is a second way to do one thing, and goes. sim is held to more:
+// its users must be outside sim. A method that implements a method of an
+// interface the module declares or names (task.Work, sched.Scheduler,
+// netsim.Hook, ...), or of error or fmt.Stringer, is used through that
+// interface. Struct fields are data a caller reads off a value it was
+// handed, not forms, and are not held to it. The uses are found by
+// type-checking the module's packages, so a method is told apart from
+// another type's method of the same name.
+func TestInternalExportsHaveUsers(t *testing.T) {
 	tree, err := parseModule()
 	if err != nil {
 		t.Fatal(err)
@@ -177,66 +181,156 @@ func TestSimExportsHaveUsersOutsideSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const simPath = modPath + "/internal/sim"
-	simPkg, err := imp.Import(simPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every exported name: package-level objects, and the exported methods
-	// of exported types, as "Type.Name".
-	exported := map[string]bool{}
-	for _, name := range simPkg.Scope().Names() {
-		obj := simPkg.Scope().Lookup(name)
-		if !obj.Exported() {
-			continue
+	// The export data of each internal package, by import path; methods
+	// are looked up here, so every type compared is the imported one.
+	pkgs := map[string]*types.Package{}
+	for dir := range tree {
+		if strings.HasPrefix(dir, "internal/") {
+			if pkgs[modPath+"/"+dir], err = imp.Import(modPath + "/" + dir); err != nil {
+				t.Fatal(err)
+			}
 		}
-		exported[name] = true
-		if named, ok := obj.Type().(*types.Named); ok {
-			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					exported[name+"."+m.Name()] = true
+	}
+	key := func(pkg *types.Package, name string) string { return filepath.Base(pkg.Path()) + "." + name }
+	type method struct {
+		recv *types.Named
+		name string
+	}
+	exported := map[string]method{}
+	for _, pkg := range pkgs {
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				exported[key(pkg, name)] = method{}
+			}
+			if _, ok := obj.(*types.TypeName); !ok {
+				continue
+			}
+			if named, ok := obj.Type().(*types.Named); ok && !types.IsInterface(named) {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						exported[key(pkg, name+"."+m.Name())] = method{named, m.Name()}
+					}
 				}
 			}
 		}
 	}
-	used := map[string]bool{}
-	for dir, files := range tree {
-		if dir == "internal/sim" {
-			continue
+	// fmt.Stringer is implemented far more often than it is named.
+	fmtPkg, err := imp.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifaces := map[*types.TypeName]bool{
+		types.Universe.Lookup("error").(*types.TypeName):    true,
+		fmtPkg.Scope().Lookup("Stringer").(*types.TypeName): true,
+	}
+	// addIface records a named interface type, as the importer has it.
+	addIface := func(obj types.Object) {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || obj.Pkg() == nil || !types.IsInterface(tn.Type()) || obj.Parent() != obj.Pkg().Scope() {
+			return
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if pkg, err := imp.Import(obj.Pkg().Path()); err == nil { // a main package has no export data
+			if tn, ok := pkg.Scope().Lookup(obj.Name()).(*types.TypeName); ok {
+				ifaces[tn] = true
+			}
+		}
+	}
+	used := map[string]bool{}
+	use := func(dir string, pkg *types.Package, name string) {
+		if pkg != nil && pkgs[pkg.Path()] != nil && (dir != "internal/sim" || pkg.Path() != modPath+"/internal/sim") {
+			used[key(pkg, name)] = true
+		}
+	}
+	for dir, files := range tree {
+		path := modPath
+		if dir != "." {
+			path += "/" + dir
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{}}
 		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(modPath+"/"+dir, srcFset, files, info); err != nil {
+		if _, err := conf.Check(path, srcFset, files, info); err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
+		for _, obj := range info.Defs {
+			if obj != nil {
+				addIface(obj)
+			}
+		}
 		for _, obj := range info.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Path() == simPath && obj.Parent() == obj.Pkg().Scope() {
-				used[obj.Name()] = true
+			addIface(obj)
+			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				use(dir, obj.Pkg(), obj.Name())
 			}
 		}
 		for _, sel := range info.Selections {
-			recv := sel.Recv()
-			if ptr, ok := recv.(*types.Pointer); ok {
-				recv = ptr.Elem()
+			// The type selected on is used; so is a method, as a method
+			// of the type that declares it (a promoted method's embedded
+			// type).
+			if obj := namedObj(sel.Recv()); obj != nil {
+				use(dir, obj.Pkg(), obj.Name())
 			}
-			if named, ok := recv.(*types.Named); ok && sel.Obj().Pkg() != nil && sel.Obj().Pkg().Path() == simPath {
-				typ := named.Origin().Obj().Name()
-				used[typ], used[typ+"."+sel.Obj().Name()] = true, true
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				if obj := namedObj(fn.Type().(*types.Signature).Recv().Type()); obj != nil {
+					use(dir, obj.Pkg(), obj.Name())
+					use(dir, obj.Pkg(), obj.Name()+"."+fn.Name())
+				}
 			}
 		}
 	}
-	for name := range simExportsOnlyTestsCall {
-		if !exported[name] {
-			t.Errorf("simExportsOnlyTestsCall lists %s, which sim does not export", name)
-		} else if used[name] {
-			t.Errorf("simExportsOnlyTestsCall lists %s, which has a user outside sim: drop the entry", name)
+	// implements reports whether m implements a method of a recorded
+	// interface.
+	implements := func(m method) bool {
+		for tn := range ifaces {
+			iface := tn.Type().Underlying().(*types.Interface)
+			if !iface.IsMethodSet() {
+				continue
+			}
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, nil, m.name); obj == nil {
+				continue
+			}
+			if types.Implements(m.recv, iface) || types.Implements(types.NewPointer(m.recv), iface) {
+				return true
+			}
+		}
+		return false
+	}
+	bad := map[string]string{}
+	for name, why := range exportsKept {
+		m, ok := exported[name]
+		switch {
+		case !ok:
+			bad[name] = "listed in exportsKept, but not an exported name under internal/: drop the entry"
+		case used[name] || m.recv != nil && implements(m):
+			bad[name] = "listed in exportsKept (" + why + "), but it has a user: drop the entry"
 		}
 	}
-	for _, name := range slices.Sorted(maps.Keys(exported)) {
-		if _, kept := simExportsOnlyTestsCall[name]; !used[name] && !kept {
-			t.Errorf("sim exports %s, and nothing outside sim but tests uses it: unexport or delete it", name)
+	for name, m := range exported {
+		if _, kept := exportsKept[name]; kept || used[name] || m.recv != nil && implements(m) {
+			continue
+		}
+		if strings.HasPrefix(name, "sim.") {
+			bad[name] = "exported, and nothing outside sim but tests uses it: unexport or delete it"
+		} else {
+			bad[name] = "exported, and nothing in the module but tests uses it: unexport or delete it"
 		}
 	}
+	for _, name := range slices.Sorted(maps.Keys(bad)) {
+		t.Errorf("%s: %s", name, bad[name])
+	}
+}
+
+// namedObj is the declaration of the named type t or *t is, nil for any
+// other type.
+func namedObj(t types.Type) *types.TypeName {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
 }
 
 func positions(at []token.Pos) string {

@@ -289,20 +289,6 @@ func (r *Recorder) resources() []resource {
 	return out
 }
 
-// BusyTime returns, per resource name, the total TaskRun time.
-func (r *Recorder) BusyTime() map[string]sim.Time {
-	out := map[string]sim.Time{}
-	if r == nil {
-		return out
-	}
-	for _, s := range r.spans {
-		if s.Kind == TaskRun {
-			out[resource{s.Node, s.Dev}.String()] += s.Dur()
-		}
-	}
-	return out
-}
-
 // Gantt renders an ASCII utilization chart: one row per resource, width
 // columns spanning [0, end]; '#' marks task execution, '-' transfers or
 // staging, '.' idle.

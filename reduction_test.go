@@ -329,3 +329,71 @@ func TestTaskWaitOnWaitsForReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectedTaskLeavesNothingPending: a task whose clauses the
+// dependence graph rejects (here a region under both reduction and inout)
+// is reported by Run and never counted as pending, in the main program's
+// scope and in a nested spawner's. Counted, it would leave TaskWait or the
+// spawner's Wait blocked forever and Run would end in a DeadlockError.
+func TestRejectedTaskLeavesNothingPending(t *testing.T) {
+	const mixes = "mixes reduction with other accesses in one task"
+	check := func(t *testing.T, err error, name string, regs []Region, host func(Region) float32) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), mixes) || !strings.Contains(err.Error(), "("+name+",") {
+			t.Fatalf("Run error = %v, want the depgraph error naming %s", err, name)
+		}
+		for i, r := range regs {
+			if got := host(r); got != float32(i+1) {
+				t.Errorf("region %d holds %v, want %d", i, got, i+1)
+			}
+		}
+	}
+	t.Run("main batch", func(t *testing.T) {
+		var regs []Region
+		vals := map[Region]float32{}
+		waited := false
+		_, err := New(Config{Cluster: MultiGPUSystem(2), Validate: true}).Run(func(ctx *Context) {
+			acc := ctx.Alloc(16)
+			regs = []Region{ctx.Alloc(1024), ctx.Alloc(1024)}
+			ctx.TaskBatch([]TaskSpec{
+				{Work: fillVal{r: regs[0], v: 1}, Clauses: []Clause{Target(CUDA), Out(regs[0])}},
+				{Clauses: []Clause{Name("mixed"), Reduction(acc, SumFloat32), InOut(acc)}},
+				{Work: fillVal{r: regs[1], v: 2}, Clauses: []Clause{Target(CUDA), Out(regs[1])}},
+			})
+			ctx.TaskWait()
+			waited = true
+			for _, r := range regs {
+				vals[r] = unsafeF32(ctx.HostBytes(r))[0]
+			}
+		})
+		if !waited {
+			t.Fatalf("TaskWait did not return: %v", err)
+		}
+		check(t, err, "mixed", regs, func(r Region) float32 { return vals[r] })
+	})
+	t.Run("nested only task", func(t *testing.T) {
+		var regs []Region
+		vals := map[Region]float32{}
+		waited, spawnerWaited := false, false
+		_, err := New(Config{Cluster: MultiGPUSystem(2), Validate: true}).Run(func(ctx *Context) {
+			acc := ctx.Alloc(16)
+			regs = []Region{ctx.Alloc(1024), ctx.Alloc(1024)}
+			ctx.Task(fillVal{r: regs[0], v: 1}, Target(CUDA), Out(regs[0]),
+				Nested(func(nc *NestedCtx) {
+					nc.Task(nil, Name("nested-mixed"), Reduction(acc, SumFloat32), InOut(acc))
+					nc.Wait()
+					spawnerWaited = true
+				}))
+			ctx.Task(fillVal{r: regs[1], v: 2}, Target(CUDA), Out(regs[1]))
+			ctx.TaskWait()
+			waited = true
+			for _, r := range regs {
+				vals[r] = unsafeF32(ctx.HostBytes(r))[0]
+			}
+		})
+		if !spawnerWaited || !waited {
+			t.Fatalf("spawner Wait returned %v, TaskWait returned %v: %v", spawnerWaited, waited, err)
+		}
+		check(t, err, "nested-mixed", regs, func(r Region) float32 { return vals[r] })
+	})
+}
