@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -19,10 +20,25 @@ import (
 
 func TestBinaries(t *testing.T) {
 	dir := t.TempDir()
-	for _, pkg := range []string{"./ompss-bench", "./ompss-serve", "../examples/quickstart", "../examples/reduction"} {
+	pkgs := []string{"./ompss-bench", "./ompss-serve", "../examples/quickstart", "../examples/reduction"}
+	for _, pkg := range pkgs {
 		name := filepath.Base(pkg)
 		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), pkg).CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", name, err, out)
+		}
+	}
+	// go test caches a pass keyed on what the test itself opens, and the
+	// builds above run out of its sight. Listing every module directory
+	// the binaries are built from puts their entries' stats in the key, so
+	// an edit to any of those sources reruns this test.
+	list := exec.Command("go", append([]string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}, pkgs...)...)
+	srcDirs, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, d := range strings.Fields(string(srcDirs)) {
+		if _, err := os.ReadDir(d); err != nil {
+			t.Fatal(err)
 		}
 	}
 	rows := []struct {

@@ -407,7 +407,6 @@ type Line struct {
 // eviction walks only as far as its victims.
 type Cache struct {
 	loc            memspace.Location
-	policy         Policy
 	capacity       uint64
 	used           uint64
 	lines          []*Line
@@ -421,8 +420,8 @@ type Cache struct {
 }
 
 // NewCache returns a cache for device loc with the given byte capacity.
-func NewCache(loc memspace.Location, policy Policy, capacity uint64) *Cache {
-	return &Cache{loc: loc, policy: policy, capacity: capacity}
+func NewCache(loc memspace.Location, capacity uint64) *Cache {
+	return &Cache{loc: loc, capacity: capacity}
 }
 
 // Location returns the device this cache fronts.

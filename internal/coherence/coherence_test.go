@@ -167,7 +167,7 @@ func TestDirectoryProducedInvalidatesByOverlap(t *testing.T) {
 }
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 300)
+	c := NewCache(gpu0, 300)
 	a, b, x := reg(0xa, 100), reg(0xb, 100), reg(0xc, 100)
 	c.Insert(a, false)
 	c.Insert(b, false)
@@ -189,7 +189,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 }
 
 func TestCacheMakeSpaceCases(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 100)
+	c := NewCache(gpu0, 100)
 	// Fits without eviction.
 	if v, ok := c.MakeSpace(100); !ok || v != nil {
 		t.Fatalf("empty cache MakeSpace = %v %v", v, ok)
@@ -206,7 +206,7 @@ func TestCacheMakeSpaceCases(t *testing.T) {
 }
 
 func TestCachePinnedLinesNotEvicted(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 200)
+	c := NewCache(gpu0, 200)
 	a, b := reg(0xa, 100), reg(0xb, 100)
 	c.Insert(a, false)
 	c.Insert(b, false)
@@ -227,7 +227,7 @@ func TestCachePinnedLinesNotEvicted(t *testing.T) {
 }
 
 func TestCacheRemoveAccounting(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 200)
+	c := NewCache(gpu0, 200)
 	a := reg(0xa, 150)
 	c.Insert(a, true)
 	if c.used != 150 {
@@ -240,7 +240,7 @@ func TestCacheRemoveAccounting(t *testing.T) {
 }
 
 func TestCacheRemovePinnedPanics(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 200)
+	c := NewCache(gpu0, 200)
 	a := reg(0xa, 10)
 	c.Insert(a, false)
 	c.Pin(a)
@@ -253,7 +253,7 @@ func TestCacheRemovePinnedPanics(t *testing.T) {
 }
 
 func TestCacheInsertOverflowPanics(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 100)
+	c := NewCache(gpu0, 100)
 	c.Insert(reg(0xa, 90), false)
 	defer func() {
 		if recover() == nil {
@@ -275,7 +275,7 @@ func dirtyLines(c *Cache) []*Line {
 }
 
 func TestCacheDirtyTracking(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 300)
+	c := NewCache(gpu0, 300)
 	a, b, x := reg(0xa, 10), reg(0xb, 10), reg(0xc, 10)
 	c.Insert(a, false)
 	c.Insert(b, true)
@@ -293,7 +293,7 @@ func TestCacheDirtyTracking(t *testing.T) {
 }
 
 func TestCacheLinesSorted(t *testing.T) {
-	c := NewCache(gpu0, WriteBack, 300)
+	c := NewCache(gpu0, 300)
 	c.Insert(reg(0x30, 10), false)
 	c.Insert(reg(0x10, 10), false)
 	c.Insert(reg(0x20, 10), false)
@@ -336,7 +336,7 @@ func wantVictims(c *Cache, size uint64) ([]*Line, bool) {
 // picks exactly wantVictims.
 func TestQuickCacheInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := NewCache(gpu0, WriteBack, 1000)
+		c := NewCache(gpu0, 1000)
 		for _, op := range ops {
 			slot, act := uint64(op%16), op/16
 			addr := slot*0x100 + 0x1000
@@ -400,7 +400,7 @@ func TestQuickCacheInvariant(t *testing.T) {
 // (OverlappingLines, Remove of the contained line) and stages it back.
 func BenchmarkCacheProducedSweep(b *testing.B) {
 	const tiles, size = 432, 1 << 20
-	c := NewCache(gpu0, WriteBack, tiles*size)
+	c := NewCache(gpu0, tiles*size)
 	for i := uint64(0); i < tiles; i++ {
 		c.Insert(reg(i*size, size), false)
 	}

@@ -140,9 +140,10 @@ func (mv *mover) finish() {
 // directory what dst is missing — after the master's query is charged to
 // r's manager shards, or an image's reduction partials are folded — and
 // moves each fragment from a source chosen when its turn comes. An attempt
-// a fault disturbed (a source died, a joined transfer failed) waits out any
-// rebuild of r and starts over. A plan moves one fragment at a time, so it
-// is also the record of its transfer in flight (xfer).
+// a fault disturbed (a source died, a joined transfer failed), or that
+// joined a local one, waits out any rebuild of r and starts over. A plan
+// moves one fragment at a time, so it is also the record of its transfer
+// in flight (xfer).
 type plan struct {
 	rt                  *Runtime
 	n                   *nodeRT
@@ -152,7 +153,7 @@ type plan struct {
 	leading, fragmented bool
 	then                func(bool)
 	missing             []memspace.Region
-	asm                 trace.Open
+	d2h                 trace.Open
 	missBuf             [4]memspace.Region
 	holdBuf             [4]memspace.Location
 
@@ -195,9 +196,10 @@ func (pl *plan) attempt(bool) {
 	n := pl.n
 	switch ev := n.joinInflight(pl.r, memspace.Host(pl.dst)); {
 	case ev != nil:
-		// Without fault tolerance the joined transfer always succeeded;
-		// with it, it may have failed — re-evaluate.
-		ev.WaitFunc(func() { pl.once(true, pl.rt.ft == nil) })
+		// A joined transfer may have failed (fault tolerance), or been an
+		// eviction landing only what its GPU still holds (a local plan):
+		// re-evaluate. The master's, unarmed, always succeeded.
+		ev.WaitFunc(func() { pl.once(true, pl.stage && pl.rt.ft == nil) })
 	case pl.stage:
 		pl.rt.mgrChargeQuery(pl)
 	case pl.combine && n.folding != nil:
@@ -236,11 +238,14 @@ func (pl *plan) next() {
 		holders := n.dir.Holders(frag, pl.holdBuf[:0])
 		for _, h := range holders {
 			if !pl.stage && h.Node == n.id && !h.IsHost() {
-				// A local GPU (cheap D2H) before a remote node.
+				// A local GPU (cheap D2H) before a remote node: the one
+				// way bytes leave a GPU (reduction partials aside).
+				name := "writeback"
 				if pl.fragmented {
-					pl.asm = rt.cfg.Trace.Begin(trace.XferD2H, "assemble", n.id, h.Dev, rt.e.Now())
+					name = "assemble"
 				}
-				n.devs[h.Dev].CopyAsync(gpusim.D2H, frag, n.hostStore, false).WaitFunc(func() { pl.copied(h.Dev) })
+				pl.d2h = rt.cfg.Trace.Begin(trace.XferD2H, name, n.id, h.Dev, rt.e.Now())
+				n.devs[h.Dev].CopyAsync(gpusim.D2H, frag, nil, false).WaitFunc(func() { pl.copied(h.Dev) })
 				return
 			}
 		}
@@ -264,13 +269,17 @@ func (pl *plan) next() {
 	pl.once(true, true)
 }
 
+// copied lands a local D2H, timed without a host store: only the pieces the
+// GPU still holds are current, so only those are copied and registered — a
+// newer version produced meanwhile, or a dropped line, leaves the host be.
 func (pl *plan) copied(dev int) {
 	n, frag := pl.n, pl.missing[pl.i]
-	if pl.fragmented {
-		pl.asm.EndRegion(pl.rt.e.Now(), frag.Addr, frag.Size)
+	pl.d2h.EndRegion(pl.rt.e.Now(), frag.Addr, frag.Size)
+	for _, pc := range n.dir.Held(frag, memspace.GPU(n.id, dev)) {
+		memspace.CopyRegion(n.hostStore, n.devs[dev].Store(), pc)
+		n.dir.AddHolder(pc, memspace.Host(n.id))
 	}
 	n.caches[dev].Clean(frag)
-	n.dir.AddHolder(frag, memspace.Host(n.id))
 	pl.rt.met.writebacks.Inc()
 	pl.i++
 	pl.next()

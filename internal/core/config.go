@@ -226,7 +226,7 @@ type Stats struct {
 	CacheHits   int
 	CacheMisses int
 	Evictions   int
-	Writebacks  int // dirty lines written back (eviction, wt, flush)
+	Writebacks  int // GPU-to-host copies: local D2Hs (eviction, wt, host pulls) and reduction folds
 
 	// Power model, metered on every run.
 	PowerPeakWatts float64 // high-water modeled cluster draw

@@ -55,11 +55,83 @@ func (w mixWork) Run(store *memspace.Store) {
 	}
 }
 
+// deps lists w's clauses: In on every read region, then InOut (accum) or
+// Out on the written one.
+func (w mixWork) deps() []task.Dep {
+	deps := make([]task.Dep, 0, len(w.reads)+1)
+	for _, r := range w.reads {
+		deps = append(deps, inDep(r))
+	}
+	if w.accum {
+		return append(deps, inoutDep(w.w))
+	}
+	return append(deps, outDep(w.w))
+}
+
+// at returns w with its regions, given relative to an arena, moved to the
+// arena at base.
+func (w mixWork) at(base uint64) mixWork {
+	at := func(r memspace.Region) memspace.Region { return memspace.Region{Addr: base + r.Addr, Size: r.Size} }
+	out := w
+	out.reads = make([]memspace.Region, len(w.reads))
+	for i, r := range w.reads {
+		out.reads[i] = at(r)
+	}
+	out.w = at(w.w)
+	return out
+}
+
+// mixTask is one task of a program checked by matchSerial.
+type mixTask struct {
+	w   mixWork // regions relative to the arena
+	dev task.Device
+}
+
+// matchSerial runs prog through the full runtime under cfg over an arena of
+// arenaN bytes, then the same bodies serially in submit order on one host
+// store, and fails t at the first arena byte that differs.
+func matchSerial(t *testing.T, cfg Config, arenaN uint64, prog []mixTask) {
+	t.Helper()
+	fill := func(b []byte) {
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+	}
+	var arena memspace.Region
+	var got []byte
+	_, err := New(cfg).Run(func(mc *MainCtx) {
+		arena = mc.Alloc(arenaN)
+		mc.InitSeq(arena, fill)
+		for i, mt := range prog {
+			w := mt.w.at(arena.Addr)
+			mc.Submit(TaskDef{Name: fmt.Sprintf("mix%d", i), Device: mt.dev, Deps: w.deps(), Work: w})
+		}
+		mc.TaskWait()
+		got = append([]byte(nil), mc.HostBytes(arena)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := memspace.NewStore(memspace.Host(0))
+	fill(serial.Bytes(arena))
+	for _, mt := range prog {
+		mt.w.at(arena.Addr).Run(serial)
+	}
+	want := serial.Bytes(arena)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("arena byte %d differs: runtime %d, serial %d", i, got[i], want[i])
+		}
+	}
+}
+
 // TestRandomOverlapGraphMatchesSerial is the fragment model's property
 // test: random task graphs whose dependence regions overlap at arbitrary
 // byte ranges must produce, through the full runtime (caches, directory,
 // cluster transfers), exactly the bytes the same tasks produce when run
-// serially in submit order. Seeded and deterministic.
+// serially in submit order. Seeded and deterministic. In the seed-5 case
+// 1 KiB devices evict dirty lines throughout, with overlapping transfers
+// queued.
 func TestRandomOverlapGraphMatchesSerial(t *testing.T) {
 	const (
 		arenaN = 4096
@@ -68,103 +140,32 @@ func TestRandomOverlapGraphMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		nodes, gpus int
 		seed        int64
-	}{{1, 2, 1}, {2, 1, 2}, {2, 2, 3}, {4, 1, 4}} {
-		tc := tc
+		devMem      uint64
+	}{{1, 2, 1, 1 << 26}, {2, 1, 2, 1 << 26}, {2, 2, 3, 1 << 26}, {4, 1, 4, 1 << 26}, {1, 2, 5, 1 << 10}} {
 		t.Run(fmt.Sprintf("%dnode%dgpu_seed%d", tc.nodes, tc.gpus, tc.seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
-			type spec struct {
-				readOffs  []int
-				readSizes []int
-				writeOff  int
-				writeSize int
-				salt      byte
-				accum     bool
-			}
-			randRange := func() (int, int) {
+			randRange := func() memspace.Region {
 				size := 16 + rng.Intn(241)
-				return rng.Intn(arenaN - size), size
+				return memspace.Region{Addr: uint64(rng.Intn(arenaN - size)), Size: uint64(size)}
 			}
-			specs := make([]spec, nTasks)
-			for i := range specs {
-				s := &specs[i]
+			prog := make([]mixTask, nTasks)
+			for i := range prog {
+				w := &prog[i].w
 				for r := 0; r < 1+rng.Intn(2); r++ {
-					off, size := randRange()
-					s.readOffs = append(s.readOffs, off)
-					s.readSizes = append(s.readSizes, size)
+					w.reads = append(w.reads, randRange())
 				}
-				s.writeOff, s.writeSize = randRange()
-				s.salt = byte(i*13 + 7)
-				s.accum = rng.Intn(2) == 0
-			}
-
-			build := func(arena memspace.Region, i int) mixWork {
-				s := specs[i]
-				w := mixWork{
-					w:     memspace.Region{Addr: arena.Addr + uint64(s.writeOff), Size: uint64(s.writeSize)},
-					salt:  s.salt,
-					accum: s.accum,
-					cost:  time.Duration(i%5+1) * 100 * time.Microsecond,
-				}
-				for r := range s.readOffs {
-					w.reads = append(w.reads,
-						memspace.Region{Addr: arena.Addr + uint64(s.readOffs[r]), Size: uint64(s.readSizes[r])})
-				}
-				return w
-			}
-
-			// Full runtime.
-			rt := New(baseCfg(tc.nodes, tc.gpus))
-			var arena memspace.Region
-			var got []byte
-			_, err := rt.Run(func(mc *MainCtx) {
-				arena = mc.Alloc(arenaN)
-				mc.InitSeq(arena, func(b []byte) {
-					for i := range b {
-						b[i] = byte(i * 7)
-					}
-				})
-				for i := 0; i < nTasks; i++ {
-					w := build(arena, i)
-					deps := make([]task.Dep, 0, len(w.reads)+1)
-					for _, r := range w.reads {
-						deps = append(deps, inDep(r))
-					}
-					if w.accum {
-						deps = append(deps, inoutDep(w.w))
-					} else {
-						deps = append(deps, outDep(w.w))
-					}
-					dev := task.CUDA
-					if i%7 == 0 {
-						dev = task.SMP
-					}
-					mc.Submit(TaskDef{Name: fmt.Sprintf("mix%d", i), Device: dev,
-						Deps: deps, Work: w})
-				}
-				mc.TaskWait()
-				got = append([]byte(nil), mc.HostBytes(arena)...)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Serial reference: same tasks, submit order, one host store.
-			serial := memspace.NewStore(memspace.Host(0))
-			b := serial.Bytes(arena)
-			for i := range b {
-				b[i] = byte(i * 7)
-			}
-			for i := 0; i < nTasks; i++ {
-				build(arena, i).Run(serial)
-			}
-			want := serial.Bytes(arena)
-			if !bytes.Equal(got, want) {
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("arena byte %d differs: runtime %d, serial %d", i, got[i], want[i])
-					}
+				w.w = randRange()
+				w.salt = byte(i*13 + 7)
+				w.accum = rng.Intn(2) == 0
+				w.cost = time.Duration(i%5+1) * 100 * time.Microsecond
+				prog[i].dev = task.CUDA
+				if i%7 == 0 {
+					prog[i].dev = task.SMP
 				}
 			}
+			cfg := baseCfg(tc.nodes, tc.gpus)
+			cfg.Cluster = testCluster(tc.nodes, tc.gpus, tc.devMem)
+			matchSerial(t, cfg, arenaN, prog)
 		})
 	}
 }

@@ -157,7 +157,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	for g, gs := range spec.GPUs {
 		n.devs = append(n.devs, gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate))
 		capacity := uint64(float64(gs.MemBytes) * (1 - rt.cfg.GPUCacheHeadroom))
-		n.caches = append(n.caches, coherence.NewCache(memspace.GPU(id, g), rt.cfg.CachePolicy, capacity))
+		n.caches = append(n.caches, coherence.NewCache(memspace.GPU(id, g), capacity))
 	}
 	n.places = 1 + len(spec.GPUs)
 	n.scores, n.estimates = make([]uint64, n.places), make([]sched.Estimate, n.places)
@@ -515,7 +515,7 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 		// directly in the distributed design).
 		n.rt.mgrChargeUpdate(n.rt.e.Now(), loc.Node, r)
 	}
-	for g, c := range n.caches {
+	for _, c := range n.caches {
 		if c.Location() == loc {
 			continue
 		}
@@ -524,12 +524,8 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 			// overlapped line still holds the current bytes outside r
 			// (possibly the sole dirty copy); its staleness inside r is
 			// tracked by the directory and discovered at staging.
-			if !r.Contains(l.Region) {
-				continue
-			}
-			c.Remove(l.Region)
-			if s := n.devs[g].Store(); s != nil {
-				s.Drop(l.Region)
+			if r.Contains(l.Region) {
+				c.Remove(l.Region)
 			}
 		}
 	}
@@ -647,8 +643,10 @@ func (n *nodeRT) evictLine(p *sim.Proc, g int, l *coherence.Line) {
 // dropLine removes r from GPU g's cache and directory holders. Holder
 // registration is per device, not per line: fragments of r still covered
 // by another resident line of the same GPU (overlapping lines share their
-// bytes) stay held and keep their backing store. Under exact-match
-// regions no lines overlap and this degenerates to dropping r whole.
+// bytes) stay held. Under exact-match regions no lines overlap and this
+// degenerates to dropping r whole. It is bookkeeping only: the device
+// keeps its bytes, and a D2H that completes after the drop lands only what
+// the directory still calls current (plan.copied).
 func (n *nodeRT) dropLine(g int, r memspace.Region) {
 	loc := memspace.GPU(n.id, g)
 	cache := n.caches[g]
@@ -661,28 +659,19 @@ func (n *nodeRT) dropLine(g int, r memspace.Region) {
 		}
 		pieces = next
 	}
-	s := n.devs[g].Store()
 	for _, pc := range pieces {
-		if s != nil {
-			s.Drop(pc)
-		}
 		n.dir.DropHolder(pc, loc)
 	}
 }
 
-// writeBackLine copies GPU g's version of r to the host and marks the host
-// a holder. Only the fragments the GPU actually holds are copied: a line
-// partially invalidated by an overlapping producer elsewhere must not
-// clobber the host with its stale part. Under exact-match regions the GPU
-// holds the whole line and this is a single whole-region copy.
+// writeBackLine makes the host hold GPU g's version of r, through the host
+// plan (fetchToHost) for each fragment the GPU holds: a line partially
+// invalidated by an overlapping producer elsewhere must not clobber the
+// host with its stale part. Under exact-match regions the GPU holds the
+// whole line and this is a single whole-region copy.
 func (n *nodeRT) writeBackLine(p *sim.Proc, g int, r memspace.Region) {
-	loc := memspace.GPU(n.id, g)
-	for _, frag := range n.dir.Held(r, loc) {
-		wb := n.rt.cfg.Trace.Begin(trace.XferD2H, "writeback", n.id, g, p.Now())
-		n.devs[g].Copy(p, gpusim.D2H, frag, n.hostStore, false)
-		wb.EndRegion(p.Now(), frag.Addr, frag.Size)
-		n.dir.AddHolder(frag, memspace.Host(n.id))
-		n.rt.met.writebacks.Inc()
+	for _, frag := range n.dir.Held(r, memspace.GPU(n.id, g)) {
+		p.Await("writeback", func(done func(bool)) { n.fetchToHost(frag, false, done) })
 	}
 	n.caches[g].Clean(r)
 }

@@ -153,13 +153,13 @@ func TestBatchStopsAtMalformedTask(t *testing.T) {
 }
 
 // TestSubmitBatchCostsWhatSubmitCosts pins the per-task side tables that
-// are gone: Normalize hands a canonical clause list back as it is, and
+// are gone: normalize hands a canonical clause list back as it is, and
 // submitting a task as a batch of one — what every ctx.Task does —
 // allocates exactly what Submit does.
 func TestSubmitBatchCostsWhatSubmitCosts(t *testing.T) {
 	deps := []task.Dep{rawDep(0, 64, task.In), rawDep(64, 64, task.InOut)}
-	if got, err := Normalize(deps); err != nil || len(got) != 2 || &got[0] != &deps[0] {
-		t.Fatalf("Normalize of a canonical list = %v, %v; want the argument itself", got, err)
+	if got, err := normalize(deps); err != nil || len(got) != 2 || &got[0] != &deps[0] {
+		t.Fatalf("normalize of a canonical list = %v, %v; want the argument itself", got, err)
 	}
 	const runs = 2000
 	allocs := func(submit func(*Graph, *task.Task)) float64 {

@@ -94,17 +94,17 @@ func New(onReady func(*task.Task)) *Graph {
 	}
 }
 
-// Normalize validates and canonicalizes the dependence clauses of one
+// normalize validates and canonicalizes the dependence clauses of one
 // task: invalid (empty) regions are dropped, duplicate clauses on the
 // exact same region merge (input + output behaves as inout), and the two
 // unsupported shapes are reported as errors rather than panics — a region
 // listed both as a reduction and as another access, and a reduction
-// region partially overlapping any other clause of the task. Callers
-// surface the error to the user program through ompss.Run.
+// region partially overlapping any other clause of the task. Submit
+// returns the error, which reaches the user program through ompss.Run.
 //
 // The result is read-only: when nothing is dropped or merged (the common
 // case) it is deps itself, not a copy.
-func Normalize(deps []task.Dep) ([]task.Dep, error) {
+func normalize(deps []task.Dep) ([]task.Dep, error) {
 	out := deps
 	if !canonical(deps) {
 		out = nil
@@ -138,7 +138,7 @@ func Normalize(deps []task.Dep) ([]task.Dep, error) {
 	return out, nil
 }
 
-// canonical reports whether Normalize has nothing to drop or merge: every
+// canonical reports whether normalize has nothing to drop or merge: every
 // region is valid and no two clauses name the same one.
 func canonical(deps []task.Dep) bool {
 	for _, d := range deps {
@@ -168,11 +168,11 @@ func (g *Graph) addArc(pred, succ *task.Task) {
 // Submit adds t to the graph, wiring RAW/WAR/WAW arcs against earlier
 // siblings per overlapped fragment. If t has no pending predecessors,
 // onReady fires before Submit returns. Malformed clause sets (see
-// Normalize) are reported as an error before the graph is touched;
+// normalize) are reported as an error before the graph is touched;
 // duplicate submission of a task ID is an internal invariant violation and
 // still panics.
 func (g *Graph) Submit(t *task.Task) error {
-	deps, err := Normalize(t.Deps)
+	deps, err := normalize(t.Deps)
 	if err != nil {
 		return fmt.Errorf("%v: %w", t, err)
 	}

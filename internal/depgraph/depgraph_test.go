@@ -495,13 +495,13 @@ func TestMixedRedAndOtherAccessErrors(t *testing.T) {
 		t.Fatal("rejected task must not enter the graph")
 	}
 	// A reduction clause partially overlapping another clause of the same
-	// task is also rejected, by Normalize directly and through Submit.
+	// task is also rejected, by normalize directly and through Submit.
 	bad := []task.Dep{
 		{Region: memspace.Region{Addr: 1, Size: 64}, Access: task.Red},
 		{Region: memspace.Region{Addr: 33, Size: 64}, Access: task.In},
 	}
-	if _, err := Normalize(bad); err == nil {
-		t.Fatal("Normalize must reject a partially overlapping reduction")
+	if _, err := normalize(bad); err == nil {
+		t.Fatal("normalize must reject a partially overlapping reduction")
 	}
 	if err := tr.g.Submit(mk("bad2", bad...)); err == nil {
 		t.Fatal("expected error for partially overlapping reduction")
@@ -526,7 +526,7 @@ func TestCrossTaskReductionOverlapErrors(t *testing.T) {
 }
 
 func TestNormalizeMergesAndDrops(t *testing.T) {
-	got, err := Normalize([]task.Dep{
+	got, err := normalize([]task.Dep{
 		{Region: memspace.Region{}, Access: task.In}, // invalid: dropped
 		in(5), out(5), // merges to inout
 		in(6),
@@ -535,6 +535,6 @@ func TestNormalizeMergesAndDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Access != task.InOut || got[0].Region != reg(5) || got[1].Access != task.In {
-		t.Fatalf("Normalize = %v", got)
+		t.Fatalf("normalize = %v", got)
 	}
 }

@@ -177,7 +177,7 @@ func (t *Task) Spawner() func(interface{}) { return t.clauses().spawner }
 // Copies returns the effective copy clause list: the dependence clauses
 // (when CopyDeps is set) followed by ExtraCopies, with duplicate clauses on
 // one exact region merged into a single entry (differing accesses behave
-// as InOut, as in depgraph.Normalize). Distinct overlapping regions stay
+// as InOut, as in the dependence graph). Distinct overlapping regions stay
 // separate entries: each gets its own cache line and the stores alias
 // their shared bytes. The list is derived on first use and cached, so the
 // clauses must not change afterwards and every consumer — scoring,
