@@ -38,8 +38,10 @@ race:
 		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
 
 ## fuzz: every native fuzz target for 20 s (go test takes one target and one
-## package per -fuzz run). The checked-in seed corpora under testdata/fuzz
-## already run as plain tests in `make test`
+## package per -fuzz run). The seed corpora, checked in under testdata/fuzz
+## or built in the fuzz test (core's FuzzRun), already run as plain tests in
+## `make test`. A FuzzRun exec is a whole simulated run, so the new inputs
+## it finds are minimised for at most 5 s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDirectory -fuzztime 20s ./internal/coherence/
 	$(GO) test -run xxx -fuzz FuzzFragMap -fuzztime 20s ./internal/memspace/
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 20s ./internal/mercurium/
 	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 20s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzDepgraph -fuzztime 20s ./internal/depgraph/
+	$(GO) test -run xxx -fuzz FuzzRun -fuzztime 20s -fuzzminimizetime 5s ./internal/core/
 
 ## align: each validated kernel's Run address mod 64 in an ompss-bench
 ## built as the benchmark builds it. A kernel's speed depends on it (Sgemm

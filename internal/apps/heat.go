@@ -37,10 +37,10 @@ func (p HeatParams) cellUpdates() float64 {
 	return float64(p.Steps) * float64(p.N)
 }
 
-// HeatSerial runs the reference stencil in plain Go and returns the final
+// heatSerial runs the reference stencil in plain Go and returns the final
 // rod. The update expression matches kernels.JacobiStep term for term, so
 // a correct task run reproduces these bytes exactly.
-func HeatSerial(p HeatParams) []float64 {
+func heatSerial(p HeatParams) []float64 {
 	p = p.withDefaults()
 	p.validate()
 	cur := make([]float64, p.N)
@@ -63,7 +63,7 @@ func HeatSerial(p HeatParams) []float64 {
 // against.
 func HeatSerialSum(p HeatParams) float64 {
 	var sum float64
-	for _, v := range HeatSerial(p) {
+	for _, v := range heatSerial(p) {
 		sum += v
 	}
 	return sum

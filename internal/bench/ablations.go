@@ -7,7 +7,7 @@ import (
 	"github.com/bsc-repro/ompss/internal/apps"
 )
 
-// Ablations isolates each runtime mechanism — the design-choice studies
+// ablations isolates each runtime mechanism — the design-choice studies
 // DESIGN.md §5 calls for, beyond the paper's own parameter grid. Each row
 // runs where its mechanism acts: Matmul on one 4-GPU node or a cluster,
 // cluster N-Body (fig13's 2-node point) for the non-blocking cache, and
@@ -15,7 +15,7 @@ import (
 // communication threads, the one shape where their count moves the result
 // at both sizes (dispatch costs no virtual time, so threads only reorder it).
 // `ompss-bench -experiment ablations` prints the table.
-func Ablations(o Options) ([]Row, error) {
+func ablations(o Options) ([]Row, error) {
 	grid := ablationGrid(o)
 	pts := make([]point, len(grid))
 	for i, a := range grid {

@@ -117,19 +117,19 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig5", "Matrix multiply, multi-GPU node: cache policy x scheduler x GPUs", Fig5},
-		{"fig6", "STREAM, multi-GPU node: cache policy x scheduler x GPUs", Fig6},
-		{"fig7", "Perlin noise, multi-GPU node: Flush/NoFlush x cache policy x GPUs", Fig7},
-		{"fig8", "N-Body, multi-GPU node: cache policy x GPUs", Fig8},
-		{"fig9", "Matrix multiply, GPU cluster: StoS x init x presend x nodes", Fig9},
-		{"fig10", "Matrix multiply, GPU cluster: best OmpSs vs MPI+CUDA (SUMMA)", Fig10},
-		{"fig11", "STREAM, GPU cluster: OmpSs vs MPI+CUDA", Fig11},
-		{"fig12", "Perlin noise, GPU cluster: Flush/NoFlush, OmpSs vs MPI+CUDA", Fig12},
-		{"fig13", "N-Body, GPU cluster: OmpSs vs MPI+CUDA", Fig13},
-		{"table1", "Useful lines of code: Serial vs CUDA vs MPI+CUDA vs OmpSs", Table1},
-		{"ablations", "Runtime-mechanism ablations (beyond the paper's grid)", Ablations},
-		{"resilience", "Fault injection on cluster Matmul/STREAM: correctness and cost under drops, stalls, crashes", Resilience},
-		{"heat", "Jacobi heat stencil, GPU cluster: overlapping halo regions, checksum-validated", Heat},
+		{"fig5", "Matrix multiply, multi-GPU node: cache policy x scheduler x GPUs", fig5},
+		{"fig6", "STREAM, multi-GPU node: cache policy x scheduler x GPUs", fig6},
+		{"fig7", "Perlin noise, multi-GPU node: Flush/NoFlush x cache policy x GPUs", fig7},
+		{"fig8", "N-Body, multi-GPU node: cache policy x GPUs", fig8},
+		{"fig9", "Matrix multiply, GPU cluster: StoS x init x presend x nodes", fig9},
+		{"fig10", "Matrix multiply, GPU cluster: best OmpSs vs MPI+CUDA (SUMMA)", fig10},
+		{"fig11", "STREAM, GPU cluster: OmpSs vs MPI+CUDA", fig11},
+		{"fig12", "Perlin noise, GPU cluster: Flush/NoFlush, OmpSs vs MPI+CUDA", fig12},
+		{"fig13", "N-Body, GPU cluster: OmpSs vs MPI+CUDA", fig13},
+		{"table1", "Useful lines of code: Serial vs CUDA vs MPI+CUDA vs OmpSs", table1},
+		{"ablations", "Runtime-mechanism ablations (beyond the paper's grid)", ablations},
+		{"resilience", "Fault injection on cluster Matmul/STREAM: correctness and cost under drops, stalls, crashes", resilience},
+		{"heat", "Jacobi heat stencil, GPU cluster: overlapping halo regions, checksum-validated", heat},
 	}
 }
 
@@ -141,9 +141,9 @@ func All() []Experiment {
 // (cmd/smoke_test.go).
 func Extras() []Experiment {
 	return []Experiment{
-		{"stress", "Submission stress: host-side tasks/sec on strided million-task graphs", Stress},
-		{"weakscale", "Weak scaling: centralized vs sharded managers, tasks/sec and dirops/sec", Weakscale},
-		{"powercap", "Power-capped mixed cluster: time-vs-cap frontier, bf/default/affinity/heft", Powercap},
+		{"stress", "Submission stress: host-side tasks/sec on strided million-task graphs", stress},
+		{"weakscale", "Weak scaling: centralized vs sharded managers, tasks/sec and dirops/sec", weakscale},
+		{"powercap", "Power-capped mixed cluster: time-vs-cap frontier, bf/default/affinity/heft", powercap},
 	}
 }
 

@@ -21,9 +21,9 @@ func fig9MatmulParams(o Options) apps.MatmulParams {
 	return apps.MatmulParams{N: 12288, BS: 1024}
 }
 
-// Fig9 reproduces Figure 9: cluster Matmul over nodes x {MtoS, StoS} x
+// fig9 reproduces Figure 9: cluster Matmul over nodes x {MtoS, StoS} x
 // init {seq, smp, gpu} x presend {0, 1, 2}.
-func Fig9(o Options) ([]Row, error) {
+func fig9(o Options) ([]Row, error) {
 	p := fig9MatmulParams(o)
 	var pts []point
 	for _, nodes := range nodeCounts {
@@ -59,8 +59,8 @@ func bestClusterMatmulConfig(o Options, nodes int) ompss.Config {
 	return cfg
 }
 
-// Fig10 reproduces Figure 10: best OmpSs Matmul vs the MPI+CUDA SUMMA.
-func Fig10(o Options) ([]Row, error) {
+// fig10 reproduces Figure 10: best OmpSs Matmul vs the MPI+CUDA SUMMA.
+func fig10(o Options) ([]Row, error) {
 	p := fig9MatmulParams(o)
 	p.Init = apps.InitSMP
 	var pts []point
@@ -93,8 +93,8 @@ func fig11Params(o Options, nodes int) apps.StreamParams {
 	return apps.StreamParams{N: nodes * perNodeElems, BSize: block, NTimes: 10, Scalar: 3}
 }
 
-// Fig11 reproduces Figure 11: cluster STREAM, OmpSs vs MPI+CUDA.
-func Fig11(o Options) ([]Row, error) {
+// fig11 reproduces Figure 11: cluster STREAM, OmpSs vs MPI+CUDA.
+func fig11(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := fig11Params(o, nodes)
@@ -111,9 +111,9 @@ func Fig11(o Options) ([]Row, error) {
 	return runGrid("fig11", o, pts)
 }
 
-// Fig12 reproduces Figure 12: cluster Perlin, Flush vs NoFlush, OmpSs vs
+// fig12 reproduces Figure 12: cluster Perlin, Flush vs NoFlush, OmpSs vs
 // MPI+CUDA.
-func Fig12(o Options) ([]Row, error) {
+func fig12(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		for _, flush := range []bool{true, false} {
@@ -162,8 +162,8 @@ func fig13Config(o Options, nodes int) ompss.Config {
 	return cfg
 }
 
-// Fig13 reproduces Figure 13: cluster N-Body, OmpSs vs MPI+CUDA.
-func Fig13(o Options) ([]Row, error) {
+// fig13 reproduces Figure 13: cluster N-Body, OmpSs vs MPI+CUDA.
+func fig13(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := fig13Params(o, nodes)

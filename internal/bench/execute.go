@@ -27,7 +27,7 @@ type ExecResult struct {
 	// an experiment,config,value,unit header plus one line per row.
 	CSV []byte
 	// MetricsText is the deterministic metrics snapshot of the rows
-	// (rendered through internal/metrics; see MetricsText).
+	// (rendered through internal/metrics; see metricsText).
 	MetricsText []byte
 	// TraceJSON is the Perfetto trace of the experiment's designated
 	// grid point, when Options.Trace was armed and the experiment has
@@ -65,7 +65,7 @@ func Execute(name string, o Options) (*ExecResult, error) {
 		return nil, fmt.Errorf("%s: encode csv: %w", name, err)
 	}
 	res.CSV = append([]byte(nil), buf.Bytes()...)
-	res.MetricsText, err = MetricsText(rows)
+	res.MetricsText, err = metricsText(rows)
 	if err != nil {
 		return nil, fmt.Errorf("%s: metrics snapshot: %w", name, err)
 	}
@@ -96,13 +96,13 @@ func EncodeCSV(w io.Writer, rows []Row) error {
 	return cw.Error()
 }
 
-// MetricsText renders the rows as an internal/metrics snapshot: a
+// metricsText renders the rows as an internal/metrics snapshot: a
 // bench_rows_total counter per experiment and a bench_row_value_micro
 // counter per row carrying the plotted value in fixed-point microunits
 // (round(value * 1e6)), in the registry's canonical sorted order. Fixed
 // point keeps the snapshot integer-exact, so for deterministic
 // experiments the bytes replay bit-identically.
-func MetricsText(rows []Row) ([]byte, error) {
+func metricsText(rows []Row) ([]byte, error) {
 	reg := metrics.New()
 	for _, r := range rows {
 		reg.Counter("bench_rows_total", metrics.L("experiment", r.Experiment)).Inc()

@@ -17,9 +17,9 @@ func fig5Params(o Options) apps.MatmulParams {
 	return apps.MatmulParams{N: 12288, BS: 1024}
 }
 
-// Fig5 reproduces Figure 5: Matmul GFLOPS on the multi-GPU node over the
+// fig5 reproduces Figure 5: Matmul GFLOPS on the multi-GPU node over the
 // cache-policy x scheduler x GPU-count grid.
-func Fig5(o Options) ([]Row, error) {
+func fig5(o Options) ([]Row, error) {
 	p := fig5Params(o)
 	var pts []point
 	for _, gpus := range gpuCounts {
@@ -47,8 +47,8 @@ func fig6Params(o Options, gpus int) apps.StreamParams {
 	return apps.StreamParams{N: gpus * perGPUElems, BSize: block, NTimes: 10, Scalar: 3}
 }
 
-// Fig6 reproduces Figure 6: STREAM bandwidth on the multi-GPU node.
-func Fig6(o Options) ([]Row, error) {
+// fig6 reproduces Figure 6: STREAM bandwidth on the multi-GPU node.
+func fig6(o Options) ([]Row, error) {
 	var pts []point
 	for _, gpus := range gpuCounts {
 		p := fig6Params(o, gpus)
@@ -74,8 +74,8 @@ func fig7Params(o Options, flush bool) apps.PerlinParams {
 	return p
 }
 
-// Fig7 reproduces Figure 7: Perlin noise Mpixels/s, Flush vs NoFlush.
-func Fig7(o Options) ([]Row, error) {
+// fig7 reproduces Figure 7: Perlin noise Mpixels/s, Flush vs NoFlush.
+func fig7(o Options) ([]Row, error) {
 	var pts []point
 	for _, gpus := range gpuCounts {
 		for _, flush := range []bool{true, false} {
@@ -105,7 +105,7 @@ func fig8Params(o Options, gpus int) apps.NBodyParams {
 	return p
 }
 
-// Fig8 reproduces Figure 8: N-Body on the multi-GPU node, where the
+// fig8 reproduces Figure 8: N-Body on the multi-GPU node, where the
 // no-cache policy outperforms the caching policies. The paper attributes
 // this to the application using "a lot of GPU memory", which "fills the
 // GPU memory and triggers the replacement mechanism". We recreate that
@@ -113,7 +113,7 @@ func fig8Params(o Options, gpus int) apps.NBodyParams {
 // per-GPU working set, so the caching policies evict (with the pool
 // bookkeeping cost and in-path writebacks that entails) on essentially
 // every task, while no-cache keeps device memory free. See DESIGN.md.
-func Fig8(o Options) ([]Row, error) {
+func fig8(o Options) ([]Row, error) {
 	var pts []point
 	for _, gpus := range gpuCounts {
 		p := fig8Params(o, gpus)

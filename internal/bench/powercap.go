@@ -109,9 +109,9 @@ func powercapVerify(policy sched.Policy, capW float64, quick bool) (float64, str
 	return 1, "ok", nil
 }
 
-// Powercap is the heterogeneous time-vs-power-cap frontier (not a paper
+// powercap is the heterogeneous time-vs-power-cap frontier (not a paper
 // figure; see EXPERIMENTS.md "Power-capped heterogeneous clusters").
-func Powercap(o Options) ([]Row, error) {
+func powercap(o Options) ([]Row, error) {
 	caps := powercapCaps(powercapCluster())
 	tightest := caps[len(caps)-1]
 	rows := []Row{}

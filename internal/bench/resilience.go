@@ -34,14 +34,14 @@ func resilientConfig(o Options, nodes int, plan *faults.Plan) ompss.Config {
 	return cfg
 }
 
-// Resilience measures the runtime under the internal/faults scenarios: a
+// resilience measures the runtime under the internal/faults scenarios: a
 // clean baseline, the armed-but-idle protocol overhead, random message
 // drops, a degraded link, a transient stall and a permanent node crash.
 // Every faulted run must produce the clean run's exact checksum — the rows
 // report the throughput cost of surviving, and the counter rows show what
 // the fault machinery did. This experiment has no counterpart in the paper
 // (its cluster layer assumes a perfect interconnect); see EXPERIMENTS.md.
-func Resilience(o Options) ([]Row, error) {
+func resilience(o Options) ([]Row, error) {
 	// The counter rows below are derived across scenarios, so the grid
 	// must always run in full (Execute post-filters by GridPoint), and
 	// each scenario owns its fault plan — a request-level override would

@@ -15,13 +15,13 @@ func heatParams(o Options, nodes int) apps.HeatParams {
 	return apps.HeatParams{N: nodes * (1 << 20), BSize: 128 << 10, Steps: 8}
 }
 
-// Heat runs the Jacobi stencil on the GPU cluster. The halo reads
+// heat runs the Jacobi stencil on the GPU cluster. The halo reads
 // partially overlap the neighbouring blocks, so the experiment exercises
 // the fragmented-region paths — overlap dependences, fragment assembly,
 // partial invalidation — end to end (the paper's own grid has no
 // partially-overlapping workload). Every point carries real data and is
 // checked against the serial reference checksum.
-func Heat(o Options) ([]Row, error) {
+func heat(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := heatParams(o, nodes)

@@ -170,10 +170,10 @@ func stressSize(o Options) (width, depth int) {
 	return width, depth
 }
 
-// Stress is the tasks/sec scaling experiment (not a paper figure; its
+// stress is the tasks/sec scaling experiment (not a paper figure; its
 // rows are the submit_stress workload of benchmark/, which is where a
 // change to them is measured).
-func Stress(o Options) ([]Row, error) {
+func stress(o Options) ([]Row, error) {
 	width, depth := stressSize(o)
 	var pts []point
 	for _, r := range stressRows(o.StressOverlap) {

@@ -32,7 +32,7 @@ func TestStressRunCompletes(t *testing.T) {
 // TestStressExperimentRows checks the registered experiment emits the
 // expected grid with tasks/s units and honors the size overrides.
 func TestStressExperimentRows(t *testing.T) {
-	rows, err := Stress(Options{StressWidth: 300, StressDepth: 3})
+	rows, err := stress(Options{StressWidth: 300, StressDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

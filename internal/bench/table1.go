@@ -56,10 +56,10 @@ func internalDir() string {
 	return filepath.Dir(filepath.Dir(file)) // internal/bench -> internal
 }
 
-// Table1 reproduces Table I: useful lines of code of the Serial, CUDA,
+// table1 reproduces Table I: useful lines of code of the Serial, CUDA,
 // MPI+CUDA and OmpSs versions of every benchmark, with the percentage
 // increase over the serial version.
-func Table1(Options) ([]Row, error) {
+func table1(Options) ([]Row, error) {
 	base := internalDir()
 	kernels, err := countRel(base, kernelFiles)
 	if err != nil {

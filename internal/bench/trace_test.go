@@ -21,7 +21,7 @@ func TestFig10TraceBitIdentical(t *testing.T) {
 	var reports, rowDumps []string
 	for i := 0; i < 2; i++ {
 		rec := ompss.NewTrace()
-		rows, err := Fig10(Options{Quick: true, Parallel: -1, Trace: rec})
+		rows, err := fig10(Options{Quick: true, Parallel: -1, Trace: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

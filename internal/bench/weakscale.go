@@ -137,9 +137,9 @@ func weakscaleVerify(o Options, nodes, shards int) (float64, string, error) {
 	return 1, "ok", nil
 }
 
-// Weakscale is the centralized-vs-sharded manager scaling experiment (not
+// weakscale is the centralized-vs-sharded manager scaling experiment (not
 // a paper figure; see EXPERIMENTS.md "Weak-scaling the manager layer").
-func Weakscale(o Options) ([]Row, error) {
+func weakscale(o Options) ([]Row, error) {
 	// Derived row pairs (tasks/sec and dirops/sec come from one run) and
 	// the verify gate must always run in full; GridPoint does not apply.
 	chains, depth := weakscaleSize(o)

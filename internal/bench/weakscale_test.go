@@ -26,13 +26,13 @@ func TestWeakscale256ShardedBeatsCentralized(t *testing.T) {
 	}
 }
 
-// Weakscale quick must emit the full row set cmd/smoke_test.go matches:
+// weakscale quick must emit the full row set cmd/smoke_test.go matches:
 // both verify rows ok, and a tasks/s plus dirops pair per (nodes, mode).
 func TestWeakscaleQuickRowShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick grid")
 	}
-	rows, err := Weakscale(Options{Quick: true})
+	rows, err := weakscale(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

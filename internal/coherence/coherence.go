@@ -559,6 +559,12 @@ func (c *Cache) Remove(r memspace.Region) {
 	c.Evictions++
 }
 
+// Pinned reports whether r is resident and a task pins it.
+func (c *Cache) Pinned(r memspace.Region) bool {
+	_, l := c.find(r)
+	return l != nil && l.pins > 0
+}
+
 // Pin prevents eviction of r while a task uses it.
 func (c *Cache) Pin(r memspace.Region) {
 	_, l := c.find(r)

@@ -177,7 +177,7 @@ type plan struct {
 // then gets false only when k itself is unreachable; a failed source is
 // declared dead and the transfer re-routed around it.
 func (rt *Runtime) stageToNode(r memspace.Region, k int, then func(bool)) {
-	rt.master().hold(r, k, false, then)
+	rt.master().hold(r, k, true, then)
 }
 
 // fetchToHost makes this node's host memory hold the current version of r,
@@ -200,13 +200,13 @@ func (pl *plan) attempt(bool) {
 		// eviction landing only what its GPU still holds (a local plan):
 		// re-evaluate. The master's, unarmed, always succeeded.
 		ev.WaitFunc(func() { pl.once(true, pl.stage && pl.rt.ft == nil) })
-	case pl.stage:
-		pl.rt.mgrChargeQuery(pl)
 	case pl.combine && n.folding != nil:
 		// The host copy of pl.r may be what is being folded into.
 		n.folding.WaitFunc(func() { pl.attempt(true) })
-	case pl.combine:
-		n.combineReductions(n.overlappingRedRegions(pl.r), pl.planned)
+	case pl.combine && len(n.overlappingRedRegions(pl.r)) > 0:
+		n.combineReductions(n.overlappingRedRegions(pl.r), pl.attempt)
+	case pl.stage:
+		pl.rt.mgrChargeQuery(pl)
 	default:
 		pl.plannedFn(true)
 	}
@@ -436,7 +436,9 @@ func (d *dispatcher) startFn() {
 	}
 	d.reads = d.reads[:0]
 	for _, c := range d.t.Copies() {
-		if c.Access.Reads() {
+		// A write over pending reduction partials is staged too, which
+		// folds them (tryStage says why).
+		if c.Access.Reads() || len(rt.master().overlappingRedRegions(c.Region)) > 0 {
 			d.reads = append(d.reads, c.Region)
 		}
 	}

@@ -91,58 +91,12 @@ func TestCommOpenCountMatchesRecount(t *testing.T) {
 // replay bit-identically, and keep the comm thread's open count equal to a
 // recount after every change.
 func TestChainFaultPathsRecountAndReplay(t *testing.T) {
-	const nodes, regions, rounds, victim = 4, 5, 3, 1
-	run := func(nbc bool, shards int, plan *faults.Plan, rec *trace.Recorder) (string, []byte) {
-		cfg := baseCfg(nodes, 2)
-		cfg.Scheduler, cfg.Faults, cfg.Trace = sched.BreadthFirst, plan, rec
-		cfg.NonBlockingCache, cfg.Presend, cfg.ManagerShards, cfg.ManagerOpCost = nbc, 1, shards, 2*time.Microsecond
-		rt := New(cfg)
-		drift := ""
-		rt.cl.onTrack = func() {
-			open := 0
-			for k := range rt.nodes {
-				if !rt.nodeIsDead(k) && rt.cl.outstanding[k] < 1+cfg.Presend {
-					open++
-				}
-			}
-			if rt.cl.open[0] != open && drift == "" {
-				drift = fmt.Sprintf("at %v the comm thread counts %d open nodes, a recount finds %d", rt.e.Now(), rt.cl.open[0], open)
-			}
-		}
-		results := make([]byte, regions)
-		stats, err := rt.Run(func(mc *MainCtx) {
-			regs := make([]memspace.Region, regions)
-			for i := range regs {
-				regs[i] = mc.Alloc(1 << 18)
-				mc.InitSeq(regs[i], func(b []byte) { fill(b, 0) })
-			}
-			for round := 0; round < rounds; round++ {
-				for _, r := range regs {
-					mc.Submit(TaskDef{Name: "inc", Device: task.CUDA, Deps: []task.Dep{inoutDep(r)},
-						Work: incWork{r: r, delta: 1, cost: 2 * time.Millisecond}})
-				}
-			}
-			mc.TaskWait()
-			for i, r := range regs {
-				results[i] = mc.HostBytes(r)[0]
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if drift != "" {
-			t.Fatal(drift)
-		}
-		if plan.Crashes != nil && stats.DeadNodes != 1 {
-			t.Fatalf("crash at %v: %d dead nodes, want 1", plan.Crashes[0].At, stats.DeadNodes)
-		}
-		return fmt.Sprintf("%+v", stats), results
-	}
+	const victim = 1
 	for _, nbc := range []bool{false, true} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("nbc=%v/shards=%d", nbc, shards), func(t *testing.T) {
 				rec := trace.New()
-				run(nbc, shards, &faults.Plan{Seed: 5}, rec)
+				chainRun(t, 2, nbc, shards, &faults.Plan{Seed: 5}, rec)
 				var push trace.Span
 				for _, s := range rec.Spans() {
 					if s.Kind == trace.NetSend && s.Node == victim && s.Name == "s->s" {
@@ -156,13 +110,72 @@ func TestChainFaultPathsRecountAndReplay(t *testing.T) {
 				for _, at40 := range []sim.Time{2, 4, 6, 20, 35} {
 					at := push.Start + (push.End-push.Start)*at40/40
 					plan := &faults.Plan{Seed: 5, Crashes: []faults.Crash{{Node: victim, At: time.Duration(at)}}}
-					stats, results := run(nbc, shards, plan, nil)
-					checkAll(t, results, rounds)
-					if again, _ := run(nbc, shards, plan, nil); again != stats {
+					stats, results := chainRun(t, 2, nbc, shards, plan, nil)
+					checkAll(t, results, chainRounds)
+					if again, _ := chainRun(t, 2, nbc, shards, plan, nil); again != stats {
 						t.Fatalf("crash at %v: the replay diverged:\n%s\nvs\n%s", at, stats, again)
 					}
 				}
 			})
 		}
 	}
+}
+
+// chainRounds is how many inc tasks chainRun submits on each region, and
+// so the byte each region must end at.
+const chainRounds = 3
+
+// chainRun runs 3 rounds of CUDA inc tasks over 5 regions of 256 KiB on
+// 4 nodes of gpus GPUs each: BreadthFirst, Presend 1, shards manager
+// shards at 2 µs an operation, under plan. It fails t when Run errs, when
+// the comm thread's open count ever differs from a recount, or when a
+// planned crash did not kill exactly one node, and returns the run's Stats,
+// formatted, and each region's first byte.
+func chainRun(t *testing.T, gpus int, nbc bool, shards int, plan *faults.Plan, rec *trace.Recorder) (string, []byte) {
+	t.Helper()
+	const nodes, regions = 4, 5
+	cfg := baseCfg(nodes, gpus)
+	cfg.Scheduler, cfg.Faults, cfg.Trace = sched.BreadthFirst, plan, rec
+	cfg.NonBlockingCache, cfg.Presend, cfg.ManagerShards, cfg.ManagerOpCost = nbc, 1, shards, 2*time.Microsecond
+	rt := New(cfg)
+	drift := ""
+	rt.cl.onTrack = func() {
+		open := 0
+		for k := range rt.nodes {
+			if !rt.nodeIsDead(k) && rt.cl.outstanding[k] < 1+cfg.Presend {
+				open++
+			}
+		}
+		if rt.cl.open[0] != open && drift == "" {
+			drift = fmt.Sprintf("at %v the comm thread counts %d open nodes, a recount finds %d", rt.e.Now(), rt.cl.open[0], open)
+		}
+	}
+	results := make([]byte, regions)
+	stats, err := rt.Run(func(mc *MainCtx) {
+		regs := make([]memspace.Region, regions)
+		for i := range regs {
+			regs[i] = mc.Alloc(1 << 18)
+			mc.InitSeq(regs[i], func(b []byte) { fill(b, 0) })
+		}
+		for round := 0; round < chainRounds; round++ {
+			for _, r := range regs {
+				mc.Submit(TaskDef{Name: "inc", Device: task.CUDA, Deps: []task.Dep{inoutDep(r)},
+					Work: incWork{r: r, delta: 1, cost: 2 * time.Millisecond}})
+			}
+		}
+		mc.TaskWait()
+		for i, r := range regs {
+			results[i] = mc.HostBytes(r)[0]
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drift != "" {
+		t.Fatal(drift)
+	}
+	if plan.Crashes != nil && stats.DeadNodes != 1 {
+		t.Fatalf("crash at %v: %d dead nodes, want 1", plan.Crashes[0].At, stats.DeadNodes)
+	}
+	return fmt.Sprintf("%+v", stats), results
 }

@@ -33,48 +33,57 @@ func blockProgram(seed int64, n, blocks int, bs uint64) []mixTask {
 	return prog
 }
 
-// TestEvictionOfAlignedBlocksMatchesSerial runs an exact-match program on
-// two GPUs whose 8 KiB hold seven of its sixteen 1 KiB blocks, so write-back
-// evicts dirty lines while other transfers of the same blocks are queued.
-// An eviction's copy is ordered by no dependence, so dropping the line
-// must not take the bytes a reader's queued D2H has yet to land.
-func TestEvictionOfAlignedBlocksMatchesSerial(t *testing.T) {
+// TestEvictionOfAlignedBlocksMatchesSerial runs alignedEviction.
+func TestEvictionOfAlignedBlocksMatchesSerial(t *testing.T) { alignedEviction().check(t) }
+
+// alignedEviction is an exact-match program on two GPUs whose 8 KiB hold
+// seven of its sixteen 1 KiB blocks, so write-back evicts dirty lines while
+// other transfers of the same blocks are queued. An eviction's copy is
+// ordered by no dependence, so dropping the line must not take the bytes a
+// reader's queued D2H has yet to land.
+func alignedEviction() matchCase {
 	const bs = 1 << 10
 	cfg := baseCfg(1, 2)
 	cfg.Cluster = testCluster(1, 2, 8<<10)
-	matchSerial(t, cfg, 16*bs, blockProgram(24, 15, 16, bs))
+	return matchCase{cfg, 16 * bs, blockProgram(24, 15, 16, bs)}
 }
 
-// TestHostWriteDuringEvictionCopy lands a host SMP Out task while the
-// GPU's write-back of the previous version of the same block is on the
-// wire. The copy must not overwrite the host's newer bytes, nor register
-// the host as holding what it copied.
-func TestHostWriteDuringEvictionCopy(t *testing.T) {
+// TestHostWriteDuringEvictionCopy runs hostWriteDuringEvictionCopy.
+func TestHostWriteDuringEvictionCopy(t *testing.T) { hostWriteDuringEvictionCopy().check(t) }
+
+// hostWriteDuringEvictionCopy lands a host SMP Out task while the GPU's
+// write-back of the previous version of the same block is on the wire.
+// The copy must not overwrite the host's newer bytes, nor register the
+// host as holding what it copied.
+func hostWriteDuringEvictionCopy() matchCase {
 	const bs = 1 << 20 // a long D2H: about 220 µs on the test GPU
 	cfg := baseCfg(1, 1)
 	cfg.Cluster = testCluster(1, 1, 3*bs/2) // room for one block
 	a, b := memspace.Region{Size: bs}, memspace.Region{Addr: bs, Size: bs}
-	matchSerial(t, cfg, 2*bs, []mixTask{
+	return matchCase{cfg, 2 * bs, []mixTask{
 		{mixWork{w: a, salt: 1, accum: true, cost: 100 * time.Microsecond}, task.CUDA},
 		// Evicts a, dirty: the eviction's bookkeeping, then its D2H.
 		{mixWork{w: b, salt: 2, accum: true, cost: 100 * time.Microsecond}, task.CUDA},
 		// Ready when the first task ends; ends inside that D2H.
 		{mixWork{w: a, salt: 3, cost: 85 * time.Microsecond}, task.SMP},
-	})
+	}}
 }
 
-// TestReaderAfterEvictionOfOldVersion has a host reader join the in-flight
-// write-back of a block whose newer version another GPU produced during
-// that copy. The copy lands nothing, so the reader must plan its own D2H
-// from the new holder instead of taking the joined transfer as done.
-func TestReaderAfterEvictionOfOldVersion(t *testing.T) {
+// TestReaderAfterEvictionOfOldVersion runs readerAfterEviction.
+func TestReaderAfterEvictionOfOldVersion(t *testing.T) { readerAfterEviction().check(t) }
+
+// readerAfterEviction has a host reader join the in-flight write-back of a
+// block whose newer version another GPU produced during that copy. The
+// copy lands nothing, so the reader must plan its own D2H from the new
+// holder instead of taking the joined transfer as done.
+func readerAfterEviction() matchCase {
 	const bs = 1 << 20
 	cfg := baseCfg(1, 2)
 	cfg.Scheduler = sched.Affinity
 	cfg.Cluster = testCluster(1, 2, 3*bs/2) // room for one block
 	a, b := memspace.Region{Size: bs}, memspace.Region{Addr: bs, Size: bs}
 	c, d := memspace.Region{Addr: 2 * bs, Size: 1 << 10}, memspace.Region{Addr: 2*bs + 1<<10, Size: 1 << 10}
-	matchSerial(t, cfg, 2*bs+2<<10, []mixTask{
+	return matchCase{cfg, 2*bs + 2<<10, []mixTask{
 		{mixWork{w: a, salt: 1, accum: true, cost: 100 * time.Microsecond}, task.CUDA},
 		// Reads a where it lives, so the next task follows it to that GPU.
 		{mixWork{reads: []memspace.Region{a}, w: c, salt: 9, cost: 10 * time.Microsecond}, task.CUDA},
@@ -83,5 +92,5 @@ func TestReaderAfterEvictionOfOldVersion(t *testing.T) {
 		// On the other GPU, ends inside the eviction's D2H.
 		{mixWork{w: a, salt: 3, cost: 260 * time.Microsecond}, task.CUDA},
 		{mixWork{reads: []memspace.Region{a}, w: d, salt: 4, cost: 10 * time.Microsecond}, task.SMP},
-	})
+	}}
 }

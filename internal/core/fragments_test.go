@@ -18,13 +18,24 @@ import (
 // mixWork writes salt plus the (wrapped) sum of its read regions into w.
 // Inputs are snapshotted before writing because read and write regions may
 // alias arbitrary byte ranges of the same arena. With accum set the old
-// contents of w join the sum (an InOut body).
+// contents of w join the sum (an InOut body). With red set, w is a
+// reduction under byteSum: the sum is added to what w holds, a private
+// accumulator on a GPU, so no read may overlap w.
 type mixWork struct {
 	reads []memspace.Region
 	w     memspace.Region
 	salt  byte
 	accum bool
+	red   bool
 	cost  time.Duration
+}
+
+// byteSum is mixWork's reduction combiner: wrapping byte addition, which
+// folds partials in any order to the serial bytes.
+func byteSum(acc, partial []byte) {
+	for i := range acc {
+		acc[i] += partial[i]
+	}
 }
 
 func (w mixWork) Name() string                      { return "mix" }
@@ -38,8 +49,9 @@ func (w mixWork) Run(store *memspace.Store) {
 	for i, r := range w.reads {
 		snaps[i] = append([]byte(nil), store.Bytes(r)...)
 	}
+	accum := w.accum || w.red
 	var old []byte
-	if w.accum {
+	if accum {
 		old = append([]byte(nil), store.Bytes(w.w)...)
 	}
 	out := store.Bytes(w.w)
@@ -48,19 +60,22 @@ func (w mixWork) Run(store *memspace.Store) {
 		for _, s := range snaps {
 			v += s[i%len(s)]
 		}
-		if w.accum {
+		if accum {
 			v += old[i]
 		}
 		out[i] = v
 	}
 }
 
-// deps lists w's clauses: In on every read region, then InOut (accum) or
-// Out on the written one.
+// deps lists w's clauses: In on every read region, then Red, InOut
+// (accum) or Out on the written one.
 func (w mixWork) deps() []task.Dep {
 	deps := make([]task.Dep, 0, len(w.reads)+1)
 	for _, r := range w.reads {
 		deps = append(deps, inDep(r))
+	}
+	if w.red {
+		return append(deps, task.Dep{Region: w.w, Access: task.Red})
 	}
 	if w.accum {
 		return append(deps, inoutDep(w.w))
@@ -87,6 +102,18 @@ type mixTask struct {
 	dev task.Device
 }
 
+// matchCase is a program and the machine matchSerial runs it on.
+type matchCase struct {
+	cfg   Config
+	arena uint64
+	prog  []mixTask
+}
+
+func (c matchCase) check(t *testing.T) {
+	t.Helper()
+	matchSerial(t, c.cfg, c.arena, c.prog)
+}
+
 // matchSerial runs prog through the full runtime under cfg over an arena of
 // arenaN bytes, then the same bodies serially in submit order on one host
 // store, and fails t at the first arena byte that differs.
@@ -104,7 +131,11 @@ func matchSerial(t *testing.T, cfg Config, arenaN uint64, prog []mixTask) {
 		mc.InitSeq(arena, fill)
 		for i, mt := range prog {
 			w := mt.w.at(arena.Addr)
-			mc.Submit(TaskDef{Name: fmt.Sprintf("mix%d", i), Device: mt.dev, Deps: w.deps(), Work: w})
+			def := TaskDef{Name: fmt.Sprintf("mix%d", i), Device: mt.dev, Deps: w.deps(), Work: w}
+			if w.red {
+				def.Reductions = map[uint64]task.Combiner{w.w.Addr: byteSum}
+			}
+			mc.Submit(def)
 		}
 		mc.TaskWait()
 		got = append([]byte(nil), mc.HostBytes(arena)...)
@@ -133,41 +164,51 @@ func matchSerial(t *testing.T, cfg Config, arenaN uint64, prog []mixTask) {
 // 1 KiB devices evict dirty lines throughout, with overlapping transfers
 // queued.
 func TestRandomOverlapGraphMatchesSerial(t *testing.T) {
-	const (
-		arenaN = 4096
-		nTasks = 48
-	)
-	for _, tc := range []struct {
-		nodes, gpus int
-		seed        int64
-		devMem      uint64
-	}{{1, 2, 1, 1 << 26}, {2, 1, 2, 1 << 26}, {2, 2, 3, 1 << 26}, {4, 1, 4, 1 << 26}, {1, 2, 5, 1 << 10}} {
+	for _, tc := range overlapShapes {
 		t.Run(fmt.Sprintf("%dnode%dgpu_seed%d", tc.nodes, tc.gpus, tc.seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(tc.seed))
-			randRange := func() memspace.Region {
-				size := 16 + rng.Intn(241)
-				return memspace.Region{Addr: uint64(rng.Intn(arenaN - size)), Size: uint64(size)}
-			}
-			prog := make([]mixTask, nTasks)
-			for i := range prog {
-				w := &prog[i].w
-				for r := 0; r < 1+rng.Intn(2); r++ {
-					w.reads = append(w.reads, randRange())
-				}
-				w.w = randRange()
-				w.salt = byte(i*13 + 7)
-				w.accum = rng.Intn(2) == 0
-				w.cost = time.Duration(i%5+1) * 100 * time.Microsecond
-				prog[i].dev = task.CUDA
-				if i%7 == 0 {
-					prog[i].dev = task.SMP
-				}
-			}
 			cfg := baseCfg(tc.nodes, tc.gpus)
 			cfg.Cluster = testCluster(tc.nodes, tc.gpus, tc.devMem)
-			matchSerial(t, cfg, arenaN, prog)
+			matchSerial(t, cfg, overlapArena, overlapProgram(tc.seed, 48))
 		})
 	}
+}
+
+// overlapShapes are TestRandomOverlapGraphMatchesSerial's machines and
+// program seeds.
+var overlapShapes = []struct {
+	nodes, gpus int
+	seed        int64
+	devMem      uint64
+}{{1, 2, 1, 1 << 26}, {2, 1, 2, 1 << 26}, {2, 2, 3, 1 << 26}, {4, 1, 4, 1 << 26}, {1, 2, 5, 1 << 10}}
+
+// overlapArena is the arena overlapProgram's regions fall in.
+const overlapArena = 4096
+
+// overlapProgram returns n seeded tasks over 16–256-byte sub-ranges of
+// overlapArena bytes: each reads one or two and writes one (InOut or
+// Out); every seventh is SMP, the rest CUDA.
+func overlapProgram(seed int64, n int) []mixTask {
+	rng := rand.New(rand.NewSource(seed))
+	randRange := func() memspace.Region {
+		size := 16 + rng.Intn(241)
+		return memspace.Region{Addr: uint64(rng.Intn(overlapArena - size)), Size: uint64(size)}
+	}
+	prog := make([]mixTask, n)
+	for i := range prog {
+		w := &prog[i].w
+		for r := 0; r < 1+rng.Intn(2); r++ {
+			w.reads = append(w.reads, randRange())
+		}
+		w.w = randRange()
+		w.salt = byte(i*13 + 7)
+		w.accum = rng.Intn(2) == 0
+		w.cost = time.Duration(i%5+1) * 100 * time.Microsecond
+		prog[i].dev = task.CUDA
+		if i%7 == 0 {
+			prog[i].dev = task.SMP
+		}
+	}
+	return prog
 }
 
 // fragmentFixtureRun executes a workload whose consumer region must be

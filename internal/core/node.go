@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -72,8 +73,8 @@ type nodeRT struct {
 
 	// redPartials tracks, per reduction region, the GPUs holding partial
 	// accumulators; redCombiners the folding function. Partials are
-	// combined into the host copy before the next reader (fetchToHost);
-	// folding is set while they are, and readers wait for it.
+	// combined into the host copy before the next task that touches them
+	// (fetchToHost); folding is set while they are, and readers wait for it.
 	redPartials  map[memspace.Region][]int
 	redCombiners map[memspace.Region]task.Combiner
 	folding      *sim.Event
@@ -300,7 +301,6 @@ func (n *nodeRT) workerLoop(p *sim.Proc, place int) {
 // runSMP executes an SMP task on this node's host.
 func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 	p.Sleep(taskOverhead)
-	n.registerReduction(t)
 	copies := t.Copies()
 	// Inputs must be valid in host memory (SMP tasks use copy clauses too).
 	n.stageRegions(p, t, hostDevKey)
@@ -374,7 +374,6 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 			t = popped
 			n.sampleSchedDepth(p.Now())
 			p.Sleep(taskOverhead)
-			n.registerReduction(t)
 			stageStart := p.Now()
 			stage := n.rt.cfg.Trace.Begin(trace.Stage, t.Name, n.id, g, stageStart)
 			n.stageRegions(p, t, g)
@@ -454,17 +453,10 @@ func (n *nodeRT) publishGPUTask(p *sim.Proc, g int, t *task.Task) {
 	}
 	for _, c := range copies {
 		cache.Unpin(c.Region)
-	}
-	if n.rt.cfg.CachePolicy == coherence.NoCache {
-		// Emulate moving data in and out always: nothing stays resident —
-		// except reduction partials, which must survive until combined.
-		for _, c := range copies {
-			if _, reducing := n.redPartials[c.Region]; reducing {
-				continue
-			}
-			if cache.Contains(c.Region) {
-				n.dropLine(g, c.Region)
-			}
+		if n.rt.cfg.CachePolicy == coherence.NoCache {
+			// Emulate moving data in and out always: nothing stays
+			// resident but what a task pins, reduction partials included.
+			n.dropLine(g, c.Region)
 		}
 	}
 }
@@ -493,20 +485,8 @@ func (n *nodeRT) overlappingRedRegions(r memspace.Region) []memspace.Region {
 }
 
 // produced records a new version of r at loc and drops stale copies from
-// this image's caches. Uncombined reduction partials overlapping r are
-// obsolete once a new version exists and are discarded.
+// this image's caches.
 func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
-	for _, rr := range n.overlappingRedRegions(r) {
-		gpus := n.redPartials[rr]
-		delete(n.redPartials, rr)
-		delete(n.redCombiners, rr)
-		// Release the reduction-phase pins; the stale-copy sweep below
-		// removes the obsolete partial lines (except the producer's own,
-		// which the new version is being written into).
-		for _, g := range gpus {
-			n.caches[g].Unpin(rr)
-		}
-	}
 	n.dir.Produced(r, loc)
 	if n.isMaster() {
 		// Every version bump on the master image is a directory update
@@ -515,7 +495,7 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 		// directly in the distributed design).
 		n.rt.mgrChargeUpdate(n.rt.e.Now(), loc.Node, r)
 	}
-	for _, c := range n.caches {
+	for g, c := range n.caches {
 		if c.Location() == loc {
 			continue
 		}
@@ -525,7 +505,7 @@ func (n *nodeRT) produced(r memspace.Region, loc memspace.Location) {
 			// (possibly the sole dirty copy); its staleness inside r is
 			// tracked by the directory and discovered at staging.
 			if r.Contains(l.Region) {
-				c.Remove(l.Region)
+				n.dropLine(g, l.Region)
 			}
 		}
 	}
@@ -544,12 +524,21 @@ func (n *nodeRT) stageRegions(p *sim.Proc, t *task.Task, g int) {
 // non-blocking cache the transfers run concurrently. It returns false, with
 // no pin left behind, when space cannot be made on the GPU.
 func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
+	n.registerReduction(t)
 	copies := t.Copies()
 	// On the master, a region whose lost version is being rebuilt lists
 	// the master host as holder of a stale base; staging must wait out the
 	// rebuild. The replayed producers themselves are exempt — that base is
 	// exactly the input their re-run needs.
 	fence := n.isMaster() && n.rt.ft != nil && !n.rt.isRecoveryTask(t)
+	for _, c := range copies {
+		// Pending reduction partials are contributions the directory does
+		// not know of: a task that touches them, other than by adding one,
+		// has them folded first, and waits out a fold under way.
+		if c.Access != task.Red && (n.folding != nil || len(n.overlappingRedRegions(c.Region)) > 0) {
+			p.Await("staging", func(done func(bool)) { n.fetchToHost(c.Region, true, done) })
+		}
+	}
 	if g == hostDevKey {
 		for _, c := range copies {
 			if fence && c.Access.Reads() {
@@ -558,9 +547,13 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 			// SMP reduction tasks accumulate straight into the host copy,
 			// which must be valid — but other participants' partials are
 			// NOT combined yet (reductions commute; the graph only orders
-			// the eventual reader after all of them).
+			// the eventual reader after all of them). Once they add to it,
+			// no other copy is current.
 			if red := c.Access == task.Red; red || c.Access.Reads() {
 				p.Await("staging", func(done func(bool)) { n.fetchToHost(c.Region, !red, done) })
+				if red {
+					n.produced(c.Region, memspace.Host(n.id))
+				}
 			}
 		}
 		return true
@@ -571,11 +564,20 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 	// Phase 1: residency and allocation decisions (synchronous bookkeeping).
 	for _, c := range copies {
 		r := c.Region
-		if c.Access == task.Red {
-			n.stageReduction(g, r)
-			continue
-		}
-		if line := cache.Lookup(r); line != nil {
+		red := c.Access == task.Red
+		if red {
+			if slices.Contains(n.redPartials[r], g) {
+				cache.Pin(r) // this GPU's partial, which the task adds to
+				continue
+			}
+			// A new accumulator takes over r's device bytes: the host holds
+			// the version the fold adds to, and this GPU none of r.
+			p.Await("staging", func(done func(bool)) { n.fetchToHost(r, false, done) })
+			for _, pc := range n.dir.Held(r, loc) {
+				n.dir.DropHolder(pc, loc)
+			}
+			n.dropLine(g, r)
+		} else if line := cache.Lookup(r); line != nil {
 			if n.dir.IsHolder(r, loc) || !c.Access.Reads() {
 				cache.Pin(r)
 				continue
@@ -587,8 +589,12 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 			if line.Dirty {
 				n.writeBackLine(p, g, r)
 			}
+			n.dropLine(g, r)
 			if cache.Contains(r) {
-				n.dropLine(g, r)
+				// Pinned by another task, so stale only by a duplicate
+				// arrival of the version it holds (DESIGN §7): use it.
+				cache.Pin(r)
+				continue
 			}
 		}
 		victims, ok := cache.MakeSpace(r.Size)
@@ -607,7 +613,13 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 		}
 		cache.Insert(r, false)
 		cache.Pin(r)
-		if c.Access.Reads() && n.dir.Known(r) {
+		if red {
+			cache.Pin(r) // the reduction phase's, released at the fold
+			if s := n.devs[g].Store(); s != nil {
+				s.Drop(r) // fresh zeroed bytes: the reduction identity
+			}
+			n.redPartials[r] = append(n.redPartials[r], g)
+		} else if c.Access.Reads() && n.dir.Known(r) {
 			fetch = append(fetch, r)
 		}
 	}
@@ -622,25 +634,20 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 }
 
 // evictLine writes back a dirty victim and removes it. Replacement under
-// pressure pays a fixed bookkeeping cost on top of the writeback. The
-// bookkeeping and writeback take virtual time, during which a task
-// completing on another device may invalidate the victim; the line is
-// re-checked after every blocking step.
+// pressure pays a fixed bookkeeping cost on top of the writeback. A task
+// completing elsewhere meanwhile may sweep the victim; the GPU then holds
+// none of it, so the writeback copies nothing and the drop finds no line.
 func (n *nodeRT) evictLine(p *sim.Proc, g int, l *coherence.Line) {
 	p.Sleep(evictionOverhead)
-	if !n.caches[g].Contains(l.Region) {
-		return // invalidated while we slept
-	}
 	if l.Dirty {
 		n.writeBackLine(p, g, l.Region)
-		if !n.caches[g].Contains(l.Region) {
-			return
-		}
 	}
 	n.dropLine(g, l.Region)
 }
 
-// dropLine removes r from GPU g's cache and directory holders. Holder
+// dropLine removes r from GPU g's cache and directory holders, and is the
+// only way a line leaves a cache: it does nothing when r is not resident
+// or a task pins it (Section III.C replaces only unpinned lines). Holder
 // registration is per device, not per line: fragments of r still covered
 // by another resident line of the same GPU (overlapping lines share their
 // bytes) stay held. Under exact-match regions no lines overlap and this
@@ -650,6 +657,9 @@ func (n *nodeRT) evictLine(p *sim.Proc, g int, l *coherence.Line) {
 func (n *nodeRT) dropLine(g int, r memspace.Region) {
 	loc := memspace.GPU(n.id, g)
 	cache := n.caches[g]
+	if !cache.Contains(r) || cache.Pinned(r) {
+		return
+	}
 	cache.Remove(r)
 	pieces := n.dir.Held(r, loc)
 	for _, l := range cache.OverlappingLines(r) {
@@ -703,37 +713,6 @@ func (n *nodeRT) fetchToGPU(g int, r memspace.Region, then func(bool)) {
 	})
 }
 
-// stageReduction prepares GPU g's private accumulator for region r: a
-// zero-initialized cache line on first use (the reduction identity), the
-// existing partial on subsequent tasks. The line carries an extra pin for
-// the whole reduction phase so replacement cannot clobber a partial.
-func (n *nodeRT) stageReduction(g int, r memspace.Region) {
-	cache := n.caches[g]
-	if cache.Contains(r) {
-		cache.Pin(r)
-		return
-	}
-	victims, ok := cache.MakeSpace(r.Size)
-	if !ok {
-		panic(fmt.Sprintf("core: reduction accumulator %v does not fit on %v", r, cache.Location()))
-	}
-	for _, v := range victims {
-		// Eviction work is bookkeeping-only here; reductions are staged
-		// synchronously (no blocking point is acceptable mid-registration).
-		if v.Dirty {
-			panic("core: reduction staging would evict a dirty line; enlarge the cache headroom")
-		}
-		n.dropLine(g, v.Region)
-	}
-	cache.Insert(r, false)
-	cache.Pin(r) // task pin, released at retire
-	cache.Pin(r) // reduction-phase pin, released at combine
-	if s := n.devs[g].Store(); s != nil {
-		s.Drop(r) // fresh zeroed bytes: the reduction identity
-	}
-	n.redPartials[r] = append(n.redPartials[r], g)
-}
-
 // registerReduction records the combiner for each Red dependence of t.
 func (n *nodeRT) registerReduction(t *task.Task) {
 	for _, d := range t.Deps {
@@ -750,8 +729,9 @@ func (n *nodeRT) registerReduction(t *task.Task) {
 
 // combineReductions folds every GPU partial of each region in rrs into the
 // host copy and releases the accumulators, one region and one GPU after
-// the other, then runs then. Runs before the first post-reduction reader;
-// the dependency graph guarantees all reduction tasks have finished.
+// the other, then runs then. Runs before the first post-reduction task
+// that touches them; the dependency graph guarantees all reduction tasks
+// have finished.
 func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 	if len(rrs) == 0 {
 		if folding := n.folding; folding != nil {
@@ -778,14 +758,16 @@ func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 			return
 		}
 		g := gpus[i]
-		n.devs[g].ReadBack(r, func(partial []byte) {
+		// The partial leaves by the D2H every GPU→host copy takes, timed
+		// with no host store: the fold reads it in place on the device.
+		n.devs[g].CopyAsync(gpusim.D2H, r, nil, false).WaitFunc(func() {
 			// Host-side fold cost.
 			n.rt.e.After(time.Duration(float64(r.Size)/n.spec.HostMemBandwidth*1e9), func() {
-				// The host buffer is fetched at the fold: an unrelated
-				// overlapping Bytes call meanwhile may have re-based the
+				// Both buffers are fetched at the fold: an unrelated
+				// overlapping Bytes call meanwhile may have re-based a
 				// backing extent.
-				if acc := n.hostStore.Bytes(r); acc != nil && partial != nil && combiner != nil {
-					combiner(acc, partial)
+				if dev := n.devs[g].Store(); dev != nil && combiner != nil {
+					combiner(n.hostStore.Bytes(r), dev.Bytes(r))
 				}
 				n.caches[g].Unpin(r)
 				n.dropLine(g, r)

@@ -70,4 +70,4 @@ func (pg *powerGov) release(delta float64) {
 }
 
 // PeakWatts is the high-water modeled draw so far.
-func (pg *powerGov) PeakWatts() float64 { return float64(pg.drawMW.Max()) / 1000 }
+func (pg *powerGov) peakWatts() float64 { return float64(pg.drawMW.Max()) / 1000 }

@@ -447,7 +447,7 @@ func (rt *Runtime) collectStats() Stats {
 	// the whole run, and each kernel adds its device's busy delta for its
 	// duration. Pure arithmetic over already-collected busy counters.
 	s.EnergyJoules = rt.cfg.Cluster.IdleWatts() * s.ElapsedSeconds
-	s.PowerPeakWatts = rt.gov.PeakWatts()
+	s.PowerPeakWatts = rt.gov.peakWatts()
 	reg := rt.cfg.Metrics
 	elapsed := int64(rt.e.Now())
 	for _, n := range rt.nodes {

@@ -15,8 +15,8 @@ import (
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
-// ErrOutOfMemory is returned by Malloc when device memory is exhausted.
-var ErrOutOfMemory = errors.New("cuda: out of device memory")
+// errOutOfMemory is returned by Malloc when device memory is exhausted.
+var errOutOfMemory = errors.New("cuda: out of device memory")
 
 // Context wraps one device, tracking its allocations.
 type Context struct {
@@ -35,7 +35,7 @@ func (c *Context) Malloc(r memspace.Region) error {
 		return fmt.Errorf("cuda: double Malloc of %v", r)
 	}
 	if !c.dev.Alloc(r.Size) {
-		return ErrOutOfMemory
+		return errOutOfMemory
 	}
 	c.allocs[r.Addr] = r.Size
 	return nil

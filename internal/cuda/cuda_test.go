@@ -34,8 +34,8 @@ func TestMallocFreeAccounting(t *testing.T) {
 	if err := ctx.Malloc(r2); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Malloc(r3); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	if err := ctx.Malloc(r3); !errors.Is(err, errOutOfMemory) {
+		t.Fatalf("err = %v, want errOutOfMemory", err)
 	}
 	ctx.Free(r1)
 	if err := ctx.Malloc(r3); err != nil {

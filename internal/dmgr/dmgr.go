@@ -24,14 +24,14 @@ import (
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
-// OwnBlockBits sets the ownership granule: the address space is cut into
-// fixed 2^OwnBlockBits-byte blocks and each block belongs to exactly one
+// ownBlockBits sets the ownership granule: the address space is cut into
+// fixed 2^ownBlockBits-byte blocks and each block belongs to exactly one
 // manager shard, chosen by a hash of the block index. Hashing fixed
 // blocks rather than whole regions keeps ownership sound under arbitrary
 // region overlap: any two regions that share a byte agree on who owns
 // that byte, and a region is managed by walking its blocks in address
 // order — which also preserves the centralized fragment visit order.
-const OwnBlockBits = 18
+const ownBlockBits = 18
 
 // Span is one maximal address-ordered run of same-owner blocks within a
 // region: the unit of work routed to a single shard.
@@ -64,9 +64,6 @@ func NewMap(shards, nodes int) *Map {
 	return m
 }
 
-// Shards returns the shard count.
-func (m *Map) Shards() int { return m.shards }
-
 // fnv1a hashes the 8 bytes of x (FNV-1a, little-endian byte order).
 func fnv1a(x uint64) uint64 {
 	h := uint64(14695981039346656037)
@@ -82,7 +79,7 @@ func (m *Map) Owner(addr uint64) int {
 	if m.shards == 1 {
 		return 0
 	}
-	return int(fnv1a(addr>>OwnBlockBits) % uint64(m.shards))
+	return int(fnv1a(addr>>ownBlockBits) % uint64(m.shards))
 }
 
 // Host returns the node currently hosting shard s.
@@ -139,7 +136,7 @@ func (m *Map) SpansInto(r memspace.Region, out []Span) []Span {
 		owner := m.Owner(addr)
 		run := addr
 		for run < end && m.Owner(run) == owner {
-			next := (run>>OwnBlockBits + 1) << OwnBlockBits
+			next := (run>>ownBlockBits + 1) << ownBlockBits
 			if next > end {
 				next = end
 			}
@@ -188,7 +185,7 @@ type Model struct {
 func NewModel(m *Map, opCost, hop time.Duration, ops, remoteOps *metrics.Counter) *Model {
 	return &Model{
 		M: m, OpCost: opCost, Hop: hop,
-		busy: make([]sim.Time, m.Shards()),
+		busy: make([]sim.Time, m.shards),
 		ops:  ops, remoteOps: remoteOps,
 	}
 }

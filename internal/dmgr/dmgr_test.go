@@ -11,7 +11,7 @@ import (
 )
 
 // blockSize is the ownership granule in bytes.
-const blockSize uint64 = 1 << OwnBlockBits
+const blockSize uint64 = 1 << ownBlockBits
 
 // TestSpansPartitionExactly checks that span decomposition partitions any
 // region exactly: address-ordered, gap-free, and owner-consistent with
@@ -34,9 +34,9 @@ func TestSpansPartitionExactly(t *testing.T) {
 				t.Fatalf("region %v: span %v owner mismatch", r, sp)
 			}
 			// Every block inside the span must agree on the owner.
-			for b := sp.R.Addr >> OwnBlockBits; b <= (sp.R.End()-1)>>OwnBlockBits; b++ {
-				if m.Owner(b<<OwnBlockBits) != sp.Shard {
-					t.Fatalf("region %v: span %v contains block %d owned by %d", r, sp, b, m.Owner(b<<OwnBlockBits))
+			for b := sp.R.Addr >> ownBlockBits; b <= (sp.R.End()-1)>>ownBlockBits; b++ {
+				if m.Owner(b<<ownBlockBits) != sp.Shard {
+					t.Fatalf("region %v: span %v contains block %d owned by %d", r, sp, b, m.Owner(b<<ownBlockBits))
 				}
 			}
 			addr = sp.R.End()
@@ -144,8 +144,8 @@ func TestShardFragments(t *testing.T) {
 		t.Fatalf("workload never straddles an ownership edge: %d pairs over %d fragments", pairs, len(frags))
 	}
 	counts := m.ShardFragments(frags)
-	if len(counts) != m.Shards() {
-		t.Fatalf("ShardFragments returned %d tallies for %d shards", len(counts), m.Shards())
+	if len(counts) != m.shards {
+		t.Fatalf("ShardFragments returned %d tallies for %d shards", len(counts), m.shards)
 	}
 	sum := 0
 	for s, n := range counts {

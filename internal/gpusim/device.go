@@ -126,9 +126,9 @@ func TransferCost(spec hw.GPUSpec, size uint64) time.Duration {
 	return spec.PCIeLatency + time.Duration(float64(size)/spec.PCIeBandwidth*1e9)
 }
 
-// StagingCost returns the host memcpy duration for staging size bytes into
+// stagingCost returns the host memcpy duration for staging size bytes into
 // or out of a page-locked buffer.
-func StagingCost(spec hw.GPUSpec, size uint64) time.Duration {
+func stagingCost(spec hw.GPUSpec, size uint64) time.Duration {
 	return time.Duration(float64(size) / spec.PinnedCopyBandwidth * 1e9)
 }
 
@@ -194,7 +194,7 @@ func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store
 		// Stage user memory into an intermediate page-locked buffer before
 		// the DMA can start (H2D), or out of it after (D2H). The memcpy burns
 		// host time either way; model it serially on this transfer.
-		start = func() { d.e.After(StagingCost(d.spec, r.Size), dma) }
+		start = func() { d.e.After(stagingCost(d.spec, r.Size), dma) }
 	}
 	d.e.After(0, start)
 	return done
@@ -207,23 +207,3 @@ func (d *Device) Copy(p *sim.Proc, dir Dir, r memspace.Region, hostStore *memspa
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
-
-// ReadBack charges a device-to-host transfer of r and hands fn a copy of the
-// device bytes — nil in cost-only mode — without touching any host store:
-// how reduction partials are collected. Like a copy it is events: fn runs
-// as a bare callback where a process that held the DMA engine for the
-// transfer would have woken.
-func (d *Device) ReadBack(r memspace.Region, fn func(partial []byte)) {
-	cost := TransferCost(d.spec, r.Size)
-	d.occupy(d.dma[D2H], cost, func() {
-		d.stats.DMABusy += sim.Time(cost)
-		d.stats.BytesD2H += r.Size
-		d.stats.XfersD2H++
-		var out []byte
-		if d.store != nil {
-			out = make([]byte, r.Size)
-			copy(out, d.store.Bytes(r))
-		}
-		fn(out)
-	})
-}

@@ -44,7 +44,7 @@ func TestTransferAndStagingCost(t *testing.T) {
 	if got, want := TransferCost(spec, 5_000_000), spec.PCIeLatency+time.Millisecond; got != want {
 		t.Fatalf("transfer cost = %v, want %v", got, want)
 	}
-	if got, want := StagingCost(spec, 10_000_000), time.Millisecond; got != want {
+	if got, want := stagingCost(spec, 10_000_000), time.Millisecond; got != want {
 		t.Fatalf("staging cost = %v, want %v", got, want)
 	}
 }
@@ -138,7 +138,7 @@ func TestUnpinnedStagingAddsTime(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	staging := sim.Time(StagingCost(testSpec(), r.Size))
+	staging := sim.Time(stagingCost(testSpec(), r.Size))
 	if unpinnedEnd != pinnedEnd+staging {
 		t.Fatalf("unpinned = %v, pinned = %v, staging = %v", unpinnedEnd, pinnedEnd, staging)
 	}
@@ -201,44 +201,27 @@ func TestDirString(t *testing.T) {
 	}
 }
 
-func TestReadBackChargesTimeAndCopiesBytes(t *testing.T) {
+// A D2H with no host store is timed and counted like any other, and leaves
+// the device bytes where they are: how a reduction partial is read for its
+// fold.
+func TestD2HWithoutHostStoreChargesTime(t *testing.T) {
 	e := sim.NewEngine()
 	d := New(e, testSpec(), memspace.GPU(0, 0), true, true)
 	r := memspace.Region{Addr: 0x7000, Size: 5_000_000}
 	copy(d.Store().Bytes(r), []byte{1, 2, 3})
-	var got []byte
 	var elapsed sim.Time
-	d.ReadBack(r, func(b []byte) { got, elapsed = b, e.Now() })
+	d.CopyAsync(D2H, r, nil, true).WaitFunc(func() { elapsed = e.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Time(TransferCost(testSpec(), r.Size))
-	if elapsed != want {
+	if want := sim.Time(TransferCost(testSpec(), r.Size)); elapsed != want {
 		t.Fatalf("elapsed = %v, want %v", elapsed, want)
 	}
-	if got[0] != 1 || got[2] != 3 {
-		t.Fatalf("bytes = %v", got[:3])
-	}
-	// The device copy is untouched and independent of the returned slice.
-	got[0] = 99
-	if d.Store().Bytes(r)[0] != 1 {
-		t.Fatal("ReadBack must return a copy")
+	if b := d.Store().Bytes(r); b[0] != 1 || b[2] != 3 {
+		t.Fatalf("device bytes = %v", b[:3])
 	}
 	if d.Stats().XfersD2H != 1 || d.Stats().BytesD2H != r.Size {
 		t.Fatalf("stats = %+v", d.Stats())
-	}
-}
-
-func TestReadBackCostOnlyReturnsNil(t *testing.T) {
-	e := sim.NewEngine()
-	d := New(e, testSpec(), memspace.GPU(0, 0), true, false)
-	d.ReadBack(memspace.Region{Addr: 1, Size: 64}, func(b []byte) {
-		if b != nil {
-			t.Errorf("cost-only ReadBack = %v", b)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -213,12 +213,12 @@ func GTX480() GPUSpec {
 	}
 }
 
-// MultiGPUNode returns the paper's multi-GPU evaluation system: two Xeon
+// multiGPUNode returns the paper's multi-GPU evaluation system: two Xeon
 // E5440 (8 cores total), 15.66 GB RAM at 148 GB/s peak, and up to four
 // Tesla S2050 GPUs (numGPUs selects how many are used, 1..4).
-func MultiGPUNode(numGPUs int) NodeSpec {
+func multiGPUNode(numGPUs int) NodeSpec {
 	if numGPUs < 1 || numGPUs > 4 {
-		panic("hw: MultiGPUNode supports 1..4 GPUs")
+		panic("hw: multiGPUNode supports 1..4 GPUs")
 	}
 	gpus := make([]GPUSpec, numGPUs)
 	for i := range gpus {
@@ -251,19 +251,19 @@ func ClusterNode() NodeSpec {
 	}
 }
 
-// TeslaClusterNode returns a cluster node carrying one Tesla S2050-class
+// teslaClusterNode returns a cluster node carrying one Tesla S2050-class
 // GPU instead of the GTX 480 — the older half of the mixed-generation
 // cluster the heterogeneity experiments schedule over.
-func TeslaClusterNode() NodeSpec {
+func teslaClusterNode() NodeSpec {
 	n := ClusterNode()
 	n.Name = "cluster-node-tesla"
 	n.GPUs = []GPUSpec{TeslaS2050()}
 	return n
 }
 
-// QDRInfiniband returns the paper's interconnect: "QDR Infiniband network
+// qdrInfiniband returns the paper's interconnect: "QDR Infiniband network
 // with a bandwidth peak of 8 Gbits/s" and native-conduit GASNet latencies.
-func QDRInfiniband() NetSpec {
+func qdrInfiniband() NetSpec {
 	return NetSpec{
 		Name:               "QDR InfiniBand (GASNet ibv conduit)",
 		Bandwidth:          1e9, // 8 Gbit/s
@@ -277,8 +277,8 @@ func QDRInfiniband() NetSpec {
 func MultiGPUSystem(numGPUs int) ClusterSpec {
 	return ClusterSpec{
 		Name:  "multi-GPU node",
-		Nodes: []NodeSpec{MultiGPUNode(numGPUs)},
-		Net:   QDRInfiniband(), // unused with one node
+		Nodes: []NodeSpec{multiGPUNode(numGPUs)},
+		Net:   qdrInfiniband(), // unused with one node
 	}
 }
 
@@ -292,7 +292,7 @@ func GPUCluster(numNodes int) ClusterSpec {
 	for i := range nodes {
 		nodes[i] = ClusterNode()
 	}
-	return ClusterSpec{Name: "GPU cluster", Nodes: nodes, Net: QDRInfiniband()}
+	return ClusterSpec{Name: "GPU cluster", Nodes: nodes, Net: qdrInfiniband()}
 }
 
 // MixedGPUCluster returns a heterogeneous cluster: gtx nodes carrying one
@@ -309,7 +309,7 @@ func MixedGPUCluster(gtx, tesla int) ClusterSpec {
 		nodes = append(nodes, ClusterNode())
 	}
 	for i := 0; i < tesla; i++ {
-		nodes = append(nodes, TeslaClusterNode())
+		nodes = append(nodes, teslaClusterNode())
 	}
-	return ClusterSpec{Name: "mixed GPU cluster", Nodes: nodes, Net: QDRInfiniband()}
+	return ClusterSpec{Name: "mixed GPU cluster", Nodes: nodes, Net: qdrInfiniband()}
 }

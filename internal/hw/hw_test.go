@@ -14,7 +14,7 @@ func TestPresetsMatchPaperNumbers(t *testing.T) {
 	if gtx.PeakSPFlops != 1.35e12 || gtx.MemBandwidth != 177.4e9 || gtx.MemBytes != 1500<<20 {
 		t.Fatalf("GTX480 spec drifted: %+v", gtx)
 	}
-	net := QDRInfiniband()
+	net := qdrInfiniband()
 	if net.Bandwidth != 1e9 {
 		t.Fatalf("network = %v B/s, want the paper's 8 Gbit/s", net.Bandwidth)
 	}
@@ -40,8 +40,8 @@ func TestMultiGPUSystem(t *testing.T) {
 			t.Fatalf("cores = %d, want the paper's two quad-core Xeons", c.Nodes[0].CPUCores)
 		}
 	}
-	mustPanic(t, func() { MultiGPUNode(0) })
-	mustPanic(t, func() { MultiGPUNode(5) })
+	mustPanic(t, func() { multiGPUNode(0) })
+	mustPanic(t, func() { multiGPUNode(5) })
 }
 
 func TestGPUCluster(t *testing.T) {
@@ -97,7 +97,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		c    ClusterSpec
 		want string
 	}{
-		{"no nodes", ClusterSpec{Name: "empty", Net: QDRInfiniband()}, "no nodes"},
+		{"no nodes", ClusterSpec{Name: "empty", Net: qdrInfiniband()}, "no nodes"},
 		{"zero net bandwidth", break1(func(c *ClusterSpec) { c.Net.Bandwidth = 0 }), "bandwidth"},
 		{"negative net latency", break1(func(c *ClusterSpec) { c.Net.Latency = -1 }), "latency"},
 		{"zero pcie", break1(func(c *ClusterSpec) { c.Nodes[1].GPUs[0].PCIeBandwidth = 0 }), "PCIe"},

@@ -25,7 +25,7 @@ func allKernels(al *memspace.Allocator) []task.Work {
 	img := al.Alloc(64*8*4, 0)
 	return []task.Work{
 		Sgemm{A: tile, B: tile2, C: tile3, BS: 64},
-		FillTile{R: tile, Seed: 7},
+		fillTile{R: tile, Seed: 7},
 		FillChunk{Tiles: []memspace.Region{tile, tile2}, Seeds: []uint32{1, ZeroSeed}},
 		StreamCopy{A: blk, C: blk2},
 		StreamScale{C: blk2, B: blk3, Scalar: 2},

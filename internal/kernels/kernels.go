@@ -74,28 +74,28 @@ func (k Sgemm) Run(store *memspace.Store) {
 	}
 }
 
-// FillTile initializes a tile with a deterministic pattern; the body of the
+// fillTile initializes a tile with a deterministic pattern; the body of the
 // parallel (smp/gpu) initialization tasks of the cluster Matmul experiment.
-type FillTile struct {
+type fillTile struct {
 	R    memspace.Region
 	Seed uint32
 }
 
 // Name implements task.Work.
-func (k FillTile) Name() string { return "fill" }
+func (k fillTile) Name() string { return "fill" }
 
 // GPUCost implements task.Work (pure write bandwidth).
-func (k FillTile) GPUCost(spec hw.GPUSpec) time.Duration {
+func (k fillTile) GPUCost(spec hw.GPUSpec) time.Duration {
 	return gpusim.KernelCost(spec, 0, float64(k.R.Size))
 }
 
 // CPUCost implements task.Work.
-func (k FillTile) CPUCost(spec hw.NodeSpec) time.Duration {
+func (k fillTile) CPUCost(spec hw.NodeSpec) time.Duration {
 	return cpuCost(spec, 0, float64(k.R.Size))
 }
 
 // Run implements task.Work with a small LCG so contents are deterministic.
-func (k FillTile) Run(store *memspace.Store) {
+func (k fillTile) Run(store *memspace.Store) {
 	if store == nil {
 		return
 	}
@@ -575,7 +575,7 @@ func (k StreamInit) Run(store *memspace.Store) {
 	}
 }
 
-// FillChunk initializes a set of matrix tiles, each with FillTile's
+// FillChunk initializes a set of matrix tiles, each with fillTile's
 // deterministic pattern for its seed; ZeroSeed zeroes a tile.
 // It is the body of the parallel-initialization tasks of the cluster
 // Matmul experiment (one chunk per node).
@@ -620,7 +620,7 @@ func (k FillChunk) Run(store *memspace.Store) {
 			clear(store.Bytes(t))
 			continue
 		}
-		FillTile{R: t, Seed: k.Seeds[i]}.Run(store)
+		fillTile{R: t, Seed: k.Seeds[i]}.Run(store)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// CountSource returns the number of useful lines in Go source text: lines
+// countSource returns the number of useful lines in Go source text: lines
 // that contain code after stripping line comments, block comments and
 // whitespace.
-func CountSource(src string) int {
+func countSource(src string) int {
 	useful := 0
 	inBlock := false
 	for _, line := range strings.Split(src, "\n") {
@@ -68,20 +68,20 @@ func countLine(line string, inBlock *bool) bool {
 	return strings.TrimSpace(code.String()) != ""
 }
 
-// CountFile counts useful lines in one file.
-func CountFile(path string) (int, error) {
+// countFile counts useful lines in one file.
+func countFile(path string) (int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("loc: %w", err)
 	}
-	return CountSource(string(b)), nil
+	return countSource(string(b)), nil
 }
 
 // CountFiles sums useful lines over several files.
 func CountFiles(paths ...string) (int, error) {
 	total := 0
 	for _, p := range paths {
-		n, err := CountFile(p)
+		n, err := countFile(p)
 		if err != nil {
 			return 0, err
 		}

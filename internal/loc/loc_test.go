@@ -23,15 +23,15 @@ func TestCountSource(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := CountSource(c.src); got != c.want {
-				t.Fatalf("CountSource(%q) = %d, want %d", c.src, got, c.want)
+			if got := countSource(c.src); got != c.want {
+				t.Fatalf("countSource(%q) = %d, want %d", c.src, got, c.want)
 			}
 		})
 	}
 }
 
 func TestCountFileMissing(t *testing.T) {
-	if _, err := CountFile("/nonexistent/file.go"); err == nil {
+	if _, err := countFile("/nonexistent/file.go"); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -111,24 +111,24 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// HostDev is the device index denoting a node's host memory.
-const HostDev = -1
+// hostDev is the device index denoting a node's host memory.
+const hostDev = -1
 
 // Location identifies an address space in the machine: the host memory of a
-// node (Dev == HostDev) or GPU Dev of a node.
+// node (Dev == hostDev) or GPU Dev of a node.
 type Location struct {
 	Node int
 	Dev  int
 }
 
 // Host returns the host location of node n.
-func Host(n int) Location { return Location{Node: n, Dev: HostDev} }
+func Host(n int) Location { return Location{Node: n, Dev: hostDev} }
 
 // GPU returns the location of GPU d on node n.
 func GPU(n, d int) Location { return Location{Node: n, Dev: d} }
 
 // IsHost reports whether l is a host memory.
-func (l Location) IsHost() bool { return l.Dev == HostDev }
+func (l Location) IsHost() bool { return l.Dev == hostDev }
 
 func (l Location) String() string {
 	if l.IsHost() {

@@ -51,12 +51,12 @@ func (p *Program) Bind(ctx *ompss.Context, kernels map[string]Kernel) (*Instance
 	return &Instance{prog: p, ctx: ctx, kernels: kernels}, nil
 }
 
-// Call invokes annotated function name with positional arguments: a
+// call invokes annotated function name with positional arguments: a
 // memspace.Region (or ompss.Region) per pointer parameter, an integer or
 // float per scalar parameter. The dependence clauses are evaluated against
 // the arguments and a task is submitted — "any call to the function
 // creates a new task that will execute the function body".
-func (in *Instance) Call(name string, args ...interface{}) error {
+func (in *Instance) call(name string, args ...interface{}) error {
 	decl, ok := in.prog.Tasks[name]
 	if !ok {
 		return fmt.Errorf("mercurium: call of undeclared task %q", name)
@@ -73,7 +73,7 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 	for i, p := range decl.Params {
 		switch v := args[i].(type) {
 		case memspace.Region:
-			if p.ElemSize() == 0 {
+			if p.elemSize() == 0 {
 				return fmt.Errorf("mercurium: %s parameter %s is scalar, got region", name, p.Name)
 			}
 			bound.Regions[p.Name] = v
@@ -96,7 +96,7 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 		clauses = append(clauses, ompss.NoCopyDeps())
 	}
 	for _, d := range decl.Deps {
-		p, ok := decl.Param(d.Param)
+		p, ok := decl.param(d.Param)
 		if !ok {
 			return fmt.Errorf("mercurium: %s clause names unknown parameter %q", name, d.Param)
 		}
@@ -108,7 +108,7 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 		if err != nil {
 			return fmt.Errorf("mercurium: %s: %w", name, err)
 		}
-		if want := uint64(n) * p.ElemSize(); want != r.Size {
+		if want := uint64(n) * p.elemSize(); want != r.Size {
 			return fmt.Errorf("mercurium: %s: clause [%s] %s names %d bytes but the region holds %d (partial overlap is unsupported)",
 				name, d.Len, d.Param, want, r.Size)
 		}
@@ -135,9 +135,9 @@ func (in *Instance) Call(name string, args ...interface{}) error {
 	return nil
 }
 
-// MustCall is Call, panicking on error.
+// MustCall is call, panicking on error.
 func (in *Instance) MustCall(name string, args ...interface{}) {
-	if err := in.Call(name, args...); err != nil {
+	if err := in.call(name, args...); err != nil {
 		panic(err)
 	}
 }
@@ -146,7 +146,7 @@ func (in *Instance) MustCall(name string, args ...interface{}) {
 func (in *Instance) TaskWaitNoflush() { in.ctx.TaskWaitNoflush() }
 
 // combinerFor maps the element type of a reduction(+: …) item to its
-// combiner; Parse admits no other operator.
+// combiner; parse admits no other operator.
 func combinerFor(typ string) (task.Combiner, error) {
 	switch typ {
 	case "float*":

@@ -11,10 +11,10 @@ func FuzzParse(f *testing.F) {
 	f.Add(figure1)
 	f.Add(figure2)
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := Parse(src)
+		prog, err := parse(src)
 		if err != nil {
 			if prog != nil {
-				t.Fatalf("Parse returned a program with error %v", err)
+				t.Fatalf("parse returned a program with error %v", err)
 			}
 			return
 		}

@@ -100,7 +100,7 @@ func TestParseErrors(t *testing.T) {
 		"target no task":    "#pragma omp target device(cuda)\nvoid f(float *a);",
 	}
 	for name, src := range cases {
-		if _, err := Parse(src); err == nil {
+		if _, err := parse(src); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -188,19 +188,19 @@ func TestCallErrors(t *testing.T) {
 		}
 		a := ctx.Alloc(64 * 8)
 		c := ctx.Alloc(64 * 8)
-		if err := inst.Call("nosuch"); err == nil {
+		if err := inst.call("nosuch"); err == nil {
 			t.Error("calling undeclared task should fail")
 		}
-		if err := inst.Call("copy", a, c); err == nil {
+		if err := inst.call("copy", a, c); err == nil {
 			t.Error("arity mismatch should fail")
 		}
-		if err := inst.Call("copy", a, c, 99); err == nil {
+		if err := inst.call("copy", a, c, 99); err == nil {
 			t.Error("size mismatch should fail (99 != 64 elements)")
 		}
-		if err := inst.Call("copy", 1, c, 64); err == nil {
+		if err := inst.call("copy", 1, c, 64); err == nil {
 			t.Error("scalar for pointer parameter should fail")
 		}
-		if err := inst.Call("copy", a, c, 64); err != nil {
+		if err := inst.call("copy", a, c, 64); err != nil {
 			t.Errorf("well-formed call failed: %v", err)
 		}
 		inst.TaskWaitNoflush()
@@ -360,7 +360,7 @@ void dot(%[1]s *x, %[1]s *y, %[1]s *acc, int N);
 	}
 
 	t.Run("unsupported-operator", func(t *testing.T) {
-		if _, err := Parse("#pragma omp task reduction(*: acc)\nvoid f(float *acc);"); err == nil || !strings.Contains(err.Error(), `unsupported reduction operator "*"`) {
+		if _, err := parse("#pragma omp task reduction(*: acc)\nvoid f(float *acc);"); err == nil || !strings.Contains(err.Error(), `unsupported reduction operator "*"`) {
 			t.Errorf("reduction(*: …): err = %v, want the unsupported-operator error", err)
 		}
 	})
@@ -372,7 +372,7 @@ void dot(%[1]s *x, %[1]s *y, %[1]s *acc, int N);
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = inst.Call("f", ctx.Alloc(4))
+			err = inst.call("f", ctx.Alloc(4))
 			if err == nil || !strings.Contains(err.Error(), `no + combiner for element type "int*"`) {
 				t.Errorf("int* reduction: err = %v, want the no-combiner error", err)
 			}

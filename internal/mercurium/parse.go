@@ -22,9 +22,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-// Access re-exports the dependence direction.
-type Access = task.Access
-
 // Param is one parameter of an annotated function.
 type Param struct {
 	Name string
@@ -32,7 +29,7 @@ type Param struct {
 }
 
 // ElemSize returns the pointee size of a pointer parameter (0 for scalars).
-func (p Param) ElemSize() uint64 {
+func (p Param) elemSize() uint64 {
 	switch p.Type {
 	case "float*":
 		return 4
@@ -50,7 +47,7 @@ func (p Param) ElemSize() uint64 {
 type Dep struct {
 	Len    Expr
 	Param  string
-	Access Access
+	Access task.Access
 }
 
 // TaskDecl is one annotated function declaration.
@@ -62,8 +59,8 @@ type TaskDecl struct {
 	Deps     []Dep
 }
 
-// Param returns the named parameter declaration.
-func (d *TaskDecl) Param(name string) (Param, bool) {
+// param returns the named parameter declaration.
+func (d *TaskDecl) param(name string) (Param, bool) {
 	for _, p := range d.Params {
 		if p.Name == name {
 			return p, true
@@ -117,11 +114,11 @@ func (m mul) Eval(env map[string]int64) (int64, error) {
 }
 func (m mul) String() string { return m.a.String() + "*" + m.b.String() }
 
-// Parse reads annotated source: pairs (or single lines) of
+// parse reads annotated source: pairs (or single lines) of
 // `#pragma omp target ...` / `#pragma omp task ...` directives followed by
 // a C function declaration. Anything else (blank lines, comments, plain C)
 // is skipped, as a source-to-source compiler would pass it through.
-func Parse(src string) (*Program, error) {
+func parse(src string) (*Program, error) {
 	prog := &Program{Tasks: make(map[string]*TaskDecl)}
 	lines := strings.Split(src, "\n")
 	var pendingTarget, pendingTask string
@@ -170,9 +167,9 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse, panicking on error (for tests and examples).
+// MustParse is parse, panicking on error (for tests and examples).
 func MustParse(src string) *Program {
-	p, err := Parse(src)
+	p, err := parse(src)
 	if err != nil {
 		panic(err)
 	}
@@ -251,7 +248,7 @@ func applyTargetClauses(d *TaskDecl, src string) error {
 // applyTaskClauses handles input/output/inout dependence lists.
 func applyTaskClauses(d *TaskDecl, src string) error {
 	for _, cl := range splitClauses(src) {
-		var acc Access
+		var acc task.Access
 		var body string
 		switch {
 		case strings.HasPrefix(cl, "input(") && strings.HasSuffix(cl, ")"):
@@ -286,7 +283,7 @@ func applyTaskClauses(d *TaskDecl, src string) error {
 }
 
 // parseDepItem parses `[N] a` or `[BS*BS] c` or plain `x`.
-func parseDepItem(src string, acc Access) (Dep, error) {
+func parseDepItem(src string, acc task.Access) (Dep, error) {
 	src = strings.TrimSpace(src)
 	dep := Dep{Access: acc, Len: intLit(1)}
 	if strings.HasPrefix(src, "[") {

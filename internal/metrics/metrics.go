@@ -33,11 +33,11 @@ type Label struct {
 // L is shorthand for building a Label at an instrumentation site.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// ID renders the canonical instrument id: name{k1=v1,k2=v2} with labels
-// sorted by key, or just name when there are none. The id is the
-// registry key, so two sites naming the same (name, labels) pair share
-// one instrument regardless of label argument order.
-func ID(name string, labels ...Label) string {
+// instrumentID renders the canonical instrument id: name{k1=v1,k2=v2}
+// with labels sorted by key, or just name when there are none. The id is
+// the registry key, so two sites naming the same (name, labels) pair
+// share one instrument regardless of label argument order.
+func instrumentID(name string, labels ...Label) string {
 	if len(labels) == 0 {
 		return name
 	}
@@ -111,8 +111,8 @@ func (g *Gauge) Add(d int64) {
 	g.Set(g.v + d)
 }
 
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
+// value returns the current level (0 on nil).
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -133,7 +133,7 @@ func (g *Gauge) Max() int64 {
 const histBuckets = 65
 
 // Histogram accumulates virtual-time durations into exponential
-// power-of-two buckets. Count, Sum and the bucket vector are exact
+// power-of-two buckets. The count, the sum and the bucket vector are exact
 // integers, so snapshots are bit-stable. A nil *Histogram is a no-op.
 type Histogram struct {
 	count, sum int64
@@ -155,41 +155,25 @@ func (h *Histogram) Observe(d sim.Duration) {
 	h.buckets[i]++
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the total observed virtual time (0 on nil).
-func (h *Histogram) Sum() sim.Duration {
-	if h == nil {
-		return 0
-	}
-	return sim.Duration(h.sum)
-}
-
 // Kind tags what a Sample measures.
 type Kind int
 
 const (
-	// KindCounter samples carry the counter value.
-	KindCounter Kind = iota
-	// KindGauge samples carry the current level and high-water mark.
-	KindGauge
-	// KindHistogram samples carry the observation count and total sum.
-	KindHistogram
+	// kindCounter samples carry the counter value.
+	kindCounter Kind = iota
+	// kindGauge samples carry the current level and high-water mark.
+	kindGauge
+	// kindHistogram samples carry the observation count and total sum.
+	kindHistogram
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
@@ -232,7 +216,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	id := ID(name, labels...)
+	id := instrumentID(name, labels...)
 	c, ok := r.counters[id]
 	if !ok {
 		c = &Counter{}
@@ -247,7 +231,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	id := ID(name, labels...)
+	id := instrumentID(name, labels...)
 	g, ok := r.gauges[id]
 	if !ok {
 		g = &Gauge{}
@@ -262,7 +246,7 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
-	id := ID(name, labels...)
+	id := instrumentID(name, labels...)
 	h, ok := r.hists[id]
 	if !ok {
 		h = &Histogram{}
@@ -280,15 +264,15 @@ func (r *Registry) Snapshot() []Sample {
 	}
 	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for _, id := range detmap.Keys(r.counters) {
-		out = append(out, Sample{ID: id, Kind: KindCounter, Value: r.counters[id].Value()})
+		out = append(out, Sample{ID: id, Kind: kindCounter, Value: r.counters[id].Value()})
 	}
 	for _, id := range detmap.Keys(r.gauges) {
 		g := r.gauges[id]
-		out = append(out, Sample{ID: id, Kind: KindGauge, Value: g.Value(), Max: g.Max()})
+		out = append(out, Sample{ID: id, Kind: kindGauge, Value: g.value(), Max: g.Max()})
 	}
 	for _, id := range detmap.Keys(r.hists) {
 		h := r.hists[id]
-		out = append(out, Sample{ID: id, Kind: KindHistogram, Value: h.Count(), Sum: int64(h.Sum())})
+		out = append(out, Sample{ID: id, Kind: kindHistogram, Value: h.count, Sum: h.sum})
 	}
 	return out
 }
@@ -299,9 +283,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, s := range r.Snapshot() {
 		var err error
 		switch s.Kind {
-		case KindGauge:
+		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %s value=%d max=%d\n", s.Kind, s.ID, s.Value, s.Max)
-		case KindHistogram:
+		case kindHistogram:
 			_, err = fmt.Fprintf(w, "%s %s count=%d sum_ns=%d\n", s.Kind, s.ID, s.Value, s.Sum)
 		default:
 			_, err = fmt.Fprintf(w, "%s %s value=%d\n", s.Kind, s.ID, s.Value)

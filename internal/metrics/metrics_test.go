@@ -16,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	h.Observe(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.value() != 0 || g.Max() != 0 || h != nil {
 		t.Fatal("nil instruments must read zero")
 	}
 	if got := r.Snapshot(); got != nil {
@@ -42,10 +42,10 @@ func TestInstrumentIdentity(t *testing.T) {
 	if c := r.Counter("tasks", L("node", "1"), L("kind", "smp")); c == a {
 		t.Fatal("different labels must make a distinct counter")
 	}
-	if got, want := ID("tasks", L("node", "0"), L("kind", "smp")), "tasks{kind=smp,node=0}"; got != want {
+	if got, want := instrumentID("tasks", L("node", "0"), L("kind", "smp")), "tasks{kind=smp,node=0}"; got != want {
 		t.Fatalf("ID = %q, want %q", got, want)
 	}
-	if got, want := ID("plain"), "plain"; got != want {
+	if got, want := instrumentID("plain"), "plain"; got != want {
 		t.Fatalf("ID = %q, want %q", got, want)
 	}
 }
@@ -56,8 +56,8 @@ func TestGaugeHighWater(t *testing.T) {
 	g.Add(4)
 	g.Add(3)
 	g.Add(-6)
-	if g.Value() != 1 || g.Max() != 7 {
-		t.Fatalf("gauge value=%d max=%d, want 1/7", g.Value(), g.Max())
+	if g.value() != 1 || g.Max() != 7 {
+		t.Fatalf("gauge value=%d max=%d, want 1/7", g.value(), g.Max())
 	}
 }
 
@@ -68,12 +68,12 @@ func TestHistogram(t *testing.T) {
 	h.Observe(1)
 	h.Observe(time.Microsecond)
 	h.Observe(time.Millisecond)
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if h.count != 4 {
+		t.Fatalf("count = %d, want 4", h.count)
 	}
 	want := time.Duration(1) + time.Microsecond + time.Millisecond
-	if h.Sum() != want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
+	if time.Duration(h.sum) != want {
+		t.Fatalf("sum = %v, want %v", time.Duration(h.sum), want)
 	}
 	if mean := time.Duration(h.sum / h.count); mean != want/4 {
 		t.Fatalf("mean = %v, want %v", mean, want/4)

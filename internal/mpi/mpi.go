@@ -124,8 +124,8 @@ func (r *Rank) queue(k matchKey) *sim.Queue[wireMsg] {
 // Rank returns this process's rank number.
 func (r *Rank) Rank() int { return r.rank }
 
-// Size returns the world size.
-func (r *Rank) Size() int { return len(r.w.ranks) }
+// size returns the world size.
+func (r *Rank) size() int { return len(r.w.ranks) }
 
 // Store returns this rank's host backing store.
 func (r *Rank) Store() *memspace.Store { return r.store }
@@ -166,7 +166,7 @@ func (r *Rank) recv(p *sim.Proc, src, tag int) memspace.Region {
 // Barrier synchronizes all ranks with a dissemination algorithm
 // (ceil(log2 n) rounds of paired small messages).
 func (r *Rank) Barrier(p *sim.Proc) {
-	n := r.Size()
+	n := r.size()
 	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
 		to := (r.rank + k) % n
 		from := (r.rank - k + n) % n
@@ -178,7 +178,7 @@ func (r *Rank) Barrier(p *sim.Proc) {
 // Bcast distributes region rg from root to all ranks via a binomial tree.
 // On non-root ranks the bytes land in the local store.
 func (r *Rank) Bcast(p *sim.Proc, root int, rg memspace.Region) {
-	n := r.Size()
+	n := r.size()
 	if n == 1 {
 		return
 	}
@@ -208,7 +208,7 @@ func (r *Rank) Bcast(p *sim.Proc, root int, rg memspace.Region) {
 // contribution.
 func (r *Rank) Gather(p *sim.Proc, root int, regions []memspace.Region) {
 	if r.rank == root {
-		for i := 0; i < r.Size(); i++ {
+		for i := 0; i < r.size(); i++ {
 			if i == root {
 				continue
 			}

@@ -122,7 +122,7 @@ func (f *Fabric) SetHook(h Hook) { f.hook = h }
 func (f *Fabric) Iface(i int) *Iface { return f.ifaces[i] }
 
 // SerializationTime returns size/bandwidth as a duration.
-func (f *Fabric) SerializationTime(size uint64) time.Duration {
+func (f *Fabric) serializationTime(size uint64) time.Duration {
 	return time.Duration(float64(size) / f.spec.Bandwidth * 1e9)
 }
 
@@ -243,7 +243,7 @@ func (f *Fabric) start(msg Message, done func()) *xmit {
 	if f.hook != nil {
 		x.v = f.hook.FilterSend(f.e.Now(), msg)
 	}
-	x.ser = f.SerializationTime(msg.Size)
+	x.ser = f.serializationTime(msg.Size)
 	if x.v.SerMult > 0 {
 		x.ser = time.Duration(float64(x.ser) * x.v.SerMult)
 	}

@@ -19,7 +19,7 @@ type LookaheadHooks struct {
 	Refills *metrics.Counter
 }
 
-// LookaheadSched wraps a Scheduler with a bounded per-place window of
+// lookaheadSched wraps a Scheduler with a bounded per-place window of
 // ready-ahead tasks: when a place's window is empty, one refill claims up
 // to window tasks from the wrapped scheduler in a single batch, and
 // subsequent pops serve the window in FIFO order without touching the
@@ -28,7 +28,7 @@ type LookaheadHooks struct {
 // cost of early binding: a claimed task can no longer migrate to another
 // place, which can change schedules — the runtime keeps lookahead opt-in
 // (Config.Lookahead, default off) so default schedules stay bit-identical.
-type LookaheadSched struct {
+type lookaheadSched struct {
 	inner  Scheduler
 	window int
 	// buf[place] is the place's window, newest claim first: a pop takes
@@ -45,18 +45,18 @@ func Lookahead(inner Scheduler, window int, h LookaheadHooks) Scheduler {
 	if window <= 1 {
 		return inner
 	}
-	return &LookaheadSched{inner: inner, window: window, hooks: h}
+	return &lookaheadSched{inner: inner, window: window, hooks: h}
 }
 
 // Submit forwards to the wrapped scheduler; submissions never bypass the
 // policy's own placement.
-func (s *LookaheadSched) Submit(t *task.Task, releasedBy int) {
+func (s *lookaheadSched) Submit(t *task.Task, releasedBy int) {
 	s.inner.Submit(t, releasedBy)
 }
 
 // Pop serves the place's window, refilling it from the wrapped scheduler
 // when empty.
-func (s *LookaheadSched) Pop(place int) *task.Task {
+func (s *lookaheadSched) Pop(place int) *task.Task {
 	for len(s.buf) <= place {
 		s.buf = append(s.buf, nil)
 	}
@@ -87,7 +87,7 @@ func (s *LookaheadSched) Pop(place int) *task.Task {
 
 // Drain returns the place's windowed tasks, in window order, plus
 // whatever the wrapped scheduler had queued for it.
-func (s *LookaheadSched) Drain(place int) []*task.Task {
+func (s *lookaheadSched) Drain(place int) []*task.Task {
 	var out []*task.Task
 	if place >= 0 && place < len(s.buf) {
 		out = slices.Clone(s.buf[place])
@@ -100,4 +100,4 @@ func (s *LookaheadSched) Drain(place int) []*task.Task {
 }
 
 // Len counts windowed tasks plus the wrapped scheduler's queue.
-func (s *LookaheadSched) Len() int { return s.buffered + s.inner.Len() }
+func (s *lookaheadSched) Len() int { return s.buffered + s.inner.Len() }

@@ -66,7 +66,7 @@ func TestLookaheadDrainReturnsWindow(t *testing.T) {
 	if got := s.Pop(0); got == nil || got.ID != 1 {
 		t.Fatalf("Pop = %v, want id 1", got)
 	}
-	if n := s.(*LookaheadSched).buffered; n != 3 {
+	if n := s.(*lookaheadSched).buffered; n != 3 {
 		t.Fatalf("Buffered = %d, want 3", n)
 	}
 	drained := s.Drain(0)

@@ -81,7 +81,7 @@ type Estimate struct {
 }
 
 // Incompatible marks an Estimate's place unusable for the task.
-func (e Estimate) Incompatible() bool { return e.Compute < 0 }
+func (e Estimate) incompatible() bool { return e.Compute < 0 }
 
 // CostFn returns, for each place id, the estimated cost of running t
 // there. The slice is indexed, and may be reused, like ScoreFn's.
@@ -525,7 +525,7 @@ func (s *heftSched) Submit(t *task.Task, releasedBy int) {
 	best := -1
 	var bestEFT time.Duration
 	for p := 0; p < s.places; p++ {
-		if est[p].Incompatible() || !s.canRun(p, t) {
+		if est[p].incompatible() || !s.canRun(p, t) {
 			continue
 		}
 		eft := s.backlog[p] + est[p].Transfer + est[p].Compute

@@ -2,11 +2,11 @@ package serve
 
 import "container/list"
 
-// Result is the cached artifact of one experiment execution: the reply
+// result is the cached artifact of one experiment execution: the reply
 // bytes every POST of its request is answered with, encoded once when the
 // job finishes and keyed by the request's content hash. A hit writes Reply
 // as stored, so hit-vs-miss is unobservable in the response body.
-type Result struct {
+type result struct {
 	Hash string
 	// Reply is the response body: the resultPayload JSON and a newline.
 	Reply []byte
@@ -20,7 +20,7 @@ type Result struct {
 
 // sizeBytes is the cache accounting charge of a result: payload and body
 // bytes plus a flat overhead for the struct, keys and list bookkeeping.
-func (r *Result) sizeBytes() int64 {
+func (r *result) sizeBytes() int64 {
 	const overhead = 256
 	return int64(len(r.Reply)+len(r.TraceJSON)+len(r.body)) + overhead
 }
@@ -33,7 +33,7 @@ func (r *Result) sizeBytes() int64 {
 type cache struct {
 	maxBytes int64
 	bytes    int64
-	lru      *list.List               // front = most recently used; values are *Result
+	lru      *list.List               // front = most recently used; values are *result
 	entries  map[string]*list.Element // hash -> element
 	bodies   map[string]*list.Element // raw request body -> element
 }
@@ -48,17 +48,17 @@ func newCache(maxBytes int64) *cache {
 }
 
 // get returns the cached result for hash and refreshes its recency.
-func (c *cache) get(hash string) (*Result, bool) { return c.touch(c.entries[hash]) }
+func (c *cache) get(hash string) (*result, bool) { return c.touch(c.entries[hash]) }
 
 // getBody is get for the raw request body that computed the result.
-func (c *cache) getBody(body []byte) (*Result, bool) { return c.touch(c.bodies[string(body)]) }
+func (c *cache) getBody(body []byte) (*result, bool) { return c.touch(c.bodies[string(body)]) }
 
-func (c *cache) touch(el *list.Element) (*Result, bool) {
+func (c *cache) touch(el *list.Element) (*result, bool) {
 	if el == nil {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*Result), true
+	return el.Value.(*result), true
 }
 
 // put stores res and evicts least-recently-used entries until the size
@@ -67,7 +67,7 @@ func (c *cache) touch(el *list.Element) (*Result, bool) {
 // entry that would immediately be evicted next is pure churn). Storing an
 // already-present hash replaces the entry; the new one fits, so eviction
 // stops before it.
-func (c *cache) put(res *Result) (evicted int) {
+func (c *cache) put(res *result) (evicted int) {
 	sz := res.sizeBytes()
 	if sz > c.maxBytes {
 		return 0
@@ -86,7 +86,7 @@ func (c *cache) put(res *Result) (evicted int) {
 
 // remove drops an entry from the LRU and from both indexes.
 func (c *cache) remove(el *list.Element) {
-	old := c.lru.Remove(el).(*Result)
+	old := c.lru.Remove(el).(*result)
 	delete(c.entries, old.Hash)
 	delete(c.bodies, old.body)
 	c.bytes -= old.sizeBytes()

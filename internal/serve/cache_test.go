@@ -6,8 +6,8 @@ import (
 )
 
 // mkRes builds a result whose request body is "body-" + hash.
-func mkRes(hash string, payload int) *Result {
-	return &Result{Hash: hash, Reply: make([]byte, payload), body: "body-" + hash}
+func mkRes(hash string, payload int) *result {
+	return &result{Hash: hash, Reply: make([]byte, payload), body: "body-" + hash}
 }
 
 // TestCacheLRUEviction: the size bound evicts least-recently-used entries

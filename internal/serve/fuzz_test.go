@@ -15,11 +15,11 @@ import (
 // makes parsing fail. The seed corpus is testdata/fuzz/FuzzParseRequest.
 func FuzzParseRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r, err := ParseRequest(bytes.NewReader(body))
+		r, err := parseRequest(bytes.NewReader(body))
 		if err != nil {
 			return
 		}
-		key := r.Hash()
+		key := r.hash()
 		enc, err := json.Marshal(r)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", r, err)
@@ -36,13 +36,13 @@ func FuzzParseRequest(f *testing.F) {
 		var respelled bytes.Buffer
 		respell(&respelled, fields)
 		for _, same := range [][]byte{enc, respelled.Bytes()} {
-			v, err := ParseRequest(bytes.NewReader(same))
-			if err != nil || v.Hash() != key {
-				t.Fatalf("%s keys to %s, but %s keys to %s (%v)", body, key, same, v.Hash(), err)
+			v, err := parseRequest(bytes.NewReader(same))
+			if err != nil || v.hash() != key {
+				t.Fatalf("%s keys to %s, but %s keys to %s (%v)", body, key, same, v.hash(), err)
 			}
 		}
 		for _, c := range []byte(`x0{}]"`) {
-			if _, err := ParseRequest(bytes.NewReader(append(slices.Clip(body), c))); err == nil {
+			if _, err := parseRequest(bytes.NewReader(append(slices.Clip(body), c))); err == nil {
 				t.Fatalf("%s%c parsed: the data after the request object was ignored", body, c)
 			}
 		}

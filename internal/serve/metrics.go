@@ -26,7 +26,7 @@ type stats struct {
 // registry renders one Stats snapshot into an internal/metrics registry.
 // The registry is rebuilt per call (single-writer by construction), so
 // WriteText output has the standard canonical ordering.
-func registry(st CacheStats) *metrics.Registry {
+func registry(st cacheStats) *metrics.Registry {
 	reg := metrics.New()
 	reg.Counter("serve_requests").Add(st.Requests)
 	reg.Counter("serve_cache_hit").Add(st.Hits)

@@ -90,10 +90,10 @@ var clusterExperiments = map[string]bool{
 	"fig13": true, "heat": true,
 }
 
-// ParseRequest decodes and validates one request body. Unknown fields and
+// parseRequest decodes and validates one request body. Unknown fields and
 // data after the object are errors: a typo'd knob or a dropped second
 // object must not hash to another request's key and return its result.
-func ParseRequest(body io.Reader) (Request, error) {
+func parseRequest(body io.Reader) (Request, error) {
 	var r Request
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -103,17 +103,17 @@ func ParseRequest(body io.Reader) (Request, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return r, fmt.Errorf("decode request: data after the request object")
 	}
-	if err := r.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return r, err
 	}
 	return r, nil
 }
 
-// Validate rejects requests that are malformed or that carry knobs the
+// validate rejects requests that are malformed or that carry knobs the
 // named experiment would silently ignore — silent aliasing is worse than
 // an error, because two requests meaning the same run must share a cache
 // entry and two requests meaning different runs must not.
-func (r Request) Validate() error {
+func (r Request) validate() error {
 	if r.Experiment == "" {
 		return fmt.Errorf("experiment is required")
 	}
@@ -254,22 +254,22 @@ func canonSched(s string) string {
 	return s
 }
 
-// Hash returns the versioned content hash of the request: the cache key.
+// hash returns the versioned content hash of the request: the cache key.
 // The preamble binds the key to the key-schema version and the build that
 // computes results, so a redeploy with different code never serves stale
 // bytes.
-func (r Request) Hash() string {
+func (r Request) hash() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "ompss-serve key=v%s build=%s\n", KeyVersion, BuildID())
 	h.Write(r.canonical())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// Options translates the request into harness options. The grid of one
+// options translates the request into harness options. The grid of one
 // request runs sequentially (Parallel left at 0): concurrency in the
 // service comes from running many requests at once, and a sequential grid
 // keeps one request's cost proportional to one worker.
-func (r Request) Options() bench.Options {
+func (r Request) options() bench.Options {
 	o := bench.Options{
 		Quick:         r.Quick,
 		GridPoint:     r.GridPoint,

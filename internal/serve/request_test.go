@@ -13,9 +13,9 @@ import (
 // parse is a test helper for request bodies.
 func parse(t *testing.T, body string) Request {
 	t.Helper()
-	r, err := ParseRequest(strings.NewReader(body))
+	r, err := parseRequest(strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("ParseRequest(%s): %v", body, err)
+		t.Fatalf("parseRequest(%s): %v", body, err)
 	}
 	return r
 }
@@ -28,8 +28,8 @@ func TestHashFieldOrderInsensitive(t *testing.T) {
 		"fault_plan":{"drop_rate":0.25,"stalls":[{"node":1,"at_ns":100,"duration_ns":50}]}}`)
 	b := parse(t, `{"fault_plan":{"stalls":[{"duration_ns":50,"at_ns":100,"node":1}],"drop_rate":0.25},
 		"seed":7,"grid_point":"2node ompss","quick":true,"experiment":"heat"}`)
-	if a.Hash() != b.Hash() {
-		t.Fatalf("field order changed the hash: %s vs %s", a.Hash(), b.Hash())
+	if a.hash() != b.hash() {
+		t.Fatalf("field order changed the hash: %s vs %s", a.hash(), b.hash())
 	}
 }
 
@@ -38,7 +38,7 @@ func TestHashFieldOrderInsensitive(t *testing.T) {
 func TestHashExplicitDefaultsMatchOmitted(t *testing.T) {
 	a := parse(t, `{"experiment":"heat"}`)
 	b := parse(t, `{"experiment":"heat","quick":false,"trace":false,"seed":0,"grid_point":"","scheduler":""}`)
-	if a.Hash() != b.Hash() {
+	if a.hash() != b.hash() {
 		t.Fatalf("explicit defaults changed the hash")
 	}
 }
@@ -49,16 +49,16 @@ func TestHashSchedulerAlias(t *testing.T) {
 	def := parse(t, `{"experiment":"heat","scheduler":"default"}`)
 	dep := parse(t, `{"experiment":"heat","scheduler":"dependencies"}`)
 	bf := parse(t, `{"experiment":"heat","scheduler":"bf"}`)
-	if def.Hash() != dep.Hash() {
+	if def.hash() != dep.hash() {
 		t.Fatalf("scheduler alias split the cache")
 	}
-	if def.Hash() == bf.Hash() {
+	if def.hash() == bf.hash() {
 		t.Fatalf("different scheduler hashed equal")
 	}
 	// heft is canonical on its own: it must alias nothing.
 	heft := parse(t, `{"experiment":"heat","scheduler":"heft"}`)
 	for _, other := range []Request{def, dep, bf} {
-		if heft.Hash() == other.Hash() {
+		if heft.hash() == other.hash() {
 			t.Fatalf("heft aliased scheduler %q in the cache key", other.Scheduler)
 		}
 	}
@@ -94,7 +94,7 @@ func TestHashDistinguishesRuns(t *testing.T) {
 	}
 	seen := make(map[string]string)
 	for _, body := range bodies {
-		h := parse(t, body).Hash()
+		h := parse(t, body).hash()
 		if len(h) != 32 {
 			t.Fatalf("hash %q is not 32 hex chars", h)
 		}
@@ -108,9 +108,9 @@ func TestHashDistinguishesRuns(t *testing.T) {
 // TestHashStableAcrossCalls: hashing is a pure function of the request.
 func TestHashStableAcrossCalls(t *testing.T) {
 	r := parse(t, `{"experiment":"fig9","quick":true,"seed":42}`)
-	h := r.Hash()
+	h := r.hash()
 	for i := 0; i < 100; i++ {
-		if r.Hash() != h {
+		if r.hash() != h {
 			t.Fatalf("hash changed between calls")
 		}
 	}
@@ -123,10 +123,10 @@ func TestHashFloatExactness(t *testing.T) {
 	a := parse(t, `{"experiment":"heat","fault_plan":{"drop_rate":0.1}}`)
 	b := parse(t, `{"experiment":"heat","fault_plan":{"drop_rate":0.10}}`)
 	c := parse(t, `{"experiment":"heat","fault_plan":{"drop_rate":0.1000000000000001}}`)
-	if a.Hash() != b.Hash() {
+	if a.hash() != b.hash() {
 		t.Fatalf("same float value hashed differently")
 	}
-	if a.Hash() == c.Hash() {
+	if a.hash() == c.hash() {
 		t.Fatalf("distinct float values hashed equal")
 	}
 }
@@ -157,8 +157,8 @@ func TestValidateRejects(t *testing.T) {
 		`{"experiment":"fig11","quick":true}]`,
 	}
 	for _, body := range bad {
-		if _, err := ParseRequest(strings.NewReader(body)); err == nil {
-			t.Errorf("ParseRequest(%s) accepted a bad request", body)
+		if _, err := parseRequest(strings.NewReader(body)); err == nil {
+			t.Errorf("parseRequest(%s) accepted a bad request", body)
 		}
 	}
 }
@@ -204,7 +204,7 @@ seed=7
 		AckTimeout:  4000 * time.Nanosecond,
 		MaxAttempts: 3, HeartbeatInterval: 20 * time.Microsecond, MissThreshold: 4,
 	}
-	if got := r.Options().Faults; got == nil || !reflect.DeepEqual(*got, plan) {
+	if got := r.options().Faults; got == nil || !reflect.DeepEqual(*got, plan) {
 		t.Errorf("Options().Faults = %+v, want %+v", got, plan)
 	}
 	s := startServer(t, Config{})

@@ -70,7 +70,7 @@ func (c Config) withDefaults() Config {
 // process, with a sequential grid (service concurrency comes from the
 // worker pool, not from within one request).
 func defaultExecute(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
-	o := req.Options()
+	o := req.options()
 	o.OnPoint = onPoint
 	if req.Trace {
 		o.Trace = trace.New()
@@ -118,7 +118,7 @@ func (s *Server) Start() error {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.httpSrv = &http.Server{Handler: s.handler(), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := s.httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			// The listener died underneath us; workers keep draining, and
@@ -170,10 +170,10 @@ func (s *Server) worker() {
 }
 
 // runJob computes one job, stores the result, and releases waiters.
-func (s *Server) runJob(j *Job) {
+func (s *Server) runJob(j *job) {
 	s.tab.start(j, s.elapsedNS())
 	onPoint := func(p bench.PointDone) {
-		ev := Event{Kind: "point", Config: p.Config, Index: p.Index, Total: p.Total,
+		ev := event{Kind: "point", Config: p.Config, Index: p.Index, Total: p.Total,
 			ElapsedNS: s.elapsedNS()}
 		if p.Err != nil {
 			ev.Error = p.Err.Error()
@@ -181,7 +181,7 @@ func (s *Server) runJob(j *Job) {
 		s.tab.point(j, ev)
 	}
 	er, err := s.execute(j, onPoint)
-	var res *Result
+	var res *result
 	if err == nil {
 		// Encoded once; every hit writes these bytes. Strings, an int and a
 		// bool cannot fail to encode.
@@ -193,7 +193,7 @@ func (s *Server) runJob(j *Job) {
 			MetricsText: string(er.MetricsText),
 			HasTrace:    len(er.TraceJSON) > 0,
 		})
-		res = &Result{Hash: j.Hash, Reply: append(reply, '\n'), TraceJSON: er.TraceJSON, body: j.body}
+		res = &result{Hash: j.Hash, Reply: append(reply, '\n'), TraceJSON: er.TraceJSON, body: j.body}
 		s.st.execOK.Add(1)
 	} else {
 		s.st.execErrors.Add(1)
@@ -205,7 +205,7 @@ func (s *Server) runJob(j *Job) {
 // any sim process (core.Config validation panics on e.g. an infeasible
 // power cap), so the engine's ProcPanicError conversion does not apply: it
 // becomes a failed job naming the request, not a dead server.
-func (s *Server) execute(j *Job, onPoint func(bench.PointDone)) (er *bench.ExecResult, err error) {
+func (s *Server) execute(j *job, onPoint func(bench.PointDone)) (er *bench.ExecResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic executing %s (key %s): %v", j.Experiment, j.Hash, r)
@@ -214,9 +214,9 @@ func (s *Server) execute(j *Job, onPoint func(bench.PointDone)) (er *bench.ExecR
 	return s.cfg.Execute(j.req, onPoint)
 }
 
-// Handler returns the route table (exported so tests can drive the
-// server through httptest without a socket).
-func (s *Server) Handler() http.Handler {
+// handler returns the route table (tests drive the server through it
+// with httptest, without a socket).
+func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/experiments", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -254,7 +254,7 @@ type resultPayload struct {
 var jsonContentType = []string{"application/json"}
 var cacheHeader = map[string][]string{admitHit: {admitHit}, admitMiss: {admitMiss}, admitCoalesced: {admitCoalesced}}
 
-func writeResult(w http.ResponseWriter, res *Result, cacheState string) {
+func writeResult(w http.ResponseWriter, res *result, cacheState string) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	h["X-Ompss-Cache"] = cacheHeader[cacheState]
@@ -281,21 +281,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, hit := s.tab.cached(body)
-	outcome, j := admitHit, (*Job)(nil)
+	outcome, j := admitHit, (*job)(nil)
 	if !hit {
-		req, err := ParseRequest(bytes.NewReader(body))
+		req, err := parseRequest(bytes.NewReader(body))
 		if err != nil {
 			s.st.badRequests.Add(1)
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		outcome, res, j = s.tab.admit(req, body, req.Hash(), s.elapsedNS())
+		outcome, res, j = s.tab.admit(req, body, req.hash(), s.elapsedNS())
 	}
 	s.st.requests.Add(1)
 	if outcome == admitHit {
 		s.st.cacheHits.Add(1)
 		if async {
-			s.writeAsyncAccepted(w, http.StatusOK, "", res.Hash, JobDone)
+			s.writeAsyncAccepted(w, http.StatusOK, "", res.Hash, jobDone)
 			return
 		}
 		writeResult(w, res, outcome)
@@ -316,7 +316,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if async {
-		s.writeAsyncAccepted(w, http.StatusAccepted, j.ID, j.Hash, JobQueued)
+		s.writeAsyncAccepted(w, http.StatusAccepted, j.ID, j.Hash, jobQueued)
 		return
 	}
 	select {
@@ -324,11 +324,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		return // client went away; the job keeps running for the others
 	}
-	if j.state == JobError {
+	if j.state == jobError {
 		httpError(w, http.StatusInternalServerError, "experiment failed: %s", j.errMsg)
 		return
 	}
-	w.Header().Set("X-Ompss-Job", j.ID)
+	w.Header().Set("X-Ompss-job", j.ID)
 	writeResult(w, j.res, outcome)
 }
 
@@ -351,7 +351,7 @@ type jobStatus struct {
 	Experiment string  `json:"experiment"`
 	State      string  `json:"state"`
 	Error      string  `json:"error,omitempty"`
-	Events     []Event `json:"events"`
+	Events     []event `json:"events"`
 }
 
 // handleJob is GET /v1/jobs/{id}: a JSON snapshot, or a live SSE stream
@@ -378,7 +378,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // needs no special case: workers finish every admitted job, so the
 // terminal event always arrives and ends the stream before the HTTP
 // server shuts down.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported")
@@ -387,7 +387,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-store")
-	h.Set("X-Ompss-Job", j.ID)
+	h.Set("X-Ompss-job", j.ID)
 	w.WriteHeader(http.StatusOK)
 	next := 0
 	for {
@@ -436,7 +436,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // a counter track of completed grid points. Event timestamps are
 // server-edge nanoseconds since server start, mapped 1:1 onto the trace
 // timebase.
-func jobStageTrace(experiment string, events []Event) *trace.Recorder {
+func jobStageTrace(experiment string, events []event) *trace.Recorder {
 	rec := trace.New()
 	var queuedAt, startAt sim.Time
 	started := false
@@ -489,8 +489,8 @@ func (s *Server) handleResultTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(res.TraceJSON)
 }
 
-// CacheStats is the GET /v1/cache/stats payload.
-type CacheStats struct {
+// cacheStats is the GET /v1/cache/stats payload.
+type cacheStats struct {
 	Entries          int    `json:"entries"`
 	Bytes            int64  `json:"bytes"`
 	MaxBytes         int64  `json:"max_bytes"`
@@ -512,9 +512,9 @@ type CacheStats struct {
 	BuildID          string `json:"build_id"`
 }
 
-// Stats snapshots the serving counters; the table's share of them
+// stats snapshots the serving counters; the table's share of them
 // (entries, bytes, queue, jobs, draining) is one instant.
-func (s *Server) Stats() CacheStats {
+func (s *Server) stats() cacheStats {
 	st := s.tab.gauges()
 	st.MaxBytes = s.cfg.CacheBytes
 	st.Requests = s.st.requests.Load()
@@ -534,14 +534,14 @@ func (s *Server) Stats() CacheStats {
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Stats())
+	json.NewEncoder(w).Encode(s.stats())
 }
 
 // handleMetricsText is GET /metricsz: the same snapshot rendered through
 // the internal/metrics registry in its canonical text format.
 func (s *Server) handleMetricsText(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	registry(s.Stats()).WriteText(w)
+	registry(s.stats()).WriteText(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -85,9 +85,9 @@ func TestColdWarmByteIdentity(t *testing.T) {
 	for range 2 {
 		go func() { recs <- do(s, "POST", "/v1/experiments", body) }()
 	}
-	for deadline := time.Now().Add(10 * time.Second); s.Stats().Requests < 2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); s.stats().Requests < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/2 requests admitted", s.Stats().Requests)
+			t.Fatalf("only %d/2 requests admitted", s.stats().Requests)
 		}
 	}
 	release()
@@ -145,7 +145,7 @@ func resultByAsync(t *testing.T, s *Server, body string, status int) []byte {
 		t.Fatalf("async submit: status %d, want %d", resp.StatusCode, status)
 	}
 	if sub.JobID != "" {
-		waitJobState(t, s, sub.JobID, JobDone)
+		waitJobState(t, s, sub.JobID, jobDone)
 	}
 	resp, err = http.Get("http://" + s.Addr() + "/v1/results/" + sub.Hash)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestEvictedEntryRecomputes(t *testing.T) {
 	a, b := `{"experiment":"heat"}`, `{"experiment":"fig9"}`
 	_, first, _ := post(t, "http://"+s.Addr(), a)
 	post(t, "http://"+s.Addr(), b)
-	if st := s.Stats(); st.Entries != 1 || st.Evictions != 1 {
+	if st := s.stats(); st.Entries != 1 || st.Evictions != 1 {
 		t.Fatalf("the cache holds %d entries after %d evictions; want one entry after one eviction", st.Entries, st.Evictions)
 	}
 	if _, ok := s.tab.cached([]byte(a)); ok {
@@ -191,7 +191,7 @@ func warmHit(tb testing.TB) func() *httptest.ResponseRecorder {
 	s := startServer(tb, Config{Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
 		return fakeResult("warm"), nil
 	}})
-	h := s.Handler()
+	h := s.handler()
 	target := &url.URL{Path: "/v1/experiments"}
 	body := []byte(`{"experiment":"fig11","quick":true,"seed":1}`)
 	rd := bytes.NewReader(body)
@@ -245,10 +245,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 	// Release the executor once every request is accounted for (admitted
 	// or coalesced onto the in-flight job).
 	deadline := time.After(10 * time.Second)
-	for s.Stats().Requests < n {
+	for s.stats().Requests < n {
 		select {
 		case <-deadline:
-			t.Fatalf("only %d/%d requests admitted", s.Stats().Requests, n)
+			t.Fatalf("only %d/%d requests admitted", s.stats().Requests, n)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -264,7 +264,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 			t.Fatalf("coalesced responses differ")
 		}
 	}
-	st := s.Stats()
+	st := s.stats()
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("executions = %d, want 1", got)
 	}
@@ -348,7 +348,7 @@ func TestOverloadRejects(t *testing.T) {
 	}
 	// Wait until the worker owns job 1, so the queue slot is free for
 	// job 2 and the third submission must be rejected.
-	waitJobState(t, s, job1, JobRunning)
+	waitJobState(t, s, job1, jobRunning)
 	if st2, _ := submitAsync(`{"experiment":"fig9"}`); st2 != http.StatusAccepted {
 		t.Fatalf("second submit status %d", st2)
 	}
@@ -357,7 +357,7 @@ func TestOverloadRejects(t *testing.T) {
 		t.Fatalf("third submit status %d, want 429", st3)
 	}
 	close(gate)
-	if st := s.Stats(); st.RejectedOverload != 1 {
+	if st := s.stats(); st.RejectedOverload != 1 {
 		t.Fatalf("rejected_overload = %d, want 1", st.RejectedOverload)
 	}
 }
@@ -426,7 +426,7 @@ func TestAsyncSSEProgress(t *testing.T) {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev Event
+		var ev event
 		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
 			t.Fatalf("bad event %q: %v", line, err)
 		}
@@ -466,7 +466,7 @@ func TestResultTraceEndpoints(t *testing.T) {
 	}}
 	s := startServer(t, cfg)
 	_, _, _ = post(t, "http://"+s.Addr(), `{"experiment":"heat"}`)
-	hash := parse(t, `{"experiment":"heat"}`).Hash()
+	hash := parse(t, `{"experiment":"heat"}`).hash()
 
 	resp, err := http.Get("http://" + s.Addr() + "/v1/results/" + hash + "/trace")
 	if err != nil {
@@ -503,7 +503,7 @@ func TestExecErrorPropagates(t *testing.T) {
 	if st2 != http.StatusOK || hdr != "miss" {
 		t.Fatalf("retry: status %d cache %q", st2, hdr)
 	}
-	if st := s.Stats(); st.ExecErrors != 1 || st.ExecCompleted != 1 {
+	if st := s.stats(); st.ExecErrors != 1 || st.ExecCompleted != 1 {
 		t.Fatalf("exec errors/completed = %d/%d", st.ExecErrors, st.ExecCompleted)
 	}
 }
@@ -528,8 +528,8 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("500 body is not JSON: %v: %s", err, body)
 	}
-	if !strings.Contains(e.Error, "feasibility floor") || !strings.Contains(e.Error, bad.Hash()) {
-		t.Fatalf("500 body names neither the panic nor key %s: %s", bad.Hash(), e.Error)
+	if !strings.Contains(e.Error, "feasibility floor") || !strings.Contains(e.Error, bad.hash()) {
+		t.Fatalf("500 body names neither the panic nor key %s: %s", bad.hash(), e.Error)
 	}
 	resp, err := http.Get("http://" + s.Addr() + "/healthz")
 	if err != nil {
@@ -547,7 +547,7 @@ func TestExecPanicFailsTheJobNotTheServer(t *testing.T) {
 	if st, _, _ := post(t, "http://"+s.Addr(), `{"experiment":"powercap"}`); st != http.StatusInternalServerError {
 		t.Fatalf("repeat of the panicking request: status %d", st)
 	}
-	if st := s.Stats(); st.ExecErrors != 2 || st.ExecCompleted != 1 {
+	if st := s.stats(); st.ExecErrors != 2 || st.ExecCompleted != 1 {
 		t.Fatalf("exec errors/completed = %d/%d, want 2/1", st.ExecErrors, st.ExecCompleted)
 	}
 }
@@ -566,7 +566,7 @@ func TestBadRequestsRejected(t *testing.T) {
 	if rec := do(s, "POST", "/v1/experiments", big); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d-byte body: status %d, want 413: %s", len(big), rec.Code, rec.Body)
 	}
-	if st := s.Stats(); st.BadRequests != 4 || st.Requests != 0 || st.Entries != 0 || len(s.tab.results.bodies) != 0 {
+	if st := s.stats(); st.BadRequests != 4 || st.Requests != 0 || st.Entries != 0 || len(s.tab.results.bodies) != 0 {
 		t.Fatalf("bad_requests = %d (want 4), requests %d, entries %d, indexed bodies %d",
 			st.BadRequests, st.Requests, st.Entries, len(s.tab.results.bodies))
 	}
@@ -596,7 +596,7 @@ func TestDrainFinishesAdmittedWork(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	waitJobState(t, s, sub.JobID, JobRunning)
+	waitJobState(t, s, sub.JobID, jobRunning)
 
 	done := make(chan error, 1)
 	go func() {
@@ -701,7 +701,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		}
 	}
 
-	var st CacheStats
+	var st cacheStats
 	resp, err = http.Get("http://" + s.Addr() + "/v1/cache/stats")
 	if err != nil {
 		t.Fatalf("cache/stats: %v", err)
@@ -721,7 +721,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	fake := fakeResult("stats")
 	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "stress",
 		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
-	charge := (&Result{Reply: append(reply, '\n'), body: `{"experiment":"stress","stress_width":101}`}).sizeBytes()
+	charge := (&result{Reply: append(reply, '\n'), body: `{"experiment":"stress","stress_width":101}`}).sizeBytes()
 	s2 := startServer(t, Config{Workers: 2, MaxJobs: 1, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
 		return fake, nil
 	}})
@@ -744,7 +744,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 			polling = false // and read once more, at rest
 		default:
 		}
-		var st CacheStats
+		var st cacheStats
 		if err := json.Unmarshal(do(s2, "GET", "/v1/cache/stats", "").Body.Bytes(), &st); err != nil {
 			t.Fatalf("cache/stats: %v", err)
 		}
@@ -761,7 +761,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 			t.Fatalf("metricsz disagrees with itself: %d entries, %d bytes:\n%s", entries, bytes, text)
 		}
 	}
-	if st := s2.Stats(); st.Entries != 400 || entries != 400 || st.Jobs != 1 || st.QueueDepth != 0 {
+	if st := s2.stats(); st.Entries != 400 || entries != 400 || st.Jobs != 1 || st.QueueDepth != 0 {
 		t.Fatalf("at rest: metricsz has %d entries; stats = %+v", entries, st)
 	}
 }
@@ -783,7 +783,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	waitJobState(t, s, sub.JobID, JobDone)
+	waitJobState(t, s, sub.JobID, jobDone)
 
 	tr, err := http.Get("http://" + s.Addr() + "/v1/jobs/" + sub.JobID + "/trace")
 	if err != nil {

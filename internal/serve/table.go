@@ -8,17 +8,17 @@ import (
 
 // Job states.
 const (
-	JobQueued  = "queued"
-	JobRunning = "running"
-	JobDone    = "done"
-	JobError   = "error"
+	jobQueued  = "queued"
+	jobRunning = "running"
+	jobDone    = "done"
+	jobError   = "error"
 )
 
-// Event is one progress notification of a job, in append order. Seq is
+// event is one progress notification of a job, in append order. Seq is
 // the event's index; ElapsedNS is server-edge wall time since the job was
 // admitted (progress metadata only — it never enters cached result
 // bytes).
-type Event struct {
+type event struct {
 	Seq       int    `json:"seq"`
 	Kind      string `json:"kind"` // queued, start, point, done, error
 	Config    string `json:"config,omitempty"`
@@ -28,13 +28,13 @@ type Event struct {
 	ElapsedNS int64  `json:"elapsed_ns"`
 }
 
-// Job tracks one admitted computation: exactly one per distinct in-flight
+// job tracks one admitted computation: exactly one per distinct in-flight
 // config hash (coalesced requests share it). Subscribers replay the event
 // history and then follow live appends. The identity fields never change;
 // the rest belongs to the table and is read and written under its mutex.
 // finish closes done last, so a goroutine that has received from done may
 // read state, res and errMsg without the lock: nothing writes them again.
-type Job struct {
+type job struct {
 	ID         string
 	Hash       string
 	Experiment string
@@ -43,17 +43,17 @@ type Job struct {
 	done       chan struct{} // closed once state is terminal
 
 	state   string
-	events  []Event
+	events  []event
 	changed chan struct{} // closed and replaced on every append
-	res     *Result
+	res     *result
 	errMsg  string
 }
 
 // terminal reports whether the job has finished (done or error).
-func (j *Job) terminal() bool { return j.state == JobDone || j.state == JobError }
+func (j *job) terminal() bool { return j.state == jobDone || j.state == jobError }
 
 // append records ev (stamping Seq) and wakes subscribers.
-func (j *Job) append(ev Event) {
+func (j *job) append(ev event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	close(j.changed)
@@ -71,10 +71,10 @@ type table struct {
 	results  *cache
 	maxJobs  int
 	nextID   int64
-	jobs     map[string]*Job
+	jobs     map[string]*job
 	order    []string        // job ids in admission order, for eviction
-	inflight map[string]*Job // config hash -> the one job computing it
-	queue    chan *Job       // admitted jobs no worker has picked up yet
+	inflight map[string]*job // config hash -> the one job computing it
+	queue    chan *job       // admitted jobs no worker has picked up yet
 	queueMax int             // high-water mark of len(queue)
 	draining bool
 }
@@ -83,9 +83,9 @@ func newTable(cacheBytes int64, maxJobs, queueDepth int) *table {
 	return &table{
 		results:  newCache(cacheBytes),
 		maxJobs:  maxJobs,
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
-		queue:    make(chan *Job, queueDepth),
+		jobs:     make(map[string]*job),
+		inflight: make(map[string]*job),
+		queue:    make(chan *job, queueDepth),
 	}
 }
 
@@ -102,7 +102,7 @@ const (
 // or join the in-flight job, or queue a new one. The job table stays
 // bounded by evicting finished jobs oldest-first — never a live one, a
 // subscriber must always be able to follow an admitted job to its end.
-func (t *table) admit(req Request, body []byte, hash string, now int64) (outcome string, res *Result, j *Job) {
+func (t *table) admit(req Request, body []byte, hash string, now int64) (outcome string, res *result, j *job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if hit, ok := t.results.get(hash); ok {
@@ -115,15 +115,15 @@ func (t *table) admit(req Request, body []byte, hash string, now int64) (outcome
 		return admitCoalesced, nil, running
 	}
 	t.nextID++
-	j = &Job{
+	j = &job{
 		ID:         "j" + strconv.FormatInt(t.nextID, 10),
 		Hash:       hash,
 		Experiment: req.Experiment,
 		req:        req,
 		body:       string(body),
 		done:       make(chan struct{}),
-		state:      JobQueued,
-		events:     []Event{{Kind: "queued", ElapsedNS: now}},
+		state:      jobQueued,
+		events:     []event{{Kind: "queued", ElapsedNS: now}},
 		changed:    make(chan struct{}),
 	}
 	select {
@@ -154,15 +154,15 @@ func (t *table) trim() {
 }
 
 // start moves j from queued to running.
-func (t *table) start(j *Job, now int64) {
+func (t *table) start(j *job, now int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	j.state = JobRunning
-	j.append(Event{Kind: "start", ElapsedNS: now})
+	j.state = jobRunning
+	j.append(event{Kind: "start", ElapsedNS: now})
 }
 
 // point appends a progress event to j.
-func (t *table) point(j *Job, ev Event) {
+func (t *table) point(j *job, ev event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	j.append(ev)
@@ -173,17 +173,17 @@ func (t *table) point(j *Job, ev Event) {
 // terminal state together with the event that announces it; then done
 // releases every waiter. It returns how many cache entries the put
 // evicted, and must be called exactly once per job.
-func (t *table) finish(j *Job, res *Result, err error, now int64) (evicted int) {
+func (t *table) finish(j *job, res *result, err error, now int64) (evicted int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.inflight, j.Hash)
 	if err != nil {
-		j.state, j.errMsg = JobError, err.Error()
-		j.append(Event{Kind: "error", Error: j.errMsg, ElapsedNS: now})
+		j.state, j.errMsg = jobError, err.Error()
+		j.append(event{Kind: "error", Error: j.errMsg, ElapsedNS: now})
 	} else {
 		evicted = t.results.put(res)
-		j.state, j.res = JobDone, res
-		j.append(Event{Kind: "done", ElapsedNS: now})
+		j.state, j.res = jobDone, res
+		j.append(event{Kind: "done", ElapsedNS: now})
 	}
 	t.trim()
 	close(j.done)
@@ -206,7 +206,7 @@ func (t *table) drain() bool {
 }
 
 // job looks a job up by id.
-func (t *table) job(id string) (*Job, bool) {
+func (t *table) job(id string) (*job, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	j, ok := t.jobs[id]
@@ -214,14 +214,14 @@ func (t *table) job(id string) (*Job, bool) {
 }
 
 // result returns the cached result for hash and refreshes its recency.
-func (t *table) result(hash string) (*Result, bool) {
+func (t *table) result(hash string) (*result, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.results.get(hash)
 }
 
 // cached returns the cached result a raw request body computed, unparsed.
-func (t *table) cached(body []byte) (*Result, bool) {
+func (t *table) cached(body []byte) (*result, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.results.getBody(body)
@@ -230,7 +230,7 @@ func (t *table) cached(body []byte) (*Result, bool) {
 // eventsFrom returns j's events at index >= from plus a channel that is
 // closed on the next append — the subscription primitive SSE streaming
 // loops on.
-func (t *table) eventsFrom(j *Job, from int) ([]Event, <-chan struct{}) {
+func (t *table) eventsFrom(j *job, from int) ([]event, <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return slices.Clone(j.events[min(from, len(j.events)):]), j.changed
@@ -238,7 +238,7 @@ func (t *table) eventsFrom(j *Job, from int) ([]Event, <-chan struct{}) {
 
 // status is the GET /v1/jobs/{id} snapshot: state, error and events of one
 // instant.
-func (t *table) status(j *Job) jobStatus {
+func (t *table) status(j *job) jobStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return jobStatus{
@@ -249,11 +249,11 @@ func (t *table) status(j *Job) jobStatus {
 
 // gauges fills in the table's share of the stats payload, all of it read at
 // one instant.
-func (t *table) gauges() CacheStats {
+func (t *table) gauges() cacheStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	entries, bytes := t.results.stats()
-	return CacheStats{
+	return cacheStats{
 		Entries: entries, Bytes: bytes, Jobs: len(t.jobs),
 		QueueDepth: len(t.queue), QueueMax: int64(t.queueMax), Draining: t.draining,
 	}

@@ -17,7 +17,7 @@ import (
 // between, so many goroutines can hit the same window of the submit path.
 func do(s *Server, method, target, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	s.handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
 	return rec
 }
 
@@ -31,8 +31,8 @@ func TestTableTrimsOnFinish(t *testing.T) {
 	if len(tab.jobs) != 2 {
 		t.Fatalf("both live jobs must stay admitted, table has %d", len(tab.jobs))
 	}
-	tab.finish(j1, &Result{Hash: "h1"}, nil, 1)
-	tab.finish(j2, &Result{Hash: "h2"}, nil, 2)
+	tab.finish(j1, &result{Hash: "h1"}, nil, 1)
+	tab.finish(j2, &result{Hash: "h2"}, nil, 2)
 	if _, ok := tab.job(j2.ID); len(tab.jobs) != 1 || !ok {
 		t.Fatalf("at rest the table holds %d jobs (%v), want only the newer %s", len(tab.jobs), tab.order, j2.ID)
 	}
@@ -72,7 +72,7 @@ func TestOneExecutionPerHash(t *testing.T) {
 		t.Errorf("%d of %d rounds executed their hash more than once (%d executions, want %d)",
 			bad, rounds, execs.Load(), rounds)
 	}
-	if st := s.Stats(); st.ExecCompleted != rounds || st.Entries != rounds {
+	if st := s.stats(); st.ExecCompleted != rounds || st.Entries != rounds {
 		t.Errorf("exec_completed %d, entries %d, want %d each", st.ExecCompleted, st.Entries, rounds)
 	}
 }
@@ -105,7 +105,7 @@ func TestJobSnapshotsAreWhole(t *testing.T) {
 			if err := json.Unmarshal(do(s, "GET", "/v1/jobs/"+sub.JobID, "").Body.Bytes(), &js); err != nil {
 				t.Fatalf("job %s snapshot: %v", sub.JobID, err)
 			}
-			finished := js.State == JobDone || js.State == JobError
+			finished := js.State == jobDone || js.State == jobError
 			whole := len(js.Events) > 0 && js.Events[0].Kind == "queued"
 			for i, ev := range js.Events {
 				whole = whole && ev.Seq == i

@@ -154,24 +154,34 @@ var exportsKept = map[string]string{
 	"sim.ProcPanicError":        "one of Run's two error types, which a caller tells apart with errors.As",
 	"sim.ProcPanicError.Unwrap": "errors.As reaches a typed panic through Run's error",
 
+	"hw.ClusterNode": "the tests of kernels build the paper's cluster node from it",
+	"hw.GTX480":      "the tests of kernels, cuda and apps build their GPU from it",
+	"hw.TeslaS2050":  "the tests of kernels compare its roofline with the GTX480's",
+
+	"trace.Recorder.Spans": "the tests of core, bench and the root package read a run's timeline through it",
+	"trace.Recorder.Edges": "the tests of core and bench read a run's dependency arcs through it",
+
 	"apps.MatmulCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
 	"apps.NBodyCUDA":  "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
 	"apps.PerlinCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
 	"apps.StreamCUDA": "Table I's CUDA baseline: its lines are counted, and its checksum is checked against serial",
 }
 
-// No exported name under internal/ is there for tests alone: each
-// package-level name and each exported method of a named type has a user
-// in the module's non-test code (a call, a method value, a type named there
-// or a method of it used), or an entry in exportsKept; a form that only
-// tests call is a second way to do one thing, and goes. sim is held to more:
-// its users must be outside sim. A method that implements a method of an
-// interface the module declares or names (task.Work, sched.Scheduler,
-// netsim.Hook, ...), or of error or fmt.Stringer, is used through that
-// interface. Struct fields are data a caller reads off a value it was
-// handed, not forms, and are not held to it. The uses are found by
-// type-checking the module's packages, so a method is told apart from
-// another type's method of the same name.
+// No exported name under internal/ is there for tests alone, nor for its
+// own package alone: each package-level name and each exported method of a
+// named type has a user in the module's non-test code outside the package
+// that declares it (a call, a method value, a type named there or a method
+// of it used), or an entry in exportsKept; a form that only tests call is
+// a second way to do one thing, and goes, and one that only its package
+// calls is unexported. A method that implements a method of an interface
+// the module declares or names (task.Work, sched.Scheduler, netsim.Hook,
+// ...), or of error or fmt.Stringer, is used through that interface. A
+// named type that the signature of a used form, or a field of a used type,
+// mentions is used: a caller holds its values without naming it. Struct
+// fields are data a caller reads off a value it was handed, not forms, and
+// are not held to it. The uses are found by type-checking the module's
+// packages, so a method is told apart from another type's method of the
+// same name.
 func TestInternalExportsHaveUsers(t *testing.T) {
 	tree, err := parseModule()
 	if err != nil {
@@ -193,6 +203,7 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 	}
 	key := func(pkg *types.Package, name string) string { return filepath.Base(pkg.Path()) + "." + name }
 	type method struct {
+		obj  types.Object
 		recv *types.Named
 		name string
 	}
@@ -201,7 +212,7 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
 			if obj.Exported() {
-				exported[key(pkg, name)] = method{}
+				exported[key(pkg, name)] = method{obj: obj}
 			}
 			if _, ok := obj.(*types.TypeName); !ok {
 				continue
@@ -209,7 +220,7 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 			if named, ok := obj.Type().(*types.Named); ok && !types.IsInterface(named) {
 				for i := 0; i < named.NumMethods(); i++ {
 					if m := named.Method(i); m.Exported() {
-						exported[key(pkg, name+"."+m.Name())] = method{named, m.Name()}
+						exported[key(pkg, name+"."+m.Name())] = method{m, named, m.Name()}
 					}
 				}
 			}
@@ -238,7 +249,7 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 	}
 	used := map[string]bool{}
 	use := func(dir string, pkg *types.Package, name string) {
-		if pkg != nil && pkgs[pkg.Path()] != nil && (dir != "internal/sim" || pkg.Path() != modPath+"/internal/sim") {
+		if pkg != nil && pkgs[pkg.Path()] != nil && pkg.Path() != modPath+"/"+dir {
 			used[key(pkg, name)] = true
 		}
 	}
@@ -279,6 +290,49 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 			}
 		}
 	}
+	// reach marks used the internal named types that t mentions, through
+	// signatures, composite types and exported struct fields.
+	seen := map[types.Type]bool{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			if obj := t.Origin().Obj(); obj.Pkg() != nil && pkgs[obj.Pkg().Path()] != nil {
+				used[key(obj.Pkg(), obj.Name())] = true
+				reach(t.Underlying())
+			}
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					reach(tup.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					reach(t.Field(i).Type())
+				}
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(exported)) {
+		if used[name] {
+			reach(exported[name].obj.Type())
+		}
+	}
 	// implements reports whether m implements a method of a recorded
 	// interface.
 	implements := func(m method) bool {
@@ -310,11 +364,8 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 		if _, kept := exportsKept[name]; kept || used[name] || m.recv != nil && implements(m) {
 			continue
 		}
-		if strings.HasPrefix(name, "sim.") {
-			bad[name] = "exported, and nothing outside sim but tests uses it: unexport or delete it"
-		} else {
-			bad[name] = "exported, and nothing in the module but tests uses it: unexport or delete it"
-		}
+		pkg, _, _ := strings.Cut(name, ".")
+		bad[name] = "exported, and nothing outside " + pkg + " but tests uses it: unexport or delete it"
 	}
 	for _, name := range slices.Sorted(maps.Keys(bad)) {
 		t.Errorf("%s: %s", name, bad[name])

@@ -136,7 +136,7 @@ func (r *Recorder) CriticalPath(topK int) *CritReport {
 		step := PathStep{Task: id, Name: s.Name, Node: s.Node, Dev: s.Dev, Start: s.Start, End: s.End}
 		step.WaitTransfer, step.WaitIdle = r.classifyGap(prevEnd, s.Start, s.Node)
 		rep.Chain = append(rep.Chain, step)
-		rep.Compute += sim.Duration(s.Dur())
+		rep.Compute += sim.Duration(s.dur())
 		rep.Transfer += step.WaitTransfer
 		rep.Idle += step.WaitIdle
 		prevEnd = s.End
@@ -161,7 +161,7 @@ func (r *Recorder) CriticalPath(topK int) *CritReport {
 				est = ect[p]
 			}
 		}
-		ect[id] = est + byTask[id].Dur()
+		ect[id] = est + byTask[id].dur()
 		if ect[id] > makespan {
 			makespan = ect[id]
 		}
@@ -171,7 +171,7 @@ func (r *Recorder) CriticalPath(topK int) *CritReport {
 		id := order[i]
 		l := makespan
 		for _, s := range succs[id] {
-			if v := lft[s] - byTask[s].Dur(); v < l {
+			if v := lft[s] - byTask[s].dur(); v < l {
 				l = v
 			}
 		}

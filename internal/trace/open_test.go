@@ -29,7 +29,7 @@ func TestEndNonEmpty(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (zero-length stage must be dropped)", r.Len())
 	}
-	if s := r.Spans()[0]; s.Name != "miss" || s.Dur() != ms(2) {
+	if s := r.Spans()[0]; s.Name != "miss" || s.dur() != ms(2) {
 		t.Fatalf("kept wrong span: %+v", s)
 	}
 }

@@ -234,17 +234,17 @@ func (r *Recorder) WritePerfetto(w io.Writer) error {
 		if args != "" {
 			args = ",\"args\":{" + args[1:] + "}"
 		}
-		if s.Dur() == 0 {
+		if s.dur() == 0 {
 			emit(fmt.Sprintf("{\"ph\":\"i\",\"s\":\"t\",\"name\":%s,\"cat\":%s,\"pid\":%d,\"tid\":%d,\"ts\":%s%s}",
 				jsonEscape(s.Name), jsonEscape(s.Kind.String()), s.Node, perfettoTID(s), usec(s.Start), args))
 			continue
 		}
 		emit(fmt.Sprintf("{\"ph\":\"X\",\"name\":%s,\"cat\":%s,\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s%s}",
-			jsonEscape(s.Name), jsonEscape(s.Kind.String()), s.Node, perfettoTID(s), usec(s.Start), usec(s.Dur()), args))
+			jsonEscape(s.Name), jsonEscape(s.Kind.String()), s.Node, perfettoTID(s), usec(s.Start), usec(s.dur()), args))
 	}
 	// Counter tracks ("C" events): one row per counter name per node,
 	// samples in time order.
-	for _, c := range r.Counters() {
+	for _, c := range r.sortedCounters() {
 		emit(fmt.Sprintf("{\"ph\":\"C\",\"name\":%s,\"pid\":%d,\"ts\":%s,\"args\":{\"value\":%d}}",
 			jsonEscape(c.Name), c.Node, usec(c.At), c.Value))
 	}

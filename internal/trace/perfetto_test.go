@@ -150,7 +150,7 @@ func TestEdgesDedupSorted(t *testing.T) {
 	r.Edge(5, 6)
 	r.Edge(1, 3)
 	got := r.Edges()
-	want := []DepEdge{{1, 2}, {1, 3}, {5, 6}}
+	want := []depEdge{{1, 2}, {1, 3}, {5, 6}}
 	if len(got) != len(want) {
 		t.Fatalf("edges = %v, want %v", got, want)
 	}

@@ -84,19 +84,19 @@ type Span struct {
 }
 
 // Dur returns the span length.
-func (s Span) Dur() sim.Time { return s.End - s.Start }
+func (s Span) dur() sim.Time { return s.End - s.Start }
 
-// DepEdge is one dependency arc (pred must finish before succ runs)
+// depEdge is one dependency arc (pred must finish before succ runs)
 // mirrored from the runtime's dependency graph into the trace, so
 // post-mortem analyses can walk the realized DAG.
-type DepEdge struct {
+type depEdge struct {
 	Pred, Succ int64
 }
 
-// CounterSample is one sampled value of a named per-node counter track
+// counterSample is one sampled value of a named per-node counter track
 // (scheduler queue depth). Perfetto renders each distinct name as its own
 // counter row.
-type CounterSample struct {
+type counterSample struct {
 	Name  string
 	Node  int
 	At    sim.Time
@@ -107,8 +107,8 @@ type CounterSample struct {
 // nothing, so instrumentation sites need no guards.
 type Recorder struct {
 	spans    []Span
-	edges    []DepEdge
-	counters []CounterSample
+	edges    []depEdge
+	counters []counterSample
 }
 
 // New returns an empty recorder.
@@ -190,16 +190,16 @@ func (r *Recorder) Edge(pred, succ int64) {
 	if r == nil {
 		return
 	}
-	r.edges = append(r.edges, DepEdge{Pred: pred, Succ: succ})
+	r.edges = append(r.edges, depEdge{Pred: pred, Succ: succ})
 }
 
 // Edges returns the recorded dependency arcs sorted by (pred, succ),
 // deduplicated.
-func (r *Recorder) Edges() []DepEdge {
+func (r *Recorder) Edges() []depEdge {
 	if r == nil {
 		return nil
 	}
-	out := make([]DepEdge, len(r.edges))
+	out := make([]depEdge, len(r.edges))
 	copy(out, r.edges)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pred != out[j].Pred {
@@ -222,16 +222,16 @@ func (r *Recorder) Count(name string, node int, at sim.Time, value int64) {
 	if r == nil {
 		return
 	}
-	r.counters = append(r.counters, CounterSample{Name: name, Node: node, At: at, Value: value})
+	r.counters = append(r.counters, counterSample{Name: name, Node: node, At: at, Value: value})
 }
 
-// Counters returns all counter samples sorted by time (stable on ties, so
-// equal-time samples keep their recording order).
-func (r *Recorder) Counters() []CounterSample {
+// sortedCounters returns all counter samples sorted by time (stable on
+// ties, so equal-time samples keep their recording order).
+func (r *Recorder) sortedCounters() []counterSample {
 	if r == nil {
 		return nil
 	}
-	out := make([]CounterSample, len(r.counters))
+	out := make([]counterSample, len(r.counters))
 	copy(out, r.counters)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
@@ -362,7 +362,7 @@ func (r *Recorder) Summary() map[string]struct {
 		e := out[s.Kind.String()]
 		e.Count++
 		e.Bytes += s.Bytes
-		e.Time += s.Dur()
+		e.Time += s.dur()
 		out[s.Kind.String()] = e
 	}
 	return out
