@@ -52,15 +52,18 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRun -fuzztime 20s -fuzzminimizetime 5s ./internal/core/
 
 ## align: each validated kernel's Run address mod 64 in an ompss-bench
-## built as the benchmark builds it. A kernel's speed depends on it (Sgemm
-## runs about 2x slower at 32 than at 0), and the linker moves it with any
-## change to the binary, so compare both sides before crediting a change
-## with a weakscale or paper_figs move
+## built as the benchmark builds it, and that of the first instruction of
+## Sgemm's sixteen-lane assembly loop on amd64 (PCALIGN holds it at 0). A
+## Go loop's speed can depend on where the linker puts it, and that moves
+## with any change to the binary, so compare both sides before crediting a
+## change with a weakscale or paper_figs move
 align:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -buildvcs=false -o "$$d/ompss-bench" ./cmd/ompss-bench && \
 	$(GO) tool nm "$$d/ompss-bench" | grep -E 'kernels\.(Sgemm|JacobiStep|StreamTriad)\.Run$$' | \
-	while read addr kind sym; do echo "$${sym##*/} $$((0x$$addr % 64)) mod 64"; done
+	while read addr kind sym; do echo "$${sym##*/} $$((0x$$addr % 64)) mod 64"; done && \
+	$(GO) tool objdump -s 'kernels\.sgemm\.abi0$$' "$$d/ompss-bench" | awk '/MOVUPS/ { print $$2; exit }' | \
+	while read addr; do echo "sgemm loop $$((addr % 64)) mod 64"; done
 
 ## loc: non-test Go lines per internal/ package and their total, the
 ## measure ROADMAP's line budgets are written in
@@ -85,10 +88,12 @@ resilience:
 ## software cache's invalidation sweep and a directory query, depgraph
 ## submission, the three shapes of a FragMap cover and an exact-region
 ## visit, an idle place's pop, a ready task's submit and pop under each
-## policy, a served warm hit, and a remote task at the 8-node weakscale
-## point (with its spawns, resumes and events per task)
+## policy, a served warm hit, a remote task at the 8-node weakscale point
+## (with its spawns, resumes and events per task), and the validated
+## kernels: one Sgemm tile (and the Go loop amd64's assembly replaces), one
+## JacobiStep block and the 8-node heat reference
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/ ./internal/core/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/ ./internal/core/ ./internal/kernels/ ./internal/apps/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)

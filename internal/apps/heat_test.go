@@ -2,10 +2,69 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/bsc-repro/ompss"
+	"github.com/bsc-repro/ompss/internal/kernels"
 )
+
+// heatRodSum is the whole-rod sweep HeatSerialSum's tiles are checked
+// against: two N-cell rods, every cell each step, summed in cell order. It
+// keeps its own loop rather than sharing kernels.JacobiStep's or the tiled
+// one's, so that one arithmetic slip cannot pass both sides.
+func heatRodSum(p HeatParams) float64 {
+	p = p.withDefaults()
+	cur := make([]float64, p.N)
+	for i := range cur {
+		cur[i] = kernels.HeatCell(i)
+	}
+	nxt := make([]float64, p.N)
+	for s := 0; s < p.Steps; s++ {
+		nxt[0] = cur[0]
+		nxt[p.N-1] = cur[p.N-1]
+		for i := 1; i < p.N-1; i++ {
+			nxt[i] = cur[i] + p.Alpha*(cur[i-1]-2*cur[i]+cur[i+1])
+		}
+		cur, nxt = nxt, cur
+	}
+	var sum float64
+	for _, v := range cur {
+		sum += v
+	}
+	return sum
+}
+
+// The tiled reference must give the whole-rod sweep's sum bit for bit: on
+// a rod shorter than a tile's halo, one shorter than a tile, one that
+// ends mid-tile, more steps than a tile, another alpha, and the
+// experiment's quick and full sizes at 8 nodes.
+func TestHeatSerialSumMatchesRodSweep(t *testing.T) {
+	for _, p := range []HeatParams{
+		{N: 1, BSize: 1, Steps: 3},
+		{N: 3, BSize: 3, Steps: 2},
+		{N: 1000, BSize: 1000, Steps: 7},
+		{N: 3*heatTile + 1234, BSize: 2, Steps: 9},
+		{N: 5 * heatTile, BSize: heatTile, Steps: heatTile + 17},
+		{N: 2*heatTile + 10, BSize: 2, Steps: 30, Alpha: 0.1},
+		{N: 8 * (64 << 10), BSize: 8 << 10, Steps: 4},
+		{N: 8 * (1 << 20), BSize: 128 << 10, Steps: 8},
+	} {
+		got, want := HeatSerialSum(p), heatRodSum(p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: tiled sum %v, rod sweep %v", p, got, want)
+		}
+	}
+}
+
+// BenchmarkHeatSerial times the serial reference at the heat experiment's
+// full 8-node size.
+func BenchmarkHeatSerial(b *testing.B) {
+	p := HeatParams{N: 8 * (1 << 20), BSize: 128 << 10, Steps: 8}
+	for range b.N {
+		HeatSerialSum(p)
+	}
+}
 
 // The stencil's halo reads partially overlap the neighbouring blocks, so
 // a correct checksum here exercises the fragment-based dependence and

@@ -41,31 +41,38 @@ func serialChecksum(p MatmulParams) float64 {
 	return sum
 }
 
+// The second size's tiles are 21 wide, so amd64's Sgemm runs its
+// sixteen-, four- and one-lane loops inside a validated run, against
+// MatmulSerialOut's own loop.
 func TestMatmulOmpSsMatchesSerial(t *testing.T) {
-	p := MatmulParams{N: 64, BS: 16}
-	want := serialChecksum(p)
-	for _, init := range []InitMode{InitSeq, InitSMP, InitGPU} {
-		for _, nodes := range []int{1, 2} {
-			init, nodes := init, nodes
-			t.Run(fmt.Sprintf("%s-%dnode", init, nodes), func(t *testing.T) {
-				cfg := ompss.Config{
-					Cluster:      smallCluster(nodes, 1),
-					Validate:     true,
-					SlaveToSlave: true,
-				}
-				p := p
-				p.Init = init
-				res, err := MatmulOmpSs(cfg, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprintf("checksum=%.3f", want); res.Check != got {
-					t.Fatalf("check = %s, want %s", res.Check, got)
-				}
-				if res.Metric <= 0 || math.IsInf(res.Metric, 0) {
-					t.Fatalf("metric = %v", res.Metric)
-				}
-			})
+	for _, size := range []struct {
+		prefix string
+		p      MatmulParams
+	}{{"", MatmulParams{N: 64, BS: 16}}, {"bs21-", MatmulParams{N: 42, BS: 21}}} {
+		want := serialChecksum(size.p)
+		for _, init := range []InitMode{InitSeq, InitSMP, InitGPU} {
+			for _, nodes := range []int{1, 2} {
+				init, nodes := init, nodes
+				t.Run(fmt.Sprintf("%s%s-%dnode", size.prefix, init, nodes), func(t *testing.T) {
+					cfg := ompss.Config{
+						Cluster:      smallCluster(nodes, 1),
+						Validate:     true,
+						SlaveToSlave: true,
+					}
+					p := size.p
+					p.Init = init
+					res, err := MatmulOmpSs(cfg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := fmt.Sprintf("checksum=%.3f", want); res.Check != got {
+						t.Fatalf("check = %s, want %s", res.Check, got)
+					}
+					if res.Metric <= 0 || math.IsInf(res.Metric, 0) {
+						t.Fatalf("metric = %v", res.Metric)
+					}
+				})
+			}
 		}
 	}
 }

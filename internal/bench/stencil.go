@@ -31,8 +31,6 @@ func heat(o Options) ([]Row, error) {
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
 			run: func() (apps.Result, error) {
-				// The reference first: its two rods are garbage before the
-				// run's stores are allocated, not stacked on top of them.
 				want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
 				res, err := apps.HeatOmpSs(cfg, p)
 				if err == nil && res.Check != want {

@@ -51,13 +51,22 @@ func (k Sgemm) CPUCost(spec hw.NodeSpec) time.Duration {
 	return cpuCost(spec, k.flops(), k.bytes())
 }
 
-// Run implements task.Work: a cache-friendly ikj triple loop.
+// Run implements task.Work: a cache-friendly ikj triple loop, in SSE2
+// assembly on amd64 (sgemm_amd64.s) and sgemmGo elsewhere.
 func (k Sgemm) Run(store *memspace.Store) {
 	if store == nil {
 		return
 	}
 	a, b, c := f32(store.Bytes(k.A)), f32(store.Bytes(k.B)), f32(store.Bytes(k.C))
 	n := k.BS
+	sgemm(a[:n*n], b[:n*n], c[:n*n], n)
+}
+
+// sgemmGo is c += a*b on n x n row-major tiles. For each element of c it
+// adds a[i][k]*b[k][j] for k ascending, skipping a zero a[i][k]. It is the
+// body on every GOARCH without an assembly loop, and the reference the
+// amd64 loop is tested against bit for bit.
+func sgemmGo(a, b, c []float32, n int) {
 	for i := 0; i < n; i++ {
 		ai := a[i*n : (i+1)*n]
 		ci := c[i*n : (i+1)*n]
@@ -701,12 +710,18 @@ func (k JacobiStep) Run(store *memspace.Store) {
 	in := f64(store.Bytes(k.In))
 	out := f64(store.Bytes(k.Out))
 	n := len(out)
-	for i := 0; i < n; i++ {
-		j := i + k.LeftHalo
-		if (i == 0 && k.LeftHalo == 0) || (i == n-1 && k.RightHalo == 0) {
-			out[i] = in[j] // fixed boundary cell
-			continue
-		}
+	h := k.LeftHalo
+	lo, hi := 0, n
+	if h == 0 {
+		out[0] = in[0] // fixed boundary cell
+		lo = 1
+	}
+	if k.RightHalo == 0 {
+		out[n-1] = in[n-1+h]
+		hi = n - 1
+	}
+	for i := lo; i < hi; i++ {
+		j := i + h
 		out[i] = in[j] + k.Alpha*(in[j-1]-2*in[j]+in[j+1])
 	}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -15,32 +16,96 @@ func region(alloc *memspace.Allocator, size uint64) memspace.Region {
 	return alloc.Alloc(size, 0)
 }
 
-func TestSgemmMatchesReference(t *testing.T) {
-	const n = 8
-	al := memspace.NewAllocator()
-	s := store()
-	a := region(al, n*n*4)
-	b := region(al, n*n*4)
-	c := region(al, n*n*4)
-	av, bv, cv := f32(s.Bytes(a)), f32(s.Bytes(b)), f32(s.Bytes(c))
-	for i := range av {
-		av[i] = float32(i%5) - 2
-		bv[i] = float32(i%7) - 3
-		cv[i] = 1
-	}
-	ref := make([]float32, n*n)
-	copy(ref, cv)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				ref[i*n+j] += av[i*n+k] * bv[k*n+j]
-			}
+// Special values of the exactness table. NaNs are quiet or signalling,
+// of either sign, with distinct payloads: when both operands are NaN, the
+// result's payload names which one was the destination.
+var (
+	signedZero = func(r uint32) float32 { return math.Float32frombits(r & 0x80000000) }
+	nan        = func(r uint32) float32 { return math.Float32frombits(r&0x807fffff | 0x7f800001) }
+	inf        = func(r uint32) float32 { return float32(math.Inf(1 - 2*int(r&1))) }
+	subnormal  = func(r uint32) float32 { return math.Float32frombits(r&0x807fffff | 1) }
+)
+
+// sgemmValues are the value kinds of TestSgemmMatchesReference. Each
+// maps a random word to an element: mostly small integers, with a quarter
+// of the kind's special values, so that specials meet each other and
+// ordinary data in one product or one sum.
+var sgemmValues = []struct {
+	name    string
+	special func(r uint32) float32 // nil: ordinary data only
+	finite  bool                   // the naive ijk check applies
+}{
+	{"ordinary", nil, true},
+	{"signed-zeros", signedZero, true},
+	{"nans", nan, false},
+	{"infs", inf, false},
+	{"subnormals", subnormal, true},
+	// -0 in a against an infinite or NaN b is where skipping only +0
+	// would show.
+	{"mixed", func(r uint32) float32 {
+		return []func(uint32) float32{signedZero, nan, inf, subnormal}[r>>8&3](r)
+	}, false},
+}
+
+// sgemmFill fills v from an LCG with the value kind's mix.
+func sgemmFill(v []float32, seed uint32, special func(uint32) float32) {
+	s := seed*2654435761 + 12345
+	for i := range v {
+		s = s*1664525 + 1013904223
+		if special != nil && s>>30 == 0 {
+			v[i] = special(s * 2891336453)
+		} else {
+			v[i] = float32(int(s>>24)%7 - 3)
 		}
 	}
-	Sgemm{A: a, B: b, C: c, BS: n}.Run(s)
-	for i := range ref {
-		if math.Abs(float64(ref[i]-cv[i])) > 1e-4 {
-			t.Fatalf("element %d = %v, want %v", i, cv[i], ref[i])
+}
+
+// raceBuild is set in race builds (race_test.go).
+var raceBuild bool
+
+// Sgemm.Run must give sgemmGo's bits exactly, on sizes around the
+// assembly's sixteen- and four-lane steps, and the naive ijk product on
+// finite data. In a race build a NaN result need only be a NaN.
+func TestSgemmMatchesReference(t *testing.T) {
+	for _, n := range []int{8, 15, 16, 17, 33, 128, 130} {
+		for _, kind := range sgemmValues {
+			t.Run(fmt.Sprintf("%d/%s", n, kind.name), func(t *testing.T) {
+				al := memspace.NewAllocator()
+				s := store()
+				a := region(al, uint64(n*n*4))
+				b := region(al, uint64(n*n*4))
+				c := region(al, uint64(n*n*4))
+				av, bv, cv := f32(s.Bytes(a)), f32(s.Bytes(b)), f32(s.Bytes(c))
+				sgemmFill(av, uint32(n), kind.special)
+				sgemmFill(bv, uint32(n)+1, kind.special)
+				sgemmFill(cv, uint32(n)+2, kind.special)
+				c0 := append([]float32(nil), cv...)
+				want := append([]float32(nil), cv...)
+				sgemmGo(av, bv, want, n)
+				Sgemm{A: a, B: b, C: c, BS: n}.Run(s)
+				for i := range want {
+					if raceBuild && cv[i] != cv[i] && want[i] != want[i] {
+						continue
+					}
+					if math.Float32bits(cv[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("element %d = %#08x, sgemmGo %#08x", i, math.Float32bits(cv[i]), math.Float32bits(want[i]))
+					}
+				}
+				if !kind.finite {
+					return
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						ref := c0[i*n+j]
+						for k := 0; k < n; k++ {
+							ref += av[i*n+k] * bv[k*n+j]
+						}
+						if math.Abs(float64(ref-cv[i*n+j])) > 1e-4 {
+							t.Fatalf("element %d = %v, want %v", i*n+j, cv[i*n+j], ref)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -230,5 +295,41 @@ func TestCPUCostUsesRoofline(t *testing.T) {
 	wantSec := k.flops() / spec.CPUFlops
 	if got := k.CPUCost(spec).Seconds(); math.Abs(got-wantSec)/wantSec > 0.01 {
 		t.Fatalf("sgemm CPU cost = %v, want %v", got, wantSec)
+	}
+}
+
+// BenchmarkSgemm times one 128² tile: Run, and the Go loop it replaces on
+// amd64. The data are normal floats; subnormals and NaNs slow both.
+func BenchmarkSgemm(b *testing.B) {
+	const n = 128
+	al := memspace.NewAllocator()
+	s := store()
+	k := Sgemm{A: region(al, n*n*4), B: region(al, n*n*4), C: region(al, n*n*4), BS: n}
+	fillTile{R: k.A, Seed: 1}.Run(s)
+	fillTile{R: k.B, Seed: 2}.Run(s)
+	b.Run("Run", func(b *testing.B) {
+		for range b.N {
+			k.Run(s)
+		}
+	})
+	b.Run("sgemmGo", func(b *testing.B) {
+		av, bv, cv := f32(s.Bytes(k.A)), f32(s.Bytes(k.B)), f32(s.Bytes(k.C))
+		for range b.N {
+			sgemmGo(av, bv, cv, n)
+		}
+	})
+}
+
+// BenchmarkJacobiStep times one interior block of 128K cells.
+func BenchmarkJacobiStep(b *testing.B) {
+	const cells = 128 << 10
+	al := memspace.NewAllocator()
+	s := store()
+	in := region(al, (cells+2)*8)
+	k := JacobiStep{In: in, Out: region(al, cells*8), LeftHalo: 1, RightHalo: 1, Alpha: 0.25}
+	HeatInit{R: in}.Run(s)
+	b.ResetTimer()
+	for range b.N {
+		k.Run(s)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -25,7 +26,8 @@ var srcFset = token.NewFileSet()
 // parseModule parses, once, every non-test Go file of the module with its
 // comments, by directory relative to the root ("internal/sim", "." for the
 // root). It walks as the go command does: testdata, vendor, hidden and
-// underscore directories and nested modules are not part of it.
+// underscore directories and nested modules are not part of it, and nor is
+// a file whose build constraints exclude the GOOS and GOARCH it runs on.
 var parseModule = sync.OnceValues(func() (map[string][]*ast.File, error) {
 	files := map[string][]*ast.File{}
 	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
@@ -46,6 +48,9 @@ var parseModule = sync.OnceValues(func() (map[string][]*ast.File, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); !ok || err != nil {
+			return err
 		}
 		f, err := parser.ParseFile(srcFset, path, nil, parser.ParseComments)
 		if err != nil {
