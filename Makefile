@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience cover stencil stress serve weakscale powercap align loc
+.PHONY: check vet fmt build test race fuzz benchmark-test bench resilience crashsweep cover stencil stress serve weakscale powercap align loc
 
 ## check: gofmt + go vet + build + full test suite (the tier-1 gate; the
 ## determinism rules of DESIGN.md §9 are a test in it, internal/sim/rules_test.go)
@@ -78,11 +78,19 @@ loc:
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
-## resilience: the fault-plan test matrix plus the quick resilience grid
+## resilience: the fault-plan test matrix, the crash sweep's tier-1 sample
+## and the quick resilience grid
 resilience:
-	$(GO) test ./internal/faults/ ./internal/core/ -run 'Resilience|Fault'
+	$(GO) test ./internal/faults/ ./internal/core/ -run 'Resilience|Fault|CrashSweep'
 	$(GO) test ./internal/gasnet/ -run 'Reliable|Ack|Attempts|Shutdown|Probe|InboundFilter'
 	$(GO) run ./cmd/ompss-bench -experiment resilience -quick
+
+## crashsweep: every point of the crash sweep (internal/core/crashsweep_test.go;
+## the build tag adds crashsweep_full_test.go): crash points derived from a
+## crash-free trace of the inc-chain, double-crash, nested and Heat steps 1
+## shapes, each of which must be ok, then Heat at steps 2 and 4 as a report
+crashsweep:
+	$(GO) test -tags crashsweep -run CrashSweepFull -v -timeout 30m ./internal/core/
 
 ## bench: microbenchmarks (ns/op and allocs/op) of the sim primitives, the
 ## software cache's invalidation sweep and a directory query, depgraph

@@ -174,8 +174,9 @@ type plan struct {
 // stageToNode makes node k hold the current version of r. Routes are:
 // master host -> k directly; a master GPU -> master host -> k; another
 // slave j -> k directly when SlaveToSlave is enabled, else j -> master -> k.
-// then gets false only when k itself is unreachable; a failed source is
-// declared dead and the transfer re-routed around it.
+// then gets false only when k itself is unreachable; a transfer from a
+// failed source is planned again until the failure detector convicts it,
+// and then re-routed around it.
 func (rt *Runtime) stageToNode(r memspace.Region, k int, then func(bool)) {
 	rt.master().hold(r, k, true, then)
 }
@@ -344,8 +345,9 @@ func (pl *plan) routeFn() {
 // when the data stays between slaves). The plan goes on once dst has
 // acknowledged to the master, so ordering with a subsequent runTask holds
 // even under retries; a failure means a peer died or exhausted the retry
-// ladder first, and this is the one place an unreachable source is
-// declared dead.
+// ladder first. It convicts no one: a slave broker may have sent the push,
+// so the sender that failed need not be the source; the plan starts over,
+// and the heartbeat alone convicts a silent node.
 func (pl *plan) xfer() {
 	rt, frag := pl.rt, pl.missing[pl.i]
 	rt.cl.xferSeq++
@@ -366,7 +368,6 @@ func (pl *plan) sentFn(ok bool) {
 	switch {
 	case !ok:
 		pl.rt.ackXfer(pl.id)
-		pl.rt.nodeDead(pl.src, "push")
 		pl.movedFn(false)
 	case pl.acked:
 		pl.arrivedFn()

@@ -52,11 +52,10 @@ func (rt *Runtime) registerMasterHandlers() {
 			// Only the dispatch of record may retire the task: a completion
 			// from a node that was declared dead (and whose copy of the task
 			// was requeued) is stale and must be ignored.
-			if n2, in := ft.inflightNode[t.ID]; !in || n2 != node {
+			if d, in := ft.inflight[t.ID]; !in || d.node != node {
 				return
 			}
-			delete(ft.inflightNode, t.ID)
-			delete(ft.inflightTask, t.ID)
+			delete(ft.inflight, t.ID)
 		}
 		for _, c := range t.Copies() {
 			if c.Access.Writes() {
@@ -136,8 +135,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 		if ft := rt.ft; ft != nil && k > 0 {
 			// Track the dispatch before its chain starts, so a death can
 			// never catch the task in an untracked window.
-			ft.inflightNode[t.ID] = k
-			ft.inflightTask[t.ID] = t
+			ft.inflight[t.ID] = dispatched{t, k}
 		}
 		if k == 0 {
 			m.enqueueLocal(t, retireLocal)
@@ -154,15 +152,10 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	}
 }
 
-// retire completes t, which ran on node, at the master. A re-executed
-// producer only advances its rebuild: the graph retired it long ago.
+// retire completes t, which ran on node, at the master.
 func (rt *Runtime) retire(t *task.Task, node int) {
 	rt.track(node, -1)
-	if rt.isRecoveryTask(t) {
-		rt.ft.recoveryDone[t.ID].Trigger()
-	} else {
-		rt.finishTask(t, node)
-	}
+	rt.finishTask(t, node)
 	rt.master().signalWork()
 }
 
@@ -213,17 +206,11 @@ func (rt *Runtime) clusterCanRun(place int, t *task.Task) bool {
 			return false
 		}
 		// Hold back tasks touching a region whose lost version is being
-		// rebuilt — running them against the master's stale base (or
-		// clobbering it with a newer write the replay would then undo)
-		// would corrupt the recovery. The replayed producers themselves
-		// are exempt: their re-runs are the rebuild.
-		if len(ft.restoreEvents) > 0 {
-			if _, rec := ft.recoveryDone[t.ID]; !rec {
-				for _, c := range t.Copies() {
-					if ft.fenced(c.Region) {
-						return false
-					}
-				}
+		// rebuilt: run against the master's stale base, or clobbering it
+		// with a newer write the replay would undo, they corrupt it.
+		for _, c := range t.Copies() {
+			if ft.fence(c.Region) != nil {
+				return false
 			}
 		}
 	}

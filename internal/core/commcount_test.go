@@ -7,7 +7,6 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
 	"github.com/bsc-repro/ompss/internal/trace"
@@ -125,18 +124,15 @@ func TestChainFaultPathsRecountAndReplay(t *testing.T) {
 // so the byte each region must end at.
 const chainRounds = 3
 
-// chainRun runs 3 rounds of CUDA inc tasks over 5 regions of 256 KiB on
-// 4 nodes of gpus GPUs each: BreadthFirst, Presend 1, shards manager
-// shards at 2 µs an operation, under plan. It fails t when Run errs, when
+// chainRun runs chainShape's workload under plan. It fails t when Run errs, when
 // the comm thread's open count ever differs from a recount, or when a
 // planned crash did not kill exactly one node, and returns the run's Stats,
 // formatted, and each region's first byte.
 func chainRun(t *testing.T, gpus int, nbc bool, shards int, plan *faults.Plan, rec *trace.Recorder) (string, []byte) {
 	t.Helper()
-	const nodes, regions = 4, 5
-	cfg := baseCfg(nodes, gpus)
-	cfg.Scheduler, cfg.Faults, cfg.Trace = sched.BreadthFirst, plan, rec
-	cfg.NonBlockingCache, cfg.Presend, cfg.ManagerShards, cfg.ManagerOpCost = nbc, 1, shards, 2*time.Microsecond
+	s := chainShape(gpus, shards, nbc)
+	cfg := s.cfg
+	cfg.Faults, cfg.Trace = plan, rec
 	rt := New(cfg)
 	drift := ""
 	rt.cl.onTrack = func() {
@@ -150,24 +146,8 @@ func chainRun(t *testing.T, gpus int, nbc bool, shards int, plan *faults.Plan, r
 			drift = fmt.Sprintf("at %v the comm thread counts %d open nodes, a recount finds %d", rt.e.Now(), rt.cl.open[0], open)
 		}
 	}
-	results := make([]byte, regions)
-	stats, err := rt.Run(func(mc *MainCtx) {
-		regs := make([]memspace.Region, regions)
-		for i := range regs {
-			regs[i] = mc.Alloc(1 << 18)
-			mc.InitSeq(regs[i], func(b []byte) { fill(b, 0) })
-		}
-		for round := 0; round < chainRounds; round++ {
-			for _, r := range regs {
-				mc.Submit(TaskDef{Name: "inc", Device: task.CUDA, Deps: []task.Dep{inoutDep(r)},
-					Work: incWork{r: r, delta: 1, cost: 2 * time.Millisecond}})
-			}
-		}
-		mc.TaskWait()
-		for i, r := range regs {
-			results[i] = mc.HostBytes(r)[0]
-		}
-	})
+	var results []byte
+	stats, err := rt.Run(func(mc *MainCtx) { results = s.main(mc) })
 	if err != nil {
 		t.Fatal(err)
 	}

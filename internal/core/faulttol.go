@@ -35,24 +35,21 @@ type ftState struct {
 	pongSince  []bool // a pong arrived since the last probe round
 	missStreak []int  // consecutive unanswered probes
 
-	// inflightNode/inflightTask track tasks dispatched to remote nodes but
-	// not yet retired, so a dead node's work can be requeued. Entries are
+	// inflight tracks the tasks dispatched to remote nodes but not yet
+	// retired, so a dead node's work can be requeued. Entries are
 	// registered synchronously at pop time in the comm loop — before the
 	// dispatch process even starts — so a death can never catch a task in
 	// an untracked window.
-	inflightNode map[task.ID]int
-	inflightTask map[task.ID]*task.Task
+	inflight map[task.ID]dispatched
 
-	// recoveryDone maps re-executed task ids to their completion events.
-	// Entries are never removed: a later recovery sharing a task must see
-	// it already ran (re-running a non-idempotent producer twice would
-	// corrupt its output), and completion paths use membership to divert
-	// recovery tasks away from the dependency graph, which already retired
-	// them once.
-	recoveryDone map[task.ID]*sim.Event
+	// replayed maps each producer a rebuild has re-run, or is re-running,
+	// to the end of its replay. Entries are never removed: a later rebuild
+	// sharing the producer waits on that replay instead of running it again
+	// (re-running a non-idempotent producer twice would corrupt its output).
+	replayed map[task.ID]*sim.Event
 
 	// restoreEvents fences regions whose lost current version is being
-	// rebuilt, keyed by directory fragment. Normal tasks touching any
+	// rebuilt, keyed by directory fragment. Live tasks touching any
 	// overlapping region are held back by clusterCanRun until the rebuild
 	// completes.
 	restoreEvents map[memspace.Region]*sim.Event
@@ -82,9 +79,8 @@ func (rt *Runtime) armFaultTolerance() {
 		dead:          make([]bool, len(rt.nodes)),
 		pongSince:     make([]bool, len(rt.nodes)),
 		missStreak:    make([]int, len(rt.nodes)),
-		inflightNode:  make(map[task.ID]int),
-		inflightTask:  make(map[task.ID]*task.Task),
-		recoveryDone:  make(map[task.ID]*sim.Event),
+		inflight:      make(map[task.ID]dispatched),
+		replayed:      make(map[task.ID]*sim.Event),
 		restoreEvents: make(map[memspace.Region]*sim.Event),
 	}
 	rt.ft = ft
@@ -124,14 +120,10 @@ func (rt *Runtime) nodeIsDead(k int) bool {
 	return rt.ft != nil && rt.ft.dead[k]
 }
 
-// isRecoveryTask reports whether t is being re-executed to rebuild lost
-// data (such tasks bypass the restore fences their own re-run satisfies).
-func (rt *Runtime) isRecoveryTask(t *task.Task) bool {
-	if rt.ft == nil {
-		return false
-	}
-	_, rec := rt.ft.recoveryDone[t.ID]
-	return rec
+// dispatched is a task in flight to a remote node.
+type dispatched struct {
+	t    *task.Task
+	node int
 }
 
 // spawnHeartbeat starts the failure detector: one probe loop per manager
@@ -259,17 +251,12 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 	}
 	// Requeue k's queued and in-flight tasks on the survivors.
 	requeue := rt.clSch.Drain(k)
-	var lostIDs []task.ID
-	for _, id := range detmap.Keys(ft.inflightNode) {
-		if ft.inflightNode[id] == k {
-			lostIDs = append(lostIDs, id)
+	for _, id := range detmap.Keys(ft.inflight) {
+		if d := ft.inflight[id]; d.node == k {
+			requeue = append(requeue, d.t)
+			delete(ft.inflight, id)
+			rt.met.reexecs.Inc()
 		}
-	}
-	for _, id := range lostIDs {
-		requeue = append(requeue, ft.inflightTask[id])
-		delete(ft.inflightNode, id)
-		delete(ft.inflightTask, id)
-		rt.met.reexecs.Inc()
 	}
 	for _, t := range requeue {
 		rt.clSch.Submit(t, -1)
@@ -287,8 +274,8 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 // producer tasks since the master's base copy was last current; the union
 // of the lost regions' chains is replayed sequentially in ascending task
 // id — a valid topological order, since a task can only depend on
-// earlier-submitted tasks. Each region's fence lifts as soon as its
-// newest producer has re-run.
+// earlier-submitted tasks — by the rebuild itself (replay). Each region's
+// fence lifts as soon as its newest producer has re-run.
 func (rt *Runtime) recoverLost(k int) {
 	ft, m := rt.ft, rt.master()
 	lost := m.dir.PurgeNode(k)
@@ -339,15 +326,14 @@ func (rt *Runtime) recoverLost(k int) {
 		rebuildSpan := rt.cfg.Trace.Begin(trace.Recovery,
 			fmt.Sprintf("rebuild:node%d", k), 0, -1, detect)
 		for _, t := range chain {
-			done, running := ft.recoveryDone[t.ID]
-			if !running {
-				done = sim.NewEvent(rt.e)
-				ft.recoveryDone[t.ID] = done
+			if done, ok := ft.replayed[t.ID]; ok {
+				done.Wait(p) // an overlapping rebuild replays t
+			} else {
+				ft.replayed[t.ID] = sim.NewEvent(rt.e)
 				rt.met.reexecs.Inc()
-				rt.clSch.Submit(t, -1)
-				m.signalWork()
+				m.replay(p, t)
+				ft.replayed[t.ID].Trigger()
 			}
-			done.Wait(p)
 			// A region is restored once its newest producer has re-run.
 			for i := range rebuilds {
 				rb := &rebuilds[i]
@@ -367,39 +353,60 @@ func (rt *Runtime) recoverLost(k int) {
 	})
 }
 
-// fenced reports whether any fragment overlapping r has a rebuild in
-// progress, returning the first such fragment in address order so waiters
-// block deterministically.
-func (ft *ftState) fenced(r memspace.Region) bool {
-	_, busy := ft.fencedOn(r)
-	return busy
+// replay re-runs producer t on the master host for a rebuild, on the core
+// cpuWorkers leaves to the runtime thread: outside the cluster scheduler,
+// the comm thread's slots, the workers and the GPU managers, so nothing it
+// needs waits on live work. A fenced input is read in place: Rehome left
+// its base on this host, and fetching it would wait on the very fence the
+// rebuild lifts. Its writes make this host their sole holder, which
+// resets their producer chains. A nested extent replays inline: the
+// spawner's LocalCtx has no graph, so each child replays at its Submit, in
+// submit order, which the sibling-only arcs allow.
+func (n *nodeRT) replay(p *sim.Proc, t *task.Task) {
+	for _, c := range t.Copies() {
+		if c.Access.Reads() && n.rt.ft.fence(c.Region) == nil {
+			p.Await("staging", func(done func(bool)) { n.fetchToHost(c.Region, true, done) })
+		}
+	}
+	run := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, -1, p.Now())
+	p.Sleep(jitter(t.ID, t.Work.CPUCost(n.spec)))
+	run.EndTask(p.Now(), int64(t.ID))
+	if n.rt.cfg.Validate {
+		n.runBody(t, n.hostStore)
+	}
+	for _, c := range t.Copies() {
+		if c.Access.Writes() {
+			n.produced(c.Region, memspace.Host(n.id))
+		}
+	}
+	if spawn := t.Spawner(); spawn != nil {
+		spawn(&LocalCtx{n: n, p: p})
+	}
 }
 
-func (ft *ftState) fencedOn(r memspace.Region) (*sim.Event, bool) {
+// fence returns the restore event of the first fragment overlapping r, in
+// address order so waiters block deterministically, whose rebuild is in
+// progress; nil when r is not fenced.
+func (ft *ftState) fence(r memspace.Region) *sim.Event {
 	if len(ft.restoreEvents) == 0 {
-		return nil, false
+		return nil
 	}
 	for _, fr := range detmap.KeysFunc(ft.restoreEvents, regionLess) {
 		if fr.Overlaps(r) {
-			return ft.restoreEvents[fr], true
+			return ft.restoreEvents[fr]
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // waitRestore runs then once no rebuild overlapping r is pending: at once
 // without fault tolerance or when r is not fenced.
 func (rt *Runtime) waitRestore(r memspace.Region, then func(bool)) {
 	if rt.ft != nil {
-		if ev, busy := rt.ft.fencedOn(r); busy {
+		if ev := rt.ft.fence(r); ev != nil {
 			ev.WaitFunc(func() { rt.waitRestore(r, then) })
 			return
 		}
 	}
 	then(true)
-}
-
-// restorePending reports whether a rebuild overlapping r is in progress.
-func (rt *Runtime) restorePending(r memspace.Region) bool {
-	return rt.ft != nil && rt.ft.fenced(r)
 }

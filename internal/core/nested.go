@@ -12,12 +12,13 @@ import (
 // the node where the parent executes. Nested tasks form their own dynamic
 // extent: dependences connect siblings only (as the paper's hierarchical
 // graph requires), they are scheduled by the node's local scheduler, and
-// the parent does not complete until they drain.
+// the parent does not complete until they drain. A rebuild's replay of the
+// parent gets one with no graph, on which each nested task replays at once.
 type LocalCtx struct {
 	n     *nodeRT
 	p     *sim.Proc
-	graph *depgraph.Graph
-	idle  *sim.Event // made each time a task enters the empty extent
+	graph *depgraph.Graph // nil: a replay (nodeRT.replay)
+	idle  *sim.Event      // made each time a task enters the empty extent
 }
 
 // Node returns the node id the nested tasks will run on.
@@ -29,6 +30,10 @@ func (lc *LocalCtx) Submit(def TaskDef) *task.Task {
 	rt := lc.n.rt
 	t := new(task.Task)
 	def.fill(t, rt.newTaskID())
+	if lc.graph == nil {
+		lc.n.replay(lc.p, t)
+		return t
+	}
 	if t.Device == task.CUDA && len(lc.n.devs) == 0 {
 		panic(fmt.Sprintf("core: nested CUDA task on GPU-less node %d", lc.n.id))
 	}
@@ -44,7 +49,7 @@ func (lc *LocalCtx) Submit(def TaskDef) *task.Task {
 
 // Wait blocks the spawner until every nested task has finished.
 func (lc *LocalCtx) Wait() {
-	if lc.graph.Pending() > 0 {
+	if lc.graph != nil && lc.graph.Pending() > 0 {
 		lc.idle.Wait(lc.p)
 	}
 }

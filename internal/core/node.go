@@ -528,9 +528,8 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 	copies := t.Copies()
 	// On the master, a region whose lost version is being rebuilt lists
 	// the master host as holder of a stale base; staging must wait out the
-	// rebuild. The replayed producers themselves are exempt — that base is
-	// exactly the input their re-run needs.
-	fence := n.isMaster() && n.rt.ft != nil && !n.rt.isRecoveryTask(t)
+	// rebuild.
+	fence := n.isMaster() && n.rt.ft != nil
 	for _, c := range copies {
 		// Pending reduction partials are contributions the directory does
 		// not know of: a task that touches them, other than by adding one,

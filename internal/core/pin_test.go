@@ -56,9 +56,9 @@ func resentFragment() matchCase {
 }
 
 // TestReplaySweepKeepsPinnedLine crashes slave 2 of chainRun's workload at
-// 1 GPU per node while a replayed producer's line is pinned on the
-// master's GPU. A completion report's sweep must leave that line, and the
-// run must still be checksum-exact and replay bit-identically.
+// 1 GPU per node at the point where, while replayed producers ran on the
+// master's GPU, a completion report's sweep removed a line pinned for one.
+// The run must be checksum-exact and replay bit-identically.
 func TestReplaySweepKeepsPinnedLine(t *testing.T) {
 	plan := func() *faults.Plan {
 		return &faults.Plan{Seed: 5, Crashes: []faults.Crash{{Node: 2, At: 3228068 * time.Nanosecond}}}

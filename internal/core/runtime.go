@@ -411,7 +411,8 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 	m := rt.master()
 	var stale []memspace.Region
 	for _, r := range m.dir.Regions() {
-		if !m.dir.IsHolder(r, memspace.Host(0)) || len(m.overlappingRedRegions(r)) > 0 || rt.restorePending(r) {
+		if !m.dir.IsHolder(r, memspace.Host(0)) || len(m.overlappingRedRegions(r)) > 0 ||
+			rt.ft != nil && rt.ft.fence(r) != nil {
 			stale = append(stale, r)
 		}
 	}
