@@ -31,11 +31,14 @@ test:
 ## checks it — the kernel, the substrates on it (netsim, gpusim, gasnet,
 ## cuda, mpi), the runtime (core, faults) and its bookkeeping layers
 ## (lock-free by the same contract), the parallel harness, the serving
-## layer, and the root package's API tests
+## layer, and the root package's API tests. A validated run's bytes move on
+## memspace's plane workers beside the engine, so the kernels and the
+## applications whose bodies run there are checked too
 race:
 	$(GO) test -race . ./internal/sim/... ./internal/netsim/... ./internal/gpusim/... ./internal/gasnet/... ./internal/cuda/... ./internal/mpi/... \
 		./internal/core/... ./internal/faults/... ./internal/bench/... ./internal/serve/... \
-		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/...
+		./internal/dmgr/... ./internal/depgraph/... ./internal/memspace/... ./internal/coherence/... ./internal/sched/... \
+		./internal/apps/... ./internal/kernels/...
 
 ## fuzz: every native fuzz target for 20 s (go test takes one target and one
 ## package per -fuzz run). The seed corpora, checked in under testdata/fuzz

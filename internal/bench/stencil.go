@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/bsc-repro/ompss/internal/apps"
 )
@@ -20,7 +21,10 @@ func heatParams(o Options, nodes int) apps.HeatParams {
 // the fragmented-region paths — overlap dependences, fragment assembly,
 // partial invalidation — end to end (the paper's own grid has no
 // partially-overlapping workload). Every point carries real data and is
-// checked against the serial reference checksum.
+// checked against the serial reference checksum, which a goroutine of its
+// own computes beside the run. A point ends by collecting its garbage: the
+// run's stores die with it, and the next point must not allocate its own
+// on top of them while the collector has yet to come round.
 func heat(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
@@ -31,11 +35,14 @@ func heat(o Options) ([]Row, error) {
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
 			run: func() (apps.Result, error) {
-				want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
+				ref := make(chan float64, 1)
+				go func() { ref <- apps.HeatSerialSum(p) }()
 				res, err := apps.HeatOmpSs(cfg, p)
+				want := fmt.Sprintf("sum=%.6f", <-ref)
 				if err == nil && res.Check != want {
 					err = fmt.Errorf("heat checksum %s, want %s", res.Check, want)
 				}
+				runtime.GC()
 				return res, err
 			},
 		})

@@ -372,7 +372,7 @@ func (n *nodeRT) replay(p *sim.Proc, t *task.Task) {
 	p.Sleep(jitter(t.ID, t.Work.CPUCost(n.spec)))
 	run.EndTask(p.Now(), int64(t.ID))
 	if n.rt.cfg.Validate {
-		n.runBody(t, n.hostStore)
+		n.runBody(t)
 	}
 	for _, c := range t.Copies() {
 		if c.Access.Writes() {

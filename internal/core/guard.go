@@ -8,14 +8,14 @@ import (
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
-// runBody executes t's body against store, checking it against the
-// dependence contract of t's clauses (Deps and ExtraCopies) — validation
-// mode only, since cost-only runs have no store and no body to run. Both
-// callers run it synchronously on the engine thread, an SMP worker after
-// the modeled duration and a kernel's completion callback, so nothing else
-// touches the store meanwhile and every change is the body's. A broken
-// contract panics with a *memspace.ContractError, which Runtime.Run returns
-// inside the engine's ProcPanicError:
+// guarded returns t's body checked against the dependence contract of its
+// clauses (Deps and ExtraCopies) — validation mode only, since cost-only
+// runs have no store and no body to run. The clause sets are worked out
+// here, on the engine; the returned function runs as an op on the store's
+// plane (memspace.Do), after every earlier op on that store and before any
+// later one, so nothing else touches the store meanwhile and every change
+// is the body's. A broken contract panics with a *memspace.ContractError,
+// which Runtime.Run returns inside a ProcPanicError:
 //
 //   - every Bytes call must lie inside the declared regions (the armed
 //     store checks that itself);
@@ -31,7 +31,7 @@ import (
 // InOut and reduction regions get neither snapshot nor poison: the body
 // reads and writes them, and reduction partials already live at the
 // region's address.
-func (n *nodeRT) runBody(t *task.Task, store *memspace.Store) {
+func guarded(t *task.Task) func(store *memspace.Store) {
 	var declared, ins, outs, reads, writes []memspace.Region
 	for _, clauses := range [2][]task.Dep{t.Deps, t.ExtraCopies()} {
 		for _, d := range clauses {
@@ -54,32 +54,36 @@ func (n *nodeRT) runBody(t *task.Task, store *memspace.Store) {
 		}
 	}
 	inOnly, outOnly := uncovered(ins, writes), uncovered(outs, reads)
-	snap := n.guardBuf[:0]
-	for _, r := range inOnly {
-		snap = append(snap, store.Bytes(r)...)
-	}
-	n.guardBuf = snap
-	for _, r := range outOnly {
-		poison(store.Bytes(r))
-	}
-
-	name := t.String()
-	store.Arm(name, declared)
-	t.Work.Run(store)
-	touched := store.Disarm()
-
-	for _, r := range inOnly {
-		// Re-fetched: a Bytes call of the body may have re-based the extent.
-		if !bytes.Equal(store.Bytes(r), snap[:r.Size]) {
-			panic(&memspace.ContractError{Task: name, Region: r, Kind: memspace.WriteToIn})
+	name, work := t.String(), t.Work
+	return func(store *memspace.Store) {
+		snap := store.Snapshot(inOnly)
+		for _, r := range outOnly {
+			poison(store.Bytes(r))
 		}
-		snap = snap[r.Size:]
-	}
-	if slices.Contains(touched, true) {
-		if i := slices.Index(touched, false); i >= 0 {
-			panic(&memspace.ContractError{Task: name, Region: declared[i], Kind: memspace.UnusedClause})
+
+		store.Arm(name, declared)
+		work.Run(store)
+		touched := store.Disarm()
+
+		for _, r := range inOnly {
+			// Re-fetched: a Bytes call of the body may have re-based the extent.
+			if !bytes.Equal(store.Bytes(r), snap[:r.Size]) {
+				panic(&memspace.ContractError{Task: name, Region: r, Kind: memspace.WriteToIn})
+			}
+			snap = snap[r.Size:]
+		}
+		if slices.Contains(touched, true) {
+			if i := slices.Index(touched, false); i >= 0 {
+				panic(&memspace.ContractError{Task: name, Region: declared[i], Kind: memspace.UnusedClause})
+			}
 		}
 	}
+}
+
+// runBody posts t's guarded body on the host store's plane.
+func (n *nodeRT) runBody(t *task.Task) {
+	body, store := guarded(t), n.hostStore
+	memspace.Do(func() { body(store) }, store)
 }
 
 // uncovered returns the bytes of regions that no region of others covers,

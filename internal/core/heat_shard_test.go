@@ -125,3 +125,28 @@ func TestHeatMasterRoutedMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestHeatPlaneWidthIsInvisible runs quick-size heat on 4 nodes with one
+// plane worker and with many: the serial checksum and identical stats
+// either way.
+func TestHeatPlaneWidthIsInvisible(t *testing.T) {
+	p := apps.HeatParams{N: 4 * (64 << 10), BSize: 8 << 10, Steps: 4}
+	want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p))
+	var first string
+	for _, w := range core.PlaneWidths {
+		core.WithPlaneWorkers(w, func() {
+			res, err := apps.HeatOmpSs(core.Config{Cluster: hw.GPUCluster(4), Validate: true, SlaveToSlave: true}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Check != want {
+				t.Fatalf("%d workers: check = %s, want %s", w, res.Check, want)
+			}
+			if stats := fmt.Sprintf("%+v", res.Stats); first == "" {
+				first = stats
+			} else if stats != first {
+				t.Fatalf("%d workers: stats diverged:\n%s\nvs\n%s", w, stats, first)
+			}
+		})
+	}
+}

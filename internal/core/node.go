@@ -79,8 +79,6 @@ type nodeRT struct {
 	redCombiners map[memspace.Region]task.Combiner
 	folding      *sim.Event
 
-	// guardBuf is runBody's reused snapshot of In-only bytes.
-	guardBuf []byte
 	// scores and estimates are the per-place slices affinityScore and
 	// placeEstimates return, reused: the scheduler reads each before its
 	// next call.
@@ -150,13 +148,15 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		stageHere:    func(r memspace.Region, then func(bool)) { rt.stageToNode(r, id, then) },
 		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
-	if rt.cfg.Validate {
+	if rt.plane != nil {
 		n.hostStore = memspace.NewStore(memspace.Host(id))
 	}
+	n.hostStore.UsePlane(rt.plane)
 	n.ep = gasnet.NewEndpoint(rt.fabric, id, n.hostStore)
 	n.ep.Instrument(endpointInstruments(rt.cfg.Metrics, id))
 	for g, gs := range spec.GPUs {
 		n.devs = append(n.devs, gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate))
+		n.devs[g].Store().UsePlane(rt.plane)
 		capacity := uint64(float64(gs.MemBytes) * (1 - rt.cfg.GPUCacheHeadroom))
 		n.caches = append(n.caches, coherence.NewCache(memspace.GPU(id, g), capacity))
 	}
@@ -310,7 +310,7 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 	run.EndTask(p.Now(), int64(t.ID))
 	n.met.taskRunNS.Observe(sim.Duration(p.Now() - start))
 	if n.rt.cfg.Validate {
-		n.runBody(t, n.hostStore)
+		n.runBody(t)
 	}
 	// The parent's own outputs are published before any nested tasks run,
 	// so children can read what the parent computed; children then publish
@@ -388,11 +388,11 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		n.rt.gov.acquire(p, t.Name, n.id, g, powerDelta)
 		kernelStart := p.Now()
 		kernel := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, g, kernelStart)
-		kernelDone := dev.LaunchAsync(cost, func(devStore *memspace.Store) {
-			if n.rt.cfg.Validate {
-				n.runBody(t, devStore)
-			}
-		})
+		var body func(*memspace.Store)
+		if n.rt.cfg.Validate {
+			body = guarded(t)
+		}
+		kernelDone := dev.LaunchAsync(cost, body)
 		if n.rt.cfg.Prefetch {
 			// Once a kernel is launched, request the next task and start
 			// moving its data so it is resident by the time it can run.
@@ -615,7 +615,7 @@ func (n *nodeRT) tryStage(p *sim.Proc, t *task.Task, g int) bool {
 		if red {
 			cache.Pin(r) // the reduction phase's, released at the fold
 			if s := n.devs[g].Store(); s != nil {
-				s.Drop(r) // fresh zeroed bytes: the reduction identity
+				memspace.Do(func() { s.Drop(r) }, s) // fresh zeroed bytes: the reduction identity
 			}
 			n.redPartials[r] = append(n.redPartials[r], g)
 		} else if c.Access.Reads() && n.dir.Known(r) {
@@ -687,7 +687,8 @@ func (n *nodeRT) writeBackLine(p *sim.Proc, g int, r memspace.Region) {
 
 // fetchToGPU brings the current version of r into GPU g, assuming the cache
 // line is already allocated and pinned, then runs then. Concurrent fetches
-// of the same region to the same device coalesce.
+// of the same region to the same device coalesce. The H2D is timed for all
+// of r, but lands only the pieces the GPU does not already hold current.
 func (n *nodeRT) fetchToGPU(g int, r memspace.Region, then func(bool)) {
 	loc := memspace.GPU(n.id, g)
 	if ev := n.joinInflight(r, loc); ev != nil {
@@ -703,8 +704,15 @@ func (n *nodeRT) fetchToGPU(g int, r memspace.Region, then func(bool)) {
 	// no peer-to-peer; remote data arrives over the wire into the host).
 	n.fetchToHost(r, true, func(bool) {
 		xfer := n.rt.cfg.Trace.Begin(trace.XferH2D, "fetch", n.id, g, n.rt.e.Now())
-		n.devs[g].CopyAsync(gpusim.H2D, r, n.hostStore, false).WaitFunc(func() {
+		n.devs[g].CopyAsync(gpusim.H2D, r, nil, false).WaitFunc(func() {
 			xfer.EndRegion(n.rt.e.Now(), r.Addr, r.Size)
+			if dev := n.devs[g].Store(); dev != nil {
+				// Coalesced: adjacent pieces land as one extent, not several
+				// that the kernel's first Bytes call would merge again.
+				for _, pc := range memspace.Canonicalize(n.dir.Missing(r, loc, nil)) {
+					memspace.CopyRegion(dev, n.hostStore, pc)
+				}
+			}
 			n.dir.AddHolder(r, loc)
 			n.endInflight(r, loc)
 			then(true)
@@ -762,11 +770,11 @@ func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 		n.devs[g].CopyAsync(gpusim.D2H, r, nil, false).WaitFunc(func() {
 			// Host-side fold cost.
 			n.rt.e.After(time.Duration(float64(r.Size)/n.spec.HostMemBandwidth*1e9), func() {
-				// Both buffers are fetched at the fold: an unrelated
-				// overlapping Bytes call meanwhile may have re-based a
-				// backing extent.
-				if dev := n.devs[g].Store(); dev != nil && combiner != nil {
-					combiner(n.hostStore.Bytes(r), dev.Bytes(r))
+				// Both buffers are fetched at the fold, an op on both stores:
+				// an unrelated overlapping Bytes call before it may have
+				// re-based a backing extent.
+				if dev, host := n.devs[g].Store(), n.hostStore; dev != nil && combiner != nil {
+					memspace.Do(func() { combiner(host.Bytes(r), dev.Bytes(r)) }, host, dev)
 				}
 				n.caches[g].Unpin(r)
 				n.dropLine(g, r)

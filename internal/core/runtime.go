@@ -63,6 +63,9 @@ type Runtime struct {
 	// control for one task (chain.go).
 	chains chains
 
+	// plane moves the bytes of a validated run beside the engine.
+	plane *memspace.Plane
+
 	// userErr records the first user-program error (malformed dependence
 	// clauses, missing combiners). The offending task is not submitted;
 	// Run surfaces the error after the engine drains.
@@ -78,6 +81,10 @@ func (rt *Runtime) fail(err error) {
 	}
 }
 
+// planeWorkers bounds a validated run's plane workers (0: GOMAXPROCS); the
+// tests vary it to show the plane's width moves no byte.
+var planeWorkers int
+
 // New builds a runtime over a fresh simulation engine.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
@@ -90,6 +97,11 @@ func New(cfg Config) *Runtime {
 		rankMemo:     make(map[task.ID]time.Duration),
 		releasePlace: -1,
 		met:          newRTMetrics(cfg.Metrics),
+	}
+	if cfg.Validate {
+		rt.plane = memspace.NewPlane(planeWorkers, func(v any, stack []byte) error {
+			return &sim.ProcPanicError{Proc: "(data plane)", Value: v, Stack: stack}
+		})
 	}
 	capW := cfg.PowerCapWatts
 	if capW <= 0 {
@@ -257,6 +269,10 @@ func (rt *Runtime) Run(main func(mc *MainCtx)) (Stats, error) {
 	})
 	err := rt.e.Run()
 	rt.stopped = true
+	// The plane's failure is where the run would have stopped inline.
+	if perr := rt.plane.Wait(); perr != nil {
+		err = perr
+	}
 	if err == nil {
 		err = rt.userErr
 	}
@@ -292,19 +308,23 @@ func (mc *MainCtx) Alloc(size uint64) memspace.Region {
 }
 
 // HostBytes exposes the master-host backing bytes of r (nil unless
-// Validate). Call only after TaskWait for deterministic contents.
+// Validate), once every byte operation posted so far has landed. Call only
+// after TaskWait for deterministic contents.
 func (mc *MainCtx) HostBytes(r memspace.Region) []byte {
+	mc.rt.plane.Wait() // a failure is Run's to return
 	return mc.rt.master().hostStore.Bytes(r)
 }
 
 // InitSeq initializes r sequentially on the master host (charging host
-// memory bandwidth) and records the master as its holder. fill may be nil.
+// memory bandwidth) and records the master as its holder. fill may be nil;
+// it runs as an op on the master host store, beside the simulation, so it
+// must touch nothing but b.
 func (mc *MainCtx) InitSeq(r memspace.Region, fill func(b []byte)) {
 	rt := mc.rt
 	spec := rt.master().spec
 	mc.p.Sleep(time.Duration(float64(r.Size) / spec.HostMemBandwidth * 1e9))
-	if fill != nil && rt.cfg.Validate {
-		fill(rt.master().hostStore.Bytes(r))
+	if host := rt.master().hostStore; fill != nil && host != nil {
+		memspace.Do(func() { fill(host.Bytes(r)) }, host)
 	}
 	rt.master().dir.Init(r, memspace.Host(0))
 }

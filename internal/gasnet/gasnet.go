@@ -191,8 +191,9 @@ func (ep *Endpoint) RegisterNonBlocking(name string, h func(am AM)) {
 // Start opens the endpoint's dispatcher, which is not a process: a callback
 // takes each delivered message off the fabric inbox (receive), sends the
 // wire-level ack a reliable message asks for as an event chain, and in that
-// chain's last step schedules the handler's event. AMLong payload bytes land
-// in the destination host store just before the handler is scheduled.
+// chain's last step schedules the handler's event. AMLong payload bytes are
+// posted to the destination host store just before the handler is
+// scheduled, as an op on the stores' plane (memspace.CopyRegion).
 func (ep *Endpoint) Start(e *sim.Engine) {
 	if ep.started {
 		panic("gasnet: double Start")

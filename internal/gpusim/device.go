@@ -145,7 +145,8 @@ func (d *Device) occupy(eng *sim.Resource, cost time.Duration, done func()) {
 
 // LaunchAsync starts a kernel with the given modeled cost and optional real
 // execution body. It returns an Event that triggers when the kernel
-// completes. body runs at completion time against the device store.
+// completes. body is posted at completion time against the device store,
+// as an op on the store's plane (memspace.Do).
 func (d *Device) LaunchAsync(cost time.Duration, body func(devStore *memspace.Store)) *sim.Event {
 	done := sim.NewEvent(d.e)
 	d.e.After(0, func() {
@@ -153,7 +154,7 @@ func (d *Device) LaunchAsync(cost time.Duration, body func(devStore *memspace.St
 			d.stats.Kernels++
 			d.stats.KernelBusy += sim.Time(cost)
 			if body != nil {
-				body(d.store)
+				memspace.Do(func() { body(d.store) }, d.store)
 			}
 			done.Trigger()
 		})
@@ -169,7 +170,7 @@ func (d *Device) Launch(p *sim.Proc, cost time.Duration, body func(devStore *mem
 // CopyAsync starts a transfer of region r between the host store and the
 // device store. pinned indicates the host side is page-locked (no staging
 // copy needed). The returned Event triggers at completion; the byte copy
-// between stores happens at completion time.
+// between stores is posted at completion time (memspace.CopyRegion).
 func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store, pinned bool) *sim.Event {
 	done := sim.NewEvent(d.e)
 	cost := TransferCost(d.spec, r.Size)

@@ -177,12 +177,17 @@ func (e extent) end() uint64 { return e.start + uint64(len(e.buf)) }
 // overlapping regions see each other's writes, exactly like overlapping
 // slices of one program array. Stores exist only in validation mode;
 // cost-only simulations pass nil stores around and every method of a nil
-// Store is a no-op.
+// Store is a no-op. A store on a plane (UsePlane) is touched only by the
+// plane's ops, one at a time in posting order.
 type Store struct {
 	loc     Location
 	extents []extent
 	// contract is set while a task body runs against the store (Arm).
 	contract *contract
+	// plane runs the store's ops and last is the latest posted (plane.go).
+	plane *Plane
+	last  *op
+	snap  []byte // Snapshot's buffer
 }
 
 // NewStore returns an empty backing store for location loc.
@@ -282,19 +287,38 @@ func (s *Store) Drop(r Region) {
 	s.extents = append(s.extents[:i], append(repl, s.extents[j:]...)...)
 }
 
-// CopyRegion copies the bytes of region r from src to dst. The source is
-// read in place, extent by extent: bytes src does not back arrive as zeros
-// and stay unbacked there, and src's extents are never merged. The
-// destination is backed through dst.Bytes(r). An armed src still checks r
-// against its contract. A nil store on either side makes this a no-op
-// (cost-only mode).
+// CopyRegion copies the bytes of region r from src to dst, as an op on
+// both stores' plane (Do). The source is read in place, extent by extent:
+// bytes src does not back arrive as zeros and stay unbacked there, and
+// src's extents are never merged. The destination is backed through
+// dst.Bytes(r). An armed src still checks r against its contract. A nil
+// store on either side makes this a no-op (cost-only mode).
 func CopyRegion(dst, src *Store, r Region) {
 	if dst == nil || src == nil || !r.Valid() {
 		return
 	}
+	if dst.plane != nil {
+		Do(func() { copyRegion(dst, src, r) }, dst, src)
+	} else {
+		copyRegion(dst, src, r)
+	}
+}
+
+func copyRegion(dst, src *Store, r Region) {
 	b := dst.Bytes(r)
 	if src.contract != nil {
 		src.contract.check(r)
 	}
 	src.read(b, r.Addr, src.search(r.Addr))
+}
+
+// Snapshot returns a copy of the bytes of regions, one after the other, in
+// a buffer the store reuses: it is valid until the next Snapshot.
+func (s *Store) Snapshot(regions []Region) []byte {
+	snap := s.snap[:0]
+	for _, r := range regions {
+		snap = append(snap, s.Bytes(r)...)
+	}
+	s.snap = snap
+	return snap
 }

@@ -68,9 +68,15 @@ var parseModule = sync.OnceValues(func() (map[string][]*ast.File, error) {
 // sync or sync/atomic, start a goroutine or name a channel type, each with
 // the reason it is not held to the rule.
 var secondThread = map[string]string{
-	"serve": "net/http runs each request on its own goroutine beside a worker pool; everything they share is one table under one mutex (checked below)",
-	"bench": "runGrid fans independent grid points out to a worker pool, one engine per point, nothing shared but the index channel and the results slice",
+	"serve":    "net/http runs each request on its own goroutine beside a worker pool; everything they share is one table under one mutex (checked below)",
+	"bench":    "runGrid fans independent grid points out to a worker pool, one engine per point, nothing shared but the index channel and the results slice; heat's serial reference runs on a goroutine beside its point's run",
+	"memspace": "a validated run's Plane runs the byte work the engine posts to worker goroutines, in posting order per store; the engine never touches a byte, and the plane's state is one mutex's (checked below)",
 }
+
+// oneMutex lists the secondThread packages whose shared state sits under
+// exactly one sync.Mutex and no RWMutex, so that there is no lock order to
+// get wrong.
+var oneMutex = []string{"serve", "memspace"}
 
 // The engine is one thread of control: Run's loop, and the coroutine it has
 // switched to. That is what lets it, the layers that keep unlocked free
@@ -79,14 +85,16 @@ var secondThread = map[string]string{
 // goroutine, hands work over a channel, or grows a second place that
 // switches. A change that needs sync, a go statement or a channel outside
 // secondThread is bringing back the hand-off between goroutines — and the
-// lock analyzers this test replaced. Where there are threads, in serve,
-// there is one mutex, so there is no lock order to get wrong.
+// lock analyzers this test replaced. Where there are threads, in serve and
+// in memspace's plane, there is one mutex, so there is no lock order to
+// get wrong.
 func TestOneThreadOfControlByStructure(t *testing.T) {
 	tree, err := parseModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pulls, mutexes []token.Pos
+	var pulls []token.Pos
+	mutexes := map[string][]token.Pos{}
 	checked := map[string]bool{}
 	for dir, files := range tree {
 		rest, ok := strings.CutPrefix(dir, "internal/")
@@ -118,17 +126,17 @@ func TestOneThreadOfControlByStructure(t *testing.T) {
 					case !ok:
 					case x.Name == "iter" && n.Sel.Name == "Pull":
 						pulls = append(pulls, n.Pos())
-					case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "RWMutex":
-						t.Errorf("%s: sync.RWMutex in serve", srcFset.Position(n.Pos()))
-					case pkg == "serve" && x.Name == "sync" && n.Sel.Name == "Mutex":
-						mutexes = append(mutexes, n.Pos())
+					case x.Name == "sync" && n.Sel.Name == "RWMutex" && slices.Contains(oneMutex, pkg):
+						t.Errorf("%s: sync.RWMutex in %s", srcFset.Position(n.Pos()), pkg)
+					case x.Name == "sync" && n.Sel.Name == "Mutex":
+						mutexes[pkg] = append(mutexes[pkg], n.Pos())
 					}
 				}
 				return true
 			})
 		}
 	}
-	for _, pkg := range []string{"sim", "netsim", "gasnet", "core", "serve", "bench"} {
+	for _, pkg := range []string{"sim", "netsim", "gasnet", "core", "serve", "bench", "memspace"} {
 		if !checked[pkg] {
 			t.Errorf("no sources seen in internal/%s: the walk lost part of the tree", pkg)
 		}
@@ -141,8 +149,10 @@ func TestOneThreadOfControlByStructure(t *testing.T) {
 	if len(pulls) != 1 || !strings.HasPrefix(srcFset.Position(pulls[0]).Filename, filepath.Join(moduleRoot, "internal", "sim")) {
 		t.Errorf("iter.Pull is used at %s, want one site, in sim", positions(pulls))
 	}
-	if len(mutexes) != 1 {
-		t.Errorf("serve declares sync.Mutex at %s, want exactly one: with a second, lock order is a question again", positions(mutexes))
+	for _, pkg := range oneMutex {
+		if len(mutexes[pkg]) != 1 {
+			t.Errorf("%s declares sync.Mutex at %s, want exactly one: with a second, lock order is a question again", pkg, positions(mutexes[pkg]))
+		}
 	}
 }
 
@@ -156,7 +166,6 @@ var exportsKept = map[string]string{
 	"sim.Queue.Len":      "the tests of netsim read an inbox's depth through it",
 
 	"sim.DeadlockError":         "one of Run's two error types, which a caller tells apart with errors.As",
-	"sim.ProcPanicError":        "one of Run's two error types, which a caller tells apart with errors.As",
 	"sim.ProcPanicError.Unwrap": "errors.As reaches a typed panic through Run's error",
 
 	"hw.ClusterNode": "the tests of kernels build the paper's cluster node from it",

@@ -399,7 +399,8 @@ func (c *Context) Alloc(size uint64) Region { return c.mc.Alloc(size) }
 
 // InitSeq initializes r sequentially on the master host, like the serial
 // initialization loop of an unported application. fill runs against the
-// backing bytes in validation mode and may be nil.
+// backing bytes in validation mode and may be nil; it may run after
+// InitSeq returns, beside the simulation, so it must touch only b.
 func (c *Context) InitSeq(r Region, fill func(b []byte)) { c.mc.InitSeq(r, fill) }
 
 // TaskWait blocks until all tasks finish and flushes device data back to
@@ -419,7 +420,8 @@ func (c *Context) TaskWaitOn(r Region) { c.mc.TaskWaitOn(r) }
 func (c *Context) Now() Time { return c.mc.Now() }
 
 // HostBytes returns the master-host backing bytes of r (nil unless
-// Config.Validate). Read only between TaskWait and further Task calls.
+// Config.Validate), after every byte operation posted so far has landed.
+// Read only between TaskWait and further Task calls.
 func (c *Context) HostBytes(r Region) []byte { return c.mc.HostBytes(r) }
 
 // NestedCtx is the handle a Nested spawner uses to create tasks on the
