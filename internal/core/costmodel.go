@@ -203,14 +203,3 @@ func (rt *Runtime) upwardRank(t *task.Task) time.Duration {
 	}
 	return rt.rankMemo[t.ID]
 }
-
-// costModel bundles the node-local estimators for the place scheduler.
-// Built for every policy (only HEFT consults it; construction is free).
-func (n *nodeRT) costModel() *sched.CostModel {
-	return &sched.CostModel{Estimates: n.placeEstimates, Rank: n.rt.upwardRank}
-}
-
-// clusterCostModel bundles the cluster-level estimators.
-func (rt *Runtime) clusterCostModel() *sched.CostModel {
-	return &sched.CostModel{Estimates: rt.clusterEstimates, Rank: rt.upwardRank}
-}

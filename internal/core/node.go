@@ -165,7 +165,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	// A node's places steal from each other's queues, as the paper's
 	// affinity scheduler does; the cluster level never does (see New).
 	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
-		Score: n.affinityScore, Cost: n.costModel(), Steal: true,
+		Score: n.affinityScore, Cost: n.placeEstimates, Rank: rt.upwardRank, Steal: true,
 		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, "node"+strconv.Itoa(id))})
 	return n
 }

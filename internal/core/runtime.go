@@ -117,7 +117,7 @@ func New(cfg Config) *Runtime {
 		// paper's runtime does not steal between slave nodes (III.D.1), and
 		// cluster-level steals would migrate a task's data with it.
 		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
-			Score: rt.clusterScore, Cost: rt.clusterCostModel(),
+			Score: rt.clusterScore, Cost: rt.clusterEstimates, Rank: rt.upwardRank,
 			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts, Hooks: schedHooks(cfg.Metrics, "cluster")})
 		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), closed: make([]bool, len(rt.nodes)),
 			open: make([]int, cfg.CommThreads), xfers: make(map[int64]*plan),

@@ -37,7 +37,7 @@ func steadySubmitPop(policy Policy) func() {
 	estimates := []Estimate{est(ms, 0), incompat}
 	s := New(policy, 2, Options{
 		Score:  func(*task.Task) []uint64 { return scores },
-		Cost:   &CostModel{Estimates: func(*task.Task) []Estimate { return estimates }},
+		Cost:   func(*task.Task) []Estimate { return estimates },
 		CanRun: deviceFilter,
 	})
 	ts := make([]*task.Task, 64)

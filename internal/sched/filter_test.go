@@ -89,12 +89,12 @@ func deviceAccepts(place int, d task.Device) bool { return (place == 0) == (d ==
 func withDevices(calls *int) Options {
 	return Options{
 		Score: func(*task.Task) []uint64 { return []uint64{0, 0} },
-		Cost: &CostModel{Estimates: func(t *task.Task) []Estimate {
+		Cost: func(t *task.Task) []Estimate {
 			if t.Device == task.SMP {
 				return []Estimate{est(ms, 0), incompat}
 			}
 			return []Estimate{incompat, est(ms, 0)}
-		}},
+		},
 		CanRun: func(place int, t *task.Task) bool {
 			*calls++
 			return deviceFilter(place, t)

@@ -29,7 +29,7 @@ var incompat = Estimate{Compute: -1}
 func TestHEFTRequiresCostModel(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic without a CostModel")
+			t.Fatal("expected panic without a CostFn")
 		}
 	}()
 	New(HEFT, 2, Options{})
@@ -37,7 +37,7 @@ func TestHEFTRequiresCostModel(t *testing.T) {
 
 func TestHEFTPicksEarliestFinishPlace(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 2, Options{Cost: &CostModel{Estimates: costs.fn}})
+	s := New(HEFT, 2, Options{Cost: costs.fn})
 	a, b := mk("a"), mk("b")
 	// Place 1 computes a twice as fast, and nothing is queued: a goes there.
 	costs[a.ID] = []Estimate{est(10*ms, 0), est(5*ms, 0)}
@@ -59,7 +59,7 @@ func TestHEFTPicksEarliestFinishPlace(t *testing.T) {
 
 func TestHEFTTransferCostCountsAgainstPlace(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 2, Options{Cost: &CostModel{Estimates: costs.fn}})
+	s := New(HEFT, 2, Options{Cost: costs.fn})
 	a := mk("a")
 	// Place 1 computes faster but must move data first; place 0 wins.
 	costs[a.ID] = []Estimate{est(10*ms, 0), est(5*ms, 20*ms)}
@@ -71,7 +71,7 @@ func TestHEFTTransferCostCountsAgainstPlace(t *testing.T) {
 
 func TestHEFTRankOrdersPlaceQueue(t *testing.T) {
 	costs, ranks := costMap{}, rankMap{}
-	s := New(HEFT, 1, Options{Cost: &CostModel{Estimates: costs.fn, Rank: ranks.fn}})
+	s := New(HEFT, 1, Options{Cost: costs.fn, Rank: ranks.fn})
 	low, high, mid := mk("low"), mk("high"), mk("mid")
 	for _, tk := range []*task.Task{low, high, mid} {
 		costs[tk.ID] = []Estimate{est(ms, 0)}
@@ -89,7 +89,7 @@ func TestHEFTRankOrdersPlaceQueue(t *testing.T) {
 
 func TestHEFTIncompatiblePlacesGoGlobal(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 2, Options{Cost: &CostModel{Estimates: costs.fn}, CanRun: deviceFilter})
+	s := New(HEFT, 2, Options{Cost: costs.fn, CanRun: deviceFilter})
 	cu := mkDev("cu", task.CUDA)
 	// The estimator marks both places incompatible (e.g. the only GPU died).
 	costs[cu.ID] = []Estimate{incompat, incompat}
@@ -104,7 +104,7 @@ func TestHEFTIncompatiblePlacesGoGlobal(t *testing.T) {
 
 func TestHEFTStealsFromDeepestBacklog(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 3, Options{Cost: &CostModel{Estimates: costs.fn}, Steal: true})
+	s := New(HEFT, 3, Options{Cost: costs.fn, Steal: true})
 	a, b, c := mk("a"), mk("b"), mk("c")
 	// All three bind to place 1 (cheapest there), piling up backlog.
 	for _, tk := range []*task.Task{a, b, c} {
@@ -124,7 +124,7 @@ func TestHEFTStealsFromDeepestBacklog(t *testing.T) {
 
 func TestHEFTStealRespectsFilter(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 2, Options{Cost: &CostModel{Estimates: costs.fn}, Steal: true, CanRun: deviceFilter})
+	s := New(HEFT, 2, Options{Cost: costs.fn, Steal: true, CanRun: deviceFilter})
 	cu := mkDev("cu", task.CUDA)
 	costs[cu.ID] = []Estimate{incompat, est(ms, 0)}
 	s.Submit(cu, -1)
@@ -153,7 +153,7 @@ func TestHeterogeneousDrainRequeue(t *testing.T) {
 			costs := func(tk *task.Task) []Estimate {
 				return []Estimate{incompat, est(ms, 0), est(10*ms, 0)}
 			}
-			return New(HEFT, 3, Options{Cost: &CostModel{Estimates: costs}, Steal: true, CanRun: deviceFilter})
+			return New(HEFT, 3, Options{Cost: costs, Steal: true, CanRun: deviceFilter})
 		}
 		panic("unreachable")
 	}
@@ -190,7 +190,7 @@ func TestHeterogeneousDrainRequeue(t *testing.T) {
 
 func TestHEFTDrainResetsBacklog(t *testing.T) {
 	costs := costMap{}
-	s := New(HEFT, 2, Options{Cost: &CostModel{Estimates: costs.fn}})
+	s := New(HEFT, 2, Options{Cost: costs.fn})
 	a, b := mk("a"), mk("b")
 	costs[a.ID] = []Estimate{est(ms, 0), est(100*ms, 0)}
 	costs[b.ID] = []Estimate{est(50*ms, 0), est(3*ms, 0)}
@@ -209,4 +209,10 @@ func TestHEFTDrainResetsBacklog(t *testing.T) {
 	if got := s.Pop(1); got != b {
 		t.Fatalf("place 1 pop = %v, want b", got)
 	}
+}
+
+// withCost sets the heft policy's inputs on o.
+func withCost(o Options, cost CostFn, rank RankFn) Options {
+	o.Cost, o.Rank = cost, rank
+	return o
 }

@@ -26,8 +26,8 @@ type LookaheadHooks struct {
 // shared pool. Dispatch therefore keeps a device fed from its own window
 // while the graph (and the shared queues) are still being built, at the
 // cost of early binding: a claimed task can no longer migrate to another
-// place, which can change schedules — the runtime keeps lookahead opt-in
-// (Config.Lookahead, default off) so default schedules stay bit-identical.
+// place, which can change schedules. The runtime does not use it: the
+// stress experiment's lookahead row is its only caller.
 type lookaheadSched struct {
 	inner  Scheduler
 	window int

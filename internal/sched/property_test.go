@@ -36,19 +36,17 @@ func propOptions(tasks map[task.ID]*propTask, perDevice bool) Options {
 			}
 			return s
 		},
-		Cost: &CostModel{
-			Estimates: func(t *task.Task) []Estimate {
-				e := make([]Estimate, propPlaces)
-				for i := range e {
-					e[i] = incompat
-					if p := tasks[t.ID]; p.placed && deviceFilter(i, t) {
-						e[i] = est(ms, time.Duration(i)*ms)
-					}
+		Cost: func(t *task.Task) []Estimate {
+			e := make([]Estimate, propPlaces)
+			for i := range e {
+				e[i] = incompat
+				if p := tasks[t.ID]; p.placed && deviceFilter(i, t) {
+					e[i] = est(ms, time.Duration(i)*ms)
 				}
-				return e
-			},
-			Rank: func(t *task.Task) time.Duration { return tasks[t.ID].rank },
+			}
+			return e
 		},
+		Rank:   func(t *task.Task) time.Duration { return tasks[t.ID].rank },
 		Steal:  true,
 		CanRun: deviceFilter,
 	}
@@ -73,29 +71,11 @@ func fifoRouted(policy Policy, p *propTask, releasedBy int) bool {
 
 // queuesOf returns every queue of s, to inspect its entries.
 func queuesOf(s Scheduler) []*queue {
+	p := s.(*pool)
 	var qs []*queue
-	addFifo := func(f *fifo) {
-		for d := range f.byDev {
-			qs = append(qs, &f.byDev[d])
-		}
-	}
-	switch s := s.(type) {
-	case *bfSched:
-		addFifo(&s.fifo)
-	case *depSched:
-		addFifo(&s.fifo)
-		for p := range s.perPlace {
-			qs = append(qs, &s.perPlace[p])
-		}
-	case *affSched:
-		addFifo(&s.global)
-		for p := range s.local {
-			qs = append(qs, &s.local[p])
-		}
-	case *heftSched:
-		addFifo(&s.global)
-		for p := range s.local {
-			qs = append(qs, &s.local[p])
+	for _, qq := range [][]queue{p.fifo.byDev, p.hints, p.local} {
+		for i := range qq {
+			qs = append(qs, &qq[i])
 		}
 	}
 	return qs
@@ -126,6 +106,30 @@ func checkEntries(s Scheduler, queued map[*task.Task]bool) error {
 	if len(seen) != s.Len() || len(queued) != s.Len() {
 		return fmt.Errorf("entries reference %d tasks, %d are queued, Len is %d", len(seen), len(queued), s.Len())
 	}
+	p := s.(*pool)
+	for i := range p.local {
+		var sum time.Duration
+		for _, e := range p.local[i].q[p.local[i].head:] {
+			if e.t != nil {
+				sum += e.cost
+			}
+		}
+		if sum != p.backlog[i] {
+			return fmt.Errorf("place %d: backlog %v, its live entries cost %v", i, p.backlog[i], sum)
+		}
+	}
+	return nil
+}
+
+// checkIdle: a place pops nil only while no queued task is one it can run.
+// Every bound task costs more than zero, so every queued task is in reach
+// of a place that can run it: in the FIFO, or stolen.
+func checkIdle(place int, queued map[*task.Task]bool) error {
+	for t := range queued {
+		if deviceFilter(place, t) {
+			return fmt.Errorf("place %d popped nil with %v queued", place, t)
+		}
+	}
 	return nil
 }
 
@@ -133,9 +137,10 @@ func checkEntries(s Scheduler, queued map[*task.Task]bool) error {
 // device, a release place and a placement), Pop or Drain at a place. A
 // drained task is resubmitted, as the fault-tolerant runtime does. Then
 // every place pops until none finds work. It checks, after every op, the
-// entries (checkEntries), and at the end that every task left exactly
-// once and that the FIFO-routed tasks of each device left in submission
-// order.
+// entries and backlogs (checkEntries), after every nil pop that the place
+// had nothing to run (checkIdle), and at the end that every task left
+// exactly once and that the FIFO-routed tasks of each device left in
+// submission order.
 func runOps(policy Policy, perDevice bool, ops []byte) error {
 	tasks := map[task.ID]*propTask{}
 	s := New(policy, propPlaces, propOptions(tasks, perDevice))
@@ -188,10 +193,13 @@ func runOps(policy Policy, perDevice bool, ops []byte) error {
 			all = append(all, t)
 			submit(t, int(op>>2)%(propPlaces+1)-1)
 		case 2:
-			if t := s.Pop(place); t != nil {
-				if err := out(t); err != nil {
+			t := s.Pop(place)
+			if t == nil {
+				if err := checkIdle(place, queued); err != nil {
 					return err
 				}
+			} else if err := out(t); err != nil {
+				return err
 			}
 		case 3:
 			for _, t := range s.Drain(place) {
@@ -207,6 +215,9 @@ func runOps(policy Policy, perDevice bool, ops []byte) error {
 		for p := 0; p < propPlaces; p++ {
 			t := s.Pop(p)
 			if t == nil {
+				if err := checkIdle(p, queued); err != nil {
+					return err
+				}
 				idle++
 				continue
 			}
@@ -229,8 +240,9 @@ func runOps(policy Policy, perDevice bool, ops []byte) error {
 
 // TestQueueProperties runs random Submit/Pop/Drain sequences over all four
 // policies, with Accepts nil and per device: no task is lost or
-// duplicated, each device's FIFO-routed tasks keep submission order, and a
-// taken entry no longer references its task.
+// duplicated, each device's FIFO-routed tasks keep submission order, a
+// taken entry no longer references its task, a backlog is its queue's
+// cost, and a place that can run a queued task pops one.
 func TestQueueProperties(t *testing.T) {
 	for _, policy := range []Policy{BreadthFirst, Dependencies, Affinity, HEFT} {
 		for _, perDevice := range []bool{false, true} {

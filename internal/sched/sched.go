@@ -11,8 +11,8 @@
 //     at the place with the highest affinity, or in a global queue when no
 //     place dominates. Idle places take from their local queue, then the
 //     global queue, then steal from other places to fix load imbalance;
-//   - earliest-finish ("heft"): HEFT-style list scheduling over a per-place
-//     cost model (CostModel). Ready tasks are prioritized by upward rank
+//   - earliest-finish ("heft"): HEFT-style list scheduling over per-place
+//     cost estimates (CostFn). Ready tasks are prioritized by upward rank
 //     (critical-path length below the task) and each is assigned to the
 //     place with the earliest estimated finish time: the place's projected
 //     compute backlog, plus the data movement needed to reach it, plus the
@@ -20,6 +20,10 @@
 //     distinguishes device generations — a faster GPU wins ties that byte
 //     counts cannot see — which is what makes it pay off on mixed
 //     GTX480/Tesla clusters.
+//
+// All four are one pool (see pool) that New configures: a shared FIFO,
+// successor hints per place, and place queues that a bind function fills,
+// each with a backlog a thief steals from.
 //
 // Places are dense integer ids; the runtime decides what a place is (a GPU
 // manager thread, the CPU worker pool, or a remote cluster node). Because
@@ -80,7 +84,7 @@ type Estimate struct {
 	Transfer time.Duration
 }
 
-// Incompatible marks an Estimate's place unusable for the task.
+// incompatible marks an Estimate's place unusable for the task.
 func (e Estimate) incompatible() bool { return e.Compute < 0 }
 
 // CostFn returns, for each place id, the estimated cost of running t
@@ -91,13 +95,6 @@ type CostFn func(t *task.Task) []Estimate
 // compute chain among tasks currently known to depend on it. Higher ranks
 // schedule first (they head the critical path).
 type RankFn func(t *task.Task) time.Duration
-
-// CostModel supplies the heft policy's inputs. Estimates is required;
-// a nil Rank treats every task as rank zero (FIFO within a place).
-type CostModel struct {
-	Estimates CostFn
-	Rank      RankFn
-}
 
 // Scheduler is a ready-task pool.
 type Scheduler interface {
@@ -132,7 +129,10 @@ type Options struct {
 	// Score is required by the Affinity policy, ignored otherwise.
 	Score ScoreFn
 	// Cost is required by the HEFT policy, ignored otherwise.
-	Cost *CostModel
+	Cost CostFn
+	// Rank orders the HEFT policy's place queues; nil ranks every task
+	// zero (FIFO within a place). Ignored by the other policies.
+	Rank RankFn
 	// Steal enables work stealing between place-bound queues.
 	Steal bool
 	// CanRun filters task-place compatibility (nil means any place runs
@@ -149,51 +149,52 @@ type Options struct {
 // New builds a scheduler with the given policy over places execution
 // places.
 func New(policy Policy, places int, o Options) Scheduler {
-	canRun, h := o.CanRun, o.Hooks
-	if canRun == nil {
-		canRun = func(int, *task.Task) bool { return true }
+	s := &pool{canRun: o.CanRun, fifo: fifo{accepts: o.Accepts}, steal: o.Steal, hooks: o.Hooks}
+	if s.canRun == nil {
+		s.canRun = func(int, *task.Task) bool { return true }
 	}
-	ready := fifo{accepts: o.Accepts}
 	switch policy {
 	case BreadthFirst:
-		return &bfSched{canRun: canRun, fifo: ready, queued: queued{hooks: h}}
 	case Dependencies:
-		return &depSched{canRun: canRun, fifo: ready, queued: queued{hooks: h}}
+		s.follow = true
 	case Affinity:
 		if o.Score == nil {
 			panic("sched: Affinity policy requires a ScoreFn")
 		}
-		return &affSched{places: places, score: o.Score, steal: o.Steal, canRun: canRun,
-			local: make([]queue, places), global: ready, queued: queued{hooks: h}}
+		s.bind = s.byAffinity(o.Score)
 	case HEFT:
-		if o.Cost == nil || o.Cost.Estimates == nil {
-			panic("sched: HEFT policy requires a CostModel with Estimates")
+		if o.Cost == nil {
+			panic("sched: HEFT policy requires a CostFn")
 		}
-		return &heftSched{places: places, cost: o.Cost.Estimates, rank: o.Cost.Rank,
-			steal: o.Steal, canRun: canRun, local: make([]queue, places), global: ready,
-			backlog: make([]time.Duration, places), queued: queued{hooks: h}}
+		s.bind, s.rank = s.byEarliestFinish(o.Cost), o.Rank
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
 	}
+	if s.bind != nil {
+		s.local, s.backlog = make([]queue, places), make([]time.Duration, places)
+	}
+	return s
 }
 
-// entry wraps a task so it can sit in several queues; the first Pop that
-// reaches it takes it (queued.take), clearing t: a nil t marks a consumed
-// entry in every queue still holding it, and a consumed entry pins no
-// task. seq is its submission number in a fifo. compute and rank are only
-// set by the heft policy (the place's backlog accounting and priority
-// order).
+// entry wraps a task so it can sit in several queues (a dependencies hint
+// shares it with the FIFO); the first Pop that reaches it takes it
+// (pool.take), clearing t: a nil t marks a consumed entry in every queue
+// still holding it, and a consumed entry pins no task. seq is its
+// submission number in a fifo. at is 1 + the place it is bound to (0 for
+// none), whose backlog carries its cost; rank orders that place's queue.
 type entry struct {
-	t       *task.Task
-	seq     uint32
-	compute time.Duration
-	rank    time.Duration
+	t    *task.Task
+	seq  uint32
+	at   int32
+	cost time.Duration
+	rank time.Duration
 }
 
-// queue holds entries in arrival order. head skips the consumed prefix,
-// whose slots are cleared as it passes them; push moves the live rest
-// down instead of growing the array once the prefix is half of it, so a
-// steady stream of pushes and front pops reuses one array.
+// queue holds entries in arrival order (a place queue in rank order, see
+// insertByRank). head skips the consumed prefix, whose slots are cleared
+// as it passes them; push moves the live rest down instead of growing the
+// array once the prefix is half of it, so a steady stream of pushes and
+// front pops reuses one array.
 type queue struct {
 	q    []*entry
 	head int
@@ -206,6 +207,22 @@ func (q *queue) push(e *entry) {
 		q.q, q.head = q.q[:n], 0
 	}
 	q.q = append(q.q, e)
+}
+
+// insertByRank puts e after the last live entry whose rank is at least
+// e's, so the live entries stay rank-descending and equal ranks keep
+// submission order. It scans from the back: an equal rank, as every rank
+// of a policy without ranks is, appends at once.
+func (q *queue) insertByRank(e *entry) {
+	at := len(q.q)
+	for at > q.head && (q.q[at-1].t == nil || q.q[at-1].rank < e.rank) {
+		at--
+	}
+	at -= q.head // push may move the live entries down
+	q.push(e)
+	live := q.q[q.head:]
+	copy(live[at+1:], live[at:len(live)-1])
+	live[at] = e
 }
 
 // front returns the oldest live entry pred passes, without taking it,
@@ -241,17 +258,6 @@ func (q *queue) back(pred func(*task.Task) bool) *entry {
 		}
 	}
 	return nil
-}
-
-// live counts the entries not yet taken.
-func (q *queue) live() int {
-	n := 0
-	for _, e := range q.q[q.head:] {
-		if e.t != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // fifo is a ready queue in submission order. It keeps one queue per device
@@ -291,134 +297,51 @@ func (f *fifo) pop(place int, pred func(*task.Task) bool) *entry {
 	return oldest
 }
 
-// queued is what every policy shares: the count of live tasks, kept by
-// Submit, the pops that take and Drain, and mirrored to Hooks.Queued; and
-// the slab entries come from.
-type queued struct {
+// pool is the ready-task pool of every policy; New sets what tells them
+// apart: follow (dependencies), bind (affinity, heft) and rank (heft).
+type pool struct {
+	canRun CanRunFn
+	// fifo holds every task that no place is bound to.
+	fifo fifo
+	// follow also queues a released task in hints[releasedBy], beside the
+	// FIFO: the place that released it pops its newest hint first, to
+	// reuse the data the predecessor just produced.
+	follow bool
+	hints  []queue
+	// bind returns the place a task queues at (-1 for the FIFO) and the
+	// cost it adds to that place's backlog.
+	bind func(*task.Task) (place int, cost time.Duration)
+	// rank orders each place queue, highest first (see insertByRank).
+	rank RankFn
+	// local[p] holds the tasks bound to place p, and backlog[p] the sum of
+	// their costs. Pops, steals and Drain pay it down (take).
+	local   []queue
+	backlog []time.Duration
+	// steal lets a place with nothing else to run take the newest entry
+	// it can run from the deepest backlog of another place.
+	steal bool
+	// n counts the live tasks, mirrored to hooks.Queued; entries come from
+	// slab.
 	n     int
 	hooks Hooks
 	slab  []entry
 }
 
-func (q *queued) add(d int) {
-	q.n += d
-	q.hooks.Queued.Add(int64(d))
-}
-
-func (q *queued) Len() int { return q.n }
-
-// newEntry counts t in and wraps it in an entry from a bulk-allocated
-// slab, so a ready task costs no allocation of its own.
-func (q *queued) newEntry(t *task.Task) *entry {
-	if len(q.slab) == 0 {
-		q.slab = make([]entry, 256)
-	}
-	e := &q.slab[0]
-	q.slab = q.slab[1:]
-	e.t = t
-	q.add(1)
-	return e
-}
-
-// take counts e out and returns its task, clearing it (see entry).
-func (q *queued) take(e *entry) *task.Task {
-	t := e.t
-	e.t = nil
-	q.add(-1)
-	return t
-}
-
-// drain takes every live entry of q, in queue order, and empties it.
-func (q *queued) drain(l *queue) []*task.Task {
-	var out []*task.Task
-	for _, e := range l.q[l.head:] {
-		if e.t != nil {
-			out = append(out, q.take(e))
+// byAffinity binds a task to the place holding strictly the most of its
+// data, if that place can run it; tasks with no such place, as in
+// Martinell's strategy the paper adopts, go to the FIFO. Each costs 1, so
+// a place's backlog is its count of queued tasks.
+func (s *pool) byAffinity(score ScoreFn) func(*task.Task) (int, time.Duration) {
+	return func(t *task.Task) (int, time.Duration) {
+		if p := bestPlace(score(t)); p >= 0 && p < len(s.local) && s.canRun(p, t) {
+			return p, 1
 		}
+		return -1, 0
 	}
-	*l = queue{}
-	return out
-}
-
-// bfSched: plain FIFO.
-type bfSched struct {
-	canRun CanRunFn
-	fifo   fifo
-	queued
-}
-
-func (s *bfSched) Submit(t *task.Task, releasedBy int) {
-	s.fifo.push(s.newEntry(t))
-}
-
-func (s *bfSched) Pop(place int) *task.Task {
-	if e := s.fifo.pop(place, func(t *task.Task) bool { return s.canRun(place, t) }); e != nil {
-		return s.take(e)
-	}
-	return nil
-}
-
-func (s *bfSched) Drain(place int) []*task.Task { return nil }
-
-// depSched: FIFO plus per-place successor lists, indexed by place.
-type depSched struct {
-	canRun   CanRunFn
-	fifo     fifo
-	perPlace []queue
-	queued
-}
-
-func (s *depSched) Submit(t *task.Task, releasedBy int) {
-	e := s.newEntry(t)
-	s.fifo.push(e)
-	if releasedBy >= 0 {
-		// The place that released this successor should pick it up next, to
-		// reuse the data the predecessor just produced.
-		for len(s.perPlace) <= releasedBy {
-			s.perPlace = append(s.perPlace, queue{})
-		}
-		s.perPlace[releasedBy].push(e)
-	}
-}
-
-func (s *depSched) Pop(place int) *task.Task {
-	pred := func(t *task.Task) bool { return s.canRun(place, t) }
-	var e *entry
-	if place >= 0 && place < len(s.perPlace) {
-		e = s.perPlace[place].back(pred) // most recently released first
-	}
-	if e == nil {
-		e = s.fifo.pop(place, pred)
-	}
-	if e == nil {
-		return nil
-	}
-	return s.take(e)
-}
-
-// Drain forgets the dead place's successor hints; the entries stay live in
-// the shared FIFO, where any surviving place pops them.
-func (s *depSched) Drain(place int) []*task.Task {
-	if place >= 0 && place < len(s.perPlace) {
-		s.perPlace[place] = queue{}
-	}
-	return nil
-}
-
-// affSched: per-place queues + global queue + stealing.
-type affSched struct {
-	places int
-	score  ScoreFn
-	steal  bool
-	canRun CanRunFn
-	local  []queue
-	global fifo
-	queued
 }
 
 // bestPlace returns the place with the strictly highest score, or -1 when
-// no single place dominates (all-zero or tied maxima) — such tasks go to
-// the global queue, as in Martinell's strategy the paper adopts.
+// no single place dominates (all-zero or tied maxima).
 func bestPlace(scores []uint64) int {
 	best, bestAt, ties := uint64(0), -1, 0
 	for i, s := range scores {
@@ -435,177 +358,150 @@ func bestPlace(scores []uint64) int {
 	return bestAt
 }
 
-func (s *affSched) Submit(t *task.Task, releasedBy int) {
-	e := s.newEntry(t)
-	if p := bestPlace(s.score(t)); p >= 0 && p < s.places && s.canRun(p, t) {
-		s.local[p].push(e)
-		return
-	}
-	s.global.push(e)
-}
-
-func (s *affSched) Pop(place int) *task.Task {
-	pred := func(t *task.Task) bool { return s.canRun(place, t) }
-	if place >= 0 && place < s.places {
-		if e := s.local[place].front(pred); e != nil {
-			return s.take(e)
+// byEarliestFinish binds a task to the place where it would finish first:
+// the place's backlog plus the task's transfer and compute estimates there
+// (lowest id on ties). Its cost is the compute estimate, so a backlog is
+// projected compute time: a queue-pressure signal, not a clock, since a
+// running task no longer counts. A task no place can run right now (every
+// compatible place is dead) goes to the FIFO, where any place that becomes
+// able pops it.
+func (s *pool) byEarliestFinish(cost CostFn) func(*task.Task) (int, time.Duration) {
+	return func(t *task.Task) (int, time.Duration) {
+		est := cost(t)
+		if len(est) != len(s.local) {
+			panic(fmt.Sprintf("sched: CostFn returned %d estimates for %d places", len(est), len(s.local)))
 		}
-	}
-	if e := s.global.pop(place, pred); e != nil {
-		return s.take(e)
-	}
-	if !s.steal {
-		return nil
-	}
-	// Steal from the place with the most queued work (lowest id on ties),
-	// taking the newest entry to preserve the victim's own locality order.
-	victim, max := -1, 0
-	for i := range s.local {
-		if i == place {
-			continue
+		best, bestEFT := -1, time.Duration(0)
+		for p, e := range est {
+			if e.incompatible() || !s.canRun(p, t) {
+				continue
+			}
+			if eft := s.backlog[p] + e.Transfer + e.Compute; best < 0 || eft < bestEFT {
+				best, bestEFT = p, eft
+			}
 		}
-		if n := s.local[i].live(); n > max {
-			victim, max = i, n
+		if best < 0 {
+			return -1, 0
 		}
+		return best, est[best].Compute
 	}
-	if victim < 0 {
-		return nil
-	}
-	e := s.local[victim].back(pred)
-	if e == nil {
-		return nil
-	}
-	s.hooks.Steals.Inc()
-	return s.take(e)
 }
 
-// Drain takes every live task queued locally at place, in queue order.
-// Affinity is the one policy whose tasks can strand on a dead place.
-func (s *affSched) Drain(place int) []*task.Task {
-	if place < 0 || place >= s.places {
-		return nil
-	}
-	return s.drain(&s.local[place])
+func (s *pool) add(d int) {
+	s.n += d
+	s.hooks.Queued.Add(int64(d))
 }
 
-// heftSched: HEFT-style list scheduling. Each ready task is bound at
-// submit time to the place with the earliest estimated finish time —
-// the place's projected compute backlog plus the task's transfer and
-// compute estimates there — and place queues are kept in upward-rank
-// order so critical-path tasks dispatch first.
-type heftSched struct {
-	places int
-	cost   CostFn
-	rank   RankFn
-	steal  bool
-	canRun CanRunFn
-	// local[p] holds the tasks bound to place p, sorted by descending
-	// rank (stable: equal ranks keep submission order).
-	local []queue
-	// global holds tasks no place can run right now (e.g. every
-	// compatible place is dead); any place that becomes able pops them.
-	global fifo
-	// backlog[p] is the projected compute time queued at place p: the sum
-	// of the Compute estimates of its queued entries. Pops and steals pay
-	// it down. Execution time while a task runs is not tracked — the
-	// backlog is a queue-pressure signal, not a clock.
-	backlog []time.Duration
-	queued
-}
+func (s *pool) Len() int { return s.n }
 
-func (s *heftSched) Submit(t *task.Task, releasedBy int) {
-	est := s.cost(t)
-	if len(est) != s.places {
-		panic(fmt.Sprintf("sched: CostFn returned %d estimates for %d places", len(est), s.places))
+func (s *pool) Submit(t *task.Task, releasedBy int) {
+	// Entries come from a bulk-allocated slab, so a ready task costs no
+	// allocation of its own.
+	if len(s.slab) == 0 {
+		s.slab = make([]entry, 256)
 	}
-	e := s.newEntry(t)
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	e.t = t
+	s.add(1)
+	p := -1
+	if s.bind != nil {
+		p, e.cost = s.bind(t)
+	}
 	if s.rank != nil {
-		e.rank = s.rank(t)
+		e.rank = s.rank(t) // even for the FIFO: ranks memoize as they go
 	}
-	best := -1
-	var bestEFT time.Duration
-	for p := 0; p < s.places; p++ {
-		if est[p].incompatible() || !s.canRun(p, t) {
-			continue
-		}
-		eft := s.backlog[p] + est[p].Transfer + est[p].Compute
-		if best < 0 || eft < bestEFT {
-			best, bestEFT = p, eft // ties keep the lowest place id
-		}
-	}
-	if best < 0 {
-		s.global.push(e)
+	if p >= 0 {
+		e.at = int32(p) + 1
+		s.backlog[p] += e.cost
+		s.local[p].insertByRank(e)
 		return
 	}
-	e.compute = est[best].Compute
-	s.backlog[best] += e.compute
-	s.insertByRank(best, e)
-}
-
-// insertByRank places e into local[p] before the first live entry of
-// strictly lower rank, so the queue stays rank-descending and stable.
-func (s *heftSched) insertByRank(p int, e *entry) {
-	q := &s.local[p]
-	live := q.q[q.head:]
-	at := len(live)
-	for i, o := range live {
-		if o.t != nil && o.rank < e.rank {
-			at = i
-			break
+	s.fifo.push(e)
+	if s.follow && releasedBy >= 0 {
+		for len(s.hints) <= releasedBy {
+			s.hints = append(s.hints, queue{})
 		}
+		s.hints[releasedBy].push(e)
 	}
-	q.push(e)
-	live = q.q[q.head:]
-	copy(live[at+1:], live[at:len(live)-1])
-	live[at] = e
 }
 
-func (s *heftSched) Pop(place int) *task.Task {
+// Pop takes, among the tasks place can run, its newest successor hint,
+// else the head of its own queue, else the oldest in the FIFO, else a
+// steal.
+func (s *pool) Pop(place int) *task.Task {
 	pred := func(t *task.Task) bool { return s.canRun(place, t) }
-	if place >= 0 && place < s.places {
-		if e := s.local[place].front(pred); e != nil {
-			s.backlog[place] -= e.compute
-			return s.take(e)
+	var e *entry
+	if place >= 0 && place < len(s.hints) {
+		e = s.hints[place].back(pred)
+	}
+	if e == nil && place >= 0 && place < len(s.local) {
+		e = s.local[place].front(pred)
+	}
+	if e == nil {
+		e = s.fifo.pop(place, pred)
+	}
+	if e == nil && s.steal {
+		if e = s.victim(place, pred); e != nil {
+			s.hooks.Steals.Inc()
 		}
 	}
-	if e := s.global.pop(place, pred); e != nil {
-		return s.take(e)
-	}
-	if !s.steal {
-		return nil
-	}
-	// Steal from the place with the deepest projected backlog (lowest id
-	// on ties), taking its lowest-rank entry: the critical path stays with
-	// the victim, the tail work migrates.
-	victim := -1
-	var max time.Duration
-	for i := range s.local {
-		if i == place || s.local[i].live() == 0 {
-			continue
-		}
-		if s.backlog[i] > max {
-			victim, max = i, s.backlog[i]
-		}
-	}
-	if victim < 0 {
-		return nil
-	}
-	e := s.local[victim].back(pred)
 	if e == nil {
 		return nil
 	}
-	s.hooks.Steals.Inc()
-	s.backlog[victim] -= e.compute
 	return s.take(e)
 }
 
-// Drain takes every live task bound to place and zeroes its backlog; the
-// fault-tolerant runtime resubmits them, re-estimating against the
-// surviving places.
-func (s *heftSched) Drain(place int) []*task.Task {
-	if place < 0 || place >= s.places {
+// victim returns the newest entry pred passes from the deepest backlog,
+// other than place's, that holds one (lowest id on ties). The newest is
+// the lowest-rank: the critical path stays with the victim, the tail work
+// migrates.
+func (s *pool) victim(place int, pred func(*task.Task) bool) *entry {
+	var got *entry
+	var deepest time.Duration
+	for p := range s.local {
+		if p != place && s.backlog[p] > deepest {
+			if e := s.local[p].back(pred); e != nil {
+				got, deepest = e, s.backlog[p]
+			}
+		}
+	}
+	return got
+}
+
+// take counts e out and returns its task, clearing it (see entry), and
+// pays its cost off the backlog of the place it is bound to.
+func (s *pool) take(e *entry) *task.Task {
+	if e.at > 0 {
+		s.backlog[e.at-1] -= e.cost
+	}
+	t := e.t
+	e.t = nil
+	s.add(-1)
+	return t
+}
+
+// Drain forgets the place's successor hints, whose tasks stay in the FIFO
+// for any surviving place, and takes every task bound to the place, in
+// queue order: the fault-tolerant runtime resubmits them, to be bound
+// again among the survivors.
+func (s *pool) Drain(place int) []*task.Task {
+	if place < 0 {
 		return nil
 	}
-	s.backlog[place] = 0
-	return s.drain(&s.local[place])
+	if place < len(s.hints) {
+		s.hints[place] = queue{}
+	}
+	if place >= len(s.local) {
+		return nil
+	}
+	var out []*task.Task
+	q := &s.local[place]
+	for _, e := range q.q[q.head:] {
+		if e.t != nil {
+			out = append(out, s.take(e))
+		}
+	}
+	*q = queue{}
+	return out
 }

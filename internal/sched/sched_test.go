@@ -192,7 +192,7 @@ func TestNoTaskLostOrDuplicated(t *testing.T) {
 		for _, perDevice := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/perDevice=%v", policy, perDevice), func(t *testing.T) {
 				scores, costs := scoreMap{}, costMap{}
-				o := Options{Score: scores.fn, Cost: &CostModel{Estimates: costs.fn}, Steal: true}
+				o := Options{Score: scores.fn, Cost: costs.fn, Steal: true}
 				if perDevice {
 					o.CanRun, o.Accepts = deviceFilter, deviceAccepts
 				}
@@ -240,5 +240,37 @@ func TestNoTaskLostOrDuplicated(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A thief steals from the deepest backlog it can run something from: with
+// three SMP tasks bound to the CPU pool (place 0) and one CUDA task bound
+// to GPU place 2, idle GPU place 1 takes the CUDA task rather than finding
+// nothing it can run at place 0.
+func TestStealSkipsVictimsItCannotRun(t *testing.T) {
+	score := func(tk *task.Task) []uint64 {
+		if tk.Device == task.SMP {
+			return []uint64{10, 0, 0}
+		}
+		return []uint64{0, 0, 10}
+	}
+	cost := func(tk *task.Task) []Estimate {
+		if tk.Device == task.SMP {
+			return []Estimate{est(ms, 0), incompat, incompat}
+		}
+		return []Estimate{incompat, incompat, est(ms, 0)}
+	}
+	for _, policy := range []Policy{Affinity, HEFT} {
+		t.Run(string(policy), func(t *testing.T) {
+			s := New(policy, 3, withCost(Options{Score: score, Steal: true, CanRun: deviceFilter}, cost, nil))
+			for i := 0; i < 3; i++ {
+				s.Submit(mkDev("sm", task.SMP), -1)
+			}
+			cu := mkDev("cu", task.CUDA)
+			s.Submit(cu, -1)
+			if got := s.Pop(1); got != cu {
+				t.Fatalf("idle GPU place popped %v, want the CUDA task queued at place 2", got)
+			}
+		})
 	}
 }
