@@ -36,9 +36,6 @@ func main() {
 		parallel   = flag.Int("parallel", 1, "grid points simulated concurrently (0 = GOMAXPROCS)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		width      = flag.Int("stress-width", 0, "stress: independent regions per layer (0 = default grid)")
-		depth      = flag.Int("stress-depth", 0, "stress: layers of chained tasks (0 = default grid)")
-		overlap    = flag.Int("stress-overlap", 0, "stress: every Nth column straddles a fragment boundary (0 = none)")
 	)
 	flag.Parse()
 
@@ -70,10 +67,7 @@ func main() {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	opts := bench.Options{
-		Quick: *quick, Parallel: workers,
-		StressWidth: *width, StressDepth: *depth, StressOverlap: *overlap,
-	}
+	opts := bench.Options{Quick: *quick, Parallel: workers}
 	if *tracePath != "" {
 		opts.Trace = trace.New()
 	}

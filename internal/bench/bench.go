@@ -51,16 +51,6 @@ type Options struct {
 	// bit-identical to an untraced run's.
 	Trace *ompss.Trace
 
-	// StressWidth, StressDepth, and StressOverlap override the stress
-	// experiment's grid shape: width independent regions, depth layers of
-	// one InOut task each, and (when StressOverlap > 0) every
-	// StressOverlap-th column straddling a fragment boundary on odd
-	// layers. Zero means the experiment's defaults (10^6 tasks full,
-	// 10^5 quick). Other experiments ignore these.
-	StressWidth   int
-	StressDepth   int
-	StressOverlap int
-
 	// GridPoint restricts a grid experiment to the single point whose
 	// Config label matches exactly (e.g. "4gpu wb affinity"); the other
 	// points never run. Experiments that derive rows across points
@@ -77,8 +67,9 @@ type Options struct {
 
 	// Scheduler, when non-empty, overrides the scheduler policy of the
 	// cluster experiments (fig9-13, heat), whose grids pin it to
-	// Affinity. The multi-GPU figures sweep the scheduler as part of
-	// their grid and ignore this; select a point with GridPoint instead.
+	// Affinity (fig13 to Dependencies). The multi-GPU figures sweep the
+	// scheduler as part of their grid and ignore this; select a point
+	// with GridPoint instead.
 	Scheduler sched.Policy
 
 	// Faults, when non-nil, arms the resilience machinery with this plan

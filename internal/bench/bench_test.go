@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/bsc-repro/ompss"
+	"github.com/bsc-repro/ompss/internal/sched"
 )
 
 // The bench tests run every experiment at quick scale and assert the
@@ -186,6 +187,17 @@ func TestFig13Shapes(t *testing.T) {
 		if r := v[n+" ompss"] / v[n+" mpi+cuda"]; r < 0.5 || r > 2 {
 			t.Errorf("%s: ompss/mpi ratio %.2f out of band", n, r)
 		}
+	}
+}
+
+// TestFig13SchedulerOverride: fig13 runs dependencies by default, and a
+// scheduler override reaches its runs like every cluster figure's.
+func TestFig13SchedulerOverride(t *testing.T) {
+	if got := fig13Config(Options{}, 2).Scheduler; got != sched.Dependencies {
+		t.Errorf("default scheduler = %q, want %q", got, sched.Dependencies)
+	}
+	if got := fig13Config(Options{Scheduler: sched.HEFT}, 2).Scheduler; got != sched.HEFT {
+		t.Errorf("overridden scheduler = %q, want %q", got, sched.HEFT)
 	}
 }
 

@@ -151,12 +151,15 @@ func fig13Params(o Options, nodes int) apps.NBodyParams {
 }
 
 // fig13Config is the cluster N-Body configuration. The all-to-all pattern
-// leaves no stable locality; the runtime's default (dependencies) scheduler
-// distributes the force tasks by demand, which is the best setup for this
-// application.
+// leaves no stable locality, and the figure runs the runtime's default
+// (dependencies) scheduler, which distributes the force tasks by demand.
+// It is not the fastest: at full size bf and affinity beat it at 2, 4 and
+// 8 nodes by 1-3 %. Options.Scheduler overrides it.
 func fig13Config(o Options, nodes int) ompss.Config {
 	cfg := clusterConfig(o, nodes)
-	cfg.Scheduler = sched.Dependencies
+	if o.Scheduler == "" {
+		cfg.Scheduler = sched.Dependencies
+	}
 	cfg.SlaveToSlave = true
 	cfg.Presend = 2
 	return cfg

@@ -134,49 +134,31 @@ type stressRow struct {
 	label     string
 }
 
-// stressRows is the stress grid at overlap overlapEvery: sequential and
-// batched submission, batched with a lookahead window and, when the grid
-// has no overlap of its own, one partially overlapping point (every 4th
-// column straddles).
-func stressRows(overlapEvery int) []stressRow {
-	rows := []stressRow{
-		{overlapEvery, false, 0, "submit=seq"},
-		{overlapEvery, true, 0, "submit=batch"},
-		{overlapEvery, true, 32, "submit=batch lookahead=32"},
-	}
-	if overlapEvery == 0 {
-		rows = append(rows, stressRow{4, true, 0, "submit=batch"})
-	}
-	return rows
+// stressRows is the stress grid: sequential and batched submission,
+// batched with a lookahead window, and one partially overlapping point
+// (every 4th column straddles).
+var stressRows = []stressRow{
+	{0, false, 0, "submit=seq"},
+	{0, true, 0, "submit=batch"},
+	{0, true, 32, "submit=batch lookahead=32"},
+	{4, true, 0, "submit=batch"},
 }
 
-// stressSize is the grid's width and depth under o.
-func stressSize(o Options) (width, depth int) {
-	width, depth = o.StressWidth, o.StressDepth
-	if width == 0 {
-		if o.Quick {
-			width = 20_000
-		} else {
-			width = 100_000
-		}
+// stressSize is the grid's width and depth: 10^6 tasks full, 10^5 quick.
+func stressSize(quick bool) (width, depth int) {
+	if quick {
+		return 20_000, 5
 	}
-	if depth == 0 {
-		if o.Quick {
-			depth = 5
-		} else {
-			depth = 10
-		}
-	}
-	return width, depth
+	return 100_000, 10
 }
 
 // stress is the tasks/sec scaling experiment (not a paper figure; its
 // rows are the submit_stress workload of benchmark/, which is where a
 // change to them is measured).
 func stress(o Options) ([]Row, error) {
-	width, depth := stressSize(o)
+	width, depth := stressSize(o.Quick)
 	var pts []point
-	for _, r := range stressRows(o.StressOverlap) {
+	for _, r := range stressRows {
 		pts = append(pts, point{
 			config: fmt.Sprintf("w=%d d=%d ov=%d %s", width, depth, r.overlap, r.label),
 			run: func() (apps.Result, error) {

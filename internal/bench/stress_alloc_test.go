@@ -22,12 +22,12 @@ import (
 // allocates on its own, hence the build tag.
 func TestStressAllocsPerTask(t *testing.T) {
 	const measured = 2.118
-	width, depth := stressSize(Options{Quick: true})
+	width, depth := stressSize(true)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	tasks := 0
-	for _, r := range stressRows(0) {
+	for _, r := range stressRows {
 		if _, err := stressRun(width, depth, r.overlap, r.batch, r.lookahead); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestStressAllocsPerTask(t *testing.T) {
 // own, hence the build tag.
 func TestStressLiveBytesPerTask(t *testing.T) {
 	const measured = 171.6
-	width, depth := stressSize(Options{Quick: true})
+	width, depth := stressSize(true)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestStressRunCompletes checks the stress driver runs a small grid to
 // completion on every submission variant and reports a positive rate.
@@ -30,24 +27,31 @@ func TestStressRunCompletes(t *testing.T) {
 }
 
 // TestStressExperimentRows checks the registered experiment emits the
-// expected grid with tasks/s units and honors the size overrides.
+// quick grid's four rows in tasks/s. The labels are exact: benchmark/'s
+// golden gate reads each row's task count from its "w=%d d=%d".
 func TestStressExperimentRows(t *testing.T) {
-	rows, err := stress(Options{StressWidth: 300, StressDepth: 3})
+	rows, err := stress(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	want := []string{
+		"w=20000 d=5 ov=0 submit=seq",
+		"w=20000 d=5 ov=0 submit=batch",
+		"w=20000 d=5 ov=0 submit=batch lookahead=32",
+		"w=20000 d=5 ov=4 submit=batch",
 	}
-	for _, r := range rows {
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r.Config != want[i] {
+			t.Errorf("row %d config = %q, want %q", i, r.Config, want[i])
+		}
 		if r.Unit != "tasks/s" {
-			t.Fatalf("row %q unit = %q, want tasks/s", r.Config, r.Unit)
+			t.Errorf("row %q unit = %q, want tasks/s", r.Config, r.Unit)
 		}
 		if r.Value <= 0 {
-			t.Fatalf("row %q value = %v, want > 0", r.Config, r.Value)
-		}
-		if !strings.Contains(r.Config, "w=300 d=3") {
-			t.Fatalf("row config %q missing size override", r.Config)
+			t.Errorf("row %q value = %v, want > 0", r.Config, r.Value)
 		}
 	}
 }

@@ -105,8 +105,7 @@ func sweep(t *testing.T, s sweepShape, victim int, also []faults.Crash, keep fun
 		t.Fatalf("%s: the crash-free run: %v", s.name, err)
 	}
 	end := time.Duration(stats.ElapsedSeconds * 1e9)
-	plan := faults.Plan{}
-	late := end - time.Duration(plan.MissThresholdOr())*plan.HeartbeatIntervalOr()
+	late := end - missThreshold*faults.Plan{}.HeartbeatIntervalOr()
 	var out []sweepPoint
 	for i, at := range crashTimes(rec, victim) {
 		if !keep(i, at) {

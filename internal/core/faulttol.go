@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/bsc-repro/ompss/internal/detmap"
 	"github.com/bsc-repro/ompss/internal/faults"
@@ -19,16 +20,28 @@ const (
 	amPong = "pong"
 )
 
+// The reliability protocol's constants: a reliable send gives up after
+// maxAttempts transmissions (with its doubling timeout, an outage of ~255x
+// the first), and missThreshold consecutive unanswered heartbeats declare
+// a node dead.
+const (
+	maxAttempts   = 8
+	missThreshold = 5
+)
+
+// ackTimeout is a reliable send's first timeout: 20 wire latencies
+// (request, ack and queueing slack), at least 10us.
+func ackTimeout(latency sim.Duration) sim.Duration {
+	return max(20*latency, 10*time.Microsecond)
+}
+
 // ftState is the master-side fault-tolerance machinery, created only when
 // Config.Faults is set. With it absent (rt.ft == nil) every code path in
 // the runtime behaves bit-identically to a build without the subsystem.
 type ftState struct {
 	inj *faults.Injector
 
-	ackTimeout    sim.Duration
-	maxAttempts   int
-	hbInterval    sim.Duration
-	missThreshold int
+	hbInterval sim.Duration
 
 	dead       []bool
 	deaths     int    // nodes declared dead so far
@@ -69,13 +82,9 @@ func (rt *Runtime) armFaultTolerance() {
 			panic("core: fault plan crashes node 0; the master is the recovery coordinator and cannot fail")
 		}
 	}
-	lat := rt.cfg.Cluster.Net.Latency
 	ft := &ftState{
 		inj:           faults.NewInjector(plan),
-		ackTimeout:    plan.AckTimeoutOr(lat),
-		maxAttempts:   plan.MaxAttemptsOr(),
 		hbInterval:    plan.HeartbeatIntervalOr(),
-		missThreshold: plan.MissThresholdOr(),
 		dead:          make([]bool, len(rt.nodes)),
 		pongSince:     make([]bool, len(rt.nodes)),
 		missStreak:    make([]int, len(rt.nodes)),
@@ -92,8 +101,8 @@ func (rt *Runtime) armFaultTolerance() {
 	for _, n := range rt.nodes {
 		n := n
 		n.ep.EnableReliability(gasnet.Reliability{
-			AckTimeout:  ft.ackTimeout,
-			MaxAttempts: ft.maxAttempts,
+			AckTimeout:  ackTimeout(rt.cfg.Cluster.Net.Latency),
+			MaxAttempts: maxAttempts,
 			OnRetry: func(to int, handler string, attempt int) {
 				now := rt.e.Now()
 				rt.cfg.Trace.Record(trace.Span{Kind: trace.Retry,
@@ -193,7 +202,7 @@ func (rt *Runtime) spawnHeartbeat() {
 							rt.cfg.Trace.Record(trace.Span{Kind: trace.Heartbeat,
 								Name: fmt.Sprintf("miss:node%d#%d", k, ft.missStreak[k]),
 								Node: mk, Dev: -1, Start: now, End: now})
-							if ft.missStreak[k] >= ft.missThreshold {
+							if ft.missStreak[k] >= missThreshold {
 								rt.nodeDead(k, "heartbeat")
 								continue
 							}

@@ -109,8 +109,18 @@ func TestResilienceRecoversFromCrashedSlave(t *testing.T) {
 	}
 }
 
+// The first ack waits 20 wire latencies, and never less than 10us.
+func TestAckTimeout(t *testing.T) {
+	if got := ackTimeout(5 * time.Microsecond); got != 100*time.Microsecond {
+		t.Fatalf("ackTimeout(5us) = %v, want 20x latency", got)
+	}
+	if got := ackTimeout(100 * time.Nanosecond); got != 10*time.Microsecond {
+		t.Fatalf("ackTimeout(100ns) = %v, want the 10us floor", got)
+	}
+}
+
 func TestResilienceStallBelowPatienceIsNotACrash(t *testing.T) {
-	// Patience is MissThreshold(5) x HeartbeatInterval(100us) = 500us; a
+	// Patience is missThreshold(5) x HeartbeatInterval(100us) = 500us; a
 	// 300us stall must cause retries at most, never an exclusion.
 	cfg := faultedCfg(4, &faults.Plan{
 		Seed:   3,

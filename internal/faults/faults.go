@@ -62,35 +62,11 @@ type Plan struct {
 	Stalls  []Stall `json:"stalls,omitempty"`
 	Crashes []Crash `json:"crashes,omitempty"`
 
-	// Protocol knobs. Zero selects defaults derived from the network spec
-	// (see the *Or methods).
-	AckTimeout        time.Duration `json:"ack_timeout_ns,omitempty"`        // first-attempt ack timeout; doubles per retry
-	MaxAttempts       int           `json:"max_attempts,omitempty"`          // transmissions before a reliable send gives up
-	HeartbeatInterval time.Duration `json:"heartbeat_interval_ns,omitempty"` // master -> slave probe period
-	MissThreshold     int           `json:"miss_threshold,omitempty"`        // consecutive unanswered probes before a node is declared dead
-}
-
-// AckTimeoutOr returns the plan's ack timeout, defaulting to a small
-// multiple of the wire latency (covering request + ack plus queueing
-// slack) with a floor for very fast networks.
-func (p Plan) AckTimeoutOr(latency time.Duration) time.Duration {
-	if p.AckTimeout > 0 {
-		return p.AckTimeout
-	}
-	d := 20 * latency
-	if d < 10*time.Microsecond {
-		d = 10 * time.Microsecond
-	}
-	return d
-}
-
-// MaxAttemptsOr returns the plan's attempt bound, default 8. With
-// exponential backoff that tolerates outages of ~255x the base timeout.
-func (p Plan) MaxAttemptsOr() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return 8
+	// HeartbeatInterval is the master -> slave probe period; zero selects
+	// the default (see HeartbeatIntervalOr). It is the one protocol
+	// setting a plan carries: the ack timeout, the attempt bound and the
+	// failure detector's miss threshold are the runtime's constants.
+	HeartbeatInterval time.Duration `json:"heartbeat_interval_ns,omitempty"`
 }
 
 // HeartbeatIntervalOr returns the probe period, default 100us — two
@@ -101,15 +77,6 @@ func (p Plan) HeartbeatIntervalOr() time.Duration {
 		return p.HeartbeatInterval
 	}
 	return 100 * time.Microsecond
-}
-
-// MissThresholdOr returns the failure-detector patience, default 5
-// consecutive missed probes.
-func (p Plan) MissThresholdOr() int {
-	if p.MissThreshold > 0 {
-		return p.MissThreshold
-	}
-	return 5
 }
 
 // Stats counts what an Injector actually did to the traffic.

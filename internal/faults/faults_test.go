@@ -117,19 +117,10 @@ func TestLinkDegradationMultipliers(t *testing.T) {
 
 func TestPlanProtocolDefaults(t *testing.T) {
 	var p Plan
-	lat := 5 * time.Microsecond
-	if got := p.AckTimeoutOr(lat); got != 100*time.Microsecond {
-		t.Fatalf("AckTimeoutOr = %v, want 20x latency", got)
+	if got := p.HeartbeatIntervalOr(); got != 100*time.Microsecond {
+		t.Fatalf("HeartbeatIntervalOr = %v, want 100us", got)
 	}
-	if got := p.AckTimeoutOr(100 * time.Nanosecond); got != 10*time.Microsecond {
-		t.Fatalf("AckTimeoutOr floor = %v, want 10us", got)
-	}
-	if p.MaxAttemptsOr() != 8 || p.HeartbeatIntervalOr() != 100*time.Microsecond || p.MissThresholdOr() != 5 {
-		t.Fatalf("defaults = %d/%v/%d", p.MaxAttemptsOr(), p.HeartbeatIntervalOr(), p.MissThresholdOr())
-	}
-	q := Plan{AckTimeout: time.Millisecond, MaxAttempts: 3, HeartbeatInterval: time.Second, MissThreshold: 9}
-	if q.AckTimeoutOr(lat) != time.Millisecond || q.MaxAttemptsOr() != 3 ||
-		q.HeartbeatIntervalOr() != time.Second || q.MissThresholdOr() != 9 {
-		t.Fatal("explicit knobs not honored")
+	if got := (Plan{HeartbeatInterval: time.Second}).HeartbeatIntervalOr(); got != time.Second {
+		t.Fatalf("HeartbeatIntervalOr = %v, want the plan's 1s", got)
 	}
 }

@@ -122,6 +122,24 @@ func TestHEFTStealsFromDeepestBacklog(t *testing.T) {
 	}
 }
 
+// Tasks estimated at 0 everywhere all bind to place 0 (every finish time
+// ties) and add nothing to its backlog; idle places still steal them.
+func TestHEFTStealsZeroCostTasks(t *testing.T) {
+	costs := costMap{}
+	s := New(HEFT, 3, Options{Cost: costs.fn, Steal: true})
+	a, b := mk("a"), mk("b")
+	for _, tk := range []*task.Task{a, b} {
+		costs[tk.ID] = []Estimate{est(0, 0), est(0, 0), est(0, 0)}
+		s.Submit(tk, -1)
+	}
+	if got := s.Pop(1); got != b {
+		t.Fatalf("place 1 popped %v, want b (len %d)", got, s.Len())
+	}
+	if got := s.Pop(2); got != a {
+		t.Fatalf("place 2 popped %v, want a (len %d)", got, s.Len())
+	}
+}
+
 func TestHEFTStealRespectsFilter(t *testing.T) {
 	costs := costMap{}
 	s := New(HEFT, 2, Options{Cost: costs.fn, Steal: true, CanRun: deviceFilter})

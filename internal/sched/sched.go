@@ -453,12 +453,13 @@ func (s *pool) Pop(place int) *task.Task {
 }
 
 // victim returns the newest entry pred passes from the deepest backlog,
-// other than place's, that holds one (lowest id on ties). The newest is
-// the lowest-rank: the critical path stays with the victim, the tail work
-// migrates.
+// other than place's, that holds one (lowest id on ties). A backlog of 0
+// still counts: heft binds tasks estimated at 0 everywhere without adding
+// to it. The newest is the lowest-rank: the critical path stays with the
+// victim, the tail work migrates.
 func (s *pool) victim(place int, pred func(*task.Task) bool) *entry {
 	var got *entry
-	var deepest time.Duration
+	deepest := time.Duration(-1)
 	for p := range s.local {
 		if p != place && s.backlog[p] > deepest {
 			if e := s.local[p].back(pred); e != nil {

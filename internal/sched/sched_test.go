@@ -206,12 +206,11 @@ func TestNoTaskLostOrDuplicated(t *testing.T) {
 					s.Submit(x, i%4-1) // mix of -1..2
 					seen[x.ID] = 0
 				}
-				// With no filter, BreadthFirst, Dependencies and Affinity
-				// serve every place while work remains, so the first nil Pop
-				// must find the queue empty. A per-device filter or a HEFT
-				// victim with no backlog may return nil with work left for
-				// another place, so those cells drain until every place is idle.
-				strict := !perDevice && policy != HEFT
+				// With no filter every policy serves every place while work
+				// remains, so the first nil Pop must find the queue empty. A
+				// per-device filter may return nil with work left for another
+				// place, so those cells drain until every place is idle.
+				strict := !perDevice
 				for place, idle, pops := 0, 0, 0; idle < 3; place = (place + 1) % 3 {
 					x := s.Pop(place)
 					if x == nil {

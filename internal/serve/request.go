@@ -38,7 +38,7 @@ import (
 // canonical encoding below, the result artifact layout, or the meaning of
 // any request field changes — old cached bytes must never be served for a
 // request a newer binary would compute differently.
-const KeyVersion = "2"
+const KeyVersion = "3"
 
 // Request is one experiment request as accepted by POST /v1/experiments.
 // The zero value of every optional field means "paper default", and the
@@ -76,11 +76,6 @@ type Request struct {
 	// Trace records the designated grid point's Perfetto trace (fig10
 	// only) and stores it with the result.
 	Trace bool `json:"trace,omitempty"`
-
-	// Stress grid shape overrides (stress experiment only).
-	StressWidth   int `json:"stress_width,omitempty"`
-	StressDepth   int `json:"stress_depth,omitempty"`
-	StressOverlap int `json:"stress_overlap,omitempty"`
 }
 
 // clusterExperiments are the experiments built on clusterConfig, the only
@@ -135,12 +130,6 @@ func (r Request) validate() error {
 	if r.Trace && r.Experiment != "fig10" {
 		return fmt.Errorf("trace recording has a designated grid point only in fig10")
 	}
-	if (r.StressWidth != 0 || r.StressDepth != 0 || r.StressOverlap != 0) && r.Experiment != "stress" {
-		return fmt.Errorf("stress_* parameters apply only to the stress experiment")
-	}
-	if r.StressWidth < 0 || r.StressDepth < 0 || r.StressOverlap < 0 {
-		return fmt.Errorf("stress_* parameters must be >= 0")
-	}
 	if p := r.FaultPlan; p != nil {
 		if p.DropRate < 0 || p.DropRate > 1 {
 			return fmt.Errorf("fault_plan.drop_rate must be in [0,1]")
@@ -148,8 +137,8 @@ func (r Request) validate() error {
 		if p.LatencyMultiplier < 0 || p.BandwidthMultiplier < 0 {
 			return fmt.Errorf("fault_plan multipliers must be >= 0")
 		}
-		if p.AckTimeout < 0 || p.HeartbeatInterval < 0 || p.MaxAttempts < 0 || p.MissThreshold < 0 {
-			return fmt.Errorf("fault_plan protocol knobs must be >= 0")
+		if p.HeartbeatInterval < 0 {
+			return fmt.Errorf("fault_plan.heartbeat_interval_ns must be >= 0")
 		}
 		for _, st := range p.Stalls {
 			if st.Node < 0 || st.At < 0 || st.Duration <= 0 {
@@ -182,9 +171,6 @@ func (r Request) canonical() []byte {
 	// meaning.
 	kv("experiment", r.Experiment)
 	if p := r.FaultPlan; p != nil {
-		if p.AckTimeout != 0 {
-			kv("fault.ack_timeout_ns", strconv.FormatInt(int64(p.AckTimeout), 10))
-		}
 		if p.BandwidthMultiplier != 0 {
 			kv("fault.bandwidth_multiplier", canonFloat(p.BandwidthMultiplier))
 		}
@@ -200,12 +186,6 @@ func (r Request) canonical() []byte {
 		}
 		if p.LatencyMultiplier != 0 {
 			kv("fault.latency_multiplier", canonFloat(p.LatencyMultiplier))
-		}
-		if p.MaxAttempts != 0 {
-			kv("fault.max_attempts", strconv.Itoa(p.MaxAttempts))
-		}
-		if p.MissThreshold != 0 {
-			kv("fault.miss_threshold", strconv.Itoa(p.MissThreshold))
 		}
 		for i, st := range p.Stalls {
 			kv("fault.stall."+strconv.Itoa(i),
@@ -224,15 +204,6 @@ func (r Request) canonical() []byte {
 	}
 	if r.Seed != 0 {
 		kv("seed", strconv.FormatUint(r.Seed, 10))
-	}
-	if r.StressDepth != 0 {
-		kv("stress_depth", strconv.Itoa(r.StressDepth))
-	}
-	if r.StressOverlap != 0 {
-		kv("stress_overlap", strconv.Itoa(r.StressOverlap))
-	}
-	if r.StressWidth != 0 {
-		kv("stress_width", strconv.Itoa(r.StressWidth))
 	}
 	if r.Trace {
 		kv("trace", "1")
@@ -271,12 +242,9 @@ func (r Request) hash() string {
 // keeps one request's cost proportional to one worker.
 func (r Request) options() bench.Options {
 	o := bench.Options{
-		Quick:         r.Quick,
-		GridPoint:     r.GridPoint,
-		StressWidth:   r.StressWidth,
-		StressDepth:   r.StressDepth,
-		StressOverlap: r.StressOverlap,
-		Scheduler:     sched.Policy(canonSched(r.Scheduler)),
+		Quick:     r.Quick,
+		GridPoint: r.GridPoint,
+		Scheduler: sched.Policy(canonSched(r.Scheduler)),
 	}
 	if r.Seed != 0 || r.FaultPlan != nil {
 		var plan faults.Plan

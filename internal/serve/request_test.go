@@ -87,10 +87,9 @@ func TestHashDistinguishesRuns(t *testing.T) {
 		`{"experiment":"fig9"}`,
 		`{"experiment":"fig10","trace":true}`,
 		`{"experiment":"fig10"}`,
-		`{"experiment":"stress","stress_width":100}`,
-		`{"experiment":"stress","stress_width":101}`,
-		`{"experiment":"stress","stress_depth":3}`,
-		`{"experiment":"stress","stress_overlap":4}`,
+		`{"experiment":"heat","fault_plan":{"heartbeat_interval_ns":2000000}}`,
+		`{"experiment":"stress"}`,
+		`{"experiment":"stress","quick":true}`,
 	}
 	seen := make(map[string]string)
 	for _, body := range bodies {
@@ -145,8 +144,8 @@ func TestValidateRejects(t *testing.T) {
 		`{"experiment":"fig5","fault_plan":{}}`,
 		`{"experiment":"heat","lookahead":2}`, // no ready-ahead window: an unknown field
 		`{"experiment":"fig9","trace":true}`,
-		`{"experiment":"heat","stress_width":5}`,
-		`{"experiment":"stress","stress_width":-1}`,
+		`{"experiment":"stress","stress_width":100}`, // the stress grid is fixed: an unknown field
+		`{"experiment":"heat","fault_plan":{"heartbeat_interval_ns":-1}}`,
 		`{"experiment":"heat","fault_plan":{"drop_rate":1.5}}`,
 		`{"experiment":"heat","fault_plan":{"latency_multiplier":-1}}`,
 		`{"experiment":"heat","fault_plan":{"stalls":[{"node":0,"at_ns":0,"duration_ns":0}]}}`,
@@ -179,17 +178,13 @@ func TestFaultPlanWireSchema(t *testing.T) {
 		"drop_rate":0.25,"latency_multiplier":1.5,"bandwidth_multiplier":0.5,
 		"stalls":[{"node":1,"at_ns":100,"duration_ns":50}],
 		"crashes":[{"node":2,"at_ns":300}],
-		"ack_timeout_ns":4000,"max_attempts":3,
-		"heartbeat_interval_ns":20000,"miss_threshold":4}}`)
+		"heartbeat_interval_ns":20000}}`)
 	const want = `experiment=heat
-fault.ack_timeout_ns=4000
 fault.bandwidth_multiplier=0x1p-01
 fault.crash.0=2@300
 fault.drop_rate=0x1p-02
 fault.heartbeat_interval_ns=20000
 fault.latency_multiplier=0x1.8p+00
-fault.max_attempts=3
-fault.miss_threshold=4
 fault.stall.0=1@100+50
 fault_plan=1
 seed=7
@@ -199,10 +194,9 @@ seed=7
 	}
 	plan := faults.Plan{
 		Seed: 7, DropRate: 0.25, LatencyMultiplier: 1.5, BandwidthMultiplier: 0.5,
-		Stalls:      []faults.Stall{{Node: 1, At: 100, Duration: 50}},
-		Crashes:     []faults.Crash{{Node: 2, At: 300}},
-		AckTimeout:  4000 * time.Nanosecond,
-		MaxAttempts: 3, HeartbeatInterval: 20 * time.Microsecond, MissThreshold: 4,
+		Stalls:            []faults.Stall{{Node: 1, At: 100, Duration: 50}},
+		Crashes:           []faults.Crash{{Node: 2, At: 300}},
+		HeartbeatInterval: 20 * time.Microsecond,
 	}
 	if got := r.options().Faults; got == nil || !reflect.DeepEqual(*got, plan) {
 		t.Errorf("Options().Faults = %+v, want %+v", got, plan)
@@ -210,7 +204,11 @@ seed=7
 	s := startServer(t, Config{})
 	for _, body := range []string{
 		`{"experiment":"heat","fault_plan":{"seed":7}}`,
-		`{"experiment":"heat","fault_plan":{"ack_timeout_ns":1.5}}`,
+		`{"experiment":"heat","fault_plan":{"heartbeat_interval_ns":1.5}}`,
+		// The runtime's protocol constants are not plan fields.
+		`{"experiment":"heat","fault_plan":{"ack_timeout_ns":4000}}`,
+		`{"experiment":"heat","fault_plan":{"max_attempts":3}}`,
+		`{"experiment":"heat","fault_plan":{"miss_threshold":4}}`,
 	} {
 		if rec := do(s, "POST", "/v1/experiments", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", body, rec.Code)

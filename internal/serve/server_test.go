@@ -716,12 +716,12 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	// requests stream through a job table bounded at one finished job,
 	// every queued job is a registered job and every cached result is
 	// charged — in /v1/cache/stats and in /metricsz alike.
-	// Every request below has a three-digit width, so every entry charges
+	// Every request below has a three-digit seed, so every entry charges
 	// the same: its reply, its body and the overhead.
 	fake := fakeResult("stats")
-	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "stress",
+	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "fig11",
 		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
-	charge := (&result{Reply: append(reply, '\n'), body: `{"experiment":"stress","stress_width":101}`}).sizeBytes()
+	charge := (&result{Reply: append(reply, '\n'), body: `{"experiment":"fig11","seed":101}`}).sizeBytes()
 	s2 := startServer(t, Config{Workers: 2, MaxJobs: 1, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
 		return fake, nil
 	}})
@@ -731,7 +731,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		go func() {
 			defer submitters.Done()
 			for i := 0; i < 100; i++ {
-				do(s2, "POST", "/v1/experiments", fmt.Sprintf(`{"experiment":"stress","stress_width":%d}`, 101+c*100+i))
+				do(s2, "POST", "/v1/experiments", fmt.Sprintf(`{"experiment":"fig11","seed":%d}`, 101+c*100+i))
 			}
 		}()
 	}

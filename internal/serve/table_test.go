@@ -51,7 +51,7 @@ func TestOneExecutionPerHash(t *testing.T) {
 	}})
 	bad := 0
 	for r := 0; r < rounds; r++ {
-		body := fmt.Sprintf(`{"experiment":"stress","quick":true,"stress_width":%d}`, r+1)
+		body := fmt.Sprintf(`{"experiment":"fig11","quick":true,"seed":%d}`, r+1)
 		before := execs.Load()
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
@@ -85,15 +85,15 @@ func TestJobSnapshotsAreWhole(t *testing.T) {
 	const jobs = 200
 	s := startServer(t, Config{Workers: 2, Execute: func(req Request, onPoint func(bench.PointDone)) (*bench.ExecResult, error) {
 		onPoint(bench.PointDone{Config: "p", Index: 1, Total: 1})
-		if req.StressWidth%2 == 0 {
-			return nil, fmt.Errorf("even widths fail")
+		if req.Seed%2 == 0 {
+			return nil, fmt.Errorf("even seeds fail")
 		}
 		return fakeResult("whole"), nil
 	}})
 	torn := 0
 	for n := 1; n <= jobs; n++ {
 		rec := do(s, "POST", "/v1/experiments?async=1",
-			fmt.Sprintf(`{"experiment":"stress","quick":true,"stress_width":%d}`, n))
+			fmt.Sprintf(`{"experiment":"fig11","quick":true,"seed":%d}`, n))
 		var sub struct {
 			JobID string `json:"job_id"`
 		}
@@ -116,7 +116,7 @@ func TestJobSnapshotsAreWhole(t *testing.T) {
 			}
 			if whole && finished {
 				trace := do(s, "GET", "/v1/jobs/"+sub.JobID+"/trace", "").Body.String()
-				whole = strings.Contains(trace, "execute stress")
+				whole = strings.Contains(trace, "execute fig11")
 			}
 			if !whole {
 				torn++
