@@ -39,14 +39,14 @@ func main() {
 		cfg.Cluster = ompss.MultiGPUSystem(*gpus)
 	}
 
-	p := apps.StreamParams{N: *elems, BSize: *block, NTimes: *ntimes, Scalar: 3}
+	p := apps.StreamParams{N: *elems, BSize: *block, NTimes: *ntimes}
 	res, err := apps.StreamOmpSs(cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stream n=%d bsize=%d ntimes=%d: %s\n", *elems, *block, *ntimes, res)
 	if *verify {
-		want := fmt.Sprintf("a-sum=%.1f", apps.StreamSerialASum(p.N, p.NTimes, p.Scalar))
+		want := fmt.Sprintf("a-sum=%.1f", apps.StreamSerialASum(p.N, p.NTimes))
 		status := "OK"
 		if res.Check != want {
 			status = fmt.Sprintf("MISMATCH (serial %s)", want)

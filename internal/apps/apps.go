@@ -47,7 +47,6 @@ func (r Result) String() string {
 // node, each with its node's GPUs, sharing the simulated interconnect.
 type mpiMachine struct {
 	engine *sim.Engine
-	fabric *netsim.Fabric
 	world  *mpi.World
 	// devs[node] are the node's GPUs; stores[node] is its host store.
 	devs   [][]*gpusim.Device
@@ -58,12 +57,11 @@ type mpiMachine struct {
 	alloc *memspace.Allocator
 }
 
-// newMPIMachine builds the baseline substrate for spec. overlap enables
-// stream-based transfer overlap on the devices.
-func newMPIMachine(spec hw.ClusterSpec, overlap, validate bool) *mpiMachine {
+// newMPIMachine builds the baseline substrate for spec. Its devices run
+// without stream overlap, as the baselines' blocking cudaMemcpy calls do.
+func newMPIMachine(spec hw.ClusterSpec, validate bool) *mpiMachine {
 	e := sim.NewEngine()
-	f := netsim.New(e, spec.Net, len(spec.Nodes))
-	m := &mpiMachine{engine: e, fabric: f, alloc: memspace.NewAllocator()}
+	m := &mpiMachine{engine: e, alloc: memspace.NewAllocator()}
 	for i, ns := range spec.Nodes {
 		var store *memspace.Store
 		if validate {
@@ -72,11 +70,11 @@ func newMPIMachine(spec hw.ClusterSpec, overlap, validate bool) *mpiMachine {
 		m.stores = append(m.stores, store)
 		var devs []*gpusim.Device
 		for g, gs := range ns.GPUs {
-			devs = append(devs, gpusim.New(e, gs, memspace.GPU(i, g), overlap, validate))
+			devs = append(devs, gpusim.New(e, gs, memspace.GPU(i, g), false, validate))
 		}
 		m.devs = append(m.devs, devs)
 	}
-	m.world = mpi.NewWorld(e, f, m.stores)
+	m.world = mpi.NewWorld(e, netsim.New(e, spec.Net, len(spec.Nodes)), m.stores)
 	return m
 }
 

@@ -75,8 +75,8 @@ func TestMatmulIdenticalAcrossAllConfigs(t *testing.T) {
 }
 
 func TestStreamIdenticalAcrossAllConfigs(t *testing.T) {
-	p := StreamParams{N: 512, BSize: 64, NTimes: 2, Scalar: 3}
-	want := fmt.Sprintf("a-sum=%.1f", StreamSerialASum(p.N, p.NTimes, p.Scalar))
+	p := StreamParams{N: 512, BSize: 64, NTimes: 2}
+	want := fmt.Sprintf("a-sum=%.1f", StreamSerialASum(p.N, p.NTimes))
 	for _, sc := range sweepConfigs(t) {
 		sc := sc
 		t.Run(sc.label, func(t *testing.T) {

@@ -15,16 +15,10 @@ type HeatParams struct {
 	N     int // cells in the rod (float64)
 	BSize int // cells per block
 	Steps int
-	Alpha float64 // diffusion coefficient (0 selects 0.25)
 }
 
-// withDefaults resolves the zero-value fields.
-func (p HeatParams) withDefaults() HeatParams {
-	if p.Alpha == 0 {
-		p.Alpha = 0.25
-	}
-	return p
-}
+// heatAlpha is the stencil's diffusion coefficient.
+const heatAlpha = 0.25
 
 func (p HeatParams) validate() {
 	if p.N <= 0 || p.BSize <= 0 || p.N%p.BSize != 0 || p.Steps <= 0 {
@@ -51,7 +45,6 @@ const heatTile = 4096
 // expression matches kernels.JacobiStep term for term, so a correct task
 // run reproduces this sum exactly.
 func HeatSerialSum(p HeatParams) float64 {
-	p = p.withDefaults()
 	p.validate()
 	w := heatTile + 2*p.Steps
 	cur, nxt := make([]float64, w), make([]float64, w)
@@ -74,7 +67,7 @@ func HeatSerialSum(p HeatParams) float64 {
 				to = n - 1
 			}
 			for i := from; i < to; i++ {
-				nxt[i] = cur[i] + p.Alpha*(cur[i-1]-2*cur[i]+cur[i+1])
+				nxt[i] = cur[i] + heatAlpha*(cur[i-1]-2*cur[i]+cur[i+1])
 			}
 			cur, nxt = nxt, cur
 		}

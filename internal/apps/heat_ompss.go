@@ -14,7 +14,6 @@ import (
 // tracking turns those overlaps into ordinary dependence arcs and
 // assembles each halo read from its holders, across GPUs and nodes.
 func HeatOmpSs(cfg ompss.Config, p HeatParams) (Result, error) {
-	p = p.withDefaults()
 	p.validate()
 	nb := p.N / p.BSize
 	const cell = 8
@@ -49,7 +48,7 @@ func HeatOmpSs(cfg ompss.Config, p HeatParams) (Result, error) {
 				in := sub(cur, i0-lh, p.BSize+lh+rh)
 				out := sub(nxt, i0, p.BSize)
 				ctx.Task(kernels.JacobiStep{In: in, Out: out,
-					LeftHalo: lh, RightHalo: rh, Alpha: p.Alpha},
+					LeftHalo: lh, RightHalo: rh, Alpha: heatAlpha},
 					ompss.Target(ompss.CUDA), ompss.In(in), ompss.Out(out))
 			}
 			cur, nxt = nxt, cur

@@ -33,7 +33,7 @@ func MatmulCUDA(gpu hw.GPUSpec, p MatmulParams, validate bool) (Result, error) {
 	newTiles := func(seedBase int, fill bool) []memspace.Region {
 		ts := make([]memspace.Region, nt*nt)
 		for i := range ts {
-			ts[i] = alloc.Alloc(tileBytes, 0)
+			ts[i] = alloc.Alloc(tileBytes)
 			if fill && validate {
 				copy(f32view(host.Bytes(ts[i])), fillPattern(p.BS*p.BS, uint32(seedBase+i)))
 			}
@@ -52,7 +52,7 @@ func MatmulCUDA(gpu hw.GPUSpec, p MatmulParams, validate bool) (Result, error) {
 				if err := ctx.Malloc(t); err != nil {
 					panic(fmt.Sprintf("apps: matmul does not fit on one GPU: %v", err))
 				}
-				ctx.Memcpy(pr, gpusim.H2D, t, host, false)
+				ctx.Memcpy(pr, gpusim.H2D, t, host)
 			}
 		}
 		start := pr.Now()
@@ -60,7 +60,7 @@ func MatmulCUDA(gpu hw.GPUSpec, p MatmulParams, validate bool) (Result, error) {
 			for j := 0; j < nt; j++ {
 				for k := 0; k < nt; k++ {
 					kern := kernels.Sgemm{A: a[i*nt+k], B: b[k*nt+j], C: c[i*nt+j], BS: p.BS}
-					ctx.Launch(pr, "sgemm", kern.GPUCost(gpu), func(devStore *memspace.Store) {
+					ctx.Launch(pr, kern.GPUCost(gpu), func(devStore *memspace.Store) {
 						kern.Run(devStore)
 					})
 				}
@@ -68,7 +68,7 @@ func MatmulCUDA(gpu hw.GPUSpec, p MatmulParams, validate bool) (Result, error) {
 		}
 		res.ElapsedSeconds = (pr.Now() - start).Seconds()
 		for _, t := range c {
-			ctx.Memcpy(pr, gpusim.D2H, t, host, false)
+			ctx.Memcpy(pr, gpusim.D2H, t, host)
 		}
 		if validate {
 			var sum float64

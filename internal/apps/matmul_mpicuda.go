@@ -28,13 +28,13 @@ func MatmulMPICUDA(spec hw.ClusterSpec, p MatmulParams, validate bool) (Result, 
 	}
 	rowsPer, colsPer := nt/pr, nt/pc
 
-	m := newMPIMachine(spec, false, validate)
+	m := newMPIMachine(spec, validate)
 
 	// Global tile regions (shared logical addresses; bytes live per rank).
 	tiles := func() []memspace.Region {
 		ts := make([]memspace.Region, nt*nt)
 		for i := range ts {
-			ts[i] = m.alloc.Alloc(tileBytes, 0)
+			ts[i] = m.alloc.Alloc(tileBytes)
 		}
 		return ts
 	}
@@ -86,16 +86,16 @@ func MatmulMPICUDA(spec hw.ClusterSpec, p MatmulParams, validate bool) (Result, 
 			// Upload the panels and run the local products.
 			for i := rowLo; i < rowLo+rowsPer; i++ {
 				mustMalloc(ctx, a[i*nt+k])
-				ctx.Memcpy(pr2, gpusim.H2D, a[i*nt+k], r.Store(), false)
+				ctx.Memcpy(pr2, gpusim.H2D, a[i*nt+k], r.Store())
 			}
 			for j := colLo; j < colLo+colsPer; j++ {
 				mustMalloc(ctx, b[k*nt+j])
-				ctx.Memcpy(pr2, gpusim.H2D, b[k*nt+j], r.Store(), false)
+				ctx.Memcpy(pr2, gpusim.H2D, b[k*nt+j], r.Store())
 			}
 			for i := rowLo; i < rowLo+rowsPer; i++ {
 				for j := colLo; j < colLo+colsPer; j++ {
 					kern := kernels.Sgemm{A: a[i*nt+k], B: b[k*nt+j], C: c[i*nt+j], BS: p.BS}
-					ctx.Launch(pr2, "sgemm", kern.GPUCost(gpu), kern.Run)
+					ctx.Launch(pr2, kern.GPUCost(gpu), kern.Run)
 				}
 			}
 			for i := rowLo; i < rowLo+rowsPer; i++ {
@@ -108,7 +108,7 @@ func MatmulMPICUDA(spec hw.ClusterSpec, p MatmulParams, validate bool) (Result, 
 		// Results back to the host.
 		for i := rowLo; i < rowLo+rowsPer; i++ {
 			for j := colLo; j < colLo+colsPer; j++ {
-				ctx.Memcpy(pr2, gpusim.D2H, c[i*nt+j], r.Store(), false)
+				ctx.Memcpy(pr2, gpusim.D2H, c[i*nt+j], r.Store())
 			}
 		}
 		r.Barrier(pr2)

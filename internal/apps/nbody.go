@@ -7,11 +7,6 @@ type NBodyParams struct {
 	N      int
 	Blocks int
 	Iters  int
-	// ScratchBytes attaches a per-task device scratch buffer (copy_out) to
-	// every force task. The paper's N-Body "uses a lot of GPU memory",
-	// which is what makes the no-cache policy win Figure 8; this recreates
-	// that working-set pressure. 0 disables it.
-	ScratchBytes uint64
 }
 
 const (

@@ -29,7 +29,7 @@ func NBodyCUDA(gpu hw.GPUSpec, p NBodyParams, validate bool) (Result, error) {
 		host = memspace.NewStore(memspace.Host(0))
 	}
 	alloc := memspace.NewAllocator()
-	pos := alloc.Alloc(uint64(p.N)*16, 0)
+	pos := alloc.Alloc(uint64(p.N) * 16)
 	if validate {
 		copy(f32view(host.Bytes(pos)), nbodyInitPos(p.N))
 	}
@@ -37,19 +37,19 @@ func NBodyCUDA(gpu hw.GPUSpec, p NBodyParams, validate bool) (Result, error) {
 	out := make([]memspace.Region, p.Blocks)
 	counts := make([]int, p.Blocks)
 	for b := range vel {
-		vel[b] = alloc.Alloc(blockBytes, 0)
-		out[b] = alloc.Alloc(blockBytes, 0)
+		vel[b] = alloc.Alloc(blockBytes)
+		out[b] = alloc.Alloc(blockBytes)
 		counts[b] = bodiesPer
 	}
 
 	var res Result
 	e.Go("main", func(pr *sim.Proc) {
 		mustMalloc(ctx, pos)
-		ctx.Memcpy(pr, gpusim.H2D, pos, host, false)
+		ctx.Memcpy(pr, gpusim.H2D, pos, host)
 		for b := range vel {
 			mustMalloc(ctx, vel[b])
 			mustMalloc(ctx, out[b])
-			ctx.Memcpy(pr, gpusim.H2D, vel[b], host, false)
+			ctx.Memcpy(pr, gpusim.H2D, vel[b], host)
 		}
 		start := pr.Now()
 		for it := 0; it < p.Iters; it++ {
@@ -59,13 +59,13 @@ func NBodyCUDA(gpu hw.GPUSpec, p NBodyParams, validate bool) (Result, error) {
 					N: p.N, Block0: b * bodiesPer, BlockN: bodiesPer,
 					DT: nbodyDT, Soften2: nbodySoften2,
 				}
-				ctx.Launch(pr, "nbody", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			gather := kernels.GatherPos{Blocks: out, AllPos: pos, Counts: counts}
-			ctx.Launch(pr, "gather", gather.GPUCost(gpu), gather.Run)
+			ctx.Launch(pr, gather.GPUCost(gpu), gather.Run)
 		}
 		res.ElapsedSeconds = (pr.Now() - start).Seconds()
-		ctx.Memcpy(pr, gpusim.D2H, pos, host, false)
+		ctx.Memcpy(pr, gpusim.D2H, pos, host)
 		if validate {
 			res.Check = fmt.Sprintf("pos-sum=%.3f", checksum(host.Bytes(pos)))
 		}

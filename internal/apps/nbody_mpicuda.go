@@ -24,14 +24,14 @@ func NBodyMPICUDA(spec hw.ClusterSpec, p NBodyParams, validate bool) (Result, er
 	bodiesPer := p.N / nodes
 	blockBytes := uint64(bodiesPer) * 16
 
-	m := newMPIMachine(spec, false, validate)
-	pos := m.alloc.Alloc(uint64(p.N)*16, 0)
+	m := newMPIMachine(spec, validate)
+	pos := m.alloc.Alloc(uint64(p.N) * 16)
 	outs := make([]memspace.Region, nodes)
 	vels := make([]memspace.Region, nodes)
 	counts := make([]int, nodes)
 	for b := range outs {
-		outs[b] = m.alloc.Alloc(blockBytes, 0)
-		vels[b] = m.alloc.Alloc(blockBytes, 0)
+		outs[b] = m.alloc.Alloc(blockBytes)
+		vels[b] = m.alloc.Alloc(blockBytes)
 		counts[b] = bodiesPer
 	}
 	if validate {
@@ -51,19 +51,19 @@ func NBodyMPICUDA(spec hw.ClusterSpec, p NBodyParams, validate bool) (Result, er
 		mustMalloc(ctx, pos)
 		mustMalloc(ctx, vels[node])
 		mustMalloc(ctx, outs[node])
-		ctx.Memcpy(pr, gpusim.H2D, vels[node], r.Store(), false)
+		ctx.Memcpy(pr, gpusim.H2D, vels[node], r.Store())
 		r.Barrier(pr)
 		start := pr.Now()
 		for it := 0; it < p.Iters; it++ {
 			// Positions to the device (fresh after each allgather).
-			ctx.Memcpy(pr, gpusim.H2D, pos, r.Store(), false)
+			ctx.Memcpy(pr, gpusim.H2D, pos, r.Store())
 			kern := kernels.NBodyStep{
 				AllPos: pos, Vel: vels[node], OutPos: outs[node],
 				N: p.N, Block0: node * bodiesPer, BlockN: bodiesPer,
 				DT: nbodyDT, Soften2: nbodySoften2,
 			}
-			ctx.Launch(pr, "nbody", kern.GPUCost(gpu), kern.Run)
-			ctx.Memcpy(pr, gpusim.D2H, outs[node], r.Store(), false)
+			ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
+			ctx.Memcpy(pr, gpusim.D2H, outs[node], r.Store())
 			// All-to-all through rank 0: gather the new blocks, then
 			// broadcast them. Like the paper's other baselines this is the
 			// plain structure of the original MPI code, with no attempt to

@@ -43,23 +43,11 @@ func NBodyOmpSs(cfg ompss.Config, p NBodyParams) (Result, error) {
 		start := ctx.Now()
 		for it := 0; it < p.Iters; it++ {
 			for b := 0; b < p.Blocks; b++ {
-				clauses := []ompss.Clause{
-					ompss.Target(ompss.CUDA),
-					ompss.In(prev...), ompss.InOut(vel[b]), ompss.Out(cur[b]),
-				}
-				var scratch ompss.Region
-				if p.ScratchBytes > 0 {
-					// Device working buffer per task: written by the kernel,
-					// never read back. This is what fills GPU memory and
-					// exercises the replacement machinery in Figure 8.
-					scratch = ctx.Alloc(p.ScratchBytes)
-					clauses = append(clauses, ompss.CopyOut(scratch))
-				}
 				ctx.Task(kernels.NBodyForces{
-					PrevBlocks: prev, Vel: vel[b], Out: cur[b], Scratch: scratch,
+					PrevBlocks: prev, Vel: vel[b], Out: cur[b],
 					N: p.N, Block0: b * bodiesPer, BlockN: bodiesPer,
 					DT: nbodyDT, Soften2: nbodySoften2,
-				}, clauses...)
+				}, ompss.Target(ompss.CUDA), ompss.In(prev...), ompss.InOut(vel[b]), ompss.Out(cur[b]))
 			}
 			prev, cur = cur, prev
 		}

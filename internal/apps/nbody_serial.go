@@ -13,9 +13,9 @@ import (
 func NBodySerialSum(p NBodyParams) float64 {
 	store := memspace.NewStore(memspace.Host(0))
 	alloc := memspace.NewAllocator()
-	pos := alloc.Alloc(uint64(p.N)*16, 0)
-	vel := alloc.Alloc(uint64(p.N)*16, 0)
-	out := alloc.Alloc(uint64(p.N)*16, 0)
+	pos := alloc.Alloc(uint64(p.N) * 16)
+	vel := alloc.Alloc(uint64(p.N) * 16)
+	out := alloc.Alloc(uint64(p.N) * 16)
 	copy(f32view(store.Bytes(pos)), nbodyInitPos(p.N))
 	for it := 0; it < p.Iters; it++ {
 		kernels.NBodyStep{

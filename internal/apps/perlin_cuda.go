@@ -29,7 +29,7 @@ func PerlinCUDA(gpu hw.GPUSpec, p PerlinParams, validate bool) (Result, error) {
 	alloc := memspace.NewAllocator()
 	blocks := make([]memspace.Region, nb)
 	for i := range blocks {
-		blocks[i] = alloc.Alloc(blockBytes, 0)
+		blocks[i] = alloc.Alloc(blockBytes)
 	}
 
 	var res Result
@@ -42,11 +42,11 @@ func PerlinCUDA(gpu hw.GPUSpec, p PerlinParams, validate bool) (Result, error) {
 			for i, blk := range blocks {
 				kern := kernels.Perlin{Img: blk, Width: p.Width,
 					Row0: i * p.RowsPerBlock, Rows: p.RowsPerBlock, Step: s}
-				ctx.Launch(pr, "perlin", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			if p.Flush {
 				for _, blk := range blocks {
-					ctx.Memcpy(pr, gpusim.D2H, blk, host, false)
+					ctx.Memcpy(pr, gpusim.D2H, blk, host)
 				}
 			}
 		}
@@ -55,7 +55,7 @@ func PerlinCUDA(gpu hw.GPUSpec, p PerlinParams, validate bool) (Result, error) {
 			// NoFlush keeps frames on the GPU; the final download is not
 			// part of the per-step filter pipeline being measured.
 			for _, blk := range blocks {
-				ctx.Memcpy(pr, gpusim.D2H, blk, host, false)
+				ctx.Memcpy(pr, gpusim.D2H, blk, host)
 			}
 		}
 		if validate {

@@ -26,10 +26,10 @@ func PerlinMPICUDA(spec hw.ClusterSpec, p PerlinParams, validate bool) (Result, 
 	nbPerRank := nb / nodes
 	blockBytes := uint64(p.Width) * uint64(p.RowsPerBlock) * 4
 
-	m := newMPIMachine(spec, false, validate)
+	m := newMPIMachine(spec, validate)
 	blocks := make([]memspace.Region, nb)
 	for i := range blocks {
-		blocks[i] = m.alloc.Alloc(blockBytes, 0)
+		blocks[i] = m.alloc.Alloc(blockBytes)
 	}
 
 	var res Result
@@ -49,11 +49,11 @@ func PerlinMPICUDA(spec hw.ClusterSpec, p PerlinParams, validate bool) (Result, 
 			for bi, blk := range mine {
 				kern := kernels.Perlin{Img: blk, Width: p.Width,
 					Row0: (lo + bi) * p.RowsPerBlock, Rows: p.RowsPerBlock, Step: s}
-				ctx.Launch(pr, "perlin", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			if p.Flush {
 				for _, blk := range mine {
-					ctx.Memcpy(pr, gpusim.D2H, blk, r.Store(), false)
+					ctx.Memcpy(pr, gpusim.D2H, blk, r.Store())
 				}
 				gatherFrame(pr, r, blocks, nbPerRank, nodes)
 			}
@@ -67,7 +67,7 @@ func PerlinMPICUDA(spec hw.ClusterSpec, p PerlinParams, validate bool) (Result, 
 			// final image out happens after the measured region, exactly
 			// like the OmpSs version's taskwait-noflush measurement.
 			for _, blk := range mine {
-				ctx.Memcpy(pr, gpusim.D2H, blk, r.Store(), false)
+				ctx.Memcpy(pr, gpusim.D2H, blk, r.Store())
 			}
 			gatherFrame(pr, r, blocks, nbPerRank, nodes)
 		}

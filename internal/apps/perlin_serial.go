@@ -19,7 +19,7 @@ func PerlinSerialSum(p PerlinParams) float64 {
 	blockBytes := uint64(p.Width) * uint64(p.RowsPerBlock) * 4
 	var sum float64
 	for i := 0; i < nb; i++ {
-		blk := alloc.Alloc(blockBytes, 0)
+		blk := alloc.Alloc(blockBytes)
 		for s := 0; s < p.Steps; s++ {
 			kernels.Perlin{
 				Img: blk, Width: p.Width,

@@ -8,8 +8,11 @@ type StreamParams struct {
 	N      int // elements per array (float64)
 	BSize  int // elements per block
 	NTimes int // benchmark repetitions
-	Scalar float64
 }
+
+// streamScalar is the scale and triad operations' scalar, the original
+// benchmark's fixed 3.
+const streamScalar = 3
 
 func (p StreamParams) validate() {
 	if p.N <= 0 || p.BSize <= 0 || p.N%p.BSize != 0 {

@@ -16,9 +16,6 @@ import (
 // download — the handmade-kernel version the paper compares against.
 func StreamCUDA(gpu hw.GPUSpec, p StreamParams, validate bool) (Result, error) {
 	p.validate()
-	if p.Scalar == 0 {
-		p.Scalar = 3
-	}
 	nb := p.N / p.BSize
 	blockBytes := uint64(p.BSize) * 8
 
@@ -33,7 +30,7 @@ func StreamCUDA(gpu hw.GPUSpec, p StreamParams, validate bool) (Result, error) {
 	mkArray := func(init float64) []memspace.Region {
 		blocks := make([]memspace.Region, nb)
 		for i := range blocks {
-			blocks[i] = alloc.Alloc(blockBytes, 0)
+			blocks[i] = alloc.Alloc(blockBytes)
 			if validate {
 				v := f64view(host.Bytes(blocks[i]))
 				for j := range v {
@@ -50,31 +47,31 @@ func StreamCUDA(gpu hw.GPUSpec, p StreamParams, validate bool) (Result, error) {
 		for _, arr := range [][]memspace.Region{a, b, c} {
 			for _, blk := range arr {
 				mustMalloc(ctx, blk)
-				ctx.Memcpy(pr, gpusim.H2D, blk, host, false)
+				ctx.Memcpy(pr, gpusim.H2D, blk, host)
 			}
 		}
 		start := pr.Now()
 		for k := 0; k < p.NTimes; k++ {
 			for j := 0; j < nb; j++ {
 				kern := kernels.StreamCopy{A: a[j], C: c[j]}
-				ctx.Launch(pr, "copy", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nb; j++ {
-				kern := kernels.StreamScale{C: c[j], B: b[j], Scalar: p.Scalar}
-				ctx.Launch(pr, "scale", kern.GPUCost(gpu), kern.Run)
+				kern := kernels.StreamScale{C: c[j], B: b[j], Scalar: streamScalar}
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nb; j++ {
 				kern := kernels.StreamAdd{A: a[j], B: b[j], C: c[j]}
-				ctx.Launch(pr, "add", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nb; j++ {
-				kern := kernels.StreamTriad{B: b[j], C: c[j], A: a[j], Scalar: p.Scalar}
-				ctx.Launch(pr, "triad", kern.GPUCost(gpu), kern.Run)
+				kern := kernels.StreamTriad{B: b[j], C: c[j], A: a[j], Scalar: streamScalar}
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 		}
 		res.ElapsedSeconds = (pr.Now() - start).Seconds()
 		for _, blk := range a {
-			ctx.Memcpy(pr, gpusim.D2H, blk, host, false)
+			ctx.Memcpy(pr, gpusim.D2H, blk, host)
 		}
 		if validate {
 			var sum float64

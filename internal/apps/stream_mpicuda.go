@@ -19,9 +19,6 @@ import (
 // (Figure 11).
 func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, error) {
 	p.validate()
-	if p.Scalar == 0 {
-		p.Scalar = 3
-	}
 	nodes := len(spec.Nodes)
 	if p.N%(p.BSize*nodes) != 0 {
 		return Result{}, fmt.Errorf("apps: N=%d not divisible into %d blocks across %d ranks", p.N, p.N/p.BSize, nodes)
@@ -29,14 +26,14 @@ func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, 
 	nbPerRank := p.N / p.BSize / nodes
 	blockBytes := uint64(p.BSize) * 8
 
-	m := newMPIMachine(spec, false, validate)
+	m := newMPIMachine(spec, validate)
 	// Per-rank block regions (global addresses, local bytes).
 	mkArray := func() [][]memspace.Region {
 		all := make([][]memspace.Region, nodes)
 		for r := range all {
 			blocks := make([]memspace.Region, nbPerRank)
 			for i := range blocks {
-				blocks[i] = m.alloc.Alloc(blockBytes, 0)
+				blocks[i] = m.alloc.Alloc(blockBytes)
 			}
 			all[r] = blocks
 		}
@@ -64,7 +61,7 @@ func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, 
 		for _, arr := range [][]memspace.Region{a[node], b[node], c[node]} {
 			for _, blk := range arr {
 				mustMalloc(ctx, blk)
-				ctx.Memcpy(pr, gpusim.H2D, blk, r.Store(), false)
+				ctx.Memcpy(pr, gpusim.H2D, blk, r.Store())
 			}
 		}
 		r.Barrier(pr)
@@ -72,19 +69,19 @@ func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, 
 		for k := 0; k < p.NTimes; k++ {
 			for j := 0; j < nbPerRank; j++ {
 				kern := kernels.StreamCopy{A: a[node][j], C: c[node][j]}
-				ctx.Launch(pr, "copy", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nbPerRank; j++ {
-				kern := kernels.StreamScale{C: c[node][j], B: b[node][j], Scalar: p.Scalar}
-				ctx.Launch(pr, "scale", kern.GPUCost(gpu), kern.Run)
+				kern := kernels.StreamScale{C: c[node][j], B: b[node][j], Scalar: streamScalar}
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nbPerRank; j++ {
 				kern := kernels.StreamAdd{A: a[node][j], B: b[node][j], C: c[node][j]}
-				ctx.Launch(pr, "add", kern.GPUCost(gpu), kern.Run)
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 			for j := 0; j < nbPerRank; j++ {
-				kern := kernels.StreamTriad{B: b[node][j], C: c[node][j], A: a[node][j], Scalar: p.Scalar}
-				ctx.Launch(pr, "triad", kern.GPUCost(gpu), kern.Run)
+				kern := kernels.StreamTriad{B: b[node][j], C: c[node][j], A: a[node][j], Scalar: streamScalar}
+				ctx.Launch(pr, kern.GPUCost(gpu), kern.Run)
 			}
 		}
 		r.Barrier(pr)
@@ -92,7 +89,7 @@ func StreamMPICUDA(spec hw.ClusterSpec, p StreamParams, validate bool) (Result, 
 			compute = sec
 		}
 		for _, blk := range a[node] {
-			ctx.Memcpy(pr, gpusim.D2H, blk, r.Store(), false)
+			ctx.Memcpy(pr, gpusim.D2H, blk, r.Store())
 		}
 		if validate {
 			for _, blk := range a[node] {

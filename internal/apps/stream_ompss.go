@@ -12,9 +12,6 @@ import (
 // through the NTIMES repetitions.
 func StreamOmpSs(cfg ompss.Config, p StreamParams) (Result, error) {
 	p.validate()
-	if p.Scalar == 0 {
-		p.Scalar = 3
-	}
 	nb := p.N / p.BSize
 	blockBytes := uint64(p.BSize) * 8
 	rt := ompss.New(cfg)
@@ -46,7 +43,7 @@ func StreamOmpSs(cfg ompss.Config, p StreamParams) (Result, error) {
 					ompss.Target(ompss.CUDA), ompss.In(a[j]), ompss.Out(c[j]))
 			}
 			for j := 0; j < nb; j++ {
-				ctx.Task(kernels.StreamScale{C: c[j], B: b[j], Scalar: p.Scalar},
+				ctx.Task(kernels.StreamScale{C: c[j], B: b[j], Scalar: streamScalar},
 					ompss.Target(ompss.CUDA), ompss.In(c[j]), ompss.Out(b[j]))
 			}
 			for j := 0; j < nb; j++ {
@@ -54,7 +51,7 @@ func StreamOmpSs(cfg ompss.Config, p StreamParams) (Result, error) {
 					ompss.Target(ompss.CUDA), ompss.In(a[j], b[j]), ompss.Out(c[j]))
 			}
 			for j := 0; j < nb; j++ {
-				ctx.Task(kernels.StreamTriad{B: b[j], C: c[j], A: a[j], Scalar: p.Scalar},
+				ctx.Task(kernels.StreamTriad{B: b[j], C: c[j], A: a[j], Scalar: streamScalar},
 					ompss.Target(ompss.CUDA), ompss.In(b[j], c[j]), ompss.Out(a[j]))
 			}
 		}

@@ -6,7 +6,7 @@ package apps
 // StreamSerialASum runs NTIMES repetitions of copy/scale/add/triad on
 // arrays initialized like the parallel variants (a=1, b=2, c=0) and
 // returns the final sum of a, the validation quantity.
-func StreamSerialASum(n, ntimes int, scalar float64) float64 {
+func StreamSerialASum(n, ntimes int) float64 {
 	a := make([]float64, n)
 	b := make([]float64, n)
 	c := make([]float64, n)
@@ -18,13 +18,13 @@ func StreamSerialASum(n, ntimes int, scalar float64) float64 {
 			c[i] = a[i]
 		}
 		for i := range b {
-			b[i] = scalar * c[i]
+			b[i] = streamScalar * c[i]
 		}
 		for i := range c {
 			c[i] = a[i] + b[i]
 		}
 		for i := range a {
-			a[i] = b[i] + scalar*c[i]
+			a[i] = b[i] + streamScalar*c[i]
 		}
 	}
 	var sum float64

@@ -52,7 +52,7 @@ func ablationGrid(o Options) []ablation {
 		return apps.Result{Metric: float64(len(cfg.Cluster.Nodes)*chains*depth) / st.ElapsedSeconds, MetricName: "tasks/s"}, err
 	}
 	cluster := func(nodes int) ompss.Config {
-		cfg := clusterConfig(o, nodes)
+		cfg := clusterConfig("fig9", o, nodes)
 		cfg.SlaveToSlave = true
 		cfg.Presend = 2
 		return cfg

@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -66,10 +67,10 @@ type Options struct {
 	OnPoint func(PointDone)
 
 	// Scheduler, when non-empty, overrides the scheduler policy of the
-	// cluster experiments (fig9-13, heat), whose grids pin it to
-	// Affinity (fig13 to Dependencies). The multi-GPU figures sweep the
-	// scheduler as part of their grid and ignore this; select a point
-	// with GridPoint instead.
+	// cluster experiments (fig9-13, heat), whose grids otherwise run their
+	// ClusterScheduler. The multi-GPU figures sweep the scheduler as part
+	// of their grid and ignore this; select a point with GridPoint
+	// instead.
 	Scheduler sched.Policy
 
 	// Faults, when non-nil, arms the resilience machinery with this plan
@@ -261,20 +262,35 @@ func runGrid(exp string, o Options, pts []point) ([]Row, error) {
 	return rows, nil
 }
 
-// clusterConfig is the baseline configuration of the GPU-cluster runs,
-// using the best multi-GPU parameters (write-back cache, locality-aware
-// scheduler), as Section IV.B.2 does. Options may override the scheduler
-// and arm a fault plan; zero Options reproduce the paper configuration
-// exactly.
-func clusterConfig(o Options, nodes int) ompss.Config {
+// clusterSchedulers is the scheduler each cluster experiment runs when
+// Options.Scheduler is empty: the best multi-GPU one, locality-aware, as
+// Section IV.B.2 does, but for fig13. N-Body's all-to-all pattern leaves
+// no stable locality, and fig13 runs the runtime's default (dependencies),
+// which distributes the force tasks by demand. It is not the fastest: at
+// full size bf and affinity beat it at 2, 4 and 8 nodes by 1-3 %.
+var clusterSchedulers = map[string]sched.Policy{
+	"fig9": sched.Affinity, "fig10": sched.Affinity, "fig11": sched.Affinity,
+	"fig12": sched.Affinity, "fig13": sched.Dependencies, "heat": sched.Affinity,
+}
+
+// ClusterScheduler reports the scheduler the cluster experiment exp
+// (fig9-13, heat) runs when Options.Scheduler is empty, and false for any
+// other experiment, which sweeps or pins its own and ignores the override.
+func ClusterScheduler(exp string) (sched.Policy, bool) {
+	p, ok := clusterSchedulers[exp]
+	return p, ok
+}
+
+// clusterConfig is the baseline configuration of the GPU-cluster runs of
+// experiment exp, using the best multi-GPU cache policy (write-back) and
+// exp's ClusterScheduler. Options may override the scheduler and arm a
+// fault plan; zero Options reproduce the paper configuration exactly.
+func clusterConfig(exp string, o Options, nodes int) ompss.Config {
 	cfg := ompss.Config{
 		Cluster:          ompss.GPUCluster(nodes),
-		Scheduler:        sched.Affinity,
+		Scheduler:        cmp.Or(o.Scheduler, clusterSchedulers[exp]),
 		CachePolicy:      coherence.WriteBack,
 		NonBlockingCache: true,
-	}
-	if o.Scheduler != "" {
-		cfg.Scheduler = o.Scheduler
 	}
 	if o.Faults != nil {
 		plan := *o.Faults

@@ -34,7 +34,7 @@ func fig9(o Options) ([]Row, error) {
 			}
 			for _, init := range []apps.InitMode{apps.InitSeq, apps.InitSMP, apps.InitGPU} {
 				for _, presend := range []int{0, 1, 2} {
-					cfg := clusterConfig(o, nodes)
+					cfg := clusterConfig("fig9", o, nodes)
 					cfg.SlaveToSlave = stos
 					cfg.Presend = presend
 					pp := p
@@ -53,7 +53,7 @@ func fig9(o Options) ([]Row, error) {
 // bestClusterMatmulConfig is the winning Figure 9 setup used in Figure 10:
 // slave-to-slave transfers, parallel SMP initialization, presend.
 func bestClusterMatmulConfig(o Options, nodes int) ompss.Config {
-	cfg := clusterConfig(o, nodes)
+	cfg := clusterConfig("fig10", o, nodes)
 	cfg.SlaveToSlave = true
 	cfg.Presend = 2
 	return cfg
@@ -90,7 +90,7 @@ func fig11Params(o Options, nodes int) apps.StreamParams {
 		perNodeElems = 4 << 20
 		block = 512 << 10
 	}
-	return apps.StreamParams{N: nodes * perNodeElems, BSize: block, NTimes: 10, Scalar: 3}
+	return apps.StreamParams{N: nodes * perNodeElems, BSize: block, NTimes: 10}
 }
 
 // fig11 reproduces Figure 11: cluster STREAM, OmpSs vs MPI+CUDA.
@@ -98,7 +98,7 @@ func fig11(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := fig11Params(o, nodes)
-		cfg := clusterConfig(o, nodes)
+		cfg := clusterConfig("fig11", o, nodes)
 		cfg.SlaveToSlave = true
 		pts = append(pts, point{
 			config: fmt.Sprintf("%dnode ompss", nodes),
@@ -122,7 +122,7 @@ func fig12(o Options) ([]Row, error) {
 				variant = "noflush"
 			}
 			p := fig7Params(o, flush)
-			cfg := clusterConfig(o, nodes)
+			cfg := clusterConfig("fig12", o, nodes)
 			cfg.SlaveToSlave = true
 			pts = append(pts, point{
 				config: fmt.Sprintf("%dnode %s ompss", nodes, variant),
@@ -150,16 +150,9 @@ func fig13Params(o Options, nodes int) apps.NBodyParams {
 	return p
 }
 
-// fig13Config is the cluster N-Body configuration. The all-to-all pattern
-// leaves no stable locality, and the figure runs the runtime's default
-// (dependencies) scheduler, which distributes the force tasks by demand.
-// It is not the fastest: at full size bf and affinity beat it at 2, 4 and
-// 8 nodes by 1-3 %. Options.Scheduler overrides it.
+// fig13Config is the cluster N-Body configuration.
 func fig13Config(o Options, nodes int) ompss.Config {
-	cfg := clusterConfig(o, nodes)
-	if o.Scheduler == "" {
-		cfg.Scheduler = sched.Dependencies
-	}
+	cfg := clusterConfig("fig13", o, nodes)
 	cfg.SlaveToSlave = true
 	cfg.Presend = 2
 	return cfg

@@ -44,7 +44,7 @@ func fig6Params(o Options, gpus int) apps.StreamParams {
 		perGPUElems = 4 << 20
 		block = 512 << 10
 	}
-	return apps.StreamParams{N: gpus * perGPUElems, BSize: block, NTimes: 10, Scalar: 3}
+	return apps.StreamParams{N: gpus * perGPUElems, BSize: block, NTimes: 10}
 }
 
 // fig6 reproduces Figure 6: STREAM bandwidth on the multi-GPU node.

@@ -26,7 +26,7 @@ func resilienceMatmulParams(o Options) apps.MatmulParams {
 // best fig9 setup plus validation (correctness is the plotted claim) and
 // the fault plan under test.
 func resilientConfig(o Options, nodes int, plan *faults.Plan) ompss.Config {
-	cfg := clusterConfig(o, nodes)
+	cfg := clusterConfig("fig9", o, nodes)
 	cfg.SlaveToSlave = true
 	cfg.Presend = 1
 	cfg.Validate = true

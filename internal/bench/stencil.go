@@ -29,7 +29,7 @@ func heat(o Options) ([]Row, error) {
 	var pts []point
 	for _, nodes := range nodeCounts {
 		p := heatParams(o, nodes)
-		cfg := clusterConfig(o, nodes)
+		cfg := clusterConfig("heat", o, nodes)
 		cfg.SlaveToSlave = true
 		cfg.Validate = true
 		pts = append(pts, point{

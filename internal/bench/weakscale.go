@@ -115,7 +115,7 @@ func weakscaleRun(cfg ompss.Config, chainsPerNode, depth int) (ompss.Stats, erro
 func weakscaleVerify(o Options, nodes, shards int) (float64, string, error) {
 	p := apps.MatmulParams{N: 512, BS: 128, Init: apps.InitGPU}
 	mk := func(shards int) ompss.Config {
-		cfg := clusterConfig(o, nodes)
+		cfg := clusterConfig("fig9", o, nodes)
 		cfg.SlaveToSlave = true
 		cfg.Validate = true
 		cfg.ManagerShards = shards

@@ -158,7 +158,7 @@ func cloneDirData(v dirData) dirData {
 // NewDirectory returns an empty directory. The FragMap gap payload (zero
 // dirData: no holders, version 0) is exactly an unknown fragment.
 func NewDirectory() *Directory {
-	return &Directory{frags: memspace.NewFragMap(cloneDirData, nil)}
+	return &Directory{frags: memspace.NewFragMap(cloneDirData)}
 }
 
 // TrackProducers declares home the durable location and starts logging,

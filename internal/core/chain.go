@@ -246,7 +246,7 @@ func (pl *plan) next() {
 					name = "assemble"
 				}
 				pl.d2h = rt.cfg.Trace.Begin(trace.XferD2H, name, n.id, h.Dev, rt.e.Now())
-				n.devs[h.Dev].CopyAsync(gpusim.D2H, frag, nil, false).WaitFunc(func() { pl.copied(h.Dev) })
+				n.devs[h.Dev].CopyAsync(gpusim.D2H, frag, nil).WaitFunc(func() { pl.copied(h.Dev) })
 				return
 			}
 		}

@@ -257,7 +257,7 @@ func pickSource(holders []memspace.Location, dst int, s2s bool, dead func(int) b
 // III.D.1: slaves wait for requests and submit them to the local
 // scheduler).
 func (n *nodeRT) registerSlaveHandlers() {
-	report := func(cp *sim.Proc, done *task.Task, place int) {
+	report := func(cp *sim.Proc, done *task.Task, _ int) {
 		if n.rt.ft != nil {
 			// A reliable send lasts the ack round-trip (and any retries):
 			// it goes out as events, so the worker can take its next task.

@@ -48,7 +48,7 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 			dmap := dmgr.NewMap(shards, nodes)
 			var inStraddles, outStraddles int
 			for range [2]struct{}{} {
-				arr := alloc.Alloc(uint64(p.N)*cell, 0)
+				arr := alloc.Alloc(uint64(p.N) * cell)
 				for j := 1; j < p.N/p.BSize-1; j++ {
 					out := memspace.Region{Addr: arr.Addr + uint64(j*p.BSize)*cell, Size: uint64(p.BSize) * cell}
 					in := memspace.Region{Addr: out.Addr - cell, Size: out.Size + 2*cell}

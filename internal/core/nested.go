@@ -60,7 +60,7 @@ func (n *nodeRT) runSpawner(p *sim.Proc, t *task.Task) {
 
 	lc := &LocalCtx{n: n, p: p}
 	lc.graph = depgraph.New(func(ready *task.Task) {
-		n.enqueueLocal(ready, func(cp *sim.Proc, ft *task.Task, place int) {
+		n.enqueueLocal(ready, func(_ *sim.Proc, ft *task.Task, _ int) {
 			lc.graph.Finished(ft)
 			if lc.graph.Pending() == 0 {
 				lc.idle.Trigger()

@@ -704,7 +704,7 @@ func (n *nodeRT) fetchToGPU(g int, r memspace.Region, then func(bool)) {
 	// no peer-to-peer; remote data arrives over the wire into the host).
 	n.fetchToHost(r, true, func(bool) {
 		xfer := n.rt.cfg.Trace.Begin(trace.XferH2D, "fetch", n.id, g, n.rt.e.Now())
-		n.devs[g].CopyAsync(gpusim.H2D, r, nil, false).WaitFunc(func() {
+		n.devs[g].CopyAsync(gpusim.H2D, r, nil).WaitFunc(func() {
 			xfer.EndRegion(n.rt.e.Now(), r.Addr, r.Size)
 			if dev := n.devs[g].Store(); dev != nil {
 				// Coalesced: adjacent pieces land as one extent, not several
@@ -767,7 +767,7 @@ func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 		g := gpus[i]
 		// The partial leaves by the D2H every GPU→host copy takes, timed
 		// with no host store: the fold reads it in place on the device.
-		n.devs[g].CopyAsync(gpusim.D2H, r, nil, false).WaitFunc(func() {
+		n.devs[g].CopyAsync(gpusim.D2H, r, nil).WaitFunc(func() {
 			// Host-side fold cost.
 			n.rt.e.After(time.Duration(float64(r.Size)/n.spec.HostMemBandwidth*1e9), func() {
 				// Both buffers are fetched at the fold, an op on both stores:

@@ -304,7 +304,7 @@ func (mc *MainCtx) Now() sim.Time { return mc.p.Now() }
 
 // Alloc reserves a program region (logical memory, lazily backed).
 func (mc *MainCtx) Alloc(size uint64) memspace.Region {
-	return mc.rt.alloc.Alloc(size, 0)
+	return mc.rt.alloc.Alloc(size)
 }
 
 // HostBytes exposes the master-host backing bytes of r (nil unless

@@ -33,7 +33,7 @@ func TestCrashMidStagingOfRegionAcrossOwnershipEdge(t *testing.T) {
 	dmap := dmgr.NewMap(shards, nodes)
 	twoOwners := map[uint64]bool{}
 	for i := 0; i < regions; i++ {
-		if r := alloc.Alloc(1<<18, 0); len(dmap.SpansInto(r, nil)) > 1 {
+		if r := alloc.Alloc(1 << 18); len(dmap.SpansInto(r, nil)) > 1 {
 			twoOwners[r.Addr] = true
 		}
 	}

@@ -55,12 +55,12 @@ func (c *Context) Free(r memspace.Region) {
 }
 
 // Memcpy performs a blocking transfer (cudaMemcpy): the calling process
-// waits for completion. pinned marks the host buffer page-locked.
-func (c *Context) Memcpy(p *sim.Proc, dir gpusim.Dir, r memspace.Region, host *memspace.Store, pinned bool) {
-	c.dev.Copy(p, dir, r, host, pinned)
+// waits for completion.
+func (c *Context) Memcpy(p *sim.Proc, dir gpusim.Dir, r memspace.Region, host *memspace.Store) {
+	c.dev.Copy(p, dir, r, host)
 }
 
 // Launch runs a kernel synchronously (launch + cudaDeviceSynchronize).
-func (c *Context) Launch(p *sim.Proc, name string, cost time.Duration, body func(dev *memspace.Store)) {
+func (c *Context) Launch(p *sim.Proc, cost time.Duration, body func(dev *memspace.Store)) {
 	c.dev.Launch(p, cost, body)
 }

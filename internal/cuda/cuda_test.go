@@ -55,14 +55,14 @@ func TestBlockingMemcpyMovesBytes(t *testing.T) {
 	r := memspace.Region{Addr: 0x5000, Size: 3}
 	copy(host.Bytes(r), []byte{1, 2, 3})
 	e.Go("main", func(p *sim.Proc) {
-		ctx.Memcpy(p, gpusim.H2D, r, host, false)
-		ctx.Launch(p, "incr", time.Microsecond, func(dev *memspace.Store) {
+		ctx.Memcpy(p, gpusim.H2D, r, host)
+		ctx.Launch(p, time.Microsecond, func(dev *memspace.Store) {
 			b := dev.Bytes(r)
 			for i := range b {
 				b[i]++
 			}
 		})
-		ctx.Memcpy(p, gpusim.D2H, r, host, false)
+		ctx.Memcpy(p, gpusim.D2H, r, host)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestFreeDropsDeviceBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Go("main", func(p *sim.Proc) {
-		ctx.Memcpy(p, gpusim.H2D, r, host, true)
+		ctx.Memcpy(p, gpusim.H2D, r, host)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

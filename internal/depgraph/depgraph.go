@@ -90,7 +90,7 @@ type Graph struct {
 func New(onReady func(*task.Task)) *Graph {
 	return &Graph{
 		onReady: onReady,
-		frags:   memspace.NewFragMap(cloneFragData, nil),
+		frags:   memspace.NewFragMap(cloneFragData),
 	}
 }
 

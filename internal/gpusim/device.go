@@ -5,9 +5,10 @@
 //
 // The timing model is a roofline: a kernel occupies the compute engine for
 // launchOverhead + max(flops/effectiveFlops, bytes/memBandwidth); a transfer
-// occupies its DMA engine for pcieLatency + size/pcieBandwidth, plus an
-// optional staging memcpy when the source is not page-locked (the paper's
-// intermediate cudaMallocHost buffer).
+// occupies its DMA engine for pcieLatency + size/pcieBandwidth. Under
+// overlap a transfer also pays a staging memcpy through an intermediate
+// page-locked buffer (the paper's cudaMallocHost buffer), since host memory
+// is pageable.
 package gpusim
 
 import (
@@ -73,10 +74,10 @@ type Device struct {
 func New(e *sim.Engine, spec hw.GPUSpec, loc memspace.Location, overlap, validate bool) *Device {
 	d := &Device{e: e, spec: spec, loc: loc, overlap: overlap}
 	if overlap {
-		d.compute = sim.NewResource(e, loc.String()+":compute", 1)
-		d.dma = [2]*sim.Resource{sim.NewResource(e, loc.String()+":h2d", 1), sim.NewResource(e, loc.String()+":d2h", 1)}
+		d.compute = sim.NewResource(e, loc.String()+":compute")
+		d.dma = [2]*sim.Resource{sim.NewResource(e, loc.String()+":h2d"), sim.NewResource(e, loc.String()+":d2h")}
 	} else {
-		d.compute = sim.NewResource(e, loc.String()+":queue", 1)
+		d.compute = sim.NewResource(e, loc.String()+":queue")
 		d.dma = [2]*sim.Resource{d.compute, d.compute}
 	}
 	if validate {
@@ -168,10 +169,9 @@ func (d *Device) Launch(p *sim.Proc, cost time.Duration, body func(devStore *mem
 }
 
 // CopyAsync starts a transfer of region r between the host store and the
-// device store. pinned indicates the host side is page-locked (no staging
-// copy needed). The returned Event triggers at completion; the byte copy
+// device store. The returned Event triggers at completion; the byte copy
 // between stores is posted at completion time (memspace.CopyRegion).
-func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store, pinned bool) *sim.Event {
+func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store) *sim.Event {
 	done := sim.NewEvent(d.e)
 	cost := TransferCost(d.spec, r.Size)
 	dma := func() {
@@ -191,7 +191,7 @@ func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store
 		})
 	}
 	start := dma
-	if !pinned && d.overlap {
+	if d.overlap {
 		// Stage user memory into an intermediate page-locked buffer before
 		// the DMA can start (H2D), or out of it after (D2H). The memcpy burns
 		// host time either way; model it serially on this transfer.
@@ -202,8 +202,8 @@ func (d *Device) CopyAsync(dir Dir, r memspace.Region, hostStore *memspace.Store
 }
 
 // Copy performs a synchronous transfer from process p.
-func (d *Device) Copy(p *sim.Proc, dir Dir, r memspace.Region, hostStore *memspace.Store, pinned bool) {
-	d.CopyAsync(dir, r, hostStore, pinned).Wait(p)
+func (d *Device) Copy(p *sim.Proc, dir Dir, r memspace.Region, hostStore *memspace.Store) {
+	d.CopyAsync(dir, r, hostStore).Wait(p)
 }
 
 // Stats returns a snapshot of the device counters.

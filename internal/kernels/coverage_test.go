@@ -13,19 +13,18 @@ import (
 // All kernels must satisfy task.Work and behave sanely on both device
 // classes and in cost-only mode (nil store).
 func allKernels(al *memspace.Allocator) []task.Work {
-	tile := al.Alloc(64*64*4, 0)
-	tile2 := al.Alloc(64*64*4, 0)
-	tile3 := al.Alloc(64*64*4, 0)
-	blk := al.Alloc(256*8, 0)
-	blk2 := al.Alloc(256*8, 0)
-	blk3 := al.Alloc(256*8, 0)
-	pos := al.Alloc(32*16, 0)
-	vel := al.Alloc(16*16, 0)
-	out := al.Alloc(16*16, 0)
-	img := al.Alloc(64*8*4, 0)
+	tile := al.Alloc(64 * 64 * 4)
+	tile2 := al.Alloc(64 * 64 * 4)
+	tile3 := al.Alloc(64 * 64 * 4)
+	blk := al.Alloc(256 * 8)
+	blk2 := al.Alloc(256 * 8)
+	blk3 := al.Alloc(256 * 8)
+	pos := al.Alloc(32 * 16)
+	vel := al.Alloc(16 * 16)
+	out := al.Alloc(16 * 16)
+	img := al.Alloc(64 * 8 * 4)
 	return []task.Work{
 		Sgemm{A: tile, B: tile2, C: tile3, BS: 64},
-		fillTile{R: tile, Seed: 7},
 		FillChunk{Tiles: []memspace.Region{tile, tile2}, Seeds: []uint32{1, ZeroSeed}},
 		StreamCopy{A: blk, C: blk2},
 		StreamScale{C: blk2, B: blk3, Scalar: 2},
@@ -84,8 +83,8 @@ func TestAllKernelsRunAgainstBackingStore(t *testing.T) {
 func TestFillChunkSkipsZeroSeed(t *testing.T) {
 	al := memspace.NewAllocator()
 	s := memspace.NewStore(memspace.Host(0))
-	a := al.Alloc(256, 0)
-	b := al.Alloc(256, 0)
+	a := al.Alloc(256)
+	b := al.Alloc(256)
 	s.Bytes(b)[7] = 0xFF // a ZeroSeed tile is written, not left as found
 	FillChunk{Tiles: []memspace.Region{a, b}, Seeds: []uint32{3, ZeroSeed}}.Run(s)
 	if f32(s.Bytes(a))[0] == 0 {
@@ -101,7 +100,7 @@ func TestFillChunkSkipsZeroSeed(t *testing.T) {
 func TestStreamInitValues(t *testing.T) {
 	al := memspace.NewAllocator()
 	s := memspace.NewStore(memspace.Host(0))
-	a, b, c := al.Alloc(64, 0), al.Alloc(64, 0), al.Alloc(64, 0)
+	a, b, c := al.Alloc(64), al.Alloc(64), al.Alloc(64)
 	StreamInit{A: a, B: b, C: c}.Run(s)
 	if f64(s.Bytes(a))[0] != 1 || f64(s.Bytes(b))[0] != 2 || f64(s.Bytes(c))[0] != 0 {
 		t.Fatalf("init = %v %v %v", f64(s.Bytes(a))[0], f64(s.Bytes(b))[0], f64(s.Bytes(c))[0])
@@ -113,9 +112,9 @@ func TestNBodyForcesMatchesNBodyStep(t *testing.T) {
 	al := memspace.NewAllocator()
 	init := func() (*memspace.Store, memspace.Region, memspace.Region, memspace.Region) {
 		s := memspace.NewStore(memspace.Host(0))
-		pos := al.Alloc(n*16, 0)
-		vel := al.Alloc(n*16, 0)
-		out := al.Alloc(n*16, 0)
+		pos := al.Alloc(n * 16)
+		vel := al.Alloc(n * 16)
+		out := al.Alloc(n * 16)
 		pv := f32(s.Bytes(pos))
 		for i := 0; i < n; i++ {
 			pv[4*i] = float32(i%5) - 2
@@ -136,7 +135,7 @@ func TestNBodyForcesMatchesNBodyStep(t *testing.T) {
 	_ = src
 	per := n / blocks
 	for b := 0; b < blocks; b++ {
-		r := al.Alloc(uint64(per)*16, 0)
+		r := al.Alloc(uint64(per) * 16)
 		prev = append(prev, r)
 		pv := f32(s2.Bytes(r))
 		for i := 0; i < per; i++ {
@@ -147,8 +146,8 @@ func TestNBodyForcesMatchesNBodyStep(t *testing.T) {
 		}
 	}
 	for b := 0; b < blocks; b++ {
-		vel := al.Alloc(uint64(per)*16, 0)
-		out := al.Alloc(uint64(per)*16, 0)
+		vel := al.Alloc(uint64(per) * 16)
+		out := al.Alloc(uint64(per) * 16)
 		NBodyForces{PrevBlocks: prev, Vel: vel, Out: out, N: n,
 			Block0: b * per, BlockN: per, DT: 0.01, Soften2: 0.1}.Run(s2)
 		// Compare this block's output with the monolithic slice.
@@ -172,8 +171,8 @@ func TestNBodyInitMatchesGlobalSequence(t *testing.T) {
 		}
 		return v
 	}
-	pos := al.Alloc(8*16, 0)
-	vel := al.Alloc(8*16, 0)
+	pos := al.Alloc(8 * 16)
+	vel := al.Alloc(8 * 16)
 	NBodyInit{Pos: pos, Vel: vel, Block0: 4, InitPos: seq}.Run(s)
 	pv := f32(s.Bytes(pos))
 	if pv[0] != 16 || pv[31] != 47 {
@@ -198,7 +197,7 @@ func TestPerlinCostScalesWithPixels(t *testing.T) {
 
 func TestGatherPosCost(t *testing.T) {
 	al := memspace.NewAllocator()
-	all := al.Alloc(1<<20, 0)
+	all := al.Alloc(1 << 20)
 	k := GatherPos{AllPos: all}
 	if k.GPUCost(hw.GTX480()) <= 0 || k.CPUCost(hw.ClusterNode()) <= 0 {
 		t.Fatal("gather costs must be positive")

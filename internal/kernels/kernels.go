@@ -83,33 +83,10 @@ func sgemmGo(a, b, c []float32, n int) {
 	}
 }
 
-// fillTile initializes a tile with a deterministic pattern; the body of the
-// parallel (smp/gpu) initialization tasks of the cluster Matmul experiment.
-type fillTile struct {
-	R    memspace.Region
-	Seed uint32
-}
-
-// Name implements task.Work.
-func (k fillTile) Name() string { return "fill" }
-
-// GPUCost implements task.Work (pure write bandwidth).
-func (k fillTile) GPUCost(spec hw.GPUSpec) time.Duration {
-	return gpusim.KernelCost(spec, 0, float64(k.R.Size))
-}
-
-// CPUCost implements task.Work.
-func (k fillTile) CPUCost(spec hw.NodeSpec) time.Duration {
-	return cpuCost(spec, 0, float64(k.R.Size))
-}
-
-// Run implements task.Work with a small LCG so contents are deterministic.
-func (k fillTile) Run(store *memspace.Store) {
-	if store == nil {
-		return
-	}
-	v := f32(store.Bytes(k.R))
-	s := k.Seed*2654435761 + 12345
+// fillTile fills a tile with a deterministic pattern for seed, from a
+// small LCG.
+func fillTile(v []float32, seed uint32) {
+	s := seed*2654435761 + 12345
 	for i := range v {
 		s = s*1664525 + 1013904223
 		v[i] = float32(s%1000) / 1000
@@ -470,14 +447,11 @@ type NBodyForces struct {
 	PrevBlocks []memspace.Region
 	Vel        memspace.Region // this block's velocities (inout)
 	Out        memspace.Region // this block's next positions (output)
-	// Scratch, when valid, is the kernel's device working buffer (a
-	// copy_out clause, never read back); the body zeroes it.
-	Scratch memspace.Region
-	N       int
-	Block0  int
-	BlockN  int
-	DT      float32
-	Soften2 float32
+	N          int
+	Block0     int
+	BlockN     int
+	DT         float32
+	Soften2    float32
 }
 
 // Name implements task.Work.
@@ -525,7 +499,6 @@ func (k NBodyForces) Run(store *memspace.Store) {
 	}
 	vel := f32(store.Bytes(k.Vel))
 	out := f32(store.Bytes(k.Out))
-	clear(store.Bytes(k.Scratch))
 	for bi := 0; bi < k.BlockN; bi++ {
 		me := at(k.Block0 + bi)
 		px, py, pz := me[0], me[1], me[2]
@@ -629,7 +602,7 @@ func (k FillChunk) Run(store *memspace.Store) {
 			clear(store.Bytes(t))
 			continue
 		}
-		fillTile{R: t, Seed: k.Seeds[i]}.Run(store)
+		fillTile(f32(store.Bytes(t)), k.Seeds[i])
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func store() *memspace.Store { return memspace.NewStore(memspace.Host(0)) }
 
 func region(alloc *memspace.Allocator, size uint64) memspace.Region {
-	return alloc.Alloc(size, 0)
+	return alloc.Alloc(size)
 }
 
 // Special values of the exactness table. NaNs are quiet or signalling,
@@ -305,8 +305,8 @@ func BenchmarkSgemm(b *testing.B) {
 	al := memspace.NewAllocator()
 	s := store()
 	k := Sgemm{A: region(al, n*n*4), B: region(al, n*n*4), C: region(al, n*n*4), BS: n}
-	fillTile{R: k.A, Seed: 1}.Run(s)
-	fillTile{R: k.B, Seed: 2}.Run(s)
+	fillTile(f32(s.Bytes(k.A)), 1)
+	fillTile(f32(s.Bytes(k.B)), 2)
 	b.Run("Run", func(b *testing.B) {
 		for range b.N {
 			k.Run(s)

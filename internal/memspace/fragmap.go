@@ -51,9 +51,6 @@ type FragMap[V any] struct {
 	// clone copies a payload when a fragment splits. Nil means a shallow
 	// copy of V is sufficient.
 	clone func(V) V
-	// fresh builds the payload of a gap fragment created by Cover. Nil
-	// means the zero value.
-	fresh func() V
 
 	shards []fragShard[V]
 	// ends[i] is shards[i]'s last key: the top-level search table.
@@ -92,9 +89,9 @@ type fragShard[V any] struct {
 const shardMax = 256
 
 // NewFragMap returns an empty index. clone copies payloads across splits
-// (nil: shallow copy); fresh builds gap-fragment payloads (nil: zero V).
-func NewFragMap[V any](clone func(V) V, fresh func() V) *FragMap[V] {
-	return &FragMap[V]{clone: clone, fresh: fresh}
+// (nil: shallow copy); a gap fragment's payload is the zero V.
+func NewFragMap[V any](clone func(V) V) *FragMap[V] {
+	return &FragMap[V]{clone: clone}
 }
 
 // firstAfter returns the first index whose key exceeds addr, len(keys) if
@@ -267,7 +264,7 @@ func (m *FragMap[V]) insert(si, fi int, f *Frag[V]) bool {
 }
 
 // Cover returns the fragments exactly tiling r in address order, splitting
-// existing fragments at r's bounds and creating fresh-payload fragments
+// existing fragments at r's bounds and creating zero-payload fragments
 // for uncovered gaps. A region that never partially overlaps another maps
 // to a single fragment equal to itself.
 func (m *FragMap[V]) Cover(r Region) []*Frag[V] {
@@ -327,9 +324,6 @@ func (m *FragMap[V]) tile(r Region, out []*Frag[V], fill bool) []*Frag[V] {
 				continue
 			}
 			nf = m.newFrag(Region{Addr: pos, Size: gapEnd - pos})
-			if m.fresh != nil {
-				nf.V = m.fresh()
-			}
 			out = append(out, nf)
 			pos = gapEnd
 		case f.R.Addr < pos: // f straddles r.Addr; its left half is outside r

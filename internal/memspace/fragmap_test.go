@@ -100,7 +100,7 @@ func checkAgainstRef(t *testing.T, m *FragMap[int], ref *flatRef) {
 func TestFragMapMatchesFlatReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		m := NewFragMap[int](nil, nil)
+		m := NewFragMap[int](nil)
 		ref := &flatRef{}
 		next := 1
 		for op := 0; op < 400; op++ {
@@ -156,7 +156,7 @@ func TestFragMapMatchesFlatReference(t *testing.T) {
 // TestFragMapShardGrowth builds fragments in a strided (non-monotonic)
 // order and checks the index stays sorted, disjoint and bounded per shard.
 func TestFragMapShardGrowth(t *testing.T) {
-	m := NewFragMap[int](nil, nil)
+	m := NewFragMap[int](nil)
 	const n = 20000
 	step := 7919 // coprime with n
 	for k := 0; k < n; k++ {
@@ -189,17 +189,15 @@ func TestFragMapShardGrowth(t *testing.T) {
 	}
 }
 
-// TestFragMapCloneAndFresh checks split payload cloning and gap payloads.
+// TestFragMapCloneAndFresh checks split payload cloning, and that a gap
+// fragment is born with the zero payload.
 func TestFragMapCloneAndFresh(t *testing.T) {
 	type payload struct{ marks []int }
-	clones, gaps := 0, 0
-	m := NewFragMap(
-		func(v payload) payload { clones++; return payload{marks: append([]int(nil), v.marks...)} },
-		func() payload { gaps++; return payload{marks: []int{-1}} },
-	)
+	clones := 0
+	m := NewFragMap(func(v payload) payload { clones++; return payload{marks: append([]int(nil), v.marks...)} })
 	whole := m.Cover(Region{Addr: 100, Size: 100})
-	if len(whole) != 1 || gaps != 1 {
-		t.Fatalf("initial cover: %d frags, %d gap payloads", len(whole), gaps)
+	if len(whole) != 1 || whole[0].V.marks != nil {
+		t.Fatalf("initial cover: %d frags, want one with the zero payload", len(whole))
 	}
 	whole[0].V.marks = append(whole[0].V.marks, 7)
 	m.SplitAt(150)
@@ -216,7 +214,7 @@ func TestFragMapCloneAndFresh(t *testing.T) {
 	}
 	// The clone is independent: mutating one side must not leak.
 	left.V.marks = append(left.V.marks, 8)
-	if len(right.V.marks) != 2 || right.V.marks[1] != 7 {
+	if len(right.V.marks) != 1 || right.V.marks[0] != 7 {
 		t.Fatalf("right payload corrupted: %v", right.V.marks)
 	}
 	// Splitting on a boundary or outside is a no-op.
@@ -227,13 +225,17 @@ func TestFragMapCloneAndFresh(t *testing.T) {
 	if m.n != 2 || clones != 1 {
 		t.Fatalf("boundary splits mutated the map: len %d clones %d", m.n, clones)
 	}
+	// A cover past the last fragment fills the gap with a zero payload.
+	if gap := m.Cover(Region{Addr: 200, Size: 20}); len(gap) != 1 || gap[0].V.marks != nil || clones != 1 {
+		t.Fatalf("gap cover: %d frags, clones %d; want one with the zero payload, and no clone", len(gap), clones)
+	}
 }
 
 // stridedMap builds the paper's exact-match shape at stress size: n
 // disjoint 64-byte fragments stride bytes apart, covered in a strided,
 // non-monotonic order. Fragment i holds payload i+1.
 func stridedMap(tb testing.TB, n int, stride uint64) *FragMap[int] {
-	m := NewFragMap[int](nil, nil)
+	m := NewFragMap[int](nil)
 	for k := 0; k < n; k++ {
 		i := (k * 7919) % n // 7919 is coprime with the sizes used
 		m.Cover(Region{Addr: uint64(i) * stride, Size: 64})[0].V = i + 1
@@ -298,7 +300,7 @@ func regionsOf(frags []*Frag[int]) []Region {
 // cover splits it; from then on the slot's fragment no longer spans r and
 // every query of r must walk to the pieces, in order.
 func TestFragMapStaleSlot(t *testing.T) {
-	m := NewFragMap[int](nil, nil)
+	m := NewFragMap[int](nil)
 	r := Region{Addr: 0x1000, Size: 64}
 	m.Cover(r)[0].V = 1
 	if got := m.Overlapping(r); len(got) != 1 || got[0].R != r || m.searches != 1 {
@@ -325,7 +327,7 @@ func TestFragMapStaleSlot(t *testing.T) {
 // share a slot. The slot answers only the region its fragment spans, so
 // the other one's queries walk, and a cover of it splits what it must.
 func TestFragMapSlotCollision(t *testing.T) {
-	m := NewFragMap[int](nil, nil)
+	m := NewFragMap[int](nil)
 	short, long := Region{Addr: 0x2000, Size: 32}, Region{Addr: 0x2000, Size: 48}
 	m.Cover(short)[0].V = 1
 	m.Cover(Region{Addr: 0x2020, Size: 32})[0].V = 2

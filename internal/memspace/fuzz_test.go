@@ -15,7 +15,7 @@ func FuzzFragMap(f *testing.F) {
 		if len(data) > 4*1024 {
 			data = data[:4*1024] // the checks after each op are linear in the ops so far
 		}
-		m := NewFragMap[int](nil, nil)
+		m := NewFragMap[int](nil)
 		ref := &flatRef{}
 		returned := map[*Frag[int]]uint64{} // every fragment handed out, with its End
 		for next := 1; len(data) >= 4; data, next = data[4:], next+1 {

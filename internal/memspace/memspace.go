@@ -147,18 +147,12 @@ type Allocator struct {
 // address 0 can mean "no region".
 func NewAllocator() *Allocator { return &Allocator{next: 1 << 12} }
 
-// Alloc reserves size bytes aligned to align (power of two; 0 means 64).
-func (a *Allocator) Alloc(size uint64, align uint64) Region {
+// Alloc reserves size bytes aligned to 64.
+func (a *Allocator) Alloc(size uint64) Region {
 	if size == 0 {
 		panic("memspace: zero-size allocation")
 	}
-	if align == 0 {
-		align = 64
-	}
-	if align&(align-1) != 0 {
-		panic("memspace: alignment must be a power of two")
-	}
-	addr := (a.next + align - 1) &^ (align - 1)
+	addr := (a.next + 63) &^ 63
 	a.next = addr + size
 	return Region{Addr: addr, Size: size}
 }

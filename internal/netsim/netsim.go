@@ -99,8 +99,8 @@ func New(e *sim.Engine, spec hw.NetSpec, n int) *Fabric {
 	for i := 0; i < n; i++ {
 		f.ifaces = append(f.ifaces, &Iface{
 			node:  i,
-			tx:    sim.NewResource(e, fmt.Sprintf("node%d:tx", i), 1),
-			rx:    sim.NewResource(e, fmt.Sprintf("node%d:rx", i), 1),
+			tx:    sim.NewResource(e, fmt.Sprintf("node%d:tx", i)),
+			rx:    sim.NewResource(e, fmt.Sprintf("node%d:rx", i)),
 			inbox: sim.NewQueue[Message](e),
 		})
 	}

@@ -38,7 +38,7 @@ import (
 // canonical encoding below, the result artifact layout, or the meaning of
 // any request field changes — old cached bytes must never be served for a
 // request a newer binary would compute differently.
-const KeyVersion = "3"
+const KeyVersion = "4"
 
 // Request is one experiment request as accepted by POST /v1/experiments.
 // The zero value of every optional field means "paper default", and the
@@ -78,13 +78,6 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// clusterExperiments are the experiments built on clusterConfig, the only
-// ones whose scheduler and fault plan a request may override.
-var clusterExperiments = map[string]bool{
-	"fig9": true, "fig10": true, "fig11": true, "fig12": true,
-	"fig13": true, "heat": true,
-}
-
 // parseRequest decodes and validates one request body. Unknown fields and
 // data after the object are errors: a typo'd knob or a dropped second
 // object must not hash to another request's key and return its result.
@@ -115,7 +108,8 @@ func (r Request) validate() error {
 	if _, ok := bench.ByName(r.Experiment); !ok {
 		return fmt.Errorf("unknown experiment %q", r.Experiment)
 	}
-	cluster := clusterExperiments[r.Experiment]
+	// Only the cluster experiments take a scheduler or a fault plan.
+	_, cluster := bench.ClusterScheduler(r.Experiment)
 	switch r.Scheduler {
 	case "", "bf", "default", "dependencies", "affinity", "heft":
 	default:
@@ -155,8 +149,9 @@ func (r Request) validate() error {
 }
 
 // canonical renders the request as sorted key=value lines, omitting
-// zero-valued fields and normalizing scheduler aliases. This — not the
-// client's JSON — is what gets hashed, so field order, whitespace and
+// zero-valued fields and a scheduler equal to the experiment's own
+// (bench.ClusterScheduler), and normalizing scheduler aliases. This — not
+// the client's JSON — is what gets hashed, so field order, whitespace and
 // explicit defaults never split the cache.
 func (r Request) canonical() []byte {
 	var b bytes.Buffer
@@ -199,7 +194,8 @@ func (r Request) canonical() []byte {
 	if r.Quick {
 		kv("quick", "1")
 	}
-	if s := canonSched(r.Scheduler); s != "" {
+	own, _ := bench.ClusterScheduler(r.Experiment)
+	if s := canonSched(r.Scheduler); s != "" && s != string(own) {
 		kv("scheduler", s)
 	}
 	if r.Seed != 0 {

@@ -33,13 +33,31 @@ func TestHashFieldOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestHashExplicitDefaultsMatchOmitted: writing the zero value explicitly
-// means the same run as omitting the field, so it must hash identically.
+// TestHashExplicitDefaultsMatchOmitted: writing the zero value explicitly,
+// or naming the scheduler a cluster experiment runs anyway, means the same
+// run as omitting the field, so it must hash identically. A scheduler the
+// experiment does not run by default must not.
 func TestHashExplicitDefaultsMatchOmitted(t *testing.T) {
-	a := parse(t, `{"experiment":"heat"}`)
-	b := parse(t, `{"experiment":"heat","quick":false,"trace":false,"seed":0,"grid_point":"","scheduler":""}`)
-	if a.hash() != b.hash() {
-		t.Fatalf("explicit defaults changed the hash")
+	same := [][2]string{
+		{`{"experiment":"heat"}`, `{"experiment":"heat","quick":false,"trace":false,"seed":0,"grid_point":"","scheduler":""}`},
+		{`{"experiment":"fig13"}`, `{"experiment":"fig13","scheduler":"dependencies"}`},
+		{`{"experiment":"fig13"}`, `{"experiment":"fig13","scheduler":"default"}`},
+	}
+	for _, exp := range []string{"fig9", "fig10", "fig11", "fig12", "heat"} {
+		same = append(same, [2]string{`{"experiment":"` + exp + `"}`, `{"experiment":"` + exp + `","scheduler":"affinity"}`})
+	}
+	for _, pair := range same {
+		if parse(t, pair[0]).hash() != parse(t, pair[1]).hash() {
+			t.Errorf("%s and %s hash apart", pair[0], pair[1])
+		}
+	}
+	for _, pair := range [][2]string{
+		{`{"experiment":"fig13"}`, `{"experiment":"fig13","scheduler":"affinity"}`},
+		{`{"experiment":"heat"}`, `{"experiment":"heat","scheduler":"dependencies"}`},
+	} {
+		if parse(t, pair[0]).hash() == parse(t, pair[1]).hash() {
+			t.Errorf("%s and %s hash equal", pair[0], pair[1])
+		}
 	}
 }
 
@@ -73,7 +91,9 @@ func TestHashDistinguishesRuns(t *testing.T) {
 		`{"experiment":"heat"}`,
 		`{"experiment":"heat","quick":true}`,
 		`{"experiment":"heat","scheduler":"bf"}`,
-		`{"experiment":"heat","scheduler":"affinity"}`,
+		`{"experiment":"heat","scheduler":"dependencies"}`,
+		`{"experiment":"fig13","scheduler":"affinity"}`,
+		`{"experiment":"fig13"}`,
 		`{"experiment":"heat","grid_point":"2node ompss"}`,
 		`{"experiment":"heat","seed":1}`,
 		`{"experiment":"heat","seed":2}`,

@@ -532,19 +532,19 @@ func (s *Server) stats() cacheStats {
 	return st
 }
 
-func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.stats())
 }
 
 // handleMetricsText is GET /metricsz: the same snapshot rendered through
 // the internal/metrics registry in its canonical text format.
-func (s *Server) handleMetricsText(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetricsText(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	registry(s.stats()).WriteText(w)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.tab.gauges().Draining {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return

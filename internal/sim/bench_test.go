@@ -174,11 +174,11 @@ func BenchmarkEngineQueuePutGet(b *testing.B) {
 }
 
 // BenchmarkEngineResourceUse measures contended AcquireFunc/Release
-// handoff: two chains sharing a capacity-1 resource for b.N timed uses, each
+// handoff: two chains sharing one resource for b.N timed uses, each
 // use a grant, a hold of 1us and a release, with callbacks bound once.
 func BenchmarkEngineResourceUse(b *testing.B) {
 	e := NewEngine()
-	r := NewResource(e, "res", 1)
+	r := NewResource(e, "res")
 	for g := 0; g < 2; g++ {
 		left := b.N / 2
 		var grant, release func()

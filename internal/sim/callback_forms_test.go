@@ -140,7 +140,7 @@ func TestGetFuncAllocs(t *testing.T) {
 // finds the capacity the last one left. The steady state allocates nothing.
 func TestContendedHandOffAllocs(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "res", 1)
+	r := NewResource(e, "res")
 	grants := 0
 	grant := func() { grants++ }
 	var allocs float64
@@ -205,7 +205,7 @@ func (w parkedOn) String() string { return fmt.Sprintf("link %d->%d", w.from, w.
 func TestDeadlockReportNamesWhatAProcessParkedOn(t *testing.T) {
 	e := NewEngine()
 	e.Go("stuck", func(p *Proc) { p.Await(parkedOn{3, 5}, func(func(bool)) {}) })
-	r := NewResource(e, "dma", 1)
+	r := NewResource(e, "dma")
 	r.AcquireFunc(func() {})
 	e.Go("queued", func(p *Proc) { acquire(p, r) })
 	var dl *DeadlockError

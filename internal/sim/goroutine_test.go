@@ -143,7 +143,7 @@ func TestPanicInBareCallback(t *testing.T) {
 			})
 		},
 		"granted by Release": func(e *Engine) {
-			r := NewResource(e, "engine", 1)
+			r := NewResource(e, "engine")
 			e.Go("holder", func(p *Proc) {
 				acquire(p, r)
 				r.AcquireFunc(func() { panic("kaboom") })
@@ -449,13 +449,13 @@ func TestSignalAllocs(t *testing.T) {
 }
 
 // Property: on one Resource, processes that await AcquireFunc and chains of
-// callbacks around it are granted in request order (observable as such at
-// capacity 1, where a unit only ever passes to the oldest waiter), and
-// every grant and completion is dispatched in the (at, seq) slot the
-// all-callback version gives it: a process resumes in its grant's slot. The
-// logs, which carry the engine's next sequence number at every step, are
-// equal. Times are drawn from a tiny range so that equal-time ties — where
-// only seq decides — are the common case.
+// callbacks around it are granted in request order (the resource only ever
+// passes to the oldest waiter), and every grant and completion is
+// dispatched in the (at, seq) slot the all-callback version gives it: a
+// process resumes in its grant's slot. The logs, which carry the engine's
+// next sequence number at every step, are equal. Times are drawn from a
+// tiny range so that equal-time ties — where only seq decides — are the
+// common case.
 func TestQuickAcquireFuncOrdersLikeAChain(t *testing.T) {
 	type user struct {
 		arrive, hold Duration
@@ -467,9 +467,9 @@ func TestQuickAcquireFuncOrdersLikeAChain(t *testing.T) {
 		at   Time
 		seq  uint64
 	}
-	run := func(users []user, capacity int, allCallbacks bool) (log []entry, requests, grants []int) {
+	run := func(users []user, allCallbacks bool) (log []entry, requests, grants []int) {
 		e := NewEngine()
-		r := NewResource(e, "res", capacity)
+		r := NewResource(e, "res")
 		note := func(what string, i int) {
 			log = append(log, entry{what, i, e.Now(), e.seq})
 		}
@@ -529,11 +529,9 @@ func TestQuickAcquireFuncOrdersLikeAChain(t *testing.T) {
 				callback: rng.Intn(2) == 0,
 			}
 		}
-		capacity := 1 + rng.Intn(2)
-		mixed, requests, grants := run(users, capacity, false)
-		chains, _, _ := run(users, capacity, true)
-		fifo := capacity > 1 || reflect.DeepEqual(requests, grants)
-		return fifo && reflect.DeepEqual(mixed, chains)
+		mixed, requests, grants := run(users, false)
+		chains, _, _ := run(users, true)
+		return reflect.DeepEqual(requests, grants) && reflect.DeepEqual(mixed, chains)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -8,35 +8,35 @@ import (
 	"time"
 )
 
-// Property: a Resource never has more than capacity units in use, and
-// always drains completely, for any pattern of concurrent timed uses.
+// Property: a Resource never has more than one holder, and always drains
+// completely, for any pattern of concurrent timed uses.
 func TestQuickResourceCapacityInvariant(t *testing.T) {
-	f := func(durs []uint8, capSeed uint8) bool {
+	f := func(durs []uint8) bool {
 		if len(durs) == 0 {
 			return true
 		}
 		if len(durs) > 30 {
 			durs = durs[:30]
 		}
-		capacity := int(capSeed%4) + 1
 		e := NewEngine()
-		r := NewResource(e, "res", capacity)
-		violated := false
+		r := NewResource(e, "res")
+		holders, violated := 0, false
 		for _, d := range durs {
 			d := time.Duration(d%20+1) * time.Millisecond
 			e.Go("user", func(p *Proc) {
 				acquire(p, r)
-				if r.inUse > capacity {
+				if holders++; holders > 1 {
 					violated = true
 				}
 				p.Sleep(d)
+				holders--
 				r.Release()
 			})
 		}
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return !violated && r.inUse == 0 && len(r.waiters) == 0
+		return !violated && !r.busy && len(r.waiters) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestQuickLaneKeepsHeapOrder(t *testing.T) {
 		pops := recordPops(e)
 		sig := NewSignal(e)
 		q := NewQueue[int](e)
-		res := NewResource(e, "res", 1+rng.Intn(2))
+		res := NewResource(e, "res")
 		budget := 200 + rng.Intn(200)
 		delay := func() Duration { return Duration(rng.Intn(3)) * time.Microsecond }
 		var act func(p *Proc) // one random action: of process p, or of a callback when p is nil

@@ -249,7 +249,7 @@ func TestQueueClose(t *testing.T) {
 
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "link", 1)
+	r := NewResource(e, "link")
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		e.Go("user", func(p *Proc) {
@@ -268,30 +268,9 @@ func TestResourceSerializes(t *testing.T) {
 	}
 }
 
-func TestResourceCapacityTwoOverlaps(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "dma", 2)
-	var finish []Time
-	for i := 0; i < 4; i++ {
-		e.Go("user", func(p *Proc) {
-			acquire(p, r)
-			p.Sleep(10 * time.Millisecond)
-			r.Release()
-			finish = append(finish, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []Time{Time(10 * time.Millisecond), Time(10 * time.Millisecond), Time(20 * time.Millisecond), Time(20 * time.Millisecond)}
-	if fmt.Sprint(finish) != fmt.Sprint(want) {
-		t.Fatalf("finish = %v, want %v", finish, want)
-	}
-}
-
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "x", 1)
+	r := NewResource(e, "x")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

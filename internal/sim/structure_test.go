@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -62,6 +64,34 @@ var parseModule = sync.OnceValues(func() (map[string][]*ast.File, error) {
 		return nil
 	})
 	return files, err
+})
+
+// checkModule type-checks, once, every directory parseModule found against
+// the module's export data, by directory.
+var checkModule = sync.OnceValues(func() (map[string]*types.Info, error) {
+	tree, err := parseModule()
+	if err != nil {
+		return nil, err
+	}
+	imp, err := gcImporter()
+	if err != nil {
+		return nil, err
+	}
+	checked := map[string]*types.Info{}
+	for dir, files := range tree {
+		path := modPath
+		if dir != "." {
+			path += "/" + dir
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		conf := types.Config{Importer: imp}
+		if _, err := conf.Check(path, srcFset, files, info); err != nil {
+			return nil, fmt.Errorf("%s: %v", dir, err)
+		}
+		checked[dir] = info
+	}
+	return checked, nil
 })
 
 // secondThread lists the only directories under internal/ that may import
@@ -267,17 +297,11 @@ func TestInternalExportsHaveUsers(t *testing.T) {
 			used[key(pkg, name)] = true
 		}
 	}
-	for dir, files := range tree {
-		path := modPath
-		if dir != "." {
-			path += "/" + dir
-		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(path, srcFset, files, info); err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
+	checked, err := checkModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, info := range checked {
 		for _, obj := range info.Defs {
 			if obj != nil {
 				addIface(obj)
@@ -404,6 +428,182 @@ func positions(at []token.Pos) string {
 		s[i] = srcFset.Position(p).String()
 	}
 	return "[" + strings.Join(s, " ") + "]"
+}
+
+// constParamsKept are the parameters the rule of TestParametersVary lets
+// every caller set to one constant ("pkg.Func param" or "pkg.Type.Method
+// param"), each with what it is kept for.
+var constParamsKept = map[string]string{
+	"mpi.Rank.Gather root": "MPI's interface, which the MPI+CUDA baselines are written against, names the root of a collective",
+}
+
+// A parameter earns its keep by carrying something. In the non-test code
+// under internal/ and cmd/, (a) every named parameter of a function or
+// function literal is read, and (b) a function called directly from two
+// sites or more, and never used as a value, does not get the same bool,
+// nil or numeric constant for one parameter at every site: that parameter
+// is a constant of the function's, or an entry in constParamsKept. Call
+// sites are counted over the whole module's non-test code, and a function
+// used as a value (a method value, a func passed or stored, a method an
+// interface of the module may dispatch to) is exempt from (b), since its
+// calls are not all in sight.
+func TestParametersVary(t *testing.T) {
+	tree, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := checkModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(dir string) bool { return strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/") }
+	// name is a function's rule key: pkg.Func or pkg.Type.Method.
+	name := func(fn *types.Func) string {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if obj := namedObj(recv.Type()); obj != nil {
+				return filepath.Base(obj.Pkg().Path()) + "." + obj.Name() + "." + fn.Name()
+			}
+		}
+		return filepath.Base(fn.Pkg().Path()) + "." + fn.Name()
+	}
+	// Functions are keyed by FullName, which the declaring package's check
+	// and an importing package's check agree on.
+	type decl struct {
+		fn  *types.Func
+		pos token.Pos
+	}
+	decls := map[string]decl{}       // the functions (b) holds
+	calls := map[string][][]string{} // each site's constant arguments ("" when not one)
+	asValue := map[string]bool{}
+	var ifaces []*types.Interface
+	for dir, files := range tree {
+		info := checked[dir]
+		read := map[types.Object]bool{}
+		for _, obj := range info.Uses {
+			read[obj] = true
+		}
+		for _, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+		callee := map[*ast.Ident]bool{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var ft *ast.FuncType
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body == nil {
+						return false // implemented in assembly
+					}
+					ft = n.Type
+					if fn, ok := info.Defs[n.Name].(*types.Func); ok && held(dir) {
+						decls[fn.FullName()] = decl{fn, n.Name.Pos()}
+					}
+				case *ast.FuncLit:
+					ft = n.Type
+				case *ast.CallExpr:
+					fun := ast.Unparen(n.Fun)
+					if ix, ok := fun.(*ast.IndexExpr); ok {
+						fun = ix.X
+					} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+						fun = ix.X
+					}
+					var id *ast.Ident
+					switch fun := fun.(type) {
+					case *ast.Ident:
+						id = fun
+					case *ast.SelectorExpr:
+						if s := info.Selections[fun]; s != nil && s.Kind() != types.MethodVal {
+							return true // a method expression's receiver is an argument
+						}
+						id = fun.Sel
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok || n.Ellipsis.IsValid() {
+						return true
+					}
+					callee[id] = true
+					args := make([]string, len(n.Args))
+					for i, a := range n.Args {
+						switch tv := info.Types[a]; {
+						case tv.IsNil():
+							args[i] = "nil"
+						case tv.Value != nil && tv.Value.Kind() != constant.String && tv.Value.Kind() != constant.Unknown:
+							args[i] = tv.Value.ExactString()
+						}
+					}
+					full := fn.Origin().FullName()
+					calls[full] = append(calls[full], args)
+				}
+				if ft != nil && held(dir) {
+					for _, field := range ft.Params.List {
+						for _, id := range field.Names {
+							if obj := info.Defs[id]; id.Name != "_" && obj != nil && !read[obj] {
+								t.Errorf("%s: parameter %s is never read: name it _ or drop it", srcFset.Position(id.Pos()), id.Name)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok && !callee[id] {
+				asValue[fn.Origin().FullName()] = true
+			}
+		}
+	}
+	dispatched := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		for _, iface := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); obj == nil {
+				continue
+			}
+			if types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface) {
+				return true
+			}
+		}
+		return false
+	}
+	kept := map[string]bool{}
+	for _, full := range slices.Sorted(maps.Keys(decls)) {
+		d, sites := decls[full], calls[full]
+		if len(sites) < 2 || asValue[full] || dispatched(d.fn) {
+			continue
+		}
+		sig := d.fn.Type().(*types.Signature)
+		for i := range sig.Params().Len() {
+			if sig.Variadic() && i == sig.Params().Len()-1 {
+				break
+			}
+			same := true
+			for _, args := range sites {
+				if len(args) != sig.Params().Len() || args[i] == "" || args[i] != sites[0][i] {
+					same = false
+					break
+				}
+			}
+			if !same {
+				continue
+			}
+			key := name(d.fn) + " " + sig.Params().At(i).Name()
+			if _, ok := constParamsKept[key]; ok {
+				kept[key] = true
+				continue
+			}
+			t.Errorf("%s: %s: every one of %d call sites passes %s: make it a constant of the function", srcFset.Position(d.pos), key, len(sites), sites[0][i])
+		}
+	}
+	for key, why := range constParamsKept {
+		if !kept[key] {
+			t.Errorf("%s: listed in constParamsKept (%s), but its callers vary it or it is gone: drop the entry", key, why)
+		}
+	}
 }
 
 // nodeStateOwners are the only directories that may name the node state
