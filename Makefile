@@ -100,7 +100,8 @@ crashsweep:
 ## submission, the three shapes of a FragMap cover and an exact-region
 ## visit, an idle place's pop, a ready task's submit and pop under each
 ## policy, a served warm hit, a remote task at the 8-node weakscale point
-## (with its spawns, resumes and events per task), and the validated
+## unarmed and under a quiet fault plan (with its spawns, resumes and
+## events per task), and the validated
 ## kernels: one Sgemm tile (and the Go loop amd64's assembly replaces), one
 ## JacobiStep block and the 8-node heat reference
 bench:

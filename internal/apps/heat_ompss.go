@@ -59,10 +59,14 @@ func HeatOmpSs(cfg ompss.Config, p HeatParams) (Result, error) {
 		if cfg.Validate {
 			ctx.TaskWait()
 			// Block by block, in rod order: the same additions as one pass
-			// over the rod, without stitching the blocks' extents together.
+			// over the rod, each block read into one reused buffer, where
+			// HostBytes would merge the host extents a block spans into a
+			// fresh one.
 			var sum float64
+			buf := make([]byte, p.BSize*cell)
 			for j := 0; j < nb; j++ {
-				for _, v := range f64view(ctx.HostBytes(sub(cur, j*p.BSize, p.BSize))) {
+				ctx.HostRead(sub(cur, j*p.BSize, p.BSize), buf)
+				for _, v := range f64view(buf) {
 					sum += v
 				}
 			}

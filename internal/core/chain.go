@@ -43,6 +43,7 @@ type chains struct {
 	plans       pool[plan]
 	dispatchers pool[dispatcher]
 	pushes      pool[pushRec]
+	reports     pool[report]
 }
 
 func (rt *Runtime) initChains() {
@@ -60,6 +61,7 @@ func (rt *Runtime) initChains() {
 		return d
 	}
 	c.pushes.make = func() *pushRec { pu := new(pushRec); pu.fetched = pu.fetchedFn; return pu }
+	c.reports.make = func() *report { rp := new(report); rp.send = rp.sendFn; return rp }
 }
 
 // moveEach runs move on every region and hands then whether all succeeded:

@@ -48,19 +48,19 @@ func (rt *Runtime) registerMasterHandlers() {
 	m := rt.master()
 	m.ep.RegisterNonBlocking(amTaskDone, func(am gasnet.AM) {
 		t, node := am.Args.Task, am.From
-		if ft := rt.ft; ft != nil {
+		if rt.recovers() {
 			// Only the dispatch of record may retire the task: a completion
 			// from a node that was declared dead (and whose copy of the task
 			// was requeued) is stale and must be ignored.
-			if d, in := ft.inflight[t.ID]; !in || d.node != node {
+			if d, in := rt.ft.inflight[t.ID]; !in || d.node != node {
 				return
 			}
-			delete(ft.inflight, t.ID)
+			delete(rt.ft.inflight, t.ID)
 		}
 		for _, c := range t.Copies() {
 			if c.Access.Writes() {
 				m.produced(c.Region, memspace.Host(node))
-				if rt.ft != nil {
+				if rt.recovers() {
 					// Log the producer so the version can be rebuilt if
 					// every copy dies with its holders.
 					m.dir.RecordProducer(c.Region, t)
@@ -132,10 +132,10 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 	}, func() bool { return m.stopping && cl.busy == 0 })
 	for wait() {
 		rt.track(k, 1)
-		if ft := rt.ft; ft != nil && k > 0 {
+		if rt.recovers() && k > 0 {
 			// Track the dispatch before its chain starts, so a death can
 			// never catch the task in an untracked window.
-			ft.inflight[t.ID] = dispatched{t, k}
+			rt.ft.inflight[t.ID] = dispatched{t, k}
 		}
 		if k == 0 {
 			m.enqueueLocal(t, retireLocal)
@@ -253,6 +253,21 @@ func pickSource(holders []memspace.Location, dst int, s2s bool, dead func(int) b
 	return src
 }
 
+// report is a slave's completion report under fault tolerance, sent in
+// the slot after the worker's.
+type report struct {
+	n    *nodeRT
+	t    *task.Task
+	send func()
+}
+
+func (rp *report) sendFn() {
+	n, t := rp.n, rp.t
+	rp.n, rp.t = nil, nil
+	n.rt.chains.reports.put(rp)
+	n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: t}, nil)
+}
+
 // registerSlaveHandlers installs the slave image's protocol (Section
 // III.D.1: slaves wait for requests and submit them to the local
 // scheduler).
@@ -261,7 +276,9 @@ func (n *nodeRT) registerSlaveHandlers() {
 		if n.rt.ft != nil {
 			// A reliable send lasts the ack round-trip (and any retries):
 			// it goes out as events, so the worker can take its next task.
-			n.rt.e.After(0, func() { n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: done}, nil) })
+			rp := n.rt.chains.reports.get()
+			rp.n, rp.t = n, done
+			n.rt.e.After(0, rp.send)
 			return
 		}
 		cp.Await("taskDone", func(sent func(bool)) { n.ep.AMShortFunc(0, amTaskDone, gasnet.Args{Task: done}, sent) })

@@ -95,10 +95,10 @@ type Config struct {
 
 	// Faults, when non-nil, arms the fault-injection and fault-tolerance
 	// machinery: the plan's seeded injector perturbs the fabric, active
-	// messages gain ack/timeout/retry, the master runs a heartbeat failure
-	// detector, and work lost to dead nodes is re-executed on survivors
-	// (see internal/faults). Nil leaves every code path bit-identical to a
-	// runtime without the subsystem.
+	// messages gain ack/timeout/retry, and, unless the plan is quiet, the
+	// master runs a heartbeat failure detector and work lost to dead nodes
+	// is re-executed on survivors (see internal/faults). Nil leaves every
+	// code path bit-identical to a runtime without the subsystem.
 	Faults *faults.Plan
 
 	// ManagerShards assigns ownership of the address space to this many

@@ -41,6 +41,13 @@ func ackTimeout(latency sim.Duration) sim.Duration {
 type ftState struct {
 	inj *faults.Injector
 
+	// quiet is set under a faults.Plan that injects nothing: the
+	// reliability protocol runs, since it moves virtual time, but nothing
+	// can be lost, so no failure detector runs, no producer is logged and
+	// no dispatch is tracked (inflight is nil). A node convicted anyway, by
+	// an exhausted retry ladder, fails the run (nodeLostError).
+	quiet bool
+
 	hbInterval sim.Duration
 
 	dead       []bool
@@ -52,7 +59,7 @@ type ftState struct {
 	// retired, so a dead node's work can be requeued. Entries are
 	// registered synchronously at pop time in the comm loop — before the
 	// dispatch process even starts — so a death can never catch a task in
-	// an untracked window.
+	// an untracked window. Nil under a quiet plan.
 	inflight map[task.ID]dispatched
 
 	// replayed maps each producer a rebuild has re-run, or is re-running,
@@ -84,11 +91,11 @@ func (rt *Runtime) armFaultTolerance() {
 	}
 	ft := &ftState{
 		inj:           faults.NewInjector(plan),
+		quiet:         plan.Quiet(),
 		hbInterval:    plan.HeartbeatIntervalOr(),
 		dead:          make([]bool, len(rt.nodes)),
 		pongSince:     make([]bool, len(rt.nodes)),
 		missStreak:    make([]int, len(rt.nodes)),
-		inflight:      make(map[task.ID]dispatched),
 		replayed:      make(map[task.ID]*sim.Event),
 		restoreEvents: make(map[memspace.Region]*sim.Event),
 	}
@@ -97,7 +104,10 @@ func (rt *Runtime) armFaultTolerance() {
 	if len(rt.nodes) < 2 {
 		return // no peers: injection only, nothing to harden
 	}
-	rt.master().dir.TrackProducers(memspace.Host(0))
+	if !ft.quiet {
+		ft.inflight = make(map[task.ID]dispatched)
+		rt.master().dir.TrackProducers(memspace.Host(0))
+	}
 	for _, n := range rt.nodes {
 		n := n
 		n.ep.EnableReliability(gasnet.Reliability{
@@ -127,6 +137,25 @@ func (rt *Runtime) armFaultTolerance() {
 // nodeIsDead reports whether node k has been declared failed.
 func (rt *Runtime) nodeIsDead(k int) bool {
 	return rt.ft != nil && rt.ft.dead[k]
+}
+
+// recovers reports whether the run keeps the recovery log: the in-flight
+// dispatches and the producer chains a dead node's work is rebuilt from.
+func (rt *Runtime) recovers() bool {
+	return rt.ft != nil && !rt.ft.quiet
+}
+
+// nodeLostError is Run's error when a node is declared dead under a quiet
+// fault plan, which keeps no log to recover its work from. Only a retry
+// ladder exhausted by a receiver too backlogged to acknowledge in time can
+// convict a node there.
+type nodeLostError struct {
+	node   int
+	reason string
+}
+
+func (e *nodeLostError) Error() string {
+	return fmt.Sprintf("core: node %d declared dead (%s) under a quiet fault plan, which keeps no recovery log", e.node, e.reason)
 }
 
 // dispatched is a task in flight to a remote node.
@@ -245,6 +274,9 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 		Node: 0, Dev: -1, Start: now, End: now})
 	if m.stopping {
 		return // shutting down: results already flushed, nothing to recover
+	}
+	if ft.quiet {
+		panic(&nodeLostError{node: k, reason: reason})
 	}
 	// Fail every pending transfer with k as a peer so its chain goes on
 	// and re-routes (in id order, for a deterministic wake order).

@@ -8,7 +8,9 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/memspace"
+	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sched"
+	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
@@ -171,10 +173,67 @@ func TestResilienceSameSeedReplaysBitIdentically(t *testing.T) {
 	}
 }
 
+// probeCounter passes the injector's verdicts on and counts the probes on
+// the wire: the control datagrams of an AM header's size (an ack is
+// smaller).
+type probeCounter struct {
+	netsim.Hook
+	probes int
+}
+
+func (h *probeCounter) FilterSend(now sim.Time, m netsim.Message) netsim.Verdict {
+	if m.Control && m.Size == 64 {
+		h.probes++
+	}
+	return h.Hook.FilterSend(now, m)
+}
+
+// A plan arms the failure detector only when it can fail something: each
+// single-fault plan starts a heartbeat loop that probes, and a quiet one
+// spawns what the unarmed run spawns and sends no probe, whatever its
+// heartbeat period.
+func TestOnlyAFaultArmsTheDetector(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		plan    faults.Plan
+		detects bool
+	}{
+		{"quiet", faults.Plan{Seed: 1, LatencyMultiplier: 1, BandwidthMultiplier: 1, HeartbeatInterval: 20 * time.Microsecond}, false},
+		{"drop", faults.Plan{Seed: 1, DropRate: 0.01}, true},
+		{"degrade", faults.Plan{Seed: 1, BandwidthMultiplier: 0.5}, true},
+		{"stall", faults.Plan{Seed: 1, Stalls: []faults.Stall{{Node: 2, At: time.Millisecond, Duration: 50 * time.Microsecond}}}, true},
+		{"crash", faults.Plan{Seed: 1, Crashes: []faults.Crash{{Node: 3, At: 3 * time.Millisecond}}}, true},
+	} {
+		rt := newWeakscalePoint(1, &c.plan)
+		h := &probeCounter{Hook: rt.ft.inj}
+		rt.fabric.SetHook(h)
+		runWeakscale(t, rt)
+		if c.plan.Quiet() == c.detects {
+			t.Errorf("%s: Quiet() = %v", c.name, c.plan.Quiet())
+		}
+		if (h.probes > 0) != c.detects {
+			t.Errorf("%s: %d probes sent, want some = %v", c.name, h.probes, c.detects)
+		}
+		if spawned := rt.e.Spawned(); !c.detects && spawned != 29 {
+			t.Errorf("%s: %d processes spawned, want the unarmed run's 29", c.name, spawned)
+		}
+	}
+}
+
+// Under a quiet plan nothing is logged to recover from, so a node convicted
+// anyway fails the run with an error that names it.
+func TestQuietPlanConvictionFailsRun(t *testing.T) {
+	_, err := New(faultedCfg(4, &faults.Plan{Seed: 1})).Run(func(mc *MainCtx) { mc.rt.nodeDead(2, "runTask") })
+	if lost, ok := err.(*nodeLostError); !ok || lost.node != 2 || lost.reason != "runTask" {
+		t.Fatalf("Run = %v, want node 2's nodeLostError", err)
+	}
+}
+
 func TestResilienceZeroFaultPlanOverheadBounded(t *testing.T) {
-	// A zero plan arms acks, retries and heartbeats without injecting
-	// anything; a nil Faults disables the subsystem entirely. The armed run
-	// must stay correct, kill nothing, and cost only protocol overhead.
+	// A zero plan arms acks and retries without injecting anything, and no
+	// failure detector, since nothing can fail; a nil Faults disables the
+	// subsystem entirely. The armed run must stay correct, kill nothing,
+	// and cost only protocol overhead.
 	nilCfg := faultedCfg(4, nil)
 	nilStats, nilResults := runFaulted(t, nilCfg, 8, 3, 10*time.Millisecond)
 	checkAll(t, nilResults, 3)

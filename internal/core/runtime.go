@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -257,7 +258,7 @@ func (rt *Runtime) Run(main func(mc *MainCtx)) (Stats, error) {
 	}
 	if len(rt.nodes) > 1 {
 		rt.spawnCommThread()
-		if rt.ft != nil {
+		if rt.recovers() {
 			rt.spawnHeartbeat()
 		}
 	}
@@ -268,6 +269,9 @@ func (rt *Runtime) Run(main func(mc *MainCtx)) (Stats, error) {
 		rt.shutdown(p)
 	})
 	err := rt.e.Run()
+	if lost := (*nodeLostError)(nil); errors.As(err, &lost) {
+		err = lost // raised as a panic to stop the engine; not a bug
+	}
 	rt.stopped = true
 	// The plane's failure is where the run would have stopped inline.
 	if perr := rt.plane.Wait(); perr != nil {
@@ -313,6 +317,15 @@ func (mc *MainCtx) Alloc(size uint64) memspace.Region {
 func (mc *MainCtx) HostBytes(r memspace.Region) []byte {
 	mc.rt.plane.Wait() // a failure is Run's to return
 	return mc.rt.master().hostStore.Bytes(r)
+}
+
+// HostRead copies the master-host bytes of r into dst (zeros unless
+// Validate) once every byte operation posted so far has landed, merging
+// no backing extents as HostBytes does. Call only after TaskWait for
+// deterministic contents.
+func (mc *MainCtx) HostRead(r memspace.Region, dst []byte) {
+	mc.rt.plane.Wait() // a failure is Run's to return
+	mc.rt.master().hostStore.Read(r, dst)
 }
 
 // InitSeq initializes r sequentially on the master host (charging host

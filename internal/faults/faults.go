@@ -37,11 +37,12 @@ type Stall struct {
 }
 
 // Plan is a complete deterministic fault scenario. The zero value injects
-// nothing; a Config carrying a zero Plan still arms the resilience
-// machinery (acks, retries, heartbeats), which is how its overhead is
-// measured. The JSON tags are the fault_plan wire form of the serving
-// layer's requests: durations are integer virtual nanoseconds, and the
-// seed is not part of it (the request's top-level seed sets it).
+// nothing; a Config carrying a Quiet plan still arms acks and retries,
+// which move virtual time and are how their overhead is measured, but no
+// failure detector and no recovery log, since nothing can fail. The JSON
+// tags are the fault_plan wire form of the serving layer's requests:
+// durations are integer virtual nanoseconds, and the seed is not part of it
+// (the request's top-level seed sets it).
 type Plan struct {
 	// Seed drives the pseudo-random drop process. Two runs with the same
 	// Plan are bit-identical.
@@ -77,6 +78,16 @@ func (p Plan) HeartbeatIntervalOr() time.Duration {
 		return p.HeartbeatInterval
 	}
 	return 100 * time.Microsecond
+}
+
+// Quiet reports whether the plan injects nothing: no drops, no latency or
+// bandwidth change, no stalls and no crashes. The seed and the heartbeat
+// period do not count: under a quiet plan the injector draws no random
+// number, and a probe has nothing to detect.
+func (p Plan) Quiet() bool {
+	unchanged := func(m float64) bool { return m == 0 || m == 1 }
+	return p.DropRate == 0 && unchanged(p.LatencyMultiplier) && unchanged(p.BandwidthMultiplier) &&
+		len(p.Stalls) == 0 && len(p.Crashes) == 0
 }
 
 // Stats counts what an Injector actually did to the traffic.

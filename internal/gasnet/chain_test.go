@@ -64,9 +64,12 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 }
 
 // Records are recycled only when nothing can refer to them any more: an
-// unreliable message's record carries the next message, a reliable one's —
-// which a retransmission or a duplicate in flight may still point to — is
-// never put back.
+// unreliable message's record carries the next message once its handler
+// has it, a reliable one's once its send has ended and every transmission
+// has been through the receiver's dispatcher. A transmission lost on the
+// wire keeps its record from the free list: here the first message's first
+// transmission is lost, and its record carries no later message, while
+// the records of the second and third, acknowledged and handled, do.
 func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		e, f, eps := setup(2, false)
@@ -74,6 +77,7 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 		f.SetHook(&dropHook{dropIf: func(m netsim.Message) bool {
 			if w := m.Payload.(*wireAM); w.am.Handler == "work" {
 				sent = append(sent, w)
+				return reliable && len(sent) == 1
 			}
 			return false
 		}})
@@ -93,16 +97,25 @@ func TestRecordIsNotReusedWhileNeedAck(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(sent) != 3 {
-			t.Fatalf("reliable=%v: %d transmissions, want 3", reliable, len(sent))
+		if reliable {
+			if len(sent) != 4 || sent[0] != sent[1] {
+				t.Fatalf("reliable: %d transmissions, want 4, the first two of one record", len(sent))
+			}
+			sent = sent[1:]
 		}
-		if reused := sent[0] == sent[1] && sent[1] == sent[2]; reused == reliable {
-			t.Errorf("reliable=%v: one record carried all three messages = %v", reliable, reused)
+		if len(sent) != 3 {
+			t.Fatalf("reliable=%v: %d messages, want 3", reliable, len(sent))
+		}
+		if reliable && (sent[0] == sent[1] || sent[1] != sent[2]) {
+			t.Errorf("reliable: records %p %p %p, want the lost message's apart and the next two shared", sent[0], sent[1], sent[2])
+		}
+		if !reliable && (sent[0] != sent[1] || sent[1] != sent[2]) {
+			t.Errorf("unreliable: records %p %p %p, want one record for all three", sent[0], sent[1], sent[2])
 		}
 		for _, ep := range eps {
 			for _, w := range ep.free {
-				if w.needAck {
-					t.Errorf("reliable=%v: a needAck record is on node %d's free list", reliable, ep.node)
+				if w.needAck || w.refs != 0 {
+					t.Errorf("reliable=%v: a record with needAck %v and %d references is on node %d's free list", reliable, w.needAck, w.refs, ep.node)
 				}
 			}
 		}
@@ -199,28 +212,41 @@ func TestFuncSendHandsTheOutcomeOn(t *testing.T) {
 // A steady-state round trip — request from a process, reply from a
 // non-blocking handler, both awaited — allocates nothing: Args travel by
 // value, an Await's record is recycled, and there is no wire record,
-// delivery or handler-start closure or getter slot to make.
+// delivery or handler-start closure or getter slot to make. Reliable, it
+// allocates nothing either once the records of the sends whose last
+// timeout is still pending have been made: a send's retry loop and the
+// ack's dispatch are chains on recycled records, and the receiver's dedup
+// state for an in-order sender is one watermark.
 func TestRoundTripAllocs(t *testing.T) {
-	e, _, eps := setup(2, false)
-	var pong func(bool)
-	eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", am.Args, nil) })
-	eps[0].RegisterNonBlocking("pong", func(AM) { pong(true) })
-	for _, ep := range eps {
-		ep.Start(e)
-	}
-	var allocs float64
-	e.Go("main", func(p *sim.Proc) {
-		id := int64(0)
-		allocs = testing.AllocsPerRun(200, func() {
-			id++
-			amShort(p, eps[0], 1, "ping", Args{ID: id, Node: 1 << 20})
-			p.Await("pong", func(done func(bool)) { pong = done })
+	for _, reliable := range []bool{false, true} {
+		e, _, eps := setup(2, false)
+		var pong func(bool)
+		eps[1].RegisterNonBlocking("ping", func(am AM) { eps[1].AMShortFunc(am.From, "pong", am.Args, nil) })
+		eps[0].RegisterNonBlocking("pong", func(AM) { pong(true) })
+		for _, ep := range eps {
+			if reliable {
+				ep.EnableReliability(Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 4})
+			}
+			ep.Start(e)
+		}
+		var allocs float64
+		e.Go("main", func(p *sim.Proc) {
+			id := int64(0)
+			roundTrip := func() {
+				id++
+				amShort(p, eps[0], 1, "ping", Args{ID: id, Node: 1 << 20})
+				p.Await("pong", func(done func(bool)) { pong = done })
+			}
+			for i := 0; i < 100; i++ { // longer than a timeout: the pools reach their size
+				roundTrip()
+			}
+			allocs = testing.AllocsPerRun(200, roundTrip)
 		})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("%.1f allocs per round trip, want 0", allocs)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Fatalf("reliable=%v: %.1f allocs per round trip, want 0", reliable, allocs)
+		}
 	}
 }

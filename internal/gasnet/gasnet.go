@@ -11,6 +11,7 @@ package gasnet
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
@@ -51,17 +52,22 @@ type Args struct {
 
 // wireAM is what a netsim.Message carries for this layer, by pointer. The
 // sending endpoint recycles its records: the receiver gives one back once
-// the handler has the message — unless needAck, when a retransmission or a
-// duplicate in flight may still refer to it, and it is left to the collector.
+// the handler has the message. A needAck record is counted instead: the
+// sender holds a reference until its send ends and each transmission one
+// until a receiver's dispatcher is done with it, and the record goes back
+// when the last is returned. A transmission lost on the wire never returns
+// its reference, so its record is left to the collector — no duplicate
+// still in flight can find its record carrying another message.
 type wireAM struct {
 	am       AM
 	srcStore *memspace.Store // for AMLong byte delivery
 
 	// Reliability envelope: seq is a per-(sender,destination) sequence
 	// number; needAck asks the receiving dispatcher to send a wire-level
-	// ack and dedup on (sender, seq).
+	// ack and dedup on (sender, seq); refs counts the references above.
 	seq     uint64
 	needAck bool
+	refs    int
 
 	home *Endpoint     // the sender
 	h    func(AM)      // the handler that run was scheduled for
@@ -71,10 +77,13 @@ type wireAM struct {
 }
 
 func (w *wireAM) release() {
-	if !w.needAck {
-		w.am, w.srcStore, w.seq, w.h = AM{}, nil, 0, nil
-		w.home.free = append(w.home.free, w)
+	if w.needAck {
+		if w.refs--; w.refs > 0 {
+			return
+		}
 	}
+	w.am, w.srcStore, w.seq, w.needAck, w.h = AM{}, nil, 0, false, nil
+	w.home.free = append(w.home.free, w)
 }
 
 // then is the continuation that hands done(true) to the end of w's
@@ -109,6 +118,39 @@ type ackKey struct {
 	seq  uint64
 }
 
+// window is a receiver's dedup state for one sender: every seq up to low
+// has been delivered, and above holds the delivered seqs past it, in
+// ascending order. A sender numbers its messages to one destination 1, 2,
+// ..., so above stays empty while they arrive in order, and a seq whose
+// every transmission was lost leaves the rest above it.
+type window struct {
+	low   uint64
+	above []uint64
+}
+
+// admit records the delivery of seq and reports whether it is the first.
+func (win *window) admit(seq uint64) bool {
+	if seq <= win.low {
+		return false
+	}
+	i, dup := slices.BinarySearch(win.above, seq)
+	if dup {
+		return false
+	}
+	if seq > win.low+1 {
+		win.above = slices.Insert(win.above, i, seq)
+		return true
+	}
+	win.low = seq
+	n := 0
+	for n < len(win.above) && win.above[n] == win.low+1 {
+		win.low++
+		n++
+	}
+	win.above = append(win.above[:0], win.above[n:]...)
+	return true
+}
+
 // Endpoint is one node's attachment to the fabric.
 type Endpoint struct {
 	f        *netsim.Fabric
@@ -123,10 +165,13 @@ type Endpoint struct {
 	free     []*wireAM // records of delivered messages, for the next sends
 
 	rel      *Reliability
-	seqTo    map[int]uint64        // next sequence number per destination
-	pending  map[ackKey]*sim.Event // in-flight reliable sends awaiting ack
-	seen     map[ackKey]bool       // delivered (sender, seq) pairs, for dedup
-	inFilter func(from int) bool   // nil, or inbound admission predicate
+	seqTo    map[int]uint64      // next sequence number per destination
+	pending  map[ackKey]*relSend // in-flight reliable sends awaiting ack
+	sends    []*relSend          // ended sends' records, for the next ones
+	seen     []window            // per sender: its delivered seqs, for dedup
+	inFilter func(from int) bool // nil, or inbound admission predicate
+	acking   *wireAM             // the message whose ack is being sent
+	ackSent  func()              // bound once: dispatch acking, take the next
 
 	ins Instruments
 }
@@ -164,8 +209,7 @@ func (ep *Endpoint) EnableReliability(rel Reliability) {
 	}
 	ep.rel = &rel
 	ep.seqTo = make(map[int]uint64)
-	ep.pending = make(map[ackKey]*sim.Event)
-	ep.seen = make(map[ackKey]bool)
+	ep.pending = make(map[ackKey]*relSend)
 }
 
 // SetInboundFilter installs a predicate consulted for every delivered AM.
@@ -200,7 +244,8 @@ func (ep *Endpoint) Start(e *sim.Engine) {
 	}
 	ep.started = true
 	ep.recv = ep.receive // bound once: asking for the next message allocates nothing
-	e.After(0, ep.next)  // the slot a dispatcher process would have started in
+	ep.ackSent = ep.ackSentFn
+	e.After(0, ep.next) // the slot a dispatcher process would have started in
 }
 
 func (ep *Endpoint) next() { ep.inbox.GetFunc(ep.recv) }
@@ -216,15 +261,22 @@ func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
 		// original ack may have been the loss). Acks are control datagrams:
 		// tiny, non-occupying, best-effort — a lost one is repaired by the
 		// sender's retransmission and the receiver's dedup.
+		// The dispatcher takes no message until this one's ack is on its
+		// way, so one acking slot serves it.
 		ep.ins.AcksSent.Inc()
 		ack := ep.wire(w.am.From, ackHandler, Args{}, memspace.Region{}, 0)
 		ack.seq = w.seq
-		ep.control(ack, ackBytes, func() {
-			ep.dispatch(w)
-			ep.next()
-		})
+		ep.acking = w
+		ep.control(ack, ackBytes, ep.ackSent)
 		return
 	}
+	ep.dispatch(w)
+	ep.next()
+}
+
+func (ep *Endpoint) ackSentFn() {
+	w := ep.acking
+	ep.acking = nil
 	ep.dispatch(w)
 	ep.next()
 }
@@ -232,23 +284,25 @@ func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
 // dispatch consumes w: a wire-level ack completes the matching reliable
 // send, a duplicate is suppressed, anything else starts its handler.
 func (ep *Endpoint) dispatch(w *wireAM) {
-	switch k := (ackKey{w.am.From, w.seq}); {
+	switch {
 	case w.am.Handler == ackHandler:
-		if ack, waiting := ep.pending[k]; waiting {
-			ack.Trigger()
+		if rs, waiting := ep.pending[ackKey{w.am.From, w.seq}]; waiting {
+			rs.ack()
 		}
 		w.release()
 		return
-	case w.needAck && ep.seen[k]:
-		ep.ins.Duplicates.Inc()
-		return
 	case w.needAck:
-		if ep.seen == nil { // reliable sender, plain receiver
-			ep.seen = make(map[ackKey]bool)
+		if ep.seen == nil { // on a plain receiver too: the sender is reliable
+			ep.seen = make([]window, ep.f.Nodes())
 		}
-		ep.seen[k] = true
+		if !ep.seen[w.am.From].admit(w.seq) {
+			ep.ins.Duplicates.Inc()
+			w.release()
+			return
+		}
 	}
 	if ep.inFilter != nil && !ep.inFilter(w.am.From) {
+		w.release()
 		return
 	}
 	h, known := ep.handlers[w.am.Handler]
@@ -345,40 +399,125 @@ func (ep *Endpoint) send(to int, handler string, args Args, r memspace.Region, b
 // ack or the timeout, double the timeout, again — each step an event. Its
 // continuation done gets the outcome, whether the ack came.
 func (ep *Endpoint) sendReliably(m netsim.Message, w *wireAM, done func(bool)) {
-	rel := ep.rel
-	ep.seqTo[m.To]++
-	w.seq, w.needAck = ep.seqTo[m.To], true
 	if ep.closed {
+		w.release()
 		if done != nil {
 			done(false)
 		}
 		return
 	}
-	key, ack := ackKey{m.To, w.seq}, sim.NewEvent(ep.e)
-	ep.pending[key] = ack
-	attempt, timeout := 1, rel.AckTimeout
-	var transmit func()
-	waited := func() {
-		if !ack.Triggered() && attempt < rel.MaxAttempts && !ep.closed {
-			attempt++
-			timeout *= 2
-			ep.ins.Retries.Inc()
-			if rel.OnRetry != nil {
-				rel.OnRetry(m.To, w.am.Handler, attempt)
-			}
-			transmit()
-			return
-		}
-		delete(ep.pending, key)
-		if done != nil {
-			done(ack.Triggered())
-		}
+	ep.seqTo[m.To]++
+	w.seq, w.needAck, w.refs = ep.seqTo[m.To], true, 1
+	var rs *relSend
+	if n := len(ep.sends); n > 0 {
+		rs, ep.sends = ep.sends[n-1], ep.sends[:n-1]
+	} else {
+		rs = &relSend{ep: ep}
+		rs.sent, rs.wake, rs.waited = rs.sentFn, rs.wakeFn, rs.waitedFn
 	}
-	sent := func() { ack.WaitForFunc(timeout, waited) }
-	transmit = func() {
-		ep.ins.MsgsSent.Inc()
-		ep.ins.BytesSent.Add(int64(m.Size))
-		ep.f.SendFunc(m, sent)
+	rs.m, rs.w, rs.done = m, w, done
+	rs.key, rs.attempt, rs.timeout = ackKey{m.To, w.seq}, 1, ep.rel.AckTimeout
+	ep.pending[rs.key] = rs
+	rs.transmit()
+}
+
+// relSend is one reliable send in flight and its retry loop, each step a
+// func bound once, so that a send on a recycled record allocates nothing.
+// An attempt waits for the ack or its timeout in the slots a waiter of a
+// sim.Event and a timer would take: it adds one waiter, whose wake-up the
+// ack's arrival schedules — one per waiting attempt, in the order they
+// began to wait, as Event.Trigger does — and a timer; whichever of the two
+// runs first schedules waited. A record goes back to its endpoint once the
+// send has ended and none of its wake-ups is still scheduled.
+type relSend struct {
+	ep      *Endpoint
+	m       netsim.Message
+	w       *wireAM
+	done    func(bool)
+	key     ackKey
+	attempt int
+	timeout sim.Duration
+
+	acked   bool // the ack arrived
+	armed   bool // the current attempt waits for its first wake-up
+	ended   bool
+	waiters int // attempts waiting for the ack, unscheduled
+	live    int // wake-ups scheduled and not yet run
+
+	sent, wake, waited func()
+}
+
+func (rs *relSend) transmit() {
+	ep := rs.ep
+	ep.ins.MsgsSent.Inc()
+	ep.ins.BytesSent.Add(int64(rs.m.Size))
+	rs.w.refs++
+	ep.f.SendFunc(rs.m, rs.sent)
+}
+
+// sentFn starts the attempt's wait once its sender-side cost is paid; if the
+// ack is already in, waited runs at once.
+func (rs *relSend) sentFn() {
+	if rs.acked {
+		rs.waitedFn()
+		return
 	}
-	transmit()
+	rs.armed = true
+	rs.waiters++
+	rs.live++
+	rs.ep.e.After(rs.timeout, rs.wake)
+}
+
+// ack records the ack's arrival and schedules every waiting attempt's
+// wake-up at once. A second ack, for a retransmission, finds it done.
+func (rs *relSend) ack() {
+	if rs.acked {
+		return
+	}
+	rs.acked = true
+	for ; rs.waiters > 0; rs.waiters-- {
+		rs.live++
+		rs.ep.e.After(0, rs.wake)
+	}
+}
+
+func (rs *relSend) wakeFn() {
+	rs.live--
+	if rs.armed {
+		rs.armed = false
+		rs.ep.e.After(0, rs.waited)
+	}
+	rs.recycle()
+}
+
+// waitedFn retransmits with a doubled timeout, or ends the send: on the ack,
+// on the last attempt, or once the endpoint has closed.
+func (rs *relSend) waitedFn() {
+	ep, rel := rs.ep, rs.ep.rel
+	if !rs.acked && rs.attempt < rel.MaxAttempts && !ep.closed {
+		rs.attempt++
+		rs.timeout *= 2
+		ep.ins.Retries.Inc()
+		if rel.OnRetry != nil {
+			rel.OnRetry(rs.m.To, rs.w.am.Handler, rs.attempt)
+		}
+		rs.transmit()
+		return
+	}
+	delete(ep.pending, rs.key)
+	done, ok := rs.done, rs.acked
+	rs.w.release()
+	rs.m, rs.w, rs.done, rs.ended = netsim.Message{}, nil, nil, true
+	rs.waiters = 0 // without the ack, nothing will schedule them
+	rs.recycle()
+	if done != nil {
+		done(ok)
+	}
+}
+
+func (rs *relSend) recycle() {
+	if rs.ended && rs.live == 0 {
+		rs.acked, rs.ended = false, false
+		rs.ep.sends = append(rs.ep.sends, rs)
+	}
 }

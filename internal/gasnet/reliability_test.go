@@ -1,9 +1,12 @@
 package gasnet
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
+	"github.com/bsc-repro/ompss/internal/memspace"
 	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
@@ -259,5 +262,48 @@ func TestInboundFilterAcksButDoesNotDispatch(t *testing.T) {
 	}
 	if runs != 0 {
 		t.Fatalf("handler ran %d times behind the inbound filter", runs)
+	}
+}
+
+// Property: the receiver's dedup window — a watermark per sender and the
+// seqs delivered above it — suppresses exactly the deliveries a set of
+// every delivered (sender, seq) pair suppresses, whatever the order: each
+// sender's messages arrive shuffled among the others', some several times
+// (a retransmission, or a duplicate after a lost ack), some never (every
+// transmission lost), and each delivery goes through the dispatcher.
+func TestQuickDedupWindowMatchesSeenSet(t *testing.T) {
+	const senders = 4
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e, _, eps := setup(senders+1, false)
+		rcv := eps[senders]
+		dups := &metrics.Counter{}
+		rcv.Instrument(Instruments{Duplicates: dups})
+		rcv.RegisterNonBlocking("work", func(AM) {})
+		var arrivals []ackKey
+		for from := 0; from < senders; from++ {
+			for seq := uint64(1); seq <= uint64(1+rng.Intn(40)); seq++ {
+				for n := rng.Intn(4); n > 0; n-- { // 0: every transmission lost
+					arrivals = append(arrivals, ackKey{from, seq})
+				}
+			}
+		}
+		rng.Shuffle(len(arrivals), func(i, j int) { arrivals[i], arrivals[j] = arrivals[j], arrivals[i] })
+		seen := map[ackKey]bool{}
+		for _, k := range arrivals {
+			w := eps[k.node].wire(senders, "work", Args{}, memspace.Region{}, 0)
+			w.seq, w.needAck, w.refs = k.seq, true, 1
+			before := dups.Value()
+			rcv.dispatch(w)
+			if suppressed := dups.Value() > before; suppressed != seen[k] {
+				t.Logf("seed %d: (%d, %d) suppressed = %v, want %v", seed, k.node, k.seq, suppressed, seen[k])
+				return false
+			}
+			seen[k] = true
+		}
+		return e.Run() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

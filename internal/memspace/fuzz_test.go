@@ -133,13 +133,27 @@ func FuzzStore(f *testing.F) {
 					}
 					v[a], bk[a] = val[from][a], true
 				}
-			case 4:
+			case 4: // Has, and Read, which changes no extent
 				want := true
 				for a := r.Addr; a < r.End(); a++ {
 					want = want && bk[a]
 				}
 				if got := has(s, r); got != want {
 					t.Fatalf("store %d: Has(%v) = %v, model %v", k, r, got, want)
+				}
+				extents, got := len(s.extents), make([]byte, r.Size)
+				s.Read(r, got)
+				for i, b := range got {
+					a, want := r.Addr+uint64(i), byte(0) // unbacked bytes read as zeros
+					if bk[a] {
+						want = v[a]
+					}
+					if b != want {
+						t.Fatalf("store %d: Read(%v) byte %#x = %#x, model %#x", k, r, a, b, want)
+					}
+				}
+				if len(s.extents) != extents {
+					t.Fatalf("store %d: Read(%v) changed its extents: %d -> %d", k, r, extents, len(s.extents))
 				}
 			}
 			for i := range stores {

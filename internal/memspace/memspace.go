@@ -194,6 +194,22 @@ func (s *Store) search(addr uint64) int {
 	return sort.Search(len(s.extents), func(i int) bool { return s.extents[i].end() > addr })
 }
 
+// Read copies the bytes of r into dst[:r.Size], zeros where nothing backs
+// them. Unlike Bytes it changes no extent, so it allocates nothing when r
+// spans several; a nil store reads as zeros. On an armed store, r must lie
+// inside the declared regions (see Arm).
+func (s *Store) Read(r Region, dst []byte) {
+	dst = dst[:r.Size]
+	if s == nil {
+		clear(dst)
+		return
+	}
+	if s.contract != nil {
+		s.contract.check(r)
+	}
+	s.read(dst, r.Addr, s.search(r.Addr))
+}
+
 // Bytes returns the buffer backing region r, allocating zeroed storage on
 // first use. When r lies inside one existing extent the returned slice
 // aliases it; otherwise every extent overlapping r is merged (preserving

@@ -217,11 +217,12 @@ func TestDeadlockReportNamesWhatAProcessParkedOn(t *testing.T) {
 	}
 }
 
-// Property: a timed wait in callback form (WaitForFunc) takes the slot of a
-// process that parks on a wake-up fed by the event and by a timer, whether
-// the trigger or the timeout wins or they tie, and so does a process that
-// awaits WaitForFunc; a waiter can change form and move nothing around it.
-func TestQuickWaitForFuncOrdersLikeAProcess(t *testing.T) {
+// Property: a timed wait in callback form (timedWaitFunc: a waiter and a
+// timer feeding one guarded callback) takes the slot of a process that
+// parks on a wake-up fed by the event and by a timer, whether the trigger
+// or the timeout wins or they tie, and so does a process that awaits the
+// callback form; a waiter can change form and move nothing around it.
+func TestQuickTimedWaitOrdersLikeAProcess(t *testing.T) {
 	type entry struct {
 		who      int
 		at       Time
@@ -237,7 +238,7 @@ func TestQuickWaitForFuncOrdersLikeAProcess(t *testing.T) {
 			note := func() { log = append(log, entry{i, e.Now(), e.seq, ev.Triggered()}) }
 			switch form {
 			case callback:
-				e.After(0, func() { ev.WaitForFunc(d, note) })
+				e.After(0, func() { timedWaitFunc(ev, d, note) })
 			case parked:
 				e.Go("waiter", func(p *Proc) {
 					if !ev.Triggered() {

@@ -4,8 +4,8 @@
 // a process (Engine.Go): a function on a coroutine, blocking in virtual
 // time. An operation for one piece of work — a kernel, a DMA, a message, a
 // handler, staging one task's data — is a chain of bare callbacks
-// (Engine.After, Resource.AcquireFunc, Queue.GetFunc, Event.WaitFunc,
-// Event.WaitForFunc) run inline by the engine's loop; a process that needs
+// (Engine.After, Resource.AcquireFunc, Queue.GetFunc, Event.WaitFunc) run
+// inline by the engine's loop; a process that needs
 // one waits on it with Proc.Await, and the chain's last step resumes it.
 //
 // Determinism contract: exactly one process or callback executes at any

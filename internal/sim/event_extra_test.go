@@ -5,10 +5,31 @@ import (
 	"time"
 )
 
+// timedWaitFunc waits on ev for at most d in callback form, as gasnet's
+// reliable send waits for its ack: a waiter on ev and a timer feed one
+// callback, and the first of them to run schedules fn — in the slot a
+// process woken then would resume in — while fn runs at once on a triggered
+// event. fn asks Triggered for the outcome.
+func timedWaitFunc(ev *Event, d Duration, fn func()) {
+	if ev.Triggered() {
+		fn()
+		return
+	}
+	armed := true
+	wake := func() {
+		if armed {
+			armed = false
+			ev.e.After(0, fn)
+		}
+	}
+	ev.WaitFunc(wake)
+	ev.e.After(d, wake)
+}
+
 // timedWait is how a process waits on ev for at most d: it awaits
-// WaitForFunc and reports whether the event has triggered.
+// timedWaitFunc and reports whether the event has triggered.
 func timedWait(p *Proc, ev *Event, d Duration) bool {
-	return p.Await("event wait", func(done func(bool)) { ev.WaitForFunc(d, func() { done(ev.Triggered()) }) })
+	return p.Await("event wait", func(done func(bool)) { timedWaitFunc(ev, d, func() { done(ev.Triggered()) }) })
 }
 
 // A callback waiter runs once, at the trigger instant, however often the
@@ -32,46 +53,6 @@ func TestWaitFuncRunsOnceAtTriggerTime(t *testing.T) {
 	}
 	if firedAt != Time(3*time.Millisecond) {
 		t.Fatalf("callback at %v, want 3ms", firedAt)
-	}
-}
-
-func TestWaitForFuncTimesOut(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	e.Go("main", func(p *Proc) {
-		start := p.Now()
-		if timedWait(p, ev, 500*time.Microsecond) {
-			t.Error("triggered without a trigger")
-		}
-		if got := p.Now() - start; got != Time(500*time.Microsecond) {
-			t.Errorf("timed out after %v, want 500us", got)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitForFuncSeesEarlyTrigger(t *testing.T) {
-	e := NewEngine()
-	ev := NewEvent(e)
-	e.After(100*time.Microsecond, ev.Trigger)
-	e.Go("main", func(p *Proc) {
-		start := p.Now()
-		if !timedWait(p, ev, time.Second) {
-			t.Error("not triggered despite the trigger")
-		}
-		if got := p.Now() - start; got != Time(100*time.Microsecond) {
-			t.Errorf("woke after %v, want 100us", got)
-		}
-		// On a triggered event fn runs at once, with no event.
-		seq := e.seq
-		if !timedWait(p, ev, time.Nanosecond) || e.seq != seq {
-			t.Errorf("on a triggered event: %d events scheduled", e.seq-seq)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

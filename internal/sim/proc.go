@@ -110,7 +110,7 @@ type Event struct {
 }
 
 // waiter is one waiter of an Event: a process (Wait) or a callback
-// (WaitFunc, WaitForFunc), in one queue.
+// (WaitFunc), in one queue.
 type waiter struct {
 	p  *Proc
 	fn func()
@@ -150,28 +150,6 @@ func (ev *Event) wait(w waiter) {
 	} else {
 		ev.waiters = append(ev.waiters, w)
 	}
-}
-
-// WaitForFunc waits until the event triggers or virtual duration d
-// elapses, whichever comes first: fn runs at once if the event has
-// triggered, else as a bare callback scheduled at that instant — in the
-// slot a process woken then would resume in — and asks Triggered for the
-// outcome. fn must not block.
-func (ev *Event) WaitForFunc(d Duration, fn func()) {
-	if ev.Triggered() {
-		fn()
-		return
-	}
-	// The trigger and the timeout feed one callback, so fn is scheduled
-	// once, by whichever of them comes first.
-	first := func() {
-		if fn != nil {
-			ev.e.After(0, fn)
-			fn = nil
-		}
-	}
-	ev.wait(waiter{fn: first})
-	ev.e.After(d, first)
 }
 
 // Wait blocks the calling process until the event triggers. Returns

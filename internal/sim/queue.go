@@ -6,7 +6,8 @@ package sim
 // and callbacks (GetFunc), in one queue — are served in arrival order.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
+	items   []T // the items from head on are queued
+	head    int
 	waiters []*getter[T]
 	closed  bool
 	spare   *getter[T] // the slot of the last GetFunc served, for the next
@@ -25,7 +26,7 @@ type getter[T any] struct {
 func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{e: e} }
 
 // Len returns the number of queued (undelivered) items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Put appends v to the queue, waking the oldest blocked getter if any.
 // Safe to call from processes or bare callbacks. Panics if the queue is
@@ -49,6 +50,12 @@ func (q *Queue[T]) TryPut(v T) bool {
 		w.item, w.ok = v, true
 		q.e.schedule(q.e.now, w.p, w.run)
 		return true
+	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Slide the queued items down rather than grow past the gone ones.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
 	return true
@@ -109,12 +116,14 @@ func (q *Queue[T]) GetFunc(fn func(v T, ok bool)) {
 
 // tryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) tryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return v, false
 	}
-	v = q.items[0]
+	v = q.items[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0 // empty: the next item reuses the array from its start
+	}
 	return v, true
 }

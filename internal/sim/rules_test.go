@@ -278,7 +278,7 @@ var (
 	blockingFuncs = set("internal/sim.Sleep", "internal/sim.Yield", "internal/sim.Wait", "internal/sim.WaitUntil",
 		"internal/sim.Await", "internal/sim.Get", "internal/sim.Run", "internal/netsim.Send")
 	inlineCallbacks = set("internal/sim.After", "internal/sim.AcquireFunc",
-		"internal/sim.GetFunc", "internal/sim.WaitForFunc", "internal/sim.WaitFunc", "internal/sim.WaitUntil",
+		"internal/sim.GetFunc", "internal/sim.WaitFunc", "internal/sim.WaitUntil",
 		"internal/netsim.SendFunc", "internal/gasnet.RegisterNonBlocking", "internal/gasnet.AMShortFunc",
 		"internal/gasnet.AMMediumFunc", "internal/gasnet.AMLongFunc", "internal/gasnet.AMProbeFunc",
 		"internal/core.idleWait", "internal/core.moveEach")
@@ -586,7 +586,7 @@ var ruleCases = []struct{ rule, want, src string }{
 	// In inline callbacks, any blocking call; a WaitUntil guard that blocks.
 	{"simblocking", "sim Wait inside an inline engine callback", `func f(e *sim.Engine, p *sim.Proc, ev *sim.Event) { e.After(1, func() { ev.Wait(p) }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, ev *sim.Event) { ev.WaitFunc(func() { p.Sleep(1) }) }`},
-	{"simblocking", "sim Get inside an inline engine callback", `func f(p *sim.Proc, ev *sim.Event, q *sim.Queue[int]) { ev.WaitForFunc(1, func() { q.Get(p) }) }`},
+	{"simblocking", "sim Get inside an inline engine callback", `func f(e *sim.Engine, p *sim.Proc, q *sim.Queue[int]) { e.After(1, func() { q.Get(p) }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(p *sim.Proc, r *sim.Resource) { r.AcquireFunc(func() { p.Sleep(1); r.Release() }) }`},
 	{"simblocking", "sim Sleep inside an inline engine callback", `func f(ep *gasnet.Endpoint, p *sim.Proc) { ep.RegisterNonBlocking("done", func(gasnet.AM) { p.Sleep(1) }) }`},
 	{"simblocking", "netsim Send inside an inline engine callback", `func f(ep *gasnet.Endpoint, fab *netsim.Fabric, p *sim.Proc) {

@@ -114,8 +114,9 @@ const (
 
 // FaultPlan is a deterministic fault scenario for Config.Faults: a seeded
 // drop process, link degradation, transient stalls and permanent crashes.
-// The zero plan injects nothing but still arms the resilience machinery
-// (acks, retries, heartbeats); a nil Config.Faults disables it entirely.
+// The zero plan injects nothing but still arms acks and retries, with no
+// failure detector, since nothing can fail; a nil Config.Faults disables
+// the machinery entirely.
 type FaultPlan = faults.Plan
 
 // FaultCrash removes a node from the cluster permanently at a virtual time.
@@ -423,6 +424,13 @@ func (c *Context) Now() Time { return c.mc.Now() }
 // Config.Validate), after every byte operation posted so far has landed.
 // Read only between TaskWait and further Task calls.
 func (c *Context) HostBytes(r Region) []byte { return c.mc.HostBytes(r) }
+
+// HostRead copies the master-host bytes of r into dst, which must hold
+// r.Size bytes (zeros unless Config.Validate), after every byte operation
+// posted so far has landed. Unlike HostBytes it never merges the host
+// extents r spans into a fresh one, so it allocates nothing.
+// Read only between TaskWait and further Task calls.
+func (c *Context) HostRead(r Region, dst []byte) { c.mc.HostRead(r, dst) }
 
 // NestedCtx is the handle a Nested spawner uses to create tasks on the
 // node executing the parent task.
