@@ -693,13 +693,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metricsz: %v", err)
 	}
-	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"counter serve_requests value=2", "counter serve_cache_hit value=1", "counter serve_cache_miss value=1"} {
-		if !strings.Contains(string(text), want) {
-			t.Fatalf("metricsz missing %q:\n%s", want, text)
-		}
-	}
 
 	var st cacheStats
 	resp, err = http.Get("http://" + s.Addr() + "/v1/cache/stats")
@@ -763,6 +757,63 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	}
 	if st := s2.stats(); st.Entries != 400 || entries != 400 || st.Jobs != 1 || st.QueueDepth != 0 {
 		t.Fatalf("at rest: metricsz has %d entries; stats = %+v", entries, st)
+	}
+}
+
+// TestMetricszBytes pins /metricsz byte for byte after a fixed request
+// sequence that moves every line: three cold misses on one worker (the last
+// two wait in the queue, so the depth gauge's max stays above its value at
+// rest), an overload rejection, a coalesced waiter, a bad request, and a
+// warm hit.
+func TestMetricszBytes(t *testing.T) {
+	fake := fakeResult("metricsz")
+	started, gate := make(chan struct{}, 3), make(chan struct{})
+	s := startServer(t, Config{Workers: 1, QueueDepth: 2, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
+		started <- struct{}{}
+		<-gate
+		return fake, nil
+	}})
+	body := func(seed int) string { return fmt.Sprintf(`{"experiment":"fig11","seed":%d}`, seed) }
+	wantCode := func(rec *httptest.ResponseRecorder, code int) {
+		t.Helper()
+		if rec.Code != code {
+			t.Fatalf("status %d, want %d: %s", rec.Code, code, rec.Body)
+		}
+	}
+	wantCode(do(s, "POST", "/v1/experiments?async=1", body(101)), http.StatusAccepted)
+	<-started // the worker holds 101; 102 and 103 queue behind it
+	wantCode(do(s, "POST", "/v1/experiments?async=1", body(102)), http.StatusAccepted)
+	wantCode(do(s, "POST", "/v1/experiments?async=1", body(103)), http.StatusAccepted)
+	wantCode(do(s, "POST", "/v1/experiments?async=1", body(104)), http.StatusTooManyRequests)
+	wantCode(do(s, "POST", "/v1/experiments?async=1", body(101)), http.StatusAccepted)
+	wantCode(do(s, "POST", "/v1/experiments", `{`), http.StatusBadRequest)
+	close(gate)
+	for deadline := time.Now().Add(10 * time.Second); s.stats().ExecCompleted < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs did not finish: %+v", s.stats())
+		}
+	}
+	wantCode(do(s, "POST", "/v1/experiments", body(101)), http.StatusOK)
+
+	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "fig11",
+		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
+	charge := (&result{Reply: append(reply, '\n'), body: body(101)}).sizeBytes()
+	want := fmt.Sprintf(`counter serve_bad_requests value=1
+counter serve_cache_evict value=0
+counter serve_cache_hit value=1
+counter serve_cache_miss value=5
+counter serve_dedup_coalesced value=1
+counter serve_exec_completed value=3
+counter serve_exec_errors value=0
+counter serve_reject_overload value=1
+counter serve_requests value=6
+gauge serve_cache_bytes value=%[1]d max=%[1]d
+gauge serve_cache_entries value=3 max=3
+gauge serve_jobs value=3 max=3
+gauge serve_queue_depth value=0 max=2
+`, 3*charge)
+	if got := do(s, "GET", "/metricsz", "").Body.String(); got != want {
+		t.Fatalf("metricsz:\n%s\nwant:\n%s", got, want)
 	}
 }
 
