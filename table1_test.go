@@ -46,3 +46,66 @@ func TestTable1MatchesExperiments(t *testing.T) {
 		t.Errorf("EXPERIMENTS.md's Table I rows:\n%s\ntable1 computes:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestFigureTablesMatchGoldens: every cell of the Figure 5–8 tables of
+// EXPERIMENTS.md is its golden CSV's value at the cell's own printed
+// rounding. config maps a row label and a column header, with "N GPU"
+// spelled "Ngpu" and "no-cache" spelled "nocache", to the golden's config.
+func TestFigureTablesMatchGoldens(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := strings.NewReplacer(" GPU", "gpu", "no-cache", "nocache", " (default sched)", "")
+	for _, fig := range []struct {
+		name   string
+		config func(row, col string) string
+	}{
+		{"5", func(row, col string) string { return row + " " + col }},
+		{"6", func(row, col string) string { return row + " " + col + " default" }},
+		{"7", func(row, col string) string { return strings.Replace(row, " wb", " "+col+" wb", 1) }},
+		{"8", func(row, col string) string { return row + " " + col }},
+	} {
+		csv, err := os.ReadFile("benchmark/golden/fig" + fig.name + ".csv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := map[string]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(string(csv)), "\n")[1:] {
+			f := strings.Split(line, ",")
+			var v float64
+			fmt.Sscan(f[2], &v)
+			golden[f[1]] = v
+		}
+		_, section, _ := strings.Cut(string(doc), "\n## Figure "+fig.name+" ")
+		section, _, _ = strings.Cut(section, "\n## ")
+		var cols []string
+		cells := 0
+		for _, line := range strings.Split(section, "\n") {
+			if !strings.HasPrefix(line, "| ") {
+				continue
+			}
+			f := strings.Split(strings.Trim(line, "| "), " | ")
+			if f[0] == "config" {
+				cols = f[1:]
+				continue
+			}
+			for i, cell := range f[1:] {
+				config := fig.config(norm.Replace(f[0]), norm.Replace(cols[i]))
+				v, ok := golden[config]
+				decimals := 0
+				if _, frac, found := strings.Cut(cell, "."); found {
+					decimals = len(frac)
+				}
+				if want := fmt.Sprintf("%.*f", decimals, v); !ok || cell != want {
+					t.Errorf("Figure %s, %s / %s: EXPERIMENTS.md says %s, golden %q gives %s (found %v)",
+						fig.name, f[0], cols[i], cell, config, want, ok)
+				}
+				cells++
+			}
+		}
+		if cells == 0 {
+			t.Errorf("Figure %s: no table cells found", fig.name)
+		}
+	}
+}
