@@ -101,11 +101,12 @@ crashsweep:
 ## visit, an idle place's pop, a ready task's submit and pop under each
 ## policy, a served warm hit, a remote task at the 8-node weakscale point
 ## unarmed and under a quiet fault plan (with its spawns, resumes and
-## events per task), and the validated
+## events per task), the validated
 ## kernels: one Sgemm tile (and the Go loop amd64's assembly replaces), one
-## JacobiStep block and the 8-node heat reference
+## JacobiStep block and the 8-node heat reference, and a 20,000-task
+## submission stress (bench's BenchmarkStress)
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/ ./internal/core/ ./internal/kernels/ ./internal/apps/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/coherence/ ./internal/depgraph/ ./internal/memspace/ ./internal/sched/ ./internal/serve/ ./internal/core/ ./internal/kernels/ ./internal/apps/ ./internal/bench/
 
 ## stress: full-size submission stress (10^6 tasks: tasks/sec of the graph,
 ## scheduler and directory hot path; -cpuprofile/-memprofile work here too)
