@@ -9,26 +9,20 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-
-	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
 // ExecResult is everything one experiment execution produced, encoded in
 // the deterministic formats the CLI and the serving layer share. For a
 // deterministic experiment (everything except stress, whose values are
 // host wall-clock measurements) two executions of the same Options yield
-// byte-identical CSV and MetricsText.
+// byte-identical CSV.
 type ExecResult struct {
 	// Rows are the grid rows in grid order, after GridPoint filtering.
 	Rows []Row
 	// CSV is the rows in exactly the encoding `ompss-bench -csv` writes:
 	// an experiment,config,value,unit header plus one line per row.
 	CSV []byte
-	// MetricsText is the deterministic metrics snapshot of the rows
-	// (rendered through internal/metrics; see metricsText).
-	MetricsText []byte
 	// TraceJSON is the Perfetto trace of the experiment's designated
 	// grid point, when Options.Trace was armed and the experiment has
 	// one (fig10); nil otherwise.
@@ -65,10 +59,6 @@ func Execute(name string, o Options) (*ExecResult, error) {
 		return nil, fmt.Errorf("%s: encode csv: %w", name, err)
 	}
 	res.CSV = append([]byte(nil), buf.Bytes()...)
-	res.MetricsText, err = metricsText(rows)
-	if err != nil {
-		return nil, fmt.Errorf("%s: metrics snapshot: %w", name, err)
-	}
 	if o.Trace != nil && o.Trace.Len() > 0 {
 		buf.Reset()
 		if err := o.Trace.WritePerfetto(&buf); err != nil {
@@ -94,27 +84,4 @@ func EncodeCSV(w io.Writer, rows []Row) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// metricsText renders the rows as an internal/metrics snapshot: a
-// bench_rows_total counter per experiment and a bench_row_value_micro
-// counter per row carrying the plotted value in fixed-point microunits
-// (round(value * 1e6)), in the registry's canonical sorted order. Fixed
-// point keeps the snapshot integer-exact, so for deterministic
-// experiments the bytes replay bit-identically.
-func metricsText(rows []Row) ([]byte, error) {
-	reg := metrics.New()
-	for _, r := range rows {
-		reg.Counter("bench_rows_total", metrics.L("experiment", r.Experiment)).Inc()
-		reg.Counter("bench_row_value_micro",
-			metrics.L("experiment", r.Experiment),
-			metrics.L("config", r.Config),
-			metrics.L("unit", r.Unit),
-		).Add(int64(math.Round(r.Value * 1e6)))
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

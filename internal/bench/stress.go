@@ -8,7 +8,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/depgraph"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/task"
 )
@@ -70,16 +69,7 @@ func stressLayer(width, d int, overlapEvery int, base task.ID) []*task.Task {
 // selects depgraph.SubmitBatch per layer over per-task Submit; lookahead
 // wraps the scheduler with a ready-ahead window of that size.
 func stressRun(width, depth, overlapEvery int, batch bool, lookahead int) (float64, error) {
-	reg := metrics.New()
-	var sc sched.Scheduler
-	sc = sched.New(sched.Dependencies, stressPlaces, sched.Options{
-		Hooks: sched.Hooks{Queued: reg.Gauge("sched_queue_depth"), Steals: reg.Counter("sched_steals_total")}})
-	if lookahead > 1 {
-		sc = sched.Lookahead(sc, lookahead, sched.LookaheadHooks{
-			Depth:   reg.Gauge("sched_lookahead_depth"),
-			Refills: reg.Counter("sched_lookahead_refills_total"),
-		})
-	}
+	sc := sched.Lookahead(sched.New(sched.Dependencies, stressPlaces, sched.Options{}), lookahead)
 	g := depgraph.New(func(t *task.Task) { sc.Submit(t, -1) })
 	dir := coherence.NewDirectory()
 

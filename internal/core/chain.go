@@ -226,7 +226,7 @@ func (pl *plan) plannedFn(bool) {
 		n.leadInflight(pl.r, dst)
 		pl.leading, pl.fragmented, pl.i = true, len(pl.missing) > 1 || pl.missing[0] != pl.r, 0
 		if pl.fragmented {
-			n.met.fragAssemblies.Inc()
+			n.fragAssemblies++
 		}
 		pl.next()
 	}
@@ -283,7 +283,7 @@ func (pl *plan) copied(dev int) {
 		n.dir.AddHolder(pc, memspace.Host(n.id))
 	}
 	n.caches[dev].Clean(frag)
-	pl.rt.met.writebacks.Inc()
+	pl.rt.writebacks++
 	pl.i++
 	pl.next()
 }
@@ -395,17 +395,17 @@ func (pl *plan) arrivedFn() {
 		return
 	}
 	rt, frag := pl.rt, pl.missing[pl.i]
-	name, bytes := "m->s", rt.met.bytesMtoS
+	name, bytes := "m->s", &rt.bytesMtoS
 	switch {
 	case pl.dst == 0:
 		name = "s->m"
 	case pl.src != 0:
-		name, bytes = "s->s", rt.met.bytesStoS
+		name, bytes = "s->s", &rt.bytesStoS
 	}
 	rt.cfg.Trace.Record(trace.Span{Kind: trace.NetSend, Name: name,
 		Node: pl.src, Dev: -1, Start: pl.start, End: rt.e.Now(),
 		Bytes: frag.Size, Region: frag.Addr, Peer: pl.dst})
-	bytes.Add(int64(frag.Size))
+	*bytes += frag.Size
 	if pl.dst != 0 { // the master's data handler recorded Host(0) on arrival
 		rt.master().dir.AddHolder(frag, memspace.Host(pl.dst))
 	}

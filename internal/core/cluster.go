@@ -67,7 +67,7 @@ func (rt *Runtime) registerMasterHandlers() {
 				}
 			}
 		}
-		rt.met.remoteRun.Inc()
+		rt.tasksRemote++
 		rt.retire(t, node)
 	})
 	m.ep.RegisterNonBlocking(amData, func(am gasnet.AM) {
@@ -141,7 +141,7 @@ func (rt *Runtime) commLoop(p *sim.Proc, thread, threads int) {
 			m.enqueueLocal(t, retireLocal)
 		} else {
 			if cl.outstanding[k] > 1 {
-				rt.met.presends.Inc()
+				rt.presends++
 			}
 			rt.dispatch(t, k)
 		}

@@ -16,7 +16,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/hw"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
@@ -81,13 +80,6 @@ type Config struct {
 	// export and critical-path analysis. See internal/trace.
 	Trace *trace.Recorder
 
-	// Metrics is the registry the runtime's typed instruments live in
-	// (counters, queue-depth gauges, virtual-time histograms — see
-	// internal/metrics). Nil gets a private registry, so instruments always
-	// record; supply one to snapshot mid-run (the GPU and cache counters
-	// appear at the end of the run) or to aggregate across runs.
-	Metrics *metrics.Registry
-
 	// CPUWorkers is the number of SMP worker threads per node; 0 derives
 	// it from the node spec (cores minus one per GPU manager minus one
 	// runtime thread).
@@ -145,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CommThreads <= 0 {
 		c.CommThreads = 1
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.New()
 	}
 	if err := c.Cluster.Validate(); err != nil {
 		panic("core: invalid Config.Cluster: " + err.Error())
@@ -207,6 +196,8 @@ type Stats struct {
 	TasksSMP    int
 	TasksCUDA   int
 	TasksRemote int // tasks dispatched to slave nodes (subset of the above)
+	Presends    int // dispatches to a node with a task already outstanding
+	Steals      int // tasks a node's place took from another place's queue
 
 	// GPU traffic, all devices.
 	BytesH2D uint64
@@ -227,10 +218,14 @@ type Stats struct {
 	CacheMisses int
 	Evictions   int
 	Writebacks  int // GPU-to-host copies: local D2Hs (eviction, wt, host pulls) and reduction folds
+	// FragmentAssemblies counts staged regions gathered from more than one
+	// holder fragment.
+	FragmentAssemblies int
 
 	// Power model, metered on every run.
 	PowerPeakWatts float64 // high-water modeled cluster draw
 	EnergyJoules   float64 // idle baseline + per-kernel busy deltas
+	PowerThrottles int     // kernel launches the power cap deferred
 
 	// TasksPerNode counts tasks executed on each node (SMP + CUDA).
 	TasksPerNode []int
@@ -245,9 +240,8 @@ type Stats struct {
 
 	// Distributed managers (all zero at the defaults: one shard, zero
 	// ManagerOpCost).
-	ManagerOps int // directory/dependence operations served by shards
-
-	// Metrics is the full registry snapshot the summary fields above were
-	// derived from, in deterministic instrument order.
-	Metrics []metrics.Sample
+	ManagerOps       int // directory/dependence operations served by shards
+	ManagerRemoteOps int // of those, operations whose caller the shard is hosted away from
+	ManagerFailovers int // shards rehosted on the master after their host died
+	BrokeredPushes   int // slave-to-slave pushes a remote shard host brokered
 }

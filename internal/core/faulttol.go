@@ -52,6 +52,8 @@ type ftState struct {
 
 	dead       []bool
 	deaths     int    // nodes declared dead so far
+	misses     int    // probes unanswered, over all nodes
+	reexecs    int    // tasks re-run on survivors
 	pongSince  []bool // a pong arrived since the last probe round
 	missStreak []int  // consecutive unanswered probes
 
@@ -226,7 +228,7 @@ func (rt *Runtime) spawnHeartbeat() {
 							ft.missStreak[k] = 0
 						} else {
 							ft.missStreak[k]++
-							rt.met.hbMisses.Inc()
+							ft.misses++
 							now := p.Now()
 							rt.cfg.Trace.Record(trace.Span{Kind: trace.Heartbeat,
 								Name: fmt.Sprintf("miss:node%d#%d", k, ft.missStreak[k]),
@@ -259,7 +261,6 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 	ft.dead[k] = true
 	ft.deaths++
 	rt.track(k, -rt.cl.outstanding[k]) // its dispatches are requeued below
-	rt.met.deadNodes.Inc()
 	m := rt.master()
 	now := rt.e.Now()
 	if !ft.haveRecovered {
@@ -296,7 +297,7 @@ func (rt *Runtime) nodeDead(k int, reason string) {
 		if d := ft.inflight[id]; d.node == k {
 			requeue = append(requeue, d.t)
 			delete(ft.inflight, id)
-			rt.met.reexecs.Inc()
+			ft.reexecs++
 		}
 	}
 	for _, t := range requeue {
@@ -371,7 +372,7 @@ func (rt *Runtime) recoverLost(k int) {
 				done.Wait(p) // an overlapping rebuild replays t
 			} else {
 				ft.replayed[t.ID] = sim.NewEvent(rt.e)
-				rt.met.reexecs.Inc()
+				ft.reexecs++
 				m.replay(p, t)
 				ft.replayed[t.ID].Trigger()
 			}

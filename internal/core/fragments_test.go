@@ -10,7 +10,6 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
@@ -216,15 +215,13 @@ func overlapProgram(seed int64, n int) []mixTask {
 // initialized region, then a host task reads the whole region. One node
 // keeps the assembly on the local D2H gather path, where the "assemble"
 // span is emitted (cluster assemblies surface as per-fragment net spans).
-func fragmentFixtureRun(t *testing.T) (*metrics.Registry, *trace.Recorder) {
+func fragmentFixtureRun(t *testing.T) (Stats, *trace.Recorder) {
 	t.Helper()
 	cfg := baseCfg(1, 2)
-	reg := metrics.New()
 	rec := trace.New()
-	cfg.Metrics = reg
 	cfg.Trace = rec
 	rt := New(cfg)
-	_, err := rt.Run(func(mc *MainCtx) {
+	stats, err := rt.Run(func(mc *MainCtx) {
 		r := mc.Alloc(1 << 16)
 		mc.InitSeq(r, nil)
 		left := memspace.Region{Addr: r.Addr, Size: r.Size / 2}
@@ -239,26 +236,20 @@ func fragmentFixtureRun(t *testing.T) (*metrics.Registry, *trace.Recorder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, rec
+	return stats, rec
 }
 
 // TestFragmentAssemblyCounterAndSpans checks the observability of the
 // fragment paths: assembling a consumer region from several holder
-// fragments increments coherence_fragment_assemblies and emits "assemble"
+// fragments counts in Stats.FragmentAssemblies and emits "assemble"
 // transfer spans, and the Perfetto export of such a run stays
 // bit-identical across identical runs.
 func TestFragmentAssemblyCounterAndSpans(t *testing.T) {
 	var perfettos []string
 	for i := 0; i < 2; i++ {
-		reg, rec := fragmentFixtureRun(t)
-		var assemblies int64
-		for _, s := range reg.Snapshot() {
-			if strings.HasPrefix(s.ID, "coherence_fragment_assemblies{") {
-				assemblies += s.Value
-			}
-		}
-		if assemblies == 0 {
-			t.Fatal("coherence_fragment_assemblies stayed zero on a fragmented workload")
+		stats, rec := fragmentFixtureRun(t)
+		if stats.FragmentAssemblies == 0 {
+			t.Fatal("FragmentAssemblies stayed zero on a fragmented workload")
 		}
 		var buf bytes.Buffer
 		if err := rec.WritePerfetto(&buf); err != nil {
@@ -278,11 +269,9 @@ func TestFragmentAssemblyCounterAndSpans(t *testing.T) {
 // refactor promises: a workload whose regions only ever match exactly
 // takes the seed code paths — no assemblies counted, no assemble spans.
 func TestExactMatchRunsEmitNoFragmentActivity(t *testing.T) {
-	_, reg, rec := metricsFixtureRun(t)
-	for _, s := range reg.Snapshot() {
-		if strings.HasPrefix(s.ID, "coherence_fragment_assemblies{") && s.Value != 0 {
-			t.Fatalf("%s = %d on an exact-match workload", s.ID, s.Value)
-		}
+	stats, rec := tracedFixtureRun(t)
+	if stats.FragmentAssemblies != 0 {
+		t.Fatalf("FragmentAssemblies = %d on an exact-match workload", stats.FragmentAssemblies)
 	}
 	var buf bytes.Buffer
 	if err := rec.WritePerfetto(&buf); err != nil {

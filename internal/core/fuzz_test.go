@@ -251,8 +251,7 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 	for i, c := range fuzzSeeds() {
 		got, ok := decodeRun(encodeRun(c))
 		want := c.cfg.withDefaults()
-		got.cfg, want.Metrics = got.cfg.withDefaults(), nil
-		got.cfg.Metrics = nil
+		got.cfg = got.cfg.withDefaults()
 		if !ok || !reflect.DeepEqual(got.prog, c.prog) || !reflect.DeepEqual(got.cfg, want) {
 			t.Errorf("seed %d does not round-trip:\n%+v\nvs\n%+v", i, got, c)
 		}

@@ -10,7 +10,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
 // TestHeatAcrossOwnershipEdgeMatchesSerial runs the stencil on 8 nodes x 4
@@ -64,15 +63,12 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 				t.Fatalf("layout premise broken: %d halo reads and %d blocks span two shards", inStraddles, outStraddles)
 			}
 
-			var reg *metrics.Registry
 			run := func() apps.Result {
-				reg = metrics.New()
 				res, err := apps.HeatOmpSs(core.Config{
 					Cluster:       hw.GPUCluster(nodes),
 					Validate:      true,
 					ManagerShards: shards,
 					ManagerOpCost: 2 * time.Microsecond,
-					Metrics:       reg,
 				}, p)
 				if err != nil {
 					t.Fatal(err)
@@ -83,8 +79,7 @@ func TestHeatAcrossOwnershipEdgeMatchesSerial(t *testing.T) {
 			if want := fmt.Sprintf("sum=%.6f", apps.HeatSerialSum(p)); res.Check != want {
 				t.Fatalf("check = %s, want %s", res.Check, want)
 			}
-			remote := reg.Counter("mgr_ops_total", metrics.L("route", "remote")).Value()
-			if brokered := reg.Counter("mgr_brokered_pushes_total").Value(); remote == 0 || brokered == 0 {
+			if remote, brokered := res.Stats.ManagerRemoteOps, res.Stats.BrokeredPushes; remote == 0 || brokered == 0 {
 				t.Fatalf("sharded run charged %d remote ops and brokered %d pushes; the shards never engaged",
 					remote, brokered)
 			}

@@ -46,9 +46,9 @@ const (
 // amDirOp is the control active message that carries a routed directory
 // operation to a remote shard host. The state transition itself is
 // applied at the master image (state-immediate); the message
-// makes the metadata routing visible on the simulated fabric and is
-// counted by the shard host. Best-effort like the heartbeat: a lost
-// datagram loses nothing but a counter increment.
+// makes the metadata routing visible on the simulated fabric, and its
+// handler does nothing. Best-effort like the heartbeat: a lost datagram
+// loses nothing.
 const amDirOp = "dirop"
 
 // mgrState is the distributed-manager cost model of one runtime: who owns
@@ -62,11 +62,15 @@ type mgrState struct {
 	// buffers of their own.
 	spanbuf []dmgr.Span
 	opsbuf  []int
+
+	// brokered counts the pushes a remote shard host brokered, failovers
+	// the shards rehosted on the master.
+	brokered, failovers int
 }
 
 // newMgrState builds the manager model: at least one shard, shard 0 on the
 // master.
-func newMgrState(cfg Config, met *rtMetrics) *mgrState {
+func newMgrState(cfg Config) *mgrState {
 	shards := max(cfg.ManagerShards, 1)
 	dmap := dmgr.NewMap(shards, len(cfg.Cluster.Nodes))
 	// A routed metadata request pays the one-way wire latency plus the
@@ -74,7 +78,7 @@ func newMgrState(cfg Config, met *rtMetrics) *mgrState {
 	hop := cfg.Cluster.Net.Latency + cfg.Cluster.Net.PerMessageOverhead
 	return &mgrState{
 		dmap:   dmap,
-		model:  dmgr.NewModel(dmap, cfg.ManagerOpCost, hop, met.mgrOps, met.mgrRemoteOps),
+		model:  dmgr.NewModel(dmap, cfg.ManagerOpCost, hop),
 		opsbuf: make([]int, shards),
 	}
 }
@@ -175,7 +179,7 @@ func (rt *Runtime) mgrBrokerEndpoint(frag memspace.Region) *nodeRT {
 	if h == 0 || rt.nodeIsDead(h) {
 		return rt.master()
 	}
-	rt.met.mgrBrokered.Inc()
+	m.brokered++
 	return rt.nodes[h]
 }
 
@@ -195,18 +199,16 @@ func (rt *Runtime) mgrFailover(now sim.Time, dead int) {
 	frags := m.dmap.ShardFragments(rt.master().dir.Regions())
 	for _, s := range moved {
 		m.dmap.Reassign(s, 0)
-		rt.met.mgrFailovers.Inc()
+		m.failovers++
 		m.model.Serve(now, s, opsRebuildPerFrag*frags[s])
 	}
 }
 
-// registerDirOpHandlers installs the amDirOp counter handler on every
-// node's endpoint (any node can host a shard, and failover can move
-// shards).
+// registerDirOpHandlers installs the amDirOp handler, which does nothing,
+// on every node's endpoint (any node can host a shard, and failover can
+// move shards).
 func (rt *Runtime) registerDirOpHandlers() {
 	for _, n := range rt.nodes {
-		n.ep.RegisterNonBlocking(amDirOp, func(gasnet.AM) {
-			rt.met.mgrDirMsgs.Inc()
-		})
+		n.ep.RegisterNonBlocking(amDirOp, func(gasnet.AM) {})
 	}
 }

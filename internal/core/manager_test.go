@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/faults"
-	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
 // shardedCfg is faultedCfg with the manager service model armed and the
@@ -50,14 +49,11 @@ func TestShardedManagerMatchesCentralizedResults(t *testing.T) {
 	// op accounting may differ (ops are charged per ownership span, and a
 	// region straddling a 256KiB block boundary is one span centralized
 	// but several sharded).
-	run := func(shards int) (Stats, []byte, int64) {
-		cfg := shardedCfg(8, shards, nil)
-		cfg.Metrics = metrics.New()
-		stats, results := runFaulted(t, cfg, 16, 3, 10*time.Millisecond)
-		return stats, results, cfg.Metrics.Counter("mgr_ops_total", metrics.L("route", "remote")).Value()
+	run := func(shards int) (Stats, []byte) {
+		return runFaulted(t, shardedCfg(8, shards, nil), 16, 3, 10*time.Millisecond)
 	}
-	cs, cr, cRemote := run(1)
-	ss, sr, sRemote := run(4)
+	cs, cr := run(1)
+	ss, sr := run(4)
 	checkAll(t, cr, 3)
 	checkAll(t, sr, 3)
 	if cs.ManagerOps == 0 {
@@ -70,10 +66,10 @@ func TestShardedManagerMatchesCentralizedResults(t *testing.T) {
 	// Remote ops flow in both modes (slaves always update some manager
 	// across the wire: the master's in centralized mode, the owning
 	// shard's host in sharded mode).
-	if cRemote == 0 {
+	if cs.ManagerRemoteOps == 0 {
 		t.Fatal("centralized run charged no remote ops despite slave producers")
 	}
-	if sRemote == 0 {
+	if ss.ManagerRemoteOps == 0 {
 		t.Fatal("4-shard run on 8 nodes charged no remote ops")
 	}
 }
@@ -93,13 +89,12 @@ func TestManagerFailoverMidProducerChain(t *testing.T) {
 		Seed:    7,
 		Crashes: []faults.Crash{{Node: 2, At: 30 * time.Millisecond}},
 	})
-	cfg.Metrics = metrics.New()
 	stats, results := runFaulted(t, cfg, 16, 3, 10*time.Millisecond)
 	checkAll(t, results, 3)
 	if stats.DeadNodes != 1 {
 		t.Fatalf("DeadNodes = %d, want 1", stats.DeadNodes)
 	}
-	if cfg.Metrics.Counter("mgr_failovers_total").Value() == 0 {
+	if stats.ManagerFailovers == 0 {
 		t.Fatal("shard host died but no manager failover was recorded")
 	}
 	if stats.TasksReexecuted == 0 {

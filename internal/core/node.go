@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/coherence"
@@ -85,7 +84,9 @@ type nodeRT struct {
 	scores    []uint64
 	estimates []sched.Estimate
 
-	met nodeMetrics
+	// Tasks run here, by device, and staged regions gathered from more
+	// than one holder fragment.
+	tasksSMP, tasksCUDA, fragAssemblies int
 }
 
 type inflightKey struct {
@@ -146,14 +147,12 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 		prefetched:   make([]*task.Task, len(spec.GPUs)),
 		workSignal:   sim.NewSignal(rt.e),
 		stageHere:    func(r memspace.Region, then func(bool)) { rt.stageToNode(r, id, then) },
-		met:          newNodeMetrics(rt.cfg.Metrics, id),
 	}
 	if rt.plane != nil {
 		n.hostStore = memspace.NewStore(memspace.Host(id))
 	}
 	n.hostStore.UsePlane(rt.plane)
 	n.ep = gasnet.NewEndpoint(rt.fabric, id, n.hostStore)
-	n.ep.Instrument(endpointInstruments(rt.cfg.Metrics, id))
 	for g, gs := range spec.GPUs {
 		n.devs = append(n.devs, gpusim.New(rt.e, gs, memspace.GPU(id, g), rt.cfg.Overlap, rt.cfg.Validate))
 		n.devs[g].Store().UsePlane(rt.plane)
@@ -166,7 +165,7 @@ func newNodeRT(rt *Runtime, id int, spec hw.NodeSpec) *nodeRT {
 	// affinity scheduler does; the cluster level never does (see New).
 	n.sch = sched.New(rt.cfg.Scheduler, n.places, sched.Options{
 		Score: n.affinityScore, Cost: n.placeEstimates, Rank: rt.upwardRank, Steal: true,
-		CanRun: n.canRun, Accepts: n.accepts, Hooks: schedHooks(rt.cfg.Metrics, "node"+strconv.Itoa(id))})
+		CanRun: n.canRun, Accepts: n.accepts})
 	return n
 }
 
@@ -304,11 +303,9 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 	copies := t.Copies()
 	// Inputs must be valid in host memory (SMP tasks use copy clauses too).
 	n.stageRegions(p, t, hostDevKey)
-	start := p.Now()
-	run := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, -1, start)
+	run := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, -1, p.Now())
 	p.Sleep(jitter(t.ID, t.Work.CPUCost(n.spec)))
 	run.EndTask(p.Now(), int64(t.ID))
-	n.met.taskRunNS.Observe(sim.Duration(p.Now() - start))
 	if n.rt.cfg.Validate {
 		n.runBody(t)
 	}
@@ -320,19 +317,33 @@ func (n *nodeRT) runSMP(p *sim.Proc, t *task.Task) {
 			n.produced(c.Region, memspace.Host(n.id))
 		}
 	}
+	n.finish(p, t, 0)
+}
+
+// finish retires t, run at place (0 for the host, 1+g for GPU g): it
+// counts, then its completion action runs. A spawner first blocks until
+// its nested tasks drain, detached so this executor can run those very
+// tasks (a parent waiting on its children must not occupy the only
+// executor).
+func (n *nodeRT) finish(p *sim.Proc, t *task.Task, place int) {
 	if t.Spawner() != nil {
-		// The spawner blocks until its nested tasks drain; detach it so
-		// this worker can execute those very tasks (a parent waiting on
-		// its children must not occupy the only executor).
 		n.rt.e.Go("spawner:"+t.Name, func(sp *sim.Proc) {
 			n.runSpawner(sp, t)
-			n.met.tasksSMP.Inc()
-			n.completeLocal(sp, t, 0)
+			n.count(place)
+			n.completeLocal(sp, t, place)
 		})
 		return
 	}
-	n.met.tasksSMP.Inc()
-	n.completeLocal(p, t, 0)
+	n.count(place)
+	n.completeLocal(p, t, place)
+}
+
+func (n *nodeRT) count(place int) {
+	if place == 0 {
+		n.tasksSMP++
+	} else {
+		n.tasksCUDA++
+	}
 }
 
 // completeLocal runs the completion action registered for t. Master-local
@@ -374,11 +385,9 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 			t = popped
 			n.sampleSchedDepth(p.Now())
 			p.Sleep(taskOverhead)
-			stageStart := p.Now()
-			stage := n.rt.cfg.Trace.Begin(trace.Stage, t.Name, n.id, g, stageStart)
+			stage := n.rt.cfg.Trace.Begin(trace.Stage, t.Name, n.id, g, p.Now())
 			n.stageRegions(p, t, g)
 			stage.EndNonEmpty(p.Now())
-			n.met.stageNS.Observe(sim.Duration(p.Now() - stageStart))
 		}
 		dev := n.devs[g]
 		cost := jitter(t.ID, t.Work.GPUCost(dev.Spec()))
@@ -386,8 +395,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		// claim may defer the launch until running kernels retire.
 		powerDelta := n.spec.GPUs[g].Power.Delta()
 		n.rt.gov.acquire(p, t.Name, n.id, g, powerDelta)
-		kernelStart := p.Now()
-		kernel := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, g, kernelStart)
+		kernel := n.rt.cfg.Trace.Begin(trace.TaskRun, t.Name, n.id, g, p.Now())
 		var body func(*memspace.Store)
 		if n.rt.cfg.Validate {
 			body = guarded(t)
@@ -397,9 +405,7 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 			// Once a kernel is launched, request the next task and start
 			// moving its data so it is resident by the time it can run.
 			if nt := n.sch.Pop(place); nt != nil {
-				n.met.prefetchPops.Inc()
 				if n.tryStage(p, nt, g) {
-					n.met.prefetchStaged.Inc()
 					n.prefetched[g] = nt
 				} else {
 					// Not enough free memory alongside the running task:
@@ -411,19 +417,8 @@ func (n *nodeRT) gpuManagerLoop(p *sim.Proc, g int) {
 		kernelDone.Wait(p)
 		n.rt.gov.release(powerDelta)
 		kernel.EndTask(p.Now(), int64(t.ID))
-		n.met.taskRunNS.Observe(sim.Duration(p.Now() - kernelStart))
 		n.publishGPUTask(p, g, t)
-		if t.Spawner() != nil {
-			// Detached: the nested tasks need this very GPU manager.
-			n.rt.e.Go("spawner:"+t.Name, func(sp *sim.Proc) {
-				n.runSpawner(sp, t)
-				n.met.tasksCUDA.Inc()
-				n.completeLocal(sp, t, 1+g)
-			})
-			continue
-		}
-		n.met.tasksCUDA.Inc()
-		n.completeLocal(p, t, 1+g)
+		n.finish(p, t, place)
 	}
 }
 
@@ -778,7 +773,7 @@ func (n *nodeRT) combineReductions(rrs []memspace.Region, then func(bool)) {
 				}
 				n.caches[g].Unpin(r)
 				n.dropLine(g, r)
-				n.rt.met.writebacks.Inc()
+				n.rt.writebacks++
 				fold(i + 1)
 			})
 		})

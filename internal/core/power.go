@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
@@ -25,29 +24,32 @@ type powerGov struct {
 	// headroom is broadcast on every release, waking throttled launches.
 	headroom *sim.Signal
 
-	drawMW    *metrics.Gauge // milliwatts; Max() is the recorded peak
-	throttles *metrics.Counter
+	// peakMW is the high-water draw, sampled in whole milliwatts at the
+	// start and after every change; throttles counts deferred launches.
+	peakMW    int64
+	throttles int
 }
 
 func newPowerGov(rt *Runtime, capW float64) *powerGov {
 	pg := &powerGov{
-		rt:        rt,
-		capW:      capW,
-		draw:      rt.cfg.Cluster.IdleWatts(),
-		headroom:  sim.NewSignal(rt.e),
-		drawMW:    rt.cfg.Metrics.Gauge("power_draw_mw"),
-		throttles: rt.cfg.Metrics.Counter("power_throttles_total"),
+		rt:       rt,
+		capW:     capW,
+		draw:     rt.cfg.Cluster.IdleWatts(),
+		headroom: sim.NewSignal(rt.e),
 	}
-	pg.drawMW.Set(int64(pg.draw * 1000))
+	pg.sample()
 	return pg
 }
+
+// sample raises the peak to the current draw.
+func (pg *powerGov) sample() { pg.peakMW = max(pg.peakMW, int64(pg.draw*1000)) }
 
 // acquire blocks until delta watts fit under the cap, then claims them.
 // Called by a GPU manager immediately before launching a kernel; the
 // matching release runs when the kernel completes.
 func (pg *powerGov) acquire(p *sim.Proc, name string, node, dev int, delta float64) {
 	if pg.draw+delta > pg.capW+1e-9 {
-		pg.throttles.Inc()
+		pg.throttles++
 		th := pg.rt.cfg.Trace.Begin(trace.Throttle, name, node, dev, p.Now())
 		for {
 			gen := pg.headroom.Gen()
@@ -59,15 +61,15 @@ func (pg *powerGov) acquire(p *sim.Proc, name string, node, dev int, delta float
 		th.End(p.Now())
 	}
 	pg.draw += delta
-	pg.drawMW.Set(int64(pg.draw * 1000))
+	pg.sample()
 }
 
 // release returns delta watts to the budget and wakes throttled launches.
 func (pg *powerGov) release(delta float64) {
 	pg.draw -= delta
-	pg.drawMW.Set(int64(pg.draw * 1000))
+	pg.sample()
 	pg.headroom.Broadcast()
 }
 
 // PeakWatts is the high-water modeled draw so far.
-func (pg *powerGov) peakWatts() float64 { return float64(pg.drawMW.Max()) / 1000 }
+func (pg *powerGov) peakWatts() float64 { return float64(pg.peakMW) / 1000 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/task"
 )
@@ -15,11 +14,10 @@ import (
 // runPowerWorkload runs independent CUDA tasks on a 4-GPU node under the
 // given cap, returning the stats, the final bytes of each region and the
 // kernel launches the governor deferred.
-func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte, int64) {
+func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte, int) {
 	t.Helper()
 	cfg := baseCfg(1, 4)
 	cfg.PowerCapWatts = capWatts
-	cfg.Metrics = metrics.New()
 	rt := New(cfg)
 	const tasks = 8
 	var out [][]byte
@@ -48,7 +46,7 @@ func runPowerWorkload(t *testing.T, capWatts float64) (Stats, [][]byte, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, out, cfg.Metrics.Counter("power_throttles_total").Value()
+	return stats, out, stats.PowerThrottles
 }
 
 func TestPowerCapThrottlesWithoutChangingResults(t *testing.T) {

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/depgraph"
 	"github.com/bsc-repro/ompss/internal/gasnet"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
@@ -42,9 +40,11 @@ type Runtime struct {
 	// successors for the "dependencies" policy.
 	releasePlace int
 
-	// met holds the cross-cutting instruments not owned by a device or
-	// interface; they live in cfg.Metrics and are readable mid-run.
-	met *rtMetrics
+	// Activity counts of the runtime's own layer; the devices, caches,
+	// interfaces, endpoints, schedulers and managers count theirs, and
+	// collectStats sums them all into Stats.
+	presends, writebacks, tasksRemote int
+	bytesMtoS, bytesStoS              uint64
 
 	// cl and clSch are the cluster-level dispatch state and scheduler (nil
 	// on single-node machines): place k is node k, place 0 the master node
@@ -97,7 +97,6 @@ func New(cfg Config) *Runtime {
 		taskDone:     make(map[task.ID]*sim.Event),
 		rankMemo:     make(map[task.ID]time.Duration),
 		releasePlace: -1,
-		met:          newRTMetrics(cfg.Metrics),
 	}
 	if cfg.Validate {
 		rt.plane = memspace.NewPlane(planeWorkers, func(v any, stack []byte) error {
@@ -119,12 +118,12 @@ func New(cfg Config) *Runtime {
 		// cluster-level steals would migrate a task's data with it.
 		rt.clSch = sched.New(cfg.Scheduler, len(rt.nodes), sched.Options{
 			Score: rt.clusterScore, Cost: rt.clusterEstimates, Rank: rt.upwardRank,
-			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts, Hooks: schedHooks(cfg.Metrics, "cluster")})
+			CanRun: rt.clusterCanRun, Accepts: rt.clusterAccepts})
 		rt.cl = &clusterState{outstanding: make([]int, len(rt.nodes)), closed: make([]bool, len(rt.nodes)),
 			open: make([]int, cfg.CommThreads), xfers: make(map[int64]*plan),
 			scores: make([]uint64, len(rt.nodes)), estimates: make([]sched.Estimate, len(rt.nodes))}
 	}
-	rt.mgr = newMgrState(cfg, rt.met)
+	rt.mgr = newMgrState(cfg)
 	rt.initChains()
 	rt.registerDirOpHandlers()
 	if cfg.Faults != nil {
@@ -460,37 +459,40 @@ func (rt *Runtime) flushAll(p *sim.Proc) {
 
 func (rt *Runtime) collectStats() Stats {
 	s := Stats{
-		ElapsedSeconds: rt.e.Now().Seconds(),
-		Writebacks:     int(rt.met.writebacks.Value()),
-		BytesMtoS:      uint64(rt.met.bytesMtoS.Value()),
-		BytesStoS:      uint64(rt.met.bytesStoS.Value()),
-		TasksRemote:    int(rt.met.remoteRun.Value()),
+		ElapsedSeconds:   rt.e.Now().Seconds(),
+		Writebacks:       rt.writebacks,
+		BytesMtoS:        rt.bytesMtoS,
+		BytesStoS:        rt.bytesStoS,
+		TasksRemote:      rt.tasksRemote,
+		Presends:         rt.presends,
+		PowerThrottles:   rt.gov.throttles,
+		ManagerOps:       rt.mgr.model.Ops,
+		ManagerRemoteOps: rt.mgr.model.RemoteOps,
+		ManagerFailovers: rt.mgr.failovers,
+		BrokeredPushes:   rt.mgr.brokered,
 	}
 	if rt.ft != nil {
 		is := rt.ft.inj.Stats()
 		s.FaultDropsInjected = is.Drops + is.CrashDrops
-		s.HeartbeatMisses = int(rt.met.hbMisses.Value())
-		s.DeadNodes = int(rt.met.deadNodes.Value())
-		s.TasksReexecuted = int(rt.met.reexecs.Value())
+		s.HeartbeatMisses = rt.ft.misses
+		s.DeadNodes = rt.ft.deaths
+		s.TasksReexecuted = rt.ft.reexecs
 		if rt.ft.haveRecovered {
 			s.RecoverySeconds = (rt.ft.recoverEnd - rt.ft.recoverStart).Seconds()
 		}
 	}
-	s.ManagerOps = int(rt.met.mgrOps.Value())
 	// Energy under the two-level power model: the whole cluster idles for
 	// the whole run, and each kernel adds its device's busy delta for its
 	// duration. Pure arithmetic over already-collected busy counters.
 	s.EnergyJoules = rt.cfg.Cluster.IdleWatts() * s.ElapsedSeconds
 	s.PowerPeakWatts = rt.gov.peakWatts()
-	reg := rt.cfg.Metrics
-	elapsed := int64(rt.e.Now())
 	for _, n := range rt.nodes {
-		node := metrics.L("node", strconv.Itoa(n.id))
-		nodeTasks := int(n.met.tasksSMP.Value() + n.met.tasksCUDA.Value())
-		s.TasksPerNode = append(s.TasksPerNode, nodeTasks)
-		s.TasksSMP += int(n.met.tasksSMP.Value())
-		s.TasksCUDA += int(n.met.tasksCUDA.Value())
-		s.NetRetries += int(reg.Counter("am_retries_total", node).Value())
+		s.TasksPerNode = append(s.TasksPerNode, n.tasksSMP+n.tasksCUDA)
+		s.TasksSMP += n.tasksSMP
+		s.TasksCUDA += n.tasksCUDA
+		s.FragmentAssemblies += n.fragAssemblies
+		s.Steals += n.sch.Steals()
+		s.NetRetries += n.ep.Stats().Retries
 		for g, d := range n.devs {
 			ds, c := d.Stats(), n.caches[g]
 			s.BytesH2D += ds.BytesH2D
@@ -501,30 +503,10 @@ func (rt *Runtime) collectStats() Stats {
 			s.CacheHits += c.Hits
 			s.CacheMisses += c.Misses
 			s.Evictions += c.Evictions
-			// Publish the device's and its cache's own tallies, and the
-			// derived per-device time split: busy running kernels, stalled
-			// on DMA, idle otherwise.
-			ls := []metrics.Label{node, metrics.L("gpu", strconv.Itoa(g))}
-			busy, dma := int64(ds.KernelBusy), int64(ds.DMABusy)
-			idle := elapsed - busy - dma
-			if idle < 0 {
-				idle = 0 // overlap mode: engines run concurrently
-			}
-			reg.Counter("gpu_kernels_total", ls...).Add(int64(ds.Kernels))
-			reg.Counter("gpu_bytes_total", append(ls, metrics.L("dir", "h2d"))...).Add(int64(ds.BytesH2D))
-			reg.Counter("gpu_bytes_total", append(ls, metrics.L("dir", "d2h"))...).Add(int64(ds.BytesD2H))
-			reg.Counter("gpu_busy_ns", ls...).Add(busy)
-			reg.Counter("gpu_dma_busy_ns", ls...).Add(dma)
-			reg.Gauge("gpu_stall_ns", ls...).Set(dma)
-			reg.Gauge("gpu_idle_ns", ls...).Set(idle)
-			reg.Counter("cache_hits_total", ls...).Add(int64(c.Hits))
-			reg.Counter("cache_misses_total", ls...).Add(int64(c.Misses))
-			reg.Counter("cache_evictions_total", ls...).Add(int64(c.Evictions))
 		}
 		fs := rt.fabric.Iface(n.id).Stats()
 		s.NetBytes += fs.BytesSent
 		s.NetMsgs += fs.MsgsSent
 	}
-	s.Metrics = rt.cfg.Metrics.Snapshot()
 	return s
 }

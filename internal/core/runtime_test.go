@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/coherence"
 	"github.com/bsc-repro/ompss/internal/hw"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
@@ -456,7 +456,7 @@ func TestSlaveToSlaveVersusMasterRouted(t *testing.T) {
 }
 
 func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
-	run := func(presend int) (Stats, int64) {
+	run := func(presend int) Stats {
 		// The master has no GPU: every CUDA task must run on the single
 		// slave, so presend's transfer/compute overlap is isolated.
 		cluster := testCluster(2, 1, 1<<26)
@@ -465,7 +465,6 @@ func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
 		cfg.Cluster = cluster
 		cfg.Scheduler = sched.BreadthFirst
 		cfg.Presend = presend
-		cfg.Metrics = metrics.New()
 		rt := New(cfg)
 		stats, err := rt.Run(func(mc *MainCtx) {
 			for i := 0; i < 12; i++ {
@@ -480,14 +479,13 @@ func TestPresendOverlapsTransfersWithRemoteCompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats, cfg.Metrics.Counter("presend_total").Value()
+		return stats
 	}
-	none, nonePresends := run(0)
-	two, twoPresends := run(2)
-	if nonePresends != 0 {
-		t.Fatalf("presend=0 recorded %d presends", nonePresends)
+	none, two := run(0), run(2)
+	if none.Presends != 0 {
+		t.Fatalf("presend=0 recorded %d presends", none.Presends)
 	}
-	if twoPresends == 0 {
+	if two.Presends == 0 {
 		t.Fatal("presend=2 recorded no presends")
 	}
 	// Without presend each remote task serializes wire + PCIe + kernel;
@@ -532,6 +530,13 @@ func TestDeterminism(t *testing.T) {
 	s2, sum2 := run()
 	if fmt.Sprintf("%+v", s1) != fmt.Sprintf("%+v", s2) {
 		t.Fatalf("stats diverged:\n%+v\nvs\n%+v", s1, s2)
+	}
+	perNode := 0
+	for _, n := range s1.TasksPerNode {
+		perNode += n
+	}
+	if perNode != s1.TasksSMP+s1.TasksCUDA || perNode == 0 {
+		t.Fatalf("TasksPerNode %v sums to %d, TasksSMP+TasksCUDA = %d", s1.TasksPerNode, perNode, s1.TasksSMP+s1.TasksCUDA)
 	}
 	if sum1 != sum2 {
 		t.Fatalf("results diverged: %d vs %d", sum1, sum2)
@@ -656,6 +661,70 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "#") {
 		t.Fatalf("gantt has no execution marks:\n%s", sb.String())
+	}
+}
+
+// tracedFixtureRun executes a small cluster workload with a trace
+// recorder attached, returning the stats and the recorder.
+func tracedFixtureRun(t *testing.T) (Stats, *trace.Recorder) {
+	t.Helper()
+	cfg := baseCfg(2, 1)
+	cfg.Prefetch = true
+	rec := trace.New()
+	cfg.Trace = rec
+	rt := New(cfg)
+	stats, err := rt.Run(func(mc *MainCtx) {
+		var regs []memspace.Region
+		for i := 0; i < 4; i++ {
+			r := mc.Alloc(1 << 16)
+			mc.InitSeq(r, nil)
+			regs = append(regs, r)
+		}
+		for round := 0; round < 2; round++ {
+			for i, r := range regs {
+				mc.Submit(TaskDef{Name: fmt.Sprintf("g%d_%d", round, i), Device: task.CUDA,
+					Deps: []task.Dep{inoutDep(r)},
+					Work: incWork{r: r, delta: 1, cost: time.Duration(i+1) * time.Millisecond}})
+			}
+		}
+		mc.Submit(TaskDef{Name: "cpu", Device: task.SMP,
+			Deps: []task.Dep{inoutDep(regs[0])},
+			Work: incWork{r: regs[0], delta: 1, cost: time.Millisecond}})
+		mc.TaskWait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, rec
+}
+
+func TestTraceEdgesAndCriticalPathFromRun(t *testing.T) {
+	stats, rec := tracedFixtureRun(t)
+	if len(rec.Edges()) == 0 {
+		t.Fatal("no dependence arcs mirrored into the trace")
+	}
+	rep := rec.CriticalPath(5)
+	if rep.Tasks != stats.TasksSMP+stats.TasksCUDA {
+		t.Fatalf("critical path analyzed %d tasks, %d ran", rep.Tasks, stats.TasksSMP+stats.TasksCUDA)
+	}
+	if len(rep.Chain) < 2 {
+		t.Fatalf("chain too short: %+v", rep.Chain)
+	}
+	// Each region's 2 rounds + the cpu task form dependent chains; the
+	// makespan must be fully decomposed.
+	total := rep.Compute + rep.Transfer + rep.Idle
+	if total != time.Duration(rep.Makespan) {
+		t.Fatalf("compute+transfer+idle %v != makespan %v", total, time.Duration(rep.Makespan))
+	}
+	var a, b bytes.Buffer
+	if err := rec.WritePerfetto(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WritePerfetto(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("perfetto re-export differs")
 	}
 }
 

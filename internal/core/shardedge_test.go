@@ -8,7 +8,6 @@ import (
 	"github.com/bsc-repro/ompss/internal/dmgr"
 	"github.com/bsc-repro/ompss/internal/faults"
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/trace"
 )
 
@@ -40,7 +39,7 @@ func TestCrashMidStagingOfRegionAcrossOwnershipEdge(t *testing.T) {
 
 	run := func(crashes []faults.Crash) (Stats, []byte, Config) {
 		cfg := shardedCfg(nodes, shards, &faults.Plan{Seed: 5, Crashes: crashes})
-		cfg.Trace, cfg.Metrics = trace.New(), metrics.New()
+		cfg.Trace = trace.New()
 		stats, results := runFaulted(t, cfg, regions, rounds, 10*time.Millisecond)
 		return stats, results, cfg
 	}
@@ -63,15 +62,14 @@ func TestCrashMidStagingOfRegionAcrossOwnershipEdge(t *testing.T) {
 		}
 		crash := []faults.Crash{{Node: victim, At: time.Duration(mid.Start + (mid.End-mid.Start)/2)}}
 
-		stats, results, cfg := run(crash)
+		stats, results, _ := run(crash)
 		checkAll(t, results, rounds)
 		if stats.DeadNodes != 1 || stats.TasksReexecuted == 0 {
 			t.Fatalf("victim %d: DeadNodes = %d, TasksReexecuted = %d; want one death with work to redo",
 				victim, stats.DeadNodes, stats.TasksReexecuted)
 		}
-		failovers := cfg.Metrics.Counter("mgr_failovers_total").Value()
-		if hosted := len(dmap.HostedOn(victim)); (failovers > 0) != (hosted > 0) {
-			t.Fatalf("victim %d hosts %d shards but mgr_failovers_total = %d", victim, hosted, failovers)
+		if hosted := len(dmap.HostedOn(victim)); (stats.ManagerFailovers > 0) != (hosted > 0) {
+			t.Fatalf("victim %d hosts %d shards but ManagerFailovers = %d", victim, hosted, stats.ManagerFailovers)
 		}
 		again, _, _ := run(crash)
 		if a, b := fmt.Sprintf("%+v", stats), fmt.Sprintf("%+v", again); a != b {

@@ -16,17 +16,17 @@ import (
 // by value and a batch's task descriptors are one allocation, so what is
 // left is set-up and the records the pools and queues grow to. It was 23.98
 // and 24.41 before scheduling, staging and completion reports stopped
-// allocating on the way, 16.63 and 16.76 before those three, and 11.65 and
-// 11.83 with a process, an ack event and boxed arguments per remote task;
-// it is held to what was measured plus 5 %. The sharded reading moves by
-// about 0.02 from run to run (shards=1 now and then too), and the bounds
-// leave room for that on purpose: a heap profile at -memprofilerate=1 puts
-// every allocation that differs between runs on set-up and teardown paths
-// with fixed inputs — the metrics registry's maps and names, fmt.Sprintf
-// through its sync.Pool, a coroutine's iter.Pull — one or two objects each,
-// which is the Go runtime's map growth and pool refills after a GC, not the
-// simulation's per-task work. The race detector allocates on its own, hence
-// the build tag.
+// allocating on the way, 16.63 and 16.76 before those three, 11.65 and
+// 11.83 with a process, an ack event and boxed arguments per remote task,
+// and 4.77 and 4.82 while a labelled registry of instruments was built for
+// every run; it is held to the highest of 20 readings plus 5 %. A reading
+// moves by about 0.02 from run to run, and the bounds leave room for that
+// on purpose: a heap profile at -memprofilerate=1 puts every allocation
+// that differs between runs on set-up and teardown paths with fixed inputs
+// — fmt.Sprintf through its sync.Pool, a coroutine's iter.Pull — one or two
+// objects each, which is the Go runtime's map growth and pool refills after
+// a GC, not the simulation's per-task work. The race detector allocates on
+// its own, hence the build tag.
 //
 // Under a quiet fault plan every remote message is reliable: a send, its
 // retry loop and its ack are chains on pooled records too, and the
@@ -38,7 +38,7 @@ func TestAllocsPerTask(t *testing.T) {
 		shards   int
 		plan     *faults.Plan
 		measured float64
-	}{{1, nil, 4.77}, {2, nil, 4.82}, {1, &faults.Plan{Seed: 1}, 5.34}, {2, &faults.Plan{Seed: 1}, 5.24}} {
+	}{{1, nil, 3.88}, {2, nil, 3.90}, {1, &faults.Plan{Seed: 1}, 4.52}, {2, &faults.Plan{Seed: 1}, 4.44}} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sched"
 	"github.com/bsc-repro/ompss/internal/task"
 )
@@ -16,14 +15,13 @@ import (
 // that each add it into a small region of their own, under the
 // affinity scheduler. Every consumer scores highest where the big region
 // lives, so all of them queue behind one place while the others idle. It
-// returns the stats, the registry and whether every small region came out
-// as the serial program leaves it.
-func runSkewed(t *testing.T, nodes, gpus, consumers int) (Stats, *metrics.Registry, bool) {
+// returns the stats, the cluster scheduler's steals (0 on one node) and
+// whether every small region came out as the serial program leaves it.
+func runSkewed(t *testing.T, nodes, gpus, consumers int) (Stats, int, bool) {
 	t.Helper()
-	cfg := Config{Cluster: testCluster(nodes, gpus, 1<<26), Scheduler: sched.Affinity,
-		Validate: true, Metrics: metrics.New()}
+	rt := New(Config{Cluster: testCluster(nodes, gpus, 1<<26), Scheduler: sched.Affinity, Validate: true})
 	exact := true
-	stats, err := New(cfg).Run(func(mc *MainCtx) {
+	stats, err := rt.Run(func(mc *MainCtx) {
 		hot := mc.Alloc(1 << 20)
 		mc.Submit(TaskDef{Name: "produce", Device: task.CUDA, Deps: []task.Dep{outDep(hot)},
 			Work: setWork{r: hot, v: 1, cost: time.Millisecond}})
@@ -45,7 +43,11 @@ func runSkewed(t *testing.T, nodes, gpus, consumers int) (Stats, *metrics.Regist
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, cfg.Metrics, exact
+	clusterSteals := 0
+	if rt.clSch != nil {
+		clusterSteals = rt.clSch.Steals()
+	}
+	return stats, clusterSteals, exact
 }
 
 // A node's places always steal, as the paper's affinity scheduler does:
@@ -53,11 +55,11 @@ func runSkewed(t *testing.T, nodes, gpus, consumers int) (Stats, *metrics.Regist
 // holds the data, and the results stay exact.
 func TestIdleGPUStealsFromAffinityQueue(t *testing.T) {
 	const consumers = 16
-	stats, reg, exact := runSkewed(t, 1, 2, consumers)
+	stats, _, exact := runSkewed(t, 1, 2, consumers)
 	if !exact {
 		t.Fatal("checksum differs from the serial result")
 	}
-	if steals := reg.Counter("sched_steals_total", metrics.L("sched", "node0")).Value(); steals == 0 {
+	if stats.Steals == 0 {
 		t.Fatal("no steal: the idle GPU never took work from the busy GPU's queue")
 	}
 	if stats.TasksCUDA != consumers+1 {
@@ -71,11 +73,11 @@ func TestIdleGPUStealsFromAffinityQueue(t *testing.T) {
 // none of them.
 func TestClusterNeverStealsBetweenNodes(t *testing.T) {
 	const consumers = 12
-	stats, reg, exact := runSkewed(t, 2, 1, consumers)
+	stats, steals, exact := runSkewed(t, 2, 1, consumers)
 	if !exact {
 		t.Fatal("checksum differs from the serial result")
 	}
-	if steals := reg.Counter("sched_steals_total", metrics.L("sched", "cluster")).Value(); steals != 0 {
+	if steals != 0 {
 		t.Fatalf("the cluster scheduler stole %d tasks between node queues", steals)
 	}
 	if busiest := slices.Max(stats.TasksPerNode); busiest < consumers {

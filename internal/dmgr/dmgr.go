@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
 
@@ -175,19 +174,15 @@ type Model struct {
 	OpCost sim.Duration
 	Hop    sim.Duration
 
-	busy      []sim.Time
-	ops       *metrics.Counter
-	remoteOps *metrics.Counter
+	busy []sim.Time
+	// Ops counts the operations served and RemoteOps those of them whose
+	// caller was hosted away from the shard.
+	Ops, RemoteOps int
 }
 
-// NewModel builds the service model. ops / remoteOps count total and
-// remote-routed operations (either may be nil).
-func NewModel(m *Map, opCost, hop time.Duration, ops, remoteOps *metrics.Counter) *Model {
-	return &Model{
-		M: m, OpCost: opCost, Hop: hop,
-		busy: make([]sim.Time, m.shards),
-		ops:  ops, remoteOps: remoteOps,
-	}
+// NewModel builds the service model.
+func NewModel(m *Map, opCost, hop time.Duration) *Model {
+	return &Model{M: m, OpCost: opCost, Hop: hop, busy: make([]sim.Time, m.shards)}
 }
 
 // Serve enqueues nops operations on shard s at virtual time now and
@@ -196,9 +191,7 @@ func (md *Model) Serve(now sim.Time, s, nops int) sim.Time {
 	if nops <= 0 {
 		return now
 	}
-	if md.ops != nil {
-		md.ops.Add(int64(nops))
-	}
+	md.Ops += nops
 	start := md.busy[s]
 	if start < now {
 		start = now
@@ -217,9 +210,7 @@ func (md *Model) ServeFrom(now sim.Time, caller, s, nops int) sim.Time {
 	}
 	end := md.Serve(now, s, nops)
 	if md.M.Host(s) != caller {
-		if md.remoteOps != nil {
-			md.remoteOps.Add(int64(nops))
-		}
+		md.RemoteOps += nops
 		end += 2 * sim.Time(md.Hop)
 	}
 	return end

@@ -95,7 +95,7 @@ func TestMapHostsAndReassign(t *testing.T) {
 // callers pay the round trip.
 func TestModelFCFS(t *testing.T) {
 	m := NewMap(2, 4)
-	md := NewModel(m, 2*time.Microsecond, 10*time.Microsecond, nil, nil)
+	md := NewModel(m, 2*time.Microsecond, 10*time.Microsecond)
 	us := int64(time.Microsecond)
 	if end := md.Serve(0, 0, 3); int64(end) != 6*us {
 		t.Fatalf("first Serve end = %d, want 6us", end)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
@@ -42,9 +41,8 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 		}
 		return false
 	}})
-	runs, dups := 0, &metrics.Counter{}
+	runs := 0
 	eps[1].RegisterNonBlocking("work", func(AM) { runs++ })
-	eps[1].Instrument(Instruments{Duplicates: dups})
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
@@ -55,8 +53,8 @@ func TestDuplicateIsAckedFromTheDispatchersChain(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ok || runs != 1 || dups.Value() != 1 || acks != 2 {
-		t.Fatalf("ok=%v runs=%d dups=%d acks=%d; want true, 1, 1, 2", ok, runs, dups.Value(), acks)
+	if !ok || runs != 1 || eps[1].Stats().Duplicates != 1 || acks != 2 {
+		t.Fatalf("ok=%v runs=%d dups=%d acks=%d; want true, 1, 1, 2", ok, runs, eps[1].Stats().Duplicates, acks)
 	}
 	if n := e.Spawned(); n != 1 {
 		t.Fatalf("%d processes spawned, want 1: the acks need none", n)

@@ -14,7 +14,6 @@ import (
 	"slices"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 	"github.com/bsc-repro/ompss/internal/task"
@@ -173,22 +172,17 @@ type Endpoint struct {
 	acking   *wireAM             // the message whose ack is being sent
 	ackSent  func()              // bound once: dispatch acking, take the next
 
-	ins Instruments
+	stats EndpointStats
 }
 
-// Instruments mirrors endpoint activity into a metrics registry. Nil
-// counters no-op; retransmissions and acks count separately from the
-// first transmission of each logical message.
-type Instruments struct {
-	MsgsSent   *metrics.Counter
-	BytesSent  *metrics.Counter
-	AcksSent   *metrics.Counter
-	Retries    *metrics.Counter
-	Duplicates *metrics.Counter // inbound duplicate deliveries suppressed
+// EndpointStats counts the reliable layer's repairs at one endpoint.
+type EndpointStats struct {
+	Retries    int // retransmissions of this endpoint's reliable sends
+	Duplicates int // inbound duplicate deliveries suppressed
 }
 
-// Instrument attaches registry counters to the endpoint.
-func (ep *Endpoint) Instrument(ins Instruments) { ep.ins = ins }
+// Stats returns a snapshot of the endpoint's counters.
+func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 
 // NewEndpoint returns an endpoint for node on fabric f. store is the node's
 // host backing store (nil in cost-only mode).
@@ -263,7 +257,6 @@ func (ep *Endpoint) receive(msg netsim.Message, ok bool) {
 		// sender's retransmission and the receiver's dedup.
 		// The dispatcher takes no message until this one's ack is on its
 		// way, so one acking slot serves it.
-		ep.ins.AcksSent.Inc()
 		ack := ep.wire(w.am.From, ackHandler, Args{}, memspace.Region{}, 0)
 		ack.seq = w.seq
 		ep.acking = w
@@ -296,7 +289,7 @@ func (ep *Endpoint) dispatch(w *wireAM) {
 			ep.seen = make([]window, ep.f.Nodes())
 		}
 		if !ep.seen[w.am.From].admit(w.seq) {
-			ep.ins.Duplicates.Inc()
+			ep.stats.Duplicates++
 			w.release()
 			return
 		}
@@ -390,8 +383,6 @@ func (ep *Endpoint) send(to int, handler string, args Args, r memspace.Region, b
 		ep.sendReliably(m, w, done)
 		return
 	}
-	ep.ins.MsgsSent.Inc()
-	ep.ins.BytesSent.Add(int64(m.Size))
 	ep.f.SendFunc(m, w.then(done))
 }
 
@@ -449,8 +440,6 @@ type relSend struct {
 
 func (rs *relSend) transmit() {
 	ep := rs.ep
-	ep.ins.MsgsSent.Inc()
-	ep.ins.BytesSent.Add(int64(rs.m.Size))
 	rs.w.refs++
 	ep.f.SendFunc(rs.m, rs.sent)
 }
@@ -497,7 +486,7 @@ func (rs *relSend) waitedFn() {
 	if !rs.acked && rs.attempt < rel.MaxAttempts && !ep.closed {
 		rs.attempt++
 		rs.timeout *= 2
-		ep.ins.Retries.Inc()
+		ep.stats.Retries++
 		if rel.OnRetry != nil {
 			rel.OnRetry(rs.m.To, rs.w.am.Handler, rs.attempt)
 		}

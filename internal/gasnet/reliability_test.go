@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/bsc-repro/ompss/internal/memspace"
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/netsim"
 	"github.com/bsc-repro/ompss/internal/sim"
 )
@@ -80,9 +79,8 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 		}
 		return false
 	}})
-	runs, dups := 0, &metrics.Counter{}
+	runs := 0
 	eps[1].RegisterNonBlocking("work", func(am AM) { runs++ })
-	eps[1].Instrument(Instruments{Duplicates: dups})
 	rel := Reliability{AckTimeout: 50 * time.Microsecond, MaxAttempts: 8}
 	for _, ep := range eps {
 		ep.EnableReliability(rel)
@@ -104,8 +102,8 @@ func TestLostAckCausesDedupedDuplicate(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("handler ran %d times, want exactly 1 (dedup failed)", runs)
 	}
-	if dups.Value() != 1 {
-		t.Fatalf("am_duplicates_total = %d, want 1", dups.Value())
+	if d := eps[1].Stats().Duplicates; d != 1 {
+		t.Fatalf("%d duplicates suppressed, want 1", d)
 	}
 }
 
@@ -277,8 +275,6 @@ func TestQuickDedupWindowMatchesSeenSet(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e, _, eps := setup(senders+1, false)
 		rcv := eps[senders]
-		dups := &metrics.Counter{}
-		rcv.Instrument(Instruments{Duplicates: dups})
 		rcv.RegisterNonBlocking("work", func(AM) {})
 		var arrivals []ackKey
 		for from := 0; from < senders; from++ {
@@ -293,9 +289,9 @@ func TestQuickDedupWindowMatchesSeenSet(t *testing.T) {
 		for _, k := range arrivals {
 			w := eps[k.node].wire(senders, "work", Args{}, memspace.Region{}, 0)
 			w.seq, w.needAck, w.refs = k.seq, true, 1
-			before := dups.Value()
+			before := rcv.Stats().Duplicates
 			rcv.dispatch(w)
-			if suppressed := dups.Value() > before; suppressed != seen[k] {
+			if suppressed := rcv.Stats().Duplicates > before; suppressed != seen[k] {
 				t.Logf("seed %d: (%d, %d) suppressed = %v, want %v", seed, k.node, k.seq, suppressed, seen[k])
 				return false
 			}

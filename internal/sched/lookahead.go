@@ -3,21 +3,8 @@ package sched
 import (
 	"slices"
 
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
-
-// LookaheadHooks observes the lookahead window through registry
-// instruments. Nil instruments no-op, so the zero value is valid.
-type LookaheadHooks struct {
-	// Depth tracks the number of ready-ahead tasks currently claimed into
-	// per-place windows; its high-water mark is the deepest lookahead the
-	// run reached.
-	Depth *metrics.Gauge
-	// Refills counts window refill operations (batched pops from the
-	// wrapped scheduler).
-	Refills *metrics.Counter
-}
 
 // lookaheadSched wraps a Scheduler with a bounded per-place window of
 // ready-ahead tasks: when a place's window is empty, one refill claims up
@@ -35,17 +22,16 @@ type lookaheadSched struct {
 	// from the end, so the window's array serves every refill.
 	buf      [][]*task.Task
 	buffered int
-	hooks    LookaheadHooks
 }
 
 // Lookahead wraps inner with a per-place ready-ahead window of the given
 // size. window <= 1 returns inner unchanged (a one-deep window is just a
 // pop).
-func Lookahead(inner Scheduler, window int, h LookaheadHooks) Scheduler {
+func Lookahead(inner Scheduler, window int) Scheduler {
 	if window <= 1 {
 		return inner
 	}
-	return &lookaheadSched{inner: inner, window: window, hooks: h}
+	return &lookaheadSched{inner: inner, window: window}
 }
 
 // Submit forwards to the wrapped scheduler; submissions never bypass the
@@ -73,15 +59,12 @@ func (s *lookaheadSched) Pop(place int) *task.Task {
 			return nil
 		}
 		slices.Reverse(q)
-		s.hooks.Refills.Inc()
 		s.buffered += len(q)
-		s.hooks.Depth.Add(int64(len(q)))
 	}
 	t := q[len(q)-1]
 	q[len(q)-1] = nil
 	s.buf[place] = q[:len(q)-1]
 	s.buffered--
-	s.hooks.Depth.Add(-1)
 	return t
 }
 
@@ -95,9 +78,12 @@ func (s *lookaheadSched) Drain(place int) []*task.Task {
 		s.buf[place] = nil
 	}
 	s.buffered -= len(out)
-	s.hooks.Depth.Add(-int64(len(out)))
 	return append(out, s.inner.Drain(place)...)
 }
 
 // Len counts windowed tasks plus the wrapped scheduler's queue.
 func (s *lookaheadSched) Len() int { return s.buffered + s.inner.Len() }
+
+// Steals is the wrapped scheduler's: a window only claims what its own
+// place popped.
+func (s *lookaheadSched) Steals() int { return s.inner.Steals() }

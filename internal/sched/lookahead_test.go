@@ -12,7 +12,7 @@ func laTask(id int, dev task.Device) *task.Task {
 
 func TestLookaheadWindowServesFIFO(t *testing.T) {
 	inner := New(BreadthFirst, 2, Options{})
-	s := Lookahead(inner, 3, LookaheadHooks{})
+	s := Lookahead(inner, 3)
 	for i := 1; i <= 5; i++ {
 		s.Submit(laTask(i, task.SMP), -1)
 	}
@@ -39,7 +39,7 @@ func TestLookaheadRespectsCompatibility(t *testing.T) {
 		return tk.Device == task.CUDA
 	}
 	inner := New(BreadthFirst, 2, Options{CanRun: canRun})
-	s := Lookahead(inner, 4, LookaheadHooks{})
+	s := Lookahead(inner, 4)
 	s.Submit(laTask(1, task.CUDA), -1)
 	s.Submit(laTask(2, task.SMP), -1)
 	s.Submit(laTask(3, task.CUDA), -1)
@@ -58,7 +58,7 @@ func TestLookaheadRespectsCompatibility(t *testing.T) {
 
 func TestLookaheadDrainReturnsWindow(t *testing.T) {
 	inner := New(BreadthFirst, 2, Options{})
-	s := Lookahead(inner, 8, LookaheadHooks{})
+	s := Lookahead(inner, 8)
 	for i := 1; i <= 4; i++ {
 		s.Submit(laTask(i, task.SMP), -1)
 	}
@@ -80,10 +80,10 @@ func TestLookaheadDrainReturnsWindow(t *testing.T) {
 
 func TestLookaheadWindowOneIsPassthrough(t *testing.T) {
 	inner := New(BreadthFirst, 1, Options{})
-	if s := Lookahead(inner, 1, LookaheadHooks{}); s != inner {
+	if s := Lookahead(inner, 1); s != inner {
 		t.Fatalf("window 1 should return the wrapped scheduler unchanged")
 	}
-	if s := Lookahead(inner, 0, LookaheadHooks{}); s != inner {
+	if s := Lookahead(inner, 0); s != inner {
 		t.Fatalf("window 0 should return the wrapped scheduler unchanged")
 	}
 }

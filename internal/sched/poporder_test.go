@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
@@ -56,13 +55,11 @@ var popScript = []popStep{
 // pops of every place in turn until none finds work, and the steal count.
 func runPopScript(policy Policy) string {
 	steps := map[task.ID]popStep{}
-	steals := metrics.New().Counter("steals")
 	o := withCost(Options{
 		Score:   func(t *task.Task) []uint64 { return steps[t.ID].score },
 		Steal:   true,
 		CanRun:  deviceFilter,
 		Accepts: deviceAccepts,
-		Hooks:   Hooks{Steals: steals},
 	}, func(t *task.Task) []Estimate { return steps[t.ID].est },
 		func(t *task.Task) time.Duration { return steps[t.ID].rank })
 	s := New(policy, 3, o)
@@ -106,7 +103,7 @@ func runPopScript(policy Policy) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%s steals=%d len=%d", strings.Join(out, " "), steals.Value(), s.Len())
+	return fmt.Sprintf("%s steals=%d len=%d", strings.Join(out, " "), s.Steals(), s.Len())
 }
 
 // TestPopOrder pins, per policy, the exact sequence popScript pops: the

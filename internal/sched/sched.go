@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bsc-repro/ompss/internal/metrics"
 	"github.com/bsc-repro/ompss/internal/task"
 )
 
@@ -111,20 +110,13 @@ type Scheduler interface {
 	// Len returns the number of queued tasks: a count kept as they come
 	// and go, so asking is O(1).
 	Len() int
+	// Steals returns how many tasks a place took from another place's
+	// local queue.
+	Steals() int
 }
 
-// Hooks observes scheduler activity through registry instruments. Nil
-// instruments no-op, so the zero Hooks is valid.
-type Hooks struct {
-	// Queued tracks the live queue depth; its high-water mark (Gauge.Max)
-	// records the deepest backlog of the run.
-	Queued *metrics.Gauge
-	// Steals counts tasks taken from another place's local queue.
-	Steals *metrics.Counter
-}
-
-// Options are the policy inputs and observers of a scheduler; the zero
-// value suits the bf and dependencies policies.
+// Options are the policy inputs of a scheduler; the zero value suits the
+// bf and dependencies policies.
 type Options struct {
 	// Score is required by the Affinity policy, ignored otherwise.
 	Score ScoreFn
@@ -142,14 +134,12 @@ type Options struct {
 	// queues, which are split by device; CanRun filters within them. Nil
 	// means every place visits every device.
 	Accepts AcceptsFn
-	// Hooks attaches observation instruments.
-	Hooks Hooks
 }
 
 // New builds a scheduler with the given policy over places execution
 // places.
 func New(policy Policy, places int, o Options) Scheduler {
-	s := &pool{canRun: o.CanRun, fifo: fifo{accepts: o.Accepts}, steal: o.Steal, hooks: o.Hooks}
+	s := &pool{canRun: o.CanRun, fifo: fifo{accepts: o.Accepts}, steal: o.Steal}
 	if s.canRun == nil {
 		s.canRun = func(int, *task.Task) bool { return true }
 	}
@@ -320,11 +310,10 @@ type pool struct {
 	// steal lets a place with nothing else to run take the newest entry
 	// it can run from the deepest backlog of another place.
 	steal bool
-	// n counts the live tasks, mirrored to hooks.Queued; entries come from
-	// slab.
-	n     int
-	hooks Hooks
-	slab  []entry
+	// n counts the live tasks and steals the tasks taken by a steal;
+	// entries come from slab.
+	n, steals int
+	slab      []entry
 }
 
 // byAffinity binds a task to the place holding strictly the most of its
@@ -387,12 +376,9 @@ func (s *pool) byEarliestFinish(cost CostFn) func(*task.Task) (int, time.Duratio
 	}
 }
 
-func (s *pool) add(d int) {
-	s.n += d
-	s.hooks.Queued.Add(int64(d))
-}
-
 func (s *pool) Len() int { return s.n }
+
+func (s *pool) Steals() int { return s.steals }
 
 func (s *pool) Submit(t *task.Task, releasedBy int) {
 	// Entries come from a bulk-allocated slab, so a ready task costs no
@@ -403,7 +389,7 @@ func (s *pool) Submit(t *task.Task, releasedBy int) {
 	e := &s.slab[0]
 	s.slab = s.slab[1:]
 	e.t = t
-	s.add(1)
+	s.n++
 	p := -1
 	if s.bind != nil {
 		p, e.cost = s.bind(t)
@@ -443,7 +429,7 @@ func (s *pool) Pop(place int) *task.Task {
 	}
 	if e == nil && s.steal {
 		if e = s.victim(place, pred); e != nil {
-			s.hooks.Steals.Inc()
+			s.steals++
 		}
 	}
 	if e == nil {
@@ -478,7 +464,7 @@ func (s *pool) take(e *entry) *task.Task {
 	}
 	t := e.t
 	e.t = nil
-	s.add(-1)
+	s.n--
 	return t
 }
 

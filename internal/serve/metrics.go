@@ -1,16 +1,13 @@
 package serve
 
 import (
+	"fmt"
+	"io"
 	"sync/atomic"
-
-	"github.com/bsc-repro/ompss/internal/metrics"
 )
 
-// stats are the server's own instruments. internal/metrics counters are
-// plain single-writer values (the simulator is single-threaded), so the
-// concurrent HTTP edge accumulates atomics here and renders them through
-// a freshly built metrics.Registry on demand — same canonical ids and
-// text format, race-free updates.
+// stats are the server's own counters, atomics because the HTTP edge is
+// concurrent.
 type stats struct {
 	requests       atomic.Int64 // serve_requests
 	cacheHits      atomic.Int64 // serve_cache_hit
@@ -23,27 +20,24 @@ type stats struct {
 	execOK         atomic.Int64 // serve_exec_completed
 }
 
-// registry renders one Stats snapshot into an internal/metrics registry.
-// The registry is rebuilt per call (single-writer by construction), so
-// WriteText output has the standard canonical ordering.
-func registry(st cacheStats) *metrics.Registry {
-	reg := metrics.New()
-	reg.Counter("serve_requests").Add(st.Requests)
-	reg.Counter("serve_cache_hit").Add(st.Hits)
-	reg.Counter("serve_cache_miss").Add(st.Misses)
-	reg.Counter("serve_cache_evict").Add(st.Evictions)
-	reg.Counter("serve_dedup_coalesced").Add(st.Coalesced)
-	reg.Counter("serve_reject_overload").Add(st.RejectedOverload)
-	reg.Counter("serve_bad_requests").Add(st.BadRequests)
-	reg.Counter("serve_exec_errors").Add(st.ExecErrors)
-	reg.Counter("serve_exec_completed").Add(st.ExecCompleted)
-	// Set the high-water mark first so the gauge's Max reflects it, then
-	// the instantaneous depth as the current value.
-	q := reg.Gauge("serve_queue_depth")
-	q.Set(st.QueueMax)
-	q.Set(int64(st.QueueDepth))
-	reg.Gauge("serve_cache_entries").Set(int64(st.Entries))
-	reg.Gauge("serve_cache_bytes").Set(st.Bytes)
-	reg.Gauge("serve_jobs").Set(int64(st.Jobs))
-	return reg
+// writeMetricsText renders one stats snapshot as /metricsz's lines: the
+// counters, then the gauges, each sorted by id. A gauge carries its value
+// and its high-water mark, which only the queue depth keeps apart (the
+// table raises QueueMax under the lock it enqueues under).
+func writeMetricsText(w io.Writer, st cacheStats) {
+	fmt.Fprintf(w, `counter serve_bad_requests value=%d
+counter serve_cache_evict value=%d
+counter serve_cache_hit value=%d
+counter serve_cache_miss value=%d
+counter serve_dedup_coalesced value=%d
+counter serve_exec_completed value=%d
+counter serve_exec_errors value=%d
+counter serve_reject_overload value=%d
+counter serve_requests value=%d
+gauge serve_cache_bytes value=%[10]d max=%[10]d
+gauge serve_cache_entries value=%[11]d max=%[11]d
+gauge serve_jobs value=%[12]d max=%[12]d
+gauge serve_queue_depth value=%[13]d max=%[14]d
+`, st.BadRequests, st.Evictions, st.Hits, st.Misses, st.Coalesced, st.ExecCompleted, st.ExecErrors,
+		st.RejectedOverload, st.Requests, st.Bytes, st.Entries, st.Jobs, st.QueueDepth, st.QueueMax)
 }

@@ -38,7 +38,7 @@ import (
 // canonical encoding below, the result artifact layout, or the meaning of
 // any request field changes — old cached bytes must never be served for a
 // request a newer binary would compute differently.
-const KeyVersion = "4"
+const KeyVersion = "5"
 
 // Request is one experiment request as accepted by POST /v1/experiments.
 // The zero value of every optional field means "paper default", and the

@@ -186,12 +186,11 @@ func (s *Server) runJob(j *job) {
 		// Encoded once; every hit writes these bytes. Strings, an int and a
 		// bool cannot fail to encode.
 		reply, _ := json.Marshal(resultPayload{
-			Hash:        j.Hash,
-			Experiment:  j.Experiment,
-			Rows:        len(er.Rows),
-			CSV:         string(er.CSV),
-			MetricsText: string(er.MetricsText),
-			HasTrace:    len(er.TraceJSON) > 0,
+			Hash:       j.Hash,
+			Experiment: j.Experiment,
+			Rows:       len(er.Rows),
+			CSV:        string(er.CSV),
+			HasTrace:   len(er.TraceJSON) > 0,
 		})
 		res = &result{Hash: j.Hash, Reply: append(reply, '\n'), TraceJSON: er.TraceJSON, body: j.body}
 		s.st.execOK.Add(1)
@@ -242,12 +241,11 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // seeded it produce byte-identical bodies (the X-Ompss-Cache header is
 // where hit/miss/coalesced shows up).
 type resultPayload struct {
-	Hash        string `json:"hash"`
-	Experiment  string `json:"experiment"`
-	Rows        int    `json:"rows"`
-	CSV         string `json:"csv"`
-	MetricsText string `json:"metrics_text"`
-	HasTrace    bool   `json:"has_trace"`
+	Hash       string `json:"hash"`
+	Experiment string `json:"experiment"`
+	Rows       int    `json:"rows"`
+	CSV        string `json:"csv"`
+	HasTrace   bool   `json:"has_trace"`
 }
 
 // Reply header values are shared by every reply, not built per request.
@@ -537,11 +535,11 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(s.stats())
 }
 
-// handleMetricsText is GET /metricsz: the same snapshot rendered through
-// the internal/metrics registry in its canonical text format.
+// handleMetricsText is GET /metricsz: the same snapshot as plain text
+// lines (writeMetricsText).
 func (s *Server) handleMetricsText(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	registry(s.stats()).WriteText(w)
+	writeMetricsText(w, s.stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -58,9 +58,8 @@ func post(t *testing.T, url, body string) (int, []byte, string) {
 // fakeResult builds a deterministic ExecResult for fake executors.
 func fakeResult(tag string) *bench.ExecResult {
 	return &bench.ExecResult{
-		Rows:        []bench.Row{},
-		CSV:         []byte("experiment,config,value,unit\nfake," + tag + ",1,u\n"),
-		MetricsText: []byte("# fake " + tag + "\n"),
+		Rows: []bench.Row{},
+		CSV:  []byte("experiment,config,value,unit\nfake," + tag + ",1,u\n"),
 	}
 }
 
@@ -714,7 +713,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	// the same: its reply, its body and the overhead.
 	fake := fakeResult("stats")
 	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "fig11",
-		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
+		CSV: string(fake.CSV)})
 	charge := (&result{Reply: append(reply, '\n'), body: `{"experiment":"fig11","seed":101}`}).sizeBytes()
 	s2 := startServer(t, Config{Workers: 2, MaxJobs: 1, Execute: func(Request, func(bench.PointDone)) (*bench.ExecResult, error) {
 		return fake, nil
@@ -796,7 +795,7 @@ func TestMetricszBytes(t *testing.T) {
 	wantCode(do(s, "POST", "/v1/experiments", body(101)), http.StatusOK)
 
 	reply, _ := json.Marshal(resultPayload{Hash: strings.Repeat("0", 32), Experiment: "fig11",
-		CSV: string(fake.CSV), MetricsText: string(fake.MetricsText)})
+		CSV: string(fake.CSV)})
 	charge := (&result{Reply: append(reply, '\n'), body: body(101)}).sizeBytes()
 	want := fmt.Sprintf(`counter serve_bad_requests value=1
 counter serve_cache_evict value=0

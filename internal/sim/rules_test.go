@@ -33,8 +33,7 @@ const modPath = "github.com/bsc-repro/ompss"
 var scopedPkgs = []string{
 	"internal/sim", "internal/sched", "internal/core", "internal/coherence",
 	"internal/depgraph", "internal/gasnet", "internal/netsim", "internal/gpusim",
-	"internal/faults", "internal/memspace", "internal/task", "internal/metrics",
-	"internal/trace",
+	"internal/faults", "internal/memspace", "internal/task", "internal/trace",
 	// The serving layer caches simulation results by content hash; a
 	// wall-clock read there can leak nondeterminism into cached bytes just
 	// as surely as one inside the simulator.
