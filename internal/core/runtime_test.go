@@ -698,6 +698,42 @@ func tracedFixtureRun(t *testing.T) (Stats, *trace.Recorder) {
 	return stats, rec
 }
 
+func TestMetricsAgreeWithStats(t *testing.T) {
+	stats, rec := tracedFixtureRun(t)
+	// Recount from the trace, a second record of the same run: every task
+	// body is one TaskRun span on its node (Dev -1 for SMP), and every
+	// host-to-device copy is one XferH2D span.
+	perNode := make([]int, len(stats.TasksPerNode))
+	var smp, cuda, h2d int
+	for _, s := range rec.Spans() {
+		switch s.Kind {
+		case trace.TaskRun:
+			perNode[s.Node]++
+			if s.Dev < 0 {
+				smp++
+			} else {
+				cuda++
+			}
+		case trace.XferH2D:
+			h2d++
+		}
+	}
+	if smp != stats.TasksSMP || cuda != stats.TasksCUDA {
+		t.Fatalf("trace saw %d SMP / %d CUDA task runs, Stats says %d / %d",
+			smp, cuda, stats.TasksSMP, stats.TasksCUDA)
+	}
+	if fmt.Sprint(perNode) != fmt.Sprint(stats.TasksPerNode) {
+		t.Fatalf("trace per-node task runs %v, Stats says %v", perNode, stats.TasksPerNode)
+	}
+	if h2d != stats.XfersH2D || h2d == 0 {
+		t.Fatalf("trace saw %d H2D copies, Stats says %d", h2d, stats.XfersH2D)
+	}
+	if stats.CacheMisses == 0 || stats.CacheHits+stats.CacheMisses < stats.TasksCUDA {
+		t.Fatalf("cache saw %d hits / %d misses for %d GPU tasks",
+			stats.CacheHits, stats.CacheMisses, stats.TasksCUDA)
+	}
+}
+
 func TestTraceEdgesAndCriticalPathFromRun(t *testing.T) {
 	stats, rec := tracedFixtureRun(t)
 	if len(rec.Edges()) == 0 {
